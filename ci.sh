@@ -12,9 +12,8 @@
 #      BENCH_pipeline.json can be refreshed from the CI artifact — the
 #      snapshot itself enforces the <5% no-op tracer and <5%
 #      cost-attribution overhead gates —
-#      plus the incremental bench, whose run fails unless every warm
-#      signature is bit-identical to cold and a single-function edit
-#      on the synthetic addon re-steps <20% of the cold fixpoint,
+#      plus the repo benchmark's own unit tests, so a change that breaks
+#      a public layer function the benchmark calls fails here,
 #   4. a `vet --trace` smoke test: the emitted chrome://tracing JSON
 #      must parse and keep strict span nesting (trace_check), plus a
 #      `vet profile` smoke: two runs of the hotspot table must be
@@ -36,13 +35,7 @@
 #      known-good rules (exit 0), pass the cost-attribution rules
 #      (queue-wait and analyze p99 bounds), and fail the
 #      known-violating rules (exit nonzero) — the alerting contract,
-#   9. the incremental re-vetting gate: a cold `vet --summary-dir` on a
-#      many-function addon, a scripted one-line edit, then a warm
-#      re-vet — the store must splice every untouched function
-#      (re-analyzing strictly fewer than all of them) and the warm
-#      `--json` signature must be byte-identical to a cold run of the
-#      edited source,
-#  10. the fleet gate: `serve_load --fleet 2 --check` boots a sigfleet
+#   9. the fleet gate: `serve_load --fleet 2 --check` boots a sigfleet
 #      coordinator plus two worker nodes over loopback and asserts the
 #      fleet invariants in-process (a worker killed mid-job is reaped
 #      and its job requeued with the correct verdict, concurrent
@@ -53,24 +46,14 @@
 #      coordinator's metrics history must pass metrics-gate-fleet.json;
 #      and the `coordinate`/`--join` CLI surfaces keep the help/exit
 #      code contract (--help on stdout exit 0, errors exit nonzero),
-#  11. the many-connection gate: the hostile-client suite (slow-loris,
+#  10. the many-connection gate: the hostile-client suite (slow-loris,
 #      never-reading flood, mid-request disconnects) must pass, and
 #      `serve_load --connections 10000` must hold 10k mostly-idle
 #      connections (in holder subprocesses, under this container's
 #      20k-fd cap) with an active cache-hit stream whose p99 stays
 #      under 50ms; the daemon's metrics history must pass
 #      metrics-gate-conn.json (>=10k accepts, zero backpressure sheds,
-#      zero deadline misses),
-#  12. the ladder gate: `serve_load --ladder` runs a benign-heavy cold
-#      workload through a full-sensitivity daemon and a tiered-ladder
-#      daemon; every ladder signature must be byte-identical to the
-#      single-tier one, the event log must replay exactly the escalated
-#      lifecycles the counters claim, the written BENCH_ladder snapshot
-#      must show >=1.3x ladder-over-single throughput, and the ladder
-#      daemon's metrics history must pass metrics-gate-ladder.json
-#      (tier0 resolves, escalations happen, escalation rate bounded);
-#      the `--ladder` CLI surfaces keep their contract (advertised in
-#      help, conflicting flags exit nonzero).
+#      zero deadline misses).
 set -eu
 cd "$(dirname "$0")"
 
@@ -92,9 +75,8 @@ cargo build --release --offline --workspace
 grep -q '"trace_overhead_pct"' target/BENCH_pipeline.ci.json
 grep -q '"attr_overhead_pct"' target/BENCH_pipeline.ci.json
 
-echo "==> incremental bench (golden identity + <20% single-function-edit gate)"
-./target/release/incr_bench --out target/BENCH_incremental.ci.json
-grep -q '"step_ratio_pct"' target/BENCH_incremental.ci.json
+echo "==> repo benchmark unit tests (the layer functions it calls still build)"
+CARGO_TARGET_DIR=.bench_build cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 echo "==> vet --trace smoke test (Perfetto JSON parses, spans nest)"
 ./target/release/vet --trace target/ci_trace.json crates/corpus/addons/pinpoints.js > /dev/null
@@ -134,17 +116,6 @@ echo "==> corpus drift gate (same analyzer => zero drift)"
 ./target/release/vet corpus-snapshot --out target/ci_snap_b.json
 cmp target/ci_snap_a.json target/ci_snap_b.json
 ./target/release/vet corpus-diff target/ci_snap_a.json target/ci_snap_b.json > /dev/null
-# The incremental oracle: a snapshot taken *through* the per-function
-# summary store (populating on the first pass, splicing on the second)
-# must be byte-identical to the cold one and show zero drift.
-rm -rf target/ci_snap_store
-./target/release/vet corpus-snapshot --summary-dir target/ci_snap_store \
-    --out target/ci_snap_populate.json
-./target/release/vet corpus-snapshot --summary-dir target/ci_snap_store \
-    --out target/ci_snap_warm.json
-cmp target/ci_snap_a.json target/ci_snap_populate.json
-cmp target/ci_snap_a.json target/ci_snap_warm.json
-./target/release/vet corpus-diff target/ci_snap_a.json target/ci_snap_warm.json > /dev/null
 
 echo "==> health gate (metrics history + vet metrics-report --gate)"
 rm -rf target/ci_metrics
@@ -167,38 +138,6 @@ if ./target/release/vet metrics-report target/ci_metrics --gate ci/metrics-gate-
     echo "ci.sh: violating rules file must exit nonzero" >&2
     exit 1
 fi
-
-echo "==> incremental re-vetting gate (one-line patch splices)"
-rm -rf target/ci_summaries
-# A six-worker addon whose functions each carry a dead `probe` literal;
-# the scripted edit patches one literal without changing any value that
-# escapes its function — the model of a trivial resubmitted update.
-i=0
-: > target/ci_incr_base.js
-while [ $i -lt 6 ]; do
-    cat >> target/ci_incr_base.js <<EOF
-function worker$i(seed) {
-  var probe = 'probe-$i';
-  var tag = 'worker-$i';
-  var body = tag + ':' + seed;
-  return body + '#' + tag;
-}
-EOF
-    echo "worker$i($((i % 2)));" >> target/ci_incr_base.js
-    i=$((i + 1))
-done
-sed "s/'probe-2'/'probe-2-patched'/" target/ci_incr_base.js > target/ci_incr_edit.js
-# Cold vet populates the store; the warm re-vet of the edited source
-# must splice the five untouched workers (only worker2 plus the
-# top-level code re-analyzes: 2 of 7 functions).
-./target/release/vet --summary-dir target/ci_summaries target/ci_incr_base.js > /dev/null
-./target/release/vet --summary-dir target/ci_summaries target/ci_incr_edit.js \
-    | grep -q '\[summary store: 5 hits, 1 misses, 2/7 functions re-analyzed\]'
-# Golden identity: the spliced signature is byte-for-byte the cold one.
-./target/release/vet --json target/ci_incr_edit.js > target/ci_incr_cold.json
-./target/release/vet --json --summary-dir target/ci_summaries target/ci_incr_edit.js \
-    > target/ci_incr_warm.json
-cmp target/ci_incr_cold.json target/ci_incr_warm.json
 
 echo "==> fleet gate (coordinator + 2 workers: kill/requeue, dedup, scaling, merged replay)"
 rm -rf target/ci_fleet_metrics
@@ -237,23 +176,5 @@ rm -rf target/ci_conn_metrics
 awk '/"p99_us"/ { gsub(/[,"]/, ""); if ($2 + 0 < 50000) ok = 1 }
      END { exit ok ? 0 : 1 }' target/BENCH_serve_conn.ci.json
 ./target/release/vet metrics-report target/ci_conn_metrics --gate ci/metrics-gate-conn.json
-
-echo "==> ladder gate (tiered vetting: byte-identity, escalation replay, >=1.3x)"
-rm -rf target/ci_ladder_metrics
-./target/release/serve_load --ladder \
-    --out target/BENCH_ladder.ci.json --metrics-dir target/ci_ladder_metrics
-# Triage at tier 0 must buy real throughput on a benign-heavy queue.
-awk '/"ratio_ladder_over_single"/ { gsub(/[,"]/, ""); if ($2 + 0 >= 1.3) ok = 1 }
-     END { exit ok ? 0 : 1 }' target/BENCH_ladder.ci.json
-# The ladder daemon's recorded metrics history passes the ladder rules
-# (tier0 resolves, escalations happen, escalation rate stays bounded).
-./target/release/vet metrics-report target/ci_ladder_metrics --gate ci/metrics-gate-ladder.json
-# CLI contract: --ladder is advertised, and conflicts exit nonzero.
-./target/release/vet serve --help | grep -- '--ladder' > /dev/null
-if ./target/release/vet --ladder --trace target/ci_ladder_trace.json \
-    crates/corpus/addons/pinpoints.js 2> /dev/null; then
-    echo "ci.sh: --ladder plus --trace must exit nonzero" >&2
-    exit 1
-fi
 
 echo "==> ci.sh: all gates passed"

@@ -28,13 +28,7 @@
 //!                   `job_rejected` logging are exercised: the sampled
 //!                   log must still replay, and kept records plus
 //!                   declared `suppressed` counts must reconcile exactly
-//!                   with the daemon's shed count. Check mode also boots
-//!                   the daemon with a per-function summary store and
-//!                   runs a resubmit-after-edit scenario: a synthetic
-//!                   addon, then a one-line patch of it, must come back
-//!                   with the exact cold signature while the daemon's
-//!                   `summary_lookup` record shows most functions
-//!                   spliced rather than re-analyzed.
+//!                   with the daemon's shed count.
 //! - `--out PATH`    where to write the JSON (default
 //!                   `<repo root>/BENCH_serve.json`)
 //! - `--fleet N`     benchmark the `sigfleet` coordinator + N worker
@@ -54,19 +48,7 @@
 //!                   cache-hit request stream through the crowd. Writes
 //!                   `BENCH_serve_conn.json` (default at the repo root);
 //!                   ci.sh gates its active p99.
-//! - `--ladder`      benchmark the tiered vetting ladder against a
-//!                   single full-sensitivity daemon on a benign-heavy
-//!                   cold workload (synthetic flow-free addons plus the
-//!                   corpus and the attack gallery, every source
-//!                   distinct so nothing cache-hits). Asserts the
-//!                   ladder's invariants — every signature byte-equal
-//!                   to the single-tier daemon's, tier0-resolved plus
-//!                   escalated jobs account for every job, the attack
-//!                   gallery all escalates, and the event log replays
-//!                   with exactly the escalated lifecycles the counters
-//!                   claim — then writes `BENCH_ladder.json` with the
-//!                   ladder-over-single throughput ratio ci.sh gates.
-//! - `--metrics-dir DIR`  (fleet + connections + ladder modes)
+//! - `--metrics-dir DIR`  (fleet + connections modes)
 //!                   metrics-history ring, for `vet metrics-report
 //!                   --gate`
 
@@ -141,7 +123,6 @@ fn main() {
     let mut out: Option<String> = None;
     let mut fleet: Option<usize> = None;
     let mut connections: Option<usize> = None;
-    let mut ladder = false;
     let mut metrics_dir: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
@@ -171,7 +152,6 @@ fn main() {
                 i += 1;
                 connections = Some(args[i].parse().expect("--connections N"));
             }
-            "--ladder" => ladder = true,
             "--metrics-dir" => {
                 i += 1;
                 metrics_dir = Some(args[i].clone());
@@ -195,13 +175,6 @@ fn main() {
             format!("{}/../../BENCH_serve_conn.json", env!("CARGO_MANIFEST_DIR"))
         });
         run_connections(total.max(1), workers, &out, metrics_dir);
-        return;
-    }
-    if ladder {
-        let out = out.unwrap_or_else(|| {
-            format!("{}/../../BENCH_ladder.json", env!("CARGO_MANIFEST_DIR"))
-        });
-        run_ladder_bench(clients, workers, &out, metrics_dir);
         return;
     }
     if check {
@@ -245,30 +218,12 @@ fn main() {
         queue_cap: if check { 4 } else { default_cfg.queue_cap },
         ..default_cfg
     };
-    // Check mode runs the daemon on the incremental engine so the
-    // resubmit-after-edit phase below exercises the summary store
-    // end-to-end; the measured modes keep the plain engine so the
-    // trajectory numbers in BENCH_serve.json stay comparable.
-    let summary_store = check.then(|| Arc::new(jsanalysis::MemorySummaryStore::new(1024)));
-    let builder = Server::builder().config(cfg).addr("127.0.0.1:0");
-    let server = if let Some(store) = &summary_store {
-        let store: Arc<dyn jsanalysis::SummaryStore> = Arc::clone(store) as _;
-        let engine_log = log.clone();
-        builder.analyze_traced(move |src, config, metrics, trace| {
-            addon_sig::service_engine_incremental(
-                src,
-                config,
-                metrics,
-                &store,
-                engine_log.as_deref(),
-                trace,
-            )
-        })
-    } else {
-        builder.analyze_traced(addon_sig::service_engine_traced)
-    }
-    .start()
-    .expect("bind daemon");
+    let server = Server::builder()
+        .config(cfg)
+        .addr("127.0.0.1:0")
+        .analyze_traced(addon_sig::service_engine_traced)
+        .start()
+        .expect("bind daemon");
     let addr = server.local_addr();
     println!(
         "serve_load: daemon on {addr}, {workers} workers, {} corpus addons",
@@ -392,88 +347,6 @@ fn main() {
         );
     }
 
-    // Phase 5 (check mode only): resubmit after an edit. Submit a
-    // synthetic many-function addon, then a one-line patch of it (a
-    // dead literal inside one function), as an addon market sees a
-    // trivial update to a previously vetted extension. The daemon must
-    // return the exact signature a cold analysis of the patched source
-    // produces, and its `summary_lookup` log record must show the store
-    // splicing every untouched function.
-    let mut resubmit_jobs = 0usize;
-    if check {
-        const WORKERS: usize = 8;
-        let mut base = String::new();
-        for i in 0..WORKERS {
-            base.push_str(&format!(
-                "function worker{i}(seed) {{\n  var probe = 'probe-{i}';\n  \
-                 var tag = 'worker-{i}';\n  var body = tag + ':' + seed;\n  \
-                 var out = '';\n  if (seed) {{ out = body + '/hot'; }} \
-                 else {{ out = body + '/cold'; }}\n  return out + '#' + tag;\n}}\n"
-            ));
-        }
-        for i in 0..WORKERS {
-            base.push_str(&format!("worker{i}({});\n", i % 2));
-        }
-        let edited = base.replace("'probe-3'", "'probe-3-patched'");
-        assert_ne!(base, edited);
-
-        let mut client = Client::connect(addr).expect("connect");
-        let before = server.stats();
-        let first = client.vet_source(Some("resubmit_base"), &base).expect("vet base");
-        assert_eq!(first["verdict"], "ok");
-        let second = client.vet_source(Some("resubmit_edit"), &edited).expect("vet edit");
-        assert_eq!(second["verdict"], "ok");
-        resubmit_jobs = 2;
-
-        // Golden identity: the warm, spliced signature must be
-        // bit-identical to a cold local analysis of the edited source.
-        let cold = addon_sig::analyze_addon(&edited).expect("cold pipeline");
-        let cold_sig = Json::parse(&cold.signature.to_json()).expect("signature json");
-        assert_eq!(
-            second["signature"].to_string(),
-            cold_sig.to_string(),
-            "daemon's spliced signature must match a cold analysis"
-        );
-
-        // The daemon's counters and its summary_lookup record must show
-        // the second job splicing: all workers but the edited one hit.
-        let after = server.stats();
-        let counter = |snap: &Json, name: &str| {
-            snap["metrics"]["counters"][name].as_f64().unwrap_or(0.0)
-        };
-        let hits_delta = counter(&after, "summary_hits") - counter(&before, "summary_hits");
-        assert!(
-            hits_delta >= (WORKERS - 1) as f64,
-            "resubmit must hit the summary store for untouched workers \
-             (summary_hits delta {hits_delta})"
-        );
-        let log_ref = log.as_ref().expect("check mode attaches a log");
-        log_ref.flush();
-        let last_lookup = log_ref
-            .tail_lines()
-            .iter()
-            .rev()
-            .filter_map(|l| Json::parse(l).ok())
-            .find(|r| r["event"] == "summary_lookup")
-            .expect("warm job must emit a summary_lookup record");
-        let field = |name: &str| last_lookup[name].as_f64().unwrap_or(-1.0);
-        assert_eq!(field("hits"), (WORKERS - 1) as f64, "spliced workers");
-        assert!(
-            field("reanalyzed") < field("total"),
-            "one-line patch must not re-analyze the whole addon \
-             ({} of {} functions re-analyzed)",
-            field("reanalyzed"),
-            field("total")
-        );
-        assert_eq!(field("abandoned"), 0.0, "warm run must not abandon");
-        println!(
-            "resubmit-after-edit: {} of {} functions re-analyzed, {} spliced",
-            field("reanalyzed"),
-            field("total"),
-            field("hits")
-        );
-    }
-
     let mut shut = Client::connect(addr).expect("connect");
     let ack = shut.shutdown().expect("shutdown");
     assert_eq!(ack["kind"], "shutdown_ack");
@@ -515,9 +388,8 @@ fn main() {
         let suppressed = *replay.suppressed.get("job_rejected").unwrap_or(&0) as usize;
         assert_eq!(
             computed,
-            addons.len() + accepted_burst + resubmit_jobs,
-            "each addon computed exactly once, plus every accepted burst \
-             job and both resubmit-phase jobs"
+            addons.len() + accepted_burst,
+            "each addon computed exactly once, plus every accepted burst job"
         );
         assert!(hits > 0, "replay must see cache-hit lifecycles");
         assert_eq!(
@@ -581,241 +453,6 @@ fn main() {
     doc.set("cache", cache_json);
 
     std::fs::write(&out, doc.to_string_pretty() + "\n").expect("write snapshot");
-    println!("wrote {out}");
-}
-
-/// A distinct flow-free synthetic addon for the ladder workload: a
-/// dozen two-level helper chains doing branching string munging with no
-/// security API in sight — the shape of the long benign tail of a
-/// vetting queue. Each `i` yields different identifiers and literals,
-/// so every instance is a distinct cache key and a cold analysis.
-fn benign_addon(i: usize) -> String {
-    let mut src = String::new();
-    for f in 0..12 {
-        src.push_str(&format!(
-            "function step{i}_{f}(tag) {{\n  var label = 'item-{i}-{f}:' + tag;\n  \
-             return label + '/' + tag;\n}}\n\
-             function wrap{i}_{f}(tag, n) {{\n  var body = step{i}_{f}(tag + '-w');\n  \
-             var out = body;\n  if (n) {{ out = out + '#hot'; }} \
-             else {{ out = out + '#cold'; }}\n  return out + '@{f}';\n}}\n"
-        ));
-    }
-    for f in 0..12 {
-        src.push_str(&format!("var r{i}_{f} = wrap{i}_{f}('t{f}', {});\n", f % 2));
-    }
-    src
-}
-
-/// Replays `jobs` through the daemon at `addr` on `clients` concurrent
-/// connections (strided partition, so every client sees a benign/hot
-/// mix), asserting every verdict is `ok`. Returns the wall time and
-/// each job's signature JSON, for the byte-identity cross-check.
-fn replay_jobs(
-    addr: std::net::SocketAddr,
-    clients: usize,
-    jobs: &[(String, String)],
-) -> (std::time::Duration, Vec<(String, String)>) {
-    let t0 = Instant::now();
-    let sigs: Vec<(String, String)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients.min(jobs.len()).max(1))
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut client = Client::connect(addr).expect("connect");
-                    let mut out = Vec::new();
-                    for (name, source) in jobs.iter().skip(c).step_by(clients) {
-                        let resp = client.vet_source(Some(name), source).expect("vet");
-                        assert_eq!(resp["verdict"], "ok", "{name} must vet cleanly");
-                        out.push((name.clone(), resp["signature"].to_string()));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("replay client"))
-            .collect()
-    });
-    (t0.elapsed(), sigs)
-}
-
-/// `--ladder`: the tiered-vetting throughput benchmark. The same
-/// benign-heavy cold workload — synthetic flow-free addons, the corpus,
-/// and the attack gallery, every source distinct — runs through a
-/// single full-sensitivity daemon and then through a ladder daemon
-/// (`LadderSpec::standard()`: tier0 triage, full escalation). The
-/// ladder must produce byte-identical signatures (no downgrade) while
-/// resolving the benign majority at tier 0, and the throughput ratio it
-/// buys is the number ci.sh gates.
-fn run_ladder_bench(clients: usize, workers: usize, out: &str, metrics_dir: Option<String>) {
-    use std::collections::HashMap;
-    use std::time::Duration;
-
-    const BENIGN_JOBS: usize = 80;
-
-    // Workload: benign synthetics with the corpus and the gallery
-    // interleaved, so every client (strided partition) sees a mix and
-    // neither daemon gets a convenient all-benign or all-hot stretch.
-    let mut jobs: Vec<(String, String)> = (0..BENIGN_JOBS)
-        .map(|i| (format!("benign_{i}"), benign_addon(i)))
-        .collect();
-    let addons = corpus::addons();
-    let attacks = corpus::attacks::attacks();
-    let hot_count = addons.len() + attacks.len();
-    for (slot, (name, source)) in addons
-        .iter()
-        .map(|a| (a.name, a.source))
-        .chain(attacks.iter().map(|a| (a.name, a.source)))
-        .enumerate()
-    {
-        let at = (slot * jobs.len() / hot_count).min(jobs.len());
-        jobs.insert(at, (name.to_owned(), source.to_owned()));
-    }
-    println!(
-        "serve_load --ladder: {} jobs ({BENIGN_JOBS} benign synthetics, {} corpus, {} attacks), \
-         {workers} workers, {clients} clients",
-        jobs.len(),
-        addons.len(),
-        attacks.len()
-    );
-
-    // Phase A: the single-tier baseline — every job pays full
-    // sensitivity, exactly what `vet serve` did before the ladder.
-    let single = Server::builder()
-        .config(ServeConfig {
-            workers,
-            ..ServeConfig::default()
-        })
-        .addr("127.0.0.1:0")
-        .analyze_traced(addon_sig::service_engine_traced)
-        .start()
-        .expect("bind single-tier daemon");
-    let (single_wall, single_sigs) = replay_jobs(single.local_addr(), clients, &jobs);
-    let mut shut = Client::connect(single.local_addr()).expect("connect");
-    assert_eq!(shut.shutdown().expect("shutdown")["kind"], "shutdown_ack");
-    single.join();
-    let single_tput = jobs.len() as f64 / single_wall.as_secs_f64().max(1e-9);
-    println!(
-        "single-tier: {} jobs in {:.2}s ({single_tput:.1} jobs/s)",
-        jobs.len(),
-        single_wall.as_secs_f64()
-    );
-
-    // Phase B: the ladder daemon, with an event log deep enough for the
-    // whole session so the escalation lifecycles can be replayed.
-    let log = Arc::new(sigobs::EventLog::in_memory(sigobs::Level::Info).with_tail_cap(65_536));
-    let ladder_server = Server::builder()
-        .config(ServeConfig {
-            workers,
-            ladder: Some(jsanalysis::LadderSpec::standard()),
-            log: Some(log.clone()),
-            metrics_dir: metrics_dir.map(Into::into),
-            metrics_interval: Duration::from_millis(100),
-            ..ServeConfig::default()
-        })
-        .addr("127.0.0.1:0")
-        .analyze_traced(addon_sig::service_engine_traced)
-        .start()
-        .expect("bind ladder daemon");
-    let (ladder_wall, ladder_sigs) = replay_jobs(ladder_server.local_addr(), clients, &jobs);
-    let stats = ladder_server.stats();
-    let counter =
-        |name: &str| stats["metrics"]["counters"][name].as_f64().unwrap_or(0.0) as usize;
-    let tier0_resolved = counter("serve_tier0_resolved");
-    let escalated = counter("serve_escalated");
-    let mut shut = Client::connect(ladder_server.local_addr()).expect("connect");
-    assert_eq!(shut.shutdown().expect("shutdown")["kind"], "shutdown_ack");
-    ladder_server.join();
-    let ladder_tput = jobs.len() as f64 / ladder_wall.as_secs_f64().max(1e-9);
-    println!(
-        "ladder: {} jobs in {:.2}s ({ladder_tput:.1} jobs/s), \
-         {tier0_resolved} resolved at tier0, {escalated} escalated",
-        jobs.len(),
-        ladder_wall.as_secs_f64()
-    );
-
-    // No downgrade: the ladder's signature for every job — benign,
-    // corpus, or attack — is byte-identical to the full-sensitivity
-    // daemon's.
-    let single_by_name: HashMap<&str, &str> = single_sigs
-        .iter()
-        .map(|(n, s)| (n.as_str(), s.as_str()))
-        .collect();
-    for (name, sig) in &ladder_sigs {
-        assert_eq!(
-            Some(&sig.as_str()),
-            single_by_name.get(name.as_str()),
-            "{name}: ladder signature must be byte-identical to single-tier"
-        );
-    }
-    // With a two-rung ladder every job either resolved at tier 0 or
-    // escalated exactly once; the counters must account for all of them.
-    assert_eq!(
-        tier0_resolved + escalated,
-        jobs.len(),
-        "tier0-resolved plus escalated must account for every job"
-    );
-    assert!(
-        tier0_resolved >= BENIGN_JOBS,
-        "the benign synthetics must all resolve at tier 0 \
-         ({tier0_resolved} resolved, expected at least {BENIGN_JOBS})"
-    );
-    assert!(
-        escalated >= attacks.len(),
-        "the attack gallery must all escalate ({escalated} escalated)"
-    );
-
-    // The event log alone must reconstruct the same story: every
-    // lifecycle valid, and exactly `escalated` of them multi-attempt
-    // with the terminal attempt at the full rung.
-    log.flush();
-    let text = log.tail_lines().join("\n");
-    let replay = sigobs::replay::replay_log(&text).expect("ladder event log must replay");
-    let mut replayed_escalations = 0usize;
-    for t in replay.timelines.values() {
-        let outcome = t.validate().expect("every ladder lifecycle must validate");
-        assert_eq!(outcome, sigobs::replay::Outcome::Computed);
-        if !t.escalations.is_empty() {
-            replayed_escalations += 1;
-            assert_eq!(
-                t.tier.as_deref(),
-                Some("full"),
-                "escalated lifecycles terminate at the full rung"
-            );
-        }
-    }
-    assert_eq!(
-        replayed_escalations, escalated,
-        "the log must replay exactly the escalated lifecycles the counters claim"
-    );
-    println!(
-        "replay: {} lifecycles, {replayed_escalations} escalated, all valid",
-        replay.timelines.len()
-    );
-
-    let ratio = ladder_tput / single_tput.max(1e-9);
-    println!("ladder throughput {ratio:.2}x single-tier");
-
-    let mut doc = Json::obj();
-    doc.set("schema", Json::from(1u32));
-    doc.set("workers", Json::from(workers as f64));
-    doc.set("clients", Json::from(clients as f64));
-    doc.set("jobs", Json::from(jobs.len() as f64));
-    doc.set("benign_jobs", Json::from(BENIGN_JOBS as f64));
-    doc.set("corpus_jobs", Json::from(addons.len() as f64));
-    doc.set("attack_jobs", Json::from(attacks.len() as f64));
-    let mut single_json = Json::obj();
-    single_json.set("wall_s", Json::from((single_wall.as_secs_f64() * 1e6).round() / 1e6));
-    single_json.set("throughput_rps", Json::from((single_tput * 10.0).round() / 10.0));
-    doc.set("single", single_json);
-    let mut ladder_json = Json::obj();
-    ladder_json.set("wall_s", Json::from((ladder_wall.as_secs_f64() * 1e6).round() / 1e6));
-    ladder_json.set("throughput_rps", Json::from((ladder_tput * 10.0).round() / 10.0));
-    ladder_json.set("tier0_resolved", Json::from(tier0_resolved as f64));
-    ladder_json.set("escalated", Json::from(escalated as f64));
-    doc.set("ladder", ladder_json);
-    doc.set("ratio_ladder_over_single", Json::from((ratio * 100.0).round() / 100.0));
-    std::fs::write(out, doc.to_string_pretty() + "\n").expect("write ladder snapshot");
     println!("wrote {out}");
 }
 

@@ -322,6 +322,28 @@ pub fn figure1_source() -> String {
     format!("{FIGURE1_PREAMBLE}{FIGURE1}")
 }
 
+/// A distinct flow-free synthetic addon: a dozen two-level helper
+/// chains doing branching string munging with no security API in
+/// sight — the shape of the long benign tail of a vetting queue, on
+/// which triage skips phase 2. Each `i` yields different identifiers
+/// and literals, so every instance is a distinct cache key.
+pub fn benign_addon(i: usize) -> String {
+    let mut src = String::new();
+    for f in 0..12 {
+        src.push_str(&format!(
+            "function step{i}_{f}(tag) {{\n  var label = 'item-{i}-{f}:' + tag;\n  \
+             return label + '/' + tag;\n}}\n\
+             function wrap{i}_{f}(tag, n) {{\n  var body = step{i}_{f}(tag + '-w');\n  \
+             var out = body;\n  if (n) {{ out = out + '#hot'; }} \
+             else {{ out = out + '#cold'; }}\n  return out + '@{f}';\n}}\n"
+        ));
+    }
+    for f in 0..12 {
+        src.push_str(&format!("var r{i}_{f} = wrap{i}_{f}('t{f}', {});\n", f % 2));
+    }
+    src
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

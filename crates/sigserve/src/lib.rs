@@ -113,11 +113,6 @@ pub enum VetOutcome {
         /// format and cache identity are profile-free; the daemon
         /// surfaces it through the `job_profile` log event instead.
         profile: Option<JobProfile>,
-        /// The ladder tier that produced this outcome (`None` outside
-        /// ladder mode). Part of the wire JSON and the `job_computed` /
-        /// `job_profile` log events, so every verdict names the
-        /// sensitivity that produced it.
-        tier: Option<String>,
     },
     /// The analysis budget (step or wall-clock) was exhausted; the
     /// daemon reports `verdict:"timeout"` and keeps the worker.
@@ -132,18 +127,12 @@ pub enum VetOutcome {
         /// (the daemon's engines always do), so every timeout verdict
         /// is explainable from the log alone.
         profile: Option<JobProfile>,
-        /// The ladder tier that produced this outcome. A client-visible
-        /// timeout can only carry the *final* rung's name: non-final
-        /// exhaustion escalates instead of surfacing.
-        tier: Option<String>,
     },
     /// The pipeline failed (parse error, step-limit safety valve, ...).
     #[non_exhaustive]
     Error {
         /// Human-readable failure description.
         message: String,
-        /// The ladder tier that produced this outcome.
-        tier: Option<String>,
     },
 }
 
@@ -154,7 +143,6 @@ impl VetOutcome {
             signature_json,
             timings,
             profile: None,
-            tier: None,
         }
     }
 
@@ -168,7 +156,6 @@ impl VetOutcome {
             signature_json,
             timings,
             profile: Some(profile),
-            tier: None,
         }
     }
 
@@ -178,7 +165,6 @@ impl VetOutcome {
             steps,
             elapsed,
             profile: None,
-            tier: None,
         }
     }
 
@@ -188,29 +174,6 @@ impl VetOutcome {
             steps,
             elapsed,
             profile: Some(profile),
-            tier: None,
-        }
-    }
-
-    /// Stamps the producing ladder tier onto this outcome. The tier
-    /// becomes part of the wire JSON ([`VetOutcome::core_json`]) and of
-    /// the `job_computed` / `job_profile` log events.
-    #[must_use]
-    pub fn with_tier(mut self, name: &str) -> VetOutcome {
-        match &mut self {
-            VetOutcome::Report { tier, .. }
-            | VetOutcome::Timeout { tier, .. }
-            | VetOutcome::Error { tier, .. } => *tier = Some(name.to_owned()),
-        }
-        self
-    }
-
-    /// The producing ladder tier, when one was stamped.
-    pub fn tier(&self) -> Option<&str> {
-        match self {
-            VetOutcome::Report { tier, .. }
-            | VetOutcome::Timeout { tier, .. }
-            | VetOutcome::Error { tier, .. } => tier.as_deref(),
         }
     }
 
@@ -228,7 +191,6 @@ impl VetOutcome {
     pub fn error(message: impl Into<String>) -> VetOutcome {
         VetOutcome::Error {
             message: message.into(),
-            tier: None,
         }
     }
 
@@ -257,13 +219,10 @@ impl VetOutcome {
                 core.set("steps", Json::from(*steps as f64));
                 core.set("elapsed_us", Json::from(elapsed.as_micros() as f64));
             }
-            VetOutcome::Error { message, .. } => {
+            VetOutcome::Error { message } => {
                 core.set("verdict", Json::from("error"));
                 core.set("message", Json::from(message.as_str()));
             }
-        }
-        if let Some(tier) = self.tier() {
-            core.set("tier", Json::from(tier));
         }
         core
     }
@@ -343,25 +302,22 @@ pub fn log_job_profile(log: &sigobs::EventLog, job: &str, outcome: &VetOutcome) 
     };
     let doc = profile_json(profile, POSTMORTEM_TOP_K);
     let field = |key: &str| doc.get(key).cloned().unwrap_or(Json::Null);
-    let mut fields = vec![
-        ("job", Json::from(job)),
-        ("verdict", Json::from(verdict)),
-        ("total_steps", field("total_steps")),
-        ("phases", field("phases")),
-        ("hotspots", field("hotspots")),
-    ];
-    if let Some(tier) = outcome.tier() {
-        // The postmortem names the rung whose budget was exhausted (or
-        // that completed, for debug-level ok profiles).
-        fields.push(("tier", Json::from(tier)));
-    }
-    log.log(level, "job_profile", &fields);
+    log.log(
+        level,
+        "job_profile",
+        &[
+            ("job", Json::from(job)),
+            ("verdict", Json::from(verdict)),
+            ("total_steps", field("total_steps")),
+            ("phases", field("phases")),
+            ("hotspots", field("hotspots")),
+        ],
+    );
 }
 
-/// Logs one analysis attempt's `job_computed` record — the single
-/// encoding of that event, shared by the daemon's workers, the fleet's
-/// workers, and the ladder driver, so the replay validator sees one
-/// contract everywhere. Ladder attempts carry their producing `tier`.
+/// Logs one job's `job_computed` record — the single encoding of that
+/// event, shared by the daemon's workers and the fleet's, so the replay
+/// validator sees one contract everywhere.
 pub fn log_job_computed(log: &sigobs::EventLog, job: &str, outcome: &VetOutcome) {
     let mut fields: Vec<(&str, Json)> = vec![("job", Json::from(job))];
     let level = match outcome {
@@ -378,125 +334,13 @@ pub fn log_job_computed(log: &sigobs::EventLog, job: &str, outcome: &VetOutcome)
             fields.push(("elapsed_us", Json::from(elapsed.as_micros() as f64)));
             sigobs::Level::Warn
         }
-        VetOutcome::Error { message, .. } => {
+        VetOutcome::Error { message } => {
             fields.push(("verdict", Json::from("error")));
             fields.push(("message", Json::from(message.as_str())));
             sigobs::Level::Warn
         }
     };
-    if let Some(tier) = outcome.tier() {
-        fields.push(("tier", Json::from(tier)));
-    }
     log.log(level, "job_computed", &fields);
-}
-
-/// Whether a report's signature document contains at least one flow
-/// entry — the "non-benign" half of the ladder's escalation predicate.
-/// Sink-only and API-usage entries do *not* escalate: they are exact
-/// phase-1 facts, identical at every tier.
-pub fn signature_has_flows(signature_json: &str) -> bool {
-    match Json::parse(signature_json) {
-        Ok(doc) => matches!(&doc["flows"], Json::Arr(flows) if !flows.is_empty()),
-        // Unparseable signatures escalate: the precise tier gets to
-        // decide instead of a cheap tier's garbage being terminal.
-        Err(_) => true,
-    }
-}
-
-/// One finished [`run_ladder`] call: the terminal tier-stamped outcome
-/// plus how the ladder got there.
-#[derive(Debug)]
-pub struct LadderRun {
-    /// The terminal outcome, stamped with the resolving rung's name.
-    pub outcome: VetOutcome,
-    /// Index of the rung that resolved (0 = triage tier).
-    pub rung: usize,
-    /// Escalations taken, in order: `(from, to, reason)` with reason
-    /// `"flows"` or `"budget"`.
-    pub escalations: Vec<(String, String, &'static str)>,
-}
-
-/// Runs an escalation ladder over one submission: rungs in spec order,
-/// escalating whenever the current rung reports a non-benign flow
-/// ([`signature_has_flows`]) or exhausts its analysis budget
-/// ([`VetOutcome::Timeout`]). Only the final rung's outcome is terminal
-/// by fiat — in particular a *non-final* rung's timeout is an escalation
-/// trigger, never a client-visible verdict. Errors (parse failures, the
-/// interpreter's own safety valve) are terminal at any rung: more
-/// sensitivity cannot fix malformed input.
-///
-/// Every attempt is stamped with its rung name and logged as a
-/// `job_computed` record; escalations log `job_escalated {from, to,
-/// reason}` between attempts, so `sigobs::replay` can validate the whole
-/// lifecycle — one job id, several attempts, one terminal verdict. Only
-/// the terminal outcome's postmortem is logged (`job_profile`), naming
-/// the resolving tier. Per-rung analyze times land in
-/// `serve_vet_us_<rung>` histograms; terminal-at-rung-0 increments
-/// `serve_tier0_resolved` and each escalation `serve_escalated`.
-pub fn run_ladder(
-    ladder: &jsanalysis::LadderSpec,
-    metrics: &MetricsRegistry,
-    log: Option<&sigobs::EventLog>,
-    job: &str,
-    analyze: &mut dyn FnMut(&jsanalysis::AnalysisConfig) -> VetOutcome,
-) -> LadderRun {
-    let mut escalations: Vec<(String, String, &'static str)> = Vec::new();
-    let last = ladder.rungs.len() - 1;
-    for (i, rung) in ladder.rungs.iter().enumerate() {
-        let t0 = std::time::Instant::now();
-        let outcome = analyze(&rung.config).with_tier(&rung.name);
-        let us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        metrics.record(&format!("serve_vet_us_{}", rung.name), us);
-        let escalate_reason = if i == last {
-            None
-        } else {
-            match &outcome {
-                VetOutcome::Timeout { .. } => Some("budget"),
-                VetOutcome::Report { signature_json, .. }
-                    if signature_has_flows(signature_json) =>
-                {
-                    Some("flows")
-                }
-                _ => None,
-            }
-        };
-        if let Some(log) = log {
-            log_job_computed(log, job, &outcome);
-        }
-        match escalate_reason {
-            None => {
-                if let Some(log) = log {
-                    log_job_profile(log, job, &outcome);
-                }
-                if i == 0 {
-                    metrics.add("serve_tier0_resolved", 1);
-                }
-                return LadderRun {
-                    outcome,
-                    rung: i,
-                    escalations,
-                };
-            }
-            Some(reason) => {
-                let to = &ladder.rungs[i + 1].name;
-                metrics.add("serve_escalated", 1);
-                if let Some(log) = log {
-                    log.log(
-                        sigobs::Level::Info,
-                        "job_escalated",
-                        &[
-                            ("job", Json::from(job)),
-                            ("from", Json::from(rung.name.as_str())),
-                            ("to", Json::from(to.as_str())),
-                            ("reason", Json::from(reason)),
-                        ],
-                    );
-                }
-                escalations.push((rung.name.clone(), to.clone(), reason));
-            }
-        }
-    }
-    unreachable!("the final rung always returns");
 }
 
 /// The injected analysis pipeline: full vetting of one source under one

@@ -77,17 +77,11 @@ pub struct ServeConfig {
     /// (default `workers * 8`).
     pub queue_cap: usize,
     /// The analysis configuration every job runs under, including the
-    /// `step_budget` / `deadline` robustness knobs. Ignored when
-    /// [`ServeConfig::ladder`] is set (each rung carries its own).
+    /// `step_budget` / `deadline` robustness knobs. Defaults to
+    /// [`AnalysisConfig::default`] with triage on: a service only
+    /// returns signatures, so an addon whose phase 1 proves no flow can
+    /// exist skips PDG construction (the signature is byte-identical).
     pub analysis: AnalysisConfig,
-    /// Escalation ladder (`vet serve --ladder`): run every job through
-    /// the spec's rungs, cheapest first, escalating on non-benign flows
-    /// or budget exhaustion. Verdicts are stamped with the producing
-    /// tier, and the cache keys by the *ladder's* canonical string — a
-    /// tier-0 result can never be served to a different configuration.
-    /// Default `None`: single-tier operation under
-    /// [`ServeConfig::analysis`].
-    pub ladder: Option<jsanalysis::LadderSpec>,
     /// Dump the metrics-registry snapshot to stderr when the daemon
     /// shuts down (default `false`; `vet serve` turns it on). Off by
     /// default so embedded servers — tests, benches — stay quiet.
@@ -143,8 +137,7 @@ impl Default for ServeConfig {
             workers,
             cache_cap: 1024,
             queue_cap: workers * 8,
-            analysis: AnalysisConfig::default(),
-            ladder: None,
+            analysis: AnalysisConfig::default().with_triage(true),
             dump_metrics_on_shutdown: false,
             log: None,
             metrics_dir: None,
@@ -235,12 +228,8 @@ struct Job {
 /// State shared by the event loop, stdio front end, and workers.
 struct Shared {
     analysis: AnalysisConfig,
-    /// The escalation ladder, when the daemon runs in ladder mode.
-    ladder: Option<jsanalysis::LadderSpec>,
-    /// The config half of every cache key, computed once:
-    /// `analysis.canonical_string()`, or the ladder's canonical string
-    /// in ladder mode (tier identity — a ladder verdict depends on every
-    /// rung, so it can never alias a single-tier entry).
+    /// `analysis.canonical_string()`, computed once: the config half of
+    /// every cache key.
     config_canon: String,
     workers: usize,
     queue: Bounded<Job>,
@@ -274,11 +263,7 @@ impl Shared {
         completions: Option<Arc<CompletionQueue>>,
     ) -> Shared {
         Shared {
-            config_canon: match &cfg.ladder {
-                Some(ladder) => ladder.canonical_string(),
-                None => cfg.analysis.canonical_string(),
-            },
-            ladder: cfg.ladder,
+            config_canon: cfg.analysis.canonical_string(),
             workers: cfg.workers.max(1),
             queue: Bounded::new(cfg.queue_cap.max(1)),
             cache: Mutex::new(SigCache::new(cfg.cache_cap)),
@@ -384,52 +369,26 @@ impl Shared {
 /// step-budget timeouts are deterministic and cache fine.
 fn compute(shared: &Shared, key: u64, source: &str, job: &str) -> Json {
     let t0 = Instant::now();
-    // Thread the job's request ID into the pipeline: at debug level
-    // a LogTracer turns phase spans into `span` log events tagged
-    // with this job's ID; otherwise the engine sees Trace::Off.
-    let mut tracer = shared
-        .log
-        .as_ref()
-        .filter(|l| l.enabled(Level::Debug))
-        .map(|l| LogTracer::new(l, job));
-    // Which configuration decides cacheability: the terminal rung's in
-    // ladder mode (only its budget kind determines whether the timeout
-    // was deterministic), the daemon's single config otherwise.
-    let (outcome, cache_cfg) = match &shared.ladder {
-        Some(ladder) => {
-            // run_ladder logs every attempt's job_computed (tier-stamped),
-            // the job_escalated transitions, and the terminal postmortem.
-            let run = crate::run_ladder(
-                ladder,
-                &shared.metrics,
-                shared.log.as_deref(),
-                job,
-                &mut |config| {
-                    let trace = match tracer.as_mut() {
-                        Some(t) => Trace::On(t),
-                        None => Trace::Off,
-                    };
-                    (shared.analyze)(source, config, &shared.metrics, trace)
-                },
-            );
-            let cfg = &ladder.rungs[run.rung].config;
-            (run.outcome, cfg.clone())
-        }
-        None => {
-            let trace = match tracer.as_mut() {
-                Some(t) => Trace::On(t),
-                None => Trace::Off,
-            };
-            let outcome = (shared.analyze)(source, &shared.analysis, &shared.metrics, trace);
-            // Single-tier: compute() owns the job_computed record and the
-            // postmortem (in ladder mode run_ladder already wrote both).
-            if let Some(log) = &shared.log {
-                crate::log_job_computed(log, job, &outcome);
-                crate::log_job_profile(log, job, &outcome);
-            }
-            (outcome, shared.analysis.clone())
-        }
+    let outcome = {
+        // Thread the job's request ID into the pipeline: at debug level
+        // a LogTracer turns phase spans into `span` log events tagged
+        // with this job's ID; otherwise the engine sees Trace::Off.
+        let mut tracer = shared
+            .log
+            .as_ref()
+            .filter(|l| l.enabled(Level::Debug))
+            .map(|l| LogTracer::new(l, job));
+        let trace = match tracer.as_mut() {
+            Some(t) => Trace::On(t),
+            None => Trace::Off,
+        };
+        (shared.analyze)(source, &shared.analysis, &shared.metrics, trace)
     };
+    // The cost postmortem rides the log right after `job_computed`.
+    if let Some(log) = &shared.log {
+        crate::log_job_computed(log, job, &outcome);
+        crate::log_job_profile(log, job, &outcome);
+    }
     let vet = t0.elapsed();
     shared.stats.record_vet(vet);
     shared
@@ -449,7 +408,7 @@ fn compute(shared: &Shared, key: u64, source: &str, job: &str) -> Json {
         }
     }
     let core = outcome.core_json();
-    if outcome.cacheable(&cache_cfg) {
+    if outcome.cacheable(&shared.analysis) {
         shared.lock_cache().insert(key, core.clone(), job);
         shared.log_event(Level::Debug, "cache_insert", &[("job", Json::from(job))]);
     }

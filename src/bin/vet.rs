@@ -2,23 +2,23 @@
 //!
 //! ```text
 //! vet <addon.js> [--json] [--dot] [--explain] [--trace FILE]
-//!     [--k <depth>] [--constant-strings] [--summary-dir DIR] [--ladder]
-//! vet --corpus [--json] [--sequential] [--ladder]
+//!     [--k <depth>] [--constant-strings]
+//! vet --corpus [--json] [--sequential]
 //! vet serve [--addr HOST:PORT | --stdio] [--workers N] [--cache-cap N]
 //!           [--queue-cap N] [--step-budget N] [--deadline-ms N]
-//!           [--k <depth>] [--constant-strings] [--summary-dir DIR]
+//!           [--k <depth>] [--constant-strings]
 //!           [--log FILE] [--log-level LEVEL]
 //!           [--log-sample [EVENT=]N] [--log-sample-threshold R]
-//!           [--alert-rules FILE] [--ladder]
+//!           [--alert-rules FILE]
 //!           [--metrics-dir DIR] [--metrics-interval-ms N]
 //! vet serve --join HOST:PORT [--node NAME] [--workers N] [--cache-cap N]
 //!           [--step-budget N] [--deadline-ms N] [--k <depth>]
-//!           [--constant-strings] [--summary-dir DIR] [--ladder]
+//!           [--constant-strings]
 //!           [--log FILE] [--log-level LEVEL]
 //! vet coordinate [--addr HOST:PORT] [--queue-cap N] [--cache-cap N]
 //!                [--slots N] [--heartbeat-ms N] [--reap-ms N]
 //!                [--step-budget N] [--deadline-ms N] [--k <depth>]
-//!                [--constant-strings] [--ladder]
+//!                [--constant-strings]
 //!                [--log FILE] [--log-level LEVEL]
 //!                [--metrics-dir DIR] [--metrics-interval-ms N]
 //! vet --client HOST:PORT [<addon.js>... | --stats | --metrics | --shutdown]
@@ -26,29 +26,17 @@
 //!             [--step-budget N]
 //! vet trace-job <job-id> --log FILE... [--out FILE]
 //! vet metrics-report DIR [--gate RULES]
-//! vet corpus-snapshot [--out FILE] [--k <depth>] [--constant-strings] [--summary-dir DIR]
+//! vet corpus-snapshot [--out FILE] [--k <depth>] [--constant-strings]
 //!                     [--step-budget N]
 //! vet corpus-diff OLD NEW
 //! ```
 //!
 //! Analyzes a JavaScript addon and prints its inferred security
-//! signature (or a JSON report with `--json`). `--ladder` climbs the
-//! tiered vetting ladder instead of running one fixed sensitivity:
-//! every addon is first triaged at the cheap tier-0 rung
-//! (context-insensitive, triage fast path, tight step budget), and only
-//! addons tier 0 cannot prove benign — any inferred flow, or a budget
-//! trip — escalate to the configured full sensitivity. Flow-free
-//! signatures are byte-identical across rungs by construction, so the
-//! ladder never downgrades a verdict; the report notes which tier
-//! resolved the addon and any escalations taken. `--explain` appends, per
+//! signature (or a JSON report with `--json`). `--explain` appends, per
 //! reported flow, the PDG provenance path that justifies its flow type
 //! as an annotated-source excerpt. `--trace FILE` writes a
 //! `chrome://tracing` / Perfetto `trace_event` JSON profile of the run
-//! (single-file mode only). `--summary-dir DIR` keeps a per-function
-//! summary store in DIR across invocations: re-vetting an edited addon
-//! re-analyzes only the changed functions, splices stored summaries for
-//! the rest, and reports the hit/miss/re-analyzed statistics alongside
-//! the timings. `--corpus` runs the built-in benchmark
+//! (single-file mode only). `--corpus` runs the built-in benchmark
 //! suite instead of a file, vetting the addons on parallel threads
 //! (each addon's analysis is independent); output is buffered per addon
 //! and printed in corpus order, so the report is byte-identical to a
@@ -59,8 +47,11 @@
 //! `serve` runs the long-lived vetting daemon (`sigserve`): a worker
 //! pool behind a bounded job queue, a content-addressed signature
 //! cache, and per-analysis step/deadline budgets so one pathological
-//! addon cannot wedge the service. `--log FILE` writes the structured
-//! JSONL event log (every job lifecycle, keyed by request ID;
+//! addon cannot wedge the service. The daemon (like the fleet) runs the
+//! configured analysis with triage on: an addon whose phase 1 proves no
+//! flow can exist skips PDG construction, with a byte-identical
+//! signature (counted in `pipeline_triaged`). `--log FILE` writes the
+//! structured JSONL event log (every job lifecycle, keyed by request ID;
 //! `--log-level debug` adds per-phase pipeline spans); `--log-level`
 //! alone keeps an in-memory log whose tail rides along in `stats`
 //! responses; `--log-sample [EVENT=]N` keeps the log overload-safe by
@@ -70,20 +61,7 @@
 //! records the replay validator reconciles against); the flag repeats,
 //! one rule per event, and a debug-level log under sampling also
 //! rate-limits the high-volume `span` stream at the default rate unless
-//! `span=N` tunes it explicitly. `--summary-dir DIR` attaches the
-//! per-function summary store, so resubmitted edits re-analyze only
-//! changed functions (`summary_hits`/`summary_misses`/
-//! `functions_reanalyzed` counters in `stats` and the Prometheus
-//! exposition, plus per-job `summary_lookup` log events).
-//! With `--ladder` the daemon (and a fleet via `coordinate --ladder` /
-//! `serve --join --ladder`) vets every job up the same tiered ladder:
-//! one job id, one terminal verdict, with per-attempt `job_computed`
-//! and `job_escalated` log events the replay validator checks, tier
-//! stamps on responses, and `serve_tier0_resolved`/`serve_escalated`
-//! counters plus per-tier `serve_vet_us_<tier>` histograms in the
-//! metrics surface. The cache and the fleet's shared store key by the
-//! ladder's canonical identity, so single-tier and ladder results never
-//! cross-contaminate.
+//! `span=N` tunes it explicitly.
 //! `--alert-rules FILE` evaluates the `metrics-report --gate` rule
 //! language inside the daemon against every metrics-history snapshot,
 //! emitting `alert_fired`/`alert_cleared` log events on threshold
@@ -96,9 +74,9 @@
 //! speaks the same client NDJSON protocol as `serve` (responses are
 //! byte-identical), and hands vet jobs to workers that joined with
 //! `serve --join ADDR`. A worker daemon claims jobs over the wire,
-//! analyzes them locally (same engine, budgets, and `--summary-dir`
-//! incremental store as a standalone daemon), owns the signature-cache
-//! shard for `key % slots == slot`, and posts completions back; missed
+//! analyzes them locally (same engine and budgets as a standalone
+//! daemon), owns the signature-cache shard for `key % slots == slot`,
+//! and posts completions back; missed
 //! heartbeats get a worker reaped and its claimed jobs re-queued, so a
 //! worker killed mid-job costs latency, never a lost job. Per-node
 //! `--log` files merge into one valid lifecycle replay
@@ -140,7 +118,7 @@
 //! and exits nonzero on signature-level drift (verdict flips, flow
 //! additions/removals, flow-type transitions).
 
-use jsanalysis::{AnalysisConfig, StringDomain, SummaryStore};
+use jsanalysis::{AnalysisConfig, StringDomain};
 use sigserve::{Client, ServeConfig};
 use sigtrace::ChromeTraceWriter;
 use std::fmt::Write as _;
@@ -150,25 +128,23 @@ use std::time::Duration;
 const USAGE: &str = "\
 usage:
   vet <addon.js> [--json] [--dot] [--explain] [--trace FILE] [--k <depth>]
-      [--constant-strings] [--summary-dir DIR] [--ladder]
-  vet --corpus [--json] [--sequential] [--ladder]
+      [--constant-strings]
+  vet --corpus [--json] [--sequential]
   vet serve [--addr HOST:PORT | --stdio] [--workers N] [--cache-cap N]
             [--queue-cap N] [--step-budget N] [--deadline-ms N]
             [--idle-timeout-ms N] [--request-deadline-ms N]
-            [--k <depth>] [--constant-strings] [--summary-dir DIR]
-            [--ladder]
+            [--k <depth>] [--constant-strings]
             [--log FILE] [--log-level error|warn|info|debug]
             [--log-sample [EVENT=]N] [--log-sample-threshold R]
             [--alert-rules FILE]
             [--metrics-dir DIR] [--metrics-interval-ms N]
   vet serve --join HOST:PORT [--node NAME] [--workers N] [--cache-cap N]
             [--step-budget N] [--deadline-ms N] [--k <depth>]
-            [--constant-strings] [--summary-dir DIR] [--ladder]
+            [--constant-strings]
             [--log FILE] [--log-level error|warn|info|debug]
   vet coordinate [--addr HOST:PORT] [--queue-cap N] [--cache-cap N] [--slots N]
                  [--heartbeat-ms N] [--reap-ms N] [--step-budget N]
                  [--deadline-ms N] [--k <depth>] [--constant-strings]
-                 [--ladder]
                  [--log FILE] [--log-level error|warn|info|debug]
                  [--metrics-dir DIR] [--metrics-interval-ms N]
   vet --client HOST:PORT [<addon.js>... | --stats | --metrics | --shutdown]
@@ -176,7 +152,7 @@ usage:
               [--step-budget N]
   vet trace-job <job-id> --log FILE... [--out FILE]
   vet metrics-report DIR [--gate RULES]
-  vet corpus-snapshot [--out FILE] [--k <depth>] [--constant-strings] [--summary-dir DIR]
+  vet corpus-snapshot [--out FILE] [--k <depth>] [--constant-strings]
                       [--step-budget N]
   vet corpus-diff OLD NEW";
 
@@ -190,37 +166,7 @@ struct Options {
     string_domain: StringDomain,
     /// `--trace FILE`: write a Chrome `trace_event` profile of the run.
     trace: Option<String>,
-    /// `--summary-dir DIR`: per-function summary store for incremental
-    /// re-vetting across invocations.
-    summary_dir: Option<String>,
-    /// `--ladder`: climb the tiered vetting ladder (triage at tier 0,
-    /// escalate the suspicious) instead of one fixed sensitivity.
-    ladder: bool,
     file: Option<String>,
-}
-
-/// The standard two-rung ladder derived from the configured analysis:
-/// the final rung is the configured analysis itself; the triage rung
-/// inherits its security and string-domain knobs (so flow-free
-/// signatures stay byte-identical across rungs) but pins k=0, the
-/// tier-0 step budget, and the triage fast path.
-fn ladder_for(full: &AnalysisConfig) -> jsanalysis::LadderSpec {
-    jsanalysis::LadderSpec {
-        rungs: vec![
-            jsanalysis::LadderRung {
-                name: "tier0".to_owned(),
-                config: full
-                    .clone()
-                    .with_context_depth(0)
-                    .with_step_budget(jsanalysis::TIER0_STEP_BUDGET)
-                    .with_triage(true),
-            },
-            jsanalysis::LadderRung {
-                name: "full".to_owned(),
-                config: full.clone(),
-            },
-        ],
-    }
 }
 
 /// `vet serve` flags.
@@ -241,9 +187,6 @@ struct ServeOptions {
     /// `--log-sample-threshold R`: full records per window before
     /// sampling kicks in (default 100).
     log_sample_threshold: Option<u64>,
-    /// `--summary-dir DIR`: per-function summary store; resubmitted
-    /// edits re-analyze only changed functions.
-    summary_dir: Option<String>,
     /// `--alert-rules FILE`: in-daemon alerting over the metrics
     /// history (`alert_fired`/`alert_cleared` log events).
     alert_rules: Option<sigobs::alerts::AlertRules>,
@@ -312,7 +255,6 @@ enum Mode {
     CorpusSnapshot {
         out: Option<String>,
         config: AnalysisConfig,
-        summary_dir: Option<String>,
     },
     /// `vet corpus-diff OLD NEW`: classify drift between snapshots.
     CorpusDiff { old: String, new: String },
@@ -332,11 +274,9 @@ fn parse_serve_args(mut args: impl Iterator<Item = String>) -> Result<Mode, Stri
     let mut log_level: Option<sigobs::Level> = None;
     let mut log_sample: Vec<(Option<String>, u64)> = Vec::new();
     let mut log_sample_threshold: Option<u64> = None;
-    let mut summary_dir: Option<String> = None;
     let mut alert_rules: Option<sigobs::alerts::AlertRules> = None;
     let mut join: Option<String> = None;
     let mut node: Option<String> = None;
-    let mut ladder = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--addr" => addr = Some(args.next().ok_or("--addr needs HOST:PORT")?),
@@ -365,7 +305,6 @@ fn parse_serve_args(mut args: impl Iterator<Item = String>) -> Result<Mode, Stri
             }
             "--k" => config.analysis.context_depth = parse_usize(&mut args, "--k")?,
             "--constant-strings" => config.analysis.string_domain = StringDomain::ConstantOnly,
-            "--ladder" => ladder = true,
             "--log" => log_file = Some(args.next().ok_or("--log needs a FILE")?),
             "--log-level" => {
                 let v = args.next().ok_or("--log-level needs a level")?;
@@ -397,9 +336,6 @@ fn parse_serve_args(mut args: impl Iterator<Item = String>) -> Result<Mode, Stri
                 config.metrics_interval = Duration::from_millis(
                     parse_usize(&mut args, "--metrics-interval-ms")?.max(1) as u64,
                 )
-            }
-            "--summary-dir" => {
-                summary_dir = Some(args.next().ok_or("--summary-dir needs a DIR")?)
             }
             "--alert-rules" => {
                 let path = args.next().ok_or("--alert-rules needs a FILE")?;
@@ -449,12 +385,6 @@ fn parse_serve_args(mut args: impl Iterator<Item = String>) -> Result<Mode, Stri
     }
     // Default queue bound scales with the pool, like ServeConfig::default.
     config.queue_cap = queue_cap.unwrap_or(config.workers * 8);
-    // `--ladder`: the configured analysis becomes the final rung; the
-    // cache (and, in worker mode, the shard) keys by the ladder's
-    // canonical identity.
-    if ladder {
-        config.ladder = Some(ladder_for(&config.analysis));
-    }
     let addr = if stdio {
         None
     } else {
@@ -467,7 +397,6 @@ fn parse_serve_args(mut args: impl Iterator<Item = String>) -> Result<Mode, Stri
         log_level,
         log_sample,
         log_sample_threshold,
-        summary_dir,
         alert_rules,
         join,
         node,
@@ -480,7 +409,6 @@ fn parse_coordinate_args(mut args: impl Iterator<Item = String>) -> Result<Mode,
     let mut config = sigfleet::FleetConfig::default();
     let mut log_file: Option<String> = None;
     let mut log_level: Option<sigobs::Level> = None;
-    let mut ladder = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--addr" => addr = args.next().ok_or("--addr needs HOST:PORT")?,
@@ -504,7 +432,6 @@ fn parse_coordinate_args(mut args: impl Iterator<Item = String>) -> Result<Mode,
             }
             "--k" => config.analysis.context_depth = parse_usize(&mut args, "--k")?,
             "--constant-strings" => config.analysis.string_domain = StringDomain::ConstantOnly,
-            "--ladder" => ladder = true,
             "--log" => log_file = Some(args.next().ok_or("--log needs a FILE")?),
             "--log-level" => {
                 let v = args.next().ok_or("--log-level needs a level")?;
@@ -529,10 +456,6 @@ fn parse_coordinate_args(mut args: impl Iterator<Item = String>) -> Result<Mode,
     if config.reap_after <= config.heartbeat {
         return Err("--reap-ms must exceed --heartbeat-ms".to_owned());
     }
-    // Workers must join with the matching `serve --join --ladder`.
-    if ladder {
-        config.ladder = Some(ladder_for(&config.analysis));
-    }
     Ok(Mode::Coordinate(CoordinateOptions {
         addr,
         config,
@@ -545,7 +468,6 @@ fn parse_coordinate_args(mut args: impl Iterator<Item = String>) -> Result<Mode,
 fn parse_corpus_snapshot_args(mut args: impl Iterator<Item = String>) -> Result<Mode, String> {
     let mut out: Option<String> = None;
     let mut config = AnalysisConfig::default();
-    let mut summary_dir: Option<String> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--out" => out = Some(args.next().ok_or("--out needs a FILE")?),
@@ -554,14 +476,11 @@ fn parse_corpus_snapshot_args(mut args: impl Iterator<Item = String>) -> Result<
             "--step-budget" => {
                 config.step_budget = Some(parse_usize(&mut args, "--step-budget")?)
             }
-            "--summary-dir" => {
-                summary_dir = Some(args.next().ok_or("--summary-dir needs a DIR")?)
-            }
             "--help" | "-h" => return Ok(Mode::Help),
             other => return Err(format!("unknown corpus-snapshot flag: {other}")),
         }
     }
-    Ok(Mode::CorpusSnapshot { out, config, summary_dir })
+    Ok(Mode::CorpusSnapshot { out, config })
 }
 
 /// `vet profile` arguments.
@@ -651,8 +570,6 @@ fn parse_args() -> Result<Mode, String> {
         context_depth: 1,
         string_domain: StringDomain::Prefix,
         trace: None,
-        summary_dir: None,
-        ladder: false,
         file: None,
     };
     let mut args = std::env::args().skip(1).peekable();
@@ -716,10 +633,6 @@ fn parse_args() -> Result<Mode, String> {
                 opts.context_depth = v.parse().map_err(|_| format!("bad depth: {v}"))?;
             }
             "--trace" => opts.trace = Some(args.next().ok_or("--trace needs a FILE")?),
-            "--summary-dir" => {
-                opts.summary_dir = Some(args.next().ok_or("--summary-dir needs a DIR")?)
-            }
-            "--ladder" => opts.ladder = true,
             "--help" | "-h" => return Ok(Mode::Help),
             other if !other.starts_with('-') => opts.file = Some(other.to_owned()),
             other => return Err(format!("unknown flag: {other}")),
@@ -730,11 +643,6 @@ fn parse_args() -> Result<Mode, String> {
     }
     if opts.corpus && opts.trace.is_some() {
         return Err("--trace is single-file only (corpus runs are parallel)".to_owned());
-    }
-    // The ladder driver runs a pipeline per rung; a single Chrome trace
-    // or a single summary store cannot attribute across rungs yet.
-    if opts.ladder && (opts.trace.is_some() || opts.summary_dir.is_some()) {
-        return Err("--ladder is mutually exclusive with --trace/--summary-dir".to_owned());
     }
     Ok(Mode::Run(opts))
 }
@@ -747,46 +655,22 @@ struct VetOutcome {
     warnings: String,
 }
 
-/// On-disk summary stores opened by the CLI keep this many entries
-/// (an addon market's working set of recently resubmitted addons).
-const SUMMARY_STORE_CAP: usize = 4096;
-
 fn vet_source(name: &str, source: &str, opts: &Options) -> Result<VetOutcome, String> {
     let config = AnalysisConfig::default()
         .with_context_depth(opts.context_depth)
         .with_string_domain(opts.string_domain);
-    // `--ladder`: human-mode annotation of which tier resolved the
-    // addon and the escalations taken on the way.
-    let mut ladder_note: Option<String> = None;
-    let report = if opts.ladder {
-        let run = addon_sig::ladder::vet_ladder(source, &ladder_for(&config));
-        let mut note = String::from("  [ladder:");
-        for e in &run.escalations {
-            write!(note, " {}->{} ({});", e.from, e.to, e.reason.as_str()).unwrap();
-        }
-        write!(note, " resolved at {}]", run.tier).unwrap();
-        ladder_note = Some(note);
-        run.result.map_err(|e| format!("{name}: {e}"))?
-    } else {
-        let mut pipeline = addon_sig::Pipeline::new().config(config);
-        if let Some(dir) = &opts.summary_dir {
-            let store = jsanalysis::DiskSummaryStore::new(dir, SUMMARY_STORE_CAP)
-                .map_err(|e| format!("{dir}: {e}"))?;
-            pipeline = pipeline.summary_store(std::sync::Arc::new(store));
-        }
-        // `--trace` attaches a Chrome trace_event writer to the pipeline
-        // (single-file mode only, enforced at argument parsing).
-        let mut writer = opts.trace.as_ref().map(|_| ChromeTraceWriter::new());
-        let result = match &mut writer {
-            Some(w) => pipeline.tracer(w).run(source),
-            None => pipeline.run(source),
-        };
-        let report = result.map_err(|e| format!("{name}: {e}"))?;
-        if let (Some(path), Some(w)) = (&opts.trace, &writer) {
-            std::fs::write(path, w.to_json_string()).map_err(|e| format!("{path}: {e}"))?;
-        }
-        report
+    let pipeline = addon_sig::Pipeline::new().config(config);
+    // `--trace` attaches a Chrome trace_event writer to the pipeline
+    // (single-file mode only, enforced at argument parsing).
+    let mut writer = opts.trace.as_ref().map(|_| ChromeTraceWriter::new());
+    let result = match &mut writer {
+        Some(w) => pipeline.tracer(w).run(source),
+        None => pipeline.run(source),
     };
+    let report = result.map_err(|e| format!("{name}: {e}"))?;
+    if let (Some(path), Some(w)) = (&opts.trace, &writer) {
+        std::fs::write(path, w.to_json_string()).map_err(|e| format!("{path}: {e}"))?;
+    }
     let mut out = String::new();
     if opts.json {
         writeln!(out, "{}", report.signature.to_json()).unwrap();
@@ -808,21 +692,6 @@ fn vet_source(name: &str, source: &str, opts: &Options) -> Result<VetOutcome, St
             report.pdg.edge_count()
         )
         .unwrap();
-        if let Some(note) = &ladder_note {
-            writeln!(out, "{note}").unwrap();
-        }
-        if let Some(stats) = &report.incremental {
-            writeln!(
-                out,
-                "  [summary store: {} hits, {} misses, {}/{} functions re-analyzed{}]",
-                stats.summary_hits,
-                stats.summary_misses,
-                stats.functions_reanalyzed,
-                stats.total_functions,
-                if stats.abandoned > 0 { "; warm run abandoned" } else { "" }
-            )
-            .unwrap();
-        }
         if opts.explain {
             explain_flows(&report, &mut out);
         }
@@ -951,23 +820,9 @@ fn run_serve(mut opts: ServeOptions) -> Result<(), String> {
     let log = log.map(std::sync::Arc::new);
     opts.config.log = log.clone();
     opts.config.alert_rules = opts.alert_rules.take();
-    // `--summary-dir`: swap in the incremental engine over a shared
-    // on-disk summary store, so resubmitted edits splice stored
-    // per-function summaries instead of re-running the full fixpoint.
-    let store: Option<std::sync::Arc<dyn SummaryStore>> = match &opts.summary_dir {
-        Some(dir) => Some(std::sync::Arc::new(
-            jsanalysis::DiskSummaryStore::new(dir, SUMMARY_STORE_CAP)
-                .map_err(|e| format!("{dir}: {e}"))?,
-        )),
-        None => None,
-    };
-    let builder = sigserve::Server::builder().config(opts.config);
-    let builder = match store {
-        Some(store) => builder.analyze_traced(move |s, c, m, t| {
-            addon_sig::service_engine_incremental(s, c, m, &store, log.as_deref(), t)
-        }),
-        None => builder.analyze_traced(addon_sig::service_engine_traced),
-    };
+    let builder = sigserve::Server::builder()
+        .config(opts.config)
+        .analyze_traced(addon_sig::service_engine_traced);
     match opts.addr {
         Some(addr) => {
             let server = builder
@@ -987,9 +842,8 @@ fn run_serve(mut opts: ServeOptions) -> Result<(), String> {
 
 /// Joins the fleet at `coordinator` as a worker: claims vet jobs over
 /// the NDJSON protocol, analyzes them locally (same engine and budgets
-/// as a standalone daemon, including the `--summary-dir` incremental
-/// store), and posts completions back. Runs until the coordinator
-/// shuts the fleet down or the connection drops.
+/// as a standalone daemon), and posts completions back. Runs until the
+/// coordinator shuts the fleet down or the connection drops.
 fn run_worker(opts: ServeOptions, coordinator: String) -> Result<(), String> {
     let level = opts.log_level.unwrap_or(sigobs::Level::Info);
     let log = match &opts.log_file {
@@ -1007,22 +861,9 @@ fn run_worker(opts: ServeOptions, coordinator: String) -> Result<(), String> {
     cfg.threads = opts.config.workers;
     cfg.cache_cap = opts.config.cache_cap;
     cfg.analysis = opts.config.analysis.clone();
-    cfg.ladder = opts.config.ladder.clone();
-    cfg.log = log.clone();
-    let store: Option<std::sync::Arc<dyn SummaryStore>> = match &opts.summary_dir {
-        Some(dir) => Some(std::sync::Arc::new(
-            jsanalysis::DiskSummaryStore::new(dir, SUMMARY_STORE_CAP)
-                .map_err(|e| format!("{dir}: {e}"))?,
-        )),
-        None => None,
-    };
-    let worker = match store {
-        Some(store) => sigfleet::Worker::join_fleet(cfg, move |s, c, m, t| {
-            addon_sig::service_engine_incremental(s, c, m, &store, log.as_deref(), t)
-        }),
-        None => sigfleet::Worker::join_fleet(cfg, addon_sig::service_engine_traced),
-    }
-    .map_err(|e| format!("join {coordinator}: {e}"))?;
+    cfg.log = log;
+    let worker = sigfleet::Worker::join_fleet(cfg, addon_sig::service_engine_traced)
+        .map_err(|e| format!("join {coordinator}: {e}"))?;
     eprintln!(
         "sigserve worker {} (cache slot {}/{}) joined fleet at {coordinator}",
         worker.id(),
@@ -1258,22 +1099,9 @@ fn run_metrics_report(dir: &str, gate: Option<&str>) -> Result<bool, String> {
 }
 
 /// Analyzes the corpus and writes the drift-observatory snapshot to
-/// `--out FILE` (or stdout). With `--summary-dir`, the corpus runs
-/// through the per-function summary store — the incremental oracle: a
-/// through-store snapshot must be byte-identical to a cold one.
-fn run_corpus_snapshot(
-    out: Option<&str>,
-    config: &AnalysisConfig,
-    summary_dir: Option<&str>,
-) -> Result<(), String> {
-    let store: Option<std::sync::Arc<dyn SummaryStore>> = match summary_dir {
-        Some(dir) => Some(std::sync::Arc::new(
-            jsanalysis::DiskSummaryStore::new(dir, SUMMARY_STORE_CAP)
-                .map_err(|e| format!("{dir}: {e}"))?,
-        )),
-        None => None,
-    };
-    let snap = addon_sig::drift::snapshot_corpus_with_store(config, store.as_ref());
+/// `--out FILE` (or stdout).
+fn run_corpus_snapshot(out: Option<&str>, config: &AnalysisConfig) -> Result<(), String> {
+    let snap = addon_sig::drift::snapshot_corpus(config);
     let doc = snap.to_string_pretty();
     match out {
         Some(path) => std::fs::write(path, doc + "\n").map_err(|e| format!("{path}: {e}")),
@@ -1374,8 +1202,8 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Mode::CorpusSnapshot { out, config, summary_dir } => {
-            return match run_corpus_snapshot(out.as_deref(), &config, summary_dir.as_deref()) {
+        Mode::CorpusSnapshot { out, config } => {
+            return match run_corpus_snapshot(out.as_deref(), &config) {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(msg) => {
                     eprintln!("{msg}");
@@ -1470,33 +1298,22 @@ mod tests {
     }
 
     #[test]
-    fn ladder_flag_builds_the_standard_ladder() {
-        let Mode::Serve(opts) =
-            parse_serve_args(argv(&["--ladder", "--k", "2"])).expect("serve --ladder parses")
-        else {
-            panic!("expected serve mode")
-        };
-        let ladder = opts.config.ladder.expect("--ladder installs a ladder");
-        assert_eq!(ladder.rungs.len(), 2);
-        assert!(ladder.validate().is_ok());
-        assert_eq!(ladder.rungs[0].name, "tier0");
-        assert_eq!(ladder.rungs[0].config.context_depth, 0);
-        assert!(ladder.rungs[0].config.triage);
-        assert_eq!(
-            ladder.rungs[0].config.step_budget,
-            Some(jsanalysis::TIER0_STEP_BUDGET)
-        );
-        // The final rung is the configured analysis itself.
-        assert_eq!(ladder.rungs[1].name, "full");
-        assert_eq!(ladder.rungs[1].config.context_depth, 2);
-        assert!(!ladder.rungs[1].config.triage);
-
-        let Mode::Coordinate(opts) =
-            parse_coordinate_args(argv(&["--ladder"])).expect("coordinate --ladder parses")
-        else {
+    fn service_modes_triage_at_the_configured_depth() {
+        // The daemon, a fleet worker and the coordinator all run the
+        // configured analysis with triage on; the one-shot CLI keeps it
+        // off because `--dot`/`--explain` and the phase times need the PDG.
+        for args in [&["--k", "2"][..], &["--join", "a:1", "--k", "2"]] {
+            let Mode::Serve(opts) = parse_serve_args(argv(args)).expect("serve parses") else {
+                panic!("expected serve mode")
+            };
+            assert!(opts.config.analysis.triage, "{args:?}");
+            assert_eq!(opts.config.analysis.context_depth, 2, "{args:?}");
+        }
+        let Mode::Coordinate(opts) = parse_coordinate_args(argv(&[])).expect("defaults") else {
             panic!("expected coordinate mode")
         };
-        assert!(opts.config.ladder.is_some());
+        assert!(opts.config.analysis.triage);
+        assert!(sigfleet::WorkerConfig::new("a:1").analysis.triage);
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //! should always be empty — is distinguishable from expected evolution.
 
 use crate::{Error, Pipeline};
-use jsanalysis::{AnalysisConfig, SummaryStore};
+use jsanalysis::AnalysisConfig;
 use minijson::Json;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Schema stamp written into every snapshot; foreign-schema documents
 /// are rejected by [`diff_snapshots`] instead of misread.
@@ -41,24 +40,10 @@ fn fnv1a_hex(bytes: &[u8]) -> String {
 /// configuration: two calls produce byte-identical compact JSON (the
 /// snapshot carries no timestamps or wall times by design).
 pub fn snapshot_corpus(config: &AnalysisConfig) -> Json {
-    snapshot_corpus_with_store(config, None)
-}
-
-/// [`snapshot_corpus`] through an optional per-function summary store —
-/// the incremental re-vetting correctness oracle: a snapshot taken
-/// through a (populated, evicted, or empty) store must show zero
-/// signature-level drift against a cold one, because summary splicing
-/// is never allowed to change an answer. The order-independent counter
-/// subset excludes fixpoint work counters, so the warm run's smaller
-/// step count doesn't read as drift either.
-pub fn snapshot_corpus_with_store(
-    config: &AnalysisConfig,
-    store: Option<&Arc<dyn SummaryStore>>,
-) -> Json {
     let canon = config.canonical_string();
     let mut addons = Json::obj();
     for addon in corpus::addons() {
-        addons.set(addon.name, snapshot_one(addon.source, config, store));
+        addons.set(addon.name, snapshot_one(addon.source, config));
     }
     let mut doc = Json::obj();
     doc.set("schema", Json::from(SNAPSHOT_SCHEMA as f64));
@@ -72,17 +57,9 @@ pub fn snapshot_corpus_with_store(
 /// One addon's snapshot entry: verdict, signature (for `ok`), and the
 /// order-independent counter subset (the only counters stable across
 /// worklist orders, so reordering optimizations don't read as drift).
-fn snapshot_one(
-    source: &str,
-    config: &AnalysisConfig,
-    store: Option<&Arc<dyn SummaryStore>>,
-) -> Json {
+fn snapshot_one(source: &str, config: &AnalysisConfig) -> Json {
     let mut entry = Json::obj();
-    let mut pipeline = Pipeline::new().config(config.clone());
-    if let Some(store) = store {
-        pipeline = pipeline.summary_store(Arc::clone(store));
-    }
-    match pipeline.run(source) {
+    match Pipeline::new().config(config.clone()).run(source) {
         Ok(report) => {
             entry.set("verdict", Json::from("ok"));
             let sig = report.signature.to_json();

