@@ -11,7 +11,9 @@
 #   3. a perf snapshot over the corpus, so the committed
 #      BENCH_pipeline.json can be refreshed from the CI artifact — the
 #      snapshot itself enforces the <5% no-op tracer and <5%
-#      cost-attribution overhead gates —
+#      cost-attribution overhead gates, and its ddg_scaling section
+#      that the DDG stays at or below phase 1 on the many-function
+#      family and phase 2 at or below phase 1 on every corpus addon —
 #      plus the repo benchmark's own unit tests, so a change that breaks
 #      a public layer function the benchmark calls fails here,
 #   4. a `vet --trace` smoke test: the emitted chrome://tracing JSON
@@ -69,11 +71,12 @@ cargo test --offline --workspace -q
 echo "==> bounded fuzz suite (seeded generator, fixed case counts)"
 cargo test --offline -q --features fuzz --test fuzz_pipeline
 
-echo "==> perf snapshot (sequential, 3 runs; incl. tracer + attribution overhead gates)"
+echo "==> perf snapshot (sequential, 3 runs; incl. tracer + attribution overhead and DDG scaling gates)"
 cargo build --release --offline --workspace
 ./target/release/perf_snapshot --runs 3 --sequential --out target/BENCH_pipeline.ci.json
 grep -q '"trace_overhead_pct"' target/BENCH_pipeline.ci.json
 grep -q '"attr_overhead_pct"' target/BENCH_pipeline.ci.json
+grep -q '"ddg_scaling"' target/BENCH_pipeline.ci.json
 
 echo "==> repo benchmark unit tests (the layer functions it calls still build)"
 CARGO_TARGET_DIR=.bench_build cargo test --offline -q --manifest-path benchmark/Cargo.toml

@@ -344,6 +344,36 @@ pub fn benign_addon(i: usize) -> String {
     src
 }
 
+/// A flow-free addon of `n` functions, each a chain of string
+/// concatenations through eight locals and a branch, called once from
+/// the top level: the repo benchmark's `synth_manyfn` shape with fixed
+/// identifiers and literals. It is the scaling family of the DDG oracle
+/// test and of `perf_snapshot`'s `ddg_scaling` section.
+pub fn many_fn_addon(n: usize) -> String {
+    let mut src = String::new();
+    for i in 0..n {
+        src.push_str(&format!(
+            "function fn{i}(seed) {{\n  var probe = 'lit-probe-{i}';\n  var tag = 'lit-{i}';\n  \
+             var v1 = tag + ':' + seed;\n"
+        ));
+        for (k, suffix) in ["a", "b", "c", "d", "e", "f", "g"].iter().enumerate() {
+            src.push_str(&format!(
+                "  var v{} = v{} + '/{suffix}{i}';\n",
+                k + 2,
+                k + 1
+            ));
+        }
+        src.push_str(
+            "  var out = '';\n  if (seed) { out = v8 + '/hot'; } else { out = v8 + '/cold'; }\n  \
+             var trail = out + '#' + tag;\n  return trail;\n}\n",
+        );
+    }
+    for i in 0..n {
+        src.push_str(&format!("fn{i}({});\n", i % 2));
+    }
+    src
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,22 +2,54 @@
 //!
 //! A reaching-definitions pass over the interprocedural supergraph
 //! computes, for each statement, which definitions may reach it and
-//! whether any overlapping write intervened ("pristine" facts). From this
-//! the paper's two conditions fall out directly:
+//! whether an overlapping write may have intervened since ("tainted"
+//! facts). From this the paper's two conditions fall out directly:
 //!
 //! - `datastrong v1 -> v2`: `v2` definitely reads the single concrete
 //!   location `v1` definitely writes (both strong, identical location),
-//!   and on **no** path between them is the location possibly overwritten
-//!   (the fact is still pristine on every path);
+//!   `v1`'s definition is the only reaching one that overlaps the read,
+//!   and on **no** path between them is the location possibly
+//!   overwritten (the fact is untainted on every path);
 //! - `dataweak v1 -> v2`: the write/read sets overlap (under the
 //!   `e`-intersection on abstract property names), the definition
 //!   survives on at least one path (strong overwrites kill per-path), and
 //!   the edge is not strong.
+//!
+//! The pass is sparse:
+//!
+//! - **Def ids.** Every (statement, written location) pair is one
+//!   definition, numbered densely in statement order, so a statement's
+//!   own definitions form one contiguous id range.
+//! - **Location index.** Locations are interned and grouped by canonical
+//!   allocation site (recency aliasing maps a most-recent site to its
+//!   aged twin). Two locations overlap when they are the same location,
+//!   or share a group and the meet of their property names is not
+//!   bottom. Each location lists the definitions at overlapping
+//!   locations, found by scanning only its own group, so kills, taints
+//!   and read matches touch only those definitions.
+//! - **Two bitsets per node** over def ids: *reaching* and *tainted*
+//!   (tainted ⊆ reaching), both joined by OR. A statement's transfer is
+//!   three precomputed word-mask lists: kill (other statements'
+//!   definitions at exactly the location of one of its strong writes),
+//!   taint (other statements' definitions overlapping one of its
+//!   writes), and gen (its own definitions, which leave reaching and
+//!   untainted).
+//! - **Reverse postorder.** Nodes are numbered in reverse postorder of a
+//!   DFS over the supergraph's successors from the reachable statements,
+//!   and the worklist is a dirty bitset swept in that order. A visit
+//!   copies the node's bitsets into two reused buffers, applies the
+//!   masks and ORs the result into its successors; it allocates nothing.
+//!
+//! The transfer is monotone, so the fixpoint does not depend on the
+//! visit order. Only the reachable statements start dirty: any other
+//! node is visited once a definition reaches it.
 
 use crate::supergraph::SuperGraph;
 use jsanalysis::{AnalysisResult, Loc, Strength};
+use jsdomains::{AllocSite, MeetLattice, Pre};
 use jsir::StmtId;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 
 /// A data-dependence edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -30,184 +62,328 @@ pub struct DataDep {
     pub strong: bool,
 }
 
-/// Dense interning of locations for the dataflow facts.
-struct LocTable {
-    locs: Vec<Loc>,
-    index: HashMap<Loc, u32>,
-    /// overlap cache
-    overlap: HashMap<(u32, u32), bool>,
-    /// Recency aliasing (mru site <-> aged twin): aliased sites denote
-    /// instances of the same allocation site, so their locations overlap
-    /// (weakly) for cross-instance flows.
-    aliases: BTreeMap<jsdomains::AllocSite, jsdomains::AllocSite>,
+/// One definition: a statement's write of one location.
+#[derive(Clone, Copy)]
+struct Def {
+    stmt: StmtId,
+    loc: u32,
+    strong: bool,
 }
 
-impl LocTable {
-    fn new(aliases: BTreeMap<jsdomains::AllocSite, jsdomains::AllocSite>) -> LocTable {
-        LocTable {
-            locs: Vec::new(),
-            index: HashMap::new(),
-            overlap: HashMap::new(),
-            aliases,
-        }
-    }
+/// The program's definitions and reads over interned locations.
+struct DefIndex {
+    defs: Vec<Def>,
+    /// Each writing statement's def-id range.
+    own: HashMap<StmtId, Range<u32>>,
+    /// Each reading statement's reads, as (location, strong).
+    reads: Vec<(StmtId, Vec<(u32, bool)>)>,
+    /// Per location: the definitions at exactly that location.
+    at: Vec<Vec<u32>>,
+    /// Per location: the definitions at every overlapping location.
+    overlapping: Vec<Vec<u32>>,
+}
 
-    /// Canonical representative of a site under recency aliasing.
-    fn canonical(&self, s: jsdomains::AllocSite) -> jsdomains::AllocSite {
-        self.aliases.get(&s).copied().unwrap_or(s)
-    }
+impl DefIndex {
+    fn build(analysis: &AnalysisResult) -> DefIndex {
+        let mut locs: Vec<&Loc> = Vec::new();
+        let mut ids: HashMap<&Loc, u32> = HashMap::new();
+        let mut intern = |loc| {
+            *ids.entry(loc).or_insert_with(|| {
+                locs.push(loc);
+                (locs.len() - 1) as u32
+            })
+        };
+        let mut defs = Vec::new();
+        let mut own = HashMap::new();
+        let mut reads = Vec::new();
+        for (&stmt, rw) in &analysis.rw {
+            let first = defs.len() as u32;
+            for (loc, s) in rw.writes.iter() {
+                let loc = intern(loc);
+                defs.push(Def {
+                    stmt,
+                    loc,
+                    strong: s == Strength::Strong,
+                });
+            }
+            if defs.len() as u32 > first {
+                own.insert(stmt, first..defs.len() as u32);
+            }
+            let r: Vec<(u32, bool)> = rw
+                .reads
+                .iter()
+                .map(|(loc, s)| (intern(loc), s == Strength::Strong))
+                .collect();
+            if !r.is_empty() {
+                reads.push((stmt, r));
+            }
+        }
 
-    fn intern(&mut self, loc: &Loc) -> u32 {
-        if let Some(&i) = self.index.get(loc) {
-            return i;
+        let mut at = vec![Vec::new(); locs.len()];
+        for (d, def) in defs.iter().enumerate() {
+            at[def.loc as usize].push(d as u32);
         }
-        let i = self.locs.len() as u32;
-        self.locs.push(loc.clone());
-        self.index.insert(loc.clone(), i);
-        i
-    }
-
-    fn overlaps(&mut self, a: u32, b: u32) -> bool {
-        if a == b {
-            return true;
+        let canonical = |site: AllocSite| analysis.site_aliases.get(&site).copied().unwrap_or(site);
+        let mut written: HashMap<AllocSite, Vec<usize>> = HashMap::new();
+        for (l, loc) in locs.iter().enumerate() {
+            if !at[l].is_empty() {
+                written.entry(canonical(loc.site)).or_default().push(l);
+            }
         }
-        let key = if a < b { (a, b) } else { (b, a) };
-        if let Some(&v) = self.overlap.get(&key) {
-            return v;
+        let overlapping = locs
+            .iter()
+            .enumerate()
+            .map(|(l, loc)| {
+                let group = written
+                    .get(&canonical(loc.site))
+                    .map_or(&[][..], Vec::as_slice);
+                let mut hits = Vec::new();
+                for &w in group {
+                    if w == l || !matches!(loc.prop.meet(&locs[w].prop), Pre::Bot) {
+                        hits.extend_from_slice(&at[w]);
+                    }
+                }
+                hits
+            })
+            .collect();
+        DefIndex {
+            defs,
+            own,
+            reads,
+            at,
+            overlapping,
         }
-        let la = &self.locs[a as usize];
-        let lb = &self.locs[b as usize];
-        let v = la.overlaps(lb)
-            || (self.canonical(la.site) == self.canonical(lb.site)
-                && !matches!(
-                    jsdomains::MeetLattice::meet(&la.prop, &lb.prop),
-                    jsdomains::Pre::Bot
-                ));
-        self.overlap.insert(key, v);
-        v
     }
 }
 
-/// The per-node dataflow fact: definition -> pristine?
-/// `true` = no overlapping write seen on any path since the definition.
-type Facts = BTreeMap<(StmtId, u32), bool>;
+/// Marks a statement absent from the node numbering.
+const ABSENT: u32 = u32::MAX;
+
+/// The supergraph nodes reachable from the analysis's reachable
+/// statements, numbered in reverse postorder.
+struct Rpo {
+    /// The statement at each node number.
+    stmts: Vec<StmtId>,
+    /// The node number of each statement, indexed by `StmtId`.
+    node: Vec<u32>,
+    /// Successor node numbers, `succs[succ_start[i]..succ_start[i + 1]]`.
+    succ_start: Vec<u32>,
+    succs: Vec<u32>,
+}
+
+impl Rpo {
+    fn build(sg: &SuperGraph, roots: &BTreeSet<StmtId>) -> Rpo {
+        // Marks `s` seen, returning whether it was new.
+        fn mark(node: &mut Vec<u32>, s: StmtId) -> bool {
+            let i = s.0 as usize;
+            if i >= node.len() {
+                node.resize(i + 1, ABSENT);
+            }
+            let new = node[i] == ABSENT;
+            node[i] = 0;
+            new
+        }
+        let mut node = Vec::new();
+        let mut post = Vec::new();
+        let mut stack: Vec<(StmtId, usize)> = Vec::new();
+        for &root in roots {
+            if !mark(&mut node, root) {
+                continue;
+            }
+            stack.push((root, 0));
+            while let Some(&(s, next)) = stack.last() {
+                if let Some(&t) = sg.succs(s).get(next) {
+                    let top = stack.len() - 1;
+                    stack[top].1 += 1;
+                    if mark(&mut node, t) {
+                        stack.push((t, 0));
+                    }
+                } else {
+                    stack.pop();
+                    post.push(s);
+                }
+            }
+        }
+        post.reverse();
+        for (i, s) in post.iter().enumerate() {
+            node[s.0 as usize] = i as u32;
+        }
+        let mut succ_start = Vec::with_capacity(post.len() + 1);
+        let mut succs = Vec::new();
+        for &s in &post {
+            succ_start.push(succs.len() as u32);
+            succs.extend(sg.succs(s).iter().map(|t| node[t.0 as usize]));
+        }
+        succ_start.push(succs.len() as u32);
+        Rpo {
+            stmts: post,
+            node,
+            succ_start,
+            succs,
+        }
+    }
+
+    fn of(&self, s: StmtId) -> Option<usize> {
+        match self.node.get(s.0 as usize) {
+            Some(&i) if i != ABSENT => Some(i as usize),
+            _ => None,
+        }
+    }
+
+    fn succs_of(&self, i: usize) -> &[u32] {
+        &self.succs[self.succ_start[i] as usize..self.succ_start[i + 1] as usize]
+    }
+}
+
+/// One list of (word, mask) pairs over def ids per node.
+struct Masks {
+    start: Vec<u32>,
+    words: Vec<(u32, u64)>,
+}
+
+impl Masks {
+    fn new() -> Masks {
+        Masks {
+            start: vec![0],
+            words: Vec::new(),
+        }
+    }
+
+    /// Appends the next node's list; `ids` must be ascending.
+    fn push(&mut self, ids: impl IntoIterator<Item = u32>) {
+        let first = self.words.len();
+        for d in ids {
+            let (w, bit) = (d / 64, 1u64 << (d % 64));
+            match self.words[first..].last_mut() {
+                Some((last, mask)) if *last == w => *mask |= bit,
+                _ => self.words.push((w, bit)),
+            }
+        }
+        self.start.push(self.words.len() as u32);
+    }
+
+    fn of(&self, i: usize) -> &[(u32, u64)] {
+        &self.words[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+}
+
+fn has(bits: &[u64], d: u32) -> bool {
+    bits[(d / 64) as usize] >> (d % 64) & 1 == 1
+}
+
+/// The first set bit at or after `from`.
+fn next_set(bits: &[u64], from: usize) -> Option<usize> {
+    let mut w = from / 64;
+    let mut word = bits.get(w)? & (!0u64 << (from % 64));
+    loop {
+        if word != 0 {
+            return Some(w * 64 + word.trailing_zeros() as usize);
+        }
+        w += 1;
+        word = *bits.get(w)?;
+    }
+}
+
+/// `dst |= src`, returning whether `dst` grew.
+fn or_into(dst: &mut [u64], src: &[u64]) -> bool {
+    let mut grew = 0;
+    for (d, s) in dst.iter_mut().zip(src) {
+        grew |= s & !*d;
+        *d |= s;
+    }
+    grew != 0
+}
 
 /// Builds the data-dependence edges of the PDG.
 pub fn build_ddg(sg: &SuperGraph, analysis: &AnalysisResult) -> BTreeSet<DataDep> {
-    let mut locs = LocTable::new(analysis.site_aliases.clone());
+    let idx = DefIndex::build(analysis);
+    if idx.defs.is_empty() || idx.reads.is_empty() {
+        return BTreeSet::new();
+    }
+    let rpo = Rpo::build(sg, &analysis.reachable);
+    let n = rpo.stmts.len();
 
-    // Pre-index each statement's writes and reads with interned locations.
-    let mut writes: BTreeMap<StmtId, Vec<(u32, Strength)>> = BTreeMap::new();
-    let mut reads: BTreeMap<StmtId, Vec<(u32, Strength)>> = BTreeMap::new();
-    for (&stmt, rw) in &analysis.rw {
-        let w: Vec<(u32, Strength)> = rw
-            .writes
-            .iter()
-            .map(|(l, s)| (locs.intern(l), s))
-            .collect();
-        if !w.is_empty() {
-            writes.insert(stmt, w);
+    // Each node's transfer as word masks.
+    let (mut kill, mut taint, mut gen) = (Masks::new(), Masks::new(), Masks::new());
+    let (mut k, mut t) = (Vec::new(), Vec::new());
+    for s in &rpo.stmts {
+        let own = idx.own.get(s).cloned().unwrap_or(0..0);
+        let foreign = |e: &&u32| !own.contains(*e);
+        k.clear();
+        t.clear();
+        for d in own.clone() {
+            let def = idx.defs[d as usize];
+            if def.strong {
+                k.extend(idx.at[def.loc as usize].iter().filter(foreign));
+            }
+            t.extend(idx.overlapping[def.loc as usize].iter().filter(foreign));
         }
-        let r: Vec<(u32, Strength)> = rw
-            .reads
-            .iter()
-            .map(|(l, s)| (locs.intern(l), s))
-            .collect();
-        if !r.is_empty() {
-            reads.insert(stmt, r);
-        }
+        k.sort_unstable();
+        k.dedup();
+        t.sort_unstable();
+        t.dedup();
+        kill.push(k.iter().copied());
+        taint.push(t.iter().copied());
+        gen.push(own);
     }
 
-    // Worklist reaching-definitions over the supergraph.
-    let mut in_facts: HashMap<StmtId, Facts> = HashMap::new();
-    let mut queue: VecDeque<StmtId> = VecDeque::new();
-    let mut queued: BTreeSet<StmtId> = BTreeSet::new();
-    // Seed every statement that has writes (defs originate there).
-    for &s in analysis.reachable.iter() {
-        queue.push_back(s);
-        queued.insert(s);
+    // Reaching definitions to the fixpoint, sweeping dirty nodes in RPO.
+    let w = idx.defs.len().div_ceil(64);
+    let mut reach = vec![0u64; n * w];
+    let mut tainted = vec![0u64; n * w];
+    let mut dirty = vec![0u64; n.div_ceil(64)];
+    for &s in &analysis.reachable {
+        if let Some(i) = rpo.of(s) {
+            dirty[i / 64] |= 1 << (i % 64);
+        }
     }
-
-    let empty: Vec<(u32, Strength)> = Vec::new();
-    while let Some(s) = queue.pop_front() {
-        queued.remove(&s);
-        let mut out: Facts = in_facts.get(&s).cloned().unwrap_or_default();
-        // Kill / taint by this statement's writes.
-        let my_writes = writes.get(&s).unwrap_or(&empty).clone();
-        if !my_writes.is_empty() {
-            let keys: Vec<(StmtId, u32)> = out.keys().copied().collect();
-            for (def_stmt, def_loc) in keys {
-                for (wl, ws) in &my_writes {
-                    if def_stmt == s {
-                        continue;
-                    }
-                    if *ws == Strength::Strong && *wl == def_loc {
-                        out.remove(&(def_stmt, def_loc));
-                        break;
-                    } else if locs.overlaps(*wl, def_loc) {
-                        out.insert((def_stmt, def_loc), false);
-                    }
-                }
-            }
-            // Generate this statement's own definitions (pristine).
-            for (wl, _) in &my_writes {
-                out.insert((s, *wl), true);
+    let (mut r, mut t) = (vec![0u64; w], vec![0u64; w]);
+    let mut from = 0;
+    while let Some(i) = next_set(&dirty, from).or_else(|| next_set(&dirty, 0)) {
+        dirty[i / 64] &= !(1 << (i % 64));
+        r.copy_from_slice(&reach[i * w..(i + 1) * w]);
+        t.copy_from_slice(&tainted[i * w..(i + 1) * w]);
+        for &(x, m) in kill.of(i) {
+            r[x as usize] &= !m;
+            t[x as usize] &= !m;
+        }
+        // After the kills, so a killed definition is not re-tainted.
+        for &(x, m) in taint.of(i) {
+            t[x as usize] |= m & r[x as usize];
+        }
+        for &(x, m) in gen.of(i) {
+            r[x as usize] |= m;
+            t[x as usize] &= !m;
+        }
+        for &j in rpo.succs_of(i) {
+            let j = j as usize;
+            let grew = or_into(&mut reach[j * w..(j + 1) * w], &r)
+                | or_into(&mut tainted[j * w..(j + 1) * w], &t);
+            if grew {
+                dirty[j / 64] |= 1 << (j % 64);
             }
         }
-        // Propagate.
-        for &succ in sg.succs(s) {
-            let entry = in_facts.entry(succ).or_default();
-            let mut changed = false;
-            for (k, &pristine) in &out {
-                match entry.get_mut(k) {
-                    Some(p) => {
-                        if *p && !pristine {
-                            *p = false;
-                            changed = true;
-                        }
-                    }
-                    None => {
-                        entry.insert(*k, pristine);
-                        changed = true;
-                    }
-                }
-            }
-            if changed && queued.insert(succ) {
-                queue.push_back(succ);
-            }
-        }
+        from = i + 1;
     }
 
     // Emit edges.
     let mut best: BTreeMap<(StmtId, StmtId), bool> = BTreeMap::new();
-    for (&v2, rs) in &reads {
-        let facts = match in_facts.get(&v2) {
-            Some(f) => f,
-            None => continue,
-        };
-        for (l2, s2) in rs {
-            // Every definition whose location overlaps this read.
-            let overlapping: Vec<(StmtId, u32, bool)> = facts
-                .iter()
-                .filter(|&(&(_, l1), _)| locs.overlaps(l1, *l2))
-                .map(|(&(v1, l1), &p)| (v1, l1, p))
-                .collect();
+    let mut hits: Vec<u32> = Vec::new();
+    for (v2, rs) in &idx.reads {
+        let Some(i) = rpo.of(*v2) else { continue };
+        let (r, t) = (&reach[i * w..(i + 1) * w], &tainted[i * w..(i + 1) * w]);
+        for &(l2, s2) in rs {
+            // Every reaching definition whose location overlaps this read.
+            hits.clear();
+            hits.extend(idx.overlapping[l2 as usize].iter().filter(|&&d| has(r, d)));
             // "The value read is definitely the value written by v1"
             // additionally requires v1's def to be the unique reaching
             // definition of the location.
-            let unique = overlapping.len() == 1;
-            for (v1, l1, pristine) in overlapping {
-                let def_strength = writes
-                    .get(&v1)
-                    .and_then(|ws| ws.iter().find(|(l, _)| *l == l1))
-                    .map(|(_, s)| *s)
-                    .unwrap_or(Strength::Weak);
-                let strong = unique
-                    && pristine
-                    && l1 == *l2
-                    && def_strength == Strength::Strong
-                    && *s2 == Strength::Strong;
-                let e = best.entry((v1, v2)).or_insert(false);
+            let unique = hits.len() == 1;
+            for &d in &hits {
+                let def = idx.defs[d as usize];
+                let strong = unique && !has(t, d) && def.loc == l2 && def.strong && s2;
+                let e = best.entry((def.stmt, *v2)).or_insert(false);
                 *e = *e || strong;
             }
         }

@@ -1,7 +1,8 @@
 //! The interprocedural supergraph: the CFG augmented with implicit-throw
 //! edges, call edges (call site to callee entry), and return edges (callee
 //! exit back to the call's continuations). The DDG's reaching-definitions
-//! pass and the amplification (cycle) analysis both run over it.
+//! pass runs over it; the statements it reports on a cycle (the CDG's
+//! amplified sources) come from the base analysis.
 
 use jsanalysis::AnalysisResult;
 use jsir::{Cfg, EdgeKind, IrFuncId, Lowered, StmtId};
@@ -19,7 +20,8 @@ pub struct SuperGraph {
     succs: BTreeMap<StmtId, Vec<StmtId>>,
     /// Call edges: call statement -> callee entry.
     pub call_edges: BTreeSet<(StmtId, StmtId)>,
-    /// Statements lying on a (interprocedural) cycle.
+    /// Statements lying on an (interprocedural) cycle: the analysis's
+    /// `cyclic_stmts`.
     cycles: BTreeSet<StmtId>,
 }
 
@@ -41,12 +43,11 @@ impl SuperGraph {
                 add(&mut succs, e.from, e.to);
             }
         }
-        // Call and return edges. For cycle detection the return edge goes
-        // to the call's continuations (execution order); the flow graph
-        // additionally routes the exit back to the call statement itself,
-        // because the call is where the return-value read is recorded.
+        // Call and return edges: call site to callee entry, and callee
+        // exit back to the call's continuations and to the call statement
+        // itself, because the call is where the return-value read is
+        // recorded.
         let mut call_edges = BTreeSet::new();
-        let mut cycle_succs = succs.clone();
         for (&call, targets) in &analysis.call_targets {
             let continuations: Vec<StmtId> = cfg
                 .succs(call)
@@ -62,25 +63,14 @@ impl SuperGraph {
                     add(&mut succs, f.exit, c);
                 }
                 add(&mut succs, f.exit, call);
-                // Cycle graph: no exit -> call back edge.
-                add(&mut cycle_succs, call, f.entry);
-                for &c in &continuations {
-                    add(&mut cycle_succs, f.exit, c);
-                }
             }
         }
 
         // Amplification cycles come from the base analysis's
-        // context-qualified transition graph (avoiding the spurious cycles
-        // a context-insensitive return edge would create when one function
-        // is called from two sites). The context-insensitive cycle graph
-        // is kept as a fallback for callers without analysis transitions.
-        let cycles = if analysis.cyclic_stmts.is_empty() && analysis.reachable.is_empty() {
-            cycle_nodes(&cycle_succs)
-        } else {
-            let _ = &cycle_succs;
-            analysis.cyclic_stmts.clone()
-        };
+        // context-qualified transition graph, which avoids the spurious
+        // cycles a context-insensitive return edge would create when one
+        // function is called from two sites.
+        let cycles = analysis.cyclic_stmts.clone();
 
         SuperGraph {
             cfg,
@@ -116,87 +106,6 @@ impl SuperGraph {
             exit: f.exit,
         }
     }
-}
-
-/// Tarjan SCC over an adjacency map; returns nodes in non-trivial SCCs or
-/// with self loops.
-fn cycle_nodes(succs: &BTreeMap<StmtId, Vec<StmtId>>) -> BTreeSet<StmtId> {
-    // Collect all nodes.
-    let mut nodes: BTreeSet<StmtId> = succs.keys().copied().collect();
-    for list in succs.values() {
-        nodes.extend(list.iter().copied());
-    }
-    let idx_of: BTreeMap<StmtId, usize> = nodes.iter().copied().zip(0..).collect();
-    let node_vec: Vec<StmtId> = nodes.iter().copied().collect();
-    let n = node_vec.len();
-    let adj: Vec<Vec<usize>> = node_vec
-        .iter()
-        .map(|s| {
-            succs
-                .get(s)
-                .map(|l| l.iter().map(|t| idx_of[t]).collect())
-                .unwrap_or_default()
-        })
-        .collect();
-
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack = Vec::new();
-    let mut next = 0usize;
-    let mut out = BTreeSet::new();
-
-    #[derive(Clone, Copy)]
-    struct Frame {
-        v: usize,
-        pos: usize,
-    }
-    for root in 0..n {
-        if index[root] != usize::MAX {
-            continue;
-        }
-        let mut call = vec![Frame { v: root, pos: 0 }];
-        while let Some(fr) = call.last_mut() {
-            let v = fr.v;
-            if fr.pos == 0 {
-                index[v] = next;
-                low[v] = next;
-                next += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if fr.pos < adj[v].len() {
-                let w = adj[v][fr.pos];
-                fr.pos += 1;
-                if index[w] == usize::MAX {
-                    call.push(Frame { v: w, pos: 0 });
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                call.pop();
-                if let Some(p) = call.last() {
-                    low[p.v] = low[p.v].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("scc stack");
-                        on_stack[w] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    let self_loop = adj[v].contains(&v);
-                    if comp.len() > 1 || self_loop {
-                        out.extend(comp.into_iter().map(|i| node_vec[i]));
-                    }
-                }
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -9,6 +9,9 @@
 
 #![cfg(feature = "fuzz")]
 
+#[path = "support/dense_ddg.rs"]
+mod dense_ddg;
+
 use minicheck::Gen;
 
 /// A tiny generator of valid JavaScript programs in the analyzed subset.
@@ -124,6 +127,24 @@ fn pipeline_total_on_generated_programs() {
             "triage changed the signature of:\n{src}"
         );
         assert_eq!(triaged.triaged, jssig::flows_impossible(&triaged.analysis));
+    });
+}
+
+/// The sparse DDG is exactly the dense oracle's on generated programs,
+/// whose loops, handlers, `try` and computed properties exercise kills,
+/// taints and overlapping reads that the corpus may not.
+#[test]
+fn sparse_ddg_matches_the_dense_oracle_on_generated_programs() {
+    minicheck::check("sparse_ddg_matches_the_dense_oracle", 300, |g| {
+        let src = arb_program(g);
+        let report = addon_sig::analyze_addon(&src)
+            .unwrap_or_else(|e| panic!("pipeline failed: {e}\nprogram:\n{src}"));
+        let sg = jspdg::SuperGraph::build(&report.lowered, &report.analysis);
+        assert_eq!(
+            jspdg::build_ddg(&sg, &report.analysis),
+            dense_ddg::build_ddg(&sg, &report.analysis),
+            "sparse and dense DDGs differ on:\n{src}"
+        );
     });
 }
 
