@@ -7,7 +7,10 @@
 #      whose step-budget table fails the build on base-analysis
 #      step-count regressions), plus the bounded deterministic fuzz
 #      suite (tests/fuzz_pipeline.rs behind `--features fuzz`: seeded
-#      generator, fixed case counts, so CI time stays bounded),
+#      generator, fixed case counts, so CI time stays bounded) and
+#      jsdomains' own `fuzz`-gated lattice-law suites (value, prefix
+#      and constant domains; they also check each `join_in_place`
+#      against `join`),
 #   3. a perf snapshot over the corpus, so the committed
 #      BENCH_pipeline.json can be refreshed from the CI artifact — the
 #      snapshot itself enforces the <5% no-op tracer and <5%
@@ -70,6 +73,9 @@ cargo test --offline --workspace -q
 
 echo "==> bounded fuzz suite (seeded generator, fixed case counts)"
 cargo test --offline -q --features fuzz --test fuzz_pipeline
+
+echo "==> jsdomains lattice-law suites (fuzz feature)"
+cargo test --offline -q -p jsdomains --features fuzz
 
 echo "==> perf snapshot (sequential, 3 runs; incl. tracer + attribution overhead and DDG scaling gates)"
 cargo build --release --offline --workspace

@@ -69,6 +69,13 @@ pub(crate) mod laws {
         assert!(a.leq(&a.join(b)), "join is an upper bound (left)");
         assert!(b.leq(&a.join(b)), "join is an upper bound (right)");
         assert_eq!(a.leq(b), &a.join(b) == b, "leq consistent with join");
+        // `join_in_place` (which a domain may override) agrees with
+        // `join`: it leaves the join behind and reports a change exactly
+        // when the join differs from `a`.
+        let mut joined = a.clone();
+        let changed = joined.join_in_place(b);
+        assert_eq!(changed, &a.join(b) != a, "join_in_place reports change");
+        assert_eq!(joined, a.join(b), "join_in_place leaves the join");
     }
 
     pub fn check_meet_laws<L: MeetLattice + std::fmt::Debug>(a: &L, b: &L) {

@@ -10,7 +10,10 @@
 //! - [`AValue`], the reduced-product abstract value;
 //! - [`AObject`] / [`Heap`], allocation-site-summarized abstract objects
 //!   with singleton tracking (the enabler of strong updates and thus of
-//!   the paper's `datastrong` PDG edges).
+//!   the paper's `datastrong` PDG edges). The heap is a dense vector of
+//!   shared objects indexed by allocation site; its join copies an
+//!   object only when [`AObject::join_would_change`] says the join
+//!   changes it.
 //!
 //! # Examples
 //!

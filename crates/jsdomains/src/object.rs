@@ -5,6 +5,12 @@
 //! what lets the analysis produce *strong* (exact) property read/write
 //! sets when the property-name string is exact and the site is a
 //! singleton -- the precondition for the paper's `datastrong` edges.
+//!
+//! The heap holds one shared object per site in a dense site-indexed
+//! vector. Joining heaps is the base analysis's hot loop, and at a
+//! fixpoint most object joins change nothing, so [`Heap::join_in_place`]
+//! asks [`AObject::join_would_change`] first and copies a shared object
+//! only for a join that changes it.
 
 use crate::lattice::Lattice;
 use crate::prefix::Pre;
@@ -216,6 +222,60 @@ impl AObject {
         }
         changed
     }
+
+    /// True exactly when [`AObject::join_in_place`] with `other` would
+    /// change this object (and so return true). A pure, allocation-free
+    /// test, so a caller holding a shared object copies it only for a
+    /// join that changes something; at a fixpoint most joins do not.
+    pub fn join_would_change(&self, other: &AObject) -> bool {
+        (self.singleton && !other.singleton)
+            || !other.unknown_props.leq(&self.unknown_props)
+            // Props only here may be absent there: they gain `undefined`.
+            || map_join_would_change(&self.props, &other.props, |v| !v.undef)
+            // Internal slots only here are left alone.
+            || map_join_would_change(&self.internal, &other.internal, |_| false)
+    }
+}
+
+/// Whether joining the map `theirs` into `mine` would change `mine`, by
+/// one walk over both key-ordered maps: a key only in `theirs` is
+/// inserted, a shared key changes unless `theirs`' value is below
+/// `mine`'s, and a key only in `mine` changes when `mine_only` says so.
+fn map_join_would_change<K: Ord>(
+    mine: &BTreeMap<K, AValue>,
+    theirs: &BTreeMap<K, AValue>,
+    mine_only: impl Fn(&AValue) -> bool,
+) -> bool {
+    let (mut mine, mut theirs) = (mine.iter(), theirs.iter());
+    let (mut m, mut t) = (mine.next(), theirs.next());
+    loop {
+        match (m, t) {
+            (None, None) => return false,
+            (None, Some(_)) => return true,
+            (Some((_, mv)), None) => {
+                if mine_only(mv) {
+                    return true;
+                }
+                m = mine.next();
+            }
+            (Some((mk, mv)), Some((tk, tv))) => match mk.cmp(tk) {
+                std::cmp::Ordering::Less => {
+                    if mine_only(mv) {
+                        return true;
+                    }
+                    m = mine.next();
+                }
+                std::cmp::Ordering::Greater => return true,
+                std::cmp::Ordering::Equal => {
+                    if !tv.leq(mv) {
+                        return true;
+                    }
+                    m = mine.next();
+                    t = theirs.next();
+                }
+            },
+        }
+    }
 }
 
 impl fmt::Display for AObject {
@@ -237,13 +297,19 @@ impl fmt::Display for AObject {
 
 /// The abstract heap: one [`AObject`] per allocation site.
 ///
-/// Objects are stored behind [`Arc`]s so cloning a heap (which the
-/// flow-sensitive analysis does at every program point) is shallow;
-/// mutation goes through [`Arc::make_mut`], copying only the objects that
-/// actually change (copy-on-write).
-#[derive(Debug, Clone, PartialEq, Default)]
+/// A dense vector indexed by the run's [`AllocSite`] numbers (the base
+/// analysis interns sites densely from 0), `None` where a site has no
+/// object in this heap. Objects sit behind [`Arc`]s, so cloning a heap
+/// (which the flow-sensitive analysis does at every program point) is
+/// one vector copy, and joining two heaps is a zip with no per-site
+/// lookups. Mutation goes through [`Arc::make_mut`], copying only the
+/// object it touches (copy-on-write); a join first asks
+/// [`AObject::join_would_change`] and copies nothing when the answer is
+/// no. Iteration is in site order, and equality and `Debug` look only at
+/// allocated sites, so trailing empty slots are invisible.
+#[derive(Clone, Default)]
 pub struct Heap {
-    objects: BTreeMap<AllocSite, Arc<AObject>>,
+    objects: Vec<Option<Arc<AObject>>>,
 }
 
 thread_local! {
@@ -269,77 +335,98 @@ fn note_cow(obj: &Arc<AObject>) {
     }
 }
 
+/// Joins `other` into the shared object `mine`, copying it only when the
+/// join changes it. Returns true on change.
+fn join_shared(mine: &mut Arc<AObject>, other: &AObject) -> bool {
+    if !mine.join_would_change(other) {
+        return false;
+    }
+    note_cow(mine);
+    let changed = Arc::make_mut(mine).join_in_place(other);
+    debug_assert!(changed, "join_would_change disagrees with join_in_place");
+    changed
+}
+
 impl Heap {
     /// An empty heap.
     pub fn new() -> Heap {
         Heap::default()
     }
 
+    /// The slot for `site`, growing the vector to hold it.
+    fn slot_mut(&mut self, site: AllocSite) -> &mut Option<Arc<AObject>> {
+        let i = site.0 as usize;
+        if i >= self.objects.len() {
+            self.objects.resize(i + 1, None);
+        }
+        &mut self.objects[i]
+    }
+
     /// Allocates or re-visits an allocation site. On re-visit the existing
     /// object is demoted to a summary and joined with a fresh object.
     pub fn alloc(&mut self, site: AllocSite, kind: ObjKind) -> AllocSite {
-        match self.objects.get_mut(&site) {
+        let slot = self.slot_mut(site);
+        match slot {
             Some(existing) => {
-                note_cow(existing);
-                let existing = Arc::make_mut(existing);
-                existing.demote_to_summary();
                 // Fresh instance has no props: all existing props may be
-                // absent in the new instance.
+                // absent in the new instance. Joining a non-singleton
+                // also demotes the existing object to a summary.
                 let fresh = AObject {
                     singleton: false,
                     ..AObject::new(existing.kind.clone())
                 };
-                existing.join_in_place(&fresh);
+                join_shared(existing, &fresh);
             }
-            None => {
-                self.objects.insert(site, Arc::new(AObject::new(kind)));
-            }
+            None => *slot = Some(Arc::new(AObject::new(kind))),
         }
         site
     }
 
     /// Looks up an object.
     pub fn get(&self, site: AllocSite) -> Option<&AObject> {
-        self.objects.get(&site).map(|a| &**a)
+        self.objects.get(site.0 as usize)?.as_deref()
     }
 
     /// Looks up an object mutably (copy-on-write).
     pub fn get_mut(&mut self, site: AllocSite) -> Option<&mut AObject> {
-        self.objects.get_mut(&site).map(|obj| {
+        self.objects.get_mut(site.0 as usize)?.as_mut().map(|obj| {
             note_cow(obj);
             Arc::make_mut(obj)
         })
     }
 
-    /// Iterates over all objects.
-    pub fn iter(&self) -> impl Iterator<Item = (&AllocSite, &AObject)> {
-        self.objects.iter().map(|(s, a)| (s, &**a))
+    /// Iterates over all objects in site order.
+    pub fn iter(&self) -> impl Iterator<Item = (AllocSite, &AObject)> {
+        self.objects
+            .iter()
+            .enumerate()
+            .filter_map(|(i, obj)| Some((AllocSite(i as u32), &**obj.as_ref()?)))
     }
 
     /// Number of live abstract objects.
     pub fn len(&self) -> usize {
-        self.objects.len()
+        self.objects.iter().flatten().count()
     }
 
     /// True if no object has been allocated.
     pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+        self.objects.iter().all(Option::is_none)
     }
 
     /// Joins another heap into this one. Returns true if anything changed.
     pub fn join_in_place(&mut self, other: &Heap) -> bool {
+        if self.objects.len() < other.objects.len() {
+            self.objects.resize(other.objects.len(), None);
+        }
         let mut changed = false;
-        for (site, obj) in &other.objects {
-            match self.objects.get_mut(site) {
-                Some(mine) => {
-                    if Arc::ptr_eq(mine, obj) {
-                        continue; // identical shared object: no-op join
-                    }
-                    note_cow(mine);
-                    changed |= Arc::make_mut(mine).join_in_place(obj);
-                }
+        for (mine, theirs) in self.objects.iter_mut().zip(&other.objects) {
+            let Some(theirs) = theirs else { continue };
+            match mine {
+                // An identical shared object: a no-op join.
+                Some(mine) if Arc::ptr_eq(mine, theirs) => {}
+                Some(mine) => changed |= join_shared(mine, theirs),
                 None => {
-                    self.objects.insert(*site, Arc::clone(obj));
+                    *mine = Some(Arc::clone(theirs));
                     changed = true;
                 }
             }
@@ -352,21 +439,19 @@ impl Heap {
     /// reference to `from` anywhere in the heap into `to`. Afterwards
     /// `from` is unallocated and may be re-bound to a fresh instance.
     pub fn rename_site(&mut self, from: AllocSite, to: AllocSite) {
-        if let Some(old) = self.objects.remove(&from) {
-            note_cow(&old);
-            let mut old = Arc::unwrap_or_clone(old);
-            old.demote_to_summary();
-            match self.objects.get_mut(&to) {
+        if let Some(mut old) = self.objects.get_mut(from.0 as usize).and_then(Option::take) {
+            if old.singleton {
+                note_cow(&old);
+                Arc::make_mut(&mut old).demote_to_summary();
+            }
+            match self.slot_mut(to) {
                 Some(summary) => {
-                    note_cow(summary);
-                    Arc::make_mut(summary).join_in_place(&old);
+                    join_shared(summary, &old);
                 }
-                None => {
-                    self.objects.insert(to, Arc::new(old));
-                }
+                slot @ None => *slot = Some(old),
             }
         }
-        for obj in self.objects.values_mut() {
+        for obj in self.objects.iter_mut().flatten() {
             // Only copy objects that actually hold a reference to `from`.
             let holds = obj.props.values().any(|v| v.objs.contains(&from))
                 || obj.unknown_props.objs.contains(&from)
@@ -388,15 +473,23 @@ impl Heap {
 
     /// Partial-order check against another heap.
     pub fn leq(&self, other: &Heap) -> bool {
-        self.objects.iter().all(|(site, obj)| {
-            other.objects.get(site).is_some_and(|o| {
-                if Arc::ptr_eq(obj, o) {
-                    return true;
-                }
-                let mut merged = (**o).clone();
-                !merged.join_in_place(obj)
-            })
+        self.iter().all(|(site, mine)| {
+            other
+                .get(site)
+                .is_some_and(|theirs| std::ptr::eq(mine, theirs) || !theirs.join_would_change(mine))
         })
+    }
+}
+
+impl PartialEq for Heap {
+    fn eq(&self, other: &Heap) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for Heap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -547,5 +640,194 @@ mod tests {
         assert!(ObjKind::Native(NativeId(0)).is_callable());
         assert!(!ObjKind::Plain.is_callable());
         assert!(!ObjKind::Array.is_callable());
+    }
+
+    #[test]
+    fn equal_heaps_join_without_copying() {
+        // Two heaps built the same way hold equal objects in distinct
+        // `Arc`s; `a`'s are also shared with a snapshot, as a fixpoint's
+        // stored states share theirs, so a copy-first join would clone.
+        let build = || {
+            let mut h = Heap::new();
+            h.alloc(site(0), ObjKind::Plain);
+            h.alloc(site(3), ObjKind::Array);
+            h.get_mut(site(0))
+                .unwrap()
+                .write_prop(&Pre::exact("p"), &AValue::num(1.0), true);
+            h
+        };
+        let (mut a, b) = (build(), build());
+        let snapshot = a.clone();
+        let before = cow_clone_count();
+        assert!(!a.join_in_place(&b));
+        assert_eq!(cow_clone_count(), before, "a no-op join copies nothing");
+        assert_eq!(a, snapshot);
+    }
+
+    #[test]
+    fn trailing_empty_slots_are_invisible() {
+        let mut a = Heap::new();
+        a.alloc(site(0), ObjKind::Plain);
+        let mut b = a.clone();
+        b.alloc(site(5), ObjKind::Plain);
+        b.rename_site(site(5), site(1));
+        assert_ne!(a, b);
+        a.alloc(site(1), ObjKind::Plain);
+        a.get_mut(site(1)).unwrap().demote_to_summary();
+        assert_eq!(a, b, "b's empty slots 2..=5 do not count");
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(b.len(), 2);
+    }
+
+    mod oracle {
+        //! `join_would_change` and the dense `Heap::join_in_place`
+        //! against the copy-then-join definitions they replace.
+        use super::*;
+        use crate::consts::{BoolDom, NumDom};
+        use minicheck::Gen;
+
+        fn arb_value(g: &mut Gen) -> AValue {
+            // Small alphabets, so that generated values are often
+            // comparable and joins often change nothing.
+            let strs = match g.below(4) {
+                0 => Pre::Bot,
+                1 => Pre::exact(*g.pick(&["a", "ab"])),
+                2 => Pre::prefix(*g.pick(&["", "a"])),
+                _ => Pre::exact("b"),
+            };
+            AValue {
+                undef: g.bool(),
+                null: g.below(4) == 0,
+                bools: *g.pick(&[BoolDom::Bot, BoolDom::True, BoolDom::Top]),
+                nums: *g.pick(&[NumDom::Bot, NumDom::Const(1.0), NumDom::Top]),
+                strs,
+                objs: (0..g.below(3)).map(|_| site(g.below(3) as u32)).collect(),
+            }
+        }
+
+        fn arb_object(g: &mut Gen, kind: ObjKind) -> AObject {
+            let mut o = AObject::new(kind);
+            for _ in 0..g.below(4) {
+                let name = *g.pick(&["a", "b", "c"]);
+                o.props.insert(Sym::intern(name), arb_value(g));
+            }
+            if g.bool() {
+                o.unknown_props = arb_value(g);
+            }
+            for _ in 0..g.below(3) {
+                o.internal
+                    .insert(*g.pick(&["@ret", "@scope"]), arb_value(g));
+            }
+            o.singleton = g.bool();
+            o
+        }
+
+        /// A second object for the same site: unrelated, already
+        /// absorbed into `a` (so the join is a no-op), `a` itself, or
+        /// `a` missing some props (a change only where `a`'s value
+        /// excludes `undefined`).
+        fn arb_pair(g: &mut Gen) -> (AObject, AObject) {
+            let mut a = arb_object(g, ObjKind::Plain);
+            let b = match g.below(4) {
+                0 => arb_object(g, ObjKind::Plain),
+                1 => {
+                    let b = arb_object(g, ObjKind::Plain);
+                    a.join_in_place(&b);
+                    b
+                }
+                2 => a.clone(),
+                _ => {
+                    let mut b = a.clone();
+                    b.props.retain(|_, _| g.bool());
+                    b
+                }
+            };
+            (a, b)
+        }
+
+        fn kind_of(i: usize) -> ObjKind {
+            if i.is_multiple_of(2) {
+                ObjKind::Plain
+            } else {
+                ObjKind::Array
+            }
+        }
+
+        /// A heap over sites `0..5` and one related to it: sharing some of
+        /// its `Arc`s, holding absorbed or unrelated objects elsewhere.
+        fn arb_heaps(g: &mut Gen) -> (Heap, Heap) {
+            let mut a = Heap::new();
+            for i in 0..g.below(6) {
+                if g.below(4) > 0 {
+                    *a.slot_mut(site(i as u32)) = Some(Arc::new(arb_object(g, kind_of(i))));
+                }
+            }
+            let mut b = a.clone();
+            for i in 0..g.below(6) {
+                let s = site(i as u32);
+                match g.below(4) {
+                    0 => {} // keep the shared object (or hole)
+                    1 => *b.slot_mut(s) = None,
+                    2 => *b.slot_mut(s) = Some(Arc::new(arb_object(g, kind_of(i)))),
+                    _ => {
+                        // `a` has already absorbed `b`'s object here.
+                        let absorbed = arb_object(g, kind_of(i));
+                        if let Some(obj) = a.get_mut(s) {
+                            obj.join_in_place(&absorbed);
+                            *b.slot_mut(s) = Some(Arc::new(absorbed));
+                        }
+                    }
+                }
+            }
+            (a, b)
+        }
+
+        /// The heap join as defined before check-before-copy: every
+        /// object present in both heaps is copied and joined.
+        fn reference_join(mine: &Heap, theirs: &Heap) -> (Heap, bool) {
+            let mut out = Heap::new();
+            let mut changed = false;
+            let sites = mine.objects.len().max(theirs.objects.len()) as u32;
+            for s in (0..sites).map(site) {
+                let joined = match (mine.get(s), theirs.get(s)) {
+                    (Some(m), Some(t)) => {
+                        let mut m = m.clone();
+                        changed |= m.join_in_place(t);
+                        m
+                    }
+                    (Some(m), None) => m.clone(),
+                    (None, Some(t)) => {
+                        changed = true;
+                        t.clone()
+                    }
+                    (None, None) => continue,
+                };
+                *out.slot_mut(s) = Some(Arc::new(joined));
+            }
+            (out, changed)
+        }
+
+        #[test]
+        fn join_would_change_matches_join_in_place() {
+            minicheck::check("object_join_would_change", 512, |g| {
+                let (a, b) = arb_pair(g);
+                let mut joined = a.clone();
+                let changed = joined.join_in_place(&b);
+                assert_eq!(a.join_would_change(&b), changed, "{a:?} <- {b:?}");
+            });
+        }
+
+        #[test]
+        fn heap_join_matches_the_object_by_object_reference() {
+            minicheck::check("heap_join_reference", 512, |g| {
+                let (a, b) = arb_heaps(g);
+                let (expected, expected_changed) = reference_join(&a, &b);
+                let mut joined = a.clone();
+                let changed = joined.join_in_place(&b);
+                assert_eq!(changed, expected_changed);
+                assert_eq!(joined, expected);
+                assert_eq!(b.leq(&a), !changed, "leq agrees with the join");
+            });
+        }
     }
 }

@@ -322,6 +322,28 @@ impl Lattice for AValue {
             && self.strs.leq(&other.strs)
             && self.objs.is_subset(&other.objs)
     }
+
+    /// Component by component, inserting into `objs` in place: the
+    /// default would build a union set and compare whole values on every
+    /// property of every object join.
+    fn join_in_place(&mut self, other: &Self) -> bool {
+        let mut changed = false;
+        if other.undef && !self.undef {
+            self.undef = true;
+            changed = true;
+        }
+        if other.null && !self.null {
+            self.null = true;
+            changed = true;
+        }
+        changed |= self.bools.join_in_place(&other.bools);
+        changed |= self.nums.join_in_place(&other.nums);
+        changed |= self.strs.join_in_place(&other.strs);
+        for site in &other.objs {
+            changed |= self.objs.insert(*site);
+        }
+        changed
+    }
 }
 
 impl fmt::Display for AValue {
