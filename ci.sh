@@ -23,10 +23,12 @@
 #      must parse and keep strict span nesting (trace_check), plus a
 #      `vet profile` smoke: two runs of the hotspot table must be
 #      byte-identical,
-#   5. a vetting-daemon smoke test over --stdio (no network needed) plus
-#      the serve_load --check invariants (cache actually hits, cached
-#      vets are >=10x faster than cold, the structured event log —
-#      running under overload sampling — replays into consistent
+#   5. a vetting-daemon smoke test over --stdio (no network needed; stdin
+#      is one more connection on the daemon's event loop, pumped one
+#      request at a time, so the stats after a vet already count it)
+#      plus the serve_load --check invariants (cache actually hits,
+#      cached vets are >=10x faster than cold, the structured event log
+#      — running under overload sampling — replays into consistent
 #      per-job lifecycles, and kept + suppressed job_rejected records
 #      reconcile exactly with the daemon's shed count); the stats
 #      response must carry the metrics registry,
@@ -40,17 +42,20 @@
 #      known-good rules (exit 0), pass the cost-attribution rules
 #      (queue-wait and analyze p99 bounds), and fail the
 #      known-violating rules (exit nonzero) — the alerting contract,
-#   9. the fleet gate: `serve_load --fleet 2 --check` boots a sigfleet
-#      coordinator plus two worker nodes over loopback and asserts the
-#      fleet invariants in-process (a worker killed mid-job is reaped
-#      and its job requeued with the correct verdict, concurrent
-#      identical submissions dedup fleet-wide, every response is
+#   9. the fleet gate: `serve_load --fleet 2 --check` boots a daemon
+#      with no local workers (the `vet coordinate` preset of `vet serve`)
+#      plus two remote worker nodes over loopback and asserts the fleet
+#      invariants in-process (a worker killed mid-job is reaped and its
+#      job requeued with the correct verdict, concurrent identical
+#      submissions coalesce onto one analysis, every response is
 #      byte-identical to a cold analysis, and the merged per-node event
 #      logs replay as valid lifecycles); the written BENCH_fleet
 #      snapshot must show >=1.7x 2-node-over-1-node throughput; the
-#      coordinator's metrics history must pass metrics-gate-fleet.json;
-#      and the `coordinate`/`--join` CLI surfaces keep the help/exit
-#      code contract (--help on stdout exit 0, errors exit nonzero),
+#      daemon's metrics history must pass metrics-gate-fleet.json; and
+#      the `coordinate`/`serve`/`--join` CLI surfaces keep the help/exit
+#      code contract (--help on stdout exit 0; unknown flags,
+#      conflicting modes, a reap window within one heartbeat, and a
+#      stdio daemon with no local workers exit nonzero),
 #  10. the many-connection gate: the hostile-client suite (slow-loris,
 #      never-reading flood, mid-request disconnects) must pass, and
 #      `serve_load --connections 10000` must hold 10k mostly-idle
@@ -148,14 +153,14 @@ if ./target/release/vet metrics-report target/ci_metrics --gate ci/metrics-gate-
     exit 1
 fi
 
-echo "==> fleet gate (coordinator + 2 workers: kill/requeue, dedup, scaling, merged replay)"
+echo "==> fleet gate (no-local-worker daemon + 2 remote workers: kill/requeue, coalescing, scaling, merged replay)"
 rm -rf target/ci_fleet_metrics
 ./target/release/serve_load --fleet 2 --check \
     --out target/BENCH_fleet.ci.json --metrics-dir target/ci_fleet_metrics
 # Near-linear scale-out: 2 nodes must clear 1.7x 1-node throughput.
 awk '/"ratio_2v1"/ { gsub(/[,"]/, ""); if ($2 + 0 >= 1.7) ok = 1 }
      END { exit ok ? 0 : 1 }' target/BENCH_fleet.ci.json
-# The coordinator's recorded metrics history passes the fleet rules.
+# The daemon's recorded metrics history passes the fleet rules.
 ./target/release/vet metrics-report target/ci_fleet_metrics --gate ci/metrics-gate-fleet.json
 # CLI contract for the fleet surfaces: --help on stdout exit 0; bad
 # flags and conflicting modes exit nonzero.
@@ -173,6 +178,16 @@ if ./target/release/vet serve --join 127.0.0.1:7171 --stdio 2> /dev/null; then
 fi
 if ./target/release/vet coordinate --heartbeat-ms 500 --reap-ms 500 2> /dev/null; then
     echo "ci.sh: reap window within one heartbeat must exit nonzero" >&2
+    exit 1
+fi
+if ./target/release/vet serve --heartbeat-ms 500 --reap-ms 500 2> /dev/null; then
+    echo "ci.sh: vet serve with a reap window within one heartbeat must exit nonzero" >&2
+    exit 1
+fi
+# Remote workers join over TCP, so a stdio daemon with no local workers
+# could run nothing.
+if ./target/release/vet serve --stdio --workers 0 < /dev/null 2> /dev/null; then
+    echo "ci.sh: vet serve --stdio --workers 0 must exit nonzero" >&2
     exit 1
 fi
 

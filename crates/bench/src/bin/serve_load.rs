@@ -31,8 +31,9 @@
 //!                   with the daemon's shed count.
 //! - `--out PATH`    where to write the JSON (default
 //!                   `<repo root>/BENCH_serve.json`)
-//! - `--fleet N`     benchmark the `sigfleet` coordinator + N worker
-//!                   nodes over loopback instead of a single daemon:
+//! - `--fleet N`     benchmark a daemon with no local workers (the
+//!                   `vet coordinate` preset) + N remote worker nodes
+//!                   over loopback instead of a single daemon:
 //!                   a worker-kill/requeue test, deterministic
 //!                   fleet-wide dedup, whole-corpus byte-identity
 //!                   against a cold local analysis, a 1..N-node scaling
@@ -678,29 +679,43 @@ fn sleep_stub(
 /// signatures, and a merged per-node log that replays — then writes the
 /// scaling snapshot to `out`.
 fn run_fleet(nodes: usize, out: &str, metrics_dir: Option<String>) {
-    use sigfleet::{Coordinator, FleetConfig, Worker, WorkerConfig};
+    use sigserve::{Worker, WorkerConfig};
     use std::time::Duration;
 
+    // The `vet coordinate` preset: every job goes to a remote worker.
+    let coordinator = || ServeConfig {
+        workers: 0,
+        queue_cap: 256,
+        cache_cap: 4096,
+        ..ServeConfig::default()
+    };
+    let bind = |cfg: ServeConfig| {
+        Server::builder()
+            .config(cfg)
+            .addr("127.0.0.1:0")
+            .start()
+            .expect("bind coordinator")
+    };
     let addons = corpus::addons();
     let coord_log = Arc::new(
         sigobs::EventLog::in_memory(sigobs::Level::Info).with_tail_cap(16_384),
     );
     // Heartbeat/reap tuned down so the kill test runs in bench time.
-    let cfg = FleetConfig {
+    let cfg = ServeConfig {
         heartbeat: Duration::from_millis(100),
         reap_after: Duration::from_millis(400),
         log: Some(coord_log.clone()),
         metrics_dir: metrics_dir.map(Into::into),
         metrics_interval: Duration::from_millis(100),
-        ..FleetConfig::default()
+        ..coordinator()
     };
-    let coord = Coordinator::bind("127.0.0.1:0", cfg).expect("bind coordinator");
+    let coord = bind(cfg);
     let addr = coord.local_addr().to_string();
     println!(
         "serve_load --fleet: coordinator on {addr}, {nodes} worker node(s), {} corpus addons",
         addons.len()
     );
-    let fleet_stat = |name: &str| coord.stats()["fleet"][name].as_f64().unwrap_or(-1.0);
+    let stat = |group: &str, name: &str| coord.stats()[group][name].as_f64().unwrap_or(-1.0);
 
     // Phase 1: worker kill. A client submits a job; a protocol-level
     // "doomed" worker joins, claims it, and dies without completing or
@@ -714,23 +729,23 @@ fn run_fleet(nodes: usize, out: &str, metrics_dir: Option<String>) {
         c.vet_source(Some("victim.js"), VICTIM_SOURCE).expect("vet victim")
     });
     let deadline = Instant::now() + Duration::from_secs(10);
-    while fleet_stat("pending") < 1.0 {
+    while stat("queue", "depth") < 1.0 {
         assert!(Instant::now() < deadline, "victim job never enqueued");
         std::thread::sleep(Duration::from_millis(5));
     }
     {
         let mut doomed = Client::connect(addr.as_str()).expect("connect doomed");
         let ack = doomed
-            .request(&sigfleet::protocol::join_request("doomed"))
+            .request(&sigserve::protocol::join_request("doomed"))
             .expect("join doomed");
         assert_eq!(ack["kind"], "join_ack");
         let wid = ack["worker"].as_str().expect("worker id").to_owned();
         let job = doomed
-            .request(&sigfleet::protocol::claim_request(&wid, 2_000))
+            .request(&sigserve::protocol::claim_request(&wid, 2_000))
             .expect("claim doomed");
         assert_eq!(job["kind"], "job", "doomed worker must claim the victim");
     } // connection dropped mid-job: no complete, no further heartbeats
-    while fleet_stat("jobs_requeued") < 1.0 {
+    while stat("jobs", "requeued") < 1.0 {
         assert!(
             Instant::now() < deadline,
             "reaper never requeued the dead worker's job"
@@ -756,7 +771,7 @@ fn run_fleet(nodes: usize, out: &str, metrics_dir: Option<String>) {
             })
         })
         .collect();
-    while fleet_stat("dedup_hits") < (DEDUP_CLIENTS - 1) as f64 {
+    while stat("jobs", "coalesced") < (DEDUP_CLIENTS - 1) as f64 {
         assert!(Instant::now() < deadline, "dedup submissions never coalesced");
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -831,7 +846,7 @@ fn run_fleet(nodes: usize, out: &str, metrics_dir: Option<String>) {
     let mut throughputs: Vec<f64> = Vec::new();
     let mut sizes_json = Vec::new();
     for size in 1..=nodes {
-        let c = Coordinator::bind("127.0.0.1:0", FleetConfig::default()).expect("bind scale");
+        let c = bind(coordinator());
         let caddr = c.local_addr().to_string();
         let ws: Vec<Worker> = (0..size)
             .map(|i| {
@@ -843,21 +858,12 @@ fn run_fleet(nodes: usize, out: &str, metrics_dir: Option<String>) {
             })
             .collect();
         let mut cl = Client::connect(caddr.as_str()).expect("connect scale");
-        let mut req = Json::obj();
-        req.set("kind", Json::from("vet_batch"));
-        req.set(
-            "items",
-            Json::Arr(
-                (0..SCALE_JOBS)
-                    .map(|i| {
-                        let mut o = Json::obj();
-                        o.set("name", Json::from(format!("scale{size}_{i}")));
-                        o.set("source", Json::from(format!("var scale{size}_{i} = {i};")));
-                        o
-                    })
-                    .collect(),
-            ),
-        );
+        let req = sigserve::protocol::vet_batch_request((0..SCALE_JOBS).map(|i| {
+            (
+                format!("scale{size}_{i}"),
+                format!("var scale{size}_{i} = {i};"),
+            )
+        }));
         let t0 = Instant::now();
         let resp = cl.request(&req).expect("scale batch");
         let wall = t0.elapsed();
@@ -962,8 +968,17 @@ fn run_fleet(nodes: usize, out: &str, metrics_dir: Option<String>) {
         doc.set("ratio_3v1", Json::from(ratio(3)));
     }
     let mut fleet_json = Json::obj();
-    for key in ["jobs_accepted", "jobs_completed", "jobs_requeued", "dedup_hits", "workers_reaped"] {
-        fleet_json.set(key, Json::from(final_stats["fleet"][key].as_f64().unwrap_or(-1.0)));
+    for (name, group, key) in [
+        ("jobs_accepted", "jobs", "accepted"),
+        ("jobs_completed", "jobs", "completed"),
+        ("jobs_requeued", "jobs", "requeued"),
+        ("jobs_coalesced", "jobs", "coalesced"),
+        ("workers_reaped", "fleet", "workers_reaped"),
+    ] {
+        fleet_json.set(
+            name,
+            Json::from(final_stats[group][key].as_f64().unwrap_or(-1.0)),
+        );
     }
     doc.set("fleet", fleet_json);
     std::fs::write(out, doc.to_string_pretty() + "\n").expect("write fleet snapshot");

@@ -39,6 +39,8 @@ pub enum ParseErrorKind {
     InvalidAssignTarget,
     /// `break`/`continue` label or similar construct was malformed.
     InvalidStatement(String),
+    /// The program nests deeper than [`crate::MAX_NESTING`] levels.
+    TooDeep,
 }
 
 impl fmt::Display for ParseError {
@@ -57,6 +59,9 @@ impl fmt::Display for ParseError {
                 write!(f, "invalid assignment target")
             }
             ParseErrorKind::InvalidStatement(msg) => write!(f, "{msg}"),
+            ParseErrorKind::TooDeep => {
+                write!(f, "nesting deeper than {} levels", crate::MAX_NESTING)
+            }
         }?;
         write!(f, " at {}", self.span)
     }

@@ -40,7 +40,7 @@ pub mod token;
 pub use count::count_nodes;
 pub use error::{ParseError, ParseErrorKind};
 pub use lexer::lex;
-pub use parser::parse;
+pub use parser::{parse, MAX_NESTING};
 pub use span::Span;
 
 /// Converts a JavaScript number to its canonical string form, the way

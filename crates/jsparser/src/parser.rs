@@ -11,6 +11,15 @@ use crate::lexer::lex;
 use crate::span::Span;
 use crate::token::{Keyword, Punct, Token, TokenKind};
 
+/// The deepest nesting [`parse`] accepts. A statement inside a
+/// statement, an expression inside an expression (parentheses, array
+/// and object literals, operands, arguments), a unary or `new` prefix,
+/// and each link of an operator, member or call chain all count one
+/// level. Every later stage of the pipeline walks the tree recursively,
+/// so deeper input is refused with [`ParseErrorKind::TooDeep`] rather
+/// than allowed to overflow the stack of the thread analyzing it.
+pub const MAX_NESTING: usize = 500;
+
 /// Parses a complete program.
 ///
 /// # Errors
@@ -30,6 +39,7 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
         tokens,
         pos: 0,
         next_fun: 0,
+        depth: 0,
     };
     let body = p.statements_until_eof()?;
     Ok(Program {
@@ -42,9 +52,36 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     next_fun: u32,
+    /// Nesting levels entered so far (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
+    /// Enters one more nesting level. Whoever entered restores `depth`
+    /// on success; an error ends the whole parse, so error paths need
+    /// not.
+    fn deeper(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(ParseError {
+                kind: ParseErrorKind::TooDeep,
+                span: self.peek().span,
+            });
+        }
+        Ok(())
+    }
+
+    /// Runs `parse` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.deeper()?;
+        let out = parse(self)?;
+        self.depth -= 1;
+        Ok(out)
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
@@ -149,6 +186,10 @@ impl Parser {
     }
 
     fn statement(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Parser::statement_at_depth)
+    }
+
+    fn statement_at_depth(&mut self) -> Result<Stmt, ParseError> {
         let start = self.peek().span;
         match &self.peek().kind {
             TokenKind::Punct(Punct::LBrace) => {
@@ -585,6 +626,10 @@ impl Parser {
     }
 
     fn assignment(&mut self, allow_in: bool) -> Result<Expr, ParseError> {
+        self.nested(|p| p.assignment_at_depth(allow_in))
+    }
+
+    fn assignment_at_depth(&mut self, allow_in: bool) -> Result<Expr, ParseError> {
         let left = self.conditional(allow_in)?;
         let op = match &self.peek().kind {
             TokenKind::Punct(Punct::Eq) => None,
@@ -635,14 +680,13 @@ impl Parser {
     /// Precedence-climbing parser for binary and logical operators.
     fn binary(&mut self, min_prec: u8, allow_in: bool) -> Result<Expr, ParseError> {
         let mut left = self.unary()?;
-        loop {
-            let (prec, kind) = match self.binop_here(allow_in) {
-                Some(pair) => pair,
-                None => return Ok(left),
-            };
+        let depth = self.depth;
+        while let Some((prec, kind)) = self.binop_here(allow_in) {
             if prec < min_prec {
-                return Ok(left);
+                break;
             }
+            // Each operator nests the chain so far one level deeper.
+            self.deeper()?;
             self.bump();
             let right = self.binary(prec + 1, allow_in)?;
             let span = left.span.to(right.span);
@@ -662,6 +706,8 @@ impl Parser {
                 span,
             };
         }
+        self.depth = depth;
+        Ok(left)
     }
 
     fn binop_here(&self, allow_in: bool) -> Option<(u8, BinOrLogical)> {
@@ -712,7 +758,7 @@ impl Parser {
             TokenKind::Punct(Punct::PlusPlus) | TokenKind::Punct(Punct::MinusMinus) => {
                 let inc = self.peek().kind.is_punct(Punct::PlusPlus);
                 self.bump();
-                let arg = self.unary()?;
+                let arg = self.nested(Parser::unary)?;
                 if !arg.is_assign_target() {
                     return Err(ParseError {
                         kind: ParseErrorKind::InvalidAssignTarget,
@@ -733,7 +779,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let arg = self.unary()?;
+            let arg = self.nested(Parser::unary)?;
             let span = start.to(arg.span);
             return Ok(Expr {
                 kind: ExprKind::Unary {
@@ -781,7 +827,12 @@ impl Parser {
         } else {
             self.primary()?
         };
+        let depth = self.depth;
         loop {
+            // Each link nests the chain so far one level deeper.
+            if self.chain_link_here(true) {
+                self.deeper()?;
+            }
             e = match &self.peek().kind {
                 TokenKind::Punct(Punct::Dot) => {
                     self.bump();
@@ -819,8 +870,21 @@ impl Parser {
                         span,
                     }
                 }
-                _ => return Ok(e),
+                _ => {
+                    self.depth = depth;
+                    return Ok(e);
+                }
             };
+        }
+    }
+
+    /// Whether a member access (or, with `calls`, a call) continues the
+    /// chain at the current token.
+    fn chain_link_here(&self, calls: bool) -> bool {
+        match self.peek().kind {
+            TokenKind::Punct(Punct::Dot | Punct::LBracket) => true,
+            TokenKind::Punct(Punct::LParen) => calls,
+            _ => false,
         }
     }
 
@@ -844,12 +908,16 @@ impl Parser {
     fn new_expr(&mut self) -> Result<Expr, ParseError> {
         let start = self.bump().span; // `new`
         let mut callee = if self.peek().kind.is_keyword(Keyword::New) {
-            self.new_expr()?
+            self.nested(Parser::new_expr)?
         } else {
             self.primary()?
         };
         // Member accesses bind tighter than the `new` arguments.
+        let depth = self.depth;
         loop {
+            if self.chain_link_here(false) {
+                self.deeper()?;
+            }
             callee = match &self.peek().kind {
                 TokenKind::Punct(Punct::Dot) => {
                     self.bump();
@@ -879,6 +947,7 @@ impl Parser {
                 _ => break,
             };
         }
+        self.depth = depth;
         let args = if self.peek().kind.is_punct(Punct::LParen) {
             self.arguments()?
         } else {
@@ -1369,6 +1438,22 @@ try {
     fn error_messages_carry_location() {
         let err = parse("var = 3;").unwrap_err();
         assert!(err.to_string().contains("line 1"));
+    }
+
+    #[test]
+    fn nesting_limit_is_exact_and_typed() {
+        let blocks = |n: usize| format!("{}{}", "{".repeat(n), "}".repeat(n));
+        assert!(parse(&blocks(MAX_NESTING)).is_ok());
+        let err = parse(&blocks(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::TooDeep);
+        assert!(err
+            .to_string()
+            .starts_with("nesting deeper than 500 levels"));
+        // A chain's links count too: `a.b.b…` nests like parentheses
+        // (below the statement and the expression holding it).
+        let chain = |n: usize| format!("a{};", ".b".repeat(n));
+        assert!(parse(&chain(MAX_NESTING - 2)).is_ok());
+        assert!(parse(&chain(MAX_NESTING - 1)).is_err());
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The content-addressed signature cache.
 //!
-//! Key = FNV-1a over (source bytes, canonicalized [`AnalysisConfig`]):
+//! Key = FNV-1a over (source bytes, canonicalized
+//! [`AnalysisConfig`](jsanalysis::AnalysisConfig)):
 //! two submissions share a slot exactly when the pipeline would produce
 //! the same report for both, so addon-market traffic full of re-submitted
 //! and duplicated addons is answered in microseconds instead of
-//! re-analyzed. Bounded by LRU eviction; hit/miss/eviction counters feed
-//! the daemon's `stats` endpoint.
+//! re-analyzed. Bounded by LRU eviction. The cache keeps no counters of
+//! its own: the job core counts hits, misses and evictions in the
+//! daemon's metrics registry.
 
-use jsanalysis::AnalysisConfig;
 use minijson::Json;
 use std::collections::{BTreeMap, HashMap};
 
@@ -34,26 +35,6 @@ pub fn cache_key(source: &str, config_canon: &str) -> u64 {
     fnv1a(h, config_canon.as_bytes())
 }
 
-/// Convenience wrapper computing the canonical rendering on the fly.
-pub fn cache_key_for(source: &str, config: &AnalysisConfig) -> u64 {
-    cache_key(source, &config.canonical_string())
-}
-
-/// Monotone counters exposed through the `stats` protocol request.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheCounters {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that missed (and went to the worker pool).
-    pub misses: u64,
-    /// Entries evicted to stay within capacity.
-    pub evictions: u64,
-    /// Entries currently resident.
-    pub entries: u64,
-    /// The configured capacity.
-    pub capacity: u64,
-}
-
 struct Entry {
     value: Json,
     stamp: u64,
@@ -71,9 +52,6 @@ pub struct SigCache {
     /// `BTreeMap` gives O(log n) bump/evict without unsafe list surgery.
     order: BTreeMap<u64, u64>,
     next_stamp: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
 }
 
 impl SigCache {
@@ -85,9 +63,6 @@ impl SigCache {
             map: HashMap::new(),
             order: BTreeMap::new(),
             next_stamp: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
         }
     }
 
@@ -98,49 +73,34 @@ impl SigCache {
         order.insert(entry.stamp, key);
     }
 
-    /// Counted lookup: bumps recency and the hit/miss counters. Returns
-    /// the cached core plus the producing job's request ID (provenance).
+    /// Lookup: bumps recency. Returns the cached core plus the producing
+    /// job's request ID (provenance).
     pub fn get(&mut self, key: u64) -> Option<(Json, String)> {
-        match self.map.get_mut(&key) {
-            Some(entry) => {
-                self.hits += 1;
-                Self::bump(&mut self.order, &mut self.next_stamp, entry, key);
-                Some((entry.value.clone(), entry.producer.clone()))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Uncounted lookup, used by workers to dedupe racing submissions of
-    /// the same addon without double-counting the handler's miss.
-    pub fn peek(&self, key: u64) -> Option<(Json, String)> {
-        self.map
-            .get(&key)
-            .map(|e| (e.value.clone(), e.producer.clone()))
+        let entry = self.map.get_mut(&key)?;
+        Self::bump(&mut self.order, &mut self.next_stamp, entry, key);
+        Some((entry.value.clone(), entry.producer.clone()))
     }
 
     /// Inserts (or refreshes) an entry, evicting the least recently used
     /// entry if the cache is full. `producer` is the request ID of the
-    /// job whose analysis produced the value.
-    pub fn insert(&mut self, key: u64, value: Json, producer: &str) {
+    /// job whose analysis produced the value. Returns whether an entry
+    /// was evicted to make room.
+    pub fn insert(&mut self, key: u64, value: Json, producer: &str) -> bool {
         if self.cap == 0 {
-            return;
+            return false;
         }
         if let Some(entry) = self.map.get_mut(&key) {
             entry.value = value;
             entry.producer = producer.to_owned();
             Self::bump(&mut self.order, &mut self.next_stamp, entry, key);
-            return;
+            return false;
         }
-        if self.map.len() >= self.cap {
+        let evicted = self.map.len() >= self.cap;
+        if evicted {
             let (&oldest_stamp, &oldest_key) =
                 self.order.iter().next().expect("full cache has an LRU entry");
             self.order.remove(&oldest_stamp);
             self.map.remove(&oldest_key);
-            self.evictions += 1;
         }
         let stamp = self.next_stamp;
         self.next_stamp += 1;
@@ -153,17 +113,22 @@ impl SigCache {
                 producer: producer.to_owned(),
             },
         );
+        evicted
     }
 
-    /// Counter snapshot for the `stats` endpoint.
-    pub fn counters(&self) -> CacheCounters {
-        CacheCounters {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            entries: self.map.len() as u64,
-            capacity: self.cap as u64,
-        }
+    /// Entries currently resident.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// True when nothing is cached.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// The configured capacity.
+    pub fn capacity(&self) -> usize {
+        self.cap
     }
 }
 
@@ -185,10 +150,12 @@ mod tests {
             context_depth: 2,
             ..AnalysisConfig::default()
         };
-        let k1 = cache_key_for("var x = 1;", &base);
-        assert_eq!(k1, cache_key_for("var x = 1;", &base), "deterministic");
-        assert_ne!(k1, cache_key_for("var x = 2;", &base), "source-sensitive");
-        assert_ne!(k1, cache_key_for("var x = 1;", &deeper), "config-sensitive");
+        let key =
+            |source: &str, config: &AnalysisConfig| cache_key(source, &config.canonical_string());
+        let k1 = key("var x = 1;", &base);
+        assert_eq!(k1, key("var x = 1;", &base), "deterministic");
+        assert_ne!(k1, key("var x = 2;", &base), "source-sensitive");
+        assert_ne!(k1, key("var x = 1;", &deeper), "config-sensitive");
     }
 
     #[test]
@@ -200,56 +167,43 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut c = SigCache::new(2);
-        c.insert(1, val(1), "j-1");
-        c.insert(2, val(2), "j-2");
+        assert!(!c.insert(1, val(1), "j-1"));
+        assert!(!c.insert(2, val(2), "j-2"));
         assert!(c.get(1).is_some()); // 2 is now LRU
-        c.insert(3, val(3), "j-3"); // evicts 2
-        assert!(c.peek(2).is_none());
-        assert!(c.peek(1).is_some());
-        assert!(c.peek(3).is_some());
-        let counters = c.counters();
-        assert_eq!(counters.evictions, 1);
-        assert_eq!(counters.entries, 2);
-    }
-
-    #[test]
-    fn counters_track_hits_and_misses() {
-        let mut c = SigCache::new(8);
-        assert!(c.get(7).is_none());
-        c.insert(7, val(7), "j-0");
-        assert_eq!(c.get(7).unwrap(), (val(7), "j-0".to_owned()));
-        assert!(c.peek(7).is_some(), "peek does not count");
-        let counters = c.counters();
-        assert_eq!((counters.hits, counters.misses), (1, 1));
+        assert!(
+            c.insert(3, val(3), "j-3"),
+            "inserting into a full cache evicts"
+        );
+        assert!(c.get(2).is_none());
+        assert!(c.get(1).is_some());
+        assert!(c.get(3).is_some());
+        assert_eq!(c.len(), 2);
     }
 
     #[test]
     fn hits_carry_the_producing_jobs_id() {
         let mut c = SigCache::new(4);
+        assert!(c.get(11).is_none());
         c.insert(11, val(1), "j-41");
-        let (_, producer) = c.get(11).unwrap();
-        assert_eq!(producer, "j-41");
-        let (_, peeked) = c.peek(11).unwrap();
-        assert_eq!(peeked, "j-41", "peek reports provenance too");
+        assert_eq!(c.get(11).unwrap(), (val(1), "j-41".to_owned()));
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let mut c = SigCache::new(0);
-        c.insert(1, val(1), "j-0");
+        assert!(!c.insert(1, val(1), "j-0"));
         assert!(c.get(1).is_none());
-        assert_eq!(c.counters().entries, 0);
+        assert!(c.is_empty());
     }
 
     #[test]
     fn refresh_keeps_single_entry() {
         let mut c = SigCache::new(2);
         c.insert(1, val(1), "j-1");
-        c.insert(1, val(9), "j-2");
+        assert!(!c.insert(1, val(9), "j-2"), "a refresh evicts nothing");
         let (value, producer) = c.get(1).unwrap();
         assert_eq!(value, val(9));
         assert_eq!(producer, "j-2", "refresh updates provenance");
-        assert_eq!(c.counters().entries, 1);
-        assert_eq!(c.counters().evictions, 0);
+        assert_eq!(c.len(), 1);
     }
 }

@@ -1,14 +1,14 @@
 //! A minimal blocking client for the NDJSON protocol.
 //!
 //! One request line out, one response line back, strictly in order; used
-//! by `vet --client`, the sigfleet worker's coordinator link, the
+//! by `vet --client`, the remote worker's link to its daemon, the
 //! integration tests, and the `serve_load` bench. Inbound framing goes
 //! through the same [`crate::conn::LineBuf`] the event-driven server
 //! uses, so every path in the repo reassembles NDJSON lines with one
 //! piece of code.
 
 use crate::conn::LineBuf;
-use crate::protocol::vet_request;
+use crate::protocol::{message, vet_request};
 use minijson::Json;
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -92,34 +92,20 @@ impl Client {
         self.request(&vet_request(name, source))
     }
 
-    /// Asks the daemon to vet a file it can read itself.
-    pub fn vet_path(&mut self, path: &str) -> io::Result<Json> {
-        let mut req = Json::obj();
-        req.set("kind", Json::from("vet"));
-        req.set("path", Json::from(path));
-        self.request(&req)
-    }
-
     /// Fetches the daemon's counters.
     pub fn stats(&mut self) -> io::Result<Json> {
-        let mut req = Json::obj();
-        req.set("kind", Json::from("stats"));
-        self.request(&req)
+        self.request(&message("stats", vec![]))
     }
 
     /// Fetches the metrics registry as a Prometheus text body (the
     /// `kind:metrics` response also carries its sample count).
     pub fn metrics(&mut self) -> io::Result<Json> {
-        let mut req = Json::obj();
-        req.set("kind", Json::from("metrics"));
-        self.request(&req)
+        self.request(&message("metrics", vec![]))
     }
 
     /// Asks the daemon to finish pending jobs and stop; returns the
     /// `shutdown_ack` carrying the final counter dump.
     pub fn shutdown(&mut self) -> io::Result<Json> {
-        let mut req = Json::obj();
-        req.set("kind", Json::from("shutdown"));
-        self.request(&req)
+        self.request(&message("shutdown", vec![]))
     }
 }

@@ -13,7 +13,7 @@
 //! steady-state pipelining does no per-line reallocation.
 //!
 //! The blocking [`crate::client::Client`] shares [`LineBuf`] too — the
-//! fleet worker path and the event loop frame bytes identically.
+//! remote worker path and the event loop frame bytes identically.
 
 use std::io::{self, Write};
 use std::string::FromUtf8Error;

@@ -2,29 +2,35 @@
 //!
 //! The paper frames signature inference as a tool for addon-market
 //! curators vetting a continuous stream of submissions. This crate is the
-//! missing service layer around the analysis pipeline: a long-running,
-//! multi-threaded daemon that
+//! service layer around the analysis pipeline: a long-running daemon
+//! that
 //!
 //! - accepts vetting jobs over a newline-delimited JSON protocol
-//!   ([`protocol`]) on TCP or stdio,
-//! - feeds them through a **bounded job queue with backpressure**
-//!   ([`queue`]): when the queue is full the submitter gets a typed
-//!   `overloaded` response instead of unbounded latency,
-//! - answers re-submitted or duplicated addons from a
-//!   **content-addressed LRU cache** ([`cache`]) keyed by FNV-1a of
-//!   (source bytes, canonicalized analysis config),
+//!   ([`protocol`]) on TCP or stdio, all served by one event loop
+//!   ([`server`]),
+//! - runs them through one **job core** ([`jobs`]): a bounded pending
+//!   queue with backpressure (when it is full the submitter gets a typed
+//!   `overloaded` response instead of unbounded latency), an in-flight
+//!   index that coalesces identical concurrent submissions onto one
+//!   analysis, and a **content-addressed LRU cache** ([`cache`]) keyed by
+//!   FNV-1a of (source bytes, canonicalized analysis config),
+//! - hands jobs to local worker threads and to remote workers that join
+//!   over the same port (`vet serve --join`, [`worker`]); a remote worker
+//!   that stops heartbeating is reaped and its jobs requeued, so a
+//!   single daemon and a fleet are one system with different worker
+//!   counts,
 //! - survives pathological inputs by running every analysis under a
 //!   configurable **step budget / wall-clock deadline** (the hooks live
 //!   in `jsanalysis`); an exhausted budget produces a degraded
 //!   `verdict:"timeout"` response while the worker stays alive, and
-//! - reports what it is doing through monotone counters ([`stats`]).
+//! - reports what it is doing through one metrics registry ([`stats`]).
 //!
-//! The analysis pipeline itself is injected as an [`AnalyzeFn`] so this
+//! The analysis pipeline itself is injected (see [`ServerBuilder`]) so this
 //! crate depends only on `jsanalysis` (for configuration types),
-//! `sigtrace` (timings and the metrics registry) and the in-tree
-//! `minijson`; the root `addon-sig` crate supplies the real pipeline
-//! (`addon_sig::service_engine`) and the `vet serve` / `vet --client`
-//! CLI entry points.
+//! `sigtrace` (timings and the metrics registry), `sigobs` (the event
+//! log) and the in-tree `minijson`; the root `addon-sig` crate supplies
+//! the real pipeline (`addon_sig::service_engine`) and the `vet serve` /
+//! `vet --client` CLI entry points.
 //!
 //! # In-process example
 //!
@@ -65,19 +71,21 @@
 pub mod cache;
 pub mod client;
 pub mod conn;
+pub mod jobs;
 pub mod poller;
 pub mod protocol;
-pub mod queue;
 pub mod server;
 pub mod stats;
+pub mod worker;
 
-pub use cache::{cache_key, cache_key_for, CacheCounters, SigCache};
+pub use cache::{cache_key, SigCache};
 pub use client::Client;
+pub use jobs::PIPELINE_STACK_BYTES;
 pub use poller::Backend;
 pub use protocol::{parse_request, Request, Source, VetItem};
-pub use queue::{Bounded, PushError};
 pub use server::{ServeConfig, Server, ServerBuilder};
-pub use stats::{metrics_json, Stats};
+pub use stats::metrics_json;
+pub use worker::{Worker, WorkerConfig};
 /// Re-exported from `sigobs`: the structured event log `ServeConfig`
 /// can attach so every job lifecycle lands in a JSONL stream, plus the
 /// overload sampling policy it can run under.
@@ -290,9 +298,8 @@ pub const POSTMORTEM_TOP_K: usize = 5;
 /// warn — a budget-exhausted verdict must be explainable from the JSONL
 /// stream alone, under the default level — completed jobs at debug
 /// (opt-in profiling of healthy traffic). No-op when the outcome
-/// carries no profile. Shared by the daemon's workers and the fleet's,
-/// so single-node and fleet logs replay under the same contract.
-pub fn log_job_profile(log: &sigobs::EventLog, job: &str, outcome: &VetOutcome) {
+/// carries no profile.
+pub(crate) fn log_job_profile(log: &sigobs::EventLog, job: &str, outcome: &VetOutcome) {
     let Some(profile) = outcome.profile() else {
         return;
     };
@@ -316,9 +323,8 @@ pub fn log_job_profile(log: &sigobs::EventLog, job: &str, outcome: &VetOutcome) 
 }
 
 /// Logs one job's `job_computed` record — the single encoding of that
-/// event, shared by the daemon's workers and the fleet's, so the replay
-/// validator sees one contract everywhere.
-pub fn log_job_computed(log: &sigobs::EventLog, job: &str, outcome: &VetOutcome) {
+/// event, so the replay validator sees one contract everywhere.
+pub(crate) fn log_job_computed(log: &sigobs::EventLog, job: &str, outcome: &VetOutcome) {
     let mut fields: Vec<(&str, Json)> = vec![("job", Json::from(job))];
     let level = match outcome {
         VetOutcome::Report { timings, .. } => {
@@ -345,13 +351,8 @@ pub fn log_job_computed(log: &sigobs::EventLog, job: &str, outcome: &VetOutcome)
 
 /// The injected analysis pipeline: full vetting of one source under one
 /// configuration, folding whatever it wants to expose (pipeline
-/// counters, per-phase latencies) into the daemon's metrics registry.
-/// Must be callable from many worker threads at once.
-pub type AnalyzeFn =
-    dyn Fn(&str, &jsanalysis::AnalysisConfig, &MetricsRegistry) -> VetOutcome + Send + Sync;
-
-/// The trace-aware engine variant: like [`AnalyzeFn`] plus a
-/// [`sigtrace::Trace`] the engine should attach to the pipeline, so
+/// counters, per-phase latencies) into the daemon's metrics registry,
+/// and attaching the given [`sigtrace::Trace`] to the pipeline, so
 /// per-phase spans land in the daemon's structured event log tagged with
 /// the owning job's request ID. The daemon passes [`Trace::Off`] when no
 /// log is attached (or its level is below debug), which an engine can

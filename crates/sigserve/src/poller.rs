@@ -183,11 +183,6 @@ pub struct Poller {
 }
 
 impl Poller {
-    /// A poller on the platform-default backend (epoll on Linux).
-    pub fn new() -> io::Result<Poller> {
-        Poller::with_backend(Backend::default())
-    }
-
     /// A poller on an explicit backend (tests pin [`Backend::Poll`] so
     /// the fallback path stays exercised on Linux).
     pub fn with_backend(backend: Backend) -> io::Result<Poller> {

@@ -32,6 +32,23 @@
 //! The `signature` value of an `ok` result is exactly the document
 //! `vet --json` prints (parsed into the response object), so clients can
 //! reconstruct the CLI's bytes with a pretty re-print.
+//!
+//! Remote workers (`vet serve --join`) speak four more verbs on the same
+//! port:
+//!
+//! ```text
+//! {"kind":"join","node":"worker-a"}
+//!   -> {"kind":"join_ack","worker":"w-0","heartbeat_ms":2000,"reap_ms":6000}
+//! {"kind":"claim","worker":"w-0","wait_ms":500}
+//!   -> {"kind":"job","job":"j-3","name":"a.js","source":"..."}
+//!    | {"kind":"no_job"}
+//!    | {"kind":"fleet_shutdown"}
+//! {"kind":"complete","worker":"w-0","job":"j-3","cacheable":true,
+//!  "core":{"verdict":"ok",...}}
+//!   -> {"kind":"complete_ack","stale":false}
+//! {"kind":"heartbeat","worker":"w-0"}
+//!   -> {"kind":"heartbeat_ack"}
+//! ```
 
 use minijson::Json;
 
@@ -55,7 +72,7 @@ pub struct VetItem {
 }
 
 /// A parsed protocol request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Vet one addon.
     Vet(VetItem),
@@ -67,6 +84,46 @@ pub enum Request {
     Metrics,
     /// Finish pending jobs, dump counters, and stop.
     Shutdown,
+    /// A remote worker registers; answered by `join_ack`.
+    Join {
+        /// The worker's self-reported node name (for stats and logs).
+        node: String,
+    },
+    /// A remote worker asks for a job, waiting up to `wait_ms` for one.
+    Claim {
+        /// The daemon-assigned worker ID from `join_ack`.
+        worker: String,
+        /// How long the daemon may hold the claim open (clamped to
+        /// [`MAX_CLAIM_WAIT_MS`]).
+        wait_ms: u64,
+    },
+    /// A remote worker posts a claimed job's core result.
+    Complete {
+        /// The completing worker's ID.
+        worker: String,
+        /// The job ID from the `job` message.
+        job: String,
+        /// Whether the result may enter the cache (deadline timeouts
+        /// are not deterministic, so the worker says).
+        cacheable: bool,
+        /// The core result object (fields start at `"verdict"`).
+        core: Json,
+    },
+    /// A remote worker's liveness ping; missing these gets it reaped.
+    Heartbeat {
+        /// The pinging worker's ID.
+        worker: String,
+    },
+}
+
+/// Claims may not hold a connection open longer than this.
+pub const MAX_CLAIM_WAIT_MS: u64 = 30_000;
+
+fn req_str(v: &Json, field: &str, kind: &str) -> Result<String, String> {
+    v.get(field)
+        .and_then(Json::as_str)
+        .map(str::to_owned)
+        .ok_or_else(|| format!("{kind} needs a string {field}"))
 }
 
 fn parse_item(v: &Json) -> Result<VetItem, String> {
@@ -102,6 +159,29 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         Some("stats") => Ok(Request::Stats),
         Some("metrics") => Ok(Request::Metrics),
         Some("shutdown") => Ok(Request::Shutdown),
+        Some("join") => Ok(Request::Join {
+            node: req_str(&v, "node", "join")?,
+        }),
+        Some("claim") => Ok(Request::Claim {
+            worker: req_str(&v, "worker", "claim")?,
+            wait_ms: v
+                .get("wait_ms")
+                .and_then(Json::as_f64)
+                .map_or(0, |w| w.max(0.0) as u64)
+                .min(MAX_CLAIM_WAIT_MS),
+        }),
+        Some("complete") => Ok(Request::Complete {
+            worker: req_str(&v, "worker", "complete")?,
+            job: req_str(&v, "job", "complete")?,
+            cacheable: matches!(v.get("cacheable"), Some(Json::Bool(true))),
+            core: v
+                .get("core")
+                .cloned()
+                .ok_or_else(|| "complete needs a core object".to_owned())?,
+        }),
+        Some("heartbeat") => Ok(Request::Heartbeat {
+            worker: req_str(&v, "worker", "heartbeat")?,
+        }),
         Some(other) => Err(format!("unknown request kind: {other}")),
         None => Err("request needs a string kind".to_owned()),
     }
@@ -118,12 +198,33 @@ pub fn vet_request(name: Option<&str>, source: &str) -> Json {
     o
 }
 
-/// The `kind:error` response for malformed requests.
-pub fn error_response(message: &str) -> Json {
+/// Builds a `vet_batch` request from `(name, source)` items.
+pub fn vet_batch_request(items: impl IntoIterator<Item = (String, String)>) -> Json {
+    let items = items
+        .into_iter()
+        .map(|(name, source)| {
+            let mut o = Json::obj();
+            o.set("name", Json::from(name));
+            o.set("source", Json::from(source));
+            o
+        })
+        .collect();
+    message("vet_batch", vec![("items", Json::Arr(items))])
+}
+
+/// A protocol message: `kind` first, then `fields` in order.
+pub fn message(kind: &str, fields: Vec<(&str, Json)>) -> Json {
     let mut o = Json::obj();
-    o.set("kind", Json::from("error"));
-    o.set("message", Json::from(message));
+    o.set("kind", Json::from(kind));
+    for (key, value) in fields {
+        o.set(key, value);
+    }
     o
+}
+
+/// The `kind:error` response for malformed requests.
+pub fn error_response(text: &str) -> Json {
+    message("error", vec![("message", Json::from(text))])
 }
 
 /// The typed backpressure response: the job queue is full.
@@ -187,11 +288,92 @@ pub fn vet_response(
 /// The `kind:metrics` response: the Prometheus text body plus its sample
 /// count (so scripted clients can sanity-check without parsing).
 pub fn metrics_response(prometheus: &str, samples: usize) -> Json {
-    let mut o = Json::obj();
-    o.set("kind", Json::from("metrics"));
-    o.set("samples", Json::from(samples as f64));
-    o.set("prometheus", Json::from(prometheus));
-    o
+    message(
+        "metrics",
+        vec![
+            ("samples", Json::from(samples as f64)),
+            ("prometheus", Json::from(prometheus)),
+        ],
+    )
+}
+
+/// Builds a `join` request.
+pub fn join_request(node: &str) -> Json {
+    message("join", vec![("node", Json::from(node))])
+}
+
+/// Builds the `join_ack` response: the assigned worker identity plus the
+/// daemon-governed timings the worker must obey.
+pub fn join_ack(worker: &str, heartbeat_ms: u64, reap_ms: u64) -> Json {
+    message(
+        "join_ack",
+        vec![
+            ("worker", Json::from(worker)),
+            ("heartbeat_ms", Json::from(heartbeat_ms as f64)),
+            ("reap_ms", Json::from(reap_ms as f64)),
+        ],
+    )
+}
+
+/// Builds a `claim` request.
+pub fn claim_request(worker: &str, wait_ms: u64) -> Json {
+    message(
+        "claim",
+        vec![
+            ("worker", Json::from(worker)),
+            ("wait_ms", Json::from(wait_ms as f64)),
+        ],
+    )
+}
+
+/// Builds the `job` message answering a claim.
+pub fn job_message(job: &str, name: Option<&str>, source: &str) -> Json {
+    let mut fields = vec![("job", Json::from(job))];
+    if let Some(n) = name {
+        fields.push(("name", Json::from(n)));
+    }
+    fields.push(("source", Json::from(source)));
+    message("job", fields)
+}
+
+/// Builds the empty-handed claim response.
+pub fn no_job() -> Json {
+    message("no_job", vec![])
+}
+
+/// Builds the claim response that tells workers to exit.
+pub fn fleet_shutdown() -> Json {
+    message("fleet_shutdown", vec![])
+}
+
+/// Builds a `complete` request.
+pub fn complete_request(worker: &str, job: &str, cacheable: bool, core: &Json) -> Json {
+    message(
+        "complete",
+        vec![
+            ("worker", Json::from(worker)),
+            ("job", Json::from(job)),
+            ("cacheable", Json::Bool(cacheable)),
+            ("core", core.clone()),
+        ],
+    )
+}
+
+/// Builds the `complete_ack` response. `stale` means the daemon no
+/// longer credits the sender with the job (it was reaped and reassigned,
+/// or already finished); the worker just moves on.
+pub fn complete_ack(stale: bool) -> Json {
+    message("complete_ack", vec![("stale", Json::Bool(stale))])
+}
+
+/// Builds a `heartbeat` request.
+pub fn heartbeat_request(worker: &str) -> Json {
+    message("heartbeat", vec![("worker", Json::from(worker))])
+}
+
+/// Builds the `heartbeat_ack` response.
+pub fn heartbeat_ack() -> Json {
+    message("heartbeat_ack", vec![])
 }
 
 #[cfg(test)]
@@ -287,5 +469,66 @@ mod tests {
                 source: Source::Inline("var x = \"two\\nlines\";".to_owned()),
             })
         );
+    }
+
+    #[test]
+    fn worker_verbs_roundtrip_through_parser() {
+        let r = parse_request(&join_request("node-a").to_string_compact()).unwrap();
+        assert_eq!(
+            r,
+            Request::Join {
+                node: "node-a".to_owned()
+            }
+        );
+        let r = parse_request(&claim_request("w-1", 250).to_string_compact()).unwrap();
+        assert_eq!(
+            r,
+            Request::Claim {
+                worker: "w-1".to_owned(),
+                wait_ms: 250,
+            }
+        );
+        let mut core = Json::obj();
+        core.set("verdict", Json::from("ok"));
+        let r = parse_request(&complete_request("w-1", "j-9", true, &core).to_string_compact())
+            .unwrap();
+        match r {
+            Request::Complete {
+                worker,
+                job,
+                cacheable,
+                core,
+            } => {
+                assert_eq!(worker, "w-1");
+                assert_eq!(job, "j-9");
+                assert!(cacheable);
+                assert_eq!(core["verdict"], "ok");
+            }
+            other => panic!("expected complete, got {other:?}"),
+        }
+        let r = parse_request(&heartbeat_request("w-2").to_string_compact()).unwrap();
+        assert_eq!(
+            r,
+            Request::Heartbeat {
+                worker: "w-2".to_owned()
+            }
+        );
+    }
+
+    #[test]
+    fn claim_wait_is_clamped() {
+        let line = r#"{"kind":"claim","worker":"w-0","wait_ms":999999999}"#;
+        match parse_request(line).unwrap() {
+            Request::Claim { wait_ms, .. } => assert_eq!(wait_ms, MAX_CLAIM_WAIT_MS),
+            other => panic!("expected claim, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn malformed_worker_verbs_are_rejected() {
+        assert!(parse_request(r#"{"kind":"join"}"#).is_err());
+        assert!(parse_request(r#"{"kind":"claim"}"#).is_err());
+        assert!(parse_request(r#"{"kind":"complete","worker":"w","job":"j"}"#).is_err());
+        assert!(parse_request(r#"{"kind":"heartbeat"}"#).is_err());
     }
 }

@@ -1,80 +1,91 @@
-//! The daemon itself: shared state, the worker pool, the event-driven
-//! connection core, and the TCP / stdio front ends.
+//! The daemon itself: the configuration, the event-driven connection
+//! core, and the one way to start it ([`Server::builder`]).
 //!
-//! TCP connections are served by a single readiness-driven event loop
+//! Every connection is served by a single readiness-driven event loop
 //! (`sigserve-loop`) over nonblocking sockets and a [`crate::poller`]
 //! backend (epoll on Linux, `poll(2)` fallback): thousands of idle or
 //! slow connections cost one registered fd each, not one parked thread.
-//! Inbound bytes reassemble into NDJSON lines via [`crate::conn::LineBuf`];
-//! outbound responses queue in a per-connection [`crate::conn::WriteBuf`]
-//! so a client that stops reading exerts *backpressure* instead of
-//! blocking a handler: past a soft cap its new vet items are shed with a
-//! typed `overloaded` (reason `write_backpressure`) response, and past
-//! the hard cap the connection is closed. Workers never touch sockets —
-//! they post finished cores to a completion queue and wake the loop
-//! through a pipe, which also decouples request *deadlines* (answered
+//! TCP clients, remote `--join` workers and the `--stdio` front end are
+//! all connections on that loop — stdio is the server end of a
+//! `UnixStream` pair whose other end a pump drives between stdin and
+//! stdout, one request at a time.
+//!
+//! Inbound bytes reassemble into NDJSON lines via
+//! [`crate::conn::LineBuf`]; outbound responses queue in a
+//! per-connection [`crate::conn::WriteBuf`] so a client that stops
+//! reading exerts *backpressure* instead of blocking the loop: past a
+//! soft cap its new vet items are shed with a typed `overloaded`
+//! (reason `write_backpressure`) response, and past the hard cap the
+//! connection is closed.
+//!
+//! Vet items go to the job core ([`crate::jobs`]): a cache hit answers
+//! at once, a duplicate of an in-flight job waits on it, anything else
+//! is queued for a worker. Local worker threads claim jobs in-process;
+//! remote workers claim them with the `claim` verb, which parks on its
+//! connection while nothing is pending. Workers never touch sockets —
+//! finished cores reach the loop through a completion queue and a
+//! waker pipe, which also decouples request *deadlines* (answered
 //! `timeout` by the loop) from worker scheduling.
 //!
 //! Data flow for one `vet` request:
 //!
 //! ```text
-//! event loop ──cache get──> hit ──> respond (cached:true, µs)
-//!      │ miss
-//!      ├─ queue full ──> respond overloaded (typed backpressure)
-//!      └─ try_push(Job{key, source, resp}) ──> worker pool
-//!                                                │ peek cache (dedupe)
-//!                                                │ analyze under budget
-//!                                                │ insert cache
-//!      completion queue + waker pipe <──post──── core result
+//! event loop ──submit──> job core ──hit──> respond (cached:true, µs)
+//!      │                    ├─ in flight ──> wait on the owner job
+//!      │                    ├─ queue full ──> respond overloaded
+//!      │                    └─ pending ──> local worker | remote claim
+//!      │                                        │ compute under budget
+//!      │                                        │ finish: cache insert
+//!      completion queue + waker pipe <──post────┘ (owner + duplicates)
 //! ```
 //!
-//! Workers never die on behalf of a job: a runaway analysis is cut off by
-//! the step budget / deadline inside `jsanalysis` and comes back as a
-//! `timeout` core result like any other, and an analysis that panics
-//! outright is contained with `catch_unwind` — counted in
-//! `serve_worker_panics`, logged, answered as an error verdict — while
-//! the worker keeps serving. Shared-state mutexes recover from
-//! poisoning rather than propagate it, so a single panic can never
-//! cascade into every subsequent handler.
+//! A runaway analysis is cut off by the step budget / deadline inside
+//! `jsanalysis`, and one that panics outright is contained and answered
+//! as an error verdict (see [`crate::jobs`]), so workers never die on
+//! behalf of a job. A remote worker that stops heartbeating is reaped
+//! by a loop timer and its claimed jobs go back to the front of the
+//! queue.
 //!
-//! Construction goes through [`Server::builder`]; the legacy
-//! `bind`/`bind_traced`/`serve_stdio`/`serve_stdio_traced` entry points
-//! remain as deprecated shims.
+//! Shutdown follows one rule: pending jobs drain to the local workers,
+//! or are shed with `job_rejected(shutting_down)` when there are none.
 
-use crate::cache::{cache_key, SigCache};
 use crate::conn::{LineBuf, WriteBuf};
+use crate::jobs::{
+    run_local_worker, spawn_pipeline_thread, Admission, CompletionQueue, Delivery, JobCore,
+};
 use crate::poller::{self, Backend, Interest, Poller, WakeRx};
 use crate::protocol::{
-    backpressure_response, error_response, metrics_response, overloaded_response, parse_request,
-    vet_response, Request, Source, VetItem,
+    backpressure_response, error_response, heartbeat_ack, message, metrics_response, no_job,
+    parse_request, vet_response, Request, VetItem,
 };
-use crate::queue::{Bounded, PushError};
-use crate::stats::{metrics_json, Stats};
+use crate::stats::metrics_json;
 use crate::{AnalyzeJobFn, MetricsRegistry, MetricsSnapshot, VetOutcome};
 use jsanalysis::AnalysisConfig;
 use minijson::Json;
-use sigobs::{EventLog, Level, LogTracer};
+use sigobs::{EventLog, Level};
 use sigtrace::Trace;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufRead, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Daemon configuration (the `vet serve` flags).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads running analyses (default 4).
+    /// Local worker threads running analyses (default 4). Zero makes
+    /// the daemon a pure coordinator: every job waits for a remote
+    /// `--join` worker.
     pub workers: usize,
     /// Result-cache capacity in entries (default 1024; 0 disables).
     pub cache_cap: usize,
-    /// Job-queue bound; pushes beyond it are shed with `overloaded`
-    /// (default `workers * 8`).
+    /// Bound on pending (unclaimed) jobs; submissions beyond it are shed
+    /// with `overloaded` (default `workers * 8`).
     pub queue_cap: usize,
     /// The analysis configuration every job runs under, including the
     /// `step_budget` / `deadline` robustness knobs. Defaults to
@@ -98,8 +109,6 @@ pub struct ServeConfig {
     pub metrics_dir: Option<PathBuf>,
     /// Snapshot interval for the history thread (default 5 s).
     pub metrics_interval: Duration,
-    /// On-disk history ring capacity in snapshots (default 256).
-    pub metrics_history_cap: u64,
     /// In-daemon alert rules (`vet serve --alert-rules FILE`): the
     /// `metrics-report --gate` rule language, evaluated by the history
     /// thread against every appended snapshot. Threshold crossings emit
@@ -120,14 +129,16 @@ pub struct ServeConfig {
     /// a typed `write_backpressure` response; past **4×** this cap the
     /// connection is closed outright.
     pub outbuf_cap: usize,
-    /// Longest accepted request line in bytes (default 64 MiB). An
-    /// unterminated line beyond it gets an error response and the
-    /// connection is drained and closed.
-    pub max_line_bytes: usize,
     /// Readiness backend for the event loop (default: epoll on Linux,
     /// `poll(2)` elsewhere). Tests pin [`Backend::Poll`] to keep the
     /// fallback honest.
     pub poller_backend: Backend,
+    /// How often remote workers must heartbeat (sent to them in
+    /// `join_ack`; default 2 s).
+    pub heartbeat: Duration,
+    /// Reap a remote worker silent for longer than this and requeue its
+    /// claimed jobs (default 6 s).
+    pub reap_after: Duration,
 }
 
 impl Default for ServeConfig {
@@ -142,710 +153,15 @@ impl Default for ServeConfig {
             log: None,
             metrics_dir: None,
             metrics_interval: Duration::from_secs(5),
-            metrics_history_cap: 256,
             alert_rules: None,
             idle_timeout: None,
             request_deadline: None,
             outbuf_cap: 256 * 1024,
-            max_line_bytes: 64 * 1024 * 1024,
             poller_backend: Backend::default(),
+            heartbeat: Duration::from_millis(2000),
+            reap_after: Duration::from_millis(6000),
         }
     }
-}
-
-/// Where a finished job's core result goes: a blocking channel (stdio
-/// front end, unit tests) or the event loop's completion queue.
-enum Completion {
-    /// The submitter blocks on the paired receiver (`await_vet`).
-    Channel(mpsc::Sender<Json>),
-    /// The submitter is the event loop: post under the job token and
-    /// wake it.
-    Posted {
-        token: u64,
-        queue: Arc<CompletionQueue>,
-    },
-}
-
-impl Completion {
-    fn deliver(self, core: Json) {
-        match self {
-            // A disconnected submitter is fine; the result is cached
-            // anyway.
-            Completion::Channel(tx) => {
-                let _ = tx.send(core);
-            }
-            Completion::Posted { token, queue } => queue.post(token, core),
-        }
-    }
-}
-
-/// Finished cores posted by workers for the event loop, plus the waker
-/// that interrupts its parked [`Poller::wait`].
-struct CompletionQueue {
-    done: Mutex<Vec<(u64, Json)>>,
-    waker: poller::Waker,
-}
-
-impl CompletionQueue {
-    fn new(waker: poller::Waker) -> CompletionQueue {
-        CompletionQueue {
-            done: Mutex::new(Vec::new()),
-            waker,
-        }
-    }
-
-    fn post(&self, token: u64, core: Json) {
-        self.done
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push((token, core));
-        self.waker.wake();
-    }
-
-    fn drain(&self) -> Vec<(u64, Json)> {
-        std::mem::take(&mut *self.done.lock().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    fn wake(&self) {
-        self.waker.wake();
-    }
-}
-
-/// One queued vetting job.
-struct Job {
-    /// Request ID (`j-<n>`), carried through the queue so the worker's
-    /// log records correlate with the submitting handler's.
-    id: String,
-    key: u64,
-    source: String,
-    resp: Completion,
-    /// When the job entered the queue; the dequeuing worker turns it
-    /// into the `serve_queue_wait_us` histogram and the `queue_wait_us`
-    /// field on `job_dequeued`.
-    enq: Instant,
-}
-
-/// State shared by the event loop, stdio front end, and workers.
-struct Shared {
-    analysis: AnalysisConfig,
-    /// `analysis.canonical_string()`, computed once: the config half of
-    /// every cache key.
-    config_canon: String,
-    workers: usize,
-    queue: Bounded<Job>,
-    cache: Mutex<SigCache>,
-    stats: Stats,
-    metrics: MetricsRegistry,
-    analyze: Box<AnalyzeJobFn>,
-    shutting_down: AtomicBool,
-    dump_metrics_on_shutdown: bool,
-    /// Structured event log, shared with whoever configured it.
-    log: Option<Arc<EventLog>>,
-    /// Source of per-job request IDs (`j-<n>`).
-    job_seq: AtomicU64,
-    metrics_dir: Option<PathBuf>,
-    metrics_interval: Duration,
-    metrics_history_cap: u64,
-    alert_rules: Option<sigobs::alerts::AlertRules>,
-    idle_timeout: Option<Duration>,
-    request_deadline: Option<Duration>,
-    outbuf_cap: usize,
-    max_line_bytes: usize,
-    /// The event loop's completion queue in TCP mode; `None` in stdio
-    /// mode and unit tests. Shutdown wakes the loop through its waker.
-    completions: Option<Arc<CompletionQueue>>,
-}
-
-impl Shared {
-    fn new(
-        cfg: ServeConfig,
-        analyze: Box<AnalyzeJobFn>,
-        completions: Option<Arc<CompletionQueue>>,
-    ) -> Shared {
-        Shared {
-            config_canon: cfg.analysis.canonical_string(),
-            workers: cfg.workers.max(1),
-            queue: Bounded::new(cfg.queue_cap.max(1)),
-            cache: Mutex::new(SigCache::new(cfg.cache_cap)),
-            stats: Stats::default(),
-            metrics: MetricsRegistry::new(),
-            analysis: cfg.analysis,
-            analyze,
-            shutting_down: AtomicBool::new(false),
-            dump_metrics_on_shutdown: cfg.dump_metrics_on_shutdown,
-            log: cfg.log,
-            job_seq: AtomicU64::new(0),
-            metrics_dir: cfg.metrics_dir,
-            metrics_interval: cfg.metrics_interval,
-            metrics_history_cap: cfg.metrics_history_cap,
-            alert_rules: cfg.alert_rules,
-            idle_timeout: cfg.idle_timeout,
-            request_deadline: cfg.request_deadline,
-            outbuf_cap: cfg.outbuf_cap.max(1024),
-            max_line_bytes: cfg.max_line_bytes.max(1024),
-            completions,
-        }
-    }
-
-    fn lock_cache(&self) -> std::sync::MutexGuard<'_, SigCache> {
-        // Recover, don't propagate: the LRU map stays structurally valid
-        // if a holder panics, and propagating poison would turn one
-        // panicking worker into a daemon-wide crash cascade.
-        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn next_job_id(&self) -> String {
-        format!("j-{}", self.job_seq.fetch_add(1, Ordering::Relaxed))
-    }
-
-    fn log_event(&self, level: Level, event: &str, fields: &[(&str, Json)]) {
-        if let Some(log) = &self.log {
-            log.log(level, event, fields);
-        }
-    }
-
-    /// The registry snapshot plus the daemon's own `Stats` counters and
-    /// cache occupancy, under `serve_`-prefixed names — what `metrics`
-    /// responses and the on-disk history both render, so the exposition
-    /// covers the whole daemon, not just what the engine recorded.
-    fn merged_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.metrics.snapshot();
-        let read = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
-        let cache = self.lock_cache().counters();
-        let extra = [
-            ("serve_jobs_accepted", read(&self.stats.jobs_accepted)),
-            ("serve_jobs_rejected", read(&self.stats.jobs_rejected)),
-            ("serve_jobs_completed", read(&self.stats.jobs_completed)),
-            ("serve_protocol_errors", read(&self.stats.protocol_errors)),
-            ("serve_cache_entries", cache.entries),
-            ("serve_cache_evictions", cache.evictions),
-            ("serve_conns_open", read(&self.stats.conns_open)),
-            ("serve_conn_accepted", read(&self.stats.conn_accepted)),
-            ("serve_conn_closed", read(&self.stats.conn_closed)),
-            (
-                "serve_conn_backpressure_sheds",
-                read(&self.stats.conn_backpressure_sheds),
-            ),
-            ("serve_deadline_misses", read(&self.stats.deadline_misses)),
-        ];
-        for (name, v) in extra {
-            snap.counters.push((name.to_owned(), v));
-        }
-        snap.counters.sort();
-        snap
-    }
-
-    fn stats_body(&self) -> Json {
-        let mut body = self.stats.snapshot(
-            self.lock_cache().counters(),
-            self.workers,
-            self.queue.len(),
-            self.queue.capacity(),
-        );
-        body.set("metrics", metrics_json(&self.metrics.snapshot()));
-        if let Some(log) = &self.log {
-            // The in-memory ring tail: the last ~128 structured events,
-            // so an operator gets recent history from a stats round-trip
-            // even with no log file configured.
-            body.set("log_tail", Json::Arr(log.tail()));
-        }
-        body
-    }
-
-    /// The shutdown dump: one compact JSON line on stderr so a service
-    /// operator gets the full registry even without a final `stats`
-    /// round-trip. Gated by `ServeConfig::dump_metrics_on_shutdown`.
-    fn maybe_dump_metrics(&self) {
-        if self.dump_metrics_on_shutdown {
-            let snap = metrics_json(&self.metrics.snapshot());
-            eprintln!("sigserve metrics: {}", snap.to_string_compact());
-        }
-    }
-}
-
-/// Runs one job's analysis, updates the counters, and caches the core
-/// result. Deadline-based timeouts are *not* cached: they depend on
-/// machine load, so a later resubmission deserves a fresh attempt, while
-/// step-budget timeouts are deterministic and cache fine.
-fn compute(shared: &Shared, key: u64, source: &str, job: &str) -> Json {
-    let t0 = Instant::now();
-    let outcome = {
-        // Thread the job's request ID into the pipeline: at debug level
-        // a LogTracer turns phase spans into `span` log events tagged
-        // with this job's ID; otherwise the engine sees Trace::Off.
-        let mut tracer = shared
-            .log
-            .as_ref()
-            .filter(|l| l.enabled(Level::Debug))
-            .map(|l| LogTracer::new(l, job));
-        let trace = match tracer.as_mut() {
-            Some(t) => Trace::On(t),
-            None => Trace::Off,
-        };
-        (shared.analyze)(source, &shared.analysis, &shared.metrics, trace)
-    };
-    // The cost postmortem rides the log right after `job_computed`.
-    if let Some(log) = &shared.log {
-        crate::log_job_computed(log, job, &outcome);
-        crate::log_job_profile(log, job, &outcome);
-    }
-    let vet = t0.elapsed();
-    shared.stats.record_vet(vet);
-    shared
-        .metrics
-        .record("serve_vet_us", vet.as_micros().min(u128::from(u64::MAX)) as u64);
-    match &outcome {
-        VetOutcome::Report { timings, .. } => {
-            shared.stats.record_phases(timings.p1, timings.p2, timings.p3);
-        }
-        VetOutcome::Timeout { .. } => {
-            Stats::incr(&shared.stats.budget_aborts);
-            shared.metrics.add("serve_budget_aborts", 1);
-        }
-        VetOutcome::Error { .. } => {
-            Stats::incr(&shared.stats.analysis_errors);
-            shared.metrics.add("serve_analysis_errors", 1);
-        }
-    }
-    let core = outcome.core_json();
-    if outcome.cacheable(&shared.analysis) {
-        shared.lock_cache().insert(key, core.clone(), job);
-        shared.log_event(Level::Debug, "cache_insert", &[("job", Json::from(job))]);
-    }
-    core
-}
-
-/// Best-effort text of a panic payload (`&str` / `String` downcasts).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    while let Some(job) = shared.queue.pop() {
-        let wait_us = job.enq.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        shared.metrics.record("serve_queue_wait_us", wait_us);
-        shared.log_event(
-            Level::Info,
-            "job_dequeued",
-            &[
-                ("job", Json::from(job.id.as_str())),
-                ("queue_wait_us", Json::from(wait_us as f64)),
-            ],
-        );
-        // Dedupe racing submissions of the same content: another worker
-        // may have finished this key while the job sat in the queue.
-        // (Bound before the match: a guard temporary in the scrutinee
-        // would still be held when compute() re-locks the cache.)
-        let cached = shared.lock_cache().peek(job.key);
-        let core = match cached {
-            Some((hit, producer)) => {
-                shared.log_event(
-                    Level::Info,
-                    "cache_hit",
-                    &[
-                        ("job", Json::from(job.id.as_str())),
-                        ("producer", Json::from(producer)),
-                    ],
-                );
-                hit
-            }
-            None => {
-                // A panicking analysis must cost exactly one job, not
-                // the worker (and with it the daemon): contain it, count
-                // it, and answer the submitter with an error verdict.
-                match catch_unwind(AssertUnwindSafe(|| {
-                    compute(shared, job.key, &job.source, &job.id)
-                })) {
-                    Ok(core) => core,
-                    Err(payload) => {
-                        let msg = panic_message(payload.as_ref());
-                        shared.metrics.add("serve_worker_panics", 1);
-                        shared.log_event(
-                            Level::Error,
-                            "worker_panic",
-                            &[
-                                ("job", Json::from(job.id.as_str())),
-                                ("message", Json::from(msg.as_str())),
-                            ],
-                        );
-                        // Terminal lifecycle for replay: the job *was*
-                        // computed, with an error verdict. Not cached —
-                        // a resubmission deserves a fresh attempt.
-                        shared.log_event(
-                            Level::Warn,
-                            "job_computed",
-                            &[
-                                ("job", Json::from(job.id.as_str())),
-                                ("verdict", Json::from("error")),
-                                ("message", Json::from(msg.as_str())),
-                            ],
-                        );
-                        VetOutcome::error(format!("worker panicked: {msg}")).core_json()
-                    }
-                }
-            }
-        };
-        Stats::incr(&shared.stats.jobs_completed);
-        job.resp.deliver(core);
-    }
-}
-
-/// A submitted-but-not-yet-answered vet item, so batches can pipeline
-/// all submissions across the worker pool before collecting any result.
-enum PendingVet {
-    /// Answered without a worker (cache hit, overload, bad path, ...);
-    /// any terminal log events were already written at submit time.
-    Ready(Json),
-    /// In the worker pool; await the core result on the channel.
-    Waiting {
-        id: String,
-        name: Option<String>,
-        rx: mpsc::Receiver<Json>,
-        t0: Instant,
-    },
-}
-
-/// What `submit_vet_with` did with an item: answered it immediately, or
-/// enqueued it (the caller's `make_resp` closure was invoked exactly
-/// once to wire up the completion path).
-enum Submitted {
-    /// Answered without a worker; terminal log events already written.
-    Ready(Json),
-    /// Admitted to the worker queue under `id`.
-    Enqueued {
-        id: String,
-        name: Option<String>,
-        t0: Instant,
-    },
-}
-
-/// The submission path shared by the blocking front end and the event
-/// loop: cache probe, shed-on-overload, enqueue. `make_resp` is called
-/// exactly once, at the moment a job is actually pushed, so each caller
-/// chooses how the finished core comes back (channel vs. posted).
-fn submit_vet_with(
-    shared: &Shared,
-    item: VetItem,
-    make_resp: &mut dyn FnMut() -> Completion,
-) -> Submitted {
-    let t0 = Instant::now();
-    let (name, source) = match item.source {
-        Source::Inline(s) => (item.name, s),
-        Source::Path(p) => match std::fs::read_to_string(&p) {
-            // A path submission defaults its display name to the path.
-            Ok(s) => (item.name.or(Some(p)), s),
-            Err(e) => {
-                // Failed before entering the system: no job ID assigned,
-                // logged as daemon narration rather than a lifecycle.
-                shared.log_event(
-                    Level::Warn,
-                    "vet_path_error",
-                    &[
-                        ("path", Json::from(p.as_str())),
-                        ("error", Json::from(format!("{e}"))),
-                    ],
-                );
-                let mut core = Json::obj();
-                core.set("verdict", Json::from("error"));
-                core.set("message", Json::from(format!("{p}: {e}")));
-                return Submitted::Ready(vet_response(
-                    &core,
-                    item.name.as_deref().or(Some(&p)),
-                    None,
-                    false,
-                    t0.elapsed().as_micros(),
-                ));
-            }
-        },
-    };
-    let id = shared.next_job_id();
-    let key = cache_key(&source, &shared.config_canon);
-    if let Some((core, producer)) = shared.lock_cache().get(key) {
-        shared.metrics.add("serve_cache_hits", 1);
-        shared.log_event(
-            Level::Info,
-            "cache_hit",
-            &[
-                ("job", Json::from(id.as_str())),
-                ("name", name.as_deref().map(Json::from).unwrap_or(Json::Null)),
-                ("producer", Json::from(producer)),
-            ],
-        );
-        let micros = t0.elapsed().as_micros();
-        let resp = vet_response(&core, name.as_deref(), Some(&id), true, micros);
-        shared.log_event(
-            Level::Info,
-            "job_done",
-            &[
-                ("job", Json::from(id.as_str())),
-                ("micros", Json::from(micros as f64)),
-                ("cached", Json::Bool(true)),
-            ],
-        );
-        return Submitted::Ready(resp);
-    }
-    shared.metrics.add("serve_cache_misses", 1);
-    // Shed *before* logging the lifecycle: under sustained overload the
-    // rejected stream must cost at most one (sampled) `job_rejected`
-    // line per job, not an `enqueued` + `rejected` pair — otherwise the
-    // log amplifies the very overload it is narrating. The pre-check is
-    // advisory (a racing push can still hit Full below); that rare path
-    // keeps the enqueued-then-rejected pair, which replay accepts.
-    if shared.queue.is_full() {
-        Stats::incr(&shared.stats.jobs_rejected);
-        shared.log_event(
-            Level::Warn,
-            "job_rejected",
-            &[
-                ("job", Json::from(id.as_str())),
-                ("reason", Json::from("overloaded")),
-            ],
-        );
-        return Submitted::Ready(overloaded_response(
-            name.as_deref(),
-            shared.queue.len(),
-            shared.queue.capacity(),
-        ));
-    }
-    // Log admission *before* try_push: once the job is in the queue a
-    // worker can dequeue it immediately, and the log's seq order must
-    // match the lifecycle order (enqueued < dequeued).
-    shared.log_event(
-        Level::Info,
-        "job_enqueued",
-        &[
-            ("job", Json::from(id.as_str())),
-            ("name", name.as_deref().map(Json::from).unwrap_or(Json::Null)),
-            ("queue_depth", Json::from(shared.queue.len() as f64)),
-        ],
-    );
-    let resp = make_resp();
-    match shared.queue.try_push(Job {
-        id: id.clone(),
-        key,
-        source,
-        resp,
-        enq: Instant::now(),
-    }) {
-        Ok(_) => {
-            Stats::incr(&shared.stats.jobs_accepted);
-            shared
-                .metrics
-                .record("serve_queue_depth", shared.queue.len() as u64);
-            Submitted::Enqueued { id, name, t0 }
-        }
-        Err(PushError::Full(_)) => {
-            Stats::incr(&shared.stats.jobs_rejected);
-            shared.log_event(
-                Level::Warn,
-                "job_rejected",
-                &[
-                    ("job", Json::from(id.as_str())),
-                    ("reason", Json::from("overloaded")),
-                ],
-            );
-            Submitted::Ready(overloaded_response(
-                name.as_deref(),
-                shared.queue.len(),
-                shared.queue.capacity(),
-            ))
-        }
-        Err(PushError::ShutDown(_)) => {
-            Stats::incr(&shared.stats.jobs_rejected);
-            shared.log_event(
-                Level::Warn,
-                "job_rejected",
-                &[
-                    ("job", Json::from(id.as_str())),
-                    ("reason", Json::from("shutting_down")),
-                ],
-            );
-            Submitted::Ready(error_response("daemon is shutting down"))
-        }
-    }
-}
-
-/// The blocking submission wrapper (stdio front end, unit tests): the
-/// completion path is an mpsc channel the caller receives on.
-fn submit_vet(shared: &Shared, item: VetItem) -> PendingVet {
-    let mut rx_slot: Option<mpsc::Receiver<Json>> = None;
-    let submitted = {
-        let mut make = || {
-            let (tx, rx) = mpsc::channel();
-            rx_slot = Some(rx);
-            Completion::Channel(tx)
-        };
-        submit_vet_with(shared, item, &mut make)
-    };
-    match submitted {
-        Submitted::Ready(resp) => PendingVet::Ready(resp),
-        Submitted::Enqueued { id, name, t0 } => PendingVet::Waiting {
-            id,
-            name,
-            rx: rx_slot.expect("completion channel created at enqueue"),
-            t0,
-        },
-    }
-}
-
-/// Wraps a finished core into the `vet_result` response and writes the
-/// terminal `job_done` lifecycle record. Shared by the blocking await
-/// path and the event loop's completion handler.
-fn finish_vet(shared: &Shared, id: &str, name: Option<&str>, t0: Instant, core: &Json) -> Json {
-    let micros = t0.elapsed().as_micros();
-    let resp = vet_response(core, name, Some(id), false, micros);
-    shared.log_event(
-        Level::Info,
-        "job_done",
-        &[
-            ("job", Json::from(id)),
-            ("micros", Json::from(micros as f64)),
-            ("cached", Json::Bool(false)),
-        ],
-    );
-    resp
-}
-
-fn await_vet(shared: &Shared, pending: PendingVet) -> Json {
-    match pending {
-        PendingVet::Ready(resp) => resp,
-        PendingVet::Waiting { id, name, rx, t0 } => match rx.recv() {
-            Ok(core) => finish_vet(shared, &id, name.as_deref(), t0, &core),
-            Err(_) => error_response("worker pool shut down before the job finished"),
-        },
-    }
-}
-
-fn with_kind(kind: &str, body: Json) -> Json {
-    let mut o = Json::obj();
-    o.set("kind", Json::from(kind));
-    if let Json::Obj(entries) = body {
-        for (k, v) in entries {
-            o.set(&k, v);
-        }
-    }
-    o
-}
-
-/// Handles one parsed request. The bool says "this was a shutdown":
-/// the caller writes the response first, then tears the daemon down.
-fn respond(shared: &Shared, req: Result<Request, String>) -> (Json, bool) {
-    match req {
-        Err(msg) => {
-            Stats::incr(&shared.stats.protocol_errors);
-            shared.log_event(
-                Level::Warn,
-                "protocol_error",
-                &[("error", Json::from(msg.as_str()))],
-            );
-            (error_response(&msg), false)
-        }
-        Ok(Request::Vet(item)) => (await_vet(shared, submit_vet(shared, item)), false),
-        Ok(Request::VetBatch(items)) => {
-            // Submit everything first so the batch saturates the worker
-            // pool; items beyond the queue bound come back `overloaded`.
-            let pending: Vec<PendingVet> =
-                items.into_iter().map(|i| submit_vet(shared, i)).collect();
-            let results: Vec<Json> = pending
-                .into_iter()
-                .map(|p| await_vet(shared, p))
-                .collect();
-            let mut o = Json::obj();
-            o.set("kind", Json::from("vet_batch_result"));
-            o.set("results", Json::Arr(results));
-            (o, false)
-        }
-        Ok(Request::Stats) => (with_kind("stats", shared.stats_body()), false),
-        Ok(Request::Metrics) => {
-            let text = sigobs::prometheus_text(&shared.merged_snapshot());
-            // Our own renderer must always validate; the sample count is
-            // a convenience for scripted smoke tests.
-            let samples = sigobs::validate_prometheus_text(&text).unwrap_or(0);
-            (metrics_response(&text, samples), false)
-        }
-        Ok(Request::Shutdown) => {
-            shared.log_event(Level::Info, "serve_shutdown", &[]);
-            let mut o = Json::obj();
-            o.set("kind", Json::from("shutdown_ack"));
-            o.set("stats", shared.stats_body());
-            (o, true)
-        }
-    }
-}
-
-/// Flips the daemon into shutdown: no new jobs, workers drain and exit,
-/// and the event loop (if any) is woken so it can drain connections.
-fn initiate_shutdown(shared: &Shared) {
-    if shared.shutting_down.swap(true, Ordering::SeqCst) {
-        return; // someone else already did
-    }
-    shared.queue.shutdown();
-    if let Some(completions) = &shared.completions {
-        completions.wake();
-    }
-}
-
-/// The blocking protocol loop (stdio front end): read request lines,
-/// write response lines. Returns `true` if the peer requested shutdown
-/// (vs. just disconnecting).
-fn serve_lines(
-    shared: &Shared,
-    reader: impl BufRead,
-    mut writer: impl Write,
-) -> io::Result<bool> {
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (resp, is_shutdown) = respond(shared, parse_request(&line));
-        // Single write per response line (see Client::raw_line: split
-        // writes interact badly with Nagle + delayed ACK).
-        let mut framed = resp.to_string_compact();
-        framed.push('\n');
-        writer.write_all(framed.as_bytes())?;
-        writer.flush()?;
-        if is_shutdown {
-            initiate_shutdown(shared);
-            return Ok(true);
-        }
-    }
-    Ok(false)
-}
-
-fn spawn_workers(shared: &Arc<Shared>) -> Vec<JoinHandle<()>> {
-    (0..shared.workers)
-        .map(|i| {
-            let shared = Arc::clone(shared);
-            std::thread::Builder::new()
-                .name(format!("sigserve-worker-{i}"))
-                .spawn(move || worker_loop(&shared))
-                .expect("spawn worker thread")
-        })
-        .collect()
-}
-
-/// The `serve_started` log record both front ends emit once the pool is
-/// up, so a log file identifies the daemon configuration it narrates.
-fn log_started(shared: &Shared) {
-    shared.log_event(
-        Level::Info,
-        "serve_started",
-        &[
-            ("workers", Json::from(shared.workers as f64)),
-            ("queue_cap", Json::from(shared.queue.capacity() as f64)),
-            (
-                "cache_cap",
-                Json::from(shared.lock_cache().counters().capacity as f64),
-            ),
-        ],
-    );
 }
 
 /// The in-daemon alerting state: which rule names are currently firing.
@@ -856,7 +172,7 @@ fn log_started(shared: &Shared) {
 /// levels, so a long-running breach is one log record, not one per
 /// snapshot.
 fn evaluate_alerts(
-    shared: &Shared,
+    core: &JobCore,
     dir: &std::path::Path,
     rules: &sigobs::alerts::AlertRules,
     firing: &mut std::collections::BTreeSet<String>,
@@ -864,7 +180,7 @@ fn evaluate_alerts(
     let records = match sigobs::MetricsHistory::load(dir) {
         Ok(r) => r,
         Err(e) => {
-            shared.log_event(
+            core.log_event(
                 Level::Warn,
                 "metrics_history_error",
                 &[("error", Json::from(format!("{e}")))],
@@ -884,16 +200,19 @@ fn evaluate_alerts(
                 (Some(lo), None) => Json::from(lo),
                 (None, None) => Json::Null,
             };
-            shared.log_event(
+            core.log_event(
                 Level::Warn,
                 "alert_fired",
                 &[("rule", Json::from(name)), ("value", value), ("bound", bound)],
             );
         } else if !outcome.violated && firing.remove(name) {
-            shared.log_event(Level::Info, "alert_cleared", &[("rule", Json::from(name))]);
+            core.log_event(Level::Info, "alert_cleared", &[("rule", Json::from(name))]);
         }
     }
 }
+
+/// Snapshots the on-disk metrics history keeps.
+const HISTORY_CAP: u64 = 256;
 
 /// Spawns the metrics-history thread when `--metrics-dir` is configured:
 /// it appends a merged snapshot to the on-disk ring every
@@ -901,17 +220,16 @@ fn evaluate_alerts(
 /// the shutdown flag often enough that daemon teardown is prompt. With
 /// alert rules configured, each appended snapshot is followed by an
 /// alerting pass over the recorded window.
-fn spawn_history(shared: &Arc<Shared>) -> Option<JoinHandle<()>> {
-    let dir = shared.metrics_dir.clone()?;
-    let shared = Arc::clone(shared);
+fn spawn_history(core: &Arc<JobCore>) -> Option<JoinHandle<()>> {
+    let dir = core.cfg.metrics_dir.clone()?;
+    let core = Arc::clone(core);
     let handle = std::thread::Builder::new()
         .name("sigserve-history".to_owned())
         .spawn(move || {
-            let mut history = match sigobs::MetricsHistory::open(&dir, shared.metrics_history_cap)
-            {
+            let mut history = match sigobs::MetricsHistory::open(&dir, HISTORY_CAP) {
                 Ok(h) => h,
                 Err(e) => {
-                    shared.log_event(
+                    core.log_event(
                         Level::Error,
                         "metrics_history_error",
                         &[("error", Json::from(format!("{e}")))],
@@ -923,24 +241,24 @@ fn spawn_history(shared: &Arc<Shared>) -> Option<JoinHandle<()>> {
             let poll = Duration::from_millis(25);
             loop {
                 let interval_start = Instant::now();
-                while interval_start.elapsed() < shared.metrics_interval {
-                    if shared.shutting_down.load(Ordering::SeqCst) {
-                        let _ = history.append(&shared.merged_snapshot());
-                        if let Some(rules) = &shared.alert_rules {
-                            evaluate_alerts(&shared, &dir, rules, &mut firing);
+                while interval_start.elapsed() < core.cfg.metrics_interval {
+                    if core.shutting_down.load(Ordering::SeqCst) {
+                        let _ = history.append(&core.snapshot());
+                        if let Some(rules) = &core.cfg.alert_rules {
+                            evaluate_alerts(&core, &dir, rules, &mut firing);
                         }
                         return;
                     }
-                    std::thread::sleep(poll.min(shared.metrics_interval));
+                    std::thread::sleep(poll.min(core.cfg.metrics_interval));
                 }
-                if let Err(e) = history.append(&shared.merged_snapshot()) {
-                    shared.log_event(
+                if let Err(e) = history.append(&core.snapshot()) {
+                    core.log_event(
                         Level::Warn,
                         "metrics_history_error",
                         &[("error", Json::from(format!("{e}")))],
                     );
-                } else if let Some(rules) = &shared.alert_rules {
-                    evaluate_alerts(&shared, &dir, rules, &mut firing);
+                } else if let Some(rules) = &core.cfg.alert_rules {
+                    evaluate_alerts(&core, &dir, rules, &mut firing);
                 }
             }
         })
@@ -956,12 +274,21 @@ fn spawn_history(shared: &Arc<Shared>) -> Option<JoinHandle<()>> {
 const LISTENER_TOKEN: u64 = 0;
 /// Poller token for the completion-queue waker pipe.
 const WAKER_TOKEN: u64 = 1;
-/// First token handed to an accepted connection.
+/// First token handed to a connection.
 const FIRST_CONN_TOKEN: u64 = 2;
+
+/// Longest accepted request line in bytes. An unterminated line beyond
+/// it gets an error response and the connection is drained and closed.
+const MAX_LINE_BYTES: usize = 64 * 1024 * 1024;
 
 /// How long a draining shutdown waits for connections to flush before
 /// force-closing them.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
+
+/// A connection's byte stream: an accepted TCP socket, or the server end
+/// of the stdio pump's socket pair.
+trait Stream: Read + Write + AsRawFd + Send {}
+impl<T: Read + Write + AsRawFd + Send> Stream for T {}
 
 /// An in-flight vet item on a connection: the slot in the response
 /// pipeline a posted completion (or a fired deadline) will fill.
@@ -971,15 +298,27 @@ struct VetWait {
     id: String,
     name: Option<String>,
     t0: Instant,
-    deadline: Option<Instant>,
 }
 
 /// One position in a connection's ordered response pipeline.
 enum Part {
     /// Serialized compact response line (no trailing newline).
     Done(String),
-    /// Still in the worker pool.
+    /// Waiting on a job.
     Wait(VetWait),
+    /// A remote worker's claim, parked (under this token) until a job is
+    /// pending, its wait lapses, or the daemon shuts down.
+    Claim(u64),
+}
+
+impl Part {
+    fn token(&self) -> Option<u64> {
+        match self {
+            Part::Done(_) => None,
+            Part::Wait(w) => Some(w.token),
+            Part::Claim(token) => Some(*token),
+        }
+    }
 }
 
 /// One request's worth of response: a single line, or a batch whose
@@ -1009,9 +348,25 @@ impl Slot {
     }
 }
 
+/// How often the reaper looks for silent remote workers.
+fn reap_tick(core: &JobCore) -> Duration {
+    (core.cfg.reap_after / 5).clamp(Duration::from_millis(5), Duration::from_millis(250))
+}
+
+/// A parked remote claim, oldest first in [`EventLoop::claims`].
+struct ParkedClaim {
+    conn: u64,
+    token: u64,
+    worker: String,
+    deadline: Instant,
+}
+
 /// Per-connection state owned by the event loop.
 struct Conn {
-    stream: TcpStream,
+    stream: Box<dyn Stream>,
+    /// The stdio pump's connection: exempt from the idle timeout, since
+    /// it idles while its operator types.
+    stdio: bool,
     /// Connection ID (`c-<n>`) for log correlation.
     cid: String,
     rbuf: LineBuf,
@@ -1034,6 +389,10 @@ struct Conn {
     kill: Option<&'static str>,
     /// Edge flag so a backpressure episode logs once, not per item.
     backpressured: bool,
+    /// The peer spoke a worker verb: a draining shutdown keeps reading
+    /// it, so the worker's `complete` for a job it is running still
+    /// lands.
+    worker: bool,
     /// Lifetime bytes read off this socket (reported on `conn_closed`
     /// so timeline reconstruction can cross-check framing totals; the
     /// write side lives in [`WriteBuf::written`]).
@@ -1043,9 +402,10 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, cid: String, max_line: usize) -> Conn {
+    fn new(stream: Box<dyn Stream>, stdio: bool, cid: String, max_line: usize) -> Conn {
         Conn {
             stream,
+            stdio,
             cid,
             rbuf: LineBuf::new(max_line),
             wbuf: WriteBuf::new(),
@@ -1057,10 +417,27 @@ impl Conn {
             closing: None,
             kill: None,
             backpressured: false,
+            worker: false,
             bytes_read: 0,
             requests: 0,
         }
     }
+
+    /// Fills the in-flight part `token` with its response line.
+    fn fill(&mut self, token: u64, resp: &Json) {
+        if let Some(part) = find_part(&mut self.pending, token) {
+            let s = resp.to_string_compact();
+            self.pending_bytes += s.len() + 1;
+            *part = Part::Done(s);
+        }
+    }
+}
+
+fn find_part(pending: &mut VecDeque<Slot>, token: u64) -> Option<&mut Part> {
+    pending
+        .iter_mut()
+        .flat_map(|slot| slot.parts_mut().iter_mut())
+        .find(|part| part.token() == Some(token))
 }
 
 fn push_done(conn: &mut Conn, resp: &Json) {
@@ -1069,53 +446,56 @@ fn push_done(conn: &mut Conn, resp: &Json) {
     conn.pending.push_back(Slot::One(Part::Done(s)));
 }
 
-/// The readiness-driven connection core: one thread, one poller, all
-/// TCP connections.
+/// The readiness-driven connection core: one thread, one poller, every
+/// connection.
 struct EventLoop {
-    shared: Arc<Shared>,
+    core: Arc<JobCore>,
     poller: Poller,
-    listener: TcpListener,
+    /// `None` for a stdio daemon.
+    listener: Option<TcpListener>,
     wake_rx: WakeRx,
-    completions: Arc<CompletionQueue>,
     conns: HashMap<u64, Conn>,
-    /// Completion token → owning connection token.
+    /// Completion token → owning connection token, for every vet item
+    /// still waiting on a job.
     jobs: HashMap<u64, u64>,
-    /// Jobs whose connection is gone or whose deadline already answered:
-    /// the eventual completion still writes the terminal `job_done`.
-    late: HashMap<u64, (String, Instant)>,
+    claims: VecDeque<ParkedClaim>,
     next_conn_token: u64,
     conn_seq: u64,
-    next_job_token: u64,
+    next_token: u64,
+    /// When the reaper next ticks: set by the first `join`, cleared once
+    /// no remote worker is left.
+    next_reap: Option<Instant>,
     drain_deadline: Option<Instant>,
 }
 
 impl EventLoop {
     fn new(
-        shared: Arc<Shared>,
+        core: Arc<JobCore>,
         poller: Poller,
-        listener: TcpListener,
+        listener: Option<TcpListener>,
         wake_rx: WakeRx,
-        completions: Arc<CompletionQueue>,
     ) -> EventLoop {
         EventLoop {
-            shared,
+            core,
             poller,
             listener,
             wake_rx,
-            completions,
             conns: HashMap::new(),
             jobs: HashMap::new(),
-            late: HashMap::new(),
+            claims: VecDeque::new(),
             next_conn_token: FIRST_CONN_TOKEN,
             conn_seq: 0,
-            next_job_token: 0,
+            next_token: 0,
+            next_reap: None,
             drain_deadline: None,
         }
     }
 
     fn run(&mut self) -> io::Result<()> {
-        self.poller
-            .register(self.listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
+        if let Some(listener) = &self.listener {
+            self.poller
+                .register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
+        }
         self.poller
             .register(self.wake_rx.fd(), WAKER_TOKEN, Interest::READ)?;
         let mut events: Vec<poller::Event> = Vec::new();
@@ -1132,10 +512,10 @@ impl EventLoop {
             }
             self.apply_completions();
             self.apply_timers();
-            if self.shared.shutting_down.load(Ordering::SeqCst) {
+            self.dispatch_claims();
+            if self.core.shutting_down.load(Ordering::SeqCst) {
                 self.begin_drain();
-                let hard = self.drain_deadline.is_some_and(|d| Instant::now() >= d);
-                if self.conns.is_empty() && (self.late.is_empty() || hard) {
+                if self.conns.is_empty() {
                     return Ok(());
                 }
             }
@@ -1143,9 +523,12 @@ impl EventLoop {
     }
 
     /// The park duration: indefinite unless some timer needs servicing.
-    /// Timers tick at a quarter of their bound (clamped) rather than
-    /// tracking exact next-expiry — cheap, and precise enough for
-    /// second-scale idle timeouts and millisecond-scale deadlines.
+    /// Idle and deadline timers tick at a quarter of their bound
+    /// (clamped) rather than tracking exact next-expiry — cheap, and
+    /// precise enough for second-scale idle timeouts and
+    /// millisecond-scale deadlines. Parked claims wake exactly at their
+    /// earliest lapse; the reaper ticks only while remote workers are
+    /// registered.
     fn wait_timeout(&self) -> Option<Duration> {
         fn tick(bound: Duration) -> Duration {
             (bound / 4).clamp(Duration::from_millis(1), Duration::from_millis(250))
@@ -1157,24 +540,34 @@ impl EventLoop {
         if self.drain_deadline.is_some() {
             merge(Duration::from_millis(25));
         }
-        if let Some(idle) = self.shared.idle_timeout {
+        if let Some(idle) = self.core.cfg.idle_timeout {
             if !self.conns.is_empty() {
                 merge(tick(idle));
             }
         }
-        if let Some(deadline) = self.shared.request_deadline {
+        if let Some(deadline) = self.core.cfg.request_deadline {
             if !self.jobs.is_empty() {
                 merge(tick(deadline));
             }
+        }
+        let now = Instant::now();
+        if let Some(lapse) = self.claims.iter().map(|c| c.deadline).min() {
+            merge(lapse.saturating_duration_since(now));
+        }
+        if let Some(reap) = self.next_reap {
+            merge(reap.saturating_duration_since(now));
         }
         timeout
     }
 
     fn accept_ready(&mut self) {
         loop {
-            match self.listener.accept() {
+            let Some(listener) = &self.listener else {
+                return;
+            };
+            match listener.accept() {
                 Ok((stream, peer)) => {
-                    if self.shared.shutting_down.load(Ordering::SeqCst) {
+                    if self.core.shutting_down.load(Ordering::SeqCst) {
                         // Draining: refuse by immediate close.
                         drop(stream);
                         continue;
@@ -1183,29 +576,7 @@ impl EventLoop {
                     {
                         continue;
                     }
-                    let token = self.next_conn_token;
-                    self.next_conn_token += 1;
-                    let cid = format!("c-{}", self.conn_seq);
-                    self.conn_seq += 1;
-                    if self
-                        .poller
-                        .register(stream.as_raw_fd(), token, Interest::READ)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    Stats::incr(&self.shared.stats.conn_accepted);
-                    self.shared.stats.conns_open.fetch_add(1, Ordering::Relaxed);
-                    self.shared.log_event(
-                        Level::Debug,
-                        "conn_accepted",
-                        &[
-                            ("conn", Json::from(cid.as_str())),
-                            ("peer", Json::from(peer.to_string())),
-                        ],
-                    );
-                    self.conns
-                        .insert(token, Conn::new(stream, cid, self.shared.max_line_bytes));
+                    self.add_conn(Box::new(stream), &peer.to_string(), false);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -1215,6 +586,33 @@ impl EventLoop {
                 Err(_) => break,
             }
         }
+    }
+
+    /// Registers a nonblocking stream as a new connection.
+    fn add_conn(&mut self, stream: Box<dyn Stream>, peer: &str, stdio: bool) {
+        let token = self.next_conn_token;
+        self.next_conn_token += 1;
+        let cid = format!("c-{}", self.conn_seq);
+        self.conn_seq += 1;
+        if self
+            .poller
+            .register(stream.as_raw_fd(), token, Interest::READ)
+            .is_err()
+        {
+            return;
+        }
+        self.core.count("serve_conn_accepted", 1);
+        self.core.count("serve_conns_open", 1);
+        self.core.log_event(
+            Level::Debug,
+            "conn_accepted",
+            &[
+                ("conn", Json::from(cid.as_str())),
+                ("peer", Json::from(peer)),
+            ],
+        );
+        let conn = Conn::new(stream, stdio, cid, MAX_LINE_BYTES);
+        self.conns.insert(token, conn);
     }
 
     fn conn_event(&mut self, token: u64, ev: poller::Event) {
@@ -1229,6 +627,12 @@ impl EventLoop {
             // peer hangup once buffered input is consumed.
             if ev.closed && !conn.peer_eof && conn.kill.is_none() {
                 conn.peer_eof = true;
+            }
+            if conn.peer_eof && self.claims.iter().any(|c| c.conn == token) {
+                // A worker that hung up takes no more jobs.
+                self.claims.retain(|c| c.conn != token);
+                conn.pending
+                    .retain(|slot| !matches!(slot, Slot::One(Part::Claim(_))));
             }
         }
         self.settle(token, conn);
@@ -1246,8 +650,8 @@ impl EventLoop {
                     conn.last_activity = Instant::now();
                     conn.bytes_read += n as u64;
                     if !conn.rbuf.extend(&chunk[..n]) {
-                        Stats::incr(&self.shared.stats.protocol_errors);
-                        self.shared.log_event(
+                        self.core.count("serve_protocol_errors", 1);
+                        self.core.log_event(
                             Level::Warn,
                             "protocol_error",
                             &[("error", Json::from("request line exceeds maximum length"))],
@@ -1272,8 +676,8 @@ impl EventLoop {
             match conn.rbuf.next_line() {
                 None => break,
                 Some(Err(_)) => {
-                    // Non-UTF-8 bytes ended the blocking server's
-                    // connection without a response; match that.
+                    // Non-UTF-8 bytes end the connection without a
+                    // response.
                     conn.kill = Some("protocol");
                     break;
                 }
@@ -1289,13 +693,13 @@ impl EventLoop {
     }
 
     fn handle_line(&mut self, token: u64, conn: &mut Conn, line: &str) {
-        let shared = Arc::clone(&self.shared);
+        let core = Arc::clone(&self.core);
         conn.requests += 1;
         // Hard cap: a client this far behind on reading is not exerting
         // backpressure anymore, it is a memory leak. Close it.
         let owed = conn.wbuf.queued() + conn.pending_bytes;
-        if owed > shared.outbuf_cap.saturating_mul(4) {
-            shared.log_event(
+        if owed > core.cfg.outbuf_cap.saturating_mul(4) {
+            core.log_event(
                 Level::Warn,
                 "write_backpressure",
                 &[
@@ -1309,8 +713,8 @@ impl EventLoop {
         }
         match parse_request(line) {
             Err(msg) => {
-                Stats::incr(&shared.stats.protocol_errors);
-                shared.log_event(
+                core.count("serve_protocol_errors", 1);
+                core.log_event(
                     Level::Warn,
                     "protocol_error",
                     &[("error", Json::from(msg.as_str()))],
@@ -1323,7 +727,7 @@ impl EventLoop {
             }
             Ok(Request::VetBatch(items)) => {
                 // Submit everything first so the batch saturates the
-                // worker pool; items beyond the queue bound come back
+                // workers; items beyond the queue bound come back
                 // `overloaded`.
                 let parts: Vec<Part> = items
                     .into_iter()
@@ -1331,192 +735,238 @@ impl EventLoop {
                     .collect();
                 conn.pending.push_back(Slot::Batch(parts));
             }
-            Ok(Request::Stats) => push_done(conn, &with_kind("stats", shared.stats_body())),
+            Ok(Request::Stats) => push_done(conn, &core.stats()),
             Ok(Request::Metrics) => {
-                let text = sigobs::prometheus_text(&shared.merged_snapshot());
+                let text = sigobs::prometheus_text(&core.snapshot());
+                // Our own renderer must always validate; the sample
+                // count is a convenience for scripted smoke tests.
                 let samples = sigobs::validate_prometheus_text(&text).unwrap_or(0);
                 push_done(conn, &metrics_response(&text, samples));
             }
             Ok(Request::Shutdown) => {
-                shared.log_event(Level::Info, "serve_shutdown", &[]);
-                let mut o = Json::obj();
-                o.set("kind", Json::from("shutdown_ack"));
-                o.set("stats", shared.stats_body());
-                push_done(conn, &o);
+                core.log_event(Level::Info, "serve_shutdown", &[]);
+                push_done(
+                    conn,
+                    &message("shutdown_ack", vec![("stats", core.stats())]),
+                );
                 conn.closing.get_or_insert("shutdown");
-                initiate_shutdown(&shared);
+                core.shutdown();
+            }
+            Ok(Request::Join { node }) => {
+                conn.worker = true;
+                push_done(conn, &core.join(&node));
+                self.next_reap
+                    .get_or_insert_with(|| Instant::now() + reap_tick(&core));
+            }
+            Ok(Request::Claim { worker, wait_ms }) => {
+                conn.worker = true;
+                match core.claim(&worker) {
+                    Some(resp) => push_done(conn, &resp),
+                    None if wait_ms == 0 => push_done(conn, &no_job()),
+                    None => {
+                        let claim = self.next_token();
+                        conn.pending.push_back(Slot::One(Part::Claim(claim)));
+                        self.claims.push_back(ParkedClaim {
+                            conn: token,
+                            token: claim,
+                            worker,
+                            deadline: Instant::now() + Duration::from_millis(wait_ms),
+                        });
+                    }
+                }
+            }
+            Ok(Request::Complete {
+                worker,
+                job,
+                cacheable,
+                core: result,
+            }) => {
+                conn.worker = true;
+                push_done(conn, &core.complete(&worker, &job, cacheable, result));
+            }
+            Ok(Request::Heartbeat { worker }) => {
+                conn.worker = true;
+                core.touch(&worker);
+                push_done(conn, &heartbeat_ack());
             }
         }
+    }
+
+    fn next_token(&mut self) -> u64 {
+        let token = self.next_token;
+        self.next_token += 1;
+        token
     }
 
     /// Submits one vet item from a connection: shed under write
     /// backpressure, answer immediately when possible, otherwise park a
     /// [`VetWait`] the completion (or deadline) will fill.
     fn vet_part(&mut self, conn_token: u64, conn: &mut Conn, item: VetItem) -> Part {
-        let shared = Arc::clone(&self.shared);
+        let core = Arc::clone(&self.core);
         let owed = conn.wbuf.queued() + conn.pending_bytes;
-        if owed >= shared.outbuf_cap {
+        if owed >= core.cfg.outbuf_cap {
             // Soft cap: the client owes us reads before it may submit
             // more work. Typed response, one log line per episode.
-            Stats::incr(&shared.stats.conn_backpressure_sheds);
+            core.count("serve_conn_backpressure_sheds", 1);
             if !conn.backpressured {
                 conn.backpressured = true;
-                shared.log_event(
+                core.log_event(
                     Level::Warn,
                     "write_backpressure",
                     &[
                         ("conn", Json::from(conn.cid.as_str())),
                         ("queued_bytes", Json::from(owed as f64)),
-                        ("capacity_bytes", Json::from(shared.outbuf_cap as f64)),
+                        ("capacity_bytes", Json::from(core.cfg.outbuf_cap as f64)),
                     ],
                 );
             }
-            let resp = backpressure_response(item.name.as_deref(), owed, shared.outbuf_cap);
+            let resp = backpressure_response(item.name.as_deref(), owed, core.cfg.outbuf_cap);
             let s = resp.to_string_compact();
             conn.pending_bytes += s.len() + 1;
             return Part::Done(s);
         }
-        let job_token = self.next_job_token;
-        self.next_job_token += 1;
-        let completions = Arc::clone(&self.completions);
-        let submitted = {
-            let mut make = || Completion::Posted {
-                token: job_token,
-                queue: Arc::clone(&completions),
-            };
-            submit_vet_with(&shared, item, &mut make)
-        };
-        match submitted {
-            Submitted::Ready(resp) => {
+        let token = self.next_token();
+        match core.submit(item, token) {
+            Admission::Ready(resp) => {
                 let s = resp.to_string_compact();
                 conn.pending_bytes += s.len() + 1;
                 Part::Done(s)
             }
-            Submitted::Enqueued { id, name, t0 } => {
-                self.jobs.insert(job_token, conn_token);
+            Admission::Waiting { id, name, t0 } => {
+                self.jobs.insert(token, conn_token);
                 Part::Wait(VetWait {
-                    token: job_token,
+                    token,
                     id,
                     name,
                     t0,
-                    deadline: shared.request_deadline.map(|d| t0 + d),
                 })
             }
         }
     }
 
-    /// Routes drained completions to their waiting connection slots (or
-    /// to the terminal-log-only `late` path) and flushes touched conns.
+    /// Routes drained deliveries to their waiting connection slots and
+    /// flushes touched conns. A delivery nobody waits for any more (the
+    /// connection closed, or a deadline answered first) is dropped: the
+    /// core already logged its `job_done`.
     fn apply_completions(&mut self) {
-        let batch = self.completions.drain();
-        if batch.is_empty() {
-            return;
-        }
-        let shared = Arc::clone(&self.shared);
+        let batch = self.core.completions.drain();
         let mut touched: Vec<u64> = Vec::new();
-        for (token, core) in batch {
-            if let Some((id, t0)) = self.late.remove(&token) {
-                // Connection gone or deadline already answered: the
-                // response bytes have nowhere to go, but the lifecycle
-                // still terminates for replay.
-                let _ = finish_vet(&shared, &id, None, t0, &core);
-                continue;
-            }
+        for (token, delivery) in batch {
             let Some(conn_token) = self.jobs.remove(&token) else {
                 continue;
             };
             let Some(conn) = self.conns.get_mut(&conn_token) else {
                 continue;
             };
-            'fill: for slot in conn.pending.iter_mut() {
-                for part in slot.parts_mut() {
-                    if let Part::Wait(w) = part {
-                        if w.token == token {
-                            let resp =
-                                finish_vet(&shared, &w.id, w.name.as_deref(), w.t0, &core);
-                            let s = resp.to_string_compact();
-                            conn.pending_bytes += s.len() + 1;
-                            *part = Part::Done(s);
-                            break 'fill;
-                        }
-                    }
+            let Some(Part::Wait(w)) = find_part(&mut conn.pending, token) else {
+                continue;
+            };
+            let resp = match &delivery {
+                Delivery::Done(result) => {
+                    let micros = w.t0.elapsed().as_micros();
+                    vet_response(result, w.name.as_deref(), Some(&w.id), false, micros)
                 }
-            }
+                Delivery::Shed => error_response("daemon is shutting down"),
+            };
+            conn.fill(token, &resp);
             if !touched.contains(&conn_token) {
                 touched.push(conn_token);
             }
         }
-        for t in touched {
-            if let Some(c) = self.conns.remove(&t) {
-                self.settle(t, c);
-            }
-        }
+        self.settle_all(touched);
     }
 
-    /// Fires request deadlines, closes idle connections, and force-closes
-    /// everything once the drain grace period lapses.
+    /// Hands pending jobs to parked claims, oldest claim first.
+    fn dispatch_claims(&mut self) {
+        let mut touched: Vec<u64> = Vec::new();
+        while let Some(front) = self.claims.front() {
+            let Some(resp) = self.core.claim(&front.worker) else {
+                break; // nothing pending
+            };
+            let claim = self.claims.pop_front().expect("checked front");
+            if let Some(conn) = self.conns.get_mut(&claim.conn) {
+                conn.fill(claim.token, &resp);
+                touched.push(claim.conn);
+            }
+        }
+        self.settle_all(touched);
+    }
+
+    /// Fires request deadlines, lapses parked claims, ticks the reaper,
+    /// closes idle connections, and force-closes everything once the
+    /// drain grace period lapses.
     fn apply_timers(&mut self) {
         let now = Instant::now();
-        let shared = Arc::clone(&self.shared);
-        if shared.request_deadline.is_some() && !self.jobs.is_empty() {
-            let deadline_ms =
-                shared.request_deadline.map_or(0.0, |d| d.as_millis() as f64);
+        let core = Arc::clone(&self.core);
+        if let Some(deadline) = core.cfg.request_deadline.filter(|_| !self.jobs.is_empty()) {
+            let deadline_ms = Json::from(deadline.as_millis() as f64);
             let mut touched: Vec<u64> = Vec::new();
             for (&token, conn) in self.conns.iter_mut() {
-                let mut fired = false;
-                for slot in conn.pending.iter_mut() {
-                    for part in slot.parts_mut() {
-                        let Part::Wait(w) = part else { continue };
-                        if !w.deadline.is_some_and(|d| now >= d) {
-                            continue;
-                        }
-                        // The client gets a typed timeout *now*; the
-                        // worker keeps running and its completion takes
-                        // the `late` path (terminal log, result cached).
-                        Stats::incr(&shared.stats.deadline_misses);
-                        shared.log_event(
-                            Level::Warn,
-                            "job_deadline",
-                            &[
-                                ("job", Json::from(w.id.as_str())),
-                                ("deadline_ms", Json::from(deadline_ms)),
-                            ],
-                        );
-                        let mut core = Json::obj();
-                        core.set("verdict", Json::from("timeout"));
-                        core.set("reason", Json::from("deadline"));
-                        core.set("deadline_ms", Json::from(deadline_ms));
-                        let resp = vet_response(
-                            &core,
-                            w.name.as_deref(),
-                            Some(&w.id),
-                            false,
-                            w.t0.elapsed().as_micros(),
-                        );
-                        self.jobs.remove(&w.token);
-                        self.late.insert(w.token, (w.id.clone(), w.t0));
-                        let s = resp.to_string_compact();
-                        conn.pending_bytes += s.len() + 1;
-                        *part = Part::Done(s);
-                        fired = true;
+                for part in conn
+                    .pending
+                    .iter_mut()
+                    .flat_map(|s| s.parts_mut().iter_mut())
+                {
+                    let Part::Wait(w) = part else { continue };
+                    if now < w.t0 + deadline {
+                        continue;
                     }
-                }
-                if fired {
+                    // The client gets a typed timeout *now*; the worker
+                    // keeps running, and its result is still cached.
+                    core.count("serve_deadline_misses", 1);
+                    core.log_event(
+                        Level::Warn,
+                        "job_deadline",
+                        &[
+                            ("job", Json::from(w.id.as_str())),
+                            ("deadline_ms", deadline_ms.clone()),
+                        ],
+                    );
+                    let mut timeout = Json::obj();
+                    timeout.set("verdict", Json::from("timeout"));
+                    timeout.set("reason", Json::from("deadline"));
+                    timeout.set("deadline_ms", deadline_ms.clone());
+                    let micros = w.t0.elapsed().as_micros();
+                    let resp =
+                        vet_response(&timeout, w.name.as_deref(), Some(&w.id), false, micros);
+                    self.jobs.remove(&w.token);
+                    let s = resp.to_string_compact();
+                    conn.pending_bytes += s.len() + 1;
+                    *part = Part::Done(s);
                     touched.push(token);
                 }
             }
-            for t in touched {
-                if let Some(c) = self.conns.remove(&t) {
-                    self.settle(t, c);
+            touched.dedup();
+            self.settle_all(touched);
+        }
+        if self.claims.iter().any(|c| now >= c.deadline) {
+            let (lapsed, parked): (Vec<ParkedClaim>, Vec<ParkedClaim>) =
+                self.claims.drain(..).partition(|c| now >= c.deadline);
+            self.claims = parked.into();
+            let mut touched: Vec<u64> = Vec::new();
+            for claim in lapsed {
+                if let Some(conn) = self.conns.get_mut(&claim.conn) {
+                    conn.fill(claim.token, &no_job());
+                    touched.push(claim.conn);
                 }
             }
+            self.settle_all(touched);
         }
-        if let Some(idle) = shared.idle_timeout {
+        if self.next_reap.is_some_and(|t| now >= t) {
+            // A parked claim is a live worker waiting on us.
+            for claim in &self.claims {
+                core.touch(&claim.worker);
+            }
+            core.reap();
+            self.next_reap = core.has_remote_workers().then(|| now + reap_tick(&core));
+        }
+        if let Some(idle) = core.cfg.idle_timeout {
             let stale: Vec<u64> = self
                 .conns
                 .iter()
                 .filter(|(_, c)| {
-                    c.pending.is_empty()
+                    !c.stdio
+                        && c.pending.is_empty()
                         && c.wbuf.is_empty()
                         && now.duration_since(c.last_activity) >= idle
                 })
@@ -1524,7 +974,7 @@ impl EventLoop {
                 .collect();
             for t in stale {
                 if let Some(c) = self.conns.remove(&t) {
-                    self.close_conn(c, "idle");
+                    self.close_conn(t, c, "idle");
                 }
             }
         }
@@ -1532,14 +982,16 @@ impl EventLoop {
             let all: Vec<u64> = self.conns.keys().copied().collect();
             for t in all {
                 if let Some(c) = self.conns.remove(&t) {
-                    self.close_conn(c, "drain_timeout");
+                    self.close_conn(t, c, "drain_timeout");
                 }
             }
         }
     }
 
-    /// Starts the draining shutdown exactly once: every connection stops
-    /// reading and closes as soon as its owed output flushes.
+    /// Starts the draining shutdown exactly once: every client
+    /// connection stops reading and closes as soon as its owed output
+    /// flushes. Worker connections keep reading until their worker hangs
+    /// up after its next claim is answered `fleet_shutdown`.
     fn begin_drain(&mut self) {
         if self.drain_deadline.is_some() {
             return;
@@ -1548,7 +1000,17 @@ impl EventLoop {
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for t in tokens {
             if let Some(mut c) = self.conns.remove(&t) {
-                c.closing.get_or_insert("shutdown");
+                if !c.worker {
+                    c.closing.get_or_insert("shutdown");
+                }
+                self.settle(t, c);
+            }
+        }
+    }
+
+    fn settle_all(&mut self, tokens: Vec<u64>) {
+        for t in tokens {
+            if let Some(c) = self.conns.remove(&t) {
                 self.settle(t, c);
             }
         }
@@ -1565,10 +1027,10 @@ impl EventLoop {
                     conn.wbuf.push(s.as_bytes());
                     conn.wbuf.push(b"\n");
                 }
-                Slot::One(Part::Wait(_)) => unreachable!("ready() said all parts are Done"),
+                Slot::One(_) => unreachable!("ready() said all parts are Done"),
                 Slot::Batch(parts) => {
-                    // Byte-identical to the blocking server's
-                    // `vet_batch_result` object (minijson compact form).
+                    // The minijson compact form of a `vet_batch_result`
+                    // object, assembled without re-parsing the parts.
                     let mut line = String::from("{\"kind\":\"vet_batch_result\",\"results\":[");
                     for (i, part) in parts.iter().enumerate() {
                         let Part::Done(s) = part else {
@@ -1596,7 +1058,7 @@ impl EventLoop {
             }
         }
         if conn.backpressured
-            && conn.wbuf.queued() + conn.pending_bytes <= self.shared.outbuf_cap / 2
+            && conn.wbuf.queued() + conn.pending_bytes <= self.core.cfg.outbuf_cap / 2
         {
             conn.backpressured = false;
         }
@@ -1609,13 +1071,13 @@ impl EventLoop {
             self.flush_ready(&mut conn);
         }
         if let Some(reason) = conn.kill {
-            self.close_conn(conn, reason);
+            self.close_conn(token, conn, reason);
             return;
         }
         let drained = conn.pending.is_empty() && conn.wbuf.is_empty();
         if drained && (conn.closing.is_some() || conn.peer_eof) {
             let reason = conn.closing.unwrap_or("eof");
-            self.close_conn(conn, reason);
+            self.close_conn(token, conn, reason);
             return;
         }
         let want = Interest {
@@ -1628,7 +1090,7 @@ impl EventLoop {
                 .reregister(conn.stream.as_raw_fd(), token, want)
                 .is_err()
             {
-                self.close_conn(conn, "io_error");
+                self.close_conn(token, conn, "io_error");
                 return;
             }
             conn.interest = want;
@@ -1636,21 +1098,23 @@ impl EventLoop {
         self.conns.insert(token, conn);
     }
 
-    fn close_conn(&mut self, conn: Conn, reason: &'static str) {
+    fn close_conn(&mut self, token: u64, conn: Conn, reason: &'static str) {
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        // Orphan the in-flight jobs: their completions still terminate
-        // the log lifecycle through the `late` path.
-        for slot in &conn.pending {
-            for part in slot.parts() {
-                if let Part::Wait(w) = part {
-                    self.jobs.remove(&w.token);
-                    self.late.insert(w.token, (w.id.clone(), w.t0));
-                }
+        // Orphan the in-flight jobs (the core still ends their logged
+        // lifecycles) and drop a parked claim.
+        for part in conn.pending.iter().flat_map(Slot::parts) {
+            if let Part::Wait(w) = part {
+                self.jobs.remove(&w.token);
             }
         }
-        Stats::incr(&self.shared.stats.conn_closed);
-        self.shared.stats.conns_open.fetch_sub(1, Ordering::Relaxed);
-        self.shared.log_event(
+        self.claims.retain(|c| c.conn != token);
+        self.core.count("serve_conn_closed", 1);
+        self.core
+            .engine
+            .metrics
+            .counter("serve_conns_open")
+            .fetch_sub(1, Ordering::Relaxed);
+        self.core.log_event(
             Level::Debug,
             "conn_closed",
             &[
@@ -1671,8 +1135,9 @@ impl EventLoop {
 /// A running TCP daemon. Dropping the handle does *not* stop it; send a
 /// `shutdown` request (or call [`Server::stop`]) and then [`Server::join`].
 pub struct Server {
-    shared: Arc<Shared>,
-    addr: SocketAddr,
+    core: Arc<JobCore>,
+    /// `None` for a stdio daemon (never handed out by the builder).
+    addr: Option<SocketAddr>,
     event_loop: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
     history: Option<JoinHandle<()>>,
@@ -1697,19 +1162,19 @@ impl Server {
 
     /// The bound address (resolves `:0` to the real ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.addr.expect("TCP daemons have an address")
     }
 
     /// A `stats`-shaped snapshot for in-process harnesses (the bench
     /// tool), without a round-trip through the protocol.
     pub fn stats(&self) -> Json {
-        with_kind("stats", self.shared.stats_body())
+        self.core.stats()
     }
 
     /// Initiates shutdown from the owning process (equivalent to a
     /// `shutdown` protocol request, minus the ack).
     pub fn stop(&self) {
-        initiate_shutdown(&self.shared);
+        self.core.shutdown();
     }
 
     /// Waits for the event loop and workers to finish. Call after a
@@ -1723,25 +1188,29 @@ impl Server {
         if let Some(h) = self.history {
             let _ = h.join();
         }
-        if let Some(log) = &self.shared.log {
+        if let Some(log) = &self.core.engine.log {
             log.flush();
         }
-        self.shared.maybe_dump_metrics();
+        // The operator's shutdown dump: the whole registry as one line.
+        if self.core.cfg.dump_metrics_on_shutdown {
+            let snap = metrics_json(&self.core.snapshot());
+            eprintln!("sigserve metrics: {}", snap.to_string_compact());
+        }
     }
 
-    /// A snapshot of the daemon's metrics registry for in-process
-    /// harnesses (the bench tool), without a protocol round-trip.
-    pub fn metrics_snapshot(&self) -> crate::MetricsSnapshot {
-        self.shared.metrics.snapshot()
+    /// The daemon's metrics — the registry plus the job core's gauges —
+    /// for in-process harnesses, without a protocol round-trip.
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        self.core.snapshot()
     }
 }
 
-/// Builds a daemon: pick a front end ([`ServerBuilder::addr`] or
-/// [`ServerBuilder::stdio`]), inject the engine
-/// ([`ServerBuilder::analyze`] / [`ServerBuilder::analyze_traced`]),
-/// optionally attach observability ([`ServerBuilder::log`],
-/// [`ServerBuilder::metrics`]), then [`ServerBuilder::start`] (TCP) or
-/// [`ServerBuilder::run`] (either front end, blocking).
+/// Builds a daemon: set its [`ServeConfig`], pick a front end
+/// ([`ServerBuilder::addr`] or [`ServerBuilder::stdio`]), inject the
+/// engine ([`ServerBuilder::analyze`] / [`ServerBuilder::analyze_traced`]),
+/// then [`ServerBuilder::start`] (TCP) or [`ServerBuilder::run`] (either
+/// front end, blocking). A daemon with
+/// zero local workers needs no engine: its remote workers bring theirs.
 pub struct ServerBuilder {
     cfg: ServeConfig,
     addr: Option<String>,
@@ -1750,9 +1219,7 @@ pub struct ServerBuilder {
 }
 
 impl ServerBuilder {
-    /// Replaces the whole configuration, including any `log` /
-    /// `metrics_dir` it carries — call this *before* the individual
-    /// setters so they aren't clobbered.
+    /// Sets the whole configuration (default [`ServeConfig::default`]).
     pub fn config(mut self, cfg: ServeConfig) -> ServerBuilder {
         self.cfg = cfg;
         self
@@ -1784,8 +1251,8 @@ impl ServerBuilder {
 
     /// The analysis engine, trace-aware form: also receives a
     /// [`sigtrace::Trace`] carrying the owning job's request ID into the
-    /// pipeline (a [`LogTracer`] when the event log is at debug level,
-    /// [`Trace::Off`] otherwise).
+    /// pipeline (a [`sigobs::LogTracer`] when the event log is at debug
+    /// level, [`Trace::Off`] otherwise).
     ///
     /// [`Trace::Off`]: sigtrace::Trace::Off
     pub fn analyze_traced<F>(mut self, analyze: F) -> ServerBuilder
@@ -1799,27 +1266,21 @@ impl ServerBuilder {
         self
     }
 
-    /// Attaches the structured event log (shorthand for setting
-    /// [`ServeConfig::log`]).
-    pub fn log(mut self, log: Arc<EventLog>) -> ServerBuilder {
-        self.cfg.log = Some(log);
-        self
-    }
-
-    /// Enables the on-disk metrics history in `dir` (shorthand for
-    /// setting [`ServeConfig::metrics_dir`]).
-    pub fn metrics(mut self, dir: impl Into<PathBuf>) -> ServerBuilder {
-        self.cfg.metrics_dir = Some(dir.into());
-        self
+    fn engine(&mut self) -> io::Result<Box<AnalyzeJobFn>> {
+        match self.analyze.take() {
+            Some(analyze) => Ok(analyze),
+            None if self.cfg.workers == 0 => Ok(Box::new(|_, _, _, _| {
+                VetOutcome::error("this daemon has no local engine")
+            })),
+            None => Err(invalid_input("ServerBuilder needs an analyze engine")),
+        }
     }
 
     /// Starts a TCP daemon and returns its handle immediately. Errors
     /// with `InvalidInput` when no address was configured (the stdio
     /// front end has no handle — use [`ServerBuilder::run`]).
-    pub fn start(self) -> io::Result<Server> {
-        let analyze = self
-            .analyze
-            .ok_or_else(|| invalid_input("ServerBuilder needs an analyze engine"))?;
+    pub fn start(mut self) -> io::Result<Server> {
+        let analyze = self.engine()?;
         if self.stdio {
             return Err(invalid_input(
                 "stdio servers have no handle; use ServerBuilder::run",
@@ -1828,22 +1289,33 @@ impl ServerBuilder {
         let Some(addr) = self.addr else {
             return Err(invalid_input("ServerBuilder needs addr(..) or stdio()"));
         };
-        start_tcp(&addr, self.cfg, analyze)
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
+        start_daemon(self.cfg, analyze, Some(listener), None)
     }
 
-    /// Runs the daemon to completion on the calling thread: the stdio
-    /// protocol loop, or a TCP daemon joined until a `shutdown` request
-    /// lands.
-    pub fn run(self) -> io::Result<()> {
-        if self.stdio {
-            let analyze = self
-                .analyze
-                .ok_or_else(|| invalid_input("ServerBuilder needs an analyze engine"))?;
-            return run_stdio(self.cfg, analyze);
+    /// Runs the daemon to completion on the calling thread: a TCP daemon
+    /// joined until a `shutdown` request lands, or the stdio front end
+    /// until a `shutdown` request or EOF on stdin.
+    pub fn run(mut self) -> io::Result<()> {
+        if !self.stdio {
+            self.start()?.join();
+            return Ok(());
         }
-        let server = self.start()?;
+        if self.cfg.workers == 0 {
+            // Remote workers join over TCP; a stdio daemon has no port.
+            return Err(invalid_input(
+                "a stdio daemon needs at least one local worker",
+            ));
+        }
+        let analyze = self.engine()?;
+        let (server_end, pump_end) = UnixStream::pair()?;
+        server_end.set_nonblocking(true)?;
+        let server = start_daemon(self.cfg, analyze, None, Some(server_end))?;
+        let result = pump(pump_end, io::stdin().lock(), io::stdout().lock());
+        server.stop();
         server.join();
-        Ok(())
+        result
     }
 }
 
@@ -1851,75 +1323,110 @@ fn invalid_input(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, msg)
 }
 
-fn start_tcp(addr: &str, cfg: ServeConfig, analyze: Box<AnalyzeJobFn>) -> io::Result<Server> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let local = listener.local_addr()?;
+/// Drives the stdio connection: one request line from `input` at a
+/// time, then its response line to `output`, so every request sees the
+/// effects of the ones before it (a `stats` after a `vet` counts that
+/// vet; a second identical `vet` hits the cache). Reads `input` with
+/// blocking reads, so it may be a pipe, a terminal or a regular file.
+/// Blank lines are skipped; the pump stops after the `shutdown` ack, at
+/// EOF, or when the daemon closes the connection.
+fn pump(conn: UnixStream, input: impl BufRead, mut output: impl Write) -> io::Result<()> {
+    let mut responses = BufReader::new(conn.try_clone()?);
+    let mut conn = conn;
+    for line in input.lines() {
+        let mut line = line?;
+        if line.trim().is_empty() {
+            continue;
+        }
+        line.push('\n');
+        conn.write_all(line.as_bytes())?;
+        let mut resp = String::new();
+        if responses.read_line(&mut resp)? == 0 {
+            break;
+        }
+        output.write_all(resp.as_bytes())?;
+        output.flush()?;
+        // `kind` is always the first key of a response object.
+        if resp.starts_with("{\"kind\":\"shutdown_ack\"") {
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// The `serve_started` log record, so a log file identifies the daemon
+/// configuration it narrates.
+fn log_started(core: &JobCore) {
+    let cfg = &core.cfg;
+    core.log_event(
+        Level::Info,
+        "serve_started",
+        &[
+            ("workers", Json::from(cfg.workers as f64)),
+            ("queue_cap", Json::from(cfg.queue_cap as f64)),
+            ("cache_cap", Json::from(cfg.cache_cap as f64)),
+            ("heartbeat_ms", Json::from(cfg.heartbeat.as_millis() as f64)),
+            ("reap_ms", Json::from(cfg.reap_after.as_millis() as f64)),
+        ],
+    );
+}
+
+fn start_daemon(
+    cfg: ServeConfig,
+    analyze: Box<AnalyzeJobFn>,
+    listener: Option<TcpListener>,
+    stdio: Option<UnixStream>,
+) -> io::Result<Server> {
+    let addr = listener.as_ref().map(TcpListener::local_addr).transpose()?;
     let (waker, wake_rx) = poller::wake_pair()?;
-    let completions = Arc::new(CompletionQueue::new(waker));
     let poller = Poller::with_backend(cfg.poller_backend)?;
-    let shared = Arc::new(Shared::new(cfg, analyze, Some(Arc::clone(&completions))));
-    log_started(&shared);
-    let workers = spawn_workers(&shared);
-    let history = spawn_history(&shared);
+    let core = Arc::new(JobCore::new(cfg, analyze, CompletionQueue::new(waker)));
+    log_started(&core);
+    let workers = (0..core.cfg.workers)
+        .map(|i| {
+            let core = Arc::clone(&core);
+            spawn_pipeline_thread(format!("sigserve-worker-{i}"), move || {
+                run_local_worker(&core)
+            })
+        })
+        .collect();
+    let history = spawn_history(&core);
     let event_loop = {
-        let shared = Arc::clone(&shared);
+        let core = Arc::clone(&core);
         std::thread::Builder::new()
             .name("sigserve-loop".to_owned())
             .spawn(move || {
-                let mut el = EventLoop::new(
-                    Arc::clone(&shared),
-                    poller,
-                    listener,
-                    wake_rx,
-                    completions,
-                );
+                let mut el = EventLoop::new(Arc::clone(&core), poller, listener, wake_rx);
+                if let Some(stream) = stdio {
+                    el.add_conn(Box::new(stream), "stdio", true);
+                }
                 if let Err(e) = el.run() {
                     // A dead event loop must not leave workers parked
                     // forever: log and tear the daemon down.
-                    shared.log_event(
+                    core.log_event(
                         Level::Error,
                         "event_loop_error",
                         &[("error", Json::from(format!("{e}")))],
                     );
-                    initiate_shutdown(&shared);
+                    core.shutdown();
                 }
             })
             .expect("spawn event loop thread")
     };
     Ok(Server {
-        shared,
-        addr: local,
+        core,
+        addr,
         event_loop,
         workers,
         history,
     })
 }
 
-fn run_stdio(cfg: ServeConfig, analyze: Box<AnalyzeJobFn>) -> io::Result<()> {
-    let shared = Arc::new(Shared::new(cfg, analyze, None));
-    log_started(&shared);
-    let workers = spawn_workers(&shared);
-    let history = spawn_history(&shared);
-    let result = serve_lines(&shared, io::stdin().lock(), io::stdout().lock());
-    initiate_shutdown(&shared);
-    for w in workers {
-        let _ = w.join();
-    }
-    if let Some(h) = history {
-        let _ = h.join();
-    }
-    if let Some(log) = &shared.log {
-        log.flush();
-    }
-    shared.maybe_dump_metrics();
-    result.map(|_| ())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::BufReader;
+    use std::net::TcpStream;
     use std::time::Duration;
 
     /// A fast stub engine: "ok" for anything, "timeout" for sources
@@ -1951,123 +1458,18 @@ mod tests {
             .expect("start")
     }
 
-    fn shared_with(cfg: ServeConfig) -> Shared {
-        Shared::new(
-            cfg,
-            Box::new(
-                |s: &str, c: &AnalysisConfig, m: &MetricsRegistry, _t: Trace<'_>| stub(s, c, m),
-            ),
-            None,
-        )
+    #[test]
+    fn end_to_end_over_tcp_with_stub_engine_on_every_backend() {
+        #[cfg(target_os = "linux")]
+        end_to_end(Backend::Epoll);
+        end_to_end(Backend::Poll);
     }
 
-    #[test]
-    fn respond_vet_computes_then_caches() {
-        let shared = shared_with(ServeConfig::default());
-        {
-            // No worker pool in this unit test: drive the queue inline.
-            let item = VetItem {
-                name: Some("a".to_owned()),
-                source: Source::Inline("var x = 1;".to_owned()),
-            };
-            let pending = submit_vet(&shared, item);
-            let job = shared.queue.pop().expect("job queued");
-            let core = compute(&shared, job.key, &job.source, &job.id);
-            job.resp.deliver(core);
-            let resp = await_vet(&shared, pending);
-            assert_eq!(resp["verdict"], "ok");
-            assert_eq!(resp["cached"], Json::Bool(false));
-            assert_eq!(resp["signature"]["len"].as_f64(), Some(10.0));
-        }
-        // Second submission of identical content: answered from cache
-        // without touching the queue.
-        let item = VetItem {
-            name: None,
-            source: Source::Inline("var x = 1;".to_owned()),
-        };
-        match submit_vet(&shared, item) {
-            PendingVet::Ready(resp) => {
-                assert_eq!(resp["cached"], Json::Bool(true));
-                assert_eq!(resp["verdict"], "ok");
-            }
-            PendingVet::Waiting { .. } => panic!("expected a cache hit"),
-        }
-        assert!(shared.queue.is_empty());
-    }
-
-    #[test]
-    fn overload_sheds_with_typed_response() {
-        let cfg = ServeConfig {
-            queue_cap: 1,
+    fn end_to_end(poller_backend: Backend) {
+        let server = stub_server(ServeConfig {
+            poller_backend,
             ..ServeConfig::default()
-        };
-        let shared = shared_with(cfg);
-        let first = submit_vet(
-            &shared,
-            VetItem {
-                name: None,
-                source: Source::Inline("one".to_owned()),
-            },
-        );
-        assert!(matches!(first, PendingVet::Waiting { .. }));
-        let second = submit_vet(
-            &shared,
-            VetItem {
-                name: Some("b".to_owned()),
-                source: Source::Inline("two".to_owned()),
-            },
-        );
-        match second {
-            PendingVet::Ready(resp) => {
-                assert_eq!(resp["kind"], "overloaded");
-                assert_eq!(resp["capacity"].as_f64(), Some(1.0));
-            }
-            PendingVet::Waiting { .. } => panic!("expected overload"),
-        }
-        assert_eq!(
-            shared.stats.jobs_rejected.load(Ordering::Relaxed),
-            1,
-            "rejection must be counted"
-        );
-    }
-
-    #[test]
-    fn timeout_and_error_cores() {
-        let shared = shared_with(ServeConfig::default());
-        let t = compute(&shared, 1, "@timeout", "j-t");
-        assert_eq!(t["verdict"], "timeout");
-        assert_eq!(t["steps"].as_f64(), Some(999.0));
-        let e = compute(&shared, 2, "oops!", "j-e");
-        assert_eq!(e["verdict"], "error");
-        assert_eq!(shared.stats.budget_aborts.load(Ordering::Relaxed), 1);
-        assert_eq!(shared.stats.analysis_errors.load(Ordering::Relaxed), 1);
-        // Deadline-ish timeouts (no step budget configured) are not
-        // cached; errors are.
-        assert!(shared.lock_cache().peek(1).is_none());
-        assert!(shared.lock_cache().peek(2).is_some());
-    }
-
-    #[test]
-    fn step_budget_timeouts_are_cached() {
-        let mut cfg = ServeConfig::default();
-        cfg.analysis.step_budget = Some(10);
-        let shared = Shared::new(
-            cfg,
-            Box::new(
-                |_: &str, _: &AnalysisConfig, _: &MetricsRegistry, _: Trace<'_>| {
-                    VetOutcome::timeout(11, Duration::from_micros(5))
-                },
-            ),
-            None,
-        );
-        let t = compute(&shared, 9, "whatever", "j-b");
-        assert_eq!(t["verdict"], "timeout");
-        assert!(shared.lock_cache().peek(9).is_some());
-    }
-
-    #[test]
-    fn end_to_end_over_tcp_with_stub_engine() {
-        let server = stub_server(ServeConfig::default());
+        });
         let mut client = crate::Client::connect(server.local_addr()).expect("connect");
         let r1 = client.vet_source(Some("a"), "var a;").unwrap();
         assert_eq!(r1["verdict"], "ok");
@@ -2096,38 +1498,11 @@ mod tests {
     }
 
     #[test]
-    fn poll_backend_serves_end_to_end() {
-        let cfg = ServeConfig {
-            poller_backend: Backend::Poll,
-            ..ServeConfig::default()
-        };
-        let server = stub_server(cfg);
-        let mut client = crate::Client::connect(server.local_addr()).expect("connect");
-        let r = client.vet_source(Some("p"), "var p;").unwrap();
-        assert_eq!(r["verdict"], "ok");
-        let ack = client.shutdown().unwrap();
-        assert_eq!(ack["kind"], "shutdown_ack");
-        server.join();
-    }
-
-    #[test]
     fn batch_pipelines_and_preserves_order() {
         let server = stub_server(ServeConfig::default());
         let mut client = crate::Client::connect(server.local_addr()).expect("connect");
-        let mut req = Json::obj();
-        req.set("kind", Json::from("vet_batch"));
-        req.set(
-            "items",
-            Json::Arr(
-                (0..6)
-                    .map(|i| {
-                        let mut o = Json::obj();
-                        o.set("name", Json::from(format!("n{i}")));
-                        o.set("source", Json::from(format!("var v{i};")));
-                        o
-                    })
-                    .collect(),
-            ),
+        let req = crate::protocol::vet_batch_request(
+            (0..6).map(|i| (format!("n{i}"), format!("var v{i};"))),
         );
         let resp = client.request(&req).unwrap();
         assert_eq!(resp["kind"], "vet_batch_result");
@@ -2227,9 +1602,8 @@ mod tests {
     #[test]
     fn panicking_worker_does_not_kill_the_daemon() {
         // Regression: a panicking AnalyzeJobFn used to poison the cache
-        // mutex (compute holds it around insert) and crash the worker;
-        // every later request then panicked on the poisoned lock —
-        // one bad addon took the whole daemon down.
+        // mutex and crash the worker; every later request then panicked
+        // on the poisoned lock — one bad addon took the daemon down.
         fn panicky(source: &str, c: &AnalysisConfig, m: &MetricsRegistry) -> VetOutcome {
             if source.contains("@panic") {
                 panic!("injected analysis panic");
@@ -2288,5 +1662,52 @@ mod tests {
         assert!(Server::builder().addr("127.0.0.1:0").start().is_err());
         assert!(Server::builder().analyze(stub).start().is_err());
         assert!(Server::builder().stdio().analyze(stub).start().is_err());
+        let no_workers = ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        };
+        assert!(
+            Server::builder()
+                .config(no_workers)
+                .stdio()
+                .analyze(stub)
+                .run()
+                .is_err(),
+            "nothing could run a stdio daemon's jobs"
+        );
+    }
+
+    #[test]
+    fn pump_answers_one_request_at_a_time_and_stops_after_the_ack() {
+        let (server_end, pump_end) = UnixStream::pair().unwrap();
+        // The pump's peer here is a fake daemon: a thread that answers
+        // each line with its echo, and acks `shutdown`.
+        let fake = std::thread::spawn(move || {
+            let mut w = server_end.try_clone().unwrap();
+            let mut seen = Vec::new();
+            for line in BufReader::new(server_end).lines() {
+                let line = line.unwrap();
+                seen.push(line.clone());
+                let resp = if line.contains("shutdown") {
+                    "{\"kind\":\"shutdown_ack\"}\n".to_owned()
+                } else {
+                    format!("{{\"kind\":\"echo\",\"n\":{}}}\n", seen.len())
+                };
+                w.write_all(resp.as_bytes()).unwrap();
+            }
+            seen
+        });
+        let input = "{\"a\":1}\n\n   \n{\"b\":2}\n{\"kind\":\"shutdown\"}\n{\"after\":1}\n";
+        let mut out = Vec::new();
+        pump(pump_end, input.as_bytes(), &mut out).unwrap();
+        let seen = fake.join().unwrap();
+        assert_eq!(
+            seen.len(),
+            3,
+            "blank lines skipped, nothing after the ack: {seen:?}"
+        );
+        let out = String::from_utf8(out).unwrap();
+        assert_eq!(out.lines().count(), 3);
+        assert!(out.ends_with("{\"kind\":\"shutdown_ack\"}\n"));
     }
 }

@@ -1,17 +1,10 @@
-//! Daemon-wide observability counters.
-//!
-//! Everything is a monotone `AtomicU64` so workers and connection
-//! handlers update without contending on a lock; the `stats` protocol
-//! request (and the `shutdown` ack) serializes a consistent-enough
-//! snapshot. These counters are the observability seed the service grows
-//! around: every later subsystem (sharding, replication, admission
-//! control) reports through the same endpoint.
+//! The `stats` response and the metrics encodings, rendered from the
+//! daemon's metrics registry — the one place its counters live — plus
+//! the job core's gauges.
 
-use crate::cache::CacheCounters;
+use crate::jobs::CoreView;
 use minijson::Json;
 use sigtrace::{HistogramSnapshot, MetricsSnapshot};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Serializes a metrics-registry snapshot for the `stats` response (and
 /// the shutdown dump): counters as a flat name→value object, histograms
@@ -53,116 +46,100 @@ fn histogram_json(h: &HistogramSnapshot) -> Json {
     o
 }
 
-/// Job, abort, and per-phase timing counters.
-#[derive(Debug, Default)]
-pub struct Stats {
-    /// Jobs admitted to the queue.
-    pub jobs_accepted: AtomicU64,
-    /// Jobs shed with an `overloaded` response (queue full).
-    pub jobs_rejected: AtomicU64,
-    /// Jobs a worker finished (any verdict).
-    pub jobs_completed: AtomicU64,
-    /// Analyses aborted by the step budget or wall-clock deadline.
-    pub budget_aborts: AtomicU64,
-    /// Analyses that failed outright (parse errors, step-limit valve).
-    pub analysis_errors: AtomicU64,
-    /// Requests that were not valid protocol JSON.
-    pub protocol_errors: AtomicU64,
-    /// Total µs spent in phase 1 (base analysis) across all jobs.
-    pub p1_us: AtomicU64,
-    /// Total µs spent in phase 2 (PDG construction).
-    pub p2_us: AtomicU64,
-    /// Total µs spent in phase 3 (signature inference).
-    pub p3_us: AtomicU64,
-    /// Total µs of end-to-end worker compute (includes parse + lowering).
-    pub vet_us: AtomicU64,
-    /// Connections currently open (a gauge: accepted − closed).
-    pub conns_open: AtomicU64,
-    /// Connections accepted over the daemon's lifetime.
-    pub conn_accepted: AtomicU64,
-    /// Connections closed (any reason: EOF, error, idle, backpressure).
-    pub conn_closed: AtomicU64,
-    /// Vet items shed because a connection's outbound buffer was full
-    /// (the client stopped reading its responses).
-    pub conn_backpressure_sheds: AtomicU64,
-    /// In-flight requests answered `timeout` by the request deadline
-    /// before their worker finished.
-    pub deadline_misses: AtomicU64,
+/// Adds the job core's gauges to a registry snapshot, under the same
+/// `serve_` prefix, so the exposition and the on-disk history cover the
+/// whole daemon.
+pub(crate) fn with_gauges(mut snap: MetricsSnapshot, view: &CoreView) -> MetricsSnapshot {
+    for (name, v) in [
+        ("serve_cache_entries", view.cache_entries),
+        ("serve_jobs_pending", view.pending),
+        ("serve_jobs_running", view.running),
+    ] {
+        snap.counters.push((name.to_owned(), v as u64));
+    }
+    snap.counters.sort();
+    snap
 }
 
-fn as_u64_us(d: Duration) -> u64 {
-    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
-}
+/// The `stats` response: the registry's counters grouped by subsystem,
+/// the core's gauges, and the full snapshot under `metrics`.
+pub(crate) fn stats_response(
+    snap: &MetricsSnapshot,
+    view: &CoreView,
+    local_workers: usize,
+    queue_cap: usize,
+) -> Json {
+    let counter = |name: &str| {
+        let v = snap
+            .counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, v)| *v);
+        Json::from(v as f64)
+    };
+    let group = |fields: &[(&str, &str)]| {
+        let mut o = Json::obj();
+        for (key, name) in fields {
+            o.set(key, counter(name));
+        }
+        o
+    };
+    let mut queue = Json::obj();
+    queue.set("depth", Json::from(view.pending as f64));
+    queue.set("capacity", Json::from(queue_cap as f64));
+    let mut jobs = group(&[
+        ("accepted", "serve_jobs_accepted"),
+        ("rejected", "serve_jobs_rejected"),
+        ("completed", "serve_jobs_completed"),
+        ("coalesced", "serve_jobs_coalesced"),
+        ("requeued", "serve_jobs_requeued"),
+        ("budget_aborts", "serve_budget_aborts"),
+        ("analysis_errors", "serve_analysis_errors"),
+        ("protocol_errors", "serve_protocol_errors"),
+    ]);
+    jobs.set("running", Json::from(view.running as f64));
+    let mut cache = group(&[
+        ("hits", "serve_cache_hits"),
+        ("misses", "serve_cache_misses"),
+        ("evictions", "serve_cache_evictions"),
+    ]);
+    cache.set("entries", Json::from(view.cache_entries as f64));
+    cache.set("capacity", Json::from(view.cache_capacity as f64));
+    let conns = group(&[
+        ("open", "serve_conns_open"),
+        ("accepted", "serve_conn_accepted"),
+        ("closed", "serve_conn_closed"),
+        ("backpressure_sheds", "serve_conn_backpressure_sheds"),
+        ("deadline_misses", "serve_deadline_misses"),
+    ]);
+    let mut fleet = group(&[
+        ("workers_alive", "serve_workers_alive"),
+        ("workers_joined", "serve_workers_joined"),
+        ("workers_reaped", "serve_workers_reaped"),
+    ]);
+    let workers = view
+        .workers
+        .iter()
+        .map(|(id, node, claimed, idle_ms)| {
+            let mut o = Json::obj();
+            o.set("worker", Json::from(id.as_str()));
+            o.set("node", Json::from(node.as_str()));
+            o.set("claimed", Json::from(*claimed as f64));
+            o.set("idle_ms", Json::from(*idle_ms as f64));
+            o
+        })
+        .collect();
+    fleet.set("workers", Json::Arr(workers));
 
-impl Stats {
-    /// Bumps a counter by one.
-    pub fn incr(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Folds one successful report's phase timings into the totals.
-    pub fn record_phases(&self, p1: Duration, p2: Duration, p3: Duration) {
-        self.p1_us.fetch_add(as_u64_us(p1), Ordering::Relaxed);
-        self.p2_us.fetch_add(as_u64_us(p2), Ordering::Relaxed);
-        self.p3_us.fetch_add(as_u64_us(p3), Ordering::Relaxed);
-    }
-
-    /// Folds one job's end-to-end compute time into the totals.
-    pub fn record_vet(&self, total: Duration) {
-        self.vet_us.fetch_add(as_u64_us(total), Ordering::Relaxed);
-    }
-
-    /// Serializes the counters (plus the cache's and queue's) as the body
-    /// of a `stats` response.
-    pub fn snapshot(
-        &self,
-        cache: CacheCounters,
-        workers: usize,
-        queue_depth: usize,
-        queue_capacity: usize,
-    ) -> Json {
-        let read = |c: &AtomicU64| Json::from(c.load(Ordering::Relaxed) as f64);
-        let mut jobs = Json::obj();
-        jobs.set("accepted", read(&self.jobs_accepted));
-        jobs.set("rejected", read(&self.jobs_rejected));
-        jobs.set("completed", read(&self.jobs_completed));
-        jobs.set("budget_aborts", read(&self.budget_aborts));
-        jobs.set("analysis_errors", read(&self.analysis_errors));
-        jobs.set("protocol_errors", read(&self.protocol_errors));
-
-        let mut cache_json = Json::obj();
-        cache_json.set("hits", Json::from(cache.hits as f64));
-        cache_json.set("misses", Json::from(cache.misses as f64));
-        cache_json.set("evictions", Json::from(cache.evictions as f64));
-        cache_json.set("entries", Json::from(cache.entries as f64));
-        cache_json.set("capacity", Json::from(cache.capacity as f64));
-
-        let mut queue = Json::obj();
-        queue.set("depth", Json::from(queue_depth as f64));
-        queue.set("capacity", Json::from(queue_capacity as f64));
-
-        let mut phases = Json::obj();
-        phases.set("p1", read(&self.p1_us));
-        phases.set("p2", read(&self.p2_us));
-        phases.set("p3", read(&self.p3_us));
-        phases.set("vet_total", read(&self.vet_us));
-
-        let mut conns = Json::obj();
-        conns.set("open", read(&self.conns_open));
-        conns.set("accepted", read(&self.conn_accepted));
-        conns.set("closed", read(&self.conn_closed));
-        conns.set("backpressure_sheds", read(&self.conn_backpressure_sheds));
-        conns.set("deadline_misses", read(&self.deadline_misses));
-
-        let mut body = Json::obj();
-        body.set("workers", Json::from(workers as f64));
-        body.set("queue", queue);
-        body.set("conns", conns);
-        body.set("jobs", jobs);
-        body.set("cache", cache_json);
-        body.set("phase_totals_us", phases);
-        body
-    }
+    let mut body = crate::protocol::message("stats", vec![]);
+    body.set("workers", Json::from(local_workers as f64));
+    body.set("queue", queue);
+    body.set("conns", conns);
+    body.set("jobs", jobs);
+    body.set("cache", cache);
+    body.set("fleet", fleet);
+    body.set("metrics", metrics_json(snap));
+    body
 }
 
 #[cfg(test)]
@@ -184,58 +161,5 @@ mod tests {
         let buckets = h["buckets"].as_array().unwrap();
         assert_eq!(buckets.len(), 2, "only occupied buckets are listed");
         assert_eq!(buckets[0].as_array().unwrap()[1].as_f64(), Some(1.0));
-    }
-
-    #[test]
-    fn snapshot_reflects_counters() {
-        let s = Stats::default();
-        Stats::incr(&s.jobs_accepted);
-        Stats::incr(&s.jobs_accepted);
-        Stats::incr(&s.jobs_rejected);
-        s.record_phases(
-            Duration::from_micros(100),
-            Duration::from_micros(20),
-            Duration::from_micros(3),
-        );
-        s.record_phases(
-            Duration::from_micros(100),
-            Duration::from_micros(20),
-            Duration::from_micros(3),
-        );
-        let snap = s.snapshot(
-            CacheCounters {
-                hits: 5,
-                misses: 2,
-                evictions: 1,
-                entries: 1,
-                capacity: 64,
-            },
-            4,
-            3,
-            32,
-        );
-        assert_eq!(snap["jobs"]["accepted"].as_f64(), Some(2.0));
-        assert_eq!(snap["jobs"]["rejected"].as_f64(), Some(1.0));
-        assert_eq!(snap["cache"]["hits"].as_f64(), Some(5.0));
-        assert_eq!(snap["queue"]["depth"].as_f64(), Some(3.0));
-        assert_eq!(snap["phase_totals_us"]["p1"].as_f64(), Some(200.0));
-        assert_eq!(snap["phase_totals_us"]["p3"].as_f64(), Some(6.0));
-        assert_eq!(snap["workers"].as_f64(), Some(4.0));
-    }
-
-    #[test]
-    fn snapshot_carries_connection_gauges() {
-        let s = Stats::default();
-        s.conns_open.fetch_add(3, Ordering::Relaxed);
-        s.conns_open.fetch_sub(1, Ordering::Relaxed);
-        Stats::incr(&s.conn_accepted);
-        Stats::incr(&s.conn_closed);
-        Stats::incr(&s.conn_backpressure_sheds);
-        let snap = s.snapshot(CacheCounters::default(), 1, 0, 8);
-        assert_eq!(snap["conns"]["open"].as_f64(), Some(2.0));
-        assert_eq!(snap["conns"]["accepted"].as_f64(), Some(1.0));
-        assert_eq!(snap["conns"]["closed"].as_f64(), Some(1.0));
-        assert_eq!(snap["conns"]["backpressure_sheds"].as_f64(), Some(1.0));
-        assert_eq!(snap["conns"]["deadline_misses"].as_f64(), Some(0.0));
     }
 }

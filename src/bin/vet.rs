@@ -6,21 +6,17 @@
 //! vet --corpus [--json] [--sequential]
 //! vet serve [--addr HOST:PORT | --stdio] [--workers N] [--cache-cap N]
 //!           [--queue-cap N] [--step-budget N] [--deadline-ms N]
+//!           [--idle-timeout-ms N] [--request-deadline-ms N]
+//!           [--heartbeat-ms N] [--reap-ms N]
 //!           [--k <depth>] [--constant-strings]
 //!           [--log FILE] [--log-level LEVEL]
 //!           [--log-sample [EVENT=]N] [--log-sample-threshold R]
 //!           [--alert-rules FILE]
 //!           [--metrics-dir DIR] [--metrics-interval-ms N]
-//! vet serve --join HOST:PORT [--node NAME] [--workers N] [--cache-cap N]
+//! vet serve --join HOST:PORT [--node NAME] [--workers N]
 //!           [--step-budget N] [--deadline-ms N] [--k <depth>]
-//!           [--constant-strings]
-//!           [--log FILE] [--log-level LEVEL]
-//! vet coordinate [--addr HOST:PORT] [--queue-cap N] [--cache-cap N]
-//!                [--slots N] [--heartbeat-ms N] [--reap-ms N]
-//!                [--step-budget N] [--deadline-ms N] [--k <depth>]
-//!                [--constant-strings]
-//!                [--log FILE] [--log-level LEVEL]
-//!                [--metrics-dir DIR] [--metrics-interval-ms N]
+//!           [--constant-strings] [--log FILE] [--log-level LEVEL]
+//! vet coordinate [vet serve flags except --stdio/--join/--node]
 //! vet --client HOST:PORT [<addon.js>... | --stats | --metrics | --shutdown]
 //! vet profile <addon.js> [--top N] [--json] [--k <depth>] [--constant-strings]
 //!             [--step-budget N]
@@ -44,10 +40,11 @@
 //! nonzero when the addon fails to parse or uses restricted
 //! dynamic-code APIs.
 //!
-//! `serve` runs the long-lived vetting daemon (`sigserve`): a worker
-//! pool behind a bounded job queue, a content-addressed signature
-//! cache, and per-analysis step/deadline budgets so one pathological
-//! addon cannot wedge the service. The daemon (like the fleet) runs the
+//! `serve` runs the long-lived vetting daemon (`sigserve`): a job queue
+//! with backpressure, a content-addressed signature cache, in-flight
+//! coalescing of identical submissions, local worker threads, and
+//! per-analysis step/deadline budgets so one pathological addon cannot
+//! wedge the service. The daemon runs the
 //! configured analysis with triage on: an addon whose phase 1 proves no
 //! flow can exist skips PDG construction, with a byte-identical
 //! signature (counted in `pipeline_triaged`). `--log FILE` writes the
@@ -69,18 +66,15 @@
 //! snapshots the metrics registry into a bounded on-disk ring every
 //! `--metrics-interval-ms` (default 5000), surviving restarts.
 //!
-//! `coordinate` runs the fleet coordinator (`sigfleet`): it owns the
-//! fleet-wide job queue and the shared content-addressed result store,
-//! speaks the same client NDJSON protocol as `serve` (responses are
-//! byte-identical), and hands vet jobs to workers that joined with
-//! `serve --join ADDR`. A worker daemon claims jobs over the wire,
-//! analyzes them locally (same engine and budgets as a standalone
-//! daemon), owns the signature-cache shard for `key % slots == slot`,
-//! and posts completions back; missed
-//! heartbeats get a worker reaped and its claimed jobs re-queued, so a
-//! worker killed mid-job costs latency, never a lost job. Per-node
-//! `--log` files merge into one valid lifecycle replay
-//! (`sigobs::merge_fleet_logs`).
+//! Remote workers join a TCP daemon with `serve --join ADDR`: each
+//! claims jobs over the wire, analyzes them with the same engine and
+//! budgets as a local worker, and posts completions back. A worker that
+//! misses heartbeats (`--heartbeat-ms`, reaped after `--reap-ms`) is
+//! reaped and its claimed jobs re-queued, so a worker killed mid-job
+//! costs latency, never a lost job. `coordinate` is `serve` with no
+//! local workers on port 7171 (queue 256, cache 4096): every job goes to
+//! a remote worker. Per-node `--log` files merge into one valid
+//! lifecycle replay (`sigobs::merge_fleet_logs`).
 //!
 //! `--client` speaks the daemon's NDJSON protocol:
 //! each named file is vetted (source is read locally and sent inline)
@@ -133,20 +127,17 @@ usage:
   vet serve [--addr HOST:PORT | --stdio] [--workers N] [--cache-cap N]
             [--queue-cap N] [--step-budget N] [--deadline-ms N]
             [--idle-timeout-ms N] [--request-deadline-ms N]
+            [--heartbeat-ms N] [--reap-ms N]
             [--k <depth>] [--constant-strings]
             [--log FILE] [--log-level error|warn|info|debug]
             [--log-sample [EVENT=]N] [--log-sample-threshold R]
             [--alert-rules FILE]
             [--metrics-dir DIR] [--metrics-interval-ms N]
-  vet serve --join HOST:PORT [--node NAME] [--workers N] [--cache-cap N]
+  vet serve --join HOST:PORT [--node NAME] [--workers N]
             [--step-budget N] [--deadline-ms N] [--k <depth>]
-            [--constant-strings]
-            [--log FILE] [--log-level error|warn|info|debug]
-  vet coordinate [--addr HOST:PORT] [--queue-cap N] [--cache-cap N] [--slots N]
-                 [--heartbeat-ms N] [--reap-ms N] [--step-budget N]
-                 [--deadline-ms N] [--k <depth>] [--constant-strings]
-                 [--log FILE] [--log-level error|warn|info|debug]
-                 [--metrics-dir DIR] [--metrics-interval-ms N]
+            [--constant-strings] [--log FILE] [--log-level error|warn|info|debug]
+  vet coordinate [vet serve flags except --stdio/--join/--node]
+                 (vet serve --workers 0 on 127.0.0.1:7171, queue 256, cache 4096)
   vet --client HOST:PORT [<addon.js>... | --stats | --metrics | --shutdown]
   vet profile <addon.js> [--top N] [--json] [--k <depth>] [--constant-strings]
               [--step-budget N]
@@ -169,7 +160,7 @@ struct Options {
     file: Option<String>,
 }
 
-/// `vet serve` flags.
+/// `vet serve` / `vet coordinate` flags.
 struct ServeOptions {
     /// `Some(addr)` for TCP, `None` for `--stdio`.
     addr: Option<String>,
@@ -190,21 +181,12 @@ struct ServeOptions {
     /// `--alert-rules FILE`: in-daemon alerting over the metrics
     /// history (`alert_fired`/`alert_cleared` log events).
     alert_rules: Option<sigobs::alerts::AlertRules>,
-    /// `--join ADDR`: worker mode — claim vet jobs from the fleet
-    /// coordinator at ADDR instead of serving clients directly.
+    /// `--join ADDR`: worker mode — claim vet jobs from the daemon at
+    /// ADDR instead of serving clients directly.
     join: Option<String>,
     /// `--node NAME`: worker identity in fleet logs (worker mode only;
     /// defaults to `worker-<pid>`).
     node: Option<String>,
-}
-
-/// `vet coordinate` flags.
-struct CoordinateOptions {
-    addr: String,
-    config: sigfleet::FleetConfig,
-    /// `--log FILE` / `--log-level`, same semantics as `serve`.
-    log_file: Option<String>,
-    log_level: Option<sigobs::Level>,
 }
 
 /// What `vet --client` should ask the daemon.
@@ -224,10 +206,7 @@ enum Mode {
     /// `--help`: usage on stdout, exit 0.
     Help,
     Run(Options),
-    Serve(ServeOptions),
-    /// `vet coordinate`: fleet coordinator (queue + shared result
-    /// store + worker-join protocol).
-    Coordinate(CoordinateOptions),
+    Serve(Box<ServeOptions>),
     Client(ClientOptions),
     /// `vet profile <file>`: deterministic per-function cost-attribution
     /// hotspot table (or the daemon's `job_profile` JSON with `--json`).
@@ -265,10 +244,38 @@ fn parse_usize(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<us
     v.parse().map_err(|_| format!("bad {flag} value: {v}"))
 }
 
-fn parse_serve_args(mut args: impl Iterator<Item = String>) -> Result<Mode, String> {
+/// The flags a `--join` worker takes: the engine and its log. The
+/// daemon it joins owns the socket, queue, cache, metrics and timings.
+const WORKER_FLAGS: [&str; 9] = [
+    "--join",
+    "--node",
+    "--workers",
+    "--step-budget",
+    "--deadline-ms",
+    "--k",
+    "--constant-strings",
+    "--log",
+    "--log-level",
+];
+
+fn parse_millis(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<Duration, String> {
+    Ok(Duration::from_millis(parse_usize(args, flag)?.max(1) as u64))
+}
+
+/// `vet serve` arguments; with `coordinate`, the `vet coordinate` preset:
+/// the same daemon with no local workers on port 7171, a 256-job queue
+/// and a 4096-entry cache.
+fn parse_serve_args(
+    mut args: impl Iterator<Item = String>,
+    coordinate: bool,
+) -> Result<Mode, String> {
     let mut addr: Option<String> = None;
     let mut stdio = false;
     let mut config = ServeConfig::default();
+    if coordinate {
+        config.workers = 0;
+        config.cache_cap = 4096;
+    }
     let mut queue_cap: Option<usize> = None;
     let mut log_file: Option<String> = None;
     let mut log_level: Option<sigobs::Level> = None;
@@ -277,13 +284,14 @@ fn parse_serve_args(mut args: impl Iterator<Item = String>) -> Result<Mode, Stri
     let mut alert_rules: Option<sigobs::alerts::AlertRules> = None;
     let mut join: Option<String> = None;
     let mut node: Option<String> = None;
+    let mut seen: Vec<String> = Vec::new();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--addr" => addr = Some(args.next().ok_or("--addr needs HOST:PORT")?),
             "--stdio" => stdio = true,
             "--join" => join = Some(args.next().ok_or("--join needs HOST:PORT")?),
             "--node" => node = Some(args.next().ok_or("--node needs a NAME")?),
-            "--workers" => config.workers = parse_usize(&mut args, "--workers")?.max(1),
+            "--workers" => config.workers = parse_usize(&mut args, "--workers")?,
             "--cache-cap" => config.cache_cap = parse_usize(&mut args, "--cache-cap")?,
             "--queue-cap" => queue_cap = Some(parse_usize(&mut args, "--queue-cap")?.max(1)),
             "--step-budget" => {
@@ -294,15 +302,13 @@ fn parse_serve_args(mut args: impl Iterator<Item = String>) -> Result<Mode, Stri
                     Some(Duration::from_millis(parse_usize(&mut args, "--deadline-ms")? as u64))
             }
             "--idle-timeout-ms" => {
-                config.idle_timeout = Some(Duration::from_millis(
-                    parse_usize(&mut args, "--idle-timeout-ms")?.max(1) as u64,
-                ))
+                config.idle_timeout = Some(parse_millis(&mut args, "--idle-timeout-ms")?)
             }
             "--request-deadline-ms" => {
-                config.request_deadline = Some(Duration::from_millis(
-                    parse_usize(&mut args, "--request-deadline-ms")?.max(1) as u64,
-                ))
+                config.request_deadline = Some(parse_millis(&mut args, "--request-deadline-ms")?)
             }
+            "--heartbeat-ms" => config.heartbeat = parse_millis(&mut args, "--heartbeat-ms")?,
+            "--reap-ms" => config.reap_after = parse_millis(&mut args, "--reap-ms")?,
             "--k" => config.analysis.context_depth = parse_usize(&mut args, "--k")?,
             "--constant-strings" => config.analysis.string_domain = StringDomain::ConstantOnly,
             "--log" => log_file = Some(args.next().ok_or("--log needs a FILE")?),
@@ -333,9 +339,7 @@ fn parse_serve_args(mut args: impl Iterator<Item = String>) -> Result<Mode, Stri
                     Some(args.next().ok_or("--metrics-dir needs a DIR")?.into())
             }
             "--metrics-interval-ms" => {
-                config.metrics_interval = Duration::from_millis(
-                    parse_usize(&mut args, "--metrics-interval-ms")?.max(1) as u64,
-                )
+                config.metrics_interval = parse_millis(&mut args, "--metrics-interval-ms")?
             }
             "--alert-rules" => {
                 let path = args.next().ok_or("--alert-rules needs a FILE")?;
@@ -345,34 +349,33 @@ fn parse_serve_args(mut args: impl Iterator<Item = String>) -> Result<Mode, Stri
                     Some(sigobs::alerts::parse_rules(&text).map_err(|e| format!("{path}: {e}"))?);
             }
             "--help" | "-h" => return Ok(Mode::Help),
+            other if coordinate => return Err(format!("unknown coordinate flag: {other}")),
             other => return Err(format!("unknown serve flag: {other}")),
+        }
+        seen.push(arg);
+    }
+    if coordinate {
+        if let Some(flag) = seen
+            .iter()
+            .find(|f| ["--stdio", "--join", "--node"].contains(&f.as_str()))
+        {
+            return Err(format!("{flag} is not a vet coordinate flag"));
         }
     }
     if stdio && addr.is_some() {
         return Err("--addr and --stdio are mutually exclusive".to_owned());
     }
     if join.is_some() {
-        // Worker mode: the coordinator owns the client-facing socket,
-        // the queue, and the metrics surface; flags that configure
-        // those belong on `vet coordinate`, not here.
-        if addr.is_some() || stdio {
-            return Err("--join is mutually exclusive with --addr/--stdio".to_owned());
-        }
-        for (set, flag) in [
-            (queue_cap.is_some(), "--queue-cap"),
-            (alert_rules.is_some(), "--alert-rules"),
-            (config.metrics_dir.is_some(), "--metrics-dir"),
-            (
-                !log_sample.is_empty() || log_sample_threshold.is_some(),
-                "--log-sample",
-            ),
-        ] {
-            if set {
-                return Err(format!("{flag} is not available in --join worker mode"));
-            }
+        if let Some(flag) = seen.iter().find(|f| !WORKER_FLAGS.contains(&f.as_str())) {
+            return Err(format!("{flag} is not available in --join worker mode"));
         }
     } else if node.is_some() {
         return Err("--node requires --join".to_owned());
+    }
+    // A reap window at or below the heartbeat interval reaps every
+    // healthy worker between two beats.
+    if config.reap_after <= config.heartbeat {
+        return Err("--reap-ms must exceed --heartbeat-ms".to_owned());
     }
     if (!log_sample.is_empty() || log_sample_threshold.is_some())
         && log_file.is_none()
@@ -383,14 +386,23 @@ fn parse_serve_args(mut args: impl Iterator<Item = String>) -> Result<Mode, Stri
     if alert_rules.is_some() && config.metrics_dir.is_none() {
         return Err("--alert-rules requires --metrics-dir".to_owned());
     }
-    // Default queue bound scales with the pool, like ServeConfig::default.
-    config.queue_cap = queue_cap.unwrap_or(config.workers * 8);
+    // The queue bound scales with the local pool; a daemon without one
+    // queues for its remote workers.
+    config.queue_cap = queue_cap.unwrap_or(match config.workers {
+        0 => 256,
+        n => n * 8,
+    });
     let addr = if stdio {
         None
     } else {
-        Some(addr.unwrap_or_else(|| "127.0.0.1:7161".to_owned()))
+        let default = if coordinate {
+            "127.0.0.1:7171"
+        } else {
+            "127.0.0.1:7161"
+        };
+        Some(addr.unwrap_or_else(|| default.to_owned()))
     };
-    Ok(Mode::Serve(ServeOptions {
+    Ok(Mode::Serve(Box::new(ServeOptions {
         addr,
         config,
         log_file,
@@ -400,68 +412,7 @@ fn parse_serve_args(mut args: impl Iterator<Item = String>) -> Result<Mode, Stri
         alert_rules,
         join,
         node,
-    }))
-}
-
-/// `vet coordinate` arguments.
-fn parse_coordinate_args(mut args: impl Iterator<Item = String>) -> Result<Mode, String> {
-    let mut addr = "127.0.0.1:7171".to_owned();
-    let mut config = sigfleet::FleetConfig::default();
-    let mut log_file: Option<String> = None;
-    let mut log_level: Option<sigobs::Level> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--addr" => addr = args.next().ok_or("--addr needs HOST:PORT")?,
-            "--queue-cap" => config.queue_cap = parse_usize(&mut args, "--queue-cap")?.max(1),
-            "--cache-cap" => config.result_cap = parse_usize(&mut args, "--cache-cap")?,
-            "--slots" => config.slots = parse_usize(&mut args, "--slots")?.max(1),
-            "--heartbeat-ms" => {
-                config.heartbeat =
-                    Duration::from_millis(parse_usize(&mut args, "--heartbeat-ms")?.max(1) as u64)
-            }
-            "--reap-ms" => {
-                config.reap_after =
-                    Duration::from_millis(parse_usize(&mut args, "--reap-ms")?.max(1) as u64)
-            }
-            "--step-budget" => {
-                config.analysis.step_budget = Some(parse_usize(&mut args, "--step-budget")?)
-            }
-            "--deadline-ms" => {
-                config.analysis.deadline =
-                    Some(Duration::from_millis(parse_usize(&mut args, "--deadline-ms")? as u64))
-            }
-            "--k" => config.analysis.context_depth = parse_usize(&mut args, "--k")?,
-            "--constant-strings" => config.analysis.string_domain = StringDomain::ConstantOnly,
-            "--log" => log_file = Some(args.next().ok_or("--log needs a FILE")?),
-            "--log-level" => {
-                let v = args.next().ok_or("--log-level needs a level")?;
-                log_level =
-                    Some(sigobs::Level::parse(&v).ok_or_else(|| format!("bad log level: {v}"))?)
-            }
-            "--metrics-dir" => {
-                config.metrics_dir =
-                    Some(args.next().ok_or("--metrics-dir needs a DIR")?.into())
-            }
-            "--metrics-interval-ms" => {
-                config.metrics_interval = Duration::from_millis(
-                    parse_usize(&mut args, "--metrics-interval-ms")?.max(1) as u64,
-                )
-            }
-            "--help" | "-h" => return Ok(Mode::Help),
-            other => return Err(format!("unknown coordinate flag: {other}")),
-        }
-    }
-    // A reap window at or below the heartbeat interval reaps every
-    // healthy worker between two beats.
-    if config.reap_after <= config.heartbeat {
-        return Err("--reap-ms must exceed --heartbeat-ms".to_owned());
-    }
-    Ok(Mode::Coordinate(CoordinateOptions {
-        addr,
-        config,
-        log_file,
-        log_level,
-    }))
+    })))
 }
 
 /// `vet corpus-snapshot` / `vet corpus-diff` arguments.
@@ -577,11 +528,11 @@ fn parse_args() -> Result<Mode, String> {
     match args.peek().map(String::as_str) {
         Some("serve") => {
             args.next();
-            return parse_serve_args(args);
+            return parse_serve_args(args, false);
         }
         Some("coordinate") => {
             args.next();
-            return parse_coordinate_args(args);
+            return parse_serve_args(args, true);
         }
         Some("--client") => {
             args.next();
@@ -769,56 +720,53 @@ fn vet_corpus(opts: &Options) -> bool {
     ok
 }
 
+/// Opens the event log `--log` / `--log-level` ask for, under the
+/// `--log-sample` policy: under overload, the named event streams
+/// degrade to 1-in-N with counted `suppressed` records instead of
+/// amplifying the overload with one log write per shed job.
+fn open_log(opts: &ServeOptions) -> Result<Option<std::sync::Arc<sigobs::EventLog>>, String> {
+    let level = opts.log_level.unwrap_or(sigobs::Level::Info);
+    let log = match &opts.log_file {
+        Some(path) => sigobs::EventLog::to_file(path, level).map_err(|e| format!("{path}: {e}"))?,
+        // `--log-level` without `--log`: in-memory log, tail in `stats`.
+        None if opts.log_level.is_some() => sigobs::EventLog::in_memory(level),
+        None => return Ok(None),
+    };
+    if opts.log_sample.is_empty() && opts.log_sample_threshold.is_none() {
+        return Ok(Some(std::sync::Arc::new(log)));
+    }
+    let mut policy = sigobs::SamplePolicy {
+        threshold: opts.log_sample_threshold.unwrap_or(100),
+        ..sigobs::SamplePolicy::default()
+    };
+    for (event, n) in &opts.log_sample {
+        match event {
+            // Bare N: the default rate (covers job_rejected).
+            None => policy.keep_one_in = *n,
+            Some(e) => policy = policy.with_rule(e, *n),
+        }
+    }
+    // Default debug-span policy: a debug-level log under sampling also
+    // rate-limits the high-volume per-phase span stream, unless an
+    // explicit `span=N` rule already tuned it.
+    if level == sigobs::Level::Debug && !policy.events.iter().any(|e| e == "span") {
+        let rate = policy.keep_one_in;
+        policy = policy.with_rule("span", rate);
+    }
+    Ok(Some(std::sync::Arc::new(log.with_sampling(policy))))
+}
+
 /// Runs the vetting daemon until a `shutdown` request (TCP) or stdin EOF
-/// (`--stdio`).
+/// (`--stdio`); with `--join`, runs a remote worker instead.
 fn run_serve(mut opts: ServeOptions) -> Result<(), String> {
-    // `--join ADDR`: the daemon becomes a fleet worker instead of
-    // serving clients itself.
-    if let Some(coordinator) = opts.join.take() {
-        return run_worker(opts, coordinator);
+    let log = open_log(&opts)?;
+    if let Some(daemon) = opts.join.take() {
+        return run_worker(opts, daemon, log);
     }
     // An operator-facing daemon dumps its metrics registry on shutdown;
     // embedded servers (tests, benches) keep the default quiet exit.
     opts.config.dump_metrics_on_shutdown = true;
-    let level = opts.log_level.unwrap_or(sigobs::Level::Info);
-    let log = match &opts.log_file {
-        Some(path) => {
-            Some(sigobs::EventLog::to_file(path, level).map_err(|e| format!("{path}: {e}"))?)
-        }
-        // `--log-level` without `--log`: in-memory log, tail in `stats`.
-        None if opts.log_level.is_some() => Some(sigobs::EventLog::in_memory(level)),
-        None => None,
-    };
-    // `--log-sample [EVENT=]N`: under overload, degrade the named event
-    // streams to 1-in-N with counted `suppressed` records instead of
-    // amplifying the overload with one log write per shed job.
-    let sampling = !opts.log_sample.is_empty() || opts.log_sample_threshold.is_some();
-    let log = log.map(|l| {
-        if !sampling {
-            return l;
-        }
-        let mut policy = sigobs::SamplePolicy {
-            threshold: opts.log_sample_threshold.unwrap_or(100),
-            ..sigobs::SamplePolicy::default()
-        };
-        for (event, n) in &opts.log_sample {
-            match event {
-                // Bare N: the default rate (covers job_rejected).
-                None => policy.keep_one_in = *n,
-                Some(e) => policy = policy.with_rule(e, *n),
-            }
-        }
-        // Default debug-span policy: a debug-level log under sampling
-        // also rate-limits the high-volume per-phase span stream,
-        // unless an explicit `span=N` rule already tuned it.
-        if level == sigobs::Level::Debug && !policy.events.iter().any(|e| e == "span") {
-            let rate = policy.keep_one_in;
-            policy = policy.with_rule("span", rate);
-        }
-        l.with_sampling(policy)
-    });
-    let log = log.map(std::sync::Arc::new);
-    opts.config.log = log.clone();
+    opts.config.log = log;
     opts.config.alert_rules = opts.alert_rules.take();
     let builder = sigserve::Server::builder()
         .config(opts.config)
@@ -840,58 +788,26 @@ fn run_serve(mut opts: ServeOptions) -> Result<(), String> {
     }
 }
 
-/// Joins the fleet at `coordinator` as a worker: claims vet jobs over
-/// the NDJSON protocol, analyzes them locally (same engine and budgets
-/// as a standalone daemon), and posts completions back. Runs until the
-/// coordinator shuts the fleet down or the connection drops.
-fn run_worker(opts: ServeOptions, coordinator: String) -> Result<(), String> {
-    let level = opts.log_level.unwrap_or(sigobs::Level::Info);
-    let log = match &opts.log_file {
-        Some(path) => {
-            Some(sigobs::EventLog::to_file(path, level).map_err(|e| format!("{path}: {e}"))?)
-        }
-        None if opts.log_level.is_some() => Some(sigobs::EventLog::in_memory(level)),
-        None => None,
-    };
-    let log = log.map(std::sync::Arc::new);
-    let mut cfg = sigfleet::WorkerConfig::new(coordinator.clone());
+/// Joins the daemon at `daemon` as a remote worker: claims vet jobs
+/// over the NDJSON protocol, analyzes them locally (same engine and
+/// budgets as a local worker), and posts completions back. Runs until
+/// the daemon shuts down or the connection drops.
+fn run_worker(
+    opts: ServeOptions,
+    daemon: String,
+    log: Option<std::sync::Arc<sigobs::EventLog>>,
+) -> Result<(), String> {
+    let mut cfg = sigserve::WorkerConfig::new(daemon.clone());
     cfg.node = opts
         .node
         .unwrap_or_else(|| format!("worker-{}", std::process::id()));
     cfg.threads = opts.config.workers;
-    cfg.cache_cap = opts.config.cache_cap;
-    cfg.analysis = opts.config.analysis.clone();
+    cfg.analysis = opts.config.analysis;
     cfg.log = log;
-    let worker = sigfleet::Worker::join_fleet(cfg, addon_sig::service_engine_traced)
-        .map_err(|e| format!("join {coordinator}: {e}"))?;
-    eprintln!(
-        "sigserve worker {} (cache slot {}/{}) joined fleet at {coordinator}",
-        worker.id(),
-        worker.slot(),
-        worker.slots()
-    );
-    worker.join(); // returns at fleet shutdown or a dropped coordinator
-    Ok(())
-}
-
-/// Runs the fleet coordinator until a client `shutdown` request.
-fn run_coordinate(mut opts: CoordinateOptions) -> Result<(), String> {
-    let level = opts.log_level.unwrap_or(sigobs::Level::Info);
-    let log = match &opts.log_file {
-        Some(path) => {
-            Some(sigobs::EventLog::to_file(path, level).map_err(|e| format!("{path}: {e}"))?)
-        }
-        None if opts.log_level.is_some() => Some(sigobs::EventLog::in_memory(level)),
-        None => None,
-    };
-    opts.config.log = log.map(std::sync::Arc::new);
-    let coordinator = sigfleet::Coordinator::bind(&opts.addr, opts.config)
-        .map_err(|e| format!("bind {}: {e}", opts.addr))?;
-    eprintln!(
-        "sigfleet coordinator listening on {}",
-        coordinator.local_addr()
-    );
-    coordinator.join(); // returns after a shutdown request
+    let worker = sigserve::Worker::join_fleet(cfg, addon_sig::service_engine_traced)
+        .map_err(|e| format!("join {daemon}: {e}"))?;
+    eprintln!("sigserve worker {} joined {daemon}", worker.id());
+    worker.join(); // returns at daemon shutdown or a dropped connection
     Ok(())
 }
 
@@ -1124,6 +1040,20 @@ fn run_corpus_diff(old: &str, new: &str) -> Result<bool, String> {
     Ok(!report.has_signature_drift())
 }
 
+/// A subcommand's exit status: `Ok(false)` is a verdict (drift found, a
+/// health gate violated, a failed vet) already printed, an `Err` is
+/// printed here; both exit nonzero.
+fn exit_code(result: Result<bool, String>) -> ExitCode {
+    match result {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(msg) => {
+            eprintln!("{msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let mode = match parse_args() {
         Ok(m) => m,
@@ -1132,6 +1062,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let done = |result: Result<(), String>| exit_code(result.map(|()| true));
     let opts = match mode {
         // Asked-for usage goes to stdout and exits 0; only actual
         // argument errors (above) are failures.
@@ -1139,89 +1070,24 @@ fn main() -> ExitCode {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
         }
-        Mode::Serve(serve_opts) => {
-            return match run_serve(serve_opts) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Mode::Coordinate(coordinate_opts) => {
-            return match run_coordinate(coordinate_opts) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Mode::Client(client_opts) => {
-            return match run_client(client_opts) {
-                Ok(true) => ExitCode::SUCCESS,
-                Ok(false) => ExitCode::FAILURE,
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
+        Mode::Serve(serve_opts) => return done(run_serve(*serve_opts)),
+        Mode::Client(client_opts) => return exit_code(run_client(client_opts)),
         Mode::Profile {
             file,
             top,
             json,
             config,
-        } => {
-            return match run_profile(&file, top, json, &config) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
+        } => return done(run_profile(&file, top, json, &config)),
         Mode::TraceJob { job, logs, out } => {
-            return match run_trace_job(&job, &logs, out.as_deref()) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    ExitCode::FAILURE
-                }
-            }
+            return done(run_trace_job(&job, &logs, out.as_deref()))
         }
         Mode::MetricsReport { dir, gate } => {
-            return match run_metrics_report(&dir, gate.as_deref()) {
-                Ok(true) => ExitCode::SUCCESS,
-                // Health gate violated: verdict printed, exit nonzero
-                // for CI, like corpus-diff.
-                Ok(false) => ExitCode::FAILURE,
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    ExitCode::FAILURE
-                }
-            }
+            return exit_code(run_metrics_report(&dir, gate.as_deref()))
         }
         Mode::CorpusSnapshot { out, config } => {
-            return match run_corpus_snapshot(out.as_deref(), &config) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    ExitCode::FAILURE
-                }
-            }
+            return done(run_corpus_snapshot(out.as_deref(), &config))
         }
-        Mode::CorpusDiff { old, new } => {
-            return match run_corpus_diff(&old, &new) {
-                Ok(true) => ExitCode::SUCCESS,
-                // Drift found: report printed, exit nonzero for CI gates.
-                Ok(false) => ExitCode::FAILURE,
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
+        Mode::CorpusDiff { old, new } => return exit_code(run_corpus_diff(&old, &new)),
         Mode::Run(opts) => opts,
     };
     let ok = if opts.corpus {
@@ -1247,11 +1113,7 @@ fn main() -> ExitCode {
             }
         }
     };
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    exit_code(Ok(ok))
 }
 
 #[cfg(test)]
@@ -1267,14 +1129,17 @@ mod tests {
 
     #[test]
     fn serve_join_parses_worker_mode() {
-        let mode = parse_serve_args(argv(&[
+        let mode = parse_serve_args(
+            argv(&[
             "--join",
             "127.0.0.1:7171",
             "--node",
             "rack-3",
             "--workers",
             "4",
-        ]))
+            ]),
+            false,
+        )
         .expect("worker mode parses");
         let Mode::Serve(opts) = mode else {
             panic!("expected serve mode")
@@ -1291,64 +1156,86 @@ mod tests {
             &["--join", "a:1", "--addr", "b:2"],
             &["--join", "a:1", "--queue-cap", "4"],
             &["--join", "a:1", "--metrics-dir", "/tmp/x"],
+            &["--join", "a:1", "--cache-cap", "64"], // a worker has no cache
+            &["--join", "a:1", "--reap-ms", "9000"], // the daemon governs timings
             &["--node", "n"], // --node without --join
         ] {
-            assert!(parse_serve_args(argv(args)).is_err(), "{args:?} should fail");
+            assert!(
+                parse_serve_args(argv(args), false).is_err(),
+                "{args:?} should fail"
+            );
         }
     }
 
     #[test]
     fn service_modes_triage_at_the_configured_depth() {
-        // The daemon, a fleet worker and the coordinator all run the
+        // The daemon, a remote worker and the coordinator all run the
         // configured analysis with triage on; the one-shot CLI keeps it
         // off because `--dot`/`--explain` and the phase times need the PDG.
         for args in [&["--k", "2"][..], &["--join", "a:1", "--k", "2"]] {
-            let Mode::Serve(opts) = parse_serve_args(argv(args)).expect("serve parses") else {
+            let Mode::Serve(opts) = parse_serve_args(argv(args), false).expect("serve parses")
+            else {
                 panic!("expected serve mode")
             };
             assert!(opts.config.analysis.triage, "{args:?}");
             assert_eq!(opts.config.analysis.context_depth, 2, "{args:?}");
         }
-        let Mode::Coordinate(opts) = parse_coordinate_args(argv(&[])).expect("defaults") else {
-            panic!("expected coordinate mode")
+        let Mode::Serve(opts) = parse_serve_args(argv(&[]), true).expect("defaults") else {
+            panic!("expected serve mode")
         };
         assert!(opts.config.analysis.triage);
-        assert!(sigfleet::WorkerConfig::new("a:1").analysis.triage);
+        assert!(sigserve::WorkerConfig::new("a:1").analysis.triage);
     }
 
     #[test]
     fn coordinate_defaults_and_flags_parse() {
-        let Mode::Coordinate(opts) = parse_coordinate_args(argv(&[])).expect("defaults") else {
-            panic!("expected coordinate mode")
+        // `vet coordinate` is `vet serve` with no local workers on the
+        // fleet's port and bounds.
+        let Mode::Serve(opts) = parse_serve_args(argv(&[]), true).expect("defaults") else {
+            panic!("expected serve mode")
         };
-        assert_eq!(opts.addr, "127.0.0.1:7171");
-        let Mode::Coordinate(opts) = parse_coordinate_args(argv(&[
-            "--addr",
-            "0.0.0.0:9000",
-            "--slots",
-            "16",
-            "--heartbeat-ms",
-            "100",
-            "--reap-ms",
-            "400",
-            "--cache-cap",
-            "64",
-        ]))
+        assert_eq!(opts.addr.as_deref(), Some("127.0.0.1:7171"));
+        assert_eq!(opts.config.workers, 0);
+        assert_eq!(opts.config.queue_cap, 256);
+        assert_eq!(opts.config.cache_cap, 4096);
+        let Mode::Serve(opts) = parse_serve_args(
+            argv(&[
+                "--addr",
+                "0.0.0.0:9000",
+                "--heartbeat-ms",
+                "100",
+                "--reap-ms",
+                "400",
+                "--cache-cap",
+                "64",
+            ]),
+            true,
+        )
         .expect("flags parse") else {
-            panic!("expected coordinate mode")
+            panic!("expected serve mode")
         };
-        assert_eq!(opts.addr, "0.0.0.0:9000");
-        assert_eq!(opts.config.slots, 16);
-        assert_eq!(opts.config.result_cap, 64);
+        assert_eq!(opts.addr.as_deref(), Some("0.0.0.0:9000"));
+        assert_eq!(opts.config.cache_cap, 64);
         assert_eq!(opts.config.heartbeat, Duration::from_millis(100));
         assert_eq!(opts.config.reap_after, Duration::from_millis(400));
+        for args in [&["--stdio"][..], &["--join", "a:1"], &["--slots", "16"]] {
+            assert!(
+                parse_serve_args(argv(args), true).is_err(),
+                "{args:?} should fail"
+            );
+        }
     }
 
     #[test]
     fn coordinate_rejects_reap_within_heartbeat() {
-        match parse_coordinate_args(argv(&["--heartbeat-ms", "500", "--reap-ms", "500"])) {
-            Err(err) => assert!(err.contains("--reap-ms"), "{err}"),
-            Ok(_) => panic!("reap <= heartbeat should be rejected"),
+        for coordinate in [true, false] {
+            match parse_serve_args(
+                argv(&["--heartbeat-ms", "500", "--reap-ms", "500"]),
+                coordinate,
+            ) {
+                Err(err) => assert!(err.contains("--reap-ms"), "{err}"),
+                Ok(_) => panic!("reap <= heartbeat should be rejected"),
+            }
         }
     }
 
@@ -1393,11 +1280,14 @@ mod tests {
 
     #[test]
     fn help_goes_to_help_mode_for_fleet_subcommands() {
-        assert!(matches!(parse_coordinate_args(argv(&["--help"])), Ok(Mode::Help)));
         assert!(matches!(
-            parse_serve_args(argv(&["--join", "a:1", "--help"])),
+            parse_serve_args(argv(&["--help"]), true),
             Ok(Mode::Help)
         ));
-        assert!(parse_coordinate_args(argv(&["--bogus"])).is_err());
+        assert!(matches!(
+            parse_serve_args(argv(&["--join", "a:1", "--help"]), false),
+            Ok(Mode::Help)
+        ));
+        assert!(parse_serve_args(argv(&["--bogus"]), true).is_err());
     }
 }

@@ -73,7 +73,6 @@ pub use jsir;
 pub use jsparser;
 pub use jspdg;
 pub use jssig;
-pub use sigfleet;
 pub use sigobs;
 pub use sigserve;
 pub use sigtrace;

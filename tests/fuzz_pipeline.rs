@@ -86,6 +86,19 @@ fn pipeline_total_on_generated_programs() {
         let src = arb_program(g);
         let report = addon_sig::analyze_addon(&src)
             .unwrap_or_else(|e| panic!("pipeline failed: {e}\nprogram:\n{src}"));
+        // Generated programs nest far below the parser's limit: inside
+        // 400 more levels of functions, they still parse.
+        let levels = 400;
+        let deep = format!(
+            "{}{src}{}",
+            "function w() {".repeat(levels),
+            "}".repeat(levels)
+        );
+        assert!(jsparser::MAX_NESTING >= levels + 100);
+        assert!(
+            jsparser::parse(&deep).is_ok(),
+            "program nests near the limit:\n{src}"
+        );
 
         // Internal consistency: every PDG edge endpoint is a valid
         // statement, annotations render, the signature prints.

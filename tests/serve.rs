@@ -225,3 +225,86 @@ fn overload_response_when_queue_is_saturated() {
     probe.shutdown().expect("shutdown");
     server.join();
 }
+
+/// Runs `vet serve --stdio --workers 2` over `requests`, fed through a
+/// pipe or, with `from_file`, from a regular file (which epoll cannot
+/// watch, so the daemon must read it with blocking reads). Returns the
+/// response lines.
+fn stdio_session(requests: &[&str], from_file: bool) -> Vec<Json> {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+    let script: String = requests.iter().map(|r| format!("{r}\n")).collect();
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_vet"));
+    cmd.args(["serve", "--stdio", "--workers", "2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null());
+    let path = std::env::temp_dir().join(format!("addon_sig_stdio_{}.ndjson", std::process::id()));
+    let out = if from_file {
+        std::fs::write(&path, &script).expect("write script");
+        let file = std::fs::File::open(&path).expect("open script");
+        cmd.stdin(Stdio::from(file)).output().expect("run daemon")
+    } else {
+        let mut child = cmd.stdin(Stdio::piped()).spawn().expect("spawn daemon");
+        child
+            .stdin
+            .take()
+            .expect("stdin")
+            .write_all(script.as_bytes())
+            .expect("write script");
+        child.wait_with_output().expect("daemon output")
+    };
+    std::fs::remove_file(&path).ok();
+    assert!(out.status.success(), "daemon exit: {}", out.status);
+    String::from_utf8(out.stdout)
+        .expect("utf8")
+        .lines()
+        .map(|l| Json::parse(l).expect("json line"))
+        .collect()
+}
+
+const VET_PINPOINTS: &str = r#"{"kind":"vet","path":"crates/corpus/addons/pinpoints.js"}"#;
+
+#[test]
+fn stdio_stats_after_a_vet_already_counts_it() {
+    let lines = stdio_session(
+        &[
+            VET_PINPOINTS,
+            r#"{"kind":"stats"}"#,
+            r#"{"kind":"shutdown"}"#,
+        ],
+        false,
+    );
+    assert_eq!(lines.len(), 3);
+    assert_eq!(lines[0]["verdict"], "ok");
+    assert_eq!(lines[1]["kind"], "stats");
+    assert!(
+        lines[1]["metrics"]["counters"]["pipeline_worklist_steps"]
+            .as_f64()
+            .is_some_and(|v| v > 0.0),
+        "stats must see the vet before it: {}",
+        lines[1]
+    );
+    assert_eq!(lines[2]["kind"], "shutdown_ack");
+}
+
+#[test]
+fn stdio_second_identical_vet_hits_the_cache() {
+    let lines = stdio_session(
+        &[VET_PINPOINTS, "", VET_PINPOINTS, r#"{"kind":"shutdown"}"#],
+        false,
+    );
+    assert_eq!(lines.len(), 3, "blank lines get no response");
+    assert_eq!(lines[0]["cached"], Json::Bool(false));
+    assert_eq!(lines[1]["cached"], Json::Bool(true));
+    assert_eq!(lines[0]["signature"], lines[1]["signature"]);
+}
+
+#[test]
+fn stdio_reads_requests_from_a_regular_file() {
+    // No trailing shutdown: EOF stops the daemon.
+    let lines = stdio_session(&[VET_PINPOINTS, VET_PINPOINTS, r#"{"kind":"stats"}"#], true);
+    assert_eq!(lines.len(), 3);
+    assert_eq!(lines[0]["verdict"], "ok");
+    assert_eq!(lines[1]["cached"], Json::Bool(true));
+    assert_eq!(lines[2]["cache"]["hits"].as_f64(), Some(1.0));
+}
