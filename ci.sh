@@ -31,7 +31,10 @@
 #      — running under overload sampling — replays into consistent
 #      per-job lifecycles, and kept + suppressed job_rejected records
 #      reconcile exactly with the daemon's shed count); the stats
-#      response must carry the metrics registry,
+#      response must carry the metrics registry; plus a `vet trace-job`
+#      smoke: a debug-level --stdio session's log must rebuild job j-0
+#      into a Chrome trace whose pipeline spans nest inside the job's
+#      analyze slice (trace_check),
 #   6. a metrics-exposition smoke test: a scripted --stdio session's
 #      `metrics` response must render valid Prometheus text (prom_check),
 #   7. the corpus drift gate: two same-analyzer `vet corpus-snapshot`
@@ -41,7 +44,7 @@
 #      history, then `vet metrics-report --gate` must pass the
 #      known-good rules (exit 0), pass the cost-attribution rules
 #      (queue-wait and analyze p99 bounds), and fail the
-#      known-violating rules (exit nonzero) — the alerting contract,
+#      known-violating rules (exit nonzero) — the health-gate contract,
 #   9. the fleet gate: `serve_load --fleet 2 --check` boots a daemon
 #      with no local workers (the `vet coordinate` preset of `vet serve`)
 #      plus two remote worker nodes over loopback and asserts the fleet
@@ -113,6 +116,16 @@ echo "$serve_out" | grep -q '"kind":"stats"'
 echo "$serve_out" | grep -q '"metrics"'
 echo "$serve_out" | grep -q '"pipeline_worklist_steps"'
 echo "$serve_out" | grep -q '"kind":"shutdown_ack"'
+
+echo "==> vet trace-job smoke test (debug-level job log -> nested Chrome trace)"
+rm -f target/ci_job.jsonl
+printf '%s\n' \
+    '{"kind":"vet","path":"crates/corpus/addons/pinpoints.js"}' \
+    '{"kind":"shutdown"}' \
+    | ./target/release/vet serve --stdio --workers 1 \
+        --log target/ci_job.jsonl --log-level debug > /dev/null
+./target/release/vet trace-job j-0 --log target/ci_job.jsonl --out target/ci_trace_job.json
+./target/release/trace_check target/ci_trace_job.json
 
 echo "==> sigserve load sanity (serve_load --check, incl. log replay)"
 ./target/release/serve_load --check

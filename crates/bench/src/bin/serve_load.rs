@@ -222,7 +222,7 @@ fn main() {
     let server = Server::builder()
         .config(cfg)
         .addr("127.0.0.1:0")
-        .analyze_traced(addon_sig::service_engine_traced)
+        .analyze(addon_sig::service_engine)
         .start()
         .expect("bind daemon");
     let addr = server.local_addr();
@@ -533,7 +533,7 @@ fn run_connections(total: usize, workers: usize, out: &str, metrics_dir: Option<
     let server = Server::builder()
         .config(cfg)
         .addr("127.0.0.1:0")
-        .analyze_traced(addon_sig::service_engine_traced)
+        .analyze(addon_sig::service_engine)
         .start()
         .expect("bind daemon");
     let addr = server.local_addr().to_string();
@@ -790,7 +790,7 @@ fn run_fleet(nodes: usize, out: &str, metrics_dir: Option<String>) {
             wc.threads = 2;
             wc.claim_wait_ms = 100;
             wc.log = Some(log);
-            Worker::join_fleet(wc, addon_sig::service_engine_traced).expect("join worker")
+            Worker::join_fleet(wc, addon_sig::service_engine).expect("join worker")
         })
         .collect();
     let victim_resp = victim.join().expect("victim thread");

@@ -32,7 +32,7 @@ use jsir::{
     EdgeKind, IrFuncId, IrStmtKind, Lowered, Operand, Place, StmtId,
 };
 use jsparser::ast::{BinaryOp, UnaryOp};
-use sigtrace::{Attribution, Counter, Counters, Trace, CTX_CLASSES};
+use sigtrace::{Counter, Counters, Trace, CTX_CLASSES};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
 
@@ -146,28 +146,17 @@ pub fn analyze(lowered: &Lowered, config: &AnalysisConfig) -> AnalysisResult {
 /// sub-spans (`seed` / `fixpoint` / `cycles`) and the phase counters
 /// (worklist steps, state joins, heap CoW clones).
 ///
-/// The counters are accumulated in plain machine fields and flushed once
-/// at the end, so tracing adds nothing to the fixpoint loop itself; with
-/// [`Trace::Off`] the whole function is [`analyze`].
+/// When the sink asks for cost attribution ([`Trace::attributes_cost`]),
+/// every worklist step's owning function and clamped context depth are
+/// tallied (steps + wall time) into dense per-machine buckets, flushed
+/// once through [`Trace::record_cost`] when the run ends. Counters and
+/// tallies live in plain machine fields, so tracing adds nothing to the
+/// fixpoint loop itself; with [`Trace::Off`] the whole function is
+/// [`analyze`] — the loop pays one branch per step and no clock reads.
 pub fn analyze_traced(
     lowered: &Lowered,
     config: &AnalysisConfig,
     trace: &mut Trace<'_>,
-) -> AnalysisResult {
-    analyze_attributed(lowered, config, trace, &mut Attribution::Off)
-}
-
-/// Runs the base analysis with tracing *and* cost attribution: when
-/// `attr` is enabled, every worklist step's owning function and clamped
-/// context depth are tallied (steps + wall time) into dense per-machine
-/// buckets, flushed once into the sink when the run ends. With
-/// [`Attribution::Off`] this is exactly [`analyze_traced`] — the loop
-/// pays one branch per step and no clock reads.
-pub fn analyze_attributed(
-    lowered: &Lowered,
-    config: &AnalysisConfig,
-    trace: &mut Trace<'_>,
-    attr: &mut Attribution<'_>,
 ) -> AnalysisResult {
     let cow_before = jsdomains::cow_clone_count();
     let mut sites = SiteTable::new();
@@ -200,8 +189,8 @@ pub fn analyze_attributed(
         site_aliases: BTreeMap::new(),
         current: None,
         transitions: BTreeSet::new(),
-        attr: attr
-            .is_enabled()
+        attr: trace
+            .attributes_cost()
             .then(|| AttrTally::new(lowered.program.funcs.len())),
     };
     trace.span_start("seed");
@@ -227,7 +216,7 @@ pub fn analyze_attributed(
             for class in 0..CTX_CLASSES {
                 let [steps, ns] = tally.buckets[fi * CTX_CLASSES + class];
                 if steps > 0 {
-                    attr.record(&func.name, class as u8, "fixpoint", steps, ns / 1_000);
+                    trace.record_cost(&func.name, class as u8, "fixpoint", steps, ns / 1_000);
                 }
             }
         }

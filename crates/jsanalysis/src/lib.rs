@@ -43,7 +43,7 @@ pub use config::{
     StringDomain, WorklistOrder, DEADLINE_CHECK_INTERVAL,
 };
 pub use context::{Context, CtxId, CtxTable};
-pub use interp::{analyze, analyze_attributed, analyze_traced, AnalysisResult, SinkRecord};
+pub use interp::{analyze, analyze_traced, AnalysisResult, SinkRecord};
 pub use natives::{Environment, NativeBehavior, NativeSpec};
 pub use rwsets::{AccessSet, Loc, RwSets, Strength};
 pub use store::{SiteKey, SiteTable, State};

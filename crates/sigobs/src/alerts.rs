@@ -18,8 +18,6 @@
 //!    "metric":"serve_jobs_completed", "min":1},
 //!   {"name":"cache-hits", "kind":"cache_hit_ratio",
 //!    "hits":"serve_cache_hits", "misses":"serve_cache_misses", "min":0.9},
-//!   {"name":"timeout-rate", "kind":"counter_ratio",
-//!    "num":"serve_budget_aborts", "den":"serve_cache_misses", "max":0.05},
 //!   {"name":"vet-p99",    "kind":"histogram_percentile",
 //!    "metric":"serve_vet_us", "q":0.99, "max":500000}
 //! ]}
@@ -65,17 +63,6 @@ pub enum Predicate {
         /// Miss-counter name.
         misses: String,
     },
-    /// `num / den` computed from the *window deltas* of two counters —
-    /// the general two-counter ratio (e.g. budget aborts per computed
-    /// job), sharing the delta semantics of
-    /// [`Predicate::CacheHitRatio`]. A zero denominator delta yields no
-    /// data rather than a division blow-up.
-    CounterRatio {
-        /// Numerator-counter name.
-        num: String,
-        /// Denominator-counter name.
-        den: String,
-    },
     /// The `q`-quantile of a histogram in the newest snapshot, using
     /// [`HistogramSnapshot::percentile`](sigtrace::HistogramSnapshot::percentile)
     /// (an inclusive upper-bound estimate).
@@ -94,9 +81,6 @@ impl fmt::Display for Predicate {
             Predicate::Gauge { metric } => write!(f, "gauge({metric})"),
             Predicate::CacheHitRatio { hits, misses } => {
                 write!(f, "cache_hit_ratio({hits}/{misses})")
-            }
-            Predicate::CounterRatio { num, den } => {
-                write!(f, "counter_ratio({num}/{den})")
             }
             Predicate::HistogramPercentile { metric, q } => {
                 write!(f, "histogram_percentile({metric}, q={q})")
@@ -179,10 +163,6 @@ pub fn parse_rules(text: &str) -> Result<AlertRules, String> {
                 hits: get_str(entry, &name, "hits")?,
                 misses: get_str(entry, &name, "misses")?,
             },
-            "counter_ratio" => Predicate::CounterRatio {
-                num: get_str(entry, &name, "num")?,
-                den: get_str(entry, &name, "den")?,
-            },
             "histogram_percentile" => {
                 let q = entry["q"]
                     .as_f64()
@@ -196,7 +176,7 @@ pub fn parse_rules(text: &str) -> Result<AlertRules, String> {
             other => {
                 return Err(format!(
                     "rule {name}: unknown kind \"{other}\" (expected counter_rate, gauge, \
-                     cache_hit_ratio, counter_ratio, or histogram_percentile)"
+                     cache_hit_ratio, or histogram_percentile)"
                 ))
             }
         };
@@ -333,21 +313,6 @@ fn eval_one(rule: &AlertRule, window: &[HistoryRecord]) -> Option<f64> {
                 return None; // no traffic in the window
             }
             Some(h as f64 / (h + m) as f64)
-        }
-        Predicate::CounterRatio { num, den } => {
-            let delta = |name: &str| {
-                let end = last.counter(name).unwrap_or(0);
-                if window.len() < 2 {
-                    end
-                } else {
-                    end.saturating_sub(first.counter(name).unwrap_or(0))
-                }
-            };
-            let d = delta(den);
-            if d == 0 {
-                return None; // nothing to be a fraction of
-            }
-            Some(delta(num) as f64 / d as f64)
         }
         Predicate::HistogramPercentile { metric, q } => last
             .histogram(metric)
@@ -511,47 +476,6 @@ mod tests {
         let (v, fired) = verdict(&rule(pred(), Some(0.5), None), &quiet);
         assert_eq!(v, None);
         assert!(!fired);
-    }
-
-    #[test]
-    fn counter_ratio_uses_window_deltas() {
-        // Lifetime ratio is 30/60 = 0.5; the window delta is 10/40 = 0.25.
-        let records = [
-            rec(0, 1_000, &[("serve_budget_aborts", 20), ("serve_cache_misses", 20)], &[]),
-            rec(1, 2_000, &[("serve_budget_aborts", 30), ("serve_cache_misses", 60)], &[]),
-        ];
-        let pred = || Predicate::CounterRatio {
-            num: "serve_budget_aborts".to_owned(),
-            den: "serve_cache_misses".to_owned(),
-        };
-        let (v, fired) = verdict(&rule(pred(), None, Some(0.25)), &records);
-        assert_eq!(v, Some(0.25));
-        assert!(!fired, "exactly max passes");
-        let (_, fired) = verdict(&rule(pred(), None, Some(0.24)), &records);
-        assert!(fired);
-        // Zero denominator delta: na, not a blow-up or a violation.
-        let quiet = [rec(0, 1_000, &[("serve_budget_aborts", 3)], &[])];
-        let (v, fired) = verdict(&rule(pred(), None, Some(0.5)), &quiet);
-        assert_eq!(v, None);
-        assert!(!fired);
-    }
-
-    #[test]
-    fn parse_accepts_counter_ratio() {
-        let text = r#"{"rules":[
-            {"name":"esc","kind":"counter_ratio",
-             "num":"serve_budget_aborts","den":"serve_cache_misses","max":0.5}
-        ]}"#;
-        let rules = parse_rules(text).expect("parses");
-        assert_eq!(
-            rules.rules[0].predicate,
-            Predicate::CounterRatio {
-                num: "serve_budget_aborts".to_owned(),
-                den: "serve_cache_misses".to_owned(),
-            }
-        );
-        let missing = r#"{"rules":[{"name":"esc","kind":"counter_ratio","num":"a","max":1}]}"#;
-        assert!(parse_rules(missing).unwrap_err().contains("den"));
     }
 
     #[test]

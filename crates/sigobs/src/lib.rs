@@ -14,7 +14,9 @@
 //!   [`replay`], which folds a log back into per-job timelines.
 //! * [`LogTracer`] — a [`sigtrace::Tracer`] adapter that emits the
 //!   pipeline's phase spans as debug-level log events carrying the
-//!   owning job's request ID, threading IDs *into* the analysis.
+//!   owning job's request ID, threading IDs *into* the analysis. Its
+//!   spans are a [`sigtrace::SpanCollector`]'s, timed on the log's own
+//!   clock, so each record's `start_us` lines up with `ts_us`.
 //! * [`prometheus_text`] — Prometheus text exposition of a
 //!   [`sigtrace::MetricsSnapshot`] (plus [`validate_prometheus_text`],
 //!   the parser the CI smoke test uses).

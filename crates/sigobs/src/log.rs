@@ -22,6 +22,7 @@
 //! invariant replay checks.
 
 use minijson::Json;
+use sigtrace::SpanCollector;
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs::File;
@@ -481,14 +482,18 @@ impl EventLog {
 /// debug-level events carrying the owning job's request ID — the bridge
 /// that threads sigserve's job IDs into the analysis pipeline.
 ///
+/// Spans are recorded by a [`SpanCollector`] on the log's own clock, so
+/// each `span` record's `start_us` (plus `dur_us`) sits on the same
+/// timeline as the records' `ts_us` and children nest exactly inside
+/// their parents.
+///
 /// Counter deltas are deliberately ignored here: they already flow into
 /// the daemon's `MetricsRegistry` via the engine, and duplicating them
 /// per job would bloat the log.
 pub struct LogTracer<'a> {
     log: &'a EventLog,
     job: &'a str,
-    /// Open spans, outermost first: (name, start).
-    open: Vec<(String, Instant)>,
+    spans: SpanCollector,
 }
 
 impl<'a> LogTracer<'a> {
@@ -497,30 +502,31 @@ impl<'a> LogTracer<'a> {
         LogTracer {
             log,
             job,
-            open: Vec::new(),
+            spans: SpanCollector::with_epoch(log.epoch),
         }
     }
 }
 
 impl sigtrace::Tracer for LogTracer<'_> {
     fn span_start(&mut self, name: &str) {
-        self.open.push((name.to_owned(), Instant::now()));
+        self.spans.span_start(name);
     }
 
     fn span_end(&mut self, name: &str) {
-        let Some(pos) = self.open.iter().rposition(|(n, _)| n == name) else {
+        let Some(span) = self.spans.close(name) else {
             return; // tolerate protocol slips, like SpanCollector
         };
-        let (name, start) = self.open.remove(pos);
-        let dur_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let depth = pos as f64;
         self.log.debug(
             "span",
             &[
                 ("job", Json::from(self.job)),
-                ("span", Json::from(name)),
-                ("depth", Json::from(depth)),
-                ("dur_us", Json::from(dur_us as f64)),
+                ("span", Json::from(span.name.as_str())),
+                ("depth", Json::from(span.depth as f64)),
+                (
+                    "start_us",
+                    Json::from(self.log.epoch_unix_us.saturating_add(span.start_us) as f64),
+                ),
+                ("dur_us", Json::from(span.dur_us as f64)),
             ],
         );
     }
@@ -768,6 +774,29 @@ mod tests {
         }
         assert_eq!(log.records_written(), 50, "unlisted events never sampled");
         assert_eq!(log.suppressed_total("job_enqueued"), 0);
+    }
+
+    #[test]
+    fn log_tracer_spans_sit_on_the_log_clock() {
+        let log = EventLog::in_memory(Level::Debug);
+        log.info("job_dequeued", &[]);
+        let mut t = LogTracer::new(&log, "j-7");
+        t.span_start("phase1");
+        t.span_start("fixpoint");
+        std::thread::sleep(Duration::from_millis(1));
+        t.span_end("fixpoint");
+        t.span_end("phase1");
+        log.info("job_computed", &[]);
+        let tail = log.tail();
+        let num = |r: &Json, k: &str| r[k].as_f64().expect(k) as u64;
+        let (dequeued, computed) = (num(&tail[0], "ts_us"), num(&tail[3], "ts_us"));
+        let (child, parent) = (&tail[1], &tail[2]);
+        let end = |r: &Json| num(r, "start_us") + num(r, "dur_us");
+        assert!(num(child, "dur_us") >= 1_000);
+        assert!(dequeued <= num(parent, "start_us"));
+        assert!(num(parent, "start_us") <= num(child, "start_us"));
+        assert!(end(child) <= end(parent));
+        assert!(end(parent) <= computed);
     }
 
     #[test]

@@ -39,8 +39,11 @@ pub struct JobIntervals {
     pub cache_hit: Option<(String, u64)>,
     /// Node and `ts_us` of `job_done`.
     pub done: Option<(String, u64)>,
-    /// Pipeline phase spans attributed to the job: `(name, dur_us)`.
-    pub spans: Vec<(String, u64)>,
+    /// Pipeline phase spans attributed to the job, in log order:
+    /// `(name, start_us, dur_us)`. `start_us` is on the logging node's
+    /// `ts_us` clock; logs written before span records carried it give
+    /// `None`.
+    pub spans: Vec<(String, Option<u64>, u64)>,
     /// The `job_profile` postmortem record, verbatim, if one was kept.
     pub profile: Option<Json>,
 }
@@ -92,7 +95,8 @@ pub fn job_intervals(log: &str, job_id: &str) -> Result<JobIntervals, String> {
                 if let (Some(name), Some(dur)) =
                     (record["span"].as_str(), record["dur_us"].as_f64())
                 {
-                    iv.spans.push((name.to_owned(), dur as u64));
+                    let start = record["start_us"].as_f64().map(|s| s as u64);
+                    iv.spans.push((name.to_owned(), start, dur as u64));
                 }
             }
             "job_profile" => iv.profile = Some(record.clone()),
@@ -135,8 +139,10 @@ fn process_name(pid: usize, name: &str) -> Json {
 /// Renders [`JobIntervals`] as a Chrome trace document:
 /// `{"displayTimeUnit":"ms","traceEvents":[...]}`. Each node becomes a
 /// process (pid in order of lifecycle appearance); lifecycle slices go
-/// on tid 0, pipeline phase slices on tid 1 laid back-to-back so they
-/// end at `job_computed`. The `job_profile` hotspots ride on the
+/// on tid 0, pipeline phase slices on tid 1 at their logged
+/// `[start_us, start_us + dur_us]`, so nested spans nest exactly. Spans
+/// from older logs, which carry no `start_us`, are laid back-to-back so
+/// they end at `job_computed`. The `job_profile` hotspots ride on the
 /// analyze slice's args, so the postmortem is visible in the viewer.
 pub fn chrome_trace(iv: &JobIntervals) -> Json {
     let mut nodes: Vec<String> = Vec::new();
@@ -176,13 +182,16 @@ pub fn chrome_trace(iv: &JobIntervals) -> Json {
             }
         }
         slices.push(slice("analyze", pid, 0, *deq_ts, *comp_ts, args));
-        // Phase slices, back-to-back, ending at the computed timestamp
-        // (the pipeline reports durations, not start times).
-        let total: u64 = iv.spans.iter().map(|(_, d)| d).sum();
+        // Phase slices at their logged starts; spans without one are
+        // laid back-to-back, ending at the computed timestamp.
+        let total: u64 = iv.spans.iter().filter(|s| s.1.is_none()).map(|s| s.2).sum();
         let mut at = comp_ts.saturating_sub(total).max(*deq_ts);
-        for (name, dur) in &iv.spans {
-            slices.push(slice(name, pid, 1, at, at + dur, Json::Null));
-            at += dur;
+        for (name, start, dur) in &iv.spans {
+            let ts = start.unwrap_or(at);
+            slices.push(slice(name, pid, 1, ts, ts + dur, Json::Null));
+            if start.is_none() {
+                at += dur;
+            }
         }
     }
     if let (Some((hit_node, hit_ts)), Some((_, done_ts))) = (&iv.cache_hit, &iv.done) {
@@ -288,6 +297,68 @@ mod tests {
         assert_eq!(
             job_chrome_trace(&merged, "j-0").unwrap(),
             job_chrome_trace(&merged, "j-0").unwrap()
+        );
+    }
+
+    #[test]
+    fn logged_span_starts_nest_children_inside_parents() {
+        // As a debug-level daemon logs them: children close (and are
+        // logged) before their parent, each with its start on the
+        // node's clock.
+        let span = |seq, ts, name: &str, depth: f64, start: f64, dur: f64| {
+            line(
+                seq,
+                ts,
+                "span",
+                &[
+                    j("j-0"),
+                    ("span", Json::from(name)),
+                    ("depth", Json::from(depth)),
+                    ("start_us", Json::from(start)),
+                    ("dur_us", Json::from(dur)),
+                ],
+            )
+        };
+        let log = [
+            line(0, 1_000, "job_enqueued", &[j("j-0")]),
+            line(1, 2_000, "job_dequeued", &[j("j-0")]),
+            span(2, 2_700, "fixpoint", 1.0, 2_200.0, 500.0),
+            span(3, 2_800, "phase1", 0.0, 2_100.0, 700.0),
+            line(
+                4,
+                3_000,
+                "job_computed",
+                &[j("j-0"), ("verdict", Json::from("ok"))],
+            ),
+            line(5, 3_100, "job_done", &[j("j-0")]),
+        ]
+        .join("\n");
+        let trace = chrome_trace(&job_intervals(&log, "j-0").unwrap());
+        let Json::Arr(events) = &trace["traceEvents"] else {
+            panic!()
+        };
+        let bounds = |e: &Json| {
+            let ts = e["ts"].as_f64().unwrap();
+            (ts, ts + e["dur"].as_f64().unwrap())
+        };
+        let find = |name: &str| {
+            let event = events.iter().find(|e| e["name"].as_str() == Some(name));
+            bounds(event.unwrap())
+        };
+        let ((p_start, p_end), (c_start, c_end)) = (find("phase1"), find("fixpoint"));
+        assert_eq!((p_start, p_end), (2_100.0, 2_800.0));
+        assert!(
+            p_start <= c_start && c_end <= p_end,
+            "child nests in parent"
+        );
+        let lane_end = events
+            .iter()
+            .filter(|e| e["tid"].as_f64() == Some(1.0))
+            .map(|e| bounds(e).1)
+            .fold(0.0, f64::max);
+        assert!(
+            lane_end <= find("analyze").1,
+            "phase lane ends by job_computed"
         );
     }
 

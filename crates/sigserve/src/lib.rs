@@ -38,10 +38,16 @@
 //! use jsanalysis::AnalysisConfig;
 //! use sigserve::{Client, MetricsRegistry, ServeConfig, Server, VetOutcome};
 //! use sigserve::PhaseTimings;
+//! use sigtrace::Trace;
 //! use std::time::Duration;
 //!
 //! // A stub engine; real deployments pass `addon_sig::service_engine`.
-//! fn analyze(_source: &str, _config: &AnalysisConfig, _metrics: &MetricsRegistry) -> VetOutcome {
+//! fn analyze(
+//!     _source: &str,
+//!     _config: &AnalysisConfig,
+//!     _metrics: &MetricsRegistry,
+//!     _trace: Trace<'_>,
+//! ) -> VetOutcome {
 //!     VetOutcome::report(
 //!         "{\n  \"flows\": []\n}".to_owned(),
 //!         PhaseTimings::new(

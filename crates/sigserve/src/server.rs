@@ -109,12 +109,6 @@ pub struct ServeConfig {
     pub metrics_dir: Option<PathBuf>,
     /// Snapshot interval for the history thread (default 5 s).
     pub metrics_interval: Duration,
-    /// In-daemon alert rules (`vet serve --alert-rules FILE`): the
-    /// `metrics-report --gate` rule language, evaluated by the history
-    /// thread against every appended snapshot. Threshold crossings emit
-    /// `alert_fired` / `alert_cleared` log events. Needs
-    /// [`ServeConfig::metrics_dir`]; default `None`.
-    pub alert_rules: Option<sigobs::alerts::AlertRules>,
     /// Close a TCP connection that has been completely quiet — no
     /// buffered input, no pending jobs, nothing left to write — for this
     /// long (`vet serve --idle-timeout-ms`). Default `None`: never.
@@ -153,7 +147,6 @@ impl Default for ServeConfig {
             log: None,
             metrics_dir: None,
             metrics_interval: Duration::from_secs(5),
-            alert_rules: None,
             idle_timeout: None,
             request_deadline: None,
             outbuf_cap: 256 * 1024,
@@ -164,62 +157,13 @@ impl Default for ServeConfig {
     }
 }
 
-/// The in-daemon alerting state: which rule names are currently firing.
-/// After each snapshot lands in the history ring, the history thread
-/// re-evaluates the configured rules over the on-disk window and emits
-/// one `alert_fired` (warn) per newly violated rule and one
-/// `alert_cleared` (info) per rule that stopped violating -- edges, not
-/// levels, so a long-running breach is one log record, not one per
-/// snapshot.
-fn evaluate_alerts(
-    core: &JobCore,
-    dir: &std::path::Path,
-    rules: &sigobs::alerts::AlertRules,
-    firing: &mut std::collections::BTreeSet<String>,
-) {
-    let records = match sigobs::MetricsHistory::load(dir) {
-        Ok(r) => r,
-        Err(e) => {
-            core.log_event(
-                Level::Warn,
-                "metrics_history_error",
-                &[("error", Json::from(format!("{e}")))],
-            );
-            return;
-        }
-    };
-    let report = sigobs::alerts::evaluate(rules, &records);
-    for outcome in &report.outcomes {
-        let name = outcome.rule.name.as_str();
-        if outcome.violated && !firing.contains(name) {
-            firing.insert(name.to_owned());
-            let value = outcome.value.map_or(Json::Null, Json::from);
-            let bound = match (outcome.rule.min, outcome.rule.max) {
-                (Some(lo), _) if outcome.value.is_some_and(|v| v < lo) => Json::from(lo),
-                (_, Some(hi)) => Json::from(hi),
-                (Some(lo), None) => Json::from(lo),
-                (None, None) => Json::Null,
-            };
-            core.log_event(
-                Level::Warn,
-                "alert_fired",
-                &[("rule", Json::from(name)), ("value", value), ("bound", bound)],
-            );
-        } else if !outcome.violated && firing.remove(name) {
-            core.log_event(Level::Info, "alert_cleared", &[("rule", Json::from(name))]);
-        }
-    }
-}
-
 /// Snapshots the on-disk metrics history keeps.
 const HISTORY_CAP: u64 = 256;
 
 /// Spawns the metrics-history thread when `--metrics-dir` is configured:
 /// it appends a merged snapshot to the on-disk ring every
 /// `metrics_interval`, plus one final snapshot at shutdown, and polls
-/// the shutdown flag often enough that daemon teardown is prompt. With
-/// alert rules configured, each appended snapshot is followed by an
-/// alerting pass over the recorded window.
+/// the shutdown flag often enough that daemon teardown is prompt.
 fn spawn_history(core: &Arc<JobCore>) -> Option<JoinHandle<()>> {
     let dir = core.cfg.metrics_dir.clone()?;
     let core = Arc::clone(core);
@@ -237,16 +181,12 @@ fn spawn_history(core: &Arc<JobCore>) -> Option<JoinHandle<()>> {
                     return;
                 }
             };
-            let mut firing = std::collections::BTreeSet::new();
             let poll = Duration::from_millis(25);
             loop {
                 let interval_start = Instant::now();
                 while interval_start.elapsed() < core.cfg.metrics_interval {
                     if core.shutting_down.load(Ordering::SeqCst) {
                         let _ = history.append(&core.snapshot());
-                        if let Some(rules) = &core.cfg.alert_rules {
-                            evaluate_alerts(&core, &dir, rules, &mut firing);
-                        }
                         return;
                     }
                     std::thread::sleep(poll.min(core.cfg.metrics_interval));
@@ -257,8 +197,6 @@ fn spawn_history(core: &Arc<JobCore>) -> Option<JoinHandle<()>> {
                         "metrics_history_error",
                         &[("error", Json::from(format!("{e}")))],
                     );
-                } else if let Some(rules) = &core.cfg.alert_rules {
-                    evaluate_alerts(&core, &dir, rules, &mut firing);
                 }
             }
         })
@@ -1207,7 +1145,7 @@ impl Server {
 
 /// Builds a daemon: set its [`ServeConfig`], pick a front end
 /// ([`ServerBuilder::addr`] or [`ServerBuilder::stdio`]), inject the
-/// engine ([`ServerBuilder::analyze`] / [`ServerBuilder::analyze_traced`]),
+/// engine ([`ServerBuilder::analyze`]),
 /// then [`ServerBuilder::start`] (TCP) or [`ServerBuilder::run`] (either
 /// front end, blocking). A daemon with
 /// zero local workers needs no engine: its remote workers bring theirs.
@@ -1240,22 +1178,14 @@ impl ServerBuilder {
         self
     }
 
-    /// The analysis engine, classic 3-argument form; phase spans never
-    /// reach the event log.
-    pub fn analyze<F>(self, analyze: F) -> ServerBuilder
-    where
-        F: Fn(&str, &AnalysisConfig, &MetricsRegistry) -> VetOutcome + Send + Sync + 'static,
-    {
-        self.analyze_traced(move |s, c, m, _trace| analyze(s, c, m))
-    }
-
-    /// The analysis engine, trace-aware form: also receives a
-    /// [`sigtrace::Trace`] carrying the owning job's request ID into the
-    /// pipeline (a [`sigobs::LogTracer`] when the event log is at debug
-    /// level, [`Trace::Off`] otherwise).
+    /// The analysis engine. Besides the source, configuration and the
+    /// daemon's metrics registry, it receives a [`sigtrace::Trace`]
+    /// carrying the owning job's request ID into the pipeline (a
+    /// [`sigobs::LogTracer`] when the event log is at debug level,
+    /// [`Trace::Off`] otherwise).
     ///
     /// [`Trace::Off`]: sigtrace::Trace::Off
-    pub fn analyze_traced<F>(mut self, analyze: F) -> ServerBuilder
+    pub fn analyze<F>(mut self, analyze: F) -> ServerBuilder
     where
         F: for<'a> Fn(&str, &AnalysisConfig, &MetricsRegistry, Trace<'a>) -> VetOutcome
             + Send
@@ -1431,7 +1361,12 @@ mod tests {
 
     /// A fast stub engine: "ok" for anything, "timeout" for sources
     /// containing the marker, error for sources containing "!".
-    fn stub(source: &str, _config: &AnalysisConfig, metrics: &MetricsRegistry) -> VetOutcome {
+    fn stub(
+        source: &str,
+        _config: &AnalysisConfig,
+        metrics: &MetricsRegistry,
+        _trace: Trace<'_>,
+    ) -> VetOutcome {
         metrics.add("stub_calls", 1);
         if source.contains("@timeout") {
             VetOutcome::timeout(999, Duration::from_micros(77))
@@ -1545,11 +1480,11 @@ mod tests {
 
     #[test]
     fn request_deadline_answers_timeout_while_worker_runs() {
-        fn slow(source: &str, c: &AnalysisConfig, m: &MetricsRegistry) -> VetOutcome {
-            if source.contains("@slow") {
+        fn slow(s: &str, c: &AnalysisConfig, m: &MetricsRegistry, t: Trace<'_>) -> VetOutcome {
+            if s.contains("@slow") {
                 std::thread::sleep(Duration::from_millis(400));
             }
-            stub(source, c, m)
+            stub(s, c, m, t)
         }
         let cfg = ServeConfig {
             workers: 1,
@@ -1604,11 +1539,11 @@ mod tests {
         // Regression: a panicking AnalyzeJobFn used to poison the cache
         // mutex and crash the worker; every later request then panicked
         // on the poisoned lock — one bad addon took the daemon down.
-        fn panicky(source: &str, c: &AnalysisConfig, m: &MetricsRegistry) -> VetOutcome {
-            if source.contains("@panic") {
+        fn panicky(s: &str, c: &AnalysisConfig, m: &MetricsRegistry, t: Trace<'_>) -> VetOutcome {
+            if s.contains("@panic") {
                 panic!("injected analysis panic");
             }
-            stub(source, c, m)
+            stub(s, c, m, t)
         }
         let cfg = ServeConfig {
             workers: 1, // one worker: if the panic killed it, nothing answers

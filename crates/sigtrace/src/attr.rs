@@ -4,21 +4,23 @@
 //! The base analysis can already say *how much* a job cost (the
 //! [`Counter`](crate::Counter) totals); attribution says *where*: which
 //! functions, at which context depths, ate the worklist budget. That is
-//! the evidence a "why did this addon time out" postmortem needs, and
-//! the data a tiered-sensitivity escalation policy selects on.
+//! the evidence a "why did this addon time out" postmortem needs.
 //!
-//! The design mirrors [`Trace`](crate::Trace) exactly:
+//! Attribution rides the one observability seam, [`Trace`](crate::Trace):
 //!
-//! * [`Attribution`] is the handle the analysis threads through — an
-//!   enum, so the disabled path is one predictable branch on a
-//!   discriminant, never a virtual call or an allocation.
+//! * A sink opts in through
+//!   [`Tracer::attributes_cost`](crate::Tracer::attributes_cost); with
+//!   [`Trace::Off`](crate::Trace::Off), or a sink that does not opt in,
+//!   the fixpoint loop pays one predictable branch per step and no
+//!   clock reads.
 //! * The fixpoint loop does **not** call the sink per step. It keeps
 //!   dense local tallies (indexed by function id × context class) and
-//!   flushes them once when the run ends — the same once-per-phase
-//!   flush discipline the counters use.
-//! * [`AttributionSink`] collects the flushed buckets;
-//!   [`AttributionSink::into_profile`] sorts them into a deterministic
-//!   [`JobProfile`].
+//!   flushes them once through
+//!   [`Tracer::record_cost`](crate::Tracer::record_cost) when the run
+//!   ends — the same once-per-phase flush discipline the counters use.
+//! * [`AttributionSink`] collects the flushed buckets (the pipeline's
+//!   recorder keeps one); [`AttributionSink::into_profile`] sorts them
+//!   into a deterministic [`JobProfile`].
 //!
 //! Determinism contract: bucket *step* counts are deterministic for a
 //! fixed source, configuration, and worklist order (they are slices of
@@ -93,11 +95,6 @@ impl AttributionSink {
         &self.costs
     }
 
-    /// True when nothing was recorded (attribution never flushed).
-    pub fn is_empty(&self) -> bool {
-        self.costs.is_empty()
-    }
-
     /// Rolls the buckets up into a deterministic [`JobProfile`]:
     /// hotspots sorted by steps (descending), ties broken by
     /// `(func, ctx_class, phase)` ascending so the order never depends
@@ -115,40 +112,6 @@ impl AttributionSink {
             total_steps,
             phases: Vec::new(),
             hotspots,
-        }
-    }
-}
-
-/// The handle the analysis threads through: attribution off (one
-/// discriminant branch, zero work) or on (dense local tallies, flushed
-/// once into the sink). Mirrors [`Trace`](crate::Trace).
-#[derive(Default)]
-pub enum Attribution<'a> {
-    /// Attribution disabled; the analysis pays one branch to find out.
-    #[default]
-    Off,
-    /// Attribution enabled; flushed buckets land in the sink.
-    On(&'a mut AttributionSink),
-}
-
-impl<'a> Attribution<'a> {
-    /// Wraps a sink in an enabled handle.
-    pub fn on(sink: &'a mut AttributionSink) -> Attribution<'a> {
-        Attribution::On(sink)
-    }
-
-    /// Whether buckets will be observed (lets the analysis skip the
-    /// per-step clock reads that only exist to be attributed).
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        matches!(self, Attribution::On(_))
-    }
-
-    /// Records one flushed bucket (no-op when off).
-    #[inline]
-    pub fn record(&mut self, func: &str, ctx_class: u8, phase: &str, steps: u64, time_us: u64) {
-        if let Attribution::On(sink) = self {
-            sink.record(func, ctx_class, phase, steps, time_us);
         }
     }
 }
@@ -223,23 +186,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn off_handle_is_inert() {
-        let mut a = Attribution::Off;
-        assert!(!a.is_enabled());
-        a.record("f", 0, "fixpoint", 10, 5);
-    }
-
-    #[test]
     fn sink_collects_and_profile_sorts_deterministically() {
         let mut sink = AttributionSink::new();
-        {
-            let mut a = Attribution::on(&mut sink);
-            assert!(a.is_enabled());
-            a.record("zeta", 0, "fixpoint", 50, 900);
-            a.record("alpha", 1, "fixpoint", 50, 100);
-            a.record("beta", 0, "fixpoint", 200, 1);
-            a.record("alpha", 0, "fixpoint", 50, 10);
-        }
+        sink.record("zeta", 0, "fixpoint", 50, 900);
+        sink.record("alpha", 1, "fixpoint", 50, 100);
+        sink.record("beta", 0, "fixpoint", 200, 1);
+        sink.record("alpha", 0, "fixpoint", 50, 10);
         assert_eq!(sink.costs().len(), 4);
         let profile = sink.into_profile(400);
         // Sorted by steps desc; 50-step ties broken by (func, ctx).

@@ -1,114 +1,58 @@
 //! `chrome://tracing` / Perfetto `trace_event` JSON output.
 //!
-//! The writer wraps a [`SpanCollector`] and serializes its spans as
-//! complete events (`"ph":"X"`) plus one counter event (`"ph":"C"`)
-//! per non-zero pipeline counter. The JSON is hand-built against `std`
+//! A rendering of what a [`SpanCollector`] recorded: its spans as
+//! complete events (`"ph":"X"`) plus one counter event (`"ph":"C"`) per
+//! non-zero pipeline counter. The JSON is hand-built against `std`
 //! only — this crate must stay dependency-free — and is covered by a
 //! test that round-trips it through the workspace's `minijson` parser.
 
-use crate::counter::Counters;
-use crate::span::{SpanCollector, SpanRecord, Tracer};
+use crate::span::SpanCollector;
 use std::fmt::Write as _;
 
-/// A [`Tracer`] that renders the run as a `trace_event` JSON document
-/// loadable by `chrome://tracing` and Perfetto (`ui.perfetto.dev`).
-#[derive(Debug, Default)]
-pub struct ChromeTraceWriter {
-    collector: SpanCollector,
-}
-
-impl ChromeTraceWriter {
-    /// An empty writer; the time origin is now.
-    pub fn new() -> ChromeTraceWriter {
-        ChromeTraceWriter {
-            collector: SpanCollector::new(),
-        }
-    }
-
-    /// The spans recorded so far (start order).
-    pub fn spans(&self) -> &[SpanRecord] {
-        self.collector.spans()
-    }
-
-    /// The counters accumulated so far.
-    pub fn counters(&self) -> &Counters {
-        self.collector.counters()
-    }
-
+impl SpanCollector {
     /// Serializes everything recorded so far as a `trace_event` JSON
-    /// document (the `{"traceEvents": [...]}` object form).
-    pub fn to_json_string(&self) -> String {
-        let mut out = String::with_capacity(256 + self.collector.spans().len() * 96);
+    /// document (the `{"traceEvents": [...]}` object form) loadable by
+    /// `chrome://tracing` and Perfetto (`ui.perfetto.dev`).
+    pub fn to_chrome_json(&self) -> String {
+        let mut out = String::with_capacity(256 + self.spans().len() * 96);
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        let mut push = |out: &mut String, event: String| {
-            if !std::mem::take(&mut first) {
-                out.push(',');
-            }
-            out.push_str(&event);
-        };
-        push(
-            &mut out,
+        out.push_str(
             "{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"addon-sig pipeline\"}}"
-                .to_owned(),
+             \"args\":{\"name\":\"addon-sig pipeline\"}}",
         );
-        for span in self.collector.spans() {
-            let mut ev = String::new();
+        for span in self.spans() {
             let _ = write!(
-                ev,
-                "{{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"cat\":\"pipeline\",\"name\":\"{}\",\
+                out,
+                ",{{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"cat\":\"pipeline\",\"name\":\"{}\",\
                  \"ts\":{},\"dur\":{}}}",
                 escape(&span.name),
                 span.start_us,
                 span.dur_us,
             );
-            push(&mut out, ev);
         }
         // Counters as a single sample at the end of the run: the totals
         // are what is deterministic, not any intermediate trajectory.
         let end_us = self
-            .collector
             .spans()
             .iter()
             .map(|s| s.start_us + s.dur_us)
             .max()
             .unwrap_or(0);
-        for (c, v) in self.collector.counters().iter() {
+        for (c, v) in self.counters().iter() {
             if v == 0 {
                 continue;
             }
-            let mut ev = String::new();
             let _ = write!(
-                ev,
-                "{{\"ph\":\"C\",\"pid\":1,\"tid\":1,\"name\":\"{}\",\"ts\":{},\
+                out,
+                ",{{\"ph\":\"C\",\"pid\":1,\"tid\":1,\"name\":\"{}\",\"ts\":{},\
                  \"args\":{{\"value\":{}}}}}",
                 c.name(),
                 end_us,
                 v,
             );
-            push(&mut out, ev);
         }
         out.push_str("]}");
         out
-    }
-}
-
-impl Tracer for ChromeTraceWriter {
-    fn span_start(&mut self, name: &str) {
-        self.collector.span_start(name);
-    }
-
-    fn span_end(&mut self, name: &str) {
-        self.collector.span_end(name);
-    }
-
-    fn add(&mut self, counter: crate::Counter, delta: u64) {
-        self.collector.add(counter, delta);
-    }
-
-    fn add_counters(&mut self, counters: &Counters) {
-        self.collector.add_counters(counters);
     }
 }
 
@@ -132,18 +76,20 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Counter;
+    use crate::{Counter, Counters, Tracer};
     use minijson::Json;
 
-    /// Builds a writer with a realistic nested span structure.
-    fn sample() -> ChromeTraceWriter {
-        let mut w = ChromeTraceWriter::new();
+    /// Records a realistic nested span structure.
+    fn sample() -> SpanCollector {
+        let mut w = SpanCollector::new();
         w.span_start("pipeline");
         w.span_start("parse");
         w.span_end("parse");
         w.span_start("phase1");
-        w.add(Counter::WorklistSteps, 1024);
-        w.add(Counter::StateJoins, 96);
+        let mut counters = Counters::new();
+        counters.add(Counter::WorklistSteps, 1024);
+        counters.add(Counter::StateJoins, 96);
+        w.add_counters(&counters);
         w.span_end("phase1");
         w.span_start("phase2");
         w.span_start("ddg");
@@ -155,7 +101,7 @@ mod tests {
 
     #[test]
     fn output_parses_with_minijson_and_has_the_trace_event_shape() {
-        let doc = Json::parse(&sample().to_json_string()).expect("valid JSON");
+        let doc = Json::parse(&sample().to_chrome_json()).expect("valid JSON");
         assert_eq!(doc["displayTimeUnit"].as_str(), Some("ms"));
         let events = doc["traceEvents"].as_array().expect("traceEvents array");
         assert!(!events.is_empty());
@@ -181,7 +127,7 @@ mod tests {
 
     #[test]
     fn complete_events_nest_strictly() {
-        let doc = Json::parse(&sample().to_json_string()).expect("valid JSON");
+        let doc = Json::parse(&sample().to_chrome_json()).expect("valid JSON");
         let events = doc["traceEvents"].as_array().unwrap();
         let spans: Vec<(f64, f64)> = events
             .iter()

@@ -8,14 +8,17 @@
 //! for those questions, kept deliberately free of dependencies so the
 //! analysis crates can thread it through their hot paths:
 //!
-//! * [`Tracer`] — the event sink trait (hierarchical spans + counter
-//!   deltas), with no-op defaults. Shipped impls: [`SpanCollector`]
-//!   (records spans and [`Counters`] in memory) and
-//!   [`ChromeTraceWriter`] (emits `chrome://tracing` / Perfetto
-//!   compatible `trace_event` JSON).
-//! * [`Trace`] — the handle the pipeline actually passes around. It is
-//!   an enum, so the disabled path is a branch on a discriminant, not a
-//!   virtual call: `Trace::Off` costs one predictable-not-taken test.
+//! * [`Tracer`] — the event sink trait (hierarchical spans, counter
+//!   batches, and cost-attribution buckets), with no-op defaults.
+//!   The shipped impl, [`SpanCollector`], records spans and
+//!   [`Counters`] in memory; its open-span stack is the only one, and
+//!   [`SpanCollector::to_chrome_json`] renders it as
+//!   `chrome://tracing` / Perfetto `trace_event` JSON.
+//! * [`Trace`] — the handle the pipeline actually passes around, and
+//!   the only one: spans, counters and cost attribution all go through
+//!   it. It is an enum, so the disabled path is a branch on a
+//!   discriminant, not a virtual call: `Trace::Off` costs one
+//!   predictable-not-taken test.
 //! * [`Counter`] / [`Counters`] — the fixed set of pipeline counters
 //!   (worklist steps, state joins, heap CoW clones, PDG edges by kind,
 //!   flow-lattice raises). Counters are accumulated locally by each
@@ -24,10 +27,11 @@
 //! * [`MetricsRegistry`] — named monotonic counters and fixed
 //!   log₂-bucket [`Histogram`]s for the daemon: shared via atomics, so
 //!   worker threads feed one registry without locking on the hot path.
-//! * [`Attribution`] / [`AttributionSink`] / [`JobProfile`] — per-job
-//!   cost attribution: which `(function, context class, phase)` buckets
-//!   ate the worklist budget. Same discriminant-branch shape as
-//!   [`Trace`]; the data behind timeout postmortems and `vet profile`.
+//! * [`AttributionSink`] / [`JobProfile`] — per-job cost attribution:
+//!   which `(function, context class, phase)` buckets ate the worklist
+//!   budget, flushed through the [`Trace`] handle to a sink that opts in
+//!   with [`Tracer::attributes_cost`]; the data behind timeout
+//!   postmortems and `vet profile`.
 //!
 //! Determinism contract: every counter is deterministic for a fixed
 //! source and configuration, including across sequential/parallel
@@ -50,8 +54,7 @@ mod counter;
 mod metrics;
 mod span;
 
-pub use attr::{ctx_class_name, Attribution, AttributionSink, FuncCost, JobProfile, CTX_CLASSES};
-pub use chrome::ChromeTraceWriter;
+pub use attr::{ctx_class_name, AttributionSink, FuncCost, JobProfile, CTX_CLASSES};
 pub use counter::{Counter, Counters};
 pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot, HISTOGRAM_BUCKETS};
 pub use metrics::Histogram;

@@ -1,11 +1,12 @@
 //! The `Tracer` sink trait, the `Trace` handle the pipeline threads
-//! through its phases, and the in-memory `SpanCollector`.
+//! through its phases, and the in-memory `SpanCollector` whose
+//! open-span stack every span sink shares.
 
-use crate::counter::{Counter, Counters};
-use std::time::Instant;
+use crate::counter::Counters;
+use std::time::{Duration, Instant};
 
-/// Sink for pipeline trace events: hierarchical spans and counter
-/// deltas.
+/// Sink for pipeline trace events: hierarchical spans, counter
+/// batches, and per-function cost buckets.
 ///
 /// Every method has a no-op default, so an implementation only
 /// overrides what it cares about. Implementations must tolerate
@@ -20,21 +21,22 @@ pub trait Tracer {
     /// The innermost open region named `name` ends.
     fn span_end(&mut self, _name: &str) {}
 
-    /// Adds `delta` to a pipeline counter.
-    fn add(&mut self, _counter: Counter, _delta: u64) {}
-
     /// Flushes a whole batch of locally-accumulated counters at once.
     ///
     /// The phases accumulate counters in plain integers and flush once
     /// per phase, so even an enabled tracer never adds dispatch to the
-    /// fixpoint loop. The default forwards to [`add`](Tracer::add).
-    fn add_counters(&mut self, counters: &Counters) {
-        for (c, v) in counters.iter() {
-            if v != 0 {
-                self.add(c, v);
-            }
-        }
+    /// fixpoint loop.
+    fn add_counters(&mut self, _counters: &Counters) {}
+
+    /// Whether this sink wants per-function cost attribution: the base
+    /// analysis then times every worklist step and flushes per-bucket
+    /// tallies through [`record_cost`](Tracer::record_cost) once.
+    fn attributes_cost(&self) -> bool {
+        false
     }
+
+    /// One flushed attribution bucket (see [`FuncCost`](crate::FuncCost)).
+    fn record_cost(&mut self, _func: &str, _ctx: u8, _phase: &str, _steps: u64, _time_us: u64) {}
 }
 
 /// A `Tracer` that ignores everything (the trait defaults, reified).
@@ -43,14 +45,15 @@ pub struct NoopTracer;
 
 impl Tracer for NoopTracer {}
 
-/// The handle the pipeline passes around.
+/// The handle the pipeline passes around — the one seam every
+/// observer (spans, counters, cost attribution) hangs off.
 ///
 /// An enum, not a `&mut dyn Tracer`, so that the disabled path is a
 /// branch on the discriminant rather than a virtual call: with
 /// [`Trace::Off`] every hook compiles to one predictable test. The
-/// pipeline additionally keeps its hot-loop counters in plain integer
-/// fields and flushes them per phase, so the handle is only touched at
-/// phase granularity anyway.
+/// pipeline additionally keeps its hot-loop counters and cost tallies
+/// in plain integer fields and flushes them per phase, so the handle is
+/// only touched at phase granularity anyway.
 #[derive(Default)]
 pub enum Trace<'a> {
     /// Tracing disabled; every hook is a no-op branch.
@@ -89,19 +92,25 @@ impl<'a> Trace<'a> {
         }
     }
 
-    /// Adds `delta` to one counter.
-    #[inline]
-    pub fn add(&mut self, counter: Counter, delta: u64) {
-        if let Trace::On(t) = self {
-            t.add(counter, delta);
-        }
-    }
-
     /// Flushes a batch of locally-accumulated counters.
     #[inline]
     pub fn add_counters(&mut self, counters: &Counters) {
         if let Trace::On(t) = self {
             t.add_counters(counters);
+        }
+    }
+
+    /// Whether the sink wants cost attribution.
+    #[inline]
+    pub fn attributes_cost(&self) -> bool {
+        matches!(self, Trace::On(t) if t.attributes_cost())
+    }
+
+    /// Flushes one attribution bucket (see [`Tracer::record_cost`]).
+    #[inline]
+    pub fn record_cost(&mut self, func: &str, ctx: u8, phase: &str, steps: u64, time_us: u64) {
+        if let Trace::On(t) = self {
+            t.record_cost(func, ctx, phase, steps, time_us);
         }
     }
 }
@@ -115,21 +124,24 @@ pub struct SpanRecord {
     pub depth: usize,
     /// Start offset from the collector's epoch, in microseconds.
     pub start_us: u64,
-    /// Duration in microseconds (0 until the span ends).
+    /// Duration in microseconds (0 until the span ends): end offset
+    /// minus `start_us`, so children nest exactly inside parents.
     pub dur_us: u64,
+    /// Duration at full clock resolution (zero until the span ends).
+    pub elapsed: Duration,
 }
 
 /// Records hierarchical spans (with wall-clock timings) and pipeline
-/// [`Counters`] in memory.
+/// [`Counters`] in memory. Its open-span stack is the only one; other
+/// span sinks read spans off a collector.
 ///
 /// Counters are deterministic (see the crate docs); span timings are
 /// not, which is why the golden tests compare counter totals only.
 #[derive(Debug)]
 pub struct SpanCollector {
     epoch: Instant,
-    /// Indices into `spans` of the currently-open spans, outermost
-    /// first.
-    open: Vec<usize>,
+    /// Open spans, outermost first: index into `spans`, start instant.
+    open: Vec<(usize, Instant)>,
     spans: Vec<SpanRecord>,
     counters: Counters,
 }
@@ -143,8 +155,14 @@ impl Default for SpanCollector {
 impl SpanCollector {
     /// An empty collector; the epoch (t=0) is now.
     pub fn new() -> SpanCollector {
+        SpanCollector::with_epoch(Instant::now())
+    }
+
+    /// An empty collector whose offsets count from `epoch`, so its spans
+    /// land on another clock's timeline (the event log's, for one).
+    pub fn with_epoch(epoch: Instant) -> SpanCollector {
         SpanCollector {
-            epoch: Instant::now(),
+            epoch,
             open: Vec::new(),
             spans: Vec::new(),
             counters: Counters::new(),
@@ -161,42 +179,42 @@ impl SpanCollector {
         &self.counters
     }
 
-    fn now_us(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
+    /// Closes the innermost open span named `name` and returns it;
+    /// `None` when no such span is open.
+    pub fn close(&mut self, name: &str) -> Option<&SpanRecord> {
+        let now = Instant::now();
+        let pos = self
+            .open
+            .iter()
+            .rposition(|&(i, _)| self.spans[i].name == name)?;
+        let (idx, start) = self.open.remove(pos);
+        debug_assert_eq!(pos, self.open.len(), "spans must close innermost-first");
+        let span = &mut self.spans[idx];
+        span.dur_us = micros(now - self.epoch).saturating_sub(span.start_us);
+        span.elapsed = now - start;
+        Some(span)
     }
+}
+
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 impl Tracer for SpanCollector {
     fn span_start(&mut self, name: &str) {
-        let start_us = self.now_us();
-        self.open.push(self.spans.len());
+        let now = Instant::now();
+        self.open.push((self.spans.len(), now));
         self.spans.push(SpanRecord {
             name: name.to_owned(),
             depth: self.open.len() - 1,
-            start_us,
+            start_us: micros(now - self.epoch),
             dur_us: 0,
+            elapsed: Duration::ZERO,
         });
     }
 
     fn span_end(&mut self, name: &str) {
-        // Close the innermost open span with this name; tolerate (and
-        // drop) unmatched ends rather than panicking mid-analysis.
-        let Some(pos) = self
-            .open
-            .iter()
-            .rposition(|&i| self.spans[i].name == name)
-        else {
-            debug_assert!(false, "span_end({name}) without a matching span_start");
-            return;
-        };
-        let idx = self.open.remove(pos);
-        debug_assert_eq!(pos, self.open.len(), "spans must close innermost-first");
-        let end = self.now_us();
-        self.spans[idx].dur_us = end.saturating_sub(self.spans[idx].start_us);
-    }
-
-    fn add(&mut self, counter: Counter, delta: u64) {
-        self.counters.add(counter, delta);
+        self.close(name); // an unmatched end is dropped, not a panic
     }
 
     fn add_counters(&mut self, counters: &Counters) {
@@ -207,13 +225,22 @@ impl Tracer for SpanCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Counter;
+
+    fn batch(counter: Counter, delta: u64) -> Counters {
+        let mut c = Counters::new();
+        c.add(counter, delta);
+        c
+    }
 
     #[test]
     fn off_handle_ignores_everything() {
         let mut t = Trace::Off;
         assert!(!t.is_enabled());
+        assert!(!t.attributes_cost());
         t.span_start("x");
-        t.add(Counter::WorklistSteps, 1);
+        t.add_counters(&batch(Counter::WorklistSteps, 1));
+        t.record_cost("f", 0, "fixpoint", 10, 5);
         t.span_end("x");
     }
 
@@ -225,12 +252,10 @@ mod tests {
             assert!(t.is_enabled());
             t.span_start("pipeline");
             t.span_start("phase1");
-            t.add(Counter::WorklistSteps, 41);
-            t.add(Counter::WorklistSteps, 1);
+            t.add_counters(&batch(Counter::WorklistSteps, 41));
+            t.add_counters(&batch(Counter::WorklistSteps, 1));
             t.span_end("phase1");
-            let mut batch = Counters::new();
-            batch.add(Counter::StateJoins, 7);
-            t.add_counters(&batch);
+            t.add_counters(&batch(Counter::StateJoins, 7));
             t.span_end("pipeline");
         }
         let spans = c.spans();
@@ -242,6 +267,7 @@ mod tests {
         // The child is contained in the parent.
         assert!(spans[1].start_us >= spans[0].start_us);
         assert!(spans[1].start_us + spans[1].dur_us <= spans[0].start_us + spans[0].dur_us);
+        assert!(spans[1].elapsed <= spans[0].elapsed);
         assert_eq!(c.counters().get(Counter::WorklistSteps), 42);
         assert_eq!(c.counters().get(Counter::StateJoins), 7);
     }

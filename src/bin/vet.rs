@@ -11,7 +11,6 @@
 //!           [--k <depth>] [--constant-strings]
 //!           [--log FILE] [--log-level LEVEL]
 //!           [--log-sample [EVENT=]N] [--log-sample-threshold R]
-//!           [--alert-rules FILE]
 //!           [--metrics-dir DIR] [--metrics-interval-ms N]
 //! vet serve --join HOST:PORT [--node NAME] [--workers N]
 //!           [--step-budget N] [--deadline-ms N] [--k <depth>]
@@ -59,12 +58,9 @@
 //! one rule per event, and a debug-level log under sampling also
 //! rate-limits the high-volume `span` stream at the default rate unless
 //! `span=N` tunes it explicitly.
-//! `--alert-rules FILE` evaluates the `metrics-report --gate` rule
-//! language inside the daemon against every metrics-history snapshot,
-//! emitting `alert_fired`/`alert_cleared` log events on threshold
-//! crossings (requires `--metrics-dir`). `--metrics-dir DIR`
-//! snapshots the metrics registry into a bounded on-disk ring every
-//! `--metrics-interval-ms` (default 5000), surviving restarts.
+//! `--metrics-dir DIR` snapshots the metrics registry into a bounded
+//! on-disk ring every `--metrics-interval-ms` (default 5000), surviving
+//! restarts; `vet metrics-report DIR --gate RULES` checks it.
 //!
 //! Remote workers join a TCP daemon with `serve --join ADDR`: each
 //! claims jobs over the wire, analyzes them with the same engine and
@@ -114,7 +110,7 @@
 
 use jsanalysis::{AnalysisConfig, StringDomain};
 use sigserve::{Client, ServeConfig};
-use sigtrace::ChromeTraceWriter;
+use sigtrace::SpanCollector;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -131,7 +127,6 @@ usage:
             [--k <depth>] [--constant-strings]
             [--log FILE] [--log-level error|warn|info|debug]
             [--log-sample [EVENT=]N] [--log-sample-threshold R]
-            [--alert-rules FILE]
             [--metrics-dir DIR] [--metrics-interval-ms N]
   vet serve --join HOST:PORT [--node NAME] [--workers N]
             [--step-budget N] [--deadline-ms N] [--k <depth>]
@@ -178,9 +173,6 @@ struct ServeOptions {
     /// `--log-sample-threshold R`: full records per window before
     /// sampling kicks in (default 100).
     log_sample_threshold: Option<u64>,
-    /// `--alert-rules FILE`: in-daemon alerting over the metrics
-    /// history (`alert_fired`/`alert_cleared` log events).
-    alert_rules: Option<sigobs::alerts::AlertRules>,
     /// `--join ADDR`: worker mode — claim vet jobs from the daemon at
     /// ADDR instead of serving clients directly.
     join: Option<String>,
@@ -281,7 +273,6 @@ fn parse_serve_args(
     let mut log_level: Option<sigobs::Level> = None;
     let mut log_sample: Vec<(Option<String>, u64)> = Vec::new();
     let mut log_sample_threshold: Option<u64> = None;
-    let mut alert_rules: Option<sigobs::alerts::AlertRules> = None;
     let mut join: Option<String> = None;
     let mut node: Option<String> = None;
     let mut seen: Vec<String> = Vec::new();
@@ -341,13 +332,6 @@ fn parse_serve_args(
             "--metrics-interval-ms" => {
                 config.metrics_interval = parse_millis(&mut args, "--metrics-interval-ms")?
             }
-            "--alert-rules" => {
-                let path = args.next().ok_or("--alert-rules needs a FILE")?;
-                let text =
-                    std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-                alert_rules =
-                    Some(sigobs::alerts::parse_rules(&text).map_err(|e| format!("{path}: {e}"))?);
-            }
             "--help" | "-h" => return Ok(Mode::Help),
             other if coordinate => return Err(format!("unknown coordinate flag: {other}")),
             other => return Err(format!("unknown serve flag: {other}")),
@@ -383,9 +367,6 @@ fn parse_serve_args(
     {
         return Err("--log-sample requires --log or --log-level".to_owned());
     }
-    if alert_rules.is_some() && config.metrics_dir.is_none() {
-        return Err("--alert-rules requires --metrics-dir".to_owned());
-    }
     // The queue bound scales with the local pool; a daemon without one
     // queues for its remote workers.
     config.queue_cap = queue_cap.unwrap_or(match config.workers {
@@ -409,7 +390,6 @@ fn parse_serve_args(
         log_level,
         log_sample,
         log_sample_threshold,
-        alert_rules,
         join,
         node,
     })))
@@ -611,16 +591,17 @@ fn vet_source(name: &str, source: &str, opts: &Options) -> Result<VetOutcome, St
         .with_context_depth(opts.context_depth)
         .with_string_domain(opts.string_domain);
     let pipeline = addon_sig::Pipeline::new().config(config);
-    // `--trace` attaches a Chrome trace_event writer to the pipeline
-    // (single-file mode only, enforced at argument parsing).
-    let mut writer = opts.trace.as_ref().map(|_| ChromeTraceWriter::new());
-    let result = match &mut writer {
-        Some(w) => pipeline.tracer(w).run(source),
+    // `--trace` collects the run's spans and writes them as Chrome
+    // trace_event JSON (single-file mode only, enforced at argument
+    // parsing).
+    let mut spans = opts.trace.as_ref().map(|_| SpanCollector::new());
+    let result = match &mut spans {
+        Some(c) => pipeline.tracer(c).run(source),
         None => pipeline.run(source),
     };
     let report = result.map_err(|e| format!("{name}: {e}"))?;
-    if let (Some(path), Some(w)) = (&opts.trace, &writer) {
-        std::fs::write(path, w.to_json_string()).map_err(|e| format!("{path}: {e}"))?;
+    if let (Some(path), Some(c)) = (&opts.trace, &spans) {
+        std::fs::write(path, c.to_chrome_json()).map_err(|e| format!("{path}: {e}"))?;
     }
     let mut out = String::new();
     if opts.json {
@@ -767,10 +748,9 @@ fn run_serve(mut opts: ServeOptions) -> Result<(), String> {
     // embedded servers (tests, benches) keep the default quiet exit.
     opts.config.dump_metrics_on_shutdown = true;
     opts.config.log = log;
-    opts.config.alert_rules = opts.alert_rules.take();
     let builder = sigserve::Server::builder()
         .config(opts.config)
-        .analyze_traced(addon_sig::service_engine_traced);
+        .analyze(addon_sig::service_engine);
     match opts.addr {
         Some(addr) => {
             let server = builder
@@ -804,7 +784,7 @@ fn run_worker(
     cfg.threads = opts.config.workers;
     cfg.analysis = opts.config.analysis;
     cfg.log = log;
-    let worker = sigserve::Worker::join_fleet(cfg, addon_sig::service_engine_traced)
+    let worker = sigserve::Worker::join_fleet(cfg, addon_sig::service_engine)
         .map_err(|e| format!("join {daemon}: {e}"))?;
     eprintln!("sigserve worker {} joined {daemon}", worker.id());
     worker.join(); // returns at daemon shutdown or a dropped connection

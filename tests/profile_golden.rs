@@ -124,7 +124,7 @@ fn budget_exhaustion_still_yields_a_postmortem() {
 
     // Service level: the daemon outcome carries the same postmortem.
     let metrics = sigtrace::MetricsRegistry::new();
-    match addon_sig::service_engine(addon.source, &tight, &metrics) {
+    match addon_sig::service_engine(addon.source, &tight, &metrics, sigtrace::Trace::Off) {
         VetOutcome::Timeout { profile, .. } => {
             let p = profile.expect("timeout outcome must carry a profile");
             assert!(!p.hotspots.is_empty());
@@ -149,7 +149,7 @@ fn daemon_timeout_postmortem_replays_from_the_log_alone() {
     let server = Server::builder()
         .config(cfg)
         .addr("127.0.0.1:0")
-        .analyze_traced(addon_sig::service_engine_traced)
+        .analyze(addon_sig::service_engine)
         .start()
         .expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
