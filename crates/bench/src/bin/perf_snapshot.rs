@@ -4,7 +4,13 @@
 //! Section 6.2: discard the first pass as warm-up, report medians),
 //! printing per-addon P1/P2/P3 medians plus the worklist `steps` counter,
 //! and writes `BENCH_pipeline.json` at the repo root — the
-//! perf-trajectory file future changes regress against.
+//! perf-trajectory file future changes regress against. Every time in
+//! it is read off `Report::timings` and keyed by `Layer::name()`.
+//!
+//! Each addon row also records `outside_layers_pct`: the median over
+//! passes of the share of `Pipeline::run` wall time that no layer span
+//! covers. The run fails when it exceeds 5% on any addon, so the layers
+//! keep adding up to the end-to-end time.
 //!
 //! The snapshot also measures the cost of the sigtrace hooks: the corpus
 //! vetted with a no-op `Tracer` attached versus the plain pipeline, as
@@ -14,12 +20,12 @@
 //! and a live attribution sink each cost under 5%; blowing either gate
 //! fails the run (and CI).
 //!
-//! Its `ddg_scaling` section times the layers of
-//! `corpus::many_fn_addon(n)` for n = 12, 24, 48, 96 (phase 1, DDG and
-//! CDG, each the minimum of 5 runs) with the doubling ratios. The run
-//! fails unless the DDG takes no longer than phase 1 at every n, and
-//! phase 2 no longer than phase 1 on every corpus addon: the PDG must
-//! never again be the layer that dominates.
+//! Its `ddg_scaling` section records the layers of
+//! `corpus::many_fn_addon(n)` for n = 12, 24, 48, 96 (each the minimum
+//! of 5 runs) with the doubling ratios. The run fails unless the DDG
+//! takes no longer than the fixpoint (phase 1) at every n, and phase 2
+//! no longer than phase 1 on every corpus addon: the PDG must never
+//! again be the layer that dominates.
 //!
 //! Flags:
 //! - `--runs N`       measured passes after warm-up (default 10)
@@ -29,14 +35,26 @@
 //!                    `<repo root>/BENCH_pipeline.json`)
 
 use minijson::Json;
+use sigtrace::{Layer, LayerTimes};
 use std::time::{Duration, Instant};
 
+/// The gate on `outside_layers_pct`: the layers must cover all but
+/// this share of `Pipeline::run`.
+const MAX_OUTSIDE_LAYERS_PCT: f64 = 5.0;
+
 struct AddonPass {
-    p1: Duration,
-    p2: Duration,
-    p3: Duration,
+    timings: LayerTimes,
+    /// Wall time of the whole `Pipeline::run` call.
     total: Duration,
     steps: usize,
+}
+
+impl AddonPass {
+    /// The share of the run's wall time outside every layer, in percent.
+    fn outside_layers_pct(&self) -> f64 {
+        let outside = self.total.saturating_sub(self.timings.total());
+        outside.as_secs_f64() / self.total.as_secs_f64() * 100.0
+    }
 }
 
 fn analyze_one(addon: &corpus::Addon) -> AddonPass {
@@ -44,9 +62,7 @@ fn analyze_one(addon: &corpus::Addon) -> AddonPass {
     let report = addon_sig::analyze_addon(addon.source).expect("pipeline");
     let total = start.elapsed();
     AddonPass {
-        p1: report.timings.p1,
-        p2: report.timings.p2,
-        p3: report.timings.p3,
+        timings: report.timings,
         total,
         steps: report.analysis.steps,
     }
@@ -153,43 +169,35 @@ const SCALING_NS: [usize; 4] = [12, 24, 48, 96];
 /// Vettings per `ddg_scaling` size; each layer reports its minimum.
 const SCALING_RUNS: usize = 5;
 
-/// One `ddg_scaling` row: per-layer minima over the vettings of
-/// `corpus::many_fn_addon(n)`.
-struct ScalingRow {
-    reachable: usize,
-    p1: Duration,
-    ddg: Duration,
-    cdg: Duration,
+/// One `ddg_scaling` row: the reachable statements and each layer's
+/// minimum over the vettings of `corpus::many_fn_addon(n)`.
+fn scaling_row(n: usize) -> (usize, LayerTimes) {
+    let source = corpus::many_fn_addon(n);
+    let mut reachable = 0;
+    let runs: Vec<LayerTimes> = (0..SCALING_RUNS)
+        .map(|_| {
+            let report = addon_sig::analyze_addon(&source).expect("many_fn_addon vets");
+            reachable = report.analysis.reachable.len();
+            report.timings
+        })
+        .collect();
+    (reachable, per_layer(&runs, |ts| ts.into_iter().min().unwrap_or_default()))
 }
 
-fn scaling_row(n: usize) -> ScalingRow {
-    let ast = jsparser::parse(&corpus::many_fn_addon(n)).expect("many_fn_addon parses");
-    let lowered = jsir::lower(&ast);
-    let config = jsanalysis::AnalysisConfig::default();
-    let mut row = ScalingRow {
-        reachable: 0,
-        p1: Duration::MAX,
-        ddg: Duration::MAX,
-        cdg: Duration::MAX,
-    };
-    for _ in 0..SCALING_RUNS {
-        let start = Instant::now();
-        let analysis = jsanalysis::analyze(&lowered, &config);
-        row.p1 = row.p1.min(start.elapsed());
-        row.reachable = analysis.reachable.len();
-        let sg = jspdg::SuperGraph::build(&lowered, &analysis);
-        let start = Instant::now();
-        std::hint::black_box(jspdg::build_ddg(&sg, &analysis));
-        row.ddg = row.ddg.min(start.elapsed());
-        let start = Instant::now();
-        std::hint::black_box(jspdg::build_cdg(&lowered, &analysis, &sg));
-        row.cdg = row.cdg.min(start.elapsed());
+/// Each layer's `pick` (a median, a minimum) over the runs it ran in.
+fn per_layer(runs: &[LayerTimes], pick: fn(Vec<Duration>) -> Duration) -> LayerTimes {
+    let mut out = LayerTimes::default();
+    for layer in Layer::ALL {
+        let times: Vec<Duration> = runs.iter().filter_map(|t| t.get(layer)).collect();
+        if !times.is_empty() {
+            out.add(layer, pick(times));
+        }
     }
-    row
+    out
 }
 
 /// Times the many-function family, prints it, and returns the
-/// `ddg_scaling` section. A size whose DDG is slower than its phase 1
+/// `ddg_scaling` section. A size whose DDG is slower than its fixpoint
 /// adds a failure. The doubling ratios are recorded, not gated: they
 /// swing by a quarter or more between runs.
 fn ddg_scaling(failures: &mut Vec<String>) -> Json {
@@ -202,38 +210,39 @@ fn ddg_scaling(failures: &mut Vec<String>) -> Json {
         (now.as_secs_f64() / before.as_secs_f64() * 100.0).round() / 100.0
     };
     let mut rows = Vec::new();
-    let mut prev: Option<ScalingRow> = None;
+    let mut prev: Option<LayerTimes> = None;
     for n in SCALING_NS {
-        let r = scaling_row(n);
+        let (reachable, t) = scaling_row(n);
+        let layer = |l: Layer| t.get(l).unwrap_or_default();
         let mut row = Json::obj();
         row.set("n", Json::from(n as u32));
-        row.set("reachable", Json::from(r.reachable as u32));
-        row.set("p1_s", Json::from(secs(r.p1)));
-        row.set("ddg_s", Json::from(secs(r.ddg)));
-        row.set("cdg_s", Json::from(secs(r.cdg)));
+        row.set("reachable", Json::from(reachable as u32));
+        row.set("layers_s", layers_json(&t));
         let mut ddg_doubling = "-".to_owned();
         if let Some(p) = &prev {
-            row.set("p1_ratio", Json::from(ratio(r.p1, p.p1)));
-            row.set("ddg_ratio", Json::from(ratio(r.ddg, p.ddg)));
-            row.set("cdg_ratio", Json::from(ratio(r.cdg, p.cdg)));
-            ddg_doubling = format!("{:.2}", ratio(r.ddg, p.ddg));
+            let mut ratios = Json::obj();
+            for (l, now) in t.iter() {
+                ratios.set(l.name(), Json::from(ratio(now, p.get(l).unwrap_or_default())));
+            }
+            row.set("ratios", ratios);
+            let before = p.get(Layer::Ddg).unwrap_or_default();
+            ddg_doubling = format!("{:.2}", ratio(layer(Layer::Ddg), before));
         }
         println!(
-            "{n:>5} {:>9} {:>9.4} {:>9.4} {:>9.4} {ddg_doubling:>7}",
-            r.reachable,
-            r.p1.as_secs_f64(),
-            r.ddg.as_secs_f64(),
-            r.cdg.as_secs_f64(),
+            "{n:>5} {reachable:>9} {:>9.4} {:>9.4} {:>9.4} {ddg_doubling:>7}",
+            layer(Layer::Fixpoint).as_secs_f64(),
+            layer(Layer::Ddg).as_secs_f64(),
+            layer(Layer::Cdg).as_secs_f64(),
         );
-        if r.ddg > r.p1 {
+        if layer(Layer::Ddg) > layer(Layer::Fixpoint) {
             failures.push(format!(
-                "many_fn_addon({n}): the DDG ({:.4} s) is slower than phase 1 ({:.4} s)",
-                r.ddg.as_secs_f64(),
-                r.p1.as_secs_f64()
+                "many_fn_addon({n}): the DDG ({:.4} s) is slower than the fixpoint ({:.4} s)",
+                layer(Layer::Ddg).as_secs_f64(),
+                layer(Layer::Fixpoint).as_secs_f64()
             ));
         }
         rows.push(row);
-        prev = Some(r);
+        prev = Some(t);
     }
     let mut section = Json::obj();
     section.set("runs", Json::from(SCALING_RUNS as u32));
@@ -241,9 +250,23 @@ fn ddg_scaling(failures: &mut Vec<String>) -> Json {
     section
 }
 
+/// Per-layer times in seconds, keyed by [`Layer::name`].
+fn layers_json(times: &LayerTimes) -> Json {
+    let mut doc = Json::obj();
+    for (layer, elapsed) in times.iter() {
+        doc.set(layer.name(), Json::from(secs(elapsed)));
+    }
+    doc
+}
+
 fn secs(d: Duration) -> f64 {
     // Round to microseconds so the JSON diffs stay readable.
     (d.as_secs_f64() * 1e6).round() / 1e6
+}
+
+/// A percentage rounded to two decimals.
+fn pct(p: f64) -> f64 {
+    (p * 100.0).round() / 100.0
 }
 
 fn main() {
@@ -295,12 +318,12 @@ fn main() {
         if sequential { "sequential" } else { "parallel" }
     );
     println!(
-        "{:<22} {:>9} {:>9} {:>9} {:>9} {:>10}",
-        "addon", "p1 (s)", "p2 (s)", "p3 (s)", "total (s)", "steps"
+        "{:<22} {:>9} {:>9} {:>9} {:>9} {:>10} {:>8}",
+        "addon", "p1 (s)", "p2 (s)", "p3 (s)", "total (s)", "steps", "out (%)"
     );
 
     let mut doc = Json::obj();
-    doc.set("schema", Json::from(1u32));
+    doc.set("schema", Json::from(2u32));
     doc.set("runs", Json::from(runs as u32));
     doc.set(
         "mode",
@@ -309,12 +332,17 @@ fn main() {
     doc.set("end_to_end_s", Json::from(secs(wall_median)));
     let mut addons_json = Json::obj();
     let mut sum_total = Duration::ZERO;
+    let mut max_outside = 0.0f64;
     let mut failures: Vec<String> = Vec::new();
     for (addon, passes) in addons.iter().zip(&per_addon) {
-        let p1 = median(passes.iter().map(|p| p.p1).collect());
-        let p2 = median(passes.iter().map(|p| p.p2).collect());
-        let p3 = median(passes.iter().map(|p| p.p3).collect());
+        let layers = per_layer(&passes.iter().map(|p| p.timings).collect::<Vec<_>>(), median);
+        let [p1, p2, p3] =
+            [1, 2, 3].map(|n| median(passes.iter().map(|p| p.timings.phase(n)).collect()));
         let total = median(passes.iter().map(|p| p.total).collect());
+        let mut outside: Vec<f64> = passes.iter().map(AddonPass::outside_layers_pct).collect();
+        outside.sort_by(f64::total_cmp);
+        let outside = outside[outside.len() / 2];
+        max_outside = max_outside.max(outside);
         let steps = passes[0].steps;
         assert!(
             passes.iter().all(|p| p.steps == steps),
@@ -323,19 +351,19 @@ fn main() {
         );
         sum_total += total;
         println!(
-            "{:<22} {:>9.4} {:>9.4} {:>9.4} {:>9.4} {:>10}",
+            "{:<22} {:>9.4} {:>9.4} {:>9.4} {:>9.4} {:>10} {:>8.2}",
             addon.name,
             p1.as_secs_f64(),
             p2.as_secs_f64(),
             p3.as_secs_f64(),
             total.as_secs_f64(),
-            steps
+            steps,
+            outside,
         );
         let mut row = Json::obj();
-        row.set("p1_s", Json::from(secs(p1)));
-        row.set("p2_s", Json::from(secs(p2)));
-        row.set("p3_s", Json::from(secs(p3)));
+        row.set("layers_s", layers_json(&layers));
         row.set("total_s", Json::from(secs(total)));
+        row.set("outside_layers_pct", Json::from(pct(outside)));
         row.set("steps", Json::from(steps as u32));
         addons_json.set(addon.name, row);
         if p2 > p1 {
@@ -346,8 +374,16 @@ fn main() {
                 p1.as_secs_f64()
             ));
         }
+        if outside > MAX_OUTSIDE_LAYERS_PCT {
+            failures.push(format!(
+                "{}: {outside:.2}% of Pipeline::run falls outside every layer \
+                 (gate {MAX_OUTSIDE_LAYERS_PCT}%); work was added between layer spans",
+                addon.name
+            ));
+        }
     }
     doc.set("sum_addon_total_s", Json::from(secs(sum_total)));
+    doc.set("max_outside_layers_pct", Json::from(pct(max_outside)));
     doc.set("addons", addons_json);
     println!(
         "end-to-end corpus wall (median): {:.4} s   sum of addon totals: {:.4} s",
@@ -357,23 +393,17 @@ fn main() {
 
     // The PDG must not again become the dominant layer: phase 2 stays
     // at or below phase 1 on every corpus addon (above), and the DDG at
-    // or below phase 1 on the many-function family.
+    // or below the fixpoint on the many-function family.
     doc.set("ddg_scaling", ddg_scaling(&mut failures));
 
     // Observability overhead gates: a no-op tracer attached to the
     // pipeline must cost < 5% on a corpus sweep, and so must full cost
     // attribution (the worklist's dense per-bucket tally).
     let overhead = overhead_pct(&addons, runs.max(5), Arm::Traced);
-    doc.set(
-        "trace_overhead_pct",
-        Json::from((overhead * 100.0).round() / 100.0),
-    );
+    doc.set("trace_overhead_pct", Json::from(pct(overhead)));
     println!("no-op tracer overhead: {overhead:+.2}%");
     let attr_overhead = overhead_pct(&addons, runs.max(5), Arm::Attributed);
-    doc.set(
-        "attr_overhead_pct",
-        Json::from((attr_overhead * 100.0).round() / 100.0),
-    );
+    doc.set("attr_overhead_pct", Json::from(pct(attr_overhead)));
     println!("cost-attribution overhead: {attr_overhead:+.2}%");
 
     std::fs::write(&out, doc.to_string_pretty() + "\n").expect("write snapshot");

@@ -6,10 +6,7 @@
 //!
 //! Run with: `cargo run --release -p bench --bin scaling`
 
-use jsanalysis::AnalysisConfig;
-use jssig::FlowLattice;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Generates a synthetic addon with `n` event handlers, each reading the
 /// URL, doing some local string work, and phoning home.
@@ -49,32 +46,19 @@ gBrowser.addEventListener("load", handler{i}, true);
 }
 
 fn main() {
-    let config = AnalysisConfig::default();
-    let lattice = FlowLattice::paper();
     println!(
         "{:>9} {:>7} {:>9} {:>9} {:>9} {:>8}",
         "handlers", "stmts", "P1(ms)", "P2(ms)", "P3(ms)", "P2/P1"
     );
     for n in [1usize, 2, 4, 8, 16] {
-        let src = synthetic_addon(n);
-        let ast = jsparser::parse(&src).expect("synthetic parses");
-        let lowered = jsir::lower(&ast);
-
-        let t = Instant::now();
-        let analysis = jsanalysis::analyze(&lowered, &config);
-        let p1 = t.elapsed();
-        let t = Instant::now();
-        let pdg = jspdg::Pdg::build(&lowered, &analysis);
-        let p2 = t.elapsed();
-        let t = Instant::now();
-        let sig = jssig::infer_signature(&lowered, &analysis, &pdg, &lattice);
-        let p3 = t.elapsed();
-        assert!(!sig.flows.is_empty(), "synthetic addon must produce flows");
+        let report = addon_sig::analyze_addon(&synthetic_addon(n)).expect("synthetic vets");
+        assert!(!report.signature.flows.is_empty(), "synthetic addon must produce flows");
+        let [p1, p2, p3] = [1, 2, 3].map(|phase| report.timings.phase(phase));
 
         println!(
             "{:>9} {:>7} {:>9.1} {:>9.1} {:>9.1} {:>8.2}",
             n,
-            lowered.program.stmt_count(),
+            report.lowered.program.stmt_count(),
             p1.as_secs_f64() * 1000.0,
             p2.as_secs_f64() * 1000.0,
             p3.as_secs_f64() * 1000.0,

@@ -204,7 +204,6 @@ fn main() {
                     events: vec!["job_rejected".to_owned()],
                     threshold: SAMPLE_THRESHOLD,
                     keep_one_in: SAMPLE_KEEP_ONE_IN,
-                    rates: vec![],
                     window: std::time::Duration::from_secs(3600),
                 }),
         )
@@ -664,11 +663,7 @@ fn sleep_stub(
     std::thread::sleep(std::time::Duration::from_millis(15));
     sigserve::VetOutcome::report(
         format!("{{\n  \"len\": {}\n}}", source.len()),
-        sigserve::PhaseTimings::new(
-            std::time::Duration::from_micros(30),
-            std::time::Duration::from_micros(20),
-            std::time::Duration::from_micros(10),
-        ),
+        sigserve::LayerTimes::default(),
     )
 }
 
@@ -736,7 +731,10 @@ fn run_fleet(nodes: usize, out: &str, metrics_dir: Option<String>) {
     {
         let mut doomed = Client::connect(addr.as_str()).expect("connect doomed");
         let ack = doomed
-            .request(&sigserve::protocol::join_request("doomed"))
+            .request(&sigserve::protocol::join_request(
+                "doomed",
+                &coordinator().analysis.canonical_string(),
+            ))
             .expect("join doomed");
         assert_eq!(ack["kind"], "join_ack");
         let wid = ack["worker"].as_str().expect("worker id").to_owned();

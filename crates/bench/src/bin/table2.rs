@@ -47,9 +47,9 @@ fn main() {
             row.name,
             addon.paper_verdict.to_string(),
             row.result,
-            secs(row.p1),
-            secs(row.p2),
-            secs(row.p3),
+            secs(row.timings.phase(1)),
+            secs(row.timings.phase(2)),
+            secs(row.timings.phase(3)),
             if matches { "" } else { "   <-- MISMATCH" }
         );
     }

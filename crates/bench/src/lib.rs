@@ -4,6 +4,7 @@
 
 #![warn(missing_docs)]
 
+use sigtrace::LayerTimes;
 use std::time::Duration;
 
 /// Runs `f` the paper's way: `runs + 1` times, discarding the first
@@ -27,12 +28,8 @@ pub struct Table2Row {
     pub name: String,
     /// Verdict string (pass/fail/leak).
     pub result: String,
-    /// Base-analysis time.
-    pub p1: Duration,
-    /// PDG-construction time.
-    pub p2: Duration,
-    /// Signature-inference time.
-    pub p3: Duration,
+    /// Per-layer times; [`LayerTimes::phase`] gives the P1–P3 columns.
+    pub timings: LayerTimes,
 }
 
 /// Measures one addon with the paper's methodology and compares against
@@ -52,9 +49,7 @@ pub fn measure_addon(addon: &corpus::Addon, runs: usize) -> Table2Row {
     Table2Row {
         name: addon.name.to_owned(),
         result: cmp.verdict.to_string(),
-        p1: report.timings.p1,
-        p2: report.timings.p2,
-        p3: report.timings.p3,
+        timings: report.timings,
     }
 }
 

@@ -143,8 +143,8 @@ pub fn analyze(lowered: &Lowered, config: &AnalysisConfig) -> AnalysisResult {
 }
 
 /// Runs the base analysis with an observability hook: `trace` receives
-/// sub-spans (`seed` / `fixpoint` / `cycles`) and the phase counters
-/// (worklist steps, state joins, heap CoW clones).
+/// the phase counters (worklist steps, state joins, heap CoW clones).
+/// The caller times the whole call as the fixpoint layer.
 ///
 /// When the sink asks for cost attribution ([`Trace::attributes_cost`]),
 /// every worklist step's owning function and clamped context depth are
@@ -193,16 +193,10 @@ pub fn analyze_traced(
             .attributes_cost()
             .then(|| AttrTally::new(lowered.program.funcs.len())),
     };
-    trace.span_start("seed");
     m.seed();
-    trace.span_end("seed");
-    trace.span_start("fixpoint");
     let status = m.run();
-    trace.span_end("fixpoint");
     let native_names = m.env.natives.iter().map(|n| n.name).collect();
-    trace.span_start("cycles");
     let cyclic_stmts = cyclic_statements(&m.transitions);
-    trace.span_end("cycles");
     let heap_cow_clones = jsdomains::cow_clone_count() - cow_before;
     if trace.is_enabled() {
         let mut counters = Counters::new();
@@ -216,7 +210,7 @@ pub fn analyze_traced(
             for class in 0..CTX_CLASSES {
                 let [steps, ns] = tally.buckets[fi * CTX_CLASSES + class];
                 if steps > 0 {
-                    trace.record_cost(&func.name, class as u8, "fixpoint", steps, ns / 1_000);
+                    trace.record_cost(&func.name, class as u8, steps, ns / 1_000);
                 }
             }
         }

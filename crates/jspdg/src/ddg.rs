@@ -1,19 +1,29 @@
 //! Annotated data-dependence graph construction (Section 3.2).
 //!
 //! A reaching-definitions pass over the interprocedural supergraph
-//! computes, for each statement, which definitions may reach it and
-//! whether an overlapping write may have intervened since ("tainted"
-//! facts). From this the paper's two conditions fall out directly:
+//! computes, for each statement, which definitions may reach it. From
+//! this the paper's two conditions fall out:
 //!
 //! - `datastrong v1 -> v2`: `v2` definitely reads the single concrete
 //!   location `v1` definitely writes (both strong, identical location),
 //!   `v1`'s definition is the only reaching one that overlaps the read,
 //!   and on **no** path between them is the location possibly
-//!   overwritten (the fact is untainted on every path);
+//!   overwritten;
 //! - `dataweak v1 -> v2`: the write/read sets overlap (under the
 //!   `e`-intersection on abstract property names), the definition
 //!   survives on at least one path (strong overwrites kill per-path), and
 //!   the edge is not strong.
+//!
+//! The "no possible overwrite" clause needs no state of its own: the
+//! uniqueness clause already implies it. A write that could overwrite
+//! definition D at location Y writes an overlapping location X, and so
+//! generates a definition at X. A later kill of that definition comes
+//! from a strong write to exactly X, which generates a definition at X
+//! in turn. So wherever D reaches a read of Y after a possible
+//! overwrite, some definition at X reaches it too, and the read has no
+//! unique definition. The dense oracle (`tests/support/dense_ddg.rs`)
+//! keeps the paper's condition verbatim, with a *tainted* fact per
+//! definition, and produces the same edges.
 //!
 //! The pass is sparse:
 //!
@@ -25,20 +35,17 @@
 //!   aged twin). Two locations overlap when they are the same location,
 //!   or share a group and the meet of their property names is not
 //!   bottom. Each location lists the definitions at overlapping
-//!   locations, found by scanning only its own group, so kills, taints
-//!   and read matches touch only those definitions.
-//! - **Two bitsets per node** over def ids: *reaching* and *tainted*
-//!   (tainted ⊆ reaching), both joined by OR. A statement's transfer is
-//!   three precomputed word-mask lists: kill (other statements'
-//!   definitions at exactly the location of one of its strong writes),
-//!   taint (other statements' definitions overlapping one of its
-//!   writes), and gen (its own definitions, which leave reaching and
-//!   untainted).
+//!   locations, found by scanning only its own group, so kills and read
+//!   matches touch only those definitions.
+//! - **One bitset per node** over def ids, the *reaching* definitions,
+//!   joined by OR. A statement's transfer is two precomputed word-mask
+//!   lists: kill (other statements' definitions at exactly the location
+//!   of one of its strong writes) and gen (its own definitions).
 //! - **Reverse postorder.** Nodes are numbered in reverse postorder of a
 //!   DFS over the supergraph's successors from the reachable statements,
 //!   and the worklist is a dirty bitset swept in that order. A visit
-//!   copies the node's bitsets into two reused buffers, applies the
-//!   masks and ORs the result into its successors; it allocates nothing.
+//!   copies the node's bitset into a reused buffer, applies the masks
+//!   and ORs the result into its successors; it allocates nothing.
 //!
 //! The transfer is monotone, so the fixpoint does not depend on the
 //! visit order. Only the reachable statements start dirty: any other
@@ -304,62 +311,46 @@ pub fn build_ddg(sg: &SuperGraph, analysis: &AnalysisResult) -> BTreeSet<DataDep
     let n = rpo.stmts.len();
 
     // Each node's transfer as word masks.
-    let (mut kill, mut taint, mut gen) = (Masks::new(), Masks::new(), Masks::new());
-    let (mut k, mut t) = (Vec::new(), Vec::new());
+    let (mut kill, mut gen) = (Masks::new(), Masks::new());
+    let mut k = Vec::new();
     for s in &rpo.stmts {
         let own = idx.own.get(s).cloned().unwrap_or(0..0);
-        let foreign = |e: &&u32| !own.contains(*e);
         k.clear();
-        t.clear();
         for d in own.clone() {
             let def = idx.defs[d as usize];
             if def.strong {
-                k.extend(idx.at[def.loc as usize].iter().filter(foreign));
+                k.extend(idx.at[def.loc as usize].iter().filter(|e| !own.contains(*e)));
             }
-            t.extend(idx.overlapping[def.loc as usize].iter().filter(foreign));
         }
         k.sort_unstable();
         k.dedup();
-        t.sort_unstable();
-        t.dedup();
         kill.push(k.iter().copied());
-        taint.push(t.iter().copied());
         gen.push(own);
     }
 
     // Reaching definitions to the fixpoint, sweeping dirty nodes in RPO.
     let w = idx.defs.len().div_ceil(64);
     let mut reach = vec![0u64; n * w];
-    let mut tainted = vec![0u64; n * w];
     let mut dirty = vec![0u64; n.div_ceil(64)];
     for &s in &analysis.reachable {
         if let Some(i) = rpo.of(s) {
             dirty[i / 64] |= 1 << (i % 64);
         }
     }
-    let (mut r, mut t) = (vec![0u64; w], vec![0u64; w]);
+    let mut r = vec![0u64; w];
     let mut from = 0;
     while let Some(i) = next_set(&dirty, from).or_else(|| next_set(&dirty, 0)) {
         dirty[i / 64] &= !(1 << (i % 64));
         r.copy_from_slice(&reach[i * w..(i + 1) * w]);
-        t.copy_from_slice(&tainted[i * w..(i + 1) * w]);
         for &(x, m) in kill.of(i) {
             r[x as usize] &= !m;
-            t[x as usize] &= !m;
-        }
-        // After the kills, so a killed definition is not re-tainted.
-        for &(x, m) in taint.of(i) {
-            t[x as usize] |= m & r[x as usize];
         }
         for &(x, m) in gen.of(i) {
             r[x as usize] |= m;
-            t[x as usize] &= !m;
         }
         for &j in rpo.succs_of(i) {
             let j = j as usize;
-            let grew = or_into(&mut reach[j * w..(j + 1) * w], &r)
-                | or_into(&mut tainted[j * w..(j + 1) * w], &t);
-            if grew {
+            if or_into(&mut reach[j * w..(j + 1) * w], &r) {
                 dirty[j / 64] |= 1 << (j % 64);
             }
         }
@@ -371,18 +362,19 @@ pub fn build_ddg(sg: &SuperGraph, analysis: &AnalysisResult) -> BTreeSet<DataDep
     let mut hits: Vec<u32> = Vec::new();
     for (v2, rs) in &idx.reads {
         let Some(i) = rpo.of(*v2) else { continue };
-        let (r, t) = (&reach[i * w..(i + 1) * w], &tainted[i * w..(i + 1) * w]);
+        let r = &reach[i * w..(i + 1) * w];
         for &(l2, s2) in rs {
             // Every reaching definition whose location overlaps this read.
             hits.clear();
             hits.extend(idx.overlapping[l2 as usize].iter().filter(|&&d| has(r, d)));
             // "The value read is definitely the value written by v1"
             // additionally requires v1's def to be the unique reaching
-            // definition of the location.
+            // definition of the location, which also rules out a
+            // possible overwrite on the way (see the module docs).
             let unique = hits.len() == 1;
             for &d in &hits {
                 let def = idx.defs[d as usize];
-                let strong = unique && !has(t, d) && def.loc == l2 && def.strong && s2;
+                let strong = unique && def.loc == l2 && def.strong && s2;
                 let e = best.entry((def.stmt, *v2)).or_insert(false);
                 *e = *e || strong;
             }

@@ -7,7 +7,7 @@ use crate::ddg::{build_ddg, DataDep};
 use crate::supergraph::SuperGraph;
 use jsanalysis::AnalysisResult;
 use jsir::{Lowered, StmtId};
-use sigtrace::{Counter, Counters, Trace};
+use sigtrace::{Counter, Counters, Layer, Trace};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One annotated PDG edge.
@@ -36,41 +36,39 @@ impl Pdg {
     }
 
     /// Builds the annotated PDG with an observability hook: `trace`
-    /// receives the stage sub-spans (`supergraph` / `ddg` / `cdg`) and
-    /// the per-kind edge counters. With [`Trace::Off`] this is
-    /// [`Pdg::build`].
+    /// receives one span per layer (supergraph, DDG, CDG, and the
+    /// assembly that adds both edge sets) and the per-kind edge
+    /// counters. With [`Trace::Off`] this is [`Pdg::build`].
     pub fn build_traced(
         lowered: &Lowered,
         analysis: &AnalysisResult,
         trace: &mut Trace<'_>,
     ) -> Pdg {
-        trace.span_start("supergraph");
-        let sg = SuperGraph::build(lowered, analysis);
-        trace.span_end("supergraph");
-        let mut pdg = Pdg::default();
-        trace.span_start("ddg");
-        for DataDep { from, to, strong } in build_ddg(&sg, analysis) {
-            pdg.add(
-                from,
-                to,
-                if strong {
+        let sg = trace.span(Layer::Supergraph, |_| SuperGraph::build(lowered, analysis));
+        let ddg = trace.span(Layer::Ddg, |_| build_ddg(&sg, analysis));
+        let cdg = trace.span(Layer::Cdg, |_| build_cdg(lowered, analysis, &sg));
+        trace.span(Layer::Assemble, |trace| {
+            // The edge sets are all that is left to use: free the
+            // supergraph before the PDG's maps grow.
+            drop(sg);
+            let mut pdg = Pdg::default();
+            for DataDep { from, to, strong } in ddg {
+                let ann = if strong {
                     Annotation::DataStrong
                 } else {
                     Annotation::DataWeak
-                },
-            );
-        }
-        trace.span_end("ddg");
-        trace.span_start("cdg");
-        for dep in build_cdg(lowered, analysis, &sg) {
-            let CtrlDep { from, to, .. } = dep;
-            pdg.add(from, to, dep.annotation());
-        }
-        trace.span_end("cdg");
-        if trace.is_enabled() {
-            trace.add_counters(&pdg.edge_kind_counters());
-        }
-        pdg
+                };
+                pdg.add(from, to, ann);
+            }
+            for dep in cdg {
+                let CtrlDep { from, to, .. } = dep;
+                pdg.add(from, to, dep.annotation());
+            }
+            if trace.is_enabled() {
+                trace.add_counters(&pdg.edge_kind_counters());
+            }
+            pdg
+        })
     }
 
     /// Tallies the PDG's edges into the per-kind [`Counters`]. These

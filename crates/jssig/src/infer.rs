@@ -48,9 +48,9 @@ pub fn infer_signature(
     infer_signature_traced(lowered, analysis, pdg, lattice, &mut Trace::Off)
 }
 
-/// Signature inference with an observability hook: `trace` receives one
-/// `propagate` sub-span per interesting source kind plus the phase-3
-/// counters (propagation steps, flow-type raises, reported flows). With
+/// Signature inference with an observability hook: `trace` receives the
+/// phase-3 counters (propagation steps, flow-type raises, reported
+/// flows). The caller times the whole call as the infer layer. With
 /// [`Trace::Off`] this is [`infer_signature`].
 pub fn infer_signature_traced(
     lowered: &Lowered,
@@ -92,9 +92,7 @@ pub fn infer_signature_traced(
         .collect();
 
     for (kind, sources) in &by_kind {
-        trace.span_start("propagate");
         let flow_types = propagate(lattice, pdg, sources);
-        trace.span_end("propagate");
         counters.add(Counter::FlowPropSteps, flow_types.steps);
         counters.add(Counter::FlowTypeRaises, flow_types.raises);
         for (sink_stmt, sig_sink) in &sinks {

@@ -8,11 +8,11 @@
 //! ```text
 //! # TYPE serve_jobs_accepted counter
 //! serve_jobs_accepted 42
-//! # TYPE pipeline_p1_us histogram
-//! pipeline_p1_us_bucket{le="255"} 3
-//! pipeline_p1_us_bucket{le="+Inf"} 3
-//! pipeline_p1_us_sum 512
-//! pipeline_p1_us_count 3
+//! # TYPE pipeline_jsanalysis_fixpoint_us histogram
+//! pipeline_jsanalysis_fixpoint_us_bucket{le="255"} 3
+//! pipeline_jsanalysis_fixpoint_us_bucket{le="+Inf"} 3
+//! pipeline_jsanalysis_fixpoint_us_sum 512
+//! pipeline_jsanalysis_fixpoint_us_count 3
 //! ```
 //!
 //! Histogram `le` labels are the **inclusive** upper bound of each log₂

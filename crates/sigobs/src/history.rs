@@ -13,7 +13,7 @@
 //! ```text
 //! {"schema":1,"seq":12,"unix_ms":1754556000123,
 //!  "counters":{"serve_jobs_accepted":42},
-//!  "histograms":{"pipeline_p1_us":{"count":3,"sum":512,"buckets":[[3,2],[9,1]]}}}
+//!  "histograms":{"pipeline_jsanalysis_fixpoint_us":{"count":3,"sum":512,"buckets":[[3,2],[9,1]]}}}
 //! ```
 //!
 //! Histogram buckets persist as sparse `[bucket_index, count]` pairs —

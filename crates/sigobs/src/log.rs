@@ -22,7 +22,7 @@
 //! invariant replay checks.
 
 use minijson::Json;
-use sigtrace::SpanCollector;
+use sigtrace::{Layer, SpanCollector};
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs::File;
@@ -93,13 +93,9 @@ pub struct SamplePolicy {
     pub events: Vec<String>,
     /// Occurrences per window logged in full before sampling kicks in.
     pub threshold: u64,
-    /// Past the threshold, keep one record in this many (min 1). The
-    /// default rate; [`SamplePolicy::rates`] overrides it per event.
+    /// Past the threshold, keep one record in this many (min 1), for
+    /// every listed event.
     pub keep_one_in: u64,
-    /// Per-event keep rates, parallel to [`SamplePolicy::events`]. A
-    /// missing or zero entry falls back to [`SamplePolicy::keep_one_in`],
-    /// so a policy built without per-event rates behaves as before.
-    pub rates: Vec<u64>,
     /// The rate window. Elapsing it resets the per-window count and
     /// flushes any pending `suppressed` tally.
     pub window: Duration,
@@ -112,43 +108,8 @@ impl Default for SamplePolicy {
             events: vec!["job_rejected".to_owned()],
             threshold: 100,
             keep_one_in: 100,
-            rates: Vec::new(),
             window: Duration::from_secs(1),
         }
-    }
-}
-
-impl SamplePolicy {
-    /// Adds (or, for an already-listed event, retunes) a per-event
-    /// sampling rule: past the threshold keep 1-in-`keep_one_in`
-    /// records of `event`. This is what the repeatable
-    /// `--log-sample EVENT=N` flag builds on.
-    pub fn with_rule(mut self, event: &str, keep_one_in: u64) -> SamplePolicy {
-        let keep = keep_one_in.max(1);
-        match self.events.iter().position(|e| e == event) {
-            Some(idx) => {
-                if self.rates.len() <= idx {
-                    self.rates.resize(self.events.len(), 0);
-                }
-                self.rates[idx] = keep;
-            }
-            None => {
-                self.rates.resize(self.events.len(), 0);
-                self.events.push(event.to_owned());
-                self.rates.push(keep);
-            }
-        }
-        self
-    }
-
-    /// The effective keep rate for policy event `idx`.
-    pub fn rate_of(&self, idx: usize) -> u64 {
-        self.rates
-            .get(idx)
-            .copied()
-            .filter(|r| *r > 0)
-            .unwrap_or(self.keep_one_in)
-            .max(1)
     }
 }
 
@@ -262,11 +223,6 @@ impl EventLog {
         self
     }
 
-    /// The active sampling policy, if any.
-    pub fn sampling(&self) -> Option<&SamplePolicy> {
-        self.sample.as_ref()
-    }
-
     /// Lifetime count of occurrences of `event` dropped by sampling
     /// (declared plus not-yet-declared).
     pub fn suppressed_total(&self, event: &str) -> u64 {
@@ -335,12 +291,12 @@ impl EventLog {
     }
 
     /// Declares `count` drops of policy event `idx` with a `suppressed`
-    /// record carrying that event's own keep rate.
+    /// record carrying the keep rate.
     fn write_suppressed(&self, inner: &mut Inner, ts_us: u64, idx: usize, count: u64) {
         let (event, keep) = self
             .sample
             .as_ref()
-            .map_or(("", 1), |p| (p.events[idx].as_str(), p.rate_of(idx)));
+            .map_or(("", 1), |p| (p.events[idx].as_str(), p.keep_one_in));
         self.write_record(
             inner,
             ts_us,
@@ -376,7 +332,7 @@ impl EventLog {
             return Admit::Full;
         }
         let past = seen - policy.threshold;
-        if (past - 1) % policy.rate_of(idx) != 0 {
+        if !(past - 1).is_multiple_of(policy.keep_one_in) {
             inner.samplers[idx].pending_suppressed += 1;
             inner.samplers[idx].total_suppressed += 1;
             return Admit::Suppressed;
@@ -478,9 +434,10 @@ impl EventLog {
     }
 }
 
-/// A [`sigtrace::Tracer`] that logs the pipeline's phase spans as
+/// A [`sigtrace::Tracer`] that logs the pipeline's layer spans as
 /// debug-level events carrying the owning job's request ID — the bridge
-/// that threads sigserve's job IDs into the analysis pipeline.
+/// that threads sigserve's job IDs into the analysis pipeline. A `span`
+/// record names its layer by [`Layer::name`].
 ///
 /// Spans are recorded by a [`SpanCollector`] on the log's own clock, so
 /// each `span` record's `start_us` (plus `dur_us`) sits on the same
@@ -508,19 +465,19 @@ impl<'a> LogTracer<'a> {
 }
 
 impl sigtrace::Tracer for LogTracer<'_> {
-    fn span_start(&mut self, name: &str) {
-        self.spans.span_start(name);
+    fn span_start(&mut self, layer: Layer) {
+        self.spans.span_start(layer);
     }
 
-    fn span_end(&mut self, name: &str) {
-        let Some(span) = self.spans.close(name) else {
+    fn span_end(&mut self, layer: Layer) {
+        let Some(span) = self.spans.close(layer) else {
             return; // tolerate protocol slips, like SpanCollector
         };
         self.log.debug(
             "span",
             &[
                 ("job", Json::from(self.job)),
-                ("span", Json::from(span.name.as_str())),
+                ("span", Json::from(span.layer.name())),
                 ("depth", Json::from(span.depth as f64)),
                 (
                     "start_us",
@@ -625,18 +582,18 @@ mod tests {
     fn log_tracer_emits_debug_spans_with_job_id() {
         let log = EventLog::in_memory(Level::Debug);
         let mut t = LogTracer::new(&log, "j-42");
-        t.span_start("phase1");
-        t.span_start("fixpoint");
-        t.span_end("fixpoint");
-        t.span_end("phase1");
-        t.span_end("never-opened"); // tolerated
+        t.span_start(Layer::Fixpoint);
+        t.span_start(Layer::Infer);
+        t.span_end(Layer::Infer);
+        t.span_end(Layer::Fixpoint);
+        t.span_end(Layer::Ddg); // never opened: tolerated
         let tail = log.tail();
         assert_eq!(tail.len(), 2, "one record per closed span");
         assert_eq!(tail[0]["event"], "span");
-        assert_eq!(tail[0]["span"], "fixpoint");
+        assert_eq!(tail[0]["span"], Layer::Infer.name());
         assert_eq!(tail[0]["depth"].as_f64(), Some(1.0));
         assert_eq!(tail[0]["job"], "j-42");
-        assert_eq!(tail[1]["span"], "phase1");
+        assert_eq!(tail[1]["span"], Layer::Fixpoint.name());
         assert_eq!(tail[1]["depth"].as_f64(), Some(0.0));
     }
 
@@ -658,7 +615,6 @@ mod tests {
             events: vec!["job_rejected".to_owned()],
             threshold: 2,
             keep_one_in: 3,
-            rates: vec![],
             window: Duration::from_secs(3600), // never rolls mid-test
         });
         for i in 0..12 {
@@ -701,7 +657,6 @@ mod tests {
             events: vec!["job_rejected".to_owned()],
             threshold: 1,
             keep_one_in: 100,
-            rates: vec![],
             window: Duration::from_millis(40),
         });
         log.warn("job_rejected", &[]); // full (1st in window)
@@ -721,43 +676,34 @@ mod tests {
 
     #[test]
     fn per_event_rates_sample_each_stream_at_its_own_rate() {
-        // job_rejected at the default 1-in-3, span retuned to 1-in-5:
-        // past the shared threshold each stream keeps and declares at
-        // its own rate, and `suppressed` records advertise that rate.
-        let policy = SamplePolicy {
-            events: vec!["job_rejected".to_owned()],
+        // Two listed streams at the one rate: past the shared threshold
+        // each stream keeps its own count and declares its own
+        // `suppressed` budget.
+        let log = EventLog::in_memory(Level::Debug).with_sampling(SamplePolicy {
+            events: vec!["job_rejected".to_owned(), "span".to_owned()],
             threshold: 1,
             keep_one_in: 3,
-            rates: vec![],
             window: Duration::from_secs(3600),
-        }
-        .with_rule("span", 5);
-        assert_eq!(policy.rate_of(0), 3, "default rate covers job_rejected");
-        assert_eq!(policy.rate_of(1), 5, "explicit span rule wins");
-        let log = EventLog::in_memory(Level::Debug).with_sampling(policy);
+        });
         for _ in 0..16 {
             log.warn("job_rejected", &[]);
             log.log(Level::Debug, "span", &[]);
         }
         log.flush();
-        // 16 each: 1 full, then 15 past threshold -> ceil(15/3)=5 kept
-        // rejections (10 suppressed), ceil(15/5)=3 kept spans (12
-        // suppressed).
+        // 16 each: 1 full, then 15 past threshold -> ceil(15/3)=5 kept,
+        // 10 suppressed per stream.
         assert_eq!(log.suppressed_total("job_rejected"), 10);
-        assert_eq!(log.suppressed_total("span"), 12);
-        let declared_rates: Vec<(String, f64)> = log
-            .tail()
-            .iter()
-            .filter(|r| r["event"].as_str() == Some("suppressed"))
-            .map(|r| {
-                (
-                    r["suppressed_event"].as_str().unwrap().to_owned(),
-                    r["sample_every"].as_f64().unwrap(),
-                )
-            })
-            .collect();
-        assert!(declared_rates.contains(&("job_rejected".to_owned(), 3.0)));
-        assert!(declared_rates.contains(&("span".to_owned(), 5.0)));
+        assert_eq!(log.suppressed_total("span"), 10);
+        let declared = |event: &str| -> f64 {
+            log.tail()
+                .iter()
+                .filter(|r| r["event"].as_str() == Some("suppressed"))
+                .filter(|r| r["suppressed_event"].as_str() == Some(event))
+                .map(|r| r["count"].as_f64().unwrap())
+                .sum()
+        };
+        assert_eq!(declared("job_rejected"), 10.0);
+        assert_eq!(declared("span"), 10.0);
     }
 
     #[test]
@@ -766,7 +712,6 @@ mod tests {
             events: vec!["job_rejected".to_owned()],
             threshold: 0,
             keep_one_in: 1000,
-            rates: vec![],
             window: Duration::from_secs(3600),
         });
         for _ in 0..50 {
@@ -781,11 +726,11 @@ mod tests {
         let log = EventLog::in_memory(Level::Debug);
         log.info("job_dequeued", &[]);
         let mut t = LogTracer::new(&log, "j-7");
-        t.span_start("phase1");
-        t.span_start("fixpoint");
+        t.span_start(Layer::Fixpoint);
+        t.span_start(Layer::Infer);
         std::thread::sleep(Duration::from_millis(1));
-        t.span_end("fixpoint");
-        t.span_end("phase1");
+        t.span_end(Layer::Infer);
+        t.span_end(Layer::Fixpoint);
         log.info("job_computed", &[]);
         let tail = log.tail();
         let num = |r: &Json, k: &str| r[k].as_f64().expect(k) as u64;
@@ -803,8 +748,8 @@ mod tests {
     fn log_tracer_is_silent_below_debug() {
         let log = EventLog::in_memory(Level::Info);
         let mut t = LogTracer::new(&log, "j-1");
-        t.span_start("phase1");
-        t.span_end("phase1");
+        t.span_start(Layer::Fixpoint);
+        t.span_end(Layer::Fixpoint);
         assert!(log.tail().is_empty());
     }
 }

@@ -172,16 +172,11 @@ pub fn job_timelines(records: &[Json]) -> BTreeMap<String, JobTimeline> {
                 match &record["hotspots"] {
                     Json::Arr(entries) => {
                         for h in entries {
-                            let well_formed = h["ctx"].as_str().is_some()
-                                && h["phase"].as_str().is_some();
-                            match (h["func"].as_str(), get_u64(h, "steps")) {
-                                (Some(f), Some(s)) if well_formed => {
-                                    t.hotspots.push((f.to_owned(), s));
-                                }
+                            match (h["func"].as_str(), h["ctx"].as_str(), get_u64(h, "steps")) {
+                                (Some(f), Some(_), Some(s)) => t.hotspots.push((f.to_owned(), s)),
                                 _ => {
                                     t.profile_malformed = Some(
-                                        "job_profile hotspot missing func/ctx/phase/steps"
-                                            .to_owned(),
+                                        "job_profile hotspot missing func/ctx/steps".to_owned(),
                                     );
                                 }
                             }
@@ -340,8 +335,8 @@ impl Replay {
     /// The log's declared suppression budget for `event`: the total
     /// drops its counted `suppressed` records declared. Budgets are
     /// tracked independently per event (each sampled stream declares
-    /// its own drops at its own rate), so one stream's budget never
-    /// excuses another stream's missing records.
+    /// its own drops), so one stream's budget never excuses another
+    /// stream's missing records.
     pub fn budget(&self, event: &str) -> u64 {
         self.suppressed.get(event).copied().unwrap_or(0)
     }

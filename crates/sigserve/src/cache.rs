@@ -12,11 +12,14 @@
 use minijson::Json;
 use std::collections::{BTreeMap, HashMap};
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The 64-bit FNV-1a offset basis: the `seed` that starts a hash.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// 64-bit FNV-1a over a byte stream.
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a over a byte stream, continuing from `seed` (start
+/// from [`FNV_OFFSET`]). The workspace's one content hash: the cache
+/// key and the drift snapshot's config hash both use it.
+pub fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = seed;
     for &b in bytes {
         h ^= u64::from(b);

@@ -651,8 +651,18 @@ impl JobCore {
         self.completions.waker.wake();
     }
 
-    /// Registers a remote worker.
-    pub(crate) fn join(&self, node: &str) -> Json {
+    /// Registers a remote worker whose engine runs under the canonical
+    /// analysis config `config`. A worker with a missing or different
+    /// config is refused with an `error` naming both: every result it
+    /// completed would be cached under this daemon's config key.
+    pub(crate) fn join(&self, node: &str, config: Option<&str>) -> Json {
+        if config != Some(self.config_canon.as_str()) {
+            return error_response(&format!(
+                "worker analysis config {} differs from the daemon's {:?}",
+                config.map_or_else(|| "(none)".to_owned(), |c| format!("{c:?}")),
+                self.config_canon
+            ));
+        }
         let mut st = self.lock();
         let id = format!("w-{}", st.worker_seq);
         st.worker_seq += 1;
@@ -874,7 +884,7 @@ mod tests {
         } else {
             VetOutcome::report(
                 format!("{{\n  \"len\": {}\n}}", source.len()),
-                sigtrace::PhaseTimings::default(),
+                sigtrace::LayerTimes::default(),
             )
         }
     }
@@ -1022,7 +1032,7 @@ mod tests {
     #[test]
     fn reaped_claims_requeue_to_the_front_and_late_completes_are_stale() {
         let core = core(0, 8);
-        let ack = core.join("doomed");
+        let ack = core.join("doomed", Some(&core.config_canon));
         let doomed = ack["worker"].as_str().unwrap().to_owned();
         assert!(core.claim(&doomed).is_none(), "nothing pending yet");
         assert!(matches!(
@@ -1048,7 +1058,10 @@ mod tests {
             "reaped worker is unknown"
         );
 
-        let rescue = core.join("rescue")["worker"].as_str().unwrap().to_owned();
+        let rescue = core.join("rescue", Some(&core.config_canon))["worker"]
+            .as_str()
+            .unwrap()
+            .to_owned();
         let again = core.claim(&rescue).expect("requeued job");
         assert_eq!(
             again["job"].as_str(),

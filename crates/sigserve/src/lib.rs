@@ -37,9 +37,7 @@
 //! ```
 //! use jsanalysis::AnalysisConfig;
 //! use sigserve::{Client, MetricsRegistry, ServeConfig, Server, VetOutcome};
-//! use sigserve::PhaseTimings;
-//! use sigtrace::Trace;
-//! use std::time::Duration;
+//! use sigtrace::{LayerTimes, Trace};
 //!
 //! // A stub engine; real deployments pass `addon_sig::service_engine`.
 //! fn analyze(
@@ -50,11 +48,7 @@
 //! ) -> VetOutcome {
 //!     VetOutcome::report(
 //!         "{\n  \"flows\": []\n}".to_owned(),
-//!         PhaseTimings::new(
-//!             Duration::from_micros(10),
-//!             Duration::from_micros(5),
-//!             Duration::from_micros(1),
-//!         ),
+//!         LayerTimes::default(),
 //!     )
 //! }
 //!
@@ -97,9 +91,9 @@ pub use worker::{Worker, WorkerConfig};
 /// overload sampling policy it can run under.
 pub use sigobs::{EventLog, Level, SamplePolicy};
 /// Re-exported from `sigtrace`: the metrics registry every worker feeds,
-/// the phase-timing triple `VetOutcome::Report` carries, and the per-job
+/// the per-layer timings `VetOutcome::Report` carries, and the per-job
 /// cost profile outcomes can attach.
-pub use sigtrace::{JobProfile, MetricsRegistry, MetricsSnapshot, PhaseTimings};
+pub use sigtrace::{JobProfile, LayerTimes, MetricsRegistry, MetricsSnapshot};
 
 use minijson::Json;
 use std::time::Duration;
@@ -120,8 +114,9 @@ pub enum VetOutcome {
     Report {
         /// The signature JSON document.
         signature_json: String,
-        /// Per-phase wall times (the paper's Table 2 columns).
-        timings: PhaseTimings,
+        /// Per-layer wall times (summed into the paper's Table 2 phases
+        /// on the wire).
+        timings: LayerTimes,
         /// Per-job cost attribution, when the engine ran with it
         /// enabled. Never part of [`VetOutcome::core_json`] — the wire
         /// format and cache identity are profile-free; the daemon
@@ -151,25 +146,12 @@ pub enum VetOutcome {
 }
 
 impl VetOutcome {
-    /// A successful vetting: the signature document plus phase timings.
-    pub fn report(signature_json: String, timings: PhaseTimings) -> VetOutcome {
+    /// A successful vetting: the signature document plus layer timings.
+    pub fn report(signature_json: String, timings: LayerTimes) -> VetOutcome {
         VetOutcome::Report {
             signature_json,
             timings,
             profile: None,
-        }
-    }
-
-    /// [`VetOutcome::report`] carrying a per-job cost profile.
-    pub fn report_profiled(
-        signature_json: String,
-        timings: PhaseTimings,
-        profile: JobProfile,
-    ) -> VetOutcome {
-        VetOutcome::Report {
-            signature_json,
-            timings,
-            profile: Some(profile),
         }
     }
 
@@ -182,13 +164,15 @@ impl VetOutcome {
         }
     }
 
-    /// [`VetOutcome::timeout`] carrying the hotspot postmortem.
-    pub fn timeout_profiled(steps: usize, elapsed: Duration, profile: JobProfile) -> VetOutcome {
-        VetOutcome::Timeout {
-            steps,
-            elapsed,
-            profile: Some(profile),
+    /// This outcome carrying `profile`, the per-job cost profile (the
+    /// hotspot postmortem of a timeout). An error carries none.
+    pub fn with_profile(mut self, profile: Option<JobProfile>) -> VetOutcome {
+        if let VetOutcome::Report { profile: p, .. } | VetOutcome::Timeout { profile: p, .. } =
+            &mut self
+        {
+            *p = profile;
         }
+        self
     }
 
     /// The attached cost profile, if the engine recorded one.
@@ -210,35 +194,43 @@ impl VetOutcome {
 
     /// The protocol "core" of this outcome: the verdict-bearing object
     /// cached and embedded into `vet_result` responses. This is the one
-    /// place outcomes are encoded; the timing keys stay the flat
-    /// `p1_us`/`p2_us`/`p3_us` the protocol has always used.
+    /// place outcomes are encoded: [`VetOutcome::verdict_fields`], plus
+    /// the signature of a completed vetting.
     pub fn core_json(&self) -> Json {
         let mut core = Json::obj();
-        match self {
-            VetOutcome::Report {
-                signature_json,
-                timings,
-                ..
-            } => {
-                core.set("verdict", Json::from("ok"));
-                core.set("p1_us", Json::from(timings.p1.as_micros() as f64));
-                core.set("p2_us", Json::from(timings.p2.as_micros() as f64));
-                core.set("p3_us", Json::from(timings.p3.as_micros() as f64));
-                let sig = Json::parse(signature_json)
-                    .unwrap_or_else(|_| Json::Str(signature_json.clone()));
-                core.set("signature", sig);
-            }
-            VetOutcome::Timeout { steps, elapsed, .. } => {
-                core.set("verdict", Json::from("timeout"));
-                core.set("steps", Json::from(*steps as f64));
-                core.set("elapsed_us", Json::from(elapsed.as_micros() as f64));
-            }
-            VetOutcome::Error { message } => {
-                core.set("verdict", Json::from("error"));
-                core.set("message", Json::from(message.as_str()));
-            }
+        for (key, value) in self.verdict_fields() {
+            core.set(key, value);
+        }
+        if let VetOutcome::Report { signature_json, .. } = self {
+            let sig =
+                Json::parse(signature_json).unwrap_or_else(|_| Json::Str(signature_json.clone()));
+            core.set("signature", sig);
         }
         core
+    }
+
+    /// The verdict and what backs it, in wire order: a completed
+    /// vetting's flat `p1_us`/`p2_us`/`p3_us` (the protocol's keys,
+    /// each [`LayerTimes::phase`] of its paper phase), a timeout's
+    /// steps and elapsed time, or an error's message. Shared by the
+    /// `vet_result` core and the `job_computed` log record.
+    fn verdict_fields(&self) -> Vec<(&'static str, Json)> {
+        match self {
+            VetOutcome::Report { timings, .. } => {
+                let phases = [("p1_us", 1), ("p2_us", 2), ("p3_us", 3)]
+                    .map(|(key, p)| (key, Json::from(timings.phase(p).as_micros() as f64)));
+                std::iter::once(("verdict", Json::from("ok"))).chain(phases).collect()
+            }
+            VetOutcome::Timeout { steps, elapsed, .. } => vec![
+                ("verdict", Json::from("timeout")),
+                ("steps", Json::from(*steps as f64)),
+                ("elapsed_us", Json::from(elapsed.as_micros() as f64)),
+            ],
+            VetOutcome::Error { message } => vec![
+                ("verdict", Json::from("error")),
+                ("message", Json::from(message.as_str())),
+            ],
+        }
     }
 
     /// Whether this outcome may be served from cache on resubmission.
@@ -257,8 +249,9 @@ impl VetOutcome {
     }
 }
 
-/// Renders a [`JobProfile`] as JSON: `total_steps`, the per-phase wall
-/// times, and the `top` hottest attribution buckets. This is the one
+/// Renders a [`JobProfile`] as JSON: `total_steps`, the per-layer wall
+/// times (`layers`, one `{"layer","us"}` entry per layer that ran), and
+/// the `top` hottest attribution buckets. This is the one
 /// encoding shared by the daemon's `job_profile` log event and
 /// `vet profile --json`, so postmortems read identically everywhere.
 /// (It lives here rather than in `sigtrace` because `sigtrace` is
@@ -266,17 +259,17 @@ impl VetOutcome {
 pub fn profile_json(profile: &JobProfile, top: usize) -> Json {
     let mut doc = Json::obj();
     doc.set("total_steps", Json::from(profile.total_steps as f64));
-    let phases = profile
-        .phases
+    let layers = profile
+        .layers
         .iter()
-        .map(|(phase, us)| {
-            let mut p = Json::obj();
-            p.set("phase", Json::from(phase.as_str()));
-            p.set("us", Json::from(*us as f64));
-            p
+        .map(|(layer, elapsed)| {
+            let mut l = Json::obj();
+            l.set("layer", Json::from(layer.name()));
+            l.set("us", Json::from(elapsed.as_micros() as f64));
+            l
         })
         .collect();
-    doc.set("phases", Json::Arr(phases));
+    doc.set("layers", Json::Arr(layers));
     let hotspots = profile
         .top(top)
         .iter()
@@ -284,7 +277,6 @@ pub fn profile_json(profile: &JobProfile, top: usize) -> Json {
             let mut h = Json::obj();
             h.set("func", Json::from(cost.func.as_str()));
             h.set("ctx", Json::from(sigtrace::ctx_class_name(cost.ctx_class)));
-            h.set("phase", Json::from(cost.phase.as_str()));
             h.set("steps", Json::from(cost.steps as f64));
             h.set("time_us", Json::from(cost.time_us as f64));
             h
@@ -313,53 +305,31 @@ pub(crate) fn log_job_profile(log: &sigobs::EventLog, job: &str, outcome: &VetOu
         VetOutcome::Timeout { .. } => (sigobs::Level::Warn, "timeout"),
         _ => (sigobs::Level::Debug, "ok"),
     };
+    let mut fields = vec![("job", Json::from(job)), ("verdict", Json::from(verdict))];
     let doc = profile_json(profile, POSTMORTEM_TOP_K);
-    let field = |key: &str| doc.get(key).cloned().unwrap_or(Json::Null);
-    log.log(
-        level,
-        "job_profile",
-        &[
-            ("job", Json::from(job)),
-            ("verdict", Json::from(verdict)),
-            ("total_steps", field("total_steps")),
-            ("phases", field("phases")),
-            ("hotspots", field("hotspots")),
-        ],
-    );
+    if let Json::Obj(pairs) = &doc {
+        fields.extend(pairs.iter().map(|(key, value)| (key.as_str(), value.clone())));
+    }
+    log.log(level, "job_profile", &fields);
 }
 
 /// Logs one job's `job_computed` record — the single encoding of that
 /// event, so the replay validator sees one contract everywhere.
 pub(crate) fn log_job_computed(log: &sigobs::EventLog, job: &str, outcome: &VetOutcome) {
-    let mut fields: Vec<(&str, Json)> = vec![("job", Json::from(job))];
     let level = match outcome {
-        VetOutcome::Report { timings, .. } => {
-            fields.push(("verdict", Json::from("ok")));
-            fields.push(("p1_us", Json::from(timings.p1.as_micros() as f64)));
-            fields.push(("p2_us", Json::from(timings.p2.as_micros() as f64)));
-            fields.push(("p3_us", Json::from(timings.p3.as_micros() as f64)));
-            sigobs::Level::Info
-        }
-        VetOutcome::Timeout { steps, elapsed, .. } => {
-            fields.push(("verdict", Json::from("timeout")));
-            fields.push(("steps", Json::from(*steps as f64)));
-            fields.push(("elapsed_us", Json::from(elapsed.as_micros() as f64)));
-            sigobs::Level::Warn
-        }
-        VetOutcome::Error { message } => {
-            fields.push(("verdict", Json::from("error")));
-            fields.push(("message", Json::from(message.as_str())));
-            sigobs::Level::Warn
-        }
+        VetOutcome::Report { .. } => sigobs::Level::Info,
+        _ => sigobs::Level::Warn,
     };
+    let mut fields = vec![("job", Json::from(job))];
+    fields.extend(outcome.verdict_fields());
     log.log(level, "job_computed", &fields);
 }
 
 /// The injected analysis pipeline: full vetting of one source under one
 /// configuration, folding whatever it wants to expose (pipeline
-/// counters, per-phase latencies) into the daemon's metrics registry,
+/// counters, per-layer latencies) into the daemon's metrics registry,
 /// and attaching the given [`sigtrace::Trace`] to the pipeline, so
-/// per-phase spans land in the daemon's structured event log tagged with
+/// per-layer spans land in the daemon's structured event log tagged with
 /// the owning job's request ID. The daemon passes [`Trace::Off`] when no
 /// log is attached (or its level is below debug), which an engine can
 /// forward untouched at zero cost.

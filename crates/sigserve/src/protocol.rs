@@ -37,8 +37,9 @@
 //! port:
 //!
 //! ```text
-//! {"kind":"join","node":"worker-a"}
+//! {"kind":"join","node":"worker-a","config":"k=1;strings=Prefix;..."}
 //!   -> {"kind":"join_ack","worker":"w-0","heartbeat_ms":2000,"reap_ms":6000}
+//!    | {"kind":"error","message":"..."}  (config differs from the daemon's)
 //! {"kind":"claim","worker":"w-0","wait_ms":500}
 //!   -> {"kind":"job","job":"j-3","name":"a.js","source":"..."}
 //!    | {"kind":"no_job"}
@@ -84,10 +85,13 @@ pub enum Request {
     Metrics,
     /// Finish pending jobs, dump counters, and stop.
     Shutdown,
-    /// A remote worker registers; answered by `join_ack`.
+    /// A remote worker registers; answered by `join_ack`, or by an
+    /// `error` when its analysis config is not the daemon's.
     Join {
         /// The worker's self-reported node name (for stats and logs).
         node: String,
+        /// The worker engine's `AnalysisConfig::canonical_string()`.
+        config: Option<String>,
     },
     /// A remote worker asks for a job, waiting up to `wait_ms` for one.
     Claim {
@@ -161,6 +165,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         Some("shutdown") => Ok(Request::Shutdown),
         Some("join") => Ok(Request::Join {
             node: req_str(&v, "node", "join")?,
+            config: v.get("config").and_then(Json::as_str).map(str::to_owned),
         }),
         Some("claim") => Ok(Request::Claim {
             worker: req_str(&v, "worker", "claim")?,
@@ -297,9 +302,13 @@ pub fn metrics_response(prometheus: &str, samples: usize) -> Json {
     )
 }
 
-/// Builds a `join` request.
-pub fn join_request(node: &str) -> Json {
-    message("join", vec![("node", Json::from(node))])
+/// Builds a `join` request for a worker whose engine runs under the
+/// canonical analysis config `config`.
+pub fn join_request(node: &str, config: &str) -> Json {
+    message(
+        "join",
+        vec![("node", Json::from(node)), ("config", Json::from(config))],
+    )
 }
 
 /// Builds the `join_ack` response: the assigned worker identity plus the
@@ -473,11 +482,12 @@ mod tests {
 
     #[test]
     fn worker_verbs_roundtrip_through_parser() {
-        let r = parse_request(&join_request("node-a").to_string_compact()).unwrap();
+        let r = parse_request(&join_request("node-a", "k=1").to_string_compact()).unwrap();
         assert_eq!(
             r,
             Request::Join {
-                node: "node-a".to_owned()
+                node: "node-a".to_owned(),
+                config: Some("k=1".to_owned()),
             }
         );
         let r = parse_request(&claim_request("w-1", 250).to_string_compact()).unwrap();

@@ -690,9 +690,9 @@ impl EventLoop {
                 conn.closing.get_or_insert("shutdown");
                 core.shutdown();
             }
-            Ok(Request::Join { node }) => {
+            Ok(Request::Join { node, config }) => {
                 conn.worker = true;
-                push_done(conn, &core.join(&node));
+                push_done(conn, &core.join(&node, config.as_deref()));
                 self.next_reap
                     .get_or_insert_with(|| Instant::now() + reap_tick(&core));
             }
@@ -1375,11 +1375,7 @@ mod tests {
         } else {
             VetOutcome::report(
                 format!("{{\n  \"len\": {}\n}}", source.len()),
-                crate::PhaseTimings::new(
-                    Duration::from_micros(30),
-                    Duration::from_micros(20),
-                    Duration::from_micros(10),
-                ),
+                crate::LayerTimes::default(),
             )
         }
     }

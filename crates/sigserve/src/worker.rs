@@ -30,7 +30,8 @@ pub struct WorkerConfig {
     pub claim_wait_ms: u64,
     /// The analysis configuration the engine runs under (default: the
     /// default analysis with triage on, like [`crate::ServeConfig`]).
-    /// Must match the daemon's, whose cache keys assume it.
+    /// Must match the daemon's, whose cache keys assume it: the daemon
+    /// refuses a worker whose config differs.
     pub analysis: AnalysisConfig,
     /// Structured event log (job lifecycle events land here).
     pub log: Option<Arc<EventLog>>,
@@ -145,6 +146,9 @@ pub struct Worker {
 impl Worker {
     /// Joins the daemon at `cfg.coordinator` and starts claiming.
     ///
+    /// Fails with the daemon's message, and starts nothing, when the
+    /// daemon refuses `cfg.analysis` for differing from its own.
+    ///
     /// The engine receives a [`sigtrace::Trace`] carrying the owning
     /// job's daemon-assigned ID (a [`sigobs::LogTracer`] when the event
     /// log is at debug level), exactly like the daemon's local workers.
@@ -157,15 +161,17 @@ impl Worker {
     {
         let mut client = Client::connect(cfg.coordinator.as_str())?;
         let ack = client
-            .request(&join_request(&cfg.node))
+            .request(&join_request(&cfg.node, &cfg.analysis.canonical_string()))
             .map_err(|e| io::Error::new(io::ErrorKind::ConnectionRefused, e))?;
         let bad =
             |what: &str| io::Error::new(io::ErrorKind::InvalidData, format!("join_ack: {what}"));
-        if ack.get("kind").and_then(Json::as_str) != Some("join_ack") {
-            return Err(bad(&format!(
-                "unexpected response {}",
-                ack.to_string_compact()
-            )));
+        match ack.get("kind").and_then(Json::as_str) {
+            Some("join_ack") => {}
+            Some("error") => {
+                let msg = ack.get("message").and_then(Json::as_str).unwrap_or("join refused");
+                return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+            }
+            _ => return Err(bad(&format!("unexpected response {}", ack.to_string_compact()))),
         }
         let id = ack
             .get("worker")

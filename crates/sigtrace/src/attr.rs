@@ -1,5 +1,5 @@
-//! Cost attribution: per-`(function, context-class, phase)` step and
-//! time tallies, and the [`JobProfile`] they roll up into.
+//! Cost attribution: per-`(function, context-class)` step and time
+//! tallies of the fixpoint, and the [`JobProfile`] they roll up into.
 //!
 //! The base analysis can already say *how much* a job cost (the
 //! [`Counter`](crate::Counter) totals); attribution says *where*: which
@@ -31,6 +31,7 @@
 //! clock and never deterministic, so [`JobProfile::render_table`]
 //! excludes them.
 
+use crate::layer::LayerTimes;
 use std::fmt::Write as _;
 
 /// Number of context classes a bucket can fall into: call-string depth
@@ -47,8 +48,8 @@ pub fn ctx_class_name(class: u8) -> &'static str {
     }
 }
 
-/// One attribution bucket: the cost a single `(function, context
-/// class, phase)` combination accrued.
+/// One attribution bucket: the fixpoint cost a single `(function,
+/// context class)` combination accrued.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuncCost {
     /// Function display name (the lowered IR's diagnostic name; the
@@ -56,8 +57,6 @@ pub struct FuncCost {
     pub func: String,
     /// Clamped call-string depth: 0, 1, or 2 (meaning "2 or deeper").
     pub ctx_class: u8,
-    /// Which phase accrued it (`"fixpoint"` for worklist steps).
-    pub phase: String,
     /// Worklist steps executed in this bucket. Deterministic for a
     /// fixed source, configuration, and worklist order.
     pub steps: u64,
@@ -80,25 +79,19 @@ impl AttributionSink {
     }
 
     /// Records one flushed bucket.
-    pub fn record(&mut self, func: &str, ctx_class: u8, phase: &str, steps: u64, time_us: u64) {
+    pub fn record(&mut self, func: &str, ctx_class: u8, steps: u64, time_us: u64) {
         self.costs.push(FuncCost {
             func: func.to_owned(),
             ctx_class: ctx_class.min((CTX_CLASSES - 1) as u8),
-            phase: phase.to_owned(),
             steps,
             time_us,
         });
     }
 
-    /// The buckets recorded so far, in flush order.
-    pub fn costs(&self) -> &[FuncCost] {
-        &self.costs
-    }
-
     /// Rolls the buckets up into a deterministic [`JobProfile`]:
     /// hotspots sorted by steps (descending), ties broken by
-    /// `(func, ctx_class, phase)` ascending so the order never depends
-    /// on flush order or wall-clock times.
+    /// `(func, ctx_class)` ascending so the order never depends on
+    /// flush order or wall-clock times.
     pub fn into_profile(self, total_steps: u64) -> JobProfile {
         let mut hotspots = self.costs;
         hotspots.sort_by(|a, b| {
@@ -106,18 +99,17 @@ impl AttributionSink {
                 .cmp(&a.steps)
                 .then_with(|| a.func.cmp(&b.func))
                 .then_with(|| a.ctx_class.cmp(&b.ctx_class))
-                .then_with(|| a.phase.cmp(&b.phase))
         });
         JobProfile {
             total_steps,
-            phases: Vec::new(),
+            layers: LayerTimes::default(),
             hotspots,
         }
     }
 }
 
-/// Where one job's cost went: total steps, per-phase wall times, and
-/// the per-`(function, context class, phase)` hotspot buckets, sorted
+/// Where one job's cost went: total steps, per-layer wall times, and
+/// the per-`(function, context class)` hotspot buckets, sorted
 /// most-expensive first (deterministic tie-break; see
 /// [`AttributionSink::into_profile`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -125,9 +117,9 @@ pub struct JobProfile {
     /// Worklist steps the whole run executed (including steps in
     /// functions too cold to surface as hotspots).
     pub total_steps: u64,
-    /// Per-phase wall times as `(phase, µs)` pairs, in pipeline order.
-    /// A budget-aborted run only carries the phases that actually ran.
-    pub phases: Vec<(String, u64)>,
+    /// Per-layer wall times. A budget-aborted run only carries the
+    /// layers that actually ran.
+    pub layers: LayerTimes,
     /// Attribution buckets, sorted by steps descending.
     pub hotspots: Vec<FuncCost>,
 }
@@ -188,11 +180,10 @@ mod tests {
     #[test]
     fn sink_collects_and_profile_sorts_deterministically() {
         let mut sink = AttributionSink::new();
-        sink.record("zeta", 0, "fixpoint", 50, 900);
-        sink.record("alpha", 1, "fixpoint", 50, 100);
-        sink.record("beta", 0, "fixpoint", 200, 1);
-        sink.record("alpha", 0, "fixpoint", 50, 10);
-        assert_eq!(sink.costs().len(), 4);
+        sink.record("zeta", 0, 50, 900);
+        sink.record("alpha", 1, 50, 100);
+        sink.record("beta", 0, 200, 1);
+        sink.record("alpha", 0, 50, 10);
         let profile = sink.into_profile(400);
         // Sorted by steps desc; 50-step ties broken by (func, ctx).
         let order: Vec<(&str, u8)> = profile
@@ -211,9 +202,9 @@ mod tests {
     #[test]
     fn table_is_time_free_and_counts_hidden_buckets() {
         let mut sink = AttributionSink::new();
-        sink.record("hot", 2, "fixpoint", 300, 123_456);
-        sink.record("warm", 0, "fixpoint", 100, 7);
-        sink.record("cold", 0, "fixpoint", 1, 7);
+        sink.record("hot", 2, 300, 123_456);
+        sink.record("warm", 0, 100, 7);
+        sink.record("cold", 0, 1, 7);
         let table = sink.into_profile(401).render_table(2);
         assert!(table.contains("total worklist steps: 401"));
         assert!(table.contains("hot"));
@@ -233,8 +224,8 @@ mod tests {
     #[test]
     fn ctx_classes_clamp() {
         let mut sink = AttributionSink::new();
-        sink.record("f", 9, "fixpoint", 1, 0);
-        assert_eq!(sink.costs()[0].ctx_class, 2);
+        sink.record("f", 9, 1, 0);
+        assert_eq!(sink.into_profile(1).hotspots[0].ctx_class, 2);
         assert_eq!(ctx_class_name(0), "0");
         assert_eq!(ctx_class_name(1), "1");
         assert_eq!(ctx_class_name(7), "2+");

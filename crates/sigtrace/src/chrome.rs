@@ -1,10 +1,11 @@
 //! `chrome://tracing` / Perfetto `trace_event` JSON output.
 //!
 //! A rendering of what a [`SpanCollector`] recorded: its spans as
-//! complete events (`"ph":"X"`) plus one counter event (`"ph":"C"`) per
-//! non-zero pipeline counter. The JSON is hand-built against `std`
-//! only — this crate must stay dependency-free — and is covered by a
-//! test that round-trips it through the workspace's `minijson` parser.
+//! complete events (`"ph":"X"`) named by [`Layer::name`](crate::Layer::name),
+//! plus one counter event (`"ph":"C"`) per non-zero pipeline counter.
+//! The JSON is hand-built against `std` only — this crate must stay
+//! dependency-free — and is covered by a test that round-trips it
+//! through the workspace's `minijson` parser.
 
 use crate::span::SpanCollector;
 use std::fmt::Write as _;
@@ -25,7 +26,7 @@ impl SpanCollector {
                 out,
                 ",{{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"cat\":\"pipeline\",\"name\":\"{}\",\
                  \"ts\":{},\"dur\":{}}}",
-                escape(&span.name),
+                span.layer.name(),
                 span.start_us,
                 span.dur_us,
             );
@@ -56,46 +57,26 @@ impl SpanCollector {
     }
 }
 
-/// Escapes the mandatory JSON control set (span names are ASCII
-/// identifiers today, but the format must not break if one ever isn't).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Counter, Counters, Tracer};
+    use crate::{Counter, Counters, Layer, Trace};
     use minijson::Json;
 
-    /// Records a realistic nested span structure.
+    /// Records the pipeline's span shape: every layer once, flat.
     fn sample() -> SpanCollector {
         let mut w = SpanCollector::new();
-        w.span_start("pipeline");
-        w.span_start("parse");
-        w.span_end("parse");
-        w.span_start("phase1");
-        let mut counters = Counters::new();
-        counters.add(Counter::WorklistSteps, 1024);
-        counters.add(Counter::StateJoins, 96);
-        w.add_counters(&counters);
-        w.span_end("phase1");
-        w.span_start("phase2");
-        w.span_start("ddg");
-        w.span_end("ddg");
-        w.span_end("phase2");
-        w.span_end("pipeline");
+        let mut t = Trace::On(&mut w);
+        for layer in Layer::ALL {
+            t.span(layer, |t| {
+                if layer == Layer::Fixpoint {
+                    let mut counters = Counters::new();
+                    counters.add(Counter::WorklistSteps, 1024);
+                    counters.add(Counter::StateJoins, 96);
+                    t.add_counters(&counters);
+                }
+            });
+        }
         w
     }
 
@@ -119,7 +100,7 @@ mod tests {
             .filter(|e| e["ph"] == Json::Str("X".into()))
             .filter_map(|e| e["name"].as_str())
             .collect();
-        assert_eq!(names, ["pipeline", "parse", "phase1", "phase2", "ddg"]);
+        assert_eq!(names, Layer::ALL.map(Layer::name));
         assert!(events
             .iter()
             .any(|e| e["name"].as_str() == Some("worklist_steps")));
@@ -146,10 +127,5 @@ mod tests {
                 assert!(nested || disjoint, "spans partially overlap");
             }
         }
-    }
-
-    #[test]
-    fn names_are_escaped() {
-        assert_eq!(escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
     }
 }

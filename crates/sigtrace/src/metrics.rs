@@ -8,6 +8,7 @@
 //! still far off any analysis hot path).
 
 use crate::counter::Counters;
+use crate::layer::LayerTimes;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -235,6 +236,16 @@ impl MetricsRegistry {
             if v != 0 {
                 self.add(&format!("pipeline_{}", c.name()), v);
             }
+        }
+    }
+
+    /// Records one pipeline run's [`LayerTimes`]: each layer that ran
+    /// lands in its `pipeline_<layer>_us` histogram, named from
+    /// [`Layer::name`](crate::Layer::name) with dots as underscores.
+    pub fn record_layers(&self, times: &LayerTimes) {
+        for (layer, elapsed) in times.iter() {
+            let name = format!("pipeline_{}_us", layer.name().replace('.', "_"));
+            self.record(&name, u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
         }
     }
 

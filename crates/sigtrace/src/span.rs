@@ -3,23 +3,24 @@
 //! open-span stack every span sink shares.
 
 use crate::counter::Counters;
+use crate::layer::Layer;
 use std::time::{Duration, Instant};
 
-/// Sink for pipeline trace events: hierarchical spans, counter
-/// batches, and per-function cost buckets.
+/// Sink for pipeline trace events: layer spans, counter batches, and
+/// per-function cost buckets.
 ///
 /// Every method has a no-op default, so an implementation only
 /// overrides what it cares about. Implementations must tolerate
-/// `span_end` names they never saw started (a phase that aborts on a
-/// budget still closes its spans in reverse order, but defensive sinks
+/// `span_end`s of layers they never saw started (defensive sinks
 /// should not panic on protocol slips).
 pub trait Tracer {
-    /// A named region begins. Spans nest strictly: the matching
-    /// [`span_end`](Tracer::span_end) arrives before the parent's.
-    fn span_start(&mut self, _name: &str) {}
+    /// A layer begins. Spans nest strictly: the matching
+    /// [`span_end`](Tracer::span_end) arrives before an enclosing
+    /// span's (the pipeline's own layers never nest).
+    fn span_start(&mut self, _layer: Layer) {}
 
-    /// The innermost open region named `name` ends.
-    fn span_end(&mut self, _name: &str) {}
+    /// The innermost open span of `layer` ends.
+    fn span_end(&mut self, _layer: Layer) {}
 
     /// Flushes a whole batch of locally-accumulated counters at once.
     ///
@@ -36,7 +37,7 @@ pub trait Tracer {
     }
 
     /// One flushed attribution bucket (see [`FuncCost`](crate::FuncCost)).
-    fn record_cost(&mut self, _func: &str, _ctx: u8, _phase: &str, _steps: u64, _time_us: u64) {}
+    fn record_cost(&mut self, _func: &str, _ctx: u8, _steps: u64, _time_us: u64) {}
 }
 
 /// A `Tracer` that ignores everything (the trait defaults, reified).
@@ -53,7 +54,7 @@ impl Tracer for NoopTracer {}
 /// [`Trace::Off`] every hook compiles to one predictable test. The
 /// pipeline additionally keeps its hot-loop counters and cost tallies
 /// in plain integer fields and flushes them per phase, so the handle is
-/// only touched at phase granularity anyway.
+/// only touched at layer granularity anyway.
 #[derive(Default)]
 pub enum Trace<'a> {
     /// Tracing disabled; every hook is a no-op branch.
@@ -64,11 +65,6 @@ pub enum Trace<'a> {
 }
 
 impl<'a> Trace<'a> {
-    /// Wraps a sink in an enabled handle.
-    pub fn on(tracer: &'a mut dyn Tracer) -> Trace<'a> {
-        Trace::On(tracer)
-    }
-
     /// Whether events will be observed (lets callers skip work that
     /// only exists to be traced, e.g. tallying PDG edges by kind).
     #[inline]
@@ -76,20 +72,18 @@ impl<'a> Trace<'a> {
         matches!(self, Trace::On(_))
     }
 
-    /// Opens a named span.
+    /// Runs `f` as the span of `layer`; `f` gets the handle back, so the
+    /// layer's own counters and costs flush through it.
     #[inline]
-    pub fn span_start(&mut self, name: &str) {
+    pub fn span<T>(&mut self, layer: Layer, f: impl FnOnce(&mut Trace<'a>) -> T) -> T {
         if let Trace::On(t) = self {
-            t.span_start(name);
+            t.span_start(layer);
         }
-    }
-
-    /// Closes the innermost open span named `name`.
-    #[inline]
-    pub fn span_end(&mut self, name: &str) {
+        let out = f(self);
         if let Trace::On(t) = self {
-            t.span_end(name);
+            t.span_end(layer);
         }
+        out
     }
 
     /// Flushes a batch of locally-accumulated counters.
@@ -108,9 +102,9 @@ impl<'a> Trace<'a> {
 
     /// Flushes one attribution bucket (see [`Tracer::record_cost`]).
     #[inline]
-    pub fn record_cost(&mut self, func: &str, ctx: u8, phase: &str, steps: u64, time_us: u64) {
+    pub fn record_cost(&mut self, func: &str, ctx: u8, steps: u64, time_us: u64) {
         if let Trace::On(t) = self {
-            t.record_cost(func, ctx, phase, steps, time_us);
+            t.record_cost(func, ctx, steps, time_us);
         }
     }
 }
@@ -118,8 +112,8 @@ impl<'a> Trace<'a> {
 /// One completed (or still open) span recorded by [`SpanCollector`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Span name as passed to `span_start`.
-    pub name: String,
+    /// The layer the span covers.
+    pub layer: Layer,
     /// Nesting depth (0 = top level).
     pub depth: usize,
     /// Start offset from the collector's epoch, in microseconds.
@@ -127,21 +121,19 @@ pub struct SpanRecord {
     /// Duration in microseconds (0 until the span ends): end offset
     /// minus `start_us`, so children nest exactly inside parents.
     pub dur_us: u64,
-    /// Duration at full clock resolution (zero until the span ends).
-    pub elapsed: Duration,
 }
 
-/// Records hierarchical spans (with wall-clock timings) and pipeline
-/// [`Counters`] in memory. Its open-span stack is the only one; other
-/// span sinks read spans off a collector.
+/// Records spans (with wall-clock timings) and pipeline [`Counters`]
+/// in memory. Its open-span stack is the only one; other span sinks
+/// read spans off a collector.
 ///
 /// Counters are deterministic (see the crate docs); span timings are
 /// not, which is why the golden tests compare counter totals only.
 #[derive(Debug)]
 pub struct SpanCollector {
     epoch: Instant,
-    /// Open spans, outermost first: index into `spans`, start instant.
-    open: Vec<(usize, Instant)>,
+    /// Open spans, outermost first, as indices into `spans`.
+    open: Vec<usize>,
     spans: Vec<SpanRecord>,
     counters: Counters,
 }
@@ -179,19 +171,15 @@ impl SpanCollector {
         &self.counters
     }
 
-    /// Closes the innermost open span named `name` and returns it;
-    /// `None` when no such span is open.
-    pub fn close(&mut self, name: &str) -> Option<&SpanRecord> {
-        let now = Instant::now();
-        let pos = self
-            .open
-            .iter()
-            .rposition(|&(i, _)| self.spans[i].name == name)?;
-        let (idx, start) = self.open.remove(pos);
+    /// Closes the innermost open span of `layer` and returns it; `None`
+    /// when no such span is open.
+    pub fn close(&mut self, layer: Layer) -> Option<&SpanRecord> {
+        let end_us = micros(self.epoch.elapsed());
+        let pos = self.open.iter().rposition(|&i| self.spans[i].layer == layer)?;
+        let idx = self.open.remove(pos);
         debug_assert_eq!(pos, self.open.len(), "spans must close innermost-first");
         let span = &mut self.spans[idx];
-        span.dur_us = micros(now - self.epoch).saturating_sub(span.start_us);
-        span.elapsed = now - start;
+        span.dur_us = end_us.saturating_sub(span.start_us);
         Some(span)
     }
 }
@@ -201,20 +189,18 @@ fn micros(d: Duration) -> u64 {
 }
 
 impl Tracer for SpanCollector {
-    fn span_start(&mut self, name: &str) {
-        let now = Instant::now();
-        self.open.push((self.spans.len(), now));
+    fn span_start(&mut self, layer: Layer) {
+        self.open.push(self.spans.len());
         self.spans.push(SpanRecord {
-            name: name.to_owned(),
+            layer,
             depth: self.open.len() - 1,
-            start_us: micros(now - self.epoch),
+            start_us: micros(self.epoch.elapsed()),
             dur_us: 0,
-            elapsed: Duration::ZERO,
         });
     }
 
-    fn span_end(&mut self, name: &str) {
-        self.close(name); // an unmatched end is dropped, not a panic
+    fn span_end(&mut self, layer: Layer) {
+        self.close(layer); // an unmatched end is dropped, not a panic
     }
 
     fn add_counters(&mut self, counters: &Counters) {
@@ -238,47 +224,49 @@ mod tests {
         let mut t = Trace::Off;
         assert!(!t.is_enabled());
         assert!(!t.attributes_cost());
-        t.span_start("x");
-        t.add_counters(&batch(Counter::WorklistSteps, 1));
-        t.record_cost("f", 0, "fixpoint", 10, 5);
-        t.span_end("x");
+        let out = t.span(Layer::Parse, |t| {
+            t.add_counters(&batch(Counter::WorklistSteps, 1));
+            t.record_cost("f", 0, 10, 5);
+            7
+        });
+        assert_eq!(out, 7);
     }
 
     #[test]
     fn collector_records_nested_spans_and_counters() {
         let mut c = SpanCollector::new();
         {
-            let mut t = Trace::on(&mut c);
+            let mut t = Trace::On(&mut c);
             assert!(t.is_enabled());
-            t.span_start("pipeline");
-            t.span_start("phase1");
-            t.add_counters(&batch(Counter::WorklistSteps, 41));
-            t.add_counters(&batch(Counter::WorklistSteps, 1));
-            t.span_end("phase1");
-            t.add_counters(&batch(Counter::StateJoins, 7));
-            t.span_end("pipeline");
+            t.span(Layer::Fixpoint, |t| {
+                t.span(Layer::Infer, |t| {
+                    t.add_counters(&batch(Counter::WorklistSteps, 41));
+                    t.add_counters(&batch(Counter::WorklistSteps, 1));
+                });
+                t.add_counters(&batch(Counter::StateJoins, 7));
+            });
         }
         let spans = c.spans();
         assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].name, "pipeline");
+        assert_eq!(spans[0].layer, Layer::Fixpoint);
         assert_eq!(spans[0].depth, 0);
-        assert_eq!(spans[1].name, "phase1");
+        assert_eq!(spans[1].layer, Layer::Infer);
         assert_eq!(spans[1].depth, 1);
         // The child is contained in the parent.
         assert!(spans[1].start_us >= spans[0].start_us);
         assert!(spans[1].start_us + spans[1].dur_us <= spans[0].start_us + spans[0].dur_us);
-        assert!(spans[1].elapsed <= spans[0].elapsed);
         assert_eq!(c.counters().get(Counter::WorklistSteps), 42);
         assert_eq!(c.counters().get(Counter::StateJoins), 7);
     }
 
     #[test]
-    fn same_name_spans_close_innermost_first() {
+    fn same_layer_spans_close_innermost_first() {
         let mut c = SpanCollector::new();
-        c.span_start("propagate");
-        c.span_start("propagate");
-        c.span_end("propagate");
-        c.span_end("propagate");
+        c.span_start(Layer::Infer);
+        c.span_start(Layer::Infer);
+        c.span_end(Layer::Infer);
+        c.span_end(Layer::Infer);
+        c.span_end(Layer::Ddg); // never opened: tolerated
         assert_eq!(c.spans().len(), 2);
         assert_eq!(c.spans()[0].depth, 0);
         assert_eq!(c.spans()[1].depth, 1);

@@ -40,9 +40,9 @@ gBrowser.addEventListener("load", fetchRank, true);
         "(analysis: {} worklist steps; PDG: {} edges; phases P1={:?} P2={:?} P3={:?})",
         report.analysis.steps,
         report.pdg.edge_count(),
-        report.timings.p1,
-        report.timings.p2,
-        report.timings.p3,
+        report.timings.phase(1),
+        report.timings.phase(2),
+        report.timings.phase(3),
     );
 
     // The vetter reads the signature and compares it with the addon's

@@ -10,7 +10,7 @@
 //!           [--heartbeat-ms N] [--reap-ms N]
 //!           [--k <depth>] [--constant-strings]
 //!           [--log FILE] [--log-level LEVEL]
-//!           [--log-sample [EVENT=]N] [--log-sample-threshold R]
+//!           [--log-sample N] [--log-sample-threshold R]
 //!           [--metrics-dir DIR] [--metrics-interval-ms N]
 //! vet serve --join HOST:PORT [--node NAME] [--workers N]
 //!           [--step-budget N] [--deadline-ms N] [--k <depth>]
@@ -48,16 +48,14 @@
 //! flow can exist skips PDG construction, with a byte-identical
 //! signature (counted in `pipeline_triaged`). `--log FILE` writes the
 //! structured JSONL event log (every job lifecycle, keyed by request ID;
-//! `--log-level debug` adds per-phase pipeline spans); `--log-level`
+//! `--log-level debug` adds one pipeline span per layer); `--log-level`
 //! alone keeps an in-memory log whose tail rides along in `stats`
-//! responses; `--log-sample [EVENT=]N` keeps the log overload-safe by
-//! degrading the named event stream (bare `N` tunes the default rate
-//! and covers `job_rejected`) to 1-in-N past `--log-sample-threshold R`
+//! responses; `--log-sample N` keeps the log overload-safe by degrading
+//! the `job_rejected` stream to 1-in-N past `--log-sample-threshold R`
 //! occurrences per second (drops are declared in counted `suppressed`
-//! records the replay validator reconciles against); the flag repeats,
-//! one rule per event, and a debug-level log under sampling also
-//! rate-limits the high-volume `span` stream at the default rate unless
-//! `span=N` tunes it explicitly.
+//! records the replay validator reconciles against), and a debug-level
+//! log under sampling rate-limits the high-volume `span` stream at the
+//! same rate.
 //! `--metrics-dir DIR` snapshots the metrics registry into a bounded
 //! on-disk ring every `--metrics-interval-ms` (default 5000), surviving
 //! restarts; `vet metrics-report DIR --gate RULES` checks it.
@@ -126,7 +124,7 @@ usage:
             [--heartbeat-ms N] [--reap-ms N]
             [--k <depth>] [--constant-strings]
             [--log FILE] [--log-level error|warn|info|debug]
-            [--log-sample [EVENT=]N] [--log-sample-threshold R]
+            [--log-sample N] [--log-sample-threshold R]
             [--metrics-dir DIR] [--metrics-interval-ms N]
   vet serve --join HOST:PORT [--node NAME] [--workers N]
             [--step-budget N] [--deadline-ms N] [--k <depth>]
@@ -165,11 +163,9 @@ struct ServeOptions {
     log_file: Option<String>,
     /// `--log-level`: `Some` turns logging on even without `--log`.
     log_level: Option<sigobs::Level>,
-    /// `--log-sample [EVENT=]N`, repeatable: past the per-window
-    /// threshold, keep 1-in-N records of EVENT (suppressed drops are
-    /// counted). A bare `N` (`None` event) tunes the default rate,
-    /// which covers `job_rejected`.
-    log_sample: Vec<(Option<String>, u64)>,
+    /// `--log-sample N`: past the per-window threshold, keep 1-in-N
+    /// records of each sampled stream (suppressed drops are counted).
+    log_sample: Option<u64>,
     /// `--log-sample-threshold R`: full records per window before
     /// sampling kicks in (default 100).
     log_sample_threshold: Option<u64>,
@@ -271,7 +267,7 @@ fn parse_serve_args(
     let mut queue_cap: Option<usize> = None;
     let mut log_file: Option<String> = None;
     let mut log_level: Option<sigobs::Level> = None;
-    let mut log_sample: Vec<(Option<String>, u64)> = Vec::new();
+    let mut log_sample: Option<u64> = None;
     let mut log_sample_threshold: Option<u64> = None;
     let mut join: Option<String> = None;
     let mut node: Option<String> = None;
@@ -309,17 +305,7 @@ fn parse_serve_args(
                     Some(sigobs::Level::parse(&v).ok_or_else(|| format!("bad log level: {v}"))?)
             }
             "--log-sample" => {
-                // `N` (legacy: the default rate, covering job_rejected)
-                // or `EVENT=N` (a per-event rule); the flag repeats.
-                let v = args.next().ok_or("--log-sample needs [EVENT=]N")?;
-                let (event, n) = match v.split_once('=') {
-                    Some((event, n)) if !event.is_empty() => (Some(event.to_owned()), n),
-                    Some(_) => return Err(format!("bad --log-sample value: {v}")),
-                    None => (None, v.as_str()),
-                };
-                let n: u64 =
-                    n.parse().map_err(|_| format!("bad --log-sample value: {v}"))?;
-                log_sample.push((event, n.max(1)));
+                log_sample = Some(parse_usize(&mut args, "--log-sample")?.max(1) as u64)
             }
             "--log-sample-threshold" => {
                 log_sample_threshold =
@@ -361,7 +347,7 @@ fn parse_serve_args(
     if config.reap_after <= config.heartbeat {
         return Err("--reap-ms must exceed --heartbeat-ms".to_owned());
     }
-    if (!log_sample.is_empty() || log_sample_threshold.is_some())
+    if (log_sample.is_some() || log_sample_threshold.is_some())
         && log_file.is_none()
         && log_level.is_none()
     {
@@ -618,9 +604,9 @@ fn vet_source(name: &str, source: &str, opts: &Options) -> Result<VetOutcome, St
         writeln!(
             out,
             "  [P1 {:?}, P2 {:?}, P3 {:?}; {} PDG edges]",
-            report.timings.p1,
-            report.timings.p2,
-            report.timings.p3,
+            report.timings.phase(1),
+            report.timings.phase(2),
+            report.timings.phase(3),
             report.pdg.edge_count()
         )
         .unwrap();
@@ -702,7 +688,7 @@ fn vet_corpus(opts: &Options) -> bool {
 }
 
 /// Opens the event log `--log` / `--log-level` ask for, under the
-/// `--log-sample` policy: under overload, the named event streams
+/// `--log-sample` policy: under overload, the sampled event streams
 /// degrade to 1-in-N with counted `suppressed` records instead of
 /// amplifying the overload with one log write per shed job.
 fn open_log(opts: &ServeOptions) -> Result<Option<std::sync::Arc<sigobs::EventLog>>, String> {
@@ -713,26 +699,19 @@ fn open_log(opts: &ServeOptions) -> Result<Option<std::sync::Arc<sigobs::EventLo
         None if opts.log_level.is_some() => sigobs::EventLog::in_memory(level),
         None => return Ok(None),
     };
-    if opts.log_sample.is_empty() && opts.log_sample_threshold.is_none() {
+    if opts.log_sample.is_none() && opts.log_sample_threshold.is_none() {
         return Ok(Some(std::sync::Arc::new(log)));
     }
+    let default = sigobs::SamplePolicy::default();
     let mut policy = sigobs::SamplePolicy {
-        threshold: opts.log_sample_threshold.unwrap_or(100),
-        ..sigobs::SamplePolicy::default()
+        threshold: opts.log_sample_threshold.unwrap_or(default.threshold),
+        keep_one_in: opts.log_sample.unwrap_or(default.keep_one_in),
+        ..default
     };
-    for (event, n) in &opts.log_sample {
-        match event {
-            // Bare N: the default rate (covers job_rejected).
-            None => policy.keep_one_in = *n,
-            Some(e) => policy = policy.with_rule(e, *n),
-        }
-    }
-    // Default debug-span policy: a debug-level log under sampling also
-    // rate-limits the high-volume per-phase span stream, unless an
-    // explicit `span=N` rule already tuned it.
-    if level == sigobs::Level::Debug && !policy.events.iter().any(|e| e == "span") {
-        let rate = policy.keep_one_in;
-        policy = policy.with_rule("span", rate);
+    // A debug-level log under sampling also rate-limits the high-volume
+    // per-layer span stream.
+    if level == sigobs::Level::Debug {
+        policy.events.push("span".to_owned());
     }
     Ok(Some(std::sync::Arc::new(log.with_sampling(policy))))
 }

@@ -23,16 +23,10 @@ use std::collections::BTreeMap;
 /// are rejected by [`diff_snapshots`] instead of misread.
 pub const SNAPSHOT_SCHEMA: u64 = 1;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a_hex(bytes: &[u8]) -> String {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    format!("{h:016x}")
+/// The snapshot's `config_hash`: FNV-1a of the canonical config, in hex.
+fn config_hash(canon: &str) -> String {
+    use sigserve::cache::{fnv1a, FNV_OFFSET};
+    format!("{:016x}", fnv1a(FNV_OFFSET, canon.as_bytes()))
 }
 
 /// Runs the pipeline over every corpus addon under `config` and returns
@@ -49,7 +43,7 @@ pub fn snapshot_corpus(config: &AnalysisConfig) -> Json {
     doc.set("schema", Json::from(SNAPSHOT_SCHEMA as f64));
     doc.set("analyzer_version", Json::from(env!("CARGO_PKG_VERSION")));
     doc.set("config", Json::from(canon.as_str()));
-    doc.set("config_hash", Json::from(fnv1a_hex(canon.as_bytes())));
+    doc.set("config_hash", Json::from(config_hash(&canon)));
     doc.set("addons", addons);
     doc
 }
@@ -327,6 +321,14 @@ mod tests {
                 })
                 .collect(),
         )
+    }
+
+    /// Snapshots written before the hash moved into `sigserve::cache`
+    /// still compare clean: the default config hashes as it always did.
+    #[test]
+    fn default_config_hash_is_pinned() {
+        let canon = AnalysisConfig::default().canonical_string();
+        assert_eq!(config_hash(&canon), "1c45a371d8637e67");
     }
 
     #[test]

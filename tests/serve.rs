@@ -121,7 +121,7 @@ fn concurrent_clients_match_cli_and_resubmissions_hit_the_cache() {
         "pipeline counters missing from stats metrics: {stats}"
     );
     assert!(
-        stats["metrics"]["histograms"]["pipeline_p1_us"]["count"]
+        stats["metrics"]["histograms"]["pipeline_jsanalysis_fixpoint_us"]["count"]
             .as_f64()
             .is_some_and(|v| v > 0.0),
         "phase-latency histograms missing from stats metrics"
