@@ -7,21 +7,23 @@
 #      whose step-budget table fails the build on base-analysis
 #      step-count regressions), plus the bounded deterministic fuzz
 #      suite (tests/fuzz_pipeline.rs behind `--features fuzz`: seeded
-#      generator, fixed case counts, so CI time stays bounded) and
+#      generator, fixed case counts, so CI time stays bounded),
 #      jsdomains' own `fuzz`-gated lattice-law suites (value, prefix
 #      and constant domains; they also check each `join_in_place`
-#      against `join`),
+#      against `join`) and jspdg's `fuzz`-gated postdominance suite
+#      (postdominators against brute force, control dependence against
+#      its textbook definition on random graphs),
 #   3. a perf snapshot over the corpus, so the committed
 #      BENCH_pipeline.json can be refreshed from the CI artifact — the
 #      snapshot itself enforces the <5% no-op tracer and <5%
 #      cost-attribution overhead gates, the layer-coverage gate (on
 #      every corpus addon, at most 5% of Pipeline::run wall time falls
 #      outside every sigtrace::Layer span, median over passes), and its
-#      ddg_scaling section that the DDG stays at or below the fixpoint
-#      on the many-function family and phase 2 at or below phase 1 on
-#      every corpus addon — plus the repo benchmark's own unit tests, so
-#      a change that breaks a public layer function the benchmark calls
-#      fails here,
+#      ddg_scaling section that the DDG and the CDG each stay at or
+#      below the fixpoint on the many-function family and phase 2 at or
+#      below phase 1 on every corpus addon — plus the repo benchmark's
+#      own unit tests, so a change that breaks a public layer function
+#      the benchmark calls fails here,
 #   4. a `vet --trace` smoke test: the emitted chrome://tracing JSON
 #      must parse and keep strict span nesting (trace_check), plus a
 #      `vet profile` smoke: two runs of the hotspot table must be
@@ -88,7 +90,10 @@ cargo test --offline -q --features fuzz --test fuzz_pipeline
 echo "==> jsdomains lattice-law suites (fuzz feature)"
 cargo test --offline -q -p jsdomains --features fuzz
 
-echo "==> perf snapshot (sequential, 3 runs; incl. tracer + attribution overhead, layer coverage and DDG scaling gates)"
+echo "==> jspdg postdominance suite (fuzz feature)"
+cargo test --offline -q -p jspdg --features fuzz
+
+echo "==> perf snapshot (sequential, 3 runs; incl. tracer + attribution overhead, layer coverage and DDG/CDG scaling gates)"
 cargo build --release --offline --workspace
 ./target/release/perf_snapshot --runs 3 --sequential --out target/BENCH_pipeline.ci.json
 grep -q '"trace_overhead_pct"' target/BENCH_pipeline.ci.json

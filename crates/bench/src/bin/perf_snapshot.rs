@@ -22,10 +22,10 @@
 //!
 //! Its `ddg_scaling` section records the layers of
 //! `corpus::many_fn_addon(n)` for n = 12, 24, 48, 96 (each the minimum
-//! of 5 runs) with the doubling ratios. The run fails unless the DDG
-//! takes no longer than the fixpoint (phase 1) at every n, and phase 2
-//! no longer than phase 1 on every corpus addon: the PDG must never
-//! again be the layer that dominates.
+//! of 5 runs) with the doubling ratios. The run fails unless the DDG and
+//! the CDG each take no longer than the fixpoint (phase 1) at every n,
+//! and phase 2 no longer than phase 1 on every corpus addon: the PDG
+//! must never again be the layer that dominates.
 //!
 //! Flags:
 //! - `--runs N`       measured passes after warm-up (default 10)
@@ -197,9 +197,9 @@ fn per_layer(runs: &[LayerTimes], pick: fn(Vec<Duration>) -> Duration) -> LayerT
 }
 
 /// Times the many-function family, prints it, and returns the
-/// `ddg_scaling` section. A size whose DDG is slower than its fixpoint
-/// adds a failure. The doubling ratios are recorded, not gated: they
-/// swing by a quarter or more between runs.
+/// `ddg_scaling` section. A size whose DDG or CDG is slower than its
+/// fixpoint adds a failure. The doubling ratios are recorded, not
+/// gated: they swing by a quarter or more between runs.
 fn ddg_scaling(failures: &mut Vec<String>) -> Json {
     println!("ddg_scaling: corpus::many_fn_addon(n), min of {SCALING_RUNS} runs per layer");
     println!(
@@ -234,12 +234,14 @@ fn ddg_scaling(failures: &mut Vec<String>) -> Json {
             layer(Layer::Ddg).as_secs_f64(),
             layer(Layer::Cdg).as_secs_f64(),
         );
-        if layer(Layer::Ddg) > layer(Layer::Fixpoint) {
-            failures.push(format!(
-                "many_fn_addon({n}): the DDG ({:.4} s) is slower than the fixpoint ({:.4} s)",
-                layer(Layer::Ddg).as_secs_f64(),
-                layer(Layer::Fixpoint).as_secs_f64()
-            ));
+        for (pdg_layer, name) in [(Layer::Ddg, "DDG"), (Layer::Cdg, "CDG")] {
+            if layer(pdg_layer) > layer(Layer::Fixpoint) {
+                failures.push(format!(
+                    "many_fn_addon({n}): the {name} ({:.4} s) is slower than the fixpoint ({:.4} s)",
+                    layer(pdg_layer).as_secs_f64(),
+                    layer(Layer::Fixpoint).as_secs_f64()
+                ));
+            }
         }
         rows.push(row);
         prev = Some(t);
@@ -392,8 +394,8 @@ fn main() {
     );
 
     // The PDG must not again become the dominant layer: phase 2 stays
-    // at or below phase 1 on every corpus addon (above), and the DDG at
-    // or below the fixpoint on the many-function family.
+    // at or below phase 1 on every corpus addon (above), and the DDG and
+    // the CDG at or below the fixpoint on the many-function family.
     doc.set("ddg_scaling", ddg_scaling(&mut failures));
 
     // Observability overhead gates: a no-op tracer attached to the

@@ -242,6 +242,43 @@ var e = even(7);
 }
 
 #[test]
+fn event_loop_makes_handlers_cyclic() {
+    let (lowered, r) = run("function h() { tick = 1; } window.addEventListener('load', h, false);");
+    let h = lowered
+        .program
+        .funcs
+        .iter()
+        .find(|f| f.name == "h")
+        .unwrap();
+    assert!(
+        r.cyclic_stmts.contains(&h.entry),
+        "event handlers run inside the dispatch loop"
+    );
+}
+
+#[test]
+fn recursion_is_cyclic() {
+    let (lowered, r) = run("function r(n) { if (n) r(n - 1); } r(3);");
+    let f = lowered
+        .program
+        .funcs
+        .iter()
+        .find(|f| f.name == "r")
+        .unwrap();
+    assert!(r.cyclic_stmts.contains(&f.entry));
+}
+
+#[test]
+fn straight_line_not_cyclic() {
+    let ast = jsparser::parse("var a = 1; var b = a;").unwrap();
+    let lowered = jsir::lower_with_options(&ast, &jsir::LowerOptions { event_loop: false });
+    let r = analyze(&lowered, &AnalysisConfig::default());
+    for s in &lowered.program.top_level().stmts {
+        assert!(!r.cyclic_stmts.contains(s));
+    }
+}
+
+#[test]
 fn may_throw_on_possibly_undefined_receiver() {
     let (lowered, r) = run(r#"
 var obj;

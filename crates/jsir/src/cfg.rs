@@ -141,18 +141,6 @@ impl Cfg {
         self.succs.len()
     }
 
-    /// A filtered copy keeping only edges satisfying `keep`. Node tables
-    /// retain their size so statement ids stay valid.
-    pub fn filtered(&self, keep: impl Fn(EdgeKind) -> bool) -> Cfg {
-        let mut out = Cfg::with_capacity(self.node_count());
-        for e in &self.edges {
-            if keep(e.kind) {
-                out.add_edge(e.from, e.to, e.kind);
-            }
-        }
-        out
-    }
-
     /// The set of statements reachable from `start` in this graph.
     pub fn reachable_from(&self, start: StmtId) -> BTreeSet<StmtId> {
         let mut seen = BTreeSet::new();
@@ -165,80 +153,6 @@ impl Cfg {
             }
         }
         seen
-    }
-
-    /// Computes the set of statements that lie on a cycle of this graph
-    /// (members of non-trivial strongly connected components or self
-    /// loops). Used for the paper's *amplified* control classification.
-    pub fn nodes_in_cycles(&self) -> BTreeSet<StmtId> {
-        // Tarjan's SCC, iterative.
-        let n = self.node_count();
-        let mut index = vec![u32::MAX; n];
-        let mut low = vec![0u32; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<u32> = Vec::new();
-        let mut next_index = 0u32;
-        let mut result = BTreeSet::new();
-
-        #[derive(Clone, Copy)]
-        struct Frame {
-            v: u32,
-            succ_pos: usize,
-        }
-
-        for root in 0..n as u32 {
-            if index[root as usize] != u32::MAX {
-                continue;
-            }
-            let mut call_stack = vec![Frame {
-                v: root,
-                succ_pos: 0,
-            }];
-            while let Some(frame) = call_stack.last_mut() {
-                let v = frame.v;
-                if frame.succ_pos == 0 {
-                    index[v as usize] = next_index;
-                    low[v as usize] = next_index;
-                    next_index += 1;
-                    stack.push(v);
-                    on_stack[v as usize] = true;
-                }
-                let succs = &self.succs[v as usize];
-                if frame.succ_pos < succs.len() {
-                    let (w, _) = succs[frame.succ_pos];
-                    frame.succ_pos += 1;
-                    let w = w.0;
-                    if index[w as usize] == u32::MAX {
-                        call_stack.push(Frame { v: w, succ_pos: 0 });
-                    } else if on_stack[w as usize] {
-                        low[v as usize] = low[v as usize].min(index[w as usize]);
-                    }
-                } else {
-                    call_stack.pop();
-                    if let Some(parent) = call_stack.last() {
-                        low[parent.v as usize] = low[parent.v as usize].min(low[v as usize]);
-                    }
-                    if low[v as usize] == index[v as usize] {
-                        // v is an SCC root; pop the component.
-                        let mut comp = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("tarjan stack");
-                            on_stack[w as usize] = false;
-                            comp.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        let nontrivial = comp.len() > 1
-                            || self.succs[v as usize].iter().any(|(t, _)| t.0 == v);
-                        if nontrivial {
-                            result.extend(comp.into_iter().map(StmtId));
-                        }
-                    }
-                }
-            }
-        }
-        result
     }
 }
 
@@ -264,19 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_by_kind() {
-        let mut g = Cfg::with_capacity(4);
-        g.add_edge(s(0), s(1), EdgeKind::Seq);
-        g.add_edge(s(1), s(2), EdgeKind::Jump);
-        g.add_edge(s(2), s(3), EdgeKind::ThrowImplicit);
-        let local = g.filtered(|k| k.is_local());
-        assert_eq!(local.edge_count(), 1);
-        assert_eq!(local.node_count(), g.node_count());
-        let no_implicit = g.filtered(|k| !k.is_nonlocal_implicit());
-        assert_eq!(no_implicit.edge_count(), 2);
-    }
-
-    #[test]
     fn reachability() {
         let mut g = Cfg::with_capacity(5);
         g.add_edge(s(0), s(1), EdgeKind::Seq);
@@ -285,24 +186,6 @@ mod tests {
         let r = g.reachable_from(s(0));
         assert!(r.contains(&s(2)));
         assert!(!r.contains(&s(3)));
-    }
-
-    #[test]
-    fn cycles_detected() {
-        let mut g = Cfg::with_capacity(6);
-        // 0 -> 1 -> 2 -> 1 (cycle), 2 -> 3, 4 -> 4 (self loop), 5 isolated.
-        g.add_edge(s(0), s(1), EdgeKind::Seq);
-        g.add_edge(s(1), s(2), EdgeKind::Seq);
-        g.add_edge(s(2), s(1), EdgeKind::Seq);
-        g.add_edge(s(2), s(3), EdgeKind::Seq);
-        g.add_edge(s(4), s(4), EdgeKind::Seq);
-        let cyc = g.nodes_in_cycles();
-        assert!(cyc.contains(&s(1)));
-        assert!(cyc.contains(&s(2)));
-        assert!(cyc.contains(&s(4)));
-        assert!(!cyc.contains(&s(0)));
-        assert!(!cyc.contains(&s(3)));
-        assert!(!cyc.contains(&s(5)));
     }
 
     #[test]
@@ -316,17 +199,5 @@ mod tests {
         assert!(!EdgeKind::Uncaught.is_local());
         assert!(!EdgeKind::Uncaught.is_nonlocal_explicit());
         assert!(!EdgeKind::Uncaught.is_nonlocal_implicit());
-    }
-
-    #[test]
-    fn large_cycle_tarjan_iterative() {
-        // A long chain ending in a back edge must not overflow the stack.
-        let n = 10_000u32;
-        let mut g = Cfg::with_capacity(n as usize);
-        for i in 0..n - 1 {
-            g.add_edge(s(i), s(i + 1), EdgeKind::Seq);
-        }
-        g.add_edge(s(n - 1), s(0), EdgeKind::Seq);
-        assert_eq!(g.nodes_in_cycles().len(), n as usize);
     }
 }

@@ -78,6 +78,19 @@ mod tests {
         lower(&jsparser::parse(src).unwrap())
     }
 
+    /// Statements on a cycle of the CFG: those reachable from one of
+    /// their own successors.
+    fn cyclic(cfg: &Cfg) -> BTreeSet<StmtId> {
+        (0..cfg.node_count() as u32)
+            .map(StmtId)
+            .filter(|&s| {
+                cfg.succs(s)
+                    .iter()
+                    .any(|&(t, _)| cfg.reachable_from(t).contains(&s))
+            })
+            .collect()
+    }
+
     /// Statements of the top level reachable from its entry.
     fn reachable_kinds(l: &Lowered) -> Vec<String> {
         let top = l.program.top_level();
@@ -113,7 +126,7 @@ mod tests {
     #[test]
     fn while_loop_has_cycle() {
         let l = lowered("while (c) { x = x + 1; }");
-        assert!(!l.cfg.nodes_in_cycles().is_empty());
+        assert!(!cyclic(&l.cfg).is_empty());
     }
 
     #[test]
@@ -166,7 +179,7 @@ mod tests {
         let top = l.program.top_level();
         let reach = l.cfg.reachable_from(top.entry);
         assert!(reach.contains(&top.exit));
-        assert!(!l.cfg.nodes_in_cycles().is_empty());
+        assert!(!cyclic(&l.cfg).is_empty());
     }
 
     #[test]
@@ -374,7 +387,7 @@ mod tests {
         assert!(l.event_dispatch.is_some());
         let d = l.event_dispatch.unwrap();
         // The dispatch statement is on a cycle.
-        assert!(l.cfg.nodes_in_cycles().contains(&d));
+        assert!(cyclic(&l.cfg).contains(&d));
         let text = reachable_kinds(&l).join("\n");
         assert!(text.contains("EventDispatch"));
     }
@@ -393,7 +406,7 @@ mod tests {
             .stmts
             .iter()
             .any(|s| matches!(s.kind, IrStmtKind::ForInNext { .. })));
-        assert!(!l.cfg.nodes_in_cycles().is_empty());
+        assert!(!cyclic(&l.cfg).is_empty());
     }
 
     #[test]
@@ -536,6 +549,6 @@ try {
         let reach = l.cfg.reachable_from(top.entry);
         assert!(reach.contains(&top.exit));
         assert!(l.cfg.edges().any(|e| e.kind == EdgeKind::ThrowExplicit));
-        assert!(!l.cfg.nodes_in_cycles().is_empty());
+        assert!(!cyclic(&l.cfg).is_empty());
     }
 }

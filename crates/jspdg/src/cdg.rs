@@ -17,7 +17,7 @@
 //! dependence transitively through the callee's entry.
 
 use crate::annotation::{Annotation, CtrlKind};
-use crate::postdom::control_dependence;
+use crate::postdom::{postdominators, FuncGraph};
 use crate::supergraph::SuperGraph;
 use jsanalysis::AnalysisResult;
 use jsir::{EdgeKind, Lowered, StmtId};
@@ -46,81 +46,86 @@ impl CtrlDep {
     }
 }
 
-/// Builds the annotated CDG.
+/// Builds the annotated CDG: per function, one [`FuncGraph`] filtered
+/// once per stage; each `(u, w)` takes the kind of the first stage that
+/// makes `w` control dependent on `u`, and is amplified when `u` is one
+/// of the analysis's `cyclic_stmts`.
 pub fn build_cdg(
     lowered: &Lowered,
     analysis: &AnalysisResult,
     sg: &SuperGraph,
 ) -> BTreeSet<CtrlDep> {
-    let mut out = BTreeSet::new();
-    // Augment every function with a virtual entry -> exit edge so that
-    // unconditionally-executed statements become control dependent on the
-    // function entry (and, transitively through the call edges below, on
-    // their call sites).
-    let mut cfg = sg.cfg.clone();
-    for func in &lowered.program.funcs {
-        cfg.add_edge(func.entry, func.exit, EdgeKind::Virtual);
+    let funcs = &lowered.program.funcs;
+    // Each statement's position in its own function: the node numbering
+    // of every `FuncGraph`.
+    let mut local = vec![0; lowered.program.stmts.len()];
+    for func in funcs {
+        for (i, s) in func.stmts.iter().enumerate() {
+            local[s.0 as usize] = i;
+        }
     }
-    let cfg = &cfg;
-
-    for func in &lowered.program.funcs {
-        let fg = SuperGraph::func_graph(lowered, func.id);
-
-        // Stage 1: local control flow only.
-        let cdg1 = control_dependence(cfg, &fg, |k: EdgeKind| k.is_local());
-        // Stage 2: + explicit non-local edges.
-        let cdg2 = control_dependence(cfg, &fg, |k: EdgeKind| {
-            k.is_local() || k.is_nonlocal_explicit()
-        });
-        // Stage 3: everything except uncaught exceptions.
-        let cdg3 = control_dependence(cfg, &fg, |k: EdgeKind| k != EdgeKind::Uncaught);
-
-        for &(u, w) in &cdg1 {
-            out.insert(CtrlDep {
-                from: u,
-                to: w,
-                kind: CtrlKind::Local,
-                amp: false,
-            });
-        }
-        for &(u, w) in cdg2.difference(&cdg1) {
-            out.insert(CtrlDep {
-                from: u,
-                to: w,
-                kind: CtrlKind::NonLocExp,
-                amp: false,
-            });
-        }
-        let stage12: BTreeSet<(StmtId, StmtId)> =
-            cdg1.union(&cdg2).copied().collect();
-        for &(u, w) in cdg3.difference(&stage12) {
-            out.insert(CtrlDep {
-                from: u,
-                to: w,
-                kind: CtrlKind::NonLocImp,
-                amp: false,
-            });
+    let mut out = Vec::new();
+    for func in funcs {
+        let mut g = FuncGraph::of(&sg.cfg, func, &local);
+        // The virtual entry -> exit edge makes unconditionally-executed
+        // statements control dependent on the function entry (and,
+        // through the call dependence below, on its call sites).
+        g.add_edge(
+            local[func.entry.0 as usize],
+            local[func.exit.0 as usize],
+            EdgeKind::Virtual,
+        );
+        let stages = [
+            // Stage 1: local control flow only.
+            (CtrlKind::Local, postdominators(&g, EdgeKind::is_local)),
+            // Stage 2: + explicit non-local edges.
+            (
+                CtrlKind::NonLocExp,
+                postdominators(&g, |k| k.is_local() || k.is_nonlocal_explicit()),
+            ),
+            // Stage 3: everything except uncaught exceptions.
+            (
+                CtrlKind::NonLocImp,
+                postdominators(&g, |k| k != EdgeKind::Uncaught),
+            ),
+        ];
+        // `last[w]` is the latest `u` that `w` was made dependent on.
+        let mut last = vec![usize::MAX; func.stmts.len()];
+        for (u, &from) in func.stmts.iter().enumerate() {
+            // Stage 4: amplification -- the source lies on a cycle of the
+            // analysis's context-qualified transition graph, so a function
+            // merely called from two sites is not cyclic.
+            let amp = analysis.cyclic_stmts.contains(&from);
+            for (kind, pd) in &stages {
+                pd.dependents(u, |w| {
+                    if last[w] != u {
+                        last[w] = u;
+                        out.push(CtrlDep {
+                            from,
+                            to: func.stmts[w],
+                            kind: *kind,
+                            amp,
+                        });
+                    }
+                });
+            }
         }
     }
 
     // SDG-style call dependence: callee entry depends on the call site.
-    for &(call, entry) in &sg.call_edges {
-        out.insert(CtrlDep {
-            from: call,
-            to: entry,
-            kind: CtrlKind::Local,
-            amp: false,
-        });
+    for (&call, targets) in &analysis.call_targets {
+        let amp = analysis.cyclic_stmts.contains(&call);
+        for &f in targets {
+            let to = lowered.program.func(f).entry;
+            out.push(CtrlDep {
+                from: call,
+                to,
+                kind: CtrlKind::Local,
+                amp,
+            });
+        }
     }
-    let _ = analysis;
-
-    // Stage 4: amplification -- promote edges whose source is on a cycle.
-    out.into_iter()
-        .map(|mut e| {
-            e.amp = sg.in_cycle(e.from);
-            e
-        })
-        .collect()
+    out.into_iter().collect()
 }
 
 #[cfg(test)]

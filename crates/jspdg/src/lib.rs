@@ -9,8 +9,8 @@
 //!   definite-write / no-intervening-overwrite conditions; and
 //! - an annotated **control-dependence graph** ([`cdg`]) built in the
 //!   paper's four stages over successively pruned CFGs (`local`,
-//!   `nonlocexp`, `nonlocimp`), with a final amplification pass that
-//!   promotes edges whose source lies on a CFG cycle to `ctrl^amp`.
+//!   `nonlocexp`, `nonlocimp`), with edges whose source lies on an
+//!   execution cycle amplified to `ctrl^amp`.
 //!
 //! # Examples
 //!

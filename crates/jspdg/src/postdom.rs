@@ -1,56 +1,70 @@
 //! Postdominator trees and Ferrante-Ottenstein-Warren control dependence.
 //!
-//! Used by the staged CDG construction of Section 3.3. Operates on a
-//! per-function subgraph of the global CFG.
+//! Used by the staged CDG construction of Section 3.3. A [`FuncGraph`] is
+//! one function's CFG, numbered by position in the function's statement
+//! list. Each stage filters it once by edge kind into a
+//! [`PostDominators`], whose successor lists and postdominator tree answer
+//! both postdominance queries and the FOW walk.
 
-use jsir::{Cfg, StmtId};
-use std::collections::{BTreeMap, BTreeSet};
+use jsir::{Cfg, EdgeKind, IrFunc, StmtId};
 
-/// A per-function view: the function's statements and its exit node.
+/// No node: the immediate postdominator of the exit, and of every node
+/// that cannot reach it.
+const NONE: usize = usize::MAX;
+
+/// One function's CFG over local nodes `0..len`.
 #[derive(Debug, Clone)]
 pub struct FuncGraph {
-    /// Statements belonging to the function.
-    pub nodes: Vec<StmtId>,
-    /// The function's entry.
-    pub entry: StmtId,
-    /// The function's unique exit.
-    pub exit: StmtId,
+    len: usize,
+    exit: usize,
+    edges: Vec<(usize, usize, EdgeKind)>,
 }
 
-/// The immediate-postdominator tree of one function's CFG.
+impl FuncGraph {
+    /// A graph of `len` nodes and no edges whose exit is `exit`.
+    pub fn new(len: usize, exit: usize) -> FuncGraph {
+        FuncGraph {
+            len,
+            exit,
+            edges: Vec::new(),
+        }
+    }
+
+    /// `func`'s part of `cfg`: node `i` is `func.stmts[i]`, and the edges
+    /// are those between its statements. `local[s]` is statement `s`'s
+    /// position in its own function's `stmts`.
+    pub fn of(cfg: &Cfg, func: &IrFunc, local: &[usize]) -> FuncGraph {
+        let at = |s: StmtId| local[s.0 as usize];
+        let mut g = FuncGraph::new(func.stmts.len(), at(func.exit));
+        for (i, &s) in func.stmts.iter().enumerate() {
+            for &(t, kind) in cfg.succs(s) {
+                if func.stmts.get(at(t)) == Some(&t) {
+                    g.add_edge(i, at(t), kind);
+                }
+            }
+        }
+        g
+    }
+
+    /// Adds the edge `from -> to`.
+    pub fn add_edge(&mut self, from: usize, to: usize, kind: EdgeKind) {
+        self.edges.push((from, to, kind));
+    }
+}
+
+/// One stage of a [`FuncGraph`]: its kept successors and the
+/// immediate-postdominator tree of the nodes that can reach the exit.
 #[derive(Debug, Clone)]
 pub struct PostDominators {
-    ipdom: BTreeMap<StmtId, StmtId>,
-    exit: StmtId,
+    succs: Vec<Vec<usize>>,
+    /// `NONE` for the exit and for the nodes that cannot reach it.
+    ipdom: Vec<usize>,
+    exit: usize,
 }
 
-impl PostDominators {
-    /// Immediate postdominator of `n` (`None` for the exit itself or for
-    /// nodes with no path to the exit).
-    pub fn ipdom(&self, n: StmtId) -> Option<StmtId> {
-        if n == self.exit {
-            None
-        } else {
-            self.ipdom.get(&n).copied()
-        }
-    }
-
-    /// True if `a` postdominates `b` (reflexive).
-    pub fn postdominates(&self, a: StmtId, b: StmtId) -> bool {
-        let mut cur = Some(b);
-        while let Some(n) = cur {
-            if n == a {
-                return true;
-            }
-            cur = self.ipdom(n);
-        }
-        false
-    }
-}
-
-/// Computes postdominators of the function subgraph of `cfg` restricted to
-/// edges `keep`, using the iterative Cooper-Harvey-Kennedy algorithm on
-/// the reverse graph.
+/// Filters `g` to the edges `keep` accepts and computes its postdominators
+/// with the iterative Cooper-Harvey-Kennedy algorithm on the reverse
+/// graph.
 ///
 /// Nodes that cannot reach the exit under `keep` (dead ends created by
 /// pruning -- e.g. a `throw` whose outgoing edge was pruned -- or
@@ -60,269 +74,210 @@ impl PostDominators {
 /// CFG a pruned `throw` terminates its path, so statements after the
 /// `try` are *not* control dependent on a guard whose only escaping path
 /// is the throw.
-pub fn postdominators(
-    cfg: &Cfg,
-    func: &FuncGraph,
-    keep: impl Fn(jsir::EdgeKind) -> bool,
-) -> PostDominators {
-    let in_func: BTreeSet<StmtId> = func.nodes.iter().copied().collect();
-    // Successor lists under the filter, restricted to exit-reaching nodes.
-    let mut succs: BTreeMap<StmtId, Vec<StmtId>> = BTreeMap::new();
-    for &n in &func.nodes {
-        let list: Vec<StmtId> = cfg
-            .succs(n)
-            .iter()
-            .filter(|(t, k)| keep(*k) && in_func.contains(t))
-            .map(|(t, _)| *t)
-            .collect();
-        succs.insert(n, list);
-    }
-    // Backward reachability from the exit; drop everything else.
-    let reaches = exit_reaching(&succs, func.exit);
-    for (_, list) in succs.iter_mut() {
-        list.retain(|t| reaches.contains(t));
-    }
-    succs.retain(|n, _| reaches.contains(n));
-
-    // Reverse post-order on the REVERSE graph starting at exit.
-    let mut preds: BTreeMap<StmtId, Vec<StmtId>> = BTreeMap::new();
-    for (&n, list) in &succs {
-        for &t in list {
-            preds.entry(t).or_default().push(n);
+pub fn postdominators(g: &FuncGraph, keep: impl Fn(EdgeKind) -> bool) -> PostDominators {
+    let mut succs = vec![Vec::new(); g.len];
+    let mut preds = vec![Vec::new(); g.len];
+    for &(u, v, kind) in &g.edges {
+        if keep(kind) {
+            succs[u].push(v);
+            preds[v].push(u);
         }
     }
-    let mut order: Vec<StmtId> = Vec::new();
-    let mut seen: BTreeSet<StmtId> = BTreeSet::new();
-    // Iterative DFS post-order from exit over reverse edges.
-    let mut stack: Vec<(StmtId, usize)> = vec![(func.exit, 0)];
-    seen.insert(func.exit);
-    while let Some((n, i)) = stack.pop() {
-        let ps = preds.get(&n).cloned().unwrap_or_default();
-        if i < ps.len() {
-            stack.push((n, i + 1));
-            let p = ps[i];
-            if seen.insert(p) {
+
+    // One DFS from the exit over reverse edges: it reaches exactly the
+    // nodes that can reach the exit, and numbers them in postorder.
+    let mut postorder = Vec::with_capacity(g.len);
+    let mut number = vec![NONE; g.len];
+    let mut seen = vec![false; g.len];
+    seen[g.exit] = true;
+    let mut stack = vec![(g.exit, 0)];
+    while let Some((n, i)) = stack.last_mut() {
+        if let Some(&p) = preds[*n].get(*i) {
+            *i += 1;
+            if !seen[p] {
+                seen[p] = true;
                 stack.push((p, 0));
             }
         } else {
-            order.push(n);
+            number[*n] = postorder.len();
+            postorder.push(*n);
+            stack.pop();
         }
     }
-    order.reverse(); // reverse post-order: exit first
 
-    let index: BTreeMap<StmtId, usize> = order
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| (n, i))
-        .collect();
-
-    let mut ipdom: BTreeMap<StmtId, StmtId> = BTreeMap::new();
-    ipdom.insert(func.exit, func.exit);
+    // Cooper-Harvey-Kennedy in reverse postorder; the exit comes first
+    // and is its own root while the tree is built.
+    let mut ipdom = vec![NONE; g.len];
+    ipdom[g.exit] = g.exit;
     let mut changed = true;
     while changed {
         changed = false;
-        for &n in order.iter().skip(1) {
-            // Intersect over processed successors (reverse-graph preds).
-            let mut new_idom: Option<StmtId> = None;
-            for &s in succs.get(&n).into_iter().flatten() {
-                if ipdom.contains_key(&s) {
-                    new_idom = Some(match new_idom {
-                        None => s,
-                        Some(cur) => intersect(&ipdom, &index, cur, s),
-                    });
+        for &n in postorder.iter().rev().skip(1) {
+            let mut new = NONE;
+            for &s in &succs[n] {
+                if ipdom[s] != NONE {
+                    new = if new == NONE {
+                        s
+                    } else {
+                        intersect(&ipdom, &number, new, s)
+                    };
                 }
             }
-            if let Some(nd) = new_idom {
-                if ipdom.get(&n) != Some(&nd) {
-                    ipdom.insert(n, nd);
-                    changed = true;
-                }
+            if new != ipdom[n] {
+                ipdom[n] = new;
+                changed = true;
             }
         }
     }
-    ipdom.remove(&func.exit);
+    ipdom[g.exit] = NONE;
     PostDominators {
+        succs,
         ipdom,
-        exit: func.exit,
+        exit: g.exit,
     }
 }
 
-/// Nodes with a path to `exit` in the given adjacency.
-pub(crate) fn exit_reaching(
-    succs: &BTreeMap<StmtId, Vec<StmtId>>,
-    exit: StmtId,
-) -> BTreeSet<StmtId> {
-    let mut preds: BTreeMap<StmtId, Vec<StmtId>> = BTreeMap::new();
-    for (&n, list) in succs {
-        for &t in list {
-            preds.entry(t).or_default().push(n);
-        }
-    }
-    let mut reaches = BTreeSet::new();
-    let mut stack = vec![exit];
-    while let Some(n) = stack.pop() {
-        if reaches.insert(n) {
-            if let Some(ps) = preds.get(&n) {
-                stack.extend(ps.iter().copied());
-            }
-        }
-    }
-    reaches
-}
-
-fn intersect(
-    ipdom: &BTreeMap<StmtId, StmtId>,
-    index: &BTreeMap<StmtId, usize>,
-    mut a: StmtId,
-    mut b: StmtId,
-) -> StmtId {
-    // Walk up toward the exit (smaller index = closer to exit in RPO of
-    // the reverse graph).
+/// The nearest common ancestor of `a` and `b` in the partial tree: walk
+/// the one with the lower postorder number (farther from the exit) up.
+fn intersect(ipdom: &[usize], number: &[usize], mut a: usize, mut b: usize) -> usize {
     while a != b {
-        let (ia, ib) = (index[&a], index[&b]);
-        if ia > ib {
-            a = ipdom[&a];
-        } else {
-            b = ipdom[&b];
+        while number[a] < number[b] {
+            a = ipdom[a];
+        }
+        while number[b] < number[a] {
+            b = ipdom[b];
         }
     }
     a
 }
 
-/// Control-dependence edges of one function under the edge filter `keep`:
-/// `u -> w` iff `w`'s execution is controlled by `u` (FOW construction:
-/// for each CFG edge `(u, v)` where `v` does not postdominate `u`, every
-/// node from `v` up the postdominator tree to -- but excluding -- `u`'s
-/// immediate postdominator is control dependent on `u`).
-pub fn control_dependence(
-    cfg: &Cfg,
-    func: &FuncGraph,
-    keep: impl Fn(jsir::EdgeKind) -> bool + Copy,
-) -> BTreeSet<(StmtId, StmtId)> {
-    let pd = postdominators(cfg, func, keep);
-    let in_func: BTreeSet<StmtId> = func.nodes.iter().copied().collect();
-    // Recompute the filtered adjacency + exit-reaching set for trapped
-    // regions (nodes with no path to the exit under this filter).
-    let mut succs: BTreeMap<StmtId, Vec<StmtId>> = BTreeMap::new();
-    for &n in &func.nodes {
-        let list: Vec<StmtId> = cfg
-            .succs(n)
-            .iter()
-            .filter(|(t, k)| keep(*k) && in_func.contains(t))
-            .map(|(t, _)| *t)
-            .collect();
-        succs.insert(n, list);
+impl PostDominators {
+    /// Immediate postdominator of `n` (`None` for the exit itself or for
+    /// nodes with no path to the exit).
+    pub fn ipdom(&self, n: usize) -> Option<usize> {
+        Some(self.ipdom[n]).filter(|&p| p != NONE)
     }
-    let reaches = exit_reaching(&succs, func.exit);
 
-    let mut out = BTreeSet::new();
-    for &u in &func.nodes {
-        for (v, k) in cfg.succs(u) {
-            if !keep(*k) || !in_func.contains(v) {
+    /// True if `a` postdominates `b` (reflexive).
+    pub fn postdominates(&self, a: usize, b: usize) -> bool {
+        let mut cur = Some(b);
+        while let Some(n) = cur {
+            if n == a {
+                return true;
+            }
+            cur = self.ipdom(n);
+        }
+        false
+    }
+
+    fn reaches_exit(&self, n: usize) -> bool {
+        n == self.exit || self.ipdom[n] != NONE
+    }
+
+    /// Calls `emit(w)` for every `w` control dependent on `u` in this
+    /// stage, possibly more than once. For each kept edge `(u, v)` where
+    /// `v` reaches the exit (FOW), that is every node from `v` up the
+    /// postdominator tree to -- but excluding -- `u`'s immediate
+    /// postdominator; for `v == ipdom(u)` it is nothing.
+    pub fn dependents(&self, u: usize, mut emit: impl FnMut(usize)) {
+        let stop = self.ipdom[u];
+        let mut trapped = Vec::new();
+        for &v in &self.succs[u] {
+            if !self.reaches_exit(v) {
+                trapped.push(v);
                 continue;
             }
-            if !reaches.contains(v) {
-                // Trapped region: everything reachable from v without
-                // escaping to the exit is control dependent on u.
-                let mut stack = vec![*v];
-                let mut seen = BTreeSet::new();
-                while let Some(n) = stack.pop() {
-                    if !seen.insert(n) || reaches.contains(&n) {
-                        continue;
-                    }
-                    if n != u {
-                        out.insert((u, n));
-                    }
-                    stack.extend(succs.get(&n).into_iter().flatten().copied());
-                }
-                continue;
+            let mut n = v;
+            while n != stop {
+                emit(n);
+                n = self.ipdom[n];
             }
-            if pd.postdominates(*v, u) && *v != u {
-                continue;
-            }
-            // Walk from v up to ipdom(u), exclusive.
-            let stop = pd.ipdom(u);
-            let mut cur = Some(*v);
-            while let Some(n) = cur {
-                if Some(n) == stop {
-                    break;
+        }
+        if trapped.is_empty() {
+            return;
+        }
+        // The trapped-region rule (see ROADMAP.md, "The trapped-region
+        // rule"): a successor `v` that cannot reach the exit makes
+        // everything reachable from `v` control dependent on `u`, except
+        // `u` itself. Nothing reachable from `v` reaches the exit either.
+        let mut seen = vec![false; self.ipdom.len()];
+        while let Some(n) = trapped.pop() {
+            if !std::mem::replace(&mut seen[n], true) {
+                if n != u {
+                    emit(n);
                 }
-                out.insert((u, n));
-                cur = pd.ipdom(n);
-                if cur == Some(n) {
-                    break;
-                }
+                trapped.extend_from_slice(&self.succs[n]);
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jsir::EdgeKind;
+    use std::collections::BTreeSet;
 
-    fn s(n: u32) -> StmtId {
-        StmtId(n)
+    /// Every `(u, w)` pair of one stage's control dependence.
+    pub(super) fn control_dependence(
+        g: &FuncGraph,
+        keep: impl Fn(EdgeKind) -> bool,
+    ) -> BTreeSet<(usize, usize)> {
+        let pd = postdominators(g, keep);
+        let mut out = BTreeSet::new();
+        for u in 0..g.len {
+            pd.dependents(u, |w| {
+                out.insert((u, w));
+            });
+        }
+        out
     }
 
     /// Diamond: 0 -> 1 -> {2,3} -> 4 -> 5(exit)
-    fn diamond() -> (Cfg, FuncGraph) {
-        let mut g = Cfg::with_capacity(6);
-        g.add_edge(s(0), s(1), EdgeKind::Seq);
-        g.add_edge(s(1), s(2), EdgeKind::BranchTrue);
-        g.add_edge(s(1), s(3), EdgeKind::BranchFalse);
-        g.add_edge(s(2), s(4), EdgeKind::Seq);
-        g.add_edge(s(3), s(4), EdgeKind::Seq);
-        g.add_edge(s(4), s(5), EdgeKind::Seq);
-        let f = FuncGraph {
-            nodes: (0..6).map(s).collect(),
-            entry: s(0),
-            exit: s(5),
-        };
-        (g, f)
+    fn diamond() -> FuncGraph {
+        let mut g = FuncGraph::new(6, 5);
+        g.add_edge(0, 1, EdgeKind::Seq);
+        g.add_edge(1, 2, EdgeKind::BranchTrue);
+        g.add_edge(1, 3, EdgeKind::BranchFalse);
+        g.add_edge(2, 4, EdgeKind::Seq);
+        g.add_edge(3, 4, EdgeKind::Seq);
+        g.add_edge(4, 5, EdgeKind::Seq);
+        g
     }
 
     #[test]
     fn diamond_postdominators() {
-        let (g, f) = diamond();
-        let pd = postdominators(&g, &f, |_| true);
-        assert_eq!(pd.ipdom(s(2)), Some(s(4)));
-        assert_eq!(pd.ipdom(s(3)), Some(s(4)));
-        assert_eq!(pd.ipdom(s(1)), Some(s(4)));
-        assert_eq!(pd.ipdom(s(4)), Some(s(5)));
-        assert!(pd.postdominates(s(4), s(1)));
-        assert!(!pd.postdominates(s(2), s(1)));
-        assert!(pd.postdominates(s(5), s(0)));
+        let g = diamond();
+        let pd = postdominators(&g, |_| true);
+        assert_eq!(pd.ipdom(2), Some(4));
+        assert_eq!(pd.ipdom(3), Some(4));
+        assert_eq!(pd.ipdom(1), Some(4));
+        assert_eq!(pd.ipdom(4), Some(5));
+        assert!(pd.postdominates(4, 1));
+        assert!(!pd.postdominates(2, 1));
+        assert!(pd.postdominates(5, 0));
     }
 
     #[test]
     fn diamond_control_dependence() {
-        let (g, f) = diamond();
-        let cd = control_dependence(&g, &f, |_| true);
-        assert!(cd.contains(&(s(1), s(2))));
-        assert!(cd.contains(&(s(1), s(3))));
-        assert!(!cd.contains(&(s(1), s(4))), "join point not dependent");
-        assert!(!cd.contains(&(s(0), s(1))), "straight line not dependent");
+        let g = diamond();
+        let cd = control_dependence(&g, |_| true);
+        assert!(cd.contains(&(1, 2)));
+        assert!(cd.contains(&(1, 3)));
+        assert!(!cd.contains(&(1, 4)), "join point not dependent");
+        assert!(!cd.contains(&(0, 1)), "straight line not dependent");
     }
 
     #[test]
     fn loop_control_dependence() {
         // 0 -> 1(branch) -T-> 2 -> 1 ; 1 -F-> 3(exit)
-        let mut g = Cfg::with_capacity(4);
-        g.add_edge(s(0), s(1), EdgeKind::Seq);
-        g.add_edge(s(1), s(2), EdgeKind::BranchTrue);
-        g.add_edge(s(2), s(1), EdgeKind::Seq);
-        g.add_edge(s(1), s(3), EdgeKind::BranchFalse);
-        let f = FuncGraph {
-            nodes: (0..4).map(s).collect(),
-            entry: s(0),
-            exit: s(3),
-        };
-        let cd = control_dependence(&g, &f, |_| true);
-        assert!(cd.contains(&(s(1), s(2))), "body depends on loop test");
-        assert!(cd.contains(&(s(1), s(1))), "loop test depends on itself");
+        let mut g = FuncGraph::new(4, 3);
+        g.add_edge(0, 1, EdgeKind::Seq);
+        g.add_edge(1, 2, EdgeKind::BranchTrue);
+        g.add_edge(2, 1, EdgeKind::Seq);
+        g.add_edge(1, 3, EdgeKind::BranchFalse);
+        let cd = control_dependence(&g, |_| true);
+        assert!(cd.contains(&(1, 2)), "body depends on loop test");
+        assert!(cd.contains(&(1, 1)), "loop test depends on itself");
     }
 
     #[test]
@@ -330,21 +285,16 @@ mod tests {
         // 0 -> 1 -> 2 -> 1, exit 3 disconnected: the whole region is
         // trapped; postdominance is undefined there but computation must
         // terminate and control dependence must still cover the region.
-        let mut g = Cfg::with_capacity(4);
-        g.add_edge(s(0), s(1), EdgeKind::Seq);
-        g.add_edge(s(1), s(2), EdgeKind::Seq);
-        g.add_edge(s(2), s(1), EdgeKind::Seq);
-        let f = FuncGraph {
-            nodes: (0..4).map(s).collect(),
-            entry: s(0),
-            exit: s(3),
-        };
-        let pd = postdominators(&g, &f, |_| true);
-        assert!(!pd.postdominates(s(3), s(0)), "exit is unreachable");
+        let mut g = FuncGraph::new(4, 3);
+        g.add_edge(0, 1, EdgeKind::Seq);
+        g.add_edge(1, 2, EdgeKind::Seq);
+        g.add_edge(2, 1, EdgeKind::Seq);
+        let pd = postdominators(&g, |_| true);
+        assert!(!pd.postdominates(3, 0), "exit is unreachable");
         // Trapped nodes become control dependent on their entry edge.
-        let cd = control_dependence(&g, &f, |_| true);
-        assert!(cd.contains(&(s(0), s(1))));
-        assert!(cd.contains(&(s(0), s(2))));
+        let cd = control_dependence(&g, |_| true);
+        assert!(cd.contains(&(0, 1)));
+        assert!(cd.contains(&(0, 2)));
     }
 
     #[test]
@@ -352,25 +302,19 @@ mod tests {
         // try { if (c) throw; x; } pruned vs full:
         // 0 -> 1(branch) -T-> 2(throw) ; 1 -F-> 3(x) -> 4(exit)
         // full: 2 -> 5(catch) -> 4 ; pruned(local only): 2 dead-ends.
-        let mut g = Cfg::with_capacity(6);
-        g.add_edge(s(0), s(1), EdgeKind::Seq);
-        g.add_edge(s(1), s(2), EdgeKind::BranchTrue);
-        g.add_edge(s(1), s(3), EdgeKind::BranchFalse);
-        g.add_edge(s(2), s(5), EdgeKind::ThrowExplicit);
-        g.add_edge(s(5), s(4), EdgeKind::Seq);
-        g.add_edge(s(3), s(4), EdgeKind::Seq);
-        let f = FuncGraph {
-            nodes: (0..6).map(s).collect(),
-            entry: s(0),
-            exit: s(4),
-        };
-        let local_only = control_dependence(&g, &f, |k| k.is_local());
-        let with_explicit =
-            control_dependence(&g, &f, |k| k.is_local() || k.is_nonlocal_explicit());
+        let mut g = FuncGraph::new(6, 4);
+        g.add_edge(0, 1, EdgeKind::Seq);
+        g.add_edge(1, 2, EdgeKind::BranchTrue);
+        g.add_edge(1, 3, EdgeKind::BranchFalse);
+        g.add_edge(2, 5, EdgeKind::ThrowExplicit);
+        g.add_edge(5, 4, EdgeKind::Seq);
+        g.add_edge(3, 4, EdgeKind::Seq);
+        let local_only = control_dependence(&g, |k| k.is_local());
+        let with_explicit = control_dependence(&g, |k| k.is_local() || k.is_nonlocal_explicit());
         // With the throw edge, x (node 3) is control dependent on the
         // branch; statements after the throw landing differ between the
         // two stages.
-        assert!(with_explicit.contains(&(s(1), s(3))));
+        assert!(with_explicit.contains(&(1, 3)));
         // The difference set is what stage 2 annotates nonlocexp.
         let diff: Vec<_> = with_explicit.difference(&local_only).collect();
         assert!(!diff.is_empty());
@@ -379,42 +323,36 @@ mod tests {
 
 #[cfg(all(test, feature = "fuzz"))]
 mod proptests {
+    use super::tests::control_dependence;
     use super::*;
-    use jsir::EdgeKind;
     use minicheck::Gen;
 
     /// Random small graphs over nodes 0..n with designated entry 0 and
     /// exit n-1.
-    fn arb_graph(g: &mut Gen) -> (Cfg, FuncGraph) {
+    fn arb_graph(g: &mut Gen) -> FuncGraph {
         let n = 3 + g.below(6);
-        let mut cfg = Cfg::with_capacity(n);
+        let mut f = FuncGraph::new(n, n - 1);
         // A spine so the exit is usually reachable.
         for i in 0..n - 1 {
-            cfg.add_edge(StmtId(i as u32), StmtId(i as u32 + 1), EdgeKind::Seq);
+            f.add_edge(i, i + 1, EdgeKind::Seq);
         }
         for _ in 0..g.below(n * 2) {
             let (a, b) = (g.below(n), g.below(n));
             if a != b {
-                cfg.add_edge(StmtId(a as u32), StmtId(b as u32), EdgeKind::Seq);
+                f.add_edge(a, b, EdgeKind::Seq);
             }
         }
-        let f = FuncGraph {
-            nodes: (0..n as u32).map(StmtId).collect(),
-            entry: StmtId(0),
-            exit: StmtId(n as u32 - 1),
-        };
-        (cfg, f)
+        f
+    }
+
+    fn succs(f: &FuncGraph, x: usize) -> impl Iterator<Item = usize> + '_ {
+        f.edges.iter().filter(move |e| e.0 == x).map(|e| e.1)
     }
 
     /// Brute force: does every path from `from` to the exit pass through
     /// `through`? (Checked by deleting `through` and testing
     /// reachability.)
-    fn postdominates_brute(
-        cfg: &Cfg,
-        f: &FuncGraph,
-        through: StmtId,
-        from: StmtId,
-    ) -> bool {
+    fn postdominates_brute(f: &FuncGraph, through: usize, from: usize) -> bool {
         if through == from {
             return true;
         }
@@ -434,15 +372,13 @@ mod proptests {
                 reached_exit_avoiding = true;
                 break;
             }
-            for (t, _) in cfg.succs(x) {
-                stack.push(*t);
-            }
+            stack.extend(succs(f, x));
         }
         !reached_exit_avoiding
     }
 
     /// Exit-reachability for the brute-force comparison.
-    fn reaches_exit(cfg: &Cfg, f: &FuncGraph, from: StmtId) -> bool {
+    fn reaches_exit(f: &FuncGraph, from: usize) -> bool {
         let mut seen = std::collections::BTreeSet::new();
         let mut stack = vec![from];
         while let Some(x) = stack.pop() {
@@ -452,9 +388,7 @@ mod proptests {
             if x == f.exit {
                 return true;
             }
-            for (t, _) in cfg.succs(x) {
-                stack.push(*t);
-            }
+            stack.extend(succs(f, x));
         }
         false
     }
@@ -462,18 +396,18 @@ mod proptests {
     #[test]
     fn ipdom_agrees_with_brute_force() {
         minicheck::check("ipdom_agrees_with_brute_force", 256, |gen| {
-            let (g, f) = arb_graph(gen);
-            let pd = postdominators(&g, &f, |_| true);
-            for &n in &f.nodes {
-                if !reaches_exit(&g, &f, n) {
+            let f = arb_graph(gen);
+            let pd = postdominators(&f, |_| true);
+            for n in 0..f.len {
+                if !reaches_exit(&f, n) {
                     continue;
                 }
-                for &m in &f.nodes {
-                    if !reaches_exit(&g, &f, m) {
+                for m in 0..f.len {
+                    if !reaches_exit(&f, m) {
                         continue;
                     }
                     let ours = pd.postdominates(m, n);
-                    let truth = postdominates_brute(&g, &f, m, n);
+                    let truth = postdominates_brute(&f, m, n);
                     assert_eq!(ours, truth, "postdominates({m:?}, {n:?}) mismatch");
                 }
             }
@@ -486,17 +420,36 @@ mod proptests {
             "control_dependence_terminates_and_is_within_nodes",
             256,
             |gen| {
-                let (g, f) = arb_graph(gen);
+                let f = arb_graph(gen);
                 for filter in [true, false] {
-                    let cd = control_dependence(&g, &f, move |k: EdgeKind| {
-                        filter || k.is_local()
-                    });
+                    let cd = control_dependence(&f, move |k: EdgeKind| filter || k.is_local());
                     for (u, w) in cd {
-                        assert!(f.nodes.contains(&u));
-                        assert!(f.nodes.contains(&w));
+                        assert!(u < f.len);
+                        assert!(w < f.len);
                     }
                 }
             },
         );
+    }
+
+    /// Between nodes that reach the exit, the FOW walk yields exactly the
+    /// textbook definition: `w` is control dependent on `u` iff `w`
+    /// postdominates (reflexively) some exit-reaching successor of `u`
+    /// and does not strictly postdominate `u`.
+    #[test]
+    fn control_dependence_matches_its_definition() {
+        minicheck::check("control_dependence_matches_its_definition", 512, |gen| {
+            let f = arb_graph(gen);
+            let cd = control_dependence(&f, |_| true);
+            let live: Vec<usize> = (0..f.len).filter(|&n| reaches_exit(&f, n)).collect();
+            for &u in &live {
+                for &w in &live {
+                    let truth = succs(&f, u)
+                        .any(|v| reaches_exit(&f, v) && postdominates_brute(&f, w, v))
+                        && !(w != u && postdominates_brute(&f, w, u));
+                    assert_eq!(cd.contains(&(u, w)), truth, "({u}, {w}) in {cd:?}");
+                }
+            }
+        });
     }
 }

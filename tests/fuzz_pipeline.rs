@@ -11,6 +11,8 @@
 
 #[path = "support/dense_ddg.rs"]
 mod dense_ddg;
+#[path = "support/full_cdg.rs"]
+mod full_cdg;
 
 use minicheck::Gen;
 
@@ -157,6 +159,24 @@ fn sparse_ddg_matches_the_dense_oracle_on_generated_programs() {
             jspdg::build_ddg(&sg, &report.analysis),
             dense_ddg::build_ddg(&sg, &report.analysis),
             "sparse and dense DDGs differ on:\n{src}"
+        );
+    });
+}
+
+/// The per-function CDG is exactly the ordered-map oracle's on generated
+/// programs, whose loops, `try`, implicit throws, returns and handlers
+/// exercise every stage and the trapped-region rule.
+#[test]
+fn cdg_matches_the_full_oracle_on_generated_programs() {
+    minicheck::check("cdg_matches_the_full_oracle", 300, |g| {
+        let src = arb_program(g);
+        let report = addon_sig::analyze_addon(&src)
+            .unwrap_or_else(|e| panic!("pipeline failed: {e}\nprogram:\n{src}"));
+        let sg = jspdg::SuperGraph::build(&report.lowered, &report.analysis);
+        assert_eq!(
+            jspdg::build_cdg(&report.lowered, &report.analysis, &sg),
+            full_cdg::build_cdg(&report.lowered, &report.analysis, &sg),
+            "build_cdg and the full oracle differ on:\n{src}"
         );
     });
 }
