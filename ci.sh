@@ -12,7 +12,9 @@
 #      and constant domains; they also check each `join_in_place`
 #      against `join`) and jspdg's `fuzz`-gated postdominance suite
 #      (postdominators against brute force, control dependence against
-#      its textbook definition on random graphs),
+#      its textbook definition on random graphs), plus the rustdoc gate:
+#      the workspace must document with warnings denied (a broken or
+#      private intra-doc link fails it),
 #   3. a perf snapshot over the corpus, so the committed
 #      BENCH_pipeline.json can be refreshed from the CI artifact — the
 #      snapshot itself enforces the <5% no-op tracer and <5%
@@ -20,8 +22,9 @@
 #      every corpus addon, at most 5% of Pipeline::run wall time falls
 #      outside every sigtrace::Layer span, median over passes), and its
 #      ddg_scaling section that the DDG and the CDG each stay at or
-#      below the fixpoint on the many-function family and phase 2 at or
-#      below phase 1 on every corpus addon — plus the repo benchmark's
+#      below the fixpoint on the many-function family, the PDG's
+#      assembly at or below the CDG there, and phase 2 at or below
+#      phase 1 on every corpus addon — plus the repo benchmark's
 #      own unit tests, so a change that breaks a public layer function
 #      the benchmark calls fails here,
 #   4. a `vet --trace` smoke test: the emitted chrome://tracing JSON
@@ -93,7 +96,10 @@ cargo test --offline -q -p jsdomains --features fuzz
 echo "==> jspdg postdominance suite (fuzz feature)"
 cargo test --offline -q -p jspdg --features fuzz
 
-echo "==> perf snapshot (sequential, 3 runs; incl. tracer + attribution overhead, layer coverage and DDG/CDG scaling gates)"
+echo "==> rustdoc gate (the workspace documents with warnings denied)"
+RUSTDOCFLAGS='-D warnings' cargo doc --offline --workspace --no-deps -q
+
+echo "==> perf snapshot (sequential, 3 runs; incl. tracer + attribution overhead, layer coverage and DDG/CDG/assembly scaling gates)"
 cargo build --release --offline --workspace
 ./target/release/perf_snapshot --runs 3 --sequential --out target/BENCH_pipeline.ci.json
 grep -q '"trace_overhead_pct"' target/BENCH_pipeline.ci.json

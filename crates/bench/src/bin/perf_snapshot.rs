@@ -25,7 +25,9 @@
 //! of 5 runs) with the doubling ratios. The run fails unless the DDG and
 //! the CDG each take no longer than the fixpoint (phase 1) at every n,
 //! and phase 2 no longer than phase 1 on every corpus addon: the PDG
-//! must never again be the layer that dominates.
+//! must never again be the layer that dominates. It also fails when the
+//! PDG's assembly takes longer than the CDG at some n: copying an edge
+//! into the PDG must not cost more than finding it.
 //!
 //! Flags:
 //! - `--runs N`       measured passes after warm-up (default 10)
@@ -198,13 +200,14 @@ fn per_layer(runs: &[LayerTimes], pick: fn(Vec<Duration>) -> Duration) -> LayerT
 
 /// Times the many-function family, prints it, and returns the
 /// `ddg_scaling` section. A size whose DDG or CDG is slower than its
-/// fixpoint adds a failure. The doubling ratios are recorded, not
-/// gated: they swing by a quarter or more between runs.
+/// fixpoint, or whose assembly is slower than its CDG, adds a failure.
+/// The doubling ratios are recorded, not gated: they swing by a quarter
+/// or more between runs.
 fn ddg_scaling(failures: &mut Vec<String>) -> Json {
     println!("ddg_scaling: corpus::many_fn_addon(n), min of {SCALING_RUNS} runs per layer");
     println!(
-        "{:>5} {:>9} {:>9} {:>9} {:>9} {:>7}",
-        "n", "reachable", "p1 (s)", "ddg (s)", "cdg (s)", "x ddg"
+        "{:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>7}",
+        "n", "reachable", "p1 (s)", "ddg (s)", "cdg (s)", "asm (s)", "x ddg"
     );
     let ratio = |now: Duration, before: Duration| {
         (now.as_secs_f64() / before.as_secs_f64() * 100.0).round() / 100.0
@@ -229,17 +232,25 @@ fn ddg_scaling(failures: &mut Vec<String>) -> Json {
             ddg_doubling = format!("{:.2}", ratio(layer(Layer::Ddg), before));
         }
         println!(
-            "{n:>5} {reachable:>9} {:>9.4} {:>9.4} {:>9.4} {ddg_doubling:>7}",
+            "{n:>5} {reachable:>9} {:>9.4} {:>9.4} {:>9.4} {:>9.4} {ddg_doubling:>7}",
             layer(Layer::Fixpoint).as_secs_f64(),
             layer(Layer::Ddg).as_secs_f64(),
             layer(Layer::Cdg).as_secs_f64(),
+            layer(Layer::Assemble).as_secs_f64(),
         );
-        for (pdg_layer, name) in [(Layer::Ddg, "DDG"), (Layer::Cdg, "CDG")] {
-            if layer(pdg_layer) > layer(Layer::Fixpoint) {
+        // Each layer, and the layer it must not outlast.
+        for (slow, bound) in [
+            (Layer::Ddg, Layer::Fixpoint),
+            (Layer::Cdg, Layer::Fixpoint),
+            (Layer::Assemble, Layer::Cdg),
+        ] {
+            if layer(slow) > layer(bound) {
                 failures.push(format!(
-                    "many_fn_addon({n}): the {name} ({:.4} s) is slower than the fixpoint ({:.4} s)",
-                    layer(pdg_layer).as_secs_f64(),
-                    layer(Layer::Fixpoint).as_secs_f64()
+                    "many_fn_addon({n}): {} ({:.4} s) is slower than {} ({:.4} s)",
+                    slow.name(),
+                    layer(slow).as_secs_f64(),
+                    bound.name(),
+                    layer(bound).as_secs_f64()
                 ));
             }
         }
@@ -394,8 +405,9 @@ fn main() {
     );
 
     // The PDG must not again become the dominant layer: phase 2 stays
-    // at or below phase 1 on every corpus addon (above), and the DDG and
-    // the CDG at or below the fixpoint on the many-function family.
+    // at or below phase 1 on every corpus addon (above), the DDG and the
+    // CDG at or below the fixpoint on the many-function family, and the
+    // assembly at or below the CDG there.
     doc.set("ddg_scaling", ddg_scaling(&mut failures));
 
     // Observability overhead gates: a no-op tracer attached to the

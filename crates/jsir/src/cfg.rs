@@ -4,7 +4,8 @@
 //! edge provenance: first all non-local edges are removed, then only the
 //! implicit-exception edges. We therefore record for every edge whether it
 //! arises from structured local control flow, an explicit jump
-//! (`break`/`continue`/`return`/`throw`), or an implicit exception.
+//! (`break`/`continue`/`return`/`throw`), an implicit exception, or (in
+//! the PDG's interprocedural supergraph only) a call or a return.
 
 use crate::ir::StmtId;
 use std::collections::BTreeSet;
@@ -37,6 +38,11 @@ pub enum EdgeKind {
     /// statements control dependent on the function entry, which carries
     /// interprocedural control dependence through call sites).
     Virtual,
+    /// Call site to callee entry (supergraph only).
+    Call,
+    /// Callee exit back to the call and its continuations (supergraph
+    /// only).
+    CallReturn,
 }
 
 impl EdgeKind {
@@ -60,6 +66,11 @@ impl EdgeKind {
     pub fn is_nonlocal_implicit(self) -> bool {
         self == EdgeKind::ThrowImplicit
     }
+
+    /// True for call and return edges, which leave their function.
+    pub fn is_interprocedural(self) -> bool {
+        matches!(self, EdgeKind::Call | EdgeKind::CallReturn)
+    }
 }
 
 /// A directed edge.
@@ -76,19 +87,18 @@ pub struct Edge {
 /// The control-flow graph: adjacency over the global statement pool.
 #[derive(Debug, Clone, Default)]
 pub struct Cfg {
-    edges: BTreeSet<Edge>,
-    /// Successor adjacency (rebuilt lazily would complicate; kept in sync).
     succs: Vec<Vec<(StmtId, EdgeKind)>>,
     preds: Vec<Vec<(StmtId, EdgeKind)>>,
+    edge_count: usize,
 }
 
 impl Cfg {
     /// An empty CFG sized for `n` statements.
     pub fn with_capacity(n: usize) -> Cfg {
         Cfg {
-            edges: BTreeSet::new(),
             succs: vec![Vec::new(); n],
             preds: vec![Vec::new(); n],
+            edge_count: 0,
         }
     }
 
@@ -100,19 +110,25 @@ impl Cfg {
         }
     }
 
-    /// Adds an edge (idempotent).
+    /// Adds an edge (idempotent: a statement has a handful of
+    /// successors, so this scans them).
     pub fn add_edge(&mut self, from: StmtId, to: StmtId, kind: EdgeKind) {
-        let e = Edge { from, to, kind };
-        if self.edges.insert(e) {
-            self.ensure_nodes((from.0.max(to.0) + 1) as usize);
-            self.succs[from.0 as usize].push((to, kind));
+        self.ensure_nodes((from.0.max(to.0) + 1) as usize);
+        let succs = &mut self.succs[from.0 as usize];
+        if !succs.contains(&(to, kind)) {
+            succs.push((to, kind));
             self.preds[to.0 as usize].push((from, kind));
+            self.edge_count += 1;
         }
     }
 
-    /// All edges in deterministic order.
-    pub fn edges(&self) -> impl Iterator<Item = &Edge> {
-        self.edges.iter()
+    /// All edges, by source statement and then in the order they were
+    /// added.
+    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
+        self.succs.iter().enumerate().flat_map(|(i, succs)| {
+            let from = StmtId(i as u32);
+            succs.iter().map(move |&(to, kind)| Edge { from, to, kind })
+        })
     }
 
     /// Successors of a statement with edge kinds.
@@ -133,7 +149,7 @@ impl Cfg {
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.edge_count
     }
 
     /// Number of node slots.

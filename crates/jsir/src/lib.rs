@@ -33,39 +33,11 @@ pub use ir::{
 };
 pub use lower::{lower, lower_with_options, LowerOptions, Lowered};
 
-use std::collections::BTreeSet;
-
-/// Adds the *implicit exception* edges to a CFG: for every statement in
-/// `may_throw` an edge to its innermost handler
-/// ([`EdgeKind::ThrowImplicit`]) or, with no handler, to the function exit
-/// ([`EdgeKind::Uncaught`], which every CDG stage ignores -- the paper
-/// omits uncaught-exception control dependence).
-///
-/// `may_throw` is computed by the base analysis (`jsanalysis`): statically
-/// a property access may throw only when the base analysis says the object
-/// may be `undefined`/`null`, and a call only when the callee may be a
-/// non-function.
-pub fn add_implicit_throw_edges(
-    program: &IrProgram,
-    cfg: &mut Cfg,
-    may_throw: &BTreeSet<StmtId>,
-) {
-    for &sid in may_throw {
-        let stmt = program.stmt(sid);
-        match stmt.handler {
-            Some(h) => cfg.add_edge(sid, h, EdgeKind::ThrowImplicit),
-            None => {
-                let exit = program.func(stmt.func).exit;
-                cfg.add_edge(sid, exit, EdgeKind::Uncaught);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lower::LowerOptions;
+    use std::collections::BTreeSet;
 
     fn lowered(src: &str) -> Lowered {
         lower_with_options(
@@ -245,41 +217,6 @@ mod tests {
             })
             .count();
         assert_eq!(fin_calls, 2);
-    }
-
-    #[test]
-    fn implicit_edges_added_to_handler() {
-        let l = lowered("try { obj.prop = 1; } catch (x) { k(); }");
-        let mut cfg = l.cfg.clone();
-        let store = l
-            .program
-            .stmts
-            .iter()
-            .find(|s| matches!(s.kind, IrStmtKind::StoreProp { .. }))
-            .unwrap();
-        let mut may_throw = BTreeSet::new();
-        may_throw.insert(store.id);
-        let before = cfg.edge_count();
-        add_implicit_throw_edges(&l.program, &mut cfg, &may_throw);
-        assert_eq!(cfg.edge_count(), before + 1);
-        assert!(cfg.edges().any(|e| e.kind == EdgeKind::ThrowImplicit));
-    }
-
-    #[test]
-    fn implicit_edges_without_handler_are_uncaught() {
-        let l = lowered("obj.prop = 1;");
-        let mut cfg = l.cfg.clone();
-        let store = l
-            .program
-            .stmts
-            .iter()
-            .find(|s| matches!(s.kind, IrStmtKind::StoreProp { .. }))
-            .unwrap();
-        let mut may_throw = BTreeSet::new();
-        may_throw.insert(store.id);
-        add_implicit_throw_edges(&l.program, &mut cfg, &may_throw);
-        assert!(cfg.edges().any(|e| e.kind == EdgeKind::Uncaught));
-        assert!(!cfg.edges().any(|e| e.kind == EdgeKind::ThrowImplicit));
     }
 
     #[test]

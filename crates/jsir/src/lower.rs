@@ -10,8 +10,8 @@
 //! edges to the innermost handler (or [`EdgeKind::Uncaught`] to the
 //! function exit -- the paper omits uncaught-exception control dependence
 //! because uncaught exceptions terminate the addon). *Implicit* exception
-//! edges are added later by [`crate::add_implicit_throw_edges`] once the
-//! base analysis knows which statements may actually throw.
+//! edges are added later by `jspdg::SuperGraph::build`, once the base
+//! analysis knows which statements may actually throw.
 
 use crate::cfg::{Cfg, EdgeKind};
 use crate::ir::*;

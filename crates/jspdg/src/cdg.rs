@@ -66,7 +66,7 @@ pub fn build_cdg(
     }
     let mut out = Vec::new();
     for func in funcs {
-        let mut g = FuncGraph::of(&sg.cfg, func, &local);
+        let mut g = FuncGraph::of(sg, func, &local);
         // The virtual entry -> exit edge makes unconditionally-executed
         // statements control dependent on the function entry (and,
         // through the call dependence below, on its call sites).

@@ -54,7 +54,7 @@
 use crate::supergraph::SuperGraph;
 use jsanalysis::{AnalysisResult, Loc, Strength};
 use jsdomains::{AllocSite, MeetLattice, Pre};
-use jsir::StmtId;
+use jsir::{EdgeKind, StmtId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
 
@@ -167,7 +167,8 @@ impl DefIndex {
 const ABSENT: u32 = u32::MAX;
 
 /// The supergraph nodes reachable from the analysis's reachable
-/// statements, numbered in reverse postorder.
+/// statements along non-`Uncaught` edges (no data flows along an
+/// uncaught exception), numbered in reverse postorder.
 struct Rpo {
     /// The statement at each node number.
     stmts: Vec<StmtId>,
@@ -199,10 +200,10 @@ impl Rpo {
             }
             stack.push((root, 0));
             while let Some(&(s, next)) = stack.last() {
-                if let Some(&t) = sg.succs(s).get(next) {
+                if let Some(&(t, kind)) = sg.succs(s).get(next) {
                     let top = stack.len() - 1;
                     stack[top].1 += 1;
-                    if mark(&mut node, t) {
+                    if kind != EdgeKind::Uncaught && mark(&mut node, t) {
                         stack.push((t, 0));
                     }
                 } else {
@@ -219,7 +220,12 @@ impl Rpo {
         let mut succs = Vec::new();
         for &s in &post {
             succ_start.push(succs.len() as u32);
-            succs.extend(sg.succs(s).iter().map(|t| node[t.0 as usize]));
+            succs.extend(
+                sg.succs(s)
+                    .iter()
+                    .filter(|(_, k)| *k != EdgeKind::Uncaught)
+                    .map(|(t, _)| node[t.0 as usize]),
+            );
         }
         succ_start.push(succs.len() as u32);
         Rpo {

@@ -1,10 +1,10 @@
-//! Graphviz (DOT) export for annotated PDGs and CFGs, for human
-//! inspection of small addons (the vetter's visual aid; Figure 2 of the
-//! paper is exactly such a rendering).
+//! Graphviz (DOT) export for annotated PDGs, for human inspection of
+//! small addons (the vetter's visual aid; Figure 2 of the paper is
+//! exactly such a rendering).
 
 use crate::annotation::{Annotation, CtrlKind};
-use crate::pdg::Pdg;
-use jsir::{Cfg, EdgeKind, IrProgram, StmtId};
+use crate::pdg::{Pdg, PdgEdge};
+use jsir::{IrProgram, StmtId};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
@@ -44,8 +44,8 @@ fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Renders the PDG as a DOT digraph. Node labels use the IR
-/// pretty-printer plus the source line.
+/// Renders the PDG as a DOT digraph, nodes and edges in sorted order.
+/// Node labels use the IR pretty-printer plus the source line.
 pub fn pdg_to_dot(program: &IrProgram, pdg: &Pdg) -> String {
     let mut out = String::from("digraph pdg {\n  node [shape=box, fontsize=10];\n");
     let nodes: BTreeSet<StmtId> = pdg.nodes();
@@ -58,7 +58,9 @@ pub fn pdg_to_dot(program: &IrProgram, pdg: &Pdg) -> String {
         );
         let _ = writeln!(out, "  n{} [label=\"{}\"];", n.0, escape(&label));
     }
-    for e in pdg.edges() {
+    let mut edges: Vec<&PdgEdge> = pdg.edges().collect();
+    edges.sort_unstable();
+    for e in edges {
         let _ = writeln!(
             out,
             "  n{} -> n{} [label=\"{}\", {}];",
@@ -67,34 +69,6 @@ pub fn pdg_to_dot(program: &IrProgram, pdg: &Pdg) -> String {
             e.ann,
             edge_style(e.ann)
         );
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Renders a CFG as a DOT digraph with edge kinds.
-pub fn cfg_to_dot(program: &IrProgram, cfg: &Cfg) -> String {
-    let mut out = String::from("digraph cfg {\n  node [shape=box, fontsize=10];\n");
-    let mut nodes: BTreeSet<StmtId> = BTreeSet::new();
-    for e in cfg.edges() {
-        nodes.insert(e.from);
-        nodes.insert(e.to);
-    }
-    for n in &nodes {
-        let label = jsir::pretty::stmt_to_string(program, *n);
-        let _ = writeln!(out, "  n{} [label=\"{}\"];", n.0, escape(&label));
-    }
-    for e in cfg.edges() {
-        let style = match e.kind {
-            EdgeKind::Seq | EdgeKind::Virtual => "color=black",
-            EdgeKind::BranchTrue => "color=darkgreen, label=T",
-            EdgeKind::BranchFalse => "color=darkgreen, label=F",
-            EdgeKind::Jump | EdgeKind::Return => "color=blue, style=dashed",
-            EdgeKind::ThrowExplicit => "color=orange, style=dashed",
-            EdgeKind::ThrowImplicit => "color=red, style=dotted",
-            EdgeKind::Uncaught => "color=gray, style=dotted",
-        };
-        let _ = writeln!(out, "  n{} -> n{} [{}];", e.from.0, e.to.0, style);
     }
     out.push_str("}\n");
     out
@@ -123,15 +97,6 @@ mod tests {
         assert!(dot.contains("local"));
         // Every declared node id appears; braces balanced.
         assert_eq!(dot.matches("digraph").count(), 1);
-    }
-
-    #[test]
-    fn cfg_dot_well_formed() {
-        let (lowered, _) = build("if (x_global) { a_global = 1; } else { a_global = 2; }");
-        let dot = cfg_to_dot(&lowered.program, &lowered.cfg);
-        assert!(dot.starts_with("digraph cfg {"));
-        assert!(dot.contains("label=T"));
-        assert!(dot.contains("label=F"));
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod supergraph;
 pub use annotation::{Annotation, CtrlKind};
 pub use cdg::{build_cdg, CtrlDep};
 pub use ddg::{build_ddg, DataDep};
-pub use dot::{cfg_to_dot, pdg_to_dot};
+pub use dot::pdg_to_dot;
 pub use pdg::{Pdg, PdgEdge};
 pub use slice::{backward_slice, chop, forward_slice, witness_path, SliceFilter};
 pub use supergraph::SuperGraph;

@@ -8,7 +8,7 @@ use crate::supergraph::SuperGraph;
 use jsanalysis::AnalysisResult;
 use jsir::{Lowered, StmtId};
 use sigtrace::{Counter, Counters, Layer, Trace};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// One annotated PDG edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -21,12 +21,11 @@ pub struct PdgEdge {
     pub ann: Annotation,
 }
 
-/// The annotated program dependence graph.
+/// The annotated program dependence graph: each statement's outgoing
+/// edges, indexed by `StmtId`, in the order they were added.
 #[derive(Debug, Clone, Default)]
 pub struct Pdg {
-    edges: BTreeSet<PdgEdge>,
-    succs: BTreeMap<StmtId, Vec<(StmtId, Annotation)>>,
-    preds: BTreeMap<StmtId, Vec<(StmtId, Annotation)>>,
+    succs: Vec<Vec<PdgEdge>>,
 }
 
 impl Pdg {
@@ -49,7 +48,7 @@ impl Pdg {
         let cdg = trace.span(Layer::Cdg, |_| build_cdg(lowered, analysis, &sg));
         trace.span(Layer::Assemble, |trace| {
             // The edge sets are all that is left to use: free the
-            // supergraph before the PDG's maps grow.
+            // supergraph before the PDG's lists grow.
             drop(sg);
             let mut pdg = Pdg::default();
             for DataDep { from, to, strong } in ddg {
@@ -76,7 +75,7 @@ impl Pdg {
     /// across worklist orders (unlike the phase-1 step counters).
     pub fn edge_kind_counters(&self) -> Counters {
         let mut counters = Counters::new();
-        for e in &self.edges {
+        for e in self.edges() {
             let c = match e.ann {
                 Annotation::DataStrong => Counter::PdgDataStrongEdges,
                 Annotation::DataWeak => Counter::PdgDataWeakEdges,
@@ -96,55 +95,35 @@ impl Pdg {
         counters
     }
 
-    /// Adds an edge (idempotent).
+    /// Adds the edge `from -> to`. The caller adds each edge once: the
+    /// PDG keeps every edge it is given, without looking for duplicates.
     pub fn add(&mut self, from: StmtId, to: StmtId, ann: Annotation) {
-        if self.edges.insert(PdgEdge { from, to, ann }) {
-            self.succs.entry(from).or_default().push((to, ann));
-            self.preds.entry(to).or_default().push((from, ann));
+        let i = from.0 as usize;
+        if i >= self.succs.len() {
+            self.succs.resize_with(i + 1, Vec::new);
         }
+        self.succs[i].push(PdgEdge { from, to, ann });
     }
 
-    /// All edges in deterministic order.
+    /// All edges, by source statement and then in the order they were
+    /// added.
     pub fn edges(&self) -> impl Iterator<Item = &PdgEdge> {
-        self.edges.iter()
+        self.succs.iter().flatten()
     }
 
-    /// Outgoing edges of a statement.
-    pub fn succs(&self, s: StmtId) -> &[(StmtId, Annotation)] {
-        self.succs.get(&s).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Incoming edges of a statement.
-    pub fn preds(&self, s: StmtId) -> &[(StmtId, Annotation)] {
-        self.preds.get(&s).map(Vec::as_slice).unwrap_or(&[])
+    /// Outgoing edges of a statement, in the order they were added.
+    pub fn succs(&self, s: StmtId) -> &[PdgEdge] {
+        self.succs.get(s.0 as usize).map_or(&[], Vec::as_slice)
     }
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.succs.iter().map(Vec::len).sum()
     }
 
     /// All statements participating in at least one edge.
     pub fn nodes(&self) -> BTreeSet<StmtId> {
-        self.edges
-            .iter()
-            .flat_map(|e| [e.from, e.to])
-            .collect()
-    }
-
-    /// True if `to` is reachable from `from` along any PDG path.
-    pub fn reaches(&self, from: StmtId, to: StmtId) -> bool {
-        let mut seen = BTreeSet::new();
-        let mut stack = vec![from];
-        while let Some(s) = stack.pop() {
-            if s == to {
-                return true;
-            }
-            if seen.insert(s) {
-                stack.extend(self.succs(s).iter().map(|(t, _)| *t));
-            }
-        }
-        false
+        self.edges().flat_map(|e| [e.from, e.to]).collect()
     }
 }
 
@@ -152,6 +131,7 @@ impl Pdg {
 mod tests {
     use super::*;
     use crate::annotation::CtrlKind;
+    use crate::slice::{backward_slice, witness_path, SliceFilter};
     use jsanalysis::{analyze, AnalysisConfig};
 
     fn build(src: &str) -> (Lowered, Pdg) {
@@ -177,8 +157,8 @@ mod tests {
     fn adjacency_is_consistent() {
         let (_, pdg) = build("var a = 1; var b = a; var c = b;");
         for e in pdg.edges() {
-            assert!(pdg.succs(e.from).iter().any(|(t, a)| *t == e.to && *a == e.ann));
-            assert!(pdg.preds(e.to).iter().any(|(f, a)| *f == e.from && *a == e.ann));
+            assert!(pdg.succs(e.from).contains(e));
+            assert!(backward_slice(&pdg, e.to, SliceFilter::All).contains(&e.from));
         }
     }
 
@@ -208,7 +188,7 @@ if (secret == "x") { leak_global = 1; }
             .unwrap()
             .id;
         assert!(
-            pdg.reaches(first_copy, leak),
+            witness_path(&pdg, first_copy, leak, SliceFilter::All).is_some(),
             "implicit flow must be a PDG path"
         );
         // And at least one control edge participates.

@@ -6,7 +6,8 @@
 //! [`PostDominators`], whose successor lists and postdominator tree answer
 //! both postdominance queries and the FOW walk.
 
-use jsir::{Cfg, EdgeKind, IrFunc, StmtId};
+use crate::supergraph::SuperGraph;
+use jsir::{EdgeKind, IrFunc, StmtId};
 
 /// No node: the immediate postdominator of the exit, and of every node
 /// that cannot reach it.
@@ -30,15 +31,15 @@ impl FuncGraph {
         }
     }
 
-    /// `func`'s part of `cfg`: node `i` is `func.stmts[i]`, and the edges
-    /// are those between its statements. `local[s]` is statement `s`'s
-    /// position in its own function's `stmts`.
-    pub fn of(cfg: &Cfg, func: &IrFunc, local: &[usize]) -> FuncGraph {
+    /// `func`'s part of `sg`: node `i` is `func.stmts[i]`, and the edges
+    /// are the intraprocedural ones between its statements. `local[s]` is
+    /// statement `s`'s position in its own function's `stmts`.
+    pub fn of(sg: &SuperGraph, func: &IrFunc, local: &[usize]) -> FuncGraph {
         let at = |s: StmtId| local[s.0 as usize];
         let mut g = FuncGraph::new(func.stmts.len(), at(func.exit));
         for (i, &s) in func.stmts.iter().enumerate() {
-            for &(t, kind) in cfg.succs(s) {
-                if func.stmts.get(at(t)) == Some(&t) {
+            for &(t, kind) in sg.succs(s) {
+                if !kind.is_interprocedural() && func.stmts.get(at(t)) == Some(&t) {
                     g.add_edge(i, at(t), kind);
                 }
             }

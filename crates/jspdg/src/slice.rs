@@ -47,25 +47,30 @@ impl SliceFilter {
 /// The backward slice from `criterion`: every statement the criterion
 /// (transitively) depends on, under the filter. Includes the criterion.
 pub fn backward_slice(pdg: &Pdg, criterion: StmtId, filter: SliceFilter) -> BTreeSet<StmtId> {
-    walk(criterion, |s| {
-        pdg.preds(s)
-            .iter()
-            .filter(|(_, a)| filter.admits(*a))
-            .map(|(p, _)| *p)
-            .collect()
-    })
+    // Invert the admitted edges once, then slice forward over them.
+    let mut inverse = Pdg::default();
+    for e in pdg.edges().filter(|e| filter.admits(e.ann)) {
+        inverse.add(e.to, e.from, e.ann);
+    }
+    forward_slice(&inverse, criterion, SliceFilter::All)
 }
 
 /// The forward slice from `criterion`: every statement (transitively)
 /// affected by it, under the filter. Includes the criterion.
 pub fn forward_slice(pdg: &Pdg, criterion: StmtId, filter: SliceFilter) -> BTreeSet<StmtId> {
-    walk(criterion, |s| {
-        pdg.succs(s)
-            .iter()
-            .filter(|(_, a)| filter.admits(*a))
-            .map(|(p, _)| *p)
-            .collect()
-    })
+    let mut seen = BTreeSet::new();
+    let mut stack = vec![criterion];
+    while let Some(s) = stack.pop() {
+        if seen.insert(s) {
+            stack.extend(
+                pdg.succs(s)
+                    .iter()
+                    .filter(|e| filter.admits(e.ann))
+                    .map(|e| e.to),
+            );
+        }
+    }
+    seen
 }
 
 /// A chop: statements on some dependence path from `source` to `sink`
@@ -113,25 +118,14 @@ pub fn witness_path(
             // the sink carries `None`.
             return Some(path);
         }
-        for &(t, a) in pdg.succs(s) {
-            if filter.admits(a) && seen.insert(t) {
-                prev.insert(t, (s, a));
-                queue.push_back(t);
+        for e in pdg.succs(s) {
+            if filter.admits(e.ann) && seen.insert(e.to) {
+                prev.insert(e.to, (s, e.ann));
+                queue.push_back(e.to);
             }
         }
     }
     None
-}
-
-fn walk(start: StmtId, next: impl Fn(StmtId) -> Vec<StmtId>) -> BTreeSet<StmtId> {
-    let mut seen = BTreeSet::new();
-    let mut stack = vec![start];
-    while let Some(s) = stack.pop() {
-        if seen.insert(s) {
-            stack.extend(next(s));
-        }
-    }
-    seen
 }
 
 #[cfg(test)]

@@ -1,70 +1,82 @@
-//! The interprocedural supergraph: the CFG augmented with implicit-throw
-//! edges, call edges (call site to callee entry), and return edges (callee
-//! exit back to the call's continuations). The DDG's reaching-definitions
-//! pass runs over it, and the CDG over `cfg`. Call targets and cycles
-//! (the CDG's call dependence and amplified sources) are read from the
-//! base analysis itself.
+//! The interprocedural supergraph: one kinded adjacency holding the
+//! lowered CFG, the implicit-exception edges, call edges (call site to
+//! callee entry, [`EdgeKind::Call`]) and return edges (callee exit back
+//! to the call and its continuations, [`EdgeKind::CallReturn`]). The
+//! DDG's reaching-definitions pass follows every edge but the `Uncaught`
+//! ones, and the CDG reads each function's intraprocedural edges. Call
+//! targets and cycles (the CDG's call dependence and amplified sources)
+//! are read from the base analysis itself.
 
 use jsanalysis::AnalysisResult;
-use jsir::{Cfg, EdgeKind, Lowered, StmtId};
-use std::collections::BTreeMap;
+use jsir::{EdgeKind, IrProgram, Lowered, StmtId};
+use std::collections::BTreeSet;
 
 /// The interprocedural supergraph.
 #[derive(Debug)]
 pub struct SuperGraph {
-    /// The intraprocedural CFG including implicit-throw edges.
-    pub cfg: Cfg,
-    /// Flattened forward adjacency (data can flow along these edges);
-    /// excludes `Uncaught` edges (termination). Includes an extra
-    /// callee-exit -> call-site edge so that return-value reads recorded
-    /// on the call statement see definitions made inside the callee.
-    succs: BTreeMap<StmtId, Vec<StmtId>>,
+    /// Each statement's successors with their edge kinds, indexed by
+    /// `StmtId`.
+    succs: Vec<Vec<(StmtId, EdgeKind)>>,
 }
 
 impl SuperGraph {
     /// Builds the supergraph from lowering output and the base analysis.
     pub fn build(lowered: &Lowered, analysis: &AnalysisResult) -> SuperGraph {
-        let mut cfg = lowered.cfg.clone();
-        jsir::add_implicit_throw_edges(&lowered.program, &mut cfg, &analysis.may_throw);
-
-        fn add(map: &mut BTreeMap<StmtId, Vec<StmtId>>, from: StmtId, to: StmtId) {
-            let list = map.entry(from).or_default();
-            if !list.contains(&to) {
-                list.push(to);
-            }
-        }
-        let mut succs: BTreeMap<StmtId, Vec<StmtId>> = BTreeMap::new();
-        for e in cfg.edges() {
-            if e.kind != EdgeKind::Uncaught {
-                add(&mut succs, e.from, e.to);
-            }
-        }
+        let program = &lowered.program;
+        let mut succs: Vec<Vec<(StmtId, EdgeKind)>> = program
+            .stmts
+            .iter()
+            .map(|s| lowered.cfg.succs(s.id).to_vec())
+            .collect();
+        add_implicit_throw_edges(program, &mut succs, &analysis.may_throw);
         // Call and return edges: call site to callee entry, and callee
         // exit back to the call's continuations and to the call statement
         // itself, because the call is where the return-value read is
         // recorded.
         for (&call, targets) in &analysis.call_targets {
-            let continuations: Vec<StmtId> = cfg
-                .succs(call)
+            let continuations: Vec<StmtId> = succs[call.0 as usize]
                 .iter()
                 .filter(|(_, k)| *k != EdgeKind::Uncaught)
                 .map(|(t, _)| *t)
                 .collect();
             for fid in targets {
-                let f: &jsir::IrFunc = lowered.program.func(*fid);
-                add(&mut succs, call, f.entry);
-                for &c in &continuations {
-                    add(&mut succs, f.exit, c);
-                }
-                add(&mut succs, f.exit, call);
+                let f = program.func(*fid);
+                succs[call.0 as usize].push((f.entry, EdgeKind::Call));
+                let exit = &mut succs[f.exit.0 as usize];
+                exit.extend(continuations.iter().map(|&c| (c, EdgeKind::CallReturn)));
+                exit.push((call, EdgeKind::CallReturn));
             }
         }
-        SuperGraph { cfg, succs }
+        SuperGraph { succs }
     }
 
-    /// Successors along which data can flow.
-    pub fn succs(&self, s: StmtId) -> &[StmtId] {
-        self.succs.get(&s).map(Vec::as_slice).unwrap_or(&[])
+    /// The successors of `s` with their edge kinds.
+    pub fn succs(&self, s: StmtId) -> &[(StmtId, EdgeKind)] {
+        self.succs.get(s.0 as usize).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// Adds the *implicit exception* edges: for every statement in
+/// `may_throw` an edge to its innermost handler
+/// ([`EdgeKind::ThrowImplicit`]) or, with no handler, to the function exit
+/// ([`EdgeKind::Uncaught`], which every CDG stage ignores -- the paper
+/// omits uncaught-exception control dependence).
+///
+/// `may_throw` is computed by the base analysis: statically a property
+/// access may throw only when the base analysis says the object may be
+/// `undefined`/`null`, and a call only when the callee may be a
+/// non-function.
+fn add_implicit_throw_edges(
+    program: &IrProgram,
+    succs: &mut [Vec<(StmtId, EdgeKind)>],
+    may_throw: &BTreeSet<StmtId>,
+) {
+    for &sid in may_throw {
+        let stmt = program.stmt(sid);
+        succs[sid.0 as usize].push(match stmt.handler {
+            Some(h) => (h, EdgeKind::ThrowImplicit),
+            None => (program.func(stmt.func).exit, EdgeKind::Uncaught),
+        });
     }
 }
 
@@ -72,6 +84,7 @@ impl SuperGraph {
 mod tests {
     use super::*;
     use jsanalysis::{analyze, AnalysisConfig};
+    use jsir::IrStmtKind;
 
     fn build(src: &str) -> (Lowered, AnalysisResult, SuperGraph) {
         let ast = jsparser::parse(src).unwrap();
@@ -81,6 +94,30 @@ mod tests {
         (lowered, analysis, sg)
     }
 
+    fn lowered(src: &str) -> Lowered {
+        jsir::lower_with_options(
+            &jsparser::parse(src).unwrap(),
+            &jsir::LowerOptions { event_loop: false },
+        )
+    }
+
+    /// The lowered CFG's adjacency, as `SuperGraph::build` copies it.
+    fn adjacency(l: &Lowered) -> Vec<Vec<(StmtId, EdgeKind)>> {
+        l.program
+            .stmts
+            .iter()
+            .map(|s| l.cfg.succs(s.id).to_vec())
+            .collect()
+    }
+
+    fn edge_count(succs: &[Vec<(StmtId, EdgeKind)>]) -> usize {
+        succs.iter().map(Vec::len).sum()
+    }
+
+    fn has_kind(succs: &[Vec<(StmtId, EdgeKind)>], kind: EdgeKind) -> bool {
+        succs.iter().flatten().any(|&(_, k)| k == kind)
+    }
+
     #[test]
     fn call_edges_connect_functions() {
         let (lowered, analysis, sg) = build("function f() { return 1; } f();");
@@ -88,17 +125,52 @@ mod tests {
         assert!(analysis
             .call_targets
             .keys()
-            .any(|&call| sg.succs(call).contains(&f.entry)));
+            .any(|&call| sg.succs(call).contains(&(f.entry, EdgeKind::Call))));
         // And the exit flows back to the caller's continuation.
-        assert!(!sg.succs(f.exit).is_empty());
+        assert!(sg
+            .succs(f.exit)
+            .iter()
+            .any(|&(_, k)| k == EdgeKind::CallReturn));
     }
 
     #[test]
     fn implicit_throw_edges_included() {
         let (_, _, sg) = build("try { maybe.prop = 1; } catch (e) { h(); }");
-        assert!(sg
-            .cfg
-            .edges()
-            .any(|e| e.kind == EdgeKind::ThrowImplicit));
+        assert!(has_kind(&sg.succs, EdgeKind::ThrowImplicit));
+    }
+
+    #[test]
+    fn implicit_edges_added_to_handler() {
+        let l = lowered("try { obj.prop = 1; } catch (x) { k(); }");
+        let mut cfg = adjacency(&l);
+        let store = l
+            .program
+            .stmts
+            .iter()
+            .find(|s| matches!(s.kind, IrStmtKind::StoreProp { .. }))
+            .unwrap();
+        let mut may_throw = BTreeSet::new();
+        may_throw.insert(store.id);
+        let before = edge_count(&cfg);
+        add_implicit_throw_edges(&l.program, &mut cfg, &may_throw);
+        assert_eq!(edge_count(&cfg), before + 1);
+        assert!(has_kind(&cfg, EdgeKind::ThrowImplicit));
+    }
+
+    #[test]
+    fn implicit_edges_without_handler_are_uncaught() {
+        let l = lowered("obj.prop = 1;");
+        let mut cfg = adjacency(&l);
+        let store = l
+            .program
+            .stmts
+            .iter()
+            .find(|s| matches!(s.kind, IrStmtKind::StoreProp { .. }))
+            .unwrap();
+        let mut may_throw = BTreeSet::new();
+        may_throw.insert(store.id);
+        add_implicit_throw_edges(&l.program, &mut cfg, &may_throw);
+        assert!(has_kind(&cfg, EdgeKind::Uncaught));
+        assert!(!has_kind(&cfg, EdgeKind::ThrowImplicit));
     }
 }

@@ -20,17 +20,40 @@ use std::collections::{BTreeMap, BTreeSet};
 /// PDG: the result is byte-identical to the full run by construction
 /// (sinks and API entries are phase-1-derived; see [`infer_signature`]).
 pub fn flows_impossible(analysis: &AnalysisResult) -> bool {
-    let has_source = analysis.source_stmts().iter().any(|(stmt, kinds)| {
-        analysis.reachable.contains(stmt)
-            && kinds.iter().any(|k| analysis.interesting_sources.contains(k))
-    });
-    if !has_source {
-        return true;
+    let (sources, sinks) = endpoints(analysis);
+    sources.is_empty() || sinks.is_empty()
+}
+
+/// The reachable statements reading each interesting source kind.
+type Sources = BTreeMap<SourceKind, BTreeSet<StmtId>>;
+
+/// The two ends every flow entry needs: the sources, and the reachable
+/// sinks.
+fn endpoints(analysis: &AnalysisResult) -> (Sources, Vec<(StmtId, SigSink)>) {
+    let mut sources = Sources::new();
+    for (stmt, kinds) in analysis.source_stmts() {
+        if !analysis.reachable.contains(&stmt) {
+            continue;
+        }
+        for k in kinds {
+            if analysis.interesting_sources.contains(&k) {
+                sources.entry(k).or_default().insert(stmt);
+            }
+        }
     }
-    !analysis
+    let sinks = analysis
         .sinks
         .iter()
-        .any(|s| analysis.reachable.contains(&s.stmt))
+        .filter(|s| analysis.reachable.contains(&s.stmt))
+        .map(|s| {
+            let sink = SigSink {
+                kind: s.kind.clone(),
+                domain: s.domain,
+            };
+            (s.stmt, sink)
+        })
+        .collect();
+    (sources, sinks)
 }
 
 /// Infers the security signature of an analyzed addon.
@@ -62,34 +85,7 @@ pub fn infer_signature_traced(
     let mut sig = Signature::new();
     let mut counters = Counters::new();
 
-    // Group source statements by kind, keeping only reachable ones.
-    let mut by_kind: BTreeMap<SourceKind, BTreeSet<StmtId>> = BTreeMap::new();
-    for (stmt, kinds) in analysis.source_stmts() {
-        if !analysis.reachable.contains(&stmt) {
-            continue;
-        }
-        for k in kinds {
-            if analysis.interesting_sources.contains(&k) {
-                by_kind.entry(k).or_default().insert(stmt);
-            }
-        }
-    }
-
-    // Sinks: reachable sink statements with their domains.
-    let sinks: Vec<(StmtId, SigSink)> = analysis
-        .sinks
-        .iter()
-        .filter(|s| analysis.reachable.contains(&s.stmt))
-        .map(|s| {
-            (
-                s.stmt,
-                SigSink {
-                    kind: s.kind.clone(),
-                    domain: s.domain.clone(),
-                },
-            )
-        })
-        .collect();
+    let (by_kind, sinks) = endpoints(analysis);
 
     for (kind, sources) in &by_kind {
         let flow_types = propagate(lattice, pdg, sources);

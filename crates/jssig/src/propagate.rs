@@ -14,7 +14,7 @@
 //! the type set is finite.
 
 use crate::flowtype::{FlowLattice, FlowType};
-use jspdg::{Annotation, Pdg};
+use jspdg::{Annotation, Pdg, PdgEdge};
 use jsir::StmtId;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -106,7 +106,7 @@ pub fn propagate(lattice: &FlowLattice, pdg: &Pdg, sources: &BTreeSet<StmtId>) -
             .get(&v)
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default();
-        for &(succ, ann) in pdg.succs(v) {
+        for &PdgEdge { to: succ, ann, .. } in pdg.succs(v) {
             let entry = achievable.entry(succ).or_default();
             let mut changed = false;
             for &t in &types {

@@ -204,8 +204,8 @@ impl EventLog {
         EventLog::new(None, level)
     }
 
-    /// Replaces the ring capacity (builder-style; default
-    /// [`DEFAULT_TAIL_CAP`]).
+    /// Replaces the ring capacity (builder-style; default 128 records,
+    /// `DEFAULT_TAIL_CAP`).
     #[must_use]
     pub fn with_tail_cap(mut self, cap: usize) -> EventLog {
         self.tail_cap = cap.max(1);

@@ -194,8 +194,9 @@ impl VetOutcome {
 
     /// The protocol "core" of this outcome: the verdict-bearing object
     /// cached and embedded into `vet_result` responses. This is the one
-    /// place outcomes are encoded: [`VetOutcome::verdict_fields`], plus
-    /// the signature of a completed vetting.
+    /// place outcomes are encoded: the verdict fields (shared with the
+    /// `job_computed` log record), plus the signature of a completed
+    /// vetting.
     pub fn core_json(&self) -> Json {
         let mut core = Json::obj();
         for (key, value) in self.verdict_fields() {

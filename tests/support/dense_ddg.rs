@@ -10,7 +10,7 @@
 //! `#[path = "support/dense_ddg.rs"] mod dense_ddg;`.
 
 use jsanalysis::{AnalysisResult, Loc, Strength};
-use jsir::StmtId;
+use jsir::{EdgeKind, StmtId};
 use jspdg::{DataDep, SuperGraph};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
@@ -139,7 +139,7 @@ pub fn build_ddg(sg: &SuperGraph, analysis: &AnalysisResult) -> BTreeSet<DataDep
             }
         }
         // Propagate.
-        for &succ in sg.succs(s) {
+        for &(succ, _) in sg.succs(s).iter().filter(|(_, k)| *k != EdgeKind::Uncaught) {
             let entry = in_facts.entry(succ).or_default();
             let mut changed = false;
             for (k, &pristine) in &out {

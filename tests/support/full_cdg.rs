@@ -1,17 +1,17 @@
 //! The ordered-map CDG pass, kept out of the library as a test oracle for
 //! `jspdg::build_cdg`.
 //!
-//! This is the library's earlier construction: it clones the whole
-//! supergraph CFG to add one virtual entry -> exit edge per function,
-//! then, per function and per stage, rebuilds the filtered adjacency and
-//! its exit-reaching set in `BTreeMap`s keyed by `StmtId`, computes the
-//! postdominator tree, walks Ferrante-Ottenstein-Warren control
-//! dependence, and annotates each stage's edges by set difference with
-//! the earlier stages. Call dependence and amplification read the
-//! analysis's `call_targets` and `cyclic_stmts`, the values the
-//! supergraph used to copy. The library pass must produce exactly its
-//! `BTreeSet<CtrlDep>`. Test crates include it with
-//! `#[path = "support/full_cdg.rs"] mod full_cdg;`.
+//! This is the library's earlier construction: it copies the
+//! supergraph's intraprocedural edges into a `Cfg` and adds one virtual
+//! entry -> exit edge per function, then, per function and per stage,
+//! rebuilds the filtered adjacency and its exit-reaching set in
+//! `BTreeMap`s keyed by `StmtId`, computes the postdominator tree, walks
+//! Ferrante-Ottenstein-Warren control dependence, and annotates each
+//! stage's edges by set difference with the earlier stages. Call
+//! dependence and amplification read the analysis's `call_targets` and
+//! `cyclic_stmts`, the values the supergraph used to copy. The library
+//! pass must produce exactly its `BTreeSet<CtrlDep>`. Test crates include
+//! it with `#[path = "support/full_cdg.rs"] mod full_cdg;`.
 
 use jsanalysis::AnalysisResult;
 use jsir::{Cfg, EdgeKind, Lowered, StmtId};
@@ -232,7 +232,14 @@ pub fn build_cdg(
     sg: &SuperGraph,
 ) -> BTreeSet<CtrlDep> {
     let mut out = BTreeSet::new();
-    let mut cfg = sg.cfg.clone();
+    let mut cfg = Cfg::default();
+    for s in &lowered.program.stmts {
+        for &(t, k) in sg.succs(s.id) {
+            if !k.is_interprocedural() {
+                cfg.add_edge(s.id, t, k);
+            }
+        }
+    }
     for func in &lowered.program.funcs {
         cfg.add_edge(func.entry, func.exit, EdgeKind::Virtual);
     }
