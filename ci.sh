@@ -14,7 +14,8 @@
 #      (postdominators against brute force, control dependence against
 #      its textbook definition on random graphs), plus the rustdoc gate:
 #      the workspace must document with warnings denied (a broken or
-#      private intra-doc link fails it),
+#      private intra-doc link fails it), and the clippy gate: every
+#      target of the workspace must pass clippy with warnings denied,
 #   3. a perf snapshot over the corpus, so the committed
 #      BENCH_pipeline.json can be refreshed from the CI artifact — the
 #      snapshot itself enforces the <5% no-op tracer and <5%
@@ -98,6 +99,9 @@ cargo test --offline -q -p jspdg --features fuzz
 
 echo "==> rustdoc gate (the workspace documents with warnings denied)"
 RUSTDOCFLAGS='-D warnings' cargo doc --offline --workspace --no-deps -q
+
+echo "==> clippy gate (every workspace target passes clippy with warnings denied)"
+cargo clippy --offline --workspace --all-targets -q -- -D warnings
 
 echo "==> perf snapshot (sequential, 3 runs; incl. tracer + attribution overhead, layer coverage and DDG/CDG/assembly scaling gates)"
 cargo build --release --offline --workspace

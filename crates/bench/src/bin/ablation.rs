@@ -51,7 +51,7 @@ fn run_config(config: &AnalysisConfig) -> (DomainCounts, usize) {
                 _ => false,
             };
             if better {
-                best = Some(s.domain.clone());
+                best = Some(s.domain);
             }
         }
         if let Some(d) = best {

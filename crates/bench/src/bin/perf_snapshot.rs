@@ -32,9 +32,9 @@
 //! Flags:
 //! - `--runs N`       measured passes after warm-up (default 10)
 //! - `--sequential`   analyze addons one at a time instead of on
-//!                    `std::thread::scope` workers
+//!   `std::thread::scope` workers
 //! - `--out PATH`     where to write the JSON (default
-//!                    `<repo root>/BENCH_pipeline.json`)
+//!   `<repo root>/BENCH_pipeline.json`)
 
 use minijson::Json;
 use sigtrace::{Layer, LayerTimes};

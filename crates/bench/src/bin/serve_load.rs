@@ -19,39 +19,33 @@
 //! - `--clients N`   concurrent load clients (default 4)
 //! - `--rounds N`    corpus replays per client in the load phase (default 3)
 //! - `--workers N`   daemon worker threads (default 4)
-//! - `--check`       tiny fast run that only asserts the invariants
-//!                   (all verdicts ok, cache actually hits, cached much
-//!                   faster than cold, and the daemon's structured event
-//!                   log replays into consistent per-job lifecycles) and
-//!                   writes nothing. Also forces a tiny job queue and
-//!                   runs an extra overload burst so shedding + sampled
-//!                   `job_rejected` logging are exercised: the sampled
-//!                   log must still replay, and kept records plus
-//!                   declared `suppressed` counts must reconcile exactly
-//!                   with the daemon's shed count.
+//! - `--check`       tiny fast run that only asserts the invariants (all
+//!   verdicts ok, cache actually hits, cached much faster than cold, and
+//!   the daemon's structured event log replays into consistent per-job
+//!   lifecycles) and writes nothing. Also forces a tiny job queue and
+//!   runs an extra overload burst so shedding + sampled `job_rejected`
+//!   logging are exercised: the sampled log must still replay, and kept
+//!   records plus declared `suppressed` counts must reconcile exactly
+//!   with the daemon's shed count.
 //! - `--out PATH`    where to write the JSON (default
-//!                   `<repo root>/BENCH_serve.json`)
-//! - `--fleet N`     benchmark a daemon with no local workers (the
-//!                   `vet coordinate` preset) + N remote worker nodes
-//!                   over loopback instead of a single daemon:
-//!                   a worker-kill/requeue test, deterministic
-//!                   fleet-wide dedup, whole-corpus byte-identity
-//!                   against a cold local analysis, a 1..N-node scaling
-//!                   sweep on fixed-service-time stub engines, and a
-//!                   causal merge of the per-node event logs that must
-//!                   replay as one valid lifecycle per job. Writes
-//!                   `BENCH_fleet.json` (default at the repo root).
+//!   `<repo root>/BENCH_serve.json`)
+//! - `--fleet N`     benchmark a daemon with no local workers (the `vet
+//!   coordinate` preset) + N remote worker nodes over loopback instead of
+//!   a single daemon: a worker-kill/requeue test, deterministic
+//!   fleet-wide dedup, whole-corpus byte-identity against a cold local
+//!   analysis, a 1..N-node scaling sweep on fixed-service-time stub
+//!   engines, and a causal merge of the per-node event logs that must
+//!   replay as one valid lifecycle per job. Writes `BENCH_fleet.json`
+//!   (default at the repo root).
 //! - `--connections N`  many-connection benchmark for the event-driven
-//!                   server core: hold N mostly-idle connections open
-//!                   (in re-exec'd holder subprocesses, since this
-//!                   container caps any one process at 20k fds) with a
-//!                   slow connect/close churn, then measure an active
-//!                   cache-hit request stream through the crowd. Writes
-//!                   `BENCH_serve_conn.json` (default at the repo root);
-//!                   ci.sh gates its active p99.
-//! - `--metrics-dir DIR`  (fleet + connections modes)
-//!                   metrics-history ring, for `vet metrics-report
-//!                   --gate`
+//!   server core: hold N mostly-idle connections open (in re-exec'd
+//!   holder subprocesses, since this container caps any one process at
+//!   20k fds) with a slow connect/close churn, then measure an active
+//!   cache-hit request stream through the crowd. Writes
+//!   `BENCH_serve_conn.json` (default at the repo root); ci.sh gates its
+//!   active p99.
+//! - `--metrics-dir DIR`  (fleet + connections modes) metrics-history
+//!   ring, for `vet metrics-report --gate`
 
 use minijson::Json;
 use sigserve::{Client, ServeConfig, Server};

@@ -1,6 +1,6 @@
-//! Shared helpers for the table-regeneration binaries and Criterion
-//! benches: the paper's timing methodology (11 runs, discard the first,
-//! report the median -- Section 6.2).
+//! Shared helpers for the table-regeneration binaries: the paper's
+//! timing methodology (11 runs, discard the first, report the median --
+//! Section 6.2).
 
 #![warn(missing_docs)]
 

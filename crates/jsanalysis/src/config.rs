@@ -244,13 +244,6 @@ impl AnalysisConfig {
         self
     }
 
-    /// Replaces the whole security configuration.
-    #[must_use]
-    pub fn with_security(mut self, security: SecurityConfig) -> Self {
-        self.security = security;
-        self
-    }
-
     /// Replaces the set of source kinds the vetter reports flows from.
     #[must_use]
     pub fn with_sources(mut self, sources: impl IntoIterator<Item = SourceKind>) -> Self {

@@ -46,4 +46,4 @@ pub use context::{Context, CtxId, CtxTable};
 pub use interp::{analyze, analyze_traced, AnalysisResult, SinkRecord};
 pub use natives::{Environment, NativeBehavior, NativeSpec};
 pub use rwsets::{AccessSet, Loc, RwSets, Strength};
-pub use store::{SiteKey, SiteTable, State};
+pub use store::{SiteKey, SiteTable};

@@ -8,9 +8,9 @@
 //! of each native as a declarative [`NativeBehavior`] interpreted by the
 //! abstract machine.
 
-use crate::config::{SinkKind, SourceKind};
-use crate::store::{SiteKey, SiteTable, State};
-use jsdomains::{AValue, AllocSite, NativeId, ObjKind, Pre, Sym};
+use crate::config::SourceKind;
+use crate::store::{SiteKey, SiteTable};
+use jsdomains::{AValue, AllocSite, Heap, NativeId, ObjKind, Pre, Sym};
 use std::collections::BTreeMap;
 
 /// Declarative abstract semantics of a native function.
@@ -119,7 +119,7 @@ pub struct NativeSpec {
 #[derive(Debug)]
 pub struct Environment {
     /// Initial abstract machine state (global object + host objects).
-    pub initial_state: State,
+    pub initial_state: Heap,
     /// Native function table, indexed by [`NativeId`].
     pub natives: Vec<NativeSpec>,
     /// Interesting source locations: (site, exact property name) -> kind.
@@ -145,23 +145,12 @@ impl Environment {
     pub fn spec(&self, id: NativeId) -> &NativeSpec {
         &self.natives[id.0 as usize]
     }
-
-    /// The sink kind a native acts as, if any.
-    pub fn sink_kind(&self, id: NativeId) -> Option<SinkKind> {
-        match self.spec(id).behavior {
-            NativeBehavior::XhrSend => Some(SinkKind::Send),
-            NativeBehavior::ScriptLoader => Some(SinkKind::ScriptLoader),
-            NativeBehavior::Eval => Some(SinkKind::Eval),
-            NativeBehavior::PrefWrite => Some(SinkKind::PrefWrite),
-            _ => None,
-        }
-    }
 }
 
 /// Builder used by [`setup`].
 struct EnvBuilder<'t> {
     sites: &'t mut SiteTable,
-    state: State,
+    state: Heap,
     natives: Vec<NativeSpec>,
     source_locs: BTreeMap<(AllocSite, Sym), SourceKind>,
 }
@@ -181,7 +170,6 @@ impl EnvBuilder<'_> {
 
     fn set_prop(&mut self, obj: AllocSite, name: &str, value: AValue) {
         self.state
-            .heap
             .get_mut(obj)
             .expect("host object allocated")
             .write_prop(&Pre::exact(name), &value, true);
@@ -200,7 +188,7 @@ pub fn setup(sites: &mut SiteTable) -> Environment {
     let global = sites.intern(SiteKey::Global);
     let mut b = EnvBuilder {
         sites,
-        state: State::new(),
+        state: Heap::new(),
         natives: Vec::new(),
         source_locs: BTreeMap::new(),
     };
@@ -577,31 +565,12 @@ mod tests {
     }
 
     #[test]
-    fn sink_kinds() {
-        let mut sites = SiteTable::new();
-        let env = setup(&mut sites);
-        let send = env
-            .natives
-            .iter()
-            .position(|n| n.behavior == NativeBehavior::XhrSend);
-        // XhrSend is not in the table directly (it's installed on XHR
-        // objects at construction); check eval + scriptloader instead.
-        let _ = send;
-        let eval = env.native_by_name("eval").unwrap();
-        assert_eq!(env.sink_kind(eval), Some(SinkKind::Eval));
-        let sl = env
-            .native_by_name("Services.scriptloader.loadSubScript")
-            .unwrap();
-        assert_eq!(env.sink_kind(sl), Some(SinkKind::ScriptLoader));
-    }
-
-    #[test]
     fn global_bindings_present() {
         let mut sites = SiteTable::new();
         let env = setup(&mut sites);
         let g = env
             .initial_state
-            .object(env.global)
+            .get(env.global)
             .expect("global allocated");
         for name in ["content", "XMLHttpRequest", "Services", "eval", "undefined"] {
             let v = g.read_prop(&Pre::exact(name));

@@ -90,26 +90,6 @@ impl AccessSet {
             .or_insert(strength);
     }
 
-    /// Merges another set in (used to join across contexts). If the merged
-    /// set ends up with more than one entry no entry can be strong any
-    /// more: the statement no longer writes/reads a unique location.
-    pub fn merge(&mut self, other: &AccessSet) {
-        for (loc, s) in &other.entries {
-            self.add(loc.clone(), *s);
-        }
-    }
-
-    /// Demotes every entry to weak if the set is not a singleton. Called
-    /// once after all contexts are merged: the paper's strong qualifier
-    /// requires the statement to touch exactly one concrete location.
-    pub fn finalize(&mut self) {
-        if self.entries.len() > 1 {
-            for s in self.entries.values_mut() {
-                *s = Strength::Weak;
-            }
-        }
-    }
-
     /// Iterates entries.
     pub fn iter(&self) -> impl Iterator<Item = (&Loc, Strength)> {
         self.entries.iter().map(|(l, s)| (l, *s))
@@ -123,27 +103,6 @@ impl AccessSet {
     /// True if empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// The strength of exactly this location, if present.
-    pub fn strength_of(&self, loc: &Loc) -> Option<Strength> {
-        self.entries.get(loc).copied()
-    }
-
-    /// True if some entry overlaps `loc` (e-intersection non-empty).
-    pub fn any_overlap(&self, loc: &Loc) -> bool {
-        self.entries.keys().any(|l| l.overlaps(loc))
-    }
-
-    /// All entries overlapping `loc`.
-    pub fn overlapping<'a>(
-        &'a self,
-        loc: &'a Loc,
-    ) -> impl Iterator<Item = (&'a Loc, Strength)> + 'a {
-        self.entries
-            .iter()
-            .filter(move |(l, _)| l.overlaps(loc))
-            .map(|(l, s)| (l, *s))
     }
 }
 
@@ -194,47 +153,10 @@ mod tests {
     fn add_keeps_weaker() {
         let mut s = AccessSet::new();
         let l = Loc::exact(site(0), "x");
+        let strength_of = |s: &AccessSet| s.iter().find(|(x, _)| *x == &l).map(|(_, st)| st);
         s.add(l.clone(), Strength::Strong);
-        assert_eq!(s.strength_of(&l), Some(Strength::Strong));
+        assert_eq!(strength_of(&s), Some(Strength::Strong));
         s.add(l.clone(), Strength::Weak);
-        assert_eq!(s.strength_of(&l), Some(Strength::Weak));
-    }
-
-    #[test]
-    fn finalize_demotes_non_singletons() {
-        let mut s = AccessSet::new();
-        s.add(Loc::exact(site(0), "x"), Strength::Strong);
-        s.finalize();
-        assert_eq!(
-            s.strength_of(&Loc::exact(site(0), "x")),
-            Some(Strength::Strong)
-        );
-        s.add(Loc::exact(site(0), "y"), Strength::Strong);
-        s.finalize();
-        assert!(s.iter().all(|(_, st)| st == Strength::Weak));
-    }
-
-    #[test]
-    fn merge_unions() {
-        let mut a = AccessSet::new();
-        a.add(Loc::exact(site(0), "x"), Strength::Strong);
-        let mut b = AccessSet::new();
-        b.add(Loc::exact(site(1), "y"), Strength::Weak);
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-    }
-
-    #[test]
-    fn overlapping_iterator() {
-        let mut s = AccessSet::new();
-        s.add(Loc::exact(site(0), "aa"), Strength::Strong);
-        s.add(Loc::exact(site(0), "ab"), Strength::Weak);
-        s.add(Loc::exact(site(2), "aa"), Strength::Weak);
-        let probe = Loc {
-            site: site(0),
-            prop: Pre::prefix("a"),
-        };
-        assert_eq!(s.overlapping(&probe).count(), 2);
-        assert!(s.any_overlap(&probe));
+        assert_eq!(strength_of(&s), Some(Strength::Weak));
     }
 }

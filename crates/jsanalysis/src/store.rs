@@ -1,13 +1,14 @@
-//! Allocation-site interning and the abstract machine state.
+//! Allocation-site interning and the internal slots of abstract objects.
 //!
-//! Everything addressable lives in the abstract heap: ordinary objects,
-//! activation frames (making closures sound by construction), the global
-//! object, and host objects for the browser environment. Each gets an
+//! The abstract machine state at a program point is a [`Heap`], and
+//! everything addressable lives in it: ordinary objects, activation
+//! frames (making closures sound by construction), the global object,
+//! and host objects for the browser environment. Each gets an
 //! [`AllocSite`] interned from a structural key, so re-analysis of the
 //! same statement in the same context reuses the same abstract address.
 
 use crate::context::CtxId;
-use jsdomains::{AObject, AValue, AllocSite, Heap, ObjKind};
+use jsdomains::{AValue, AllocSite, Heap, Lattice};
 use jsir::{IrFuncId, StmtId};
 use std::collections::HashMap;
 
@@ -105,62 +106,27 @@ pub mod slots {
     pub const URL: &str = "@url";
     /// Registered event handlers (on the event-registry host object).
     pub const HANDLERS: &str = "@handlers";
-    /// Registered timer callbacks.
-    pub const TIMERS: &str = "@timers";
 }
 
-/// The abstract machine state at a program point: just the heap (frames,
-/// globals and objects all live there).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct State {
-    /// The abstract heap.
-    pub heap: Heap,
+/// Reads an internal slot of the object at `site` (bottom when the site
+/// holds no object or the slot is unset).
+pub fn read_slot(heap: &Heap, site: AllocSite, slot: &'static str) -> AValue {
+    heap.get(site)
+        .map_or_else(AValue::bottom, |o| o.internal_slot(slot))
 }
 
-impl State {
-    /// An empty state.
-    pub fn new() -> State {
-        State::default()
-    }
-
-    /// Joins another state in, returning true on change.
-    pub fn join_in_place(&mut self, other: &State) -> bool {
-        self.heap.join_in_place(&other.heap)
-    }
-
-    /// Allocates (or re-visits) an object at `site`.
-    pub fn alloc(&mut self, site: AllocSite, kind: ObjKind) -> AllocSite {
-        self.heap.alloc(site, kind)
-    }
-
-    /// Reads an internal slot from every object in `sites`, joined.
-    pub fn read_slot(&self, sites: impl IntoIterator<Item = AllocSite>, slot: &'static str) -> AValue {
-        use jsdomains::Lattice;
-        let mut out = AValue::bottom();
-        for s in sites {
-            if let Some(o) = self.heap.get(s) {
-                out = out.join(&o.internal_slot(slot));
-            }
-        }
-        out
-    }
-
-    /// Writes an internal slot on one object.
-    pub fn write_slot(&mut self, site: AllocSite, slot: &'static str, value: AValue) {
-        if let Some(o) = self.heap.get_mut(site) {
-            o.set_internal_slot(slot, value);
-        }
-    }
-
-    /// The object at `site`, if allocated.
-    pub fn object(&self, site: AllocSite) -> Option<&AObject> {
-        self.heap.get(site)
+/// Writes an internal slot of the object at `site`: a strong update on a
+/// singleton, a join otherwise.
+pub fn write_slot(heap: &mut Heap, site: AllocSite, slot: &'static str, value: AValue) {
+    if let Some(o) = heap.get_mut(site) {
+        o.set_internal_slot(slot, value);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jsdomains::ObjKind;
 
     #[test]
     fn interning_is_stable() {
@@ -190,24 +156,24 @@ mod tests {
     }
 
     #[test]
-    fn state_slots() {
+    fn heap_slots() {
         let mut t = SiteTable::new();
         let s = t.intern(SiteKey::Host("frame"));
-        let mut st = State::new();
-        st.alloc(s, ObjKind::Host("frame"));
-        st.write_slot(s, slots::RET, AValue::num(1.0));
-        assert_eq!(st.read_slot([s], slots::RET), AValue::num(1.0));
-        assert_eq!(st.read_slot([s], slots::EXC), jsdomains::Lattice::bottom());
+        let mut heap = Heap::new();
+        heap.alloc(s, ObjKind::Host("frame"));
+        write_slot(&mut heap, s, slots::RET, AValue::num(1.0));
+        assert_eq!(read_slot(&heap, s, slots::RET), AValue::num(1.0));
+        assert_eq!(read_slot(&heap, s, slots::EXC), jsdomains::Lattice::bottom());
     }
 
     #[test]
-    fn state_join() {
+    fn heap_join() {
         let mut t = SiteTable::new();
         let s = t.intern(SiteKey::Host("o"));
-        let mut a = State::new();
+        let mut a = Heap::new();
         a.alloc(s, ObjKind::Plain);
         let mut b = a.clone();
-        b.write_slot(s, slots::RET, AValue::num(2.0));
+        write_slot(&mut b, s, slots::RET, AValue::num(2.0));
         assert!(a.join_in_place(&b));
         assert!(!a.join_in_place(&b));
     }

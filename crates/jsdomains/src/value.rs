@@ -134,19 +134,9 @@ impl AValue {
         }
     }
 
-    /// True if the value has no possible concretization.
-    pub fn is_nothing(&self) -> bool {
-        self.is_bottom()
-    }
-
     /// May this value be a string?
     pub fn may_be_string(&self) -> bool {
         !self.strs.is_bottom()
-    }
-
-    /// May this value be an object?
-    pub fn may_be_object(&self) -> bool {
-        !self.objs.is_empty()
     }
 
     /// May a property access on this value throw (i.e. may it be
@@ -265,30 +255,6 @@ impl AValue {
             ..self.clone()
         }
     }
-
-    /// Restricts to the "truthy" portion of the value, used to refine
-    /// branch conditions (drops `undefined`, `null`, `false`, `0`, `""`).
-    pub fn assume_truthy(&self) -> AValue {
-        let mut v = self.clone();
-        v.undef = false;
-        v.null = false;
-        if v.bools == BoolDom::False {
-            v.bools = BoolDom::Bot;
-        } else if v.bools == BoolDom::Top {
-            v.bools = BoolDom::True;
-        }
-        if let NumDom::Const(n) = v.nums {
-            if n == 0.0 || n.is_nan() {
-                v.nums = NumDom::Bot;
-            }
-        }
-        if let Pre::Exact(s) = &v.strs {
-            if s.is_empty() {
-                v.strs = Pre::Bot;
-            }
-        }
-        v
-    }
 }
 
 impl Lattice for AValue {
@@ -384,10 +350,8 @@ mod tests {
         assert!(AValue::undef().may_throw_on_access());
         assert!(AValue::null().may_throw_on_access());
         assert!(!AValue::num(1.0).may_throw_on_access());
-        assert!(AValue::obj(AllocSite(0)).may_be_object());
         assert!(!AValue::obj(AllocSite(0)).may_be_primitive());
         assert!(AValue::str("x").may_be_string());
-        assert!(AValue::bottom().is_nothing());
     }
 
     #[test]
@@ -441,18 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn assume_truthy_refines() {
-        let v = AValue::undef().join(&AValue::obj(AllocSite(3)));
-        let t = v.assume_truthy();
-        assert!(!t.undef);
-        assert!(t.may_be_object());
-        let b = AValue::any_bool().assume_truthy();
-        assert_eq!(b.bools, BoolDom::True);
-        let s = AValue::str("").assume_truthy();
-        assert!(!s.may_be_string());
-    }
-
-    #[test]
     fn display_nonempty() {
         assert_eq!(AValue::bottom().to_string(), "⊥");
         assert!(AValue::any().to_string().contains("undefined"));
@@ -495,15 +447,6 @@ mod proptests {
         minicheck::check("value_lattice_laws", 256, |g| {
             let (a, b, c) = (arb_value(g), arb_value(g), arb_value(g));
             laws::check_join_laws(&a, &b, &c);
-        });
-    }
-
-    #[test]
-    fn truthy_refinement_sound() {
-        minicheck::check("value_truthy_refinement_sound", 256, |g| {
-            // assume_truthy never introduces new possibilities.
-            let a = arb_value(g);
-            assert!(a.assume_truthy().leq(&a));
         });
     }
 

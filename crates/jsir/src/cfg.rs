@@ -62,11 +62,6 @@ impl EdgeKind {
         )
     }
 
-    /// True for implicit-exception edges.
-    pub fn is_nonlocal_implicit(self) -> bool {
-        self == EdgeKind::ThrowImplicit
-    }
-
     /// True for call and return edges, which leave their function.
     pub fn is_interprocedural(self) -> bool {
         matches!(self, EdgeKind::Call | EdgeKind::CallReturn)
@@ -211,9 +206,7 @@ mod tests {
         assert!(EdgeKind::Jump.is_nonlocal_explicit());
         assert!(EdgeKind::Return.is_nonlocal_explicit());
         assert!(EdgeKind::ThrowExplicit.is_nonlocal_explicit());
-        assert!(EdgeKind::ThrowImplicit.is_nonlocal_implicit());
         assert!(!EdgeKind::Uncaught.is_local());
         assert!(!EdgeKind::Uncaught.is_nonlocal_explicit());
-        assert!(!EdgeKind::Uncaught.is_nonlocal_implicit());
     }
 }

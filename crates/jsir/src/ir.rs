@@ -6,7 +6,6 @@
 //! and is what makes the read/write sets of Section 3 well-defined per
 //! statement.
 
-use jsparser::ast::FunId;
 use jsparser::span::Span;
 use std::fmt;
 
@@ -290,83 +289,6 @@ pub enum IrStmtKind {
     EventDispatch,
 }
 
-impl IrStmtKind {
-    /// The place this statement writes, if it writes a variable/global
-    /// directly (property writes are reported separately).
-    pub fn def_place(&self) -> Option<&Place> {
-        use IrStmtKind::*;
-        match self {
-            Copy { dst, .. }
-            | UnOp { dst, .. }
-            | BinOp { dst, .. }
-            | Typeof { dst, .. }
-            | NewObject { dst }
-            | NewArray { dst }
-            | NewRegex { dst, .. }
-            | Lambda { dst, .. }
-            | LoadProp { dst, .. }
-            | Call { dst, .. }
-            | CallResult { dst }
-            | Havoc { dst }
-            | CatchBind { dst }
-            | ForInNext { dst, .. } => Some(dst),
-            _ => None,
-        }
-    }
-
-    /// All operands read by the statement, in evaluation order.
-    pub fn operands(&self) -> Vec<&Operand> {
-        use IrStmtKind::*;
-        match self {
-            Copy { src, .. } | UnOp { src, .. } | Typeof { src, .. } => vec![src],
-            BinOp { left, right, .. } => vec![left, right],
-            LoadProp { obj, prop, .. } | DeleteProp { obj, prop } => vec![obj, prop],
-            StoreProp { obj, prop, value } => vec![obj, prop, value],
-            Call {
-                callee, this, args, ..
-            } => {
-                let mut v = vec![callee];
-                if let Some(t) = this {
-                    v.push(t);
-                }
-                v.extend(args.iter());
-                v
-            }
-            Branch { cond } => vec![cond],
-            Return { value } => vec![value],
-            Throw { value } => vec![value],
-            ForInNext { obj, .. } => vec![obj],
-            NewObject { .. } | NewArray { .. } | NewRegex { .. } | Lambda { .. }
-            | CallResult { .. } | Havoc { .. } | CatchBind { .. } | Enter | Exit | Nop(_)
-            | EventDispatch => Vec::new(),
-        }
-    }
-
-    /// True if this statement allocates a heap object.
-    pub fn is_allocation(&self) -> bool {
-        matches!(
-            self,
-            IrStmtKind::NewObject { .. }
-                | IrStmtKind::NewArray { .. }
-                | IrStmtKind::NewRegex { .. }
-                | IrStmtKind::Lambda { .. }
-        )
-    }
-
-    /// True if this statement may throw an *implicit* exception, given
-    /// only syntactic information (the base analysis refines this using
-    /// abstract values; see `jsanalysis`).
-    pub fn may_implicitly_throw_syntactic(&self) -> bool {
-        matches!(
-            self,
-            IrStmtKind::LoadProp { .. }
-                | IrStmtKind::StoreProp { .. }
-                | IrStmtKind::DeleteProp { .. }
-                | IrStmtKind::Call { .. }
-        )
-    }
-}
-
 /// A variable slot's metadata.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VarInfo {
@@ -381,8 +303,6 @@ pub struct VarInfo {
 pub struct IrFunc {
     /// This function's id.
     pub id: IrFuncId,
-    /// The AST function id (`None` for the top level).
-    pub ast_id: Option<FunId>,
     /// Function name for diagnostics.
     pub name: String,
     /// Number of formal parameters (slots `0..param_count`).
@@ -434,11 +354,6 @@ impl IrProgram {
         &self.funcs[0]
     }
 
-    /// Finds the function lowered from the given AST function.
-    pub fn func_for_ast(&self, ast_id: FunId) -> Option<&IrFunc> {
-        self.funcs.iter().find(|f| f.ast_id == Some(ast_id))
-    }
-
     /// Number of statements.
     pub fn stmt_count(&self) -> usize {
         self.stmts.len()
@@ -457,67 +372,6 @@ impl IrProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn def_place_and_operands() {
-        let dst = Place::Var(VarId {
-            func: IrFuncId(0),
-            index: 0,
-        });
-        let k = IrStmtKind::BinOp {
-            dst: dst.clone(),
-            op: BinaryOp::Add,
-            left: Operand::Num(1.0),
-            right: Operand::Num(2.0),
-        };
-        assert_eq!(k.def_place(), Some(&dst));
-        assert_eq!(k.operands().len(), 2);
-
-        let store = IrStmtKind::StoreProp {
-            obj: Operand::Place(dst.clone()),
-            prop: Operand::Str("p".into()),
-            value: Operand::Num(1.0),
-        };
-        assert_eq!(store.def_place(), None);
-        assert_eq!(store.operands().len(), 3);
-        assert!(store.may_implicitly_throw_syntactic());
-        assert!(!k.may_implicitly_throw_syntactic());
-    }
-
-    #[test]
-    fn call_operands_include_this_and_args() {
-        let callee = Operand::Place(Place::Global("send".into()));
-        let k = IrStmtKind::Call {
-            dst: Place::Var(VarId {
-                func: IrFuncId(0),
-                index: 1,
-            }),
-            callee,
-            this: Some(Operand::This),
-            args: vec![Operand::Num(1.0), Operand::Num(2.0)],
-            is_new: false,
-        };
-        assert_eq!(k.operands().len(), 4);
-    }
-
-    #[test]
-    fn allocation_classification() {
-        let dst = Place::Var(VarId {
-            func: IrFuncId(0),
-            index: 0,
-        });
-        assert!(IrStmtKind::NewObject { dst: dst.clone() }.is_allocation());
-        assert!(IrStmtKind::Lambda {
-            dst: dst.clone(),
-            func: IrFuncId(1)
-        }
-        .is_allocation());
-        assert!(!IrStmtKind::Copy {
-            dst,
-            src: Operand::Null
-        }
-        .is_allocation());
-    }
 
     #[test]
     fn display_impls() {

@@ -400,7 +400,6 @@ impl<'a> Lowerer<'a> {
         }
         self.funcs.push(IrFunc {
             id,
-            ast_id,
             name: name.to_owned(),
             param_count: params.len() as u32,
             vars,

@@ -11,49 +11,63 @@ use sigtrace::{Counter, Counters, Trace};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Whether phase 1 alone proves the signature can contain no flow
-/// entries. A [`FlowEntry`] requires both a *reachable* statement reading
-/// an interesting source (to seed propagation) and a *reachable*
-/// interesting sink (to read a flow type off) — both facts the base
-/// analysis already computed. When either set is empty, phases 2–3 can
-/// only produce the flows-free signature, so a triage-tier pipeline may
-/// skip PDG construction entirely and run inference against an empty
-/// PDG: the result is byte-identical to the full run by construction
-/// (sinks and API entries are phase-1-derived; see [`infer_signature`]).
+/// entries: [`Endpoints::flows_impossible`] of this analysis's endpoints.
 pub fn flows_impossible(analysis: &AnalysisResult) -> bool {
-    let (sources, sinks) = endpoints(analysis);
-    sources.is_empty() || sinks.is_empty()
+    Endpoints::select(analysis).flows_impossible()
 }
 
-/// The reachable statements reading each interesting source kind.
-type Sources = BTreeMap<SourceKind, BTreeSet<StmtId>>;
+/// The two ends every flow entry needs, selected from a phase-1 result:
+/// the reachable statements reading each interesting source kind, and
+/// the reachable interesting sinks. A job selects them once; the triage
+/// decision and inference both read that selection.
+#[derive(Debug)]
+pub struct Endpoints {
+    sources: BTreeMap<SourceKind, BTreeSet<StmtId>>,
+    sinks: Vec<(StmtId, SigSink)>,
+}
 
-/// The two ends every flow entry needs: the sources, and the reachable
-/// sinks.
-fn endpoints(analysis: &AnalysisResult) -> (Sources, Vec<(StmtId, SigSink)>) {
-    let mut sources = Sources::new();
-    for (stmt, kinds) in analysis.source_stmts() {
-        if !analysis.reachable.contains(&stmt) {
-            continue;
-        }
-        for k in kinds {
-            if analysis.interesting_sources.contains(&k) {
-                sources.entry(k).or_default().insert(stmt);
+impl Endpoints {
+    /// Selects the endpoints of an analyzed addon.
+    pub fn select(analysis: &AnalysisResult) -> Endpoints {
+        let mut sources: BTreeMap<SourceKind, BTreeSet<StmtId>> = BTreeMap::new();
+        for (stmt, kinds) in analysis.source_stmts() {
+            if !analysis.reachable.contains(&stmt) {
+                continue;
+            }
+            for k in kinds {
+                if analysis.interesting_sources.contains(&k) {
+                    sources.entry(k).or_default().insert(stmt);
+                }
             }
         }
+        let sinks = analysis
+            .sinks
+            .iter()
+            .filter(|s| analysis.reachable.contains(&s.stmt))
+            .map(|s| {
+                let sink = SigSink {
+                    kind: s.kind.clone(),
+                    domain: s.domain,
+                };
+                (s.stmt, sink)
+            })
+            .collect();
+        Endpoints { sources, sinks }
     }
-    let sinks = analysis
-        .sinks
-        .iter()
-        .filter(|s| analysis.reachable.contains(&s.stmt))
-        .map(|s| {
-            let sink = SigSink {
-                kind: s.kind.clone(),
-                domain: s.domain,
-            };
-            (s.stmt, sink)
-        })
-        .collect();
-    (sources, sinks)
+
+    /// Whether the signature can contain no flow entries. A
+    /// [`FlowEntry`] requires both a *reachable* statement reading an
+    /// interesting source (to seed propagation) and a *reachable*
+    /// interesting sink (to read a flow type off) — both facts the base
+    /// analysis already computed. When either set is empty, phases 2–3
+    /// can only produce the flows-free signature, so a triage-tier
+    /// pipeline may skip PDG construction entirely and run inference
+    /// against an empty PDG: the result is byte-identical to the full run
+    /// by construction (sinks and API entries are phase-1-derived; see
+    /// [`infer_signature`]).
+    pub fn flows_impossible(&self) -> bool {
+        self.sources.is_empty() || self.sinks.is_empty()
+    }
 }
 
 /// Infers the security signature of an analyzed addon.
@@ -68,30 +82,35 @@ pub fn infer_signature(
     pdg: &Pdg,
     lattice: &FlowLattice,
 ) -> Signature {
-    infer_signature_traced(lowered, analysis, pdg, lattice, &mut Trace::Off)
+    let endpoints = Endpoints::select(analysis);
+    infer_signature_traced(lowered, analysis, &endpoints, pdg, lattice, &mut Trace::Off)
 }
 
-/// Signature inference with an observability hook: `trace` receives the
-/// phase-3 counters (propagation steps, flow-type raises, reported
-/// flows). The caller times the whole call as the infer layer. With
-/// [`Trace::Off`] this is [`infer_signature`].
+/// Signature inference from endpoints already selected from `analysis`,
+/// with an observability hook: `trace` receives the phase-3 counters
+/// (propagation steps, flow-type raises, reported flows). The caller
+/// times the whole call as the infer layer. With [`Trace::Off`] and
+/// `Endpoints::select(analysis)` this is [`infer_signature`].
 pub fn infer_signature_traced(
     lowered: &Lowered,
     analysis: &AnalysisResult,
+    endpoints: &Endpoints,
     pdg: &Pdg,
     lattice: &FlowLattice,
     trace: &mut Trace<'_>,
 ) -> Signature {
     let mut sig = Signature::new();
     let mut counters = Counters::new();
+    let Endpoints {
+        sources: by_kind,
+        sinks,
+    } = endpoints;
 
-    let (by_kind, sinks) = endpoints(analysis);
-
-    for (kind, sources) in &by_kind {
+    for (kind, sources) in by_kind {
         let flow_types = propagate(lattice, pdg, sources);
         counters.add(Counter::FlowPropSteps, flow_types.steps);
         counters.add(Counter::FlowTypeRaises, flow_types.raises);
-        for (sink_stmt, sig_sink) in &sinks {
+        for (sink_stmt, sig_sink) in sinks {
             for t in flow_types.at(lattice, *sink_stmt) {
                 let entry = FlowEntry {
                     source: kind.clone(),
@@ -128,7 +147,7 @@ pub fn infer_signature_traced(
     }
 
     // Sink-only entries: every reachable interesting sink.
-    for (_, sig_sink) in &sinks {
+    for (_, sig_sink) in sinks {
         sig.sinks.insert(sig_sink.clone());
     }
 

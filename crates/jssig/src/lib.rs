@@ -43,6 +43,6 @@ pub use compare::{
     MatchQuality, RetypedFlow, Verdict,
 };
 pub use flowtype::{FlowLattice, FlowType, FlowTypeSpec};
-pub use infer::{flows_impossible, infer_signature, infer_signature_traced};
+pub use infer::{flows_impossible, infer_signature, infer_signature_traced, Endpoints};
 pub use propagate::{propagate, FlowTypes, PathStep};
 pub use signature::{FlowEntry, ProvenanceStep, SigSink, Signature};

@@ -10,7 +10,6 @@
 
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A JSON document or fragment.
@@ -462,20 +461,6 @@ impl<'a> Parser<'a> {
             }
         }
     }
-}
-
-/// Convenience: parse into a `BTreeMap` view of a flat string->number
-/// object (used by the perf-snapshot regression check in CI).
-pub fn flat_numbers(v: &Json) -> BTreeMap<String, f64> {
-    let mut out = BTreeMap::new();
-    if let Json::Obj(entries) = v {
-        for (k, item) in entries {
-            if let Json::Num(n) = item {
-                out.insert(k.clone(), *n);
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

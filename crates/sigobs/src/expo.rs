@@ -51,13 +51,11 @@ fn write_histogram(out: &mut String, h: &HistogramSnapshot) {
             continue;
         }
         cumulative += c;
-        match HistogramSnapshot::bucket_limit(i) {
-            // Inclusive upper bound: the zero bucket holds only 0, and
-            // bucket i holds values up to 2^i - 1.
-            Some(limit) => {
-                let _ = writeln!(out, "{name}_bucket{{le=\"{}\"}} {cumulative}", limit - 1);
-            }
-            None => {} // the overflow bucket is covered by +Inf below
+        // Inclusive upper bound: the zero bucket holds only 0, and bucket
+        // i holds values up to 2^i - 1. The overflow bucket has no limit;
+        // +Inf below covers it.
+        if let Some(limit) = HistogramSnapshot::bucket_limit(i) {
+            let _ = writeln!(out, "{name}_bucket{{le=\"{}\"}} {cumulative}", limit - 1);
         }
     }
     let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count);

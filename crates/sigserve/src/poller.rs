@@ -107,26 +107,16 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
 // ---------------------------------------------------------------------
 
 /// Which readiness-notification mechanism backs a [`Poller`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// `epoll(7)`: O(ready) wakeups, the Linux default.
     #[cfg(target_os = "linux")]
+    #[default]
     Epoll,
-    /// `poll(2)`: O(registered) per wait; the portable fallback.
+    /// `poll(2)`: O(registered) per wait; the portable fallback (and the
+    /// default elsewhere).
+    #[cfg_attr(not(target_os = "linux"), default)]
     Poll,
-}
-
-impl Default for Backend {
-    fn default() -> Backend {
-        #[cfg(target_os = "linux")]
-        {
-            Backend::Epoll
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            Backend::Poll
-        }
-    }
 }
 
 /// What a registered fd should be watched for.

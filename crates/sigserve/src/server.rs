@@ -440,7 +440,7 @@ impl EventLoop {
         loop {
             let timeout = self.wait_timeout();
             self.poller.wait(&mut events, timeout)?;
-            let batch: Vec<poller::Event> = events.drain(..).collect();
+            let batch: Vec<poller::Event> = std::mem::take(&mut events);
             for ev in batch {
                 match ev.token {
                     LISTENER_TOKEN => self.accept_ready(),
@@ -957,7 +957,7 @@ impl EventLoop {
     /// Folds completed head slots into the write buffer and flushes as
     /// far as the socket accepts right now.
     fn flush_ready(&mut self, conn: &mut Conn) {
-        while conn.pending.front().map_or(false, Slot::ready) {
+        while conn.pending.front().is_some_and(Slot::ready) {
             let slot = conn.pending.pop_front().expect("checked front");
             match slot {
                 Slot::One(Part::Done(s)) => {

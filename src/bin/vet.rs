@@ -901,7 +901,7 @@ fn run_metrics_report(dir: &str, gate: Option<&str>) -> Result<bool, String> {
     // "<=" rendering below.
     println!("\nhistograms (newest snapshot; percentiles are inclusive log2-bucket upper bounds):");
     for h in &last.snapshot.histograms {
-        let mean = if h.count > 0 { h.sum / h.count } else { 0 };
+        let mean = h.sum.checked_div(h.count).unwrap_or(0);
         let pct = |q: f64| {
             h.percentile(q)
                 .map(|v| v.to_string())

@@ -59,7 +59,7 @@ fn snapshot_one(source: &str, config: &AnalysisConfig) -> Json {
             let sig = report.signature.to_json();
             entry.set(
                 "signature",
-                Json::parse(&sig).unwrap_or_else(|_| Json::Str(sig)),
+                Json::parse(&sig).unwrap_or(Json::Str(sig)),
             );
             let mut counters = Json::obj();
             for (c, v) in report.counters.order_independent() {

@@ -175,7 +175,7 @@ pub struct Report {
     pub counters: Counters,
     /// Whether triage skipped phase 2: [`AnalysisConfig::triage`] was on
     /// and phase 1 proved no flow entry can exist
-    /// ([`jssig::flows_impossible`]). The signature is the same either
+    /// ([`jssig::Endpoints::flows_impossible`]). The signature is the same either
     /// way; only the PDG and its layer times are missing.
     pub triaged: bool,
     /// Per-job cost attribution (which functions and context depths ate
@@ -311,8 +311,14 @@ impl<'t> Pipeline<'t> {
         // addon's cost. Gated on `config.triage` (not done
         // unconditionally) because the skip changes verdict provenance —
         // no witnesses or PDG paths are possible — and caches hinge on
-        // the knob being part of the canonical config.
-        let triaged = config.triage && jssig::flows_impossible(&analysis);
+        // the knob being part of the canonical config. Triage decides from
+        // the signature's endpoints, and inference reuses that one
+        // selection; without triage the selection is inference's own
+        // work, timed in its layer.
+        let selected = config.triage.then(|| jssig::Endpoints::select(&analysis));
+        let triaged = selected
+            .as_ref()
+            .is_some_and(jssig::Endpoints::flows_impossible);
         let mut trace = Trace::On(&mut rec);
         let pdg = if triaged {
             Pdg::default()
@@ -320,7 +326,8 @@ impl<'t> Pipeline<'t> {
             Pdg::build_traced(&lowered, &analysis, &mut trace)
         };
         let signature = trace.span(Layer::Infer, |t| {
-            jssig::infer_signature_traced(&lowered, &analysis, &pdg, &lattice, t)
+            let endpoints = selected.unwrap_or_else(|| jssig::Endpoints::select(&analysis));
+            jssig::infer_signature_traced(&lowered, &analysis, &endpoints, &pdg, &lattice, t)
         });
 
         Ok(Report {

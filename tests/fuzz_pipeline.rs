@@ -9,6 +9,8 @@
 
 #![cfg(feature = "fuzz")]
 
+#[path = "support/analysis_text.rs"]
+mod analysis_text;
 #[path = "support/dense_ddg.rs"]
 mod dense_ddg;
 #[path = "support/full_cdg.rs"]
@@ -143,6 +145,55 @@ fn pipeline_total_on_generated_programs() {
         );
         assert_eq!(triaged.triaged, jssig::flows_impossible(&triaged.analysis));
     });
+}
+
+/// Generated programs whose base-analysis results the committed golden
+/// pins as one digest.
+const GOLDEN_PROGRAMS: u64 = 300;
+
+/// The base analysis of generated programs, under both worklist orders,
+/// renders to the digest committed in `tests/golden/analysis.json`
+/// (whose other inputs `tests/analysis_golden.rs` checks). On a mismatch
+/// the `fuzz` section this build would commit is written next to the
+/// test binary's temporary files.
+#[test]
+fn analysis_of_generated_programs_matches_the_committed_golden() {
+    use jsanalysis::{AnalysisConfig, WorklistOrder};
+    use minijson::Json;
+    let mut texts = Vec::new();
+    for case in 0..GOLDEN_PROGRAMS {
+        let src = arb_program(&mut Gen::new(case));
+        let ast = jsparser::parse(&src).unwrap_or_else(|e| panic!("{e}\nprogram:\n{src}"));
+        let lowered = jsir::lower(&ast);
+        for order in [WorklistOrder::Rpo, WorklistOrder::Fifo] {
+            let config = AnalysisConfig::default().with_worklist(order);
+            let result = jsanalysis::analyze(&lowered, &config);
+            texts.push(analysis_text::render(&result));
+        }
+    }
+    let mut seen = Json::obj();
+    seen.set("programs", Json::from(GOLDEN_PROGRAMS as f64));
+    seen.set("fnv1a", Json::from(analysis_text::digest(&texts)));
+
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/analysis.json");
+    let golden = std::fs::read_to_string(&path)
+        .ok()
+        .and_then(|t| Json::parse(&t).ok())
+        .unwrap_or_else(Json::obj);
+    if golden.get("fuzz") == Some(&seen) {
+        return;
+    }
+    let mut doc = Json::obj();
+    doc.set("fuzz", seen);
+    let out =
+        std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("analysis.fuzz.seen.json");
+    std::fs::write(&out, doc.to_string_pretty() + "\n")
+        .unwrap_or_else(|e| panic!("{}: {e}", out.display()));
+    panic!(
+        "generated programs' analysis digest differs from {}; the `fuzz` section this build would commit is in {}; it replaces that section alone",
+        path.display(),
+        out.display()
+    );
 }
 
 /// The sparse DDG is exactly the dense oracle's on generated programs,

@@ -5,10 +5,14 @@
 //! members of the many-function family.
 //!
 //! The other goldens compare runs of one build against each other; this
-//! one compares a build against output committed to the repository. A
+//! one, like `tests/analysis_golden.rs`, compares a build against output
+//! committed to the repository. A
 //! change that means to move these outputs replaces
 //! `tests/golden/signatures.json` with the file the failing run writes
 //! and says why in CHANGES.md.
+
+#[path = "support/golden_inputs.rs"]
+mod golden_inputs;
 
 use addon_sig::sigtrace::Counter;
 use minijson::Json;
@@ -26,21 +30,6 @@ const EDGE_COUNTERS: [Counter; 6] = [
     Counter::PdgCtrlNonLocImpEdges,
     Counter::PdgCtrlAmplifiedEdges,
 ];
-
-fn inputs() -> Vec<(String, String)> {
-    corpus::addons()
-        .into_iter()
-        .map(|a| (a.name.to_owned(), a.source.to_owned()))
-        .chain(
-            corpus::attacks::attacks()
-                .into_iter()
-                .map(|a| (a.name.to_owned(), a.source.to_owned())),
-        )
-        .chain([("figure1".to_owned(), corpus::figure1_source())])
-        .chain((0..3).map(|i| (format!("benign_{i}"), corpus::benign_addon(i))))
-        .chain([6, 12, 24].map(|n| (format!("many_fn_addon({n})"), corpus::many_fn_addon(n))))
-        .collect()
-}
 
 /// One input's entry: its edge-kind counters and its signature.
 fn entry(name: &str, source: &str) -> Json {
@@ -74,7 +63,7 @@ fn render(inputs: &[(String, String)]) -> String {
 
 #[test]
 fn signatures_and_edge_counts_match_the_committed_golden() {
-    let inputs = inputs();
+    let inputs = golden_inputs::inputs();
     assert_eq!(inputs.len(), 22);
     let seen = render(&inputs);
     let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN);
