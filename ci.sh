@@ -41,9 +41,10 @@
 #      per-job lifecycles, and kept + suppressed job_rejected records
 #      reconcile exactly with the daemon's shed count); the stats
 #      response must carry the metrics registry; plus a `vet trace-job`
-#      smoke: a debug-level --stdio session's log must rebuild job j-0
-#      into a Chrome trace whose pipeline spans nest inside the job's
-#      analyze slice (trace_check),
+#      smoke: a debug-level --stdio session vets PinPoints twice, and
+#      its log must rebuild job j-0 (computed) into a Chrome trace whose
+#      pipeline spans nest inside the job's analyze slice and job j-1
+#      (a cache hit) into its cache-hit slice (trace_check on both),
 #   6. a metrics-exposition smoke test: a scripted --stdio session's
 #      `metrics` response must render valid Prometheus text (prom_check),
 #   7. the corpus drift gate: two same-analyzer `vet corpus-snapshot`
@@ -136,15 +137,18 @@ echo "$serve_out" | grep -q '"metrics"'
 echo "$serve_out" | grep -q '"pipeline_worklist_steps"'
 echo "$serve_out" | grep -q '"kind":"shutdown_ack"'
 
-echo "==> vet trace-job smoke test (debug-level job log -> nested Chrome trace)"
+echo "==> vet trace-job smoke test (debug-level job log -> computed and cache-hit Chrome traces)"
 rm -f target/ci_job.jsonl
 printf '%s\n' \
+    '{"kind":"vet","path":"crates/corpus/addons/pinpoints.js"}' \
     '{"kind":"vet","path":"crates/corpus/addons/pinpoints.js"}' \
     '{"kind":"shutdown"}' \
     | ./target/release/vet serve --stdio --workers 1 \
         --log target/ci_job.jsonl --log-level debug > /dev/null
 ./target/release/vet trace-job j-0 --log target/ci_job.jsonl --out target/ci_trace_job.json
-./target/release/trace_check target/ci_trace_job.json
+./target/release/vet trace-job j-1 --log target/ci_job.jsonl --out target/ci_trace_hit.json
+grep -q '"name":"cache hit"' target/ci_trace_hit.json
+./target/release/trace_check target/ci_trace_job.json target/ci_trace_hit.json
 
 echo "==> sigserve load sanity (serve_load --check, incl. log replay)"
 ./target/release/serve_load --check

@@ -367,17 +367,17 @@ fn main() {
         let computed = replay
             .timelines
             .values()
-            .filter(|t| matches!(t.validate(), Ok(sigobs::replay::Outcome::Computed)))
+            .filter(|t| t.outcome == Some(sigobs::replay::Outcome::Computed))
             .count();
         let hits = replay
             .timelines
             .values()
-            .filter(|t| matches!(t.validate(), Ok(sigobs::replay::Outcome::CacheHit)))
+            .filter(|t| t.outcome == Some(sigobs::replay::Outcome::CacheHit))
             .count();
         let kept_rejected = replay
             .timelines
             .values()
-            .filter(|t| matches!(t.validate(), Ok(sigobs::replay::Outcome::Rejected)))
+            .filter(|t| t.outcome == Some(sigobs::replay::Outcome::Rejected))
             .count();
         let suppressed = *replay.suppressed.get("job_rejected").unwrap_or(&0) as usize;
         assert_eq!(
@@ -921,7 +921,7 @@ fn run_fleet(nodes: usize, out: &str, metrics_dir: Option<String>) {
         replay
             .timelines
             .values()
-            .filter(|t| t.validate() == Ok(want))
+            .filter(|t| t.outcome == Some(want))
             .count()
     };
     let computed = outcome_count(sigobs::replay::Outcome::Computed);

@@ -1369,19 +1369,10 @@ impl<'a> Machine<'a> {
                 AValue::obj(site)
             }
             NativeBehavior::XhrOpen => {
-                // A known defect, kept only so the analysis golden stays
-                // byte-identical: one one-site access per receiver updates
-                // a singleton receiver's `@url` strongly even when the
-                // call has several receivers, so a receiver the call may
-                // not have opened loses its earlier URL. The fix is one
-                // write over `t.objs` and a deliberate re-pin of the
-                // golden.
                 let url = AValue::str(self.degrade(arg(1).to_abstract_string()));
                 if let Some(t) = this_v {
-                    for &site in &t.objs {
-                        let field = Field::Slot(slots::URL);
-                        self.write(stmt, st, [site], field, BY_RULE, &url);
-                    }
+                    let sites = t.objs.iter().copied();
+                    self.write(stmt, st, sites, Field::Slot(slots::URL), BY_RULE, &url);
                 }
                 AValue::undef()
             }

@@ -11,7 +11,8 @@
 //!   is one compact JSON object per line with a monotone `seq`, so a
 //!   job's full lifecycle (enqueue → dequeue → cache hit/miss → phase
 //!   spans → verdict) is reconstructable from the log alone — proven by
-//!   [`replay`], which folds a log back into per-job timelines.
+//!   [`replay`], which folds each record once into per-job timelines
+//!   and validates each against the one lifecycle stage order.
 //! * [`LogTracer`] — a [`sigtrace::Tracer`] adapter that emits the
 //!   pipeline's phase spans as debug-level log events carrying the
 //!   owning job's request ID, threading IDs *into* the analysis. Its
@@ -31,8 +32,10 @@
 //!   workers) into one globally sequenced log that [`replay`] accepts,
 //!   via a topological sort over node chains and job-lifecycle edges.
 //! * [`timeline`] — one job's cross-node lifecycle (enqueue → queue
-//!   wait → claim → phases → respond) rendered as a Chrome trace, with
-//!   its `job_profile` hotspot postmortem attached (`vet trace-job`).
+//!   wait → claim → phases → respond, or its cache hit, coalesce or
+//!   rejection), the same timeline [`replay`] validates, rendered as a
+//!   Chrome trace with its `job_profile` hotspot postmortem attached
+//!   (`vet trace-job`).
 //! * [`SamplePolicy`] — overload-safe log sampling: past a per-window
 //!   threshold, matching events degrade to 1-in-N with counted
 //!   `suppressed` records, and [`replay`] reconciles lifecycles against
@@ -51,6 +54,6 @@ pub mod timeline;
 
 pub use expo::{prometheus_text, validate_prometheus_text};
 pub use merge::merge_fleet_logs;
-pub use timeline::{chrome_trace, job_chrome_trace, job_intervals, JobIntervals};
+pub use timeline::{chrome_trace, job_chrome_trace};
 pub use history::{HistoryRecord, MetricsHistory, HISTORY_SCHEMA};
 pub use log::{EventLog, Level, LogTracer, SamplePolicy};

@@ -31,6 +31,8 @@ use std::path::Path;
 use std::sync::Mutex;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
+use crate::replay::Event;
+
 /// Log severity. Ordered `Error < Warn < Info < Debug`: a logger at
 /// level `L` records everything at or above `L`'s severity (i.e. with
 /// `level <= L` in this ordering).
@@ -105,7 +107,7 @@ impl Default for SamplePolicy {
     /// `job_rejected`, 100 full records per 1s window, then 1-in-100.
     fn default() -> SamplePolicy {
         SamplePolicy {
-            events: vec!["job_rejected".to_owned()],
+            events: vec![Event::Rejected.name().to_owned()],
             threshold: 100,
             keep_one_in: 100,
             window: Duration::from_secs(1),

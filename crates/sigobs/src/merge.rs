@@ -15,12 +15,15 @@
 //!
 //! 1. **Node chains**: records keep their own process's order (same
 //!    writer, monotone seq ⇒ real-time order).
-//! 2. **Job lifecycle layers**: for every job ID, `job_enqueued` →
-//!    `job_dequeued` → (`job_computed` | `cache_hit` | `job_coalesced`)
-//!    → `job_done`, linking records on *different* nodes (same-node
-//!    pairs are already ordered by their chain). Requeued jobs may have
-//!    several records in a layer (two `job_dequeued`s from two
-//!    claimants); each links to the whole next layer.
+//! 2. **Job lifecycle stages**: for every job ID, each present stage of
+//!    the lifecycle order [`crate::replay`] validates against
+//!    (`job_enqueued` → `job_dequeued` → `job_computed` | `cache_hit` |
+//!    `job_coalesced` → `job_profile` → `job_done` | `job_rejected`)
+//!    precedes the next present one, linking records on *different*
+//!    nodes (same-node pairs are already ordered by their chain).
+//!    Requeued jobs may have several records in a stage (two
+//!    `job_dequeued`s from two claimants); each links to the whole next
+//!    stage.
 //!
 //! Ready records are emitted smallest-timestamp-first (ties broken by
 //! node index, then per-node seq), so the output is deterministic and
@@ -34,9 +37,11 @@
 //! to a line-buffered writer. Anything else unparseable is an error.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 use minijson::Json;
+
+use crate::replay::{get_u64, parse_log, Event};
 
 /// One parsed record with its origin.
 struct Rec {
@@ -46,23 +51,15 @@ struct Rec {
     json: Json,
 }
 
-fn get_u64(record: &Json, key: &str) -> Option<u64> {
-    record[key].as_f64().map(|n| n as u64)
-}
-
-/// The lifecycle layer an event belongs to, if any. `job_profile` (the
-/// cost postmortem a worker logs right after `job_computed`) gets its
-/// own layer so a cross-node merge can never float a coordinator's
-/// `job_done` ahead of it — the replay validator demands
-/// computed < profile < done.
-fn layer(event: &str) -> Option<usize> {
-    match event {
-        "job_enqueued" => Some(0),
-        "job_dequeued" => Some(1),
-        "job_computed" | "cache_hit" | "job_coalesced" => Some(2),
-        "job_profile" => Some(3),
-        "job_done" => Some(4),
-        _ => None,
+/// `text` without its last line when that line is not JSON: a process
+/// killed mid-write leaves at most one partial trailing line.
+fn without_torn_tail(text: &str) -> &str {
+    let body = text.trim_end();
+    let start = body.rfind('\n').map_or(0, |i| i + 1);
+    if Json::parse(&body[start..]).is_ok() {
+        text
+    } else {
+        &body[..start]
     }
 }
 
@@ -73,45 +70,18 @@ fn layer(event: &str) -> Option<usize> {
 /// (unparseable non-final line, non-monotone per-node seq, or a causal
 /// cycle — which only a corrupted log can produce).
 pub fn merge_fleet_logs(nodes: &[(&str, &str)]) -> Result<String, String> {
-    // Parse per node, tolerating one truncated final line.
     let mut recs: Vec<Rec> = Vec::new();
-    for (node_idx, (name, text)) in nodes.iter().enumerate() {
-        let lines: Vec<&str> = text
-            .lines()
-            .filter(|l| !l.trim().is_empty())
-            .collect();
-        let mut last_seq: Option<u64> = None;
-        for (i, line) in lines.iter().enumerate() {
-            let parsed = match Json::parse(line) {
-                Ok(p) => p,
-                Err(e) if i + 1 == lines.len() => {
-                    // A process killed mid-write leaves at most one
-                    // partial trailing line; drop it, keep the rest.
-                    let _ = e;
-                    continue;
-                }
-                Err(e) => return Err(format!("{name}: log line {}: {e}", i + 1)),
-            };
-            let seq = get_u64(&parsed, "seq")
-                .ok_or_else(|| format!("{name}: log line {} has no seq", i + 1))?;
-            if let Some(prev) = last_seq {
-                if seq <= prev {
-                    return Err(format!(
-                        "{name}: seq not strictly monotone: {prev} then {seq}"
-                    ));
-                }
-            }
-            last_seq = Some(seq);
-            recs.push(Rec {
-                node: node_idx,
-                node_seq: seq,
-                ts_us: get_u64(&parsed, "ts_us").unwrap_or(0),
-                json: parsed,
-            });
-        }
+    for (node, (name, text)) in nodes.iter().enumerate() {
+        let records = parse_log(without_torn_tail(text)).map_err(|e| format!("{name}: {e}"))?;
+        recs.extend(records.into_iter().map(|(node_seq, json)| Rec {
+            node,
+            node_seq,
+            ts_us: get_u64(&json, "ts_us").unwrap_or(0),
+            json,
+        }));
     }
 
-    // Happens-before edges: node chains + cross-node lifecycle layers.
+    // Happens-before edges: node chains + cross-node lifecycle stages.
     let n = recs.len();
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut indegree: Vec<usize> = vec![0; n];
@@ -125,18 +95,22 @@ pub fn merge_fleet_logs(nodes: &[(&str, &str)]) -> Result<String, String> {
             edge(&mut succs, &mut indegree, w, w + 1);
         }
     }
-    // 2. Layers: collect each job's records per lifecycle layer.
-    let mut jobs: HashMap<String, [Vec<usize>; 5]> = HashMap::new();
+    // 2. Stages: collect each job's records per lifecycle stage.
+    let mut jobs: HashMap<&str, BTreeMap<usize, Vec<usize>>> = HashMap::new();
     for (i, r) in recs.iter().enumerate() {
         let (Some(job), Some(event)) = (r.json["job"].as_str(), r.json["event"].as_str()) else {
             continue;
         };
-        if let Some(l) = layer(event) {
-            jobs.entry(job.to_owned()).or_default()[l].push(i);
+        if let Some(event) = Event::named(event) {
+            jobs.entry(job)
+                .or_default()
+                .entry(event.stage())
+                .or_default()
+                .push(i);
         }
     }
-    for layers in jobs.values() {
-        let present: Vec<&Vec<usize>> = layers.iter().filter(|l| !l.is_empty()).collect();
+    for stages in jobs.values() {
+        let present: Vec<&Vec<usize>> = stages.values().collect();
         for pair in present.windows(2) {
             for &a in pair[0] {
                 for &b in pair[1] {
@@ -228,7 +202,7 @@ mod tests {
         .join("\n");
         let merged = merge_fleet_logs(&[("coord", &coord), ("w0", &worker)]).expect("merge");
         let replay = replay_log(&merged).expect("merged log replays");
-        assert_eq!(replay.timelines["j-0"].validate(), Ok(Outcome::Computed));
+        assert_eq!(replay.timelines["j-0"].outcome, Some(Outcome::Computed));
         // Origin provenance is preserved on every line.
         for l in merged.lines() {
             let r = Json::parse(l).unwrap();
@@ -261,7 +235,7 @@ mod tests {
             merge_fleet_logs(&[("coord", &coord), ("dead", &dead), ("rescue", &rescue)])
                 .expect("merge");
         let replay = replay_log(&merged).expect("merged log replays");
-        assert_eq!(replay.timelines["j-0"].validate(), Ok(Outcome::Computed));
+        assert_eq!(replay.timelines["j-0"].outcome, Some(Outcome::Computed));
         assert_eq!(replay.presumed_rejected, 0);
     }
 

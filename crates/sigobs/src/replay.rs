@@ -6,16 +6,21 @@
 //!
 //! * **Computed** — `job_enqueued` → `job_dequeued` → `job_computed` →
 //!   `job_done`, with strictly increasing `seq`.
-//! * **Cache hit** — `cache_hit` (at submit time, or after a dequeue when
-//!   a sibling filled the cache first) → `job_done`, with the producing
-//!   job's ID recorded as provenance.
+//! * **Cache hit** — `cache_hit` at submit time, when the cache already
+//!   holds the source's signature → `job_done`, with the producing job's
+//!   ID recorded as provenance.
 //! * **Coalesced** — `job_coalesced` naming the in-flight producer whose
 //!   result this job shared → `job_done`.
-//! * **Rejected** — `job_rejected` under overload; terminal.
+//! * **Rejected** — `job_rejected` when shed (overload, or shutdown with
+//!   nobody to run the job); terminal.
 //!
 //! Anything else — a job that never terminated, computed without being
 //! dequeued, or hit the cache with no producer — is a validation error,
 //! and the replay test treats it as a logging bug.
+//!
+//! Each record is folded once, into one [`JobTimeline`] per job, which
+//! [`chrome_trace`](crate::chrome_trace) renders too; the lifecycle's
+//! stage order, next to the fold, also orders a fleet-log merge.
 //!
 //! **Postmortems.** A computed job may carry a `job_profile` record —
 //! the per-job cost-attribution postmortem — which must sit between
@@ -51,175 +56,272 @@ pub enum Outcome {
     CacheHit,
     /// Shared an in-flight sibling's computation.
     Coalesced,
-    /// Shed by the overload policy before entering the queue.
+    /// Shed under overload, or at shutdown with nobody to run it.
     Rejected,
 }
 
-/// One job's events, extracted from the log. `seq` positions come from
-/// the logger's monotone counter, so ordering checks need no clocks.
+/// Where and when one lifecycle record was logged.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Logged {
+    /// The record's `seq`, its position in the log.
+    pub seq: u64,
+    /// The logging node: a merged log's `node` field, else `"local"`.
+    pub node: String,
+    /// The record's `ts_us`, on that node's clock.
+    pub ts_us: u64,
+}
+
+/// One job's lifecycle, folded from the log. Replay checks its order by
+/// `seq`; a Chrome trace places its slices by node and `ts_us`.
 #[derive(Debug, Clone, Default)]
 pub struct JobTimeline {
     /// The job's request ID (`j-<n>`).
     pub job: String,
     /// Addon name from the request, if logged.
     pub name: Option<String>,
-    /// `seq` of `job_enqueued`.
-    pub enqueued: Option<u64>,
-    /// `seq` of `job_dequeued`.
-    pub dequeued: Option<u64>,
-    /// `seq` of the first `job_computed`.
-    pub computed: Option<u64>,
-    /// Verdict string from the first `job_computed` (`pass`/`fail`/
-    /// `leak`/`ok`/`timeout`/`error`).
+    /// `job_enqueued`.
+    pub enqueued: Option<Logged>,
+    /// The last `job_dequeued`: a requeued job's rescue claim computed.
+    pub dequeued: Option<Logged>,
+    /// The first `job_computed`.
+    pub computed: Option<Logged>,
+    /// Verdict from the first `job_computed` (`ok`/`timeout`/`error`…).
     pub verdict: Option<String>,
-    /// `seq` of a second `job_computed` for this job, if any — which
-    /// [`JobTimeline::validate`] rejects.
+    /// `seq` of a second `job_computed`, which replay rejects.
     pub recomputed: Option<u64>,
-    /// `seq` of `cache_hit`.
-    pub cache_hit: Option<u64>,
-    /// `seq` of `job_coalesced`.
-    pub coalesced: Option<u64>,
+    /// `cache_hit`.
+    pub cache_hit: Option<Logged>,
+    /// `job_coalesced`.
+    pub coalesced: Option<Logged>,
     /// Producing job's ID, from `cache_hit` or `job_coalesced`.
     pub producer: Option<String>,
-    /// `seq` of `job_rejected`.
-    pub rejected: Option<u64>,
-    /// `seq` of `job_done`.
-    pub done: Option<u64>,
+    /// `job_rejected`.
+    pub rejected: Option<Logged>,
+    /// Why the job was shed, from `job_rejected`.
+    pub reason: Option<String>,
+    /// `job_done`.
+    pub done: Option<Logged>,
     /// Wall micros from `job_done`.
     pub micros: Option<u64>,
-    /// `seq` of `job_profile` (the cost-attribution postmortem).
-    pub profile: Option<u64>,
+    /// `job_profile` (the cost-attribution postmortem).
+    pub profile: Option<Logged>,
     /// Verdict echoed by `job_profile` (`ok`/`timeout`).
     pub profile_verdict: Option<String>,
     /// `total_steps` from `job_profile`.
     pub profile_steps: Option<u64>,
-    /// Hotspot buckets from `job_profile`: `(func, steps)`, hottest
-    /// first as the daemon emitted them.
+    /// `job_profile`'s hotspots as `(func, steps)`, hottest first.
     pub hotspots: Vec<(String, u64)>,
-    /// First well-formedness complaint about the `job_profile` record,
-    /// if any — surfaced by [`JobTimeline::validate`].
+    /// `job_profile`'s `hotspots` array as logged, every field kept.
+    pub logged_hotspots: Option<Json>,
+    /// The first way the `job_profile` record is malformed, if any.
     pub profile_malformed: Option<String>,
-    /// Pipeline spans attributed to this job: `(span name, dur_us)`.
-    pub spans: Vec<(String, u64)>,
-    /// Every event seen for this job, in log order: `(seq, event)`.
-    pub events: Vec<(u64, String)>,
+    /// The job's pipeline spans in log order: `(layer, start_us,
+    /// dur_us)`, `start_us` on the node's `ts_us` clock when logged.
+    pub spans: Vec<(String, Option<u64>, u64)>,
+    /// The shape [`replay_log`] classified; `None` for a presumed-shed orphan.
+    pub outcome: Option<Outcome>,
 }
 
-fn get_u64(record: &Json, key: &str) -> Option<u64> {
+/// The events of a job's lifecycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Event {
+    Enqueued,
+    Dequeued,
+    Computed,
+    CacheHit,
+    Coalesced,
+    Profile,
+    Done,
+    Rejected,
+}
+
+impl Event {
+    /// Each lifecycle event with its log name and its stage. A job logs
+    /// its events in stage order, and events of one stage are
+    /// alternatives: a job computes, hits the cache or coalesces, and it
+    /// ends done or rejected. `job_profile`, the postmortem a worker logs
+    /// right after `job_computed`, has a stage of its own, so a fleet
+    /// merge never floats the coordinator's `job_done` ahead of it.
+    const ALL: [(Event, &'static str, usize); 8] = [
+        (Event::Enqueued, "job_enqueued", 0),
+        (Event::Dequeued, "job_dequeued", 1),
+        (Event::Computed, "job_computed", 2),
+        (Event::CacheHit, "cache_hit", 2),
+        (Event::Coalesced, "job_coalesced", 2),
+        (Event::Profile, "job_profile", 3),
+        (Event::Done, "job_done", 4),
+        (Event::Rejected, "job_rejected", 4),
+    ];
+
+    /// The lifecycle event a record's `event` field names, if any.
+    pub(crate) fn named(name: &str) -> Option<Event> {
+        Event::ALL.iter().find(|e| e.1 == name).map(|e| e.0)
+    }
+
+    /// The name the log spells the event with (`ALL` lists the events
+    /// in declaration order).
+    pub(crate) fn name(self) -> &'static str {
+        Event::ALL[self as usize].1
+    }
+
+    /// The event's stage in a lifecycle.
+    pub(crate) fn stage(self) -> usize {
+        Event::ALL[self as usize].2
+    }
+}
+
+pub(crate) fn get_u64(record: &Json, key: &str) -> Option<u64> {
     record[key].as_f64().map(|n| n as u64)
 }
 
-/// Groups parsed log records into per-job timelines. Records without a
-/// `job` field (daemon lifecycle, protocol errors) are ignored here —
-/// they narrate the daemon, not a job.
-pub fn job_timelines(records: &[Json]) -> BTreeMap<String, JobTimeline> {
+fn get_str(record: &Json, key: &str) -> Option<String> {
+    record[key].as_str().map(str::to_owned)
+}
+
+/// Parses a JSONL log body into its records, each with its `seq`:
+/// blank lines are skipped, a line that is not JSON is an error naming
+/// it, and `seq` must be strictly monotone (one writer, no lost
+/// records).
+pub(crate) fn parse_log(text: &str) -> Result<Vec<(u64, Json)>, String> {
+    let mut records: Vec<(u64, Json)> = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let record = Json::parse(line).map_err(|e| format!("log line {}: {e}", i + 1))?;
+        let seq =
+            get_u64(&record, "seq").ok_or_else(|| format!("log line {} has no seq", i + 1))?;
+        if let Some(&(prev, _)) = records.last() {
+            if seq <= prev {
+                return Err(format!("seq not strictly monotone: {prev} then {seq}"));
+            }
+        }
+        records.push((seq, record));
+    }
+    Ok(records)
+}
+
+/// Folds parsed log records into per-job timelines. Records without a
+/// `job` field (daemon lifecycle, protocol errors) are skipped — they
+/// narrate the daemon, not a job — and so are a job's records outside
+/// its lifecycle (claims, requeues, deadlines).
+pub(crate) fn job_timelines(records: &[(u64, Json)]) -> BTreeMap<String, JobTimeline> {
     let mut jobs: BTreeMap<String, JobTimeline> = BTreeMap::new();
-    for record in records {
-        let Some(job) = record["job"].as_str() else {
-            continue;
-        };
-        let Some(seq) = get_u64(record, "seq") else {
-            continue;
-        };
-        let Some(event) = record["event"].as_str() else {
+    for (seq, record) in records {
+        let (Some(job), Some(event)) = (record["job"].as_str(), record["event"].as_str()) else {
             continue;
         };
         let t = jobs.entry(job.to_owned()).or_insert_with(|| JobTimeline {
             job: job.to_owned(),
             ..JobTimeline::default()
         });
-        t.events.push((seq, event.to_owned()));
-        if let Some(name) = record["name"].as_str() {
-            t.name = Some(name.to_owned());
+        if let Some(name) = get_str(record, "name") {
+            t.name = Some(name);
         }
-        match event {
-            "job_enqueued" => t.enqueued = Some(seq),
-            "job_dequeued" => t.dequeued = Some(seq),
-            "job_computed" => {
-                if t.computed.is_some() {
-                    t.recomputed.get_or_insert(seq);
-                } else {
-                    t.computed = Some(seq);
-                    t.verdict = record["verdict"].as_str().map(str::to_owned);
-                }
-            }
-            "cache_hit" => {
-                t.cache_hit = Some(seq);
-                if let Some(p) = record["producer"].as_str() {
-                    t.producer = Some(p.to_owned());
-                }
-            }
-            "job_coalesced" => {
-                t.coalesced = Some(seq);
-                if let Some(p) = record["producer"].as_str() {
-                    t.producer = Some(p.to_owned());
-                }
-            }
-            "job_rejected" => t.rejected = Some(seq),
-            "job_done" => {
-                t.done = Some(seq);
-                t.micros = get_u64(record, "micros");
-            }
-            "job_profile" => {
-                t.profile = Some(seq);
-                t.profile_verdict = record["verdict"].as_str().map(str::to_owned);
-                t.profile_steps = get_u64(record, "total_steps");
-                if t.profile_verdict.is_none() {
-                    t.profile_malformed = Some("job_profile without a verdict".to_owned());
-                } else if t.profile_steps.is_none() {
-                    t.profile_malformed = Some("job_profile without total_steps".to_owned());
-                }
-                match &record["hotspots"] {
-                    Json::Arr(entries) => {
-                        for h in entries {
-                            match (h["func"].as_str(), h["ctx"].as_str(), get_u64(h, "steps")) {
-                                (Some(f), Some(_), Some(s)) => t.hotspots.push((f.to_owned(), s)),
-                                _ => {
-                                    t.profile_malformed = Some(
-                                        "job_profile hotspot missing func/ctx/steps".to_owned(),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    _ => {
-                        t.profile_malformed =
-                            Some("job_profile without a hotspots array".to_owned());
-                    }
-                }
-            }
-            "span" => {
+        if let Some(producer) = get_str(record, "producer") {
+            t.producer = Some(producer);
+        }
+        let logged = || {
+            Some(Logged {
+                seq: *seq,
+                node: record["node"].as_str().unwrap_or("local").to_owned(),
+                ts_us: get_u64(record, "ts_us").unwrap_or(0),
+            })
+        };
+        let Some(event) = Event::named(event) else {
+            if event == "span" {
                 if let (Some(name), Some(dur)) =
                     (record["span"].as_str(), get_u64(record, "dur_us"))
                 {
-                    t.spans.push((name.to_owned(), dur));
+                    t.spans
+                        .push((name.to_owned(), get_u64(record, "start_us"), dur));
                 }
             }
-            _ => {}
+            continue;
+        };
+        match event {
+            Event::Enqueued => t.enqueued = logged(),
+            Event::Dequeued => t.dequeued = logged(),
+            Event::Computed if t.computed.is_some() => {
+                t.recomputed.get_or_insert(*seq);
+            }
+            Event::Computed => {
+                t.computed = logged();
+                t.verdict = get_str(record, "verdict");
+            }
+            Event::CacheHit => t.cache_hit = logged(),
+            Event::Coalesced => t.coalesced = logged(),
+            Event::Rejected => {
+                t.rejected = logged();
+                t.reason = get_str(record, "reason");
+            }
+            Event::Done => {
+                t.done = logged();
+                t.micros = get_u64(record, "micros");
+            }
+            Event::Profile => {
+                t.profile = logged();
+                t.fold_profile(record);
+            }
         }
     }
     jobs
 }
 
 impl JobTimeline {
+    /// Reads a `job_profile` record, noting how it is malformed.
+    fn fold_profile(&mut self, record: &Json) {
+        self.profile_verdict = get_str(record, "verdict");
+        self.profile_steps = get_u64(record, "total_steps");
+        if self.profile_verdict.is_none() {
+            self.profile_malformed = Some("job_profile without a verdict".to_owned());
+        } else if self.profile_steps.is_none() {
+            self.profile_malformed = Some("job_profile without total_steps".to_owned());
+        }
+        let Json::Arr(entries) = &record["hotspots"] else {
+            self.profile_malformed = Some("job_profile without a hotspots array".to_owned());
+            return;
+        };
+        for h in entries {
+            match (h["func"].as_str(), h["ctx"].as_str(), get_u64(h, "steps")) {
+                (Some(f), Some(_), Some(s)) => self.hotspots.push((f.to_owned(), s)),
+                _ => {
+                    self.profile_malformed =
+                        Some("job_profile hotspot missing func/ctx/steps".to_owned());
+                }
+            }
+        }
+        self.logged_hotspots = Some(record["hotspots"].clone());
+    }
+
+    /// Where the job's `event` record was logged, if it was.
+    fn at(&self, event: Event) -> Option<&Logged> {
+        match event {
+            Event::Enqueued => self.enqueued.as_ref(),
+            Event::Dequeued => self.dequeued.as_ref(),
+            Event::Computed => self.computed.as_ref(),
+            Event::CacheHit => self.cache_hit.as_ref(),
+            Event::Coalesced => self.coalesced.as_ref(),
+            Event::Profile => self.profile.as_ref(),
+            Event::Done => self.done.as_ref(),
+            Event::Rejected => self.rejected.as_ref(),
+        }
+    }
+
     /// True when the job's only lifecycle event is `job_enqueued` — the
     /// shape a shed job leaves when its `job_rejected` record was
     /// dropped by sampling.
-    pub fn enqueued_only(&self) -> bool {
-        self.enqueued.is_some()
-            && self.dequeued.is_none()
-            && self.computed.is_none()
-            && self.cache_hit.is_none()
-            && self.coalesced.is_none()
-            && self.rejected.is_none()
-            && self.done.is_none()
+    fn enqueued_only(&self) -> bool {
+        Event::ALL
+            .iter()
+            .all(|&(e, _, _)| (e == Event::Enqueued) == self.at(e).is_some())
     }
 
-    /// Classifies the lifecycle and checks its internal ordering —
-    /// including the `job_profile` postmortem when one is attached: it
-    /// must be well-formed, follow `job_computed`, precede `job_done`,
-    /// and agree with the computed verdict on whether the job timed out.
-    pub fn validate(&self) -> Result<Outcome, String> {
+    /// Classifies the lifecycle and checks it: its events were logged
+    /// in stage order, its shape has the events it needs, and a
+    /// `job_profile` postmortem is well-formed, agrees with the verdict
+    /// on a timeout and names no more steps than its total.
+    fn validate(&self) -> Result<Outcome, String> {
         let job = &self.job;
         if self.profile.is_some() && self.computed.is_none() {
             return Err(format!(
@@ -231,66 +333,71 @@ impl JobTimeline {
                 "{job}: second job_computed at seq {seq}; a job computes at most once"
             ));
         }
-        if let Some(r) = self.rejected {
-            if let Some(seq) = self.dequeued.or(self.computed).or(self.done) {
+        let mut order: Vec<(u64, Event)> = Event::ALL
+            .iter()
+            .filter_map(|&(e, _, _)| Some((self.at(e)?.seq, e)))
+            .collect();
+        order.sort_unstable_by_key(|&(seq, _)| seq);
+        if let Some(w) = order.windows(2).find(|w| w[0].1.stage() > w[1].1.stage()) {
+            let ((a, first), (b, second)) = (w[0], w[1]);
+            return Err(format!(
+                "{job}: out-of-order lifecycle: {} at seq {a} before {} at seq {b}",
+                first.name(),
+                second.name()
+            ));
+        }
+        if let Some(r) = &self.rejected {
+            if let Some(later) = self
+                .dequeued
+                .as_ref()
+                .or(self.computed.as_ref())
+                .or(self.done.as_ref())
+            {
                 return Err(format!(
-                    "{job}: rejected at seq {r} but has later lifecycle event at seq {seq}"
+                    "{job}: rejected at seq {} but has later lifecycle event at seq {}",
+                    r.seq, later.seq
                 ));
             }
             return Ok(Outcome::Rejected);
         }
-        let done = self
-            .done
-            .ok_or_else(|| format!("{job}: never reached job_done"))?;
-        if let Some(hit) = self.cache_hit {
+        if self.done.is_none() {
+            return Err(format!("{job}: never reached job_done"));
+        }
+        if self.cache_hit.is_some() {
             if self.computed.is_some() {
                 return Err(format!("{job}: both cache_hit and job_computed"));
             }
             if self.producer.is_none() {
                 return Err(format!("{job}: cache_hit without producer provenance"));
             }
-            if hit >= done {
-                return Err(format!("{job}: cache_hit at {hit} not before done at {done}"));
-            }
             return Ok(Outcome::CacheHit);
         }
-        if let Some(co) = self.coalesced {
+        if self.coalesced.is_some() {
             if self.computed.is_some() {
                 return Err(format!("{job}: both job_coalesced and job_computed"));
             }
             if self.producer.is_none() {
                 return Err(format!("{job}: job_coalesced without producer"));
             }
-            if co >= done {
-                return Err(format!("{job}: coalesced at {co} not before done at {done}"));
-            }
             return Ok(Outcome::Coalesced);
         }
-        let enq = self
-            .enqueued
-            .ok_or_else(|| format!("{job}: computed path without job_enqueued"))?;
-        let deq = self
-            .dequeued
-            .ok_or_else(|| format!("{job}: computed path without job_dequeued"))?;
-        let comp = self
-            .computed
-            .ok_or_else(|| format!("{job}: terminated without compute, hit, or coalesce"))?;
-        if !(enq < deq && deq < comp && comp < done) {
+        if self.enqueued.is_none() {
+            return Err(format!("{job}: computed path without job_enqueued"));
+        }
+        if self.dequeued.is_none() {
+            return Err(format!("{job}: computed path without job_dequeued"));
+        }
+        if self.computed.is_none() {
             return Err(format!(
-                "{job}: out-of-order lifecycle enq={enq} deq={deq} computed={comp} done={done}"
+                "{job}: terminated without compute, hit, or coalesce"
             ));
         }
         if self.verdict.is_none() {
             return Err(format!("{job}: job_computed without a verdict"));
         }
-        if let Some(p) = self.profile {
+        if self.profile.is_some() {
             if let Some(complaint) = &self.profile_malformed {
                 return Err(format!("{job}: {complaint}"));
-            }
-            if !(comp < p && p < done) {
-                return Err(format!(
-                    "{job}: job_profile at {p} not between computed at {comp} and done at {done}"
-                ));
             }
             let timed_out = self.verdict.as_deref() == Some("timeout");
             let profile_timed_out = self.profile_verdict.as_deref() == Some("timeout");
@@ -318,7 +425,8 @@ impl JobTimeline {
 /// timelines plus the log's declared suppression accounting.
 #[derive(Debug, Clone)]
 pub struct Replay {
-    /// Every job that left at least one record, validated.
+    /// Every job that left at least one record, each with its
+    /// [`JobTimeline::outcome`].
     pub timelines: BTreeMap<String, JobTimeline>,
     /// Declared drops per suppressed event name, summed over the log's
     /// `suppressed` records.
@@ -342,96 +450,69 @@ impl Replay {
     }
 }
 
-/// Parses a JSONL log body, reconstructs every job timeline, and
-/// validates each one — reconciling sampled logs against their declared
-/// `suppressed` budgets (see the module docs). Also checks that `seq`
-/// is strictly monotone across the whole log (one writer, no lost
-/// records).
+/// Parses a JSONL log body, folds it into job timelines, and classifies
+/// each one, storing its [`Outcome`] — reconciling sampled logs against
+/// their declared `suppressed` budgets (see the module docs). Also
+/// checks that `seq` is strictly monotone across the whole log (one
+/// writer, no lost records).
 pub fn replay_log(text: &str) -> Result<Replay, String> {
-    let mut records = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record = Json::parse(line)
-            .map_err(|e| format!("log line {}: {e}", i + 1))?;
-        records.push(record);
-    }
-    let mut last_seq: Option<u64> = None;
+    let records = parse_log(text)?;
     let mut suppressed: BTreeMap<String, u64> = BTreeMap::new();
-    for record in &records {
-        let seq = get_u64(record, "seq")
-            .ok_or_else(|| format!("record without seq: {}", record.to_string_compact()))?;
-        if let Some(prev) = last_seq {
-            if seq <= prev {
-                return Err(format!("seq not strictly monotone: {prev} then {seq}"));
-            }
-        }
-        last_seq = Some(seq);
+    for (_, record) in &records {
         if record["event"].as_str() == Some("suppressed") {
-            if let (Some(event), Some(count)) =
-                (record["suppressed_event"].as_str(), get_u64(record, "count"))
-            {
+            if let (Some(event), Some(count)) = (
+                record["suppressed_event"].as_str(),
+                get_u64(record, "count"),
+            ) {
                 *suppressed.entry(event.to_owned()).or_insert(0) += count;
             }
         }
     }
-    let timelines = job_timelines(&records);
+    let mut replay = Replay {
+        timelines: job_timelines(&records),
+        suppressed,
+        presumed_rejected: 0,
+        presumed_profile_sampled: 0,
+    };
     // Orphan coverage draws on job_rejected's own budget only; other
     // events' declared drops are accounted separately (see
     // [`Replay::budget`]).
-    let rejected_budget = suppressed.get("job_rejected").copied().unwrap_or(0);
-    let profile_budget = suppressed.get("job_profile").copied().unwrap_or(0);
-    let mut presumed_rejected = 0u64;
-    let mut presumed_profile_sampled = 0u64;
-    for t in timelines.values() {
-        match t.validate() {
-            Err(e) => {
-                if t.enqueued_only() && presumed_rejected < rejected_budget {
-                    presumed_rejected += 1;
-                    continue;
-                }
-                if t.enqueued_only() {
-                    return Err(format!(
-                        "{e} (enqueued-only orphan exceeds the declared job_rejected \
-                         suppression budget of {rejected_budget})"
-                    ));
-                }
-                return Err(e);
+    let rejected_budget = replay.budget(Event::Rejected.name());
+    let profile_budget = replay.budget(Event::Profile.name());
+    for t in replay.timelines.values_mut() {
+        let outcome = match t.validate() {
+            Ok(outcome) => outcome,
+            Err(_) if t.enqueued_only() && replay.presumed_rejected < rejected_budget => {
+                replay.presumed_rejected += 1;
+                continue;
             }
-            Ok(Outcome::Computed) => {
-                // The daemon contract: every timeout verdict carries its
-                // hotspot postmortem, so "why did this addon time out"
-                // is answerable from the log alone. A missing postmortem
-                // is only legal when sampling declared the drop.
-                if t.verdict.as_deref() == Some("timeout") && t.profile.is_none() {
-                    if presumed_profile_sampled < profile_budget {
-                        presumed_profile_sampled += 1;
-                    } else {
-                        return Err(format!(
-                            "{}: timeout verdict without a job_profile postmortem \
-                             (beyond the declared job_profile suppression budget \
-                             of {profile_budget})",
-                            t.job
-                        ));
-                    }
-                }
+            Err(e) if t.enqueued_only() => {
+                return Err(format!(
+                    "{e} (enqueued-only orphan exceeds the declared job_rejected \
+                     suppression budget of {rejected_budget})"
+                ));
             }
-            Ok(_) => {}
+            Err(e) => return Err(e),
+        };
+        // The daemon contract: every timeout verdict carries its hotspot
+        // postmortem, so "why did this addon time out" is answerable
+        // from the log alone. A missing postmortem is only legal when
+        // sampling declared the drop.
+        if t.verdict.as_deref() == Some("timeout") && t.profile.is_none() {
+            if replay.presumed_profile_sampled < profile_budget {
+                replay.presumed_profile_sampled += 1;
+            } else {
+                return Err(format!(
+                    "{}: timeout verdict without a job_profile postmortem \
+                     (beyond the declared job_profile suppression budget \
+                     of {profile_budget})",
+                    t.job
+                ));
+            }
         }
+        t.outcome = Some(outcome);
     }
-    Ok(Replay {
-        timelines,
-        suppressed,
-        presumed_rejected,
-        presumed_profile_sampled,
-    })
-}
-
-/// [`replay_log`], returning just the timelines — the original
-/// entry point most tests use.
-pub fn validate_log(text: &str) -> Result<BTreeMap<String, JobTimeline>, String> {
-    replay_log(text).map(|r| r.timelines)
+    Ok(replay)
 }
 
 #[cfg(test)]
@@ -461,13 +542,13 @@ mod tests {
             line(5, "job_done", &[("job", Json::from("j-0")), ("micros", Json::from(99.0))]),
         ]
         .join("\n");
-        let timelines = validate_log(&log).expect("valid log");
+        let timelines = replay_log(&log).expect("valid log").timelines;
         let t = &timelines["j-0"];
-        assert_eq!(t.validate(), Ok(Outcome::Computed));
+        assert_eq!(t.outcome, Some(Outcome::Computed));
         assert_eq!(t.name.as_deref(), Some("a.js"));
         assert_eq!(t.verdict.as_deref(), Some("pass"));
         assert_eq!(t.micros, Some(99));
-        assert_eq!(t.spans, [("phase1".to_owned(), 12)]);
+        assert_eq!(t.spans, [("phase1".to_owned(), None, 12)]);
     }
 
     #[test]
@@ -477,8 +558,8 @@ mod tests {
             line(1, "job_done", &[("job", Json::from("j-1")), ("micros", Json::from(3.0))]),
         ]
         .join("\n");
-        let timelines = validate_log(&with_producer).unwrap();
-        assert_eq!(timelines["j-1"].validate(), Ok(Outcome::CacheHit));
+        let timelines = replay_log(&with_producer).unwrap().timelines;
+        assert_eq!(timelines["j-1"].outcome, Some(Outcome::CacheHit));
         assert_eq!(timelines["j-1"].producer.as_deref(), Some("j-0"));
 
         let without = [
@@ -486,14 +567,14 @@ mod tests {
             line(1, "job_done", &[("job", Json::from("j-1"))]),
         ]
         .join("\n");
-        let err = validate_log(&without).unwrap_err();
+        let err = replay_log(&without).unwrap_err();
         assert!(err.contains("producer"), "{err}");
     }
 
     #[test]
     fn unterminated_and_out_of_order_jobs_fail() {
         let unterminated = line(0, "job_enqueued", &[("job", Json::from("j-9"))]);
-        assert!(validate_log(&unterminated).unwrap_err().contains("job_done"));
+        assert!(replay_log(&unterminated).unwrap_err().contains("job_done"));
 
         let skipped_dequeue = [
             line(0, "job_enqueued", &[("job", Json::from("j-2"))]),
@@ -501,21 +582,21 @@ mod tests {
             line(2, "job_done", &[("job", Json::from("j-2"))]),
         ]
         .join("\n");
-        let err = validate_log(&skipped_dequeue).unwrap_err();
+        let err = replay_log(&skipped_dequeue).unwrap_err();
         assert!(err.contains("job_dequeued"), "{err}");
     }
 
     #[test]
     fn rejected_jobs_are_terminal() {
         let ok = line(0, "job_rejected", &[("job", Json::from("j-3")), ("reason", Json::from("overloaded"))]);
-        assert_eq!(validate_log(&ok).unwrap()["j-3"].validate(), Ok(Outcome::Rejected));
+        assert_eq!(replay_log(&ok).unwrap().timelines["j-3"].outcome, Some(Outcome::Rejected));
 
         let bad = [
             line(0, "job_rejected", &[("job", Json::from("j-3"))]),
             line(1, "job_dequeued", &[("job", Json::from("j-3"))]),
         ]
         .join("\n");
-        assert!(validate_log(&bad).is_err());
+        assert!(replay_log(&bad).is_err());
     }
 
     #[test]
@@ -525,7 +606,7 @@ mod tests {
             line(5, "serve_shutdown", &[]),
         ]
         .join("\n");
-        assert!(validate_log(&log).unwrap_err().contains("monotone"));
+        assert!(replay_log(&log).unwrap_err().contains("monotone"));
     }
 
     #[test]
@@ -547,13 +628,13 @@ mod tests {
         let replay = replay_log(&log).expect("sampled log reconciles");
         assert_eq!(replay.suppressed.get("job_rejected"), Some(&2));
         assert_eq!(replay.presumed_rejected, 1, "one orphan presumed shed");
-        assert_eq!(replay.timelines["j-0"].validate(), Ok(Outcome::Rejected));
-        assert_eq!(replay.timelines["j-2"].validate(), Ok(Outcome::Computed));
+        assert_eq!(replay.timelines["j-0"].outcome, Some(Outcome::Rejected));
+        assert_eq!(replay.timelines["j-2"].outcome, Some(Outcome::Computed));
         // Kept + suppressed rejections account for every shed job.
         let kept = replay
             .timelines
             .values()
-            .filter(|t| t.validate() == Ok(Outcome::Rejected))
+            .filter(|t| t.outcome == Some(Outcome::Rejected))
             .count() as u64;
         assert_eq!(kept + replay.suppressed["job_rejected"], 3);
     }
@@ -586,9 +667,9 @@ mod tests {
 
     #[test]
     fn daemon_narration_events_ride_along() {
-        // alert_fired / alert_cleared (in-daemon alerting) narrate the
-        // daemon, not a job: replay accepts them interleaved with job
-        // lifecycles and leaves the timelines untouched.
+        // Records without a `job` field (here two made-up alert records)
+        // narrate the daemon, not a job: replay accepts them interleaved
+        // with job lifecycles and leaves the timelines untouched.
         let log = [
             line(0, "job_enqueued", &[("job", Json::from("j-0"))]),
             line(1, "alert_cleared", &[("rule", Json::from("vet-p99"))]),
@@ -602,7 +683,7 @@ mod tests {
 ");
         let replay = replay_log(&log).expect("narration events are accepted");
         assert_eq!(replay.timelines.len(), 1);
-        assert_eq!(replay.timelines["j-0"].validate(), Ok(Outcome::Computed));
+        assert_eq!(replay.timelines["j-0"].outcome, Some(Outcome::Computed));
     }
 
     #[test]
@@ -641,7 +722,7 @@ mod tests {
         .join("\n");
         let replay = replay_log(&log).expect("connection events are accepted");
         assert_eq!(replay.timelines.len(), 1);
-        assert_eq!(replay.timelines["j-0"].validate(), Ok(Outcome::Computed));
+        assert_eq!(replay.timelines["j-0"].outcome, Some(Outcome::Computed));
     }
 
     fn hotspot(func: &str, steps: f64) -> Json {
@@ -676,7 +757,7 @@ mod tests {
         .join("\n");
         let replay = replay_log(&log).expect("postmortem-bearing timeout replays");
         let t = &replay.timelines["j-0"];
-        assert_eq!(t.validate(), Ok(Outcome::Computed));
+        assert_eq!(t.outcome, Some(Outcome::Computed));
         assert_eq!(t.profile_steps, Some(100));
         assert_eq!(t.hotspots, [("hot".to_owned(), 60), ("warm".to_owned(), 30)]);
         assert_eq!(replay.presumed_profile_sampled, 0);
@@ -776,10 +857,17 @@ mod tests {
         .join("\n");
         let err = replay_log(&twice).unwrap_err();
         assert!(err.contains("second job_computed at seq 3"), "{err}");
-        let records: Vec<Json> = twice.lines().map(|l| Json::parse(l).unwrap()).collect();
-        let t = &job_timelines(&records)["j-0"];
-        assert_eq!((t.computed, t.recomputed), (Some(2), Some(3)));
+        let t = &job_timelines(&parse_log(&twice).unwrap())["j-0"];
+        assert_eq!((t.computed.as_ref().map(|c| c.seq), t.recomputed), (Some(2), Some(3)));
         assert_eq!(t.verdict.as_deref(), Some("ok"), "the first record is kept");
+    }
+
+    #[test]
+    fn the_stage_table_lists_events_in_declaration_order() {
+        for (i, &(event, name, _)) in Event::ALL.iter().enumerate() {
+            assert_eq!(event as usize, i, "{name}");
+            assert_eq!(Event::named(name), Some(event));
+        }
     }
 
     #[test]
@@ -793,9 +881,9 @@ mod tests {
             line(5, "job_done", &[("job", Json::from("j-1"))]),
         ]
         .join("\n");
-        let timelines = validate_log(&log).unwrap();
-        assert_eq!(timelines["j-0"].validate(), Ok(Outcome::Computed));
-        assert_eq!(timelines["j-1"].validate(), Ok(Outcome::Coalesced));
+        let timelines = replay_log(&log).unwrap().timelines;
+        assert_eq!(timelines["j-0"].outcome, Some(Outcome::Computed));
+        assert_eq!(timelines["j-1"].outcome, Some(Outcome::Coalesced));
         assert_eq!(timelines["j-1"].producer.as_deref(), Some("j-0"));
     }
 }

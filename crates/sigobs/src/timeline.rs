@@ -1,4 +1,4 @@
-//! Reconstructs one job's cross-node timeline as a Chrome trace.
+//! Renders one job's cross-node lifecycle as a Chrome trace.
 //!
 //! `vet trace-job <job-id>` answers "where did this job's wall time
 //! go" for a *fleet* job whose lifecycle spans processes: enqueue on
@@ -6,11 +6,12 @@
 //! back on the coordinator. Input is a JSONL log body — either a
 //! single daemon's log or the output of
 //! [`merge_fleet_logs`](crate::merge_fleet_logs), whose records carry
-//! `node` provenance. Output is Chrome's JSON trace format (load it at
-//! `chrome://tracing` or in Perfetto): one process per node, complete
-//! (`ph:"X"`) slices for each lifecycle interval, with the job's
-//! `job_profile` hotspot postmortem attached to the analyze slice as
-//! args.
+//! `node` provenance — folded into the job's
+//! [`JobTimeline`], the record replay validates. Output is Chrome's JSON
+//! trace format (load it at `chrome://tracing` or in Perfetto): one
+//! process per node, complete (`ph:"X"`) slices for each lifecycle
+//! interval, with the job's `job_profile` hotspot postmortem attached
+//! to the analyze slice as args.
 //!
 //! Timestamps come from each node's own `ts_us` clock, so cross-node
 //! intervals (queue wait measured enqueue-on-coordinator →
@@ -19,111 +20,7 @@
 
 use minijson::Json;
 
-/// One job's reconstructed intervals, before Chrome encoding — kept
-/// public so tests (and future renderers) can assert on semantics
-/// rather than parse the trace JSON back.
-#[derive(Debug, Clone, Default)]
-pub struct JobIntervals {
-    /// The job ID the intervals describe.
-    pub job: String,
-    /// Node that enqueued (coordinator in a fleet; the daemon itself
-    /// single-node), with the `ts_us` of `job_enqueued`.
-    pub enqueued: Option<(String, u64)>,
-    /// Node that dequeued/claimed the job, with its `ts_us`.
-    pub dequeued: Option<(String, u64)>,
-    /// `ts_us` of `job_computed` plus the verdict.
-    pub computed: Option<(String, u64)>,
-    /// Verdict string from `job_computed`.
-    pub verdict: Option<String>,
-    /// `ts_us` of `cache_hit`, when served from cache instead.
-    pub cache_hit: Option<(String, u64)>,
-    /// Node and `ts_us` of `job_done`.
-    pub done: Option<(String, u64)>,
-    /// Pipeline phase spans attributed to the job, in log order:
-    /// `(name, start_us, dur_us)`. `start_us` is on the logging node's
-    /// `ts_us` clock; logs written before span records carried it give
-    /// `None`.
-    pub spans: Vec<(String, Option<u64>, u64)>,
-    /// The `job_profile` postmortem record, verbatim, if one was kept.
-    pub profile: Option<Json>,
-}
-
-fn node_of(record: &Json) -> String {
-    record["node"].as_str().unwrap_or("local").to_owned()
-}
-
-fn ts_of(record: &Json) -> Option<u64> {
-    record["ts_us"].as_f64().map(|n| n as u64)
-}
-
-/// Extracts one job's lifecycle intervals from a JSONL log body.
-/// Records without `node` provenance (a single daemon's own log) land
-/// on the synthetic node `"local"`. Returns an error when the log has
-/// an unparseable line or no record mentions the job.
-pub fn job_intervals(log: &str, job_id: &str) -> Result<JobIntervals, String> {
-    let mut iv = JobIntervals {
-        job: job_id.to_owned(),
-        ..JobIntervals::default()
-    };
-    let mut seen = false;
-    for (i, line) in log.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record =
-            Json::parse(line).map_err(|e| format!("log line {}: {e}", i + 1))?;
-        if record["job"].as_str() != Some(job_id) {
-            continue;
-        }
-        seen = true;
-        let (Some(event), Some(ts)) = (record["event"].as_str(), ts_of(&record)) else {
-            continue;
-        };
-        let at = || (node_of(&record), ts);
-        match event {
-            "job_enqueued" => iv.enqueued = Some(at()),
-            // Keep the *last* dequeue: a requeued job's first claimant
-            // died, and the rescue claim is the one that computed.
-            "job_dequeued" => iv.dequeued = Some(at()),
-            "job_computed" => {
-                iv.computed = Some(at());
-                iv.verdict = record["verdict"].as_str().map(str::to_owned);
-            }
-            "cache_hit" => iv.cache_hit = Some(at()),
-            "job_done" => iv.done = Some(at()),
-            "span" => {
-                if let (Some(name), Some(dur)) =
-                    (record["span"].as_str(), record["dur_us"].as_f64())
-                {
-                    let start = record["start_us"].as_f64().map(|s| s as u64);
-                    iv.spans.push((name.to_owned(), start, dur as u64));
-                }
-            }
-            "job_profile" => iv.profile = Some(record.clone()),
-            _ => {}
-        }
-    }
-    if !seen {
-        return Err(format!("no record mentions job {job_id}"));
-    }
-    Ok(iv)
-}
-
-/// A `ph:"X"` complete event. Durations clamp at zero — cross-node
-/// intervals are measured on different clocks.
-fn slice(name: &str, pid: usize, tid: u64, ts: u64, end: u64, args: Json) -> Json {
-    let mut e = Json::obj();
-    e.set("ph", Json::from("X"));
-    e.set("name", Json::from(name));
-    e.set("pid", Json::from(pid as f64));
-    e.set("tid", Json::from(tid as f64));
-    e.set("ts", Json::from(ts as f64));
-    e.set("dur", Json::from(end.saturating_sub(ts) as f64));
-    if !matches!(args, Json::Null) {
-        e.set("args", args);
-    }
-    e
-}
+use crate::replay::{job_timelines, parse_log, JobTimeline};
 
 fn process_name(pid: usize, name: &str) -> Json {
     let mut m = Json::obj();
@@ -136,94 +33,125 @@ fn process_name(pid: usize, name: &str) -> Json {
     m
 }
 
-/// Renders [`JobIntervals`] as a Chrome trace document:
+/// An args object holding `key` when `value` is known.
+fn arg(key: &str, value: Option<&str>) -> Json {
+    let mut args = Json::obj();
+    if let Some(v) = value {
+        args.set(key, Json::from(v));
+    }
+    args
+}
+
+/// Renders a [`JobTimeline`] as a Chrome trace document:
 /// `{"displayTimeUnit":"ms","traceEvents":[...]}`. Each node becomes a
 /// process (pid in order of lifecycle appearance); lifecycle slices go
 /// on tid 0, pipeline phase slices on tid 1 at their logged
 /// `[start_us, start_us + dur_us]`, so nested spans nest exactly. Spans
 /// from older logs, which carry no `start_us`, are laid back-to-back so
 /// they end at `job_computed`. The `job_profile` hotspots ride on the
-/// analyze slice's args, so the postmortem is visible in the viewer.
-pub fn chrome_trace(iv: &JobIntervals) -> Json {
+/// analyze slice's args, so the postmortem is visible in the viewer. A
+/// coalesced job is one slice from `job_coalesced` to `job_done` naming
+/// its producer, and a rejected job a zero-length slice naming why.
+pub fn chrome_trace(t: &JobTimeline) -> Json {
     let mut nodes: Vec<String> = Vec::new();
-    let pid_of = |name: &str, nodes: &mut Vec<String>| -> usize {
-        match nodes.iter().position(|n| n == name) {
-            Some(i) => i,
-            None => {
-                nodes.push(name.to_owned());
-                nodes.len() - 1
-            }
-        }
-    };
     let mut events: Vec<Json> = Vec::new();
-    let mut slices: Vec<Json> = Vec::new();
+    // A `ph:"X"` complete event on `node`'s process. Durations clamp at
+    // zero — cross-node intervals are measured on different clocks.
+    let mut slice = |name: &str, node: &str, tid: u64, ts: u64, end: u64, args: Json| {
+        let pid = nodes.iter().position(|n| n == node).unwrap_or_else(|| {
+            nodes.push(node.to_owned());
+            nodes.len() - 1
+        });
+        let mut e = Json::obj();
+        e.set("ph", Json::from("X"));
+        e.set("name", Json::from(name));
+        e.set("pid", Json::from(pid as f64));
+        e.set("tid", Json::from(tid as f64));
+        e.set("ts", Json::from(ts as f64));
+        e.set("dur", Json::from(end.saturating_sub(ts) as f64));
+        if !matches!(args, Json::Null) {
+            e.set("args", args);
+        }
+        events.push(e);
+    };
 
-    if let (Some((enq_node, enq_ts)), Some((deq_node, deq_ts))) =
-        (&iv.enqueued, &iv.dequeued)
-    {
-        let pid = pid_of(enq_node, &mut nodes);
+    if let (Some(enq), Some(deq)) = (&t.enqueued, &t.dequeued) {
         // The wait belongs to the enqueuing node's lane: that is where
         // the job sat.
-        let mut args = Json::obj();
-        args.set("claimed_by", Json::from(deq_node.as_str()));
-        slices.push(slice("queue wait", pid, 0, *enq_ts, *deq_ts, args));
+        let args = arg("claimed_by", Some(&deq.node));
+        slice("queue wait", &enq.node, 0, enq.ts_us, deq.ts_us, args);
     }
-    if let (Some((deq_node, deq_ts)), Some((_, comp_ts))) = (&iv.dequeued, &iv.computed) {
-        let pid = pid_of(deq_node, &mut nodes);
-        let mut args = Json::obj();
-        if let Some(v) = &iv.verdict {
-            args.set("verdict", Json::from(v.as_str()));
+    if let (Some(deq), Some(comp)) = (&t.dequeued, &t.computed) {
+        let mut args = arg("verdict", t.verdict.as_deref());
+        if let Some(steps) = t.profile_steps {
+            args.set("total_steps", Json::from(steps as f64));
         }
-        if let Some(profile) = &iv.profile {
-            for key in ["total_steps", "hotspots"] {
-                if let Some(v) = profile.get(key) {
-                    args.set(key, v.clone());
-                }
-            }
+        if let Some(hotspots) = &t.logged_hotspots {
+            args.set("hotspots", hotspots.clone());
         }
-        slices.push(slice("analyze", pid, 0, *deq_ts, *comp_ts, args));
+        slice("analyze", &deq.node, 0, deq.ts_us, comp.ts_us, args);
         // Phase slices at their logged starts; spans without one are
         // laid back-to-back, ending at the computed timestamp.
-        let total: u64 = iv.spans.iter().filter(|s| s.1.is_none()).map(|s| s.2).sum();
-        let mut at = comp_ts.saturating_sub(total).max(*deq_ts);
-        for (name, start, dur) in &iv.spans {
+        let total: u64 = t.spans.iter().filter(|s| s.1.is_none()).map(|s| s.2).sum();
+        let mut at = comp.ts_us.saturating_sub(total).max(deq.ts_us);
+        for (name, start, dur) in &t.spans {
             let ts = start.unwrap_or(at);
-            slices.push(slice(name, pid, 1, ts, ts + dur, Json::Null));
+            slice(name, &deq.node, 1, ts, ts + dur, Json::Null);
             if start.is_none() {
                 at += dur;
             }
         }
     }
-    if let (Some((hit_node, hit_ts)), Some((_, done_ts))) = (&iv.cache_hit, &iv.done) {
-        let pid = pid_of(hit_node, &mut nodes);
-        slices.push(slice("cache hit", pid, 0, *hit_ts, *done_ts, Json::Null));
+    if let (Some(hit), Some(done)) = (&t.cache_hit, &t.done) {
+        slice("cache hit", &hit.node, 0, hit.ts_us, done.ts_us, Json::Null);
     }
-    if let (Some((_, comp_ts)), Some((done_node, done_ts))) = (&iv.computed, &iv.done) {
-        let pid = pid_of(done_node, &mut nodes);
-        slices.push(slice("respond", pid, 0, *comp_ts, *done_ts, Json::Null));
+    if let (Some(co), Some(done)) = (&t.coalesced, &t.done) {
+        let args = arg("producer", t.producer.as_deref());
+        slice("coalesced", &co.node, 0, co.ts_us, done.ts_us, args);
+    }
+    if let (Some(comp), Some(done)) = (&t.computed, &t.done) {
+        slice("respond", &done.node, 0, comp.ts_us, done.ts_us, Json::Null);
+    }
+    if let Some(rej) = &t.rejected {
+        let args = arg("reason", t.reason.as_deref());
+        slice("rejected", &rej.node, 0, rej.ts_us, rej.ts_us, args);
     }
 
-    for (pid, name) in nodes.iter().enumerate() {
-        events.push(process_name(pid, name));
-    }
-    events.extend(slices);
-
+    let mut trace: Vec<Json> = nodes
+        .iter()
+        .enumerate()
+        .map(|(pid, name)| process_name(pid, name))
+        .collect();
+    trace.extend(events);
     let mut doc = Json::obj();
     doc.set("displayTimeUnit", Json::from("ms"));
-    doc.set("traceEvents", Json::Arr(events));
+    doc.set("traceEvents", Json::Arr(trace));
     doc
 }
 
-/// [`job_intervals`] + [`chrome_trace`]: one call from log body to
-/// Chrome trace JSON text.
+/// Folds a JSONL log body and renders job `job_id`'s lifecycle with
+/// [`chrome_trace`], as compact JSON text. Records without `node`
+/// provenance (a single daemon's own log) land on the synthetic node
+/// `"local"`. Returns an error when the log is malformed (see
+/// [`replay_log`](crate::replay::replay_log)) or no lifecycle record
+/// names the job.
 pub fn job_chrome_trace(log: &str, job_id: &str) -> Result<String, String> {
-    Ok(chrome_trace(&job_intervals(log, job_id)?).to_string_compact())
+    let timeline = job_timelines(&parse_log(log)?)
+        .remove(job_id)
+        .ok_or_else(|| format!("no record mentions job {job_id}"))?;
+    Ok(chrome_trace(&timeline).to_string_compact())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::merge_fleet_logs;
+    use crate::replay::{replay_log, Logged, Outcome};
+
+    /// One job's timeline folded from a log body.
+    fn timeline(log: &str, job: &str) -> JobTimeline {
+        job_timelines(&parse_log(log).unwrap()).remove(job).unwrap()
+    }
 
     fn line(seq: u64, ts: u64, event: &str, fields: &[(&str, Json)]) -> String {
         let mut r = Json::obj();
@@ -256,12 +184,13 @@ mod tests {
         ]
         .join("\n");
         let merged = merge_fleet_logs(&[("coord", &coord), ("w0", &worker)]).unwrap();
-        let iv = job_intervals(&merged, "j-0").expect("intervals");
-        assert_eq!(iv.enqueued, Some(("coord".to_owned(), 1_000)));
-        assert_eq!(iv.dequeued, Some(("w0".to_owned(), 3_000)));
-        assert_eq!(iv.verdict.as_deref(), Some("pass"));
+        let t = timeline(&merged, "j-0");
+        let at = |l: &Option<Logged>| l.as_ref().map(|l| (l.node.clone(), l.ts_us));
+        assert_eq!(at(&t.enqueued), Some(("coord".to_owned(), 1_000)));
+        assert_eq!(at(&t.dequeued), Some(("w0".to_owned(), 3_000)));
+        assert_eq!(t.verdict.as_deref(), Some("pass"));
 
-        let trace = chrome_trace(&iv);
+        let trace = chrome_trace(&t);
         let events = match &trace["traceEvents"] {
             Json::Arr(e) => e,
             other => panic!("traceEvents not an array: {other:?}"),
@@ -333,7 +262,7 @@ mod tests {
             line(5, 3_100, "job_done", &[j("j-0")]),
         ]
         .join("\n");
-        let trace = chrome_trace(&job_intervals(&log, "j-0").unwrap());
+        let trace = chrome_trace(&timeline(&log, "j-0"));
         let Json::Arr(events) = &trace["traceEvents"] else {
             panic!()
         };
@@ -377,7 +306,7 @@ mod tests {
         ]
         .join("\n");
         let merged = merge_fleet_logs(&[("coord", &coord), ("w0", &worker)]).unwrap();
-        let trace = chrome_trace(&job_intervals(&merged, "j-0").unwrap());
+        let trace = chrome_trace(&timeline(&merged, "j-0"));
         let Json::Arr(events) = &trace["traceEvents"] else {
             panic!()
         };
@@ -404,7 +333,7 @@ mod tests {
             line(4, 6_000, "job_done", &[j("j-0")]),
         ]
         .join("\n");
-        let trace = chrome_trace(&job_intervals(&log, "j-0").unwrap());
+        let trace = chrome_trace(&timeline(&log, "j-0"));
         let Json::Arr(events) = &trace["traceEvents"] else {
             panic!()
         };
@@ -423,9 +352,103 @@ mod tests {
     }
 
     #[test]
+    fn the_trace_draws_the_compute_replay_counts() {
+        // A second `job_computed` fails replay; the trace still draws
+        // the first, the one replay would have counted.
+        let log = [
+            line(0, 1_000, "job_enqueued", &[j("j-0")]),
+            line(1, 2_000, "job_dequeued", &[j("j-0")]),
+            line(2, 3_000, "job_computed", &[j("j-0"), ("verdict", Json::from("ok"))]),
+            line(3, 4_000, "job_computed", &[j("j-0"), ("verdict", Json::from("timeout"))]),
+            line(4, 5_000, "job_done", &[j("j-0")]),
+        ]
+        .join("\n");
+        assert!(replay_log(&log).unwrap_err().contains("second job_computed at seq 3"));
+        let trace = chrome_trace(&timeline(&log, "j-0"));
+        let Json::Arr(events) = &trace["traceEvents"] else {
+            panic!()
+        };
+        let analyze = events
+            .iter()
+            .find(|e| e["name"].as_str() == Some("analyze"))
+            .unwrap();
+        assert_eq!(analyze["dur"].as_f64(), Some(1_000.0));
+        assert_eq!(analyze["args"]["verdict"].as_str(), Some("ok"));
+    }
+
+    #[test]
     fn unknown_job_is_an_error() {
         let log = line(0, 1_000, "job_enqueued", &[j("j-0")]);
         let err = job_chrome_trace(&log, "j-9").unwrap_err();
         assert!(err.contains("j-9"), "{err}");
+    }
+
+    #[test]
+    fn every_outcome_renders_slices_that_nest_or_are_disjoint() {
+        let log = [
+            line(0, 1_000, "job_enqueued", &[j("j-0")]),
+            line(1, 1_100, "job_dequeued", &[j("j-0")]),
+            line(2, 1_150, "job_coalesced", &[j("j-1"), ("producer", Json::from("j-0"))]),
+            line(3, 1_200, "job_rejected", &[j("j-2"), ("reason", Json::from("overloaded"))]),
+            line(
+                4,
+                1_800,
+                "span",
+                &[
+                    j("j-0"),
+                    ("span", Json::from("jsanalysis.fixpoint")),
+                    ("start_us", Json::from(1_150.0)),
+                    ("dur_us", Json::from(600.0)),
+                ],
+            ),
+            line(5, 2_000, "job_computed", &[j("j-0"), ("verdict", Json::from("ok"))]),
+            line(6, 2_100, "job_done", &[j("j-0")]),
+            line(7, 2_110, "job_done", &[j("j-1")]),
+            line(8, 2_200, "cache_hit", &[j("j-3"), ("producer", Json::from("j-0"))]),
+            line(9, 2_210, "job_done", &[j("j-3")]),
+        ]
+        .join("\n");
+        let replay = replay_log(&log).expect("log replays");
+        let outcomes = [
+            ("j-0", Outcome::Computed),
+            ("j-1", Outcome::Coalesced),
+            ("j-2", Outcome::Rejected),
+            ("j-3", Outcome::CacheHit),
+        ];
+        for (job, outcome) in outcomes {
+            let t = &replay.timelines[job];
+            assert_eq!(t.outcome, Some(outcome), "{job}");
+            let trace = chrome_trace(t);
+            let Json::Arr(events) = &trace["traceEvents"] else {
+                panic!()
+            };
+            let slices: Vec<(f64, f64)> = events
+                .iter()
+                .filter(|e| e["ph"].as_str() == Some("X"))
+                .map(|e| {
+                    let ts = e["ts"].as_f64().unwrap();
+                    (ts, ts + e["dur"].as_f64().unwrap())
+                })
+                .collect();
+            assert!(!slices.is_empty(), "{job}: no complete event");
+            for (i, &(s1, e1)) in slices.iter().enumerate() {
+                for &(s2, e2) in &slices[i + 1..] {
+                    let nested = (s1 <= s2 && e2 <= e1) || (s2 <= s1 && e1 <= e2);
+                    assert!(nested || e1 <= s2 || e2 <= s1, "{job}: slices partially overlap");
+                }
+            }
+        }
+        let only = |job: &str| {
+            let trace = chrome_trace(&replay.timelines[job]);
+            trace["traceEvents"][1].clone()
+        };
+        let coalesced = only("j-1");
+        assert_eq!(coalesced["name"].as_str(), Some("coalesced"));
+        assert_eq!((coalesced["ts"].as_f64(), coalesced["dur"].as_f64()), (Some(1_150.0), Some(960.0)));
+        assert_eq!(coalesced["args"]["producer"].as_str(), Some("j-0"));
+        let rejected = only("j-2");
+        assert_eq!(rejected["name"].as_str(), Some("rejected"));
+        assert_eq!(rejected["dur"].as_f64(), Some(0.0));
+        assert_eq!(rejected["args"]["reason"].as_str(), Some("overloaded"));
     }
 }

@@ -85,12 +85,13 @@
 //! logs as its `job_profile` event.
 //!
 //! `trace-job <job-id>` reconstructs one job's cross-node timeline
-//! (enqueue → queue wait → claim → pipeline phases → respond) from the
-//! structured JSONL logs the daemon and fleet nodes wrote (`--log FILE`
-//! repeats, one per node; node names come from the file stems) and
-//! writes a Chrome `trace_event` document (`chrome://tracing`,
-//! Perfetto) with the job's hotspot postmortem attached to the analyze
-//! slice.
+//! (enqueue → queue wait → claim → pipeline phases → respond, or the
+//! job's cache hit, coalesce or rejection) from the structured JSONL
+//! logs the daemon and fleet nodes wrote (`--log FILE` repeats, one per
+//! node; node names come from the file stems) and writes a Chrome
+//! `trace_event` document (`chrome://tracing`, Perfetto) with the job's
+//! hotspot postmortem attached to the analyze slice. It draws the same
+//! folded timeline `sigobs::replay::replay_log` validates.
 //!
 //! `metrics-report DIR` renders a metrics-history directory as counter
 //! rates and latency percentiles over the recorded window (percentiles
@@ -830,8 +831,8 @@ fn run_profile(file: &str, top: usize, json: bool, config: &AnalysisConfig) -> R
 }
 
 /// `vet trace-job <job-id>`: merges the per-node JSONL logs (node name
-/// = file stem) causally, reconstructs the job's lifecycle intervals,
-/// and writes the Chrome trace document to `--out` (or stdout).
+/// = file stem) causally, folds the job's lifecycle, and writes its
+/// Chrome trace document to `--out` (or stdout).
 fn run_trace_job(job: &str, logs: &[String], out: Option<&str>) -> Result<(), String> {
     let mut bodies: Vec<(String, String)> = Vec::new();
     for path in logs {

@@ -178,7 +178,7 @@ fn worker_kill_loses_no_jobs_and_merged_log_replays() {
     let computed = replay
         .timelines
         .values()
-        .filter(|t| t.validate() == Ok(Outcome::Computed))
+        .filter(|t| t.outcome == Some(Outcome::Computed))
         .count();
     assert_eq!(computed, 1, "exactly one computed lifecycle");
     assert_eq!(replay.presumed_rejected, 0, "no orphaned enqueues");
@@ -332,7 +332,7 @@ fn local_and_remote_workers_share_one_queue() {
     let computed = replay
         .timelines
         .values()
-        .filter(|t| t.validate() == Ok(Outcome::Computed))
+        .filter(|t| t.outcome == Some(Outcome::Computed))
         .count();
     assert_eq!(computed, addons.len(), "one computed lifecycle per job");
     assert_eq!(replay.presumed_rejected, 0);
@@ -387,7 +387,7 @@ fn pipelined_identical_vets_compute_once() {
     let coalesced = replay
         .timelines
         .values()
-        .filter(|t| t.validate() == Ok(Outcome::Coalesced))
+        .filter(|t| t.outcome == Some(Outcome::Coalesced))
         .count();
     assert_eq!(
         coalesced, 5,
@@ -435,7 +435,7 @@ fn shutdown_sheds_pending_jobs_only_without_local_workers() {
             replay
                 .timelines
                 .values()
-                .all(|t| t.validate() == Ok(expected)),
+                .all(|t| t.outcome == Some(expected)),
             "workers={workers}: every job ends {expected:?}"
         );
     }

@@ -3,7 +3,7 @@
 //! concurrent batch jobs must carry distinct stable request IDs, and
 //! cache hits must record the producing job's ID as provenance.
 
-use addon_sig::sigobs::replay::{replay_log, validate_log, Outcome};
+use addon_sig::sigobs::replay::{replay_log, Outcome};
 use addon_sig::sigobs::{EventLog, Level, SamplePolicy};
 use addon_sig::sigserve::{Client, ServeConfig, Server};
 use addon_sig::sigtrace::Layer;
@@ -51,18 +51,18 @@ fn full_lifecycle_replays_from_the_log_file_alone() {
 
     // The proof: reconstruct every lifecycle from the file alone.
     let text = std::fs::read_to_string(&log_path).expect("read log");
-    let timelines = validate_log(&text).expect("log must replay");
+    let timelines = replay_log(&text).expect("log must replay").timelines;
     std::fs::remove_file(&log_path).ok();
 
     let id = |resp: &Json| resp["job"].as_str().expect("job id").to_owned();
     let computed = &timelines[&id(&first)];
-    assert_eq!(computed.validate(), Ok(Outcome::Computed));
+    assert_eq!(computed.outcome, Some(Outcome::Computed));
     assert_eq!(computed.verdict.as_deref(), Some("ok"));
     // Debug level: the pipeline's phase spans land in the timeline,
     // tagged with this job's ID (the sigtrace adapter at work).
     for layer in Layer::ALL {
         assert!(
-            computed.spans.iter().any(|(s, _)| s == layer.name()),
+            computed.spans.iter().any(|(s, _, _)| s == layer.name()),
             "missing span {} in {:?}",
             layer.name(),
             computed.spans
@@ -70,7 +70,7 @@ fn full_lifecycle_replays_from_the_log_file_alone() {
     }
 
     let hit = &timelines[&id(&second)];
-    assert_eq!(hit.validate(), Ok(Outcome::CacheHit));
+    assert_eq!(hit.outcome, Some(Outcome::CacheHit));
     assert_eq!(
         hit.producer.as_deref(),
         Some(id(&first).as_str()),
@@ -78,7 +78,7 @@ fn full_lifecycle_replays_from_the_log_file_alone() {
     );
 
     let errored = &timelines[&id(&broken)];
-    assert_eq!(errored.validate(), Ok(Outcome::Computed));
+    assert_eq!(errored.outcome, Some(Outcome::Computed));
     assert_eq!(errored.verdict.as_deref(), Some("error"));
 }
 
@@ -149,10 +149,12 @@ fn concurrent_batch_jobs_carry_distinct_stable_ids() {
     server.join();
 
     // Every response ID resolves to a valid lifecycle in the log.
-    let timelines = validate_log(&log.tail_lines().join("\n")).expect("log must replay");
+    let timelines = replay_log(&log.tail_lines().join("\n"))
+        .expect("log must replay")
+        .timelines;
     for id in &ids {
         let t = timelines.get(id).unwrap_or_else(|| panic!("{id} not in log"));
-        t.validate().expect("well-formed lifecycle");
+        assert!(t.outcome.is_some(), "{id}: well-formed lifecycle");
     }
 }
 
@@ -234,7 +236,7 @@ fn overloaded_daemon_keeps_a_sampled_but_exact_log() {
     let kept_rejected = replay
         .timelines
         .values()
-        .filter(|t| matches!(t.validate(), Ok(Outcome::Rejected)))
+        .filter(|t| t.outcome == Some(Outcome::Rejected))
         .count() as u64;
     let suppressed = *replay.suppressed.get("job_rejected").unwrap_or(&0);
     assert_eq!(
@@ -254,7 +256,7 @@ fn overloaded_daemon_keeps_a_sampled_but_exact_log() {
     let computed = replay
         .timelines
         .values()
-        .filter(|t| matches!(t.validate(), Ok(Outcome::Computed)))
+        .filter(|t| t.outcome == Some(Outcome::Computed))
         .count();
     assert_eq!(computed, accepted, "every accepted flood job computed");
 }
@@ -283,10 +285,12 @@ fn submit_time_and_worker_side_hits_both_record_provenance() {
     client.shutdown().expect("shutdown");
     server.join();
 
-    let timelines = validate_log(&log.tail_lines().join("\n")).expect("log must replay");
+    let timelines = replay_log(&log.tail_lines().join("\n"))
+        .expect("log must replay")
+        .timelines;
     for id in &hit_ids {
         let t = &timelines[id];
-        assert_eq!(t.validate(), Ok(Outcome::CacheHit));
+        assert_eq!(t.outcome, Some(Outcome::CacheHit));
         assert_eq!(
             t.producer.as_deref(),
             Some(producer_id.as_str()),

@@ -3,7 +3,8 @@
 //! and the report surface (JSON, witnesses, timings).
 
 use addon_sig::{analyze_addon, Error, Pipeline};
-use jsanalysis::{AnalysisConfig, BudgetKind, SourceKind, StringDomain};
+use jsanalysis::{AnalysisConfig, BudgetKind, SinkKind, SourceKind, StringDomain};
+use jsdomains::Pre;
 use jssig::FlowType;
 
 fn t(n: u8) -> FlowType {
@@ -248,6 +249,36 @@ second.send("constant");
     assert!(url_domains.iter().all(|d| d.contains("one.example.com")));
     // Both sinks appear as sink-only entries.
     assert_eq!(report.signature.sinks.len(), 2);
+}
+
+#[test]
+fn open_on_one_of_several_receivers_keeps_the_others_url() {
+    // `r` is `a` or `b`, so `r.open` may not have opened `a`: on the path
+    // where `r` is `b`, `a` still sends to its first URL, and the send's
+    // domain must admit both.
+    let report = analyze_addon(
+        r#"
+var a = new XMLHttpRequest();
+var b = new XMLHttpRequest();
+a.open("GET", "http://a.example.com/");
+var r = a;
+if (Math.random() < 0.5) { r = b; }
+r.open("GET", "http://evil.example.com/");
+a.send(null);
+"#,
+    )
+    .unwrap();
+    let sends: Vec<&Pre> = report
+        .signature
+        .sinks
+        .iter()
+        .filter(|s| s.kind == SinkKind::Send)
+        .map(|s| &s.domain)
+        .collect();
+    assert_eq!(sends.len(), 1, "one send: {sends:?}");
+    for url in ["http://a.example.com/", "http://evil.example.com/"] {
+        assert!(sends[0].may_be(url), "send domain {} misses {url}", sends[0]);
+    }
 }
 
 #[test]
