@@ -10,7 +10,10 @@
 //! Each addon row also records `outside_layers_pct`: the median over
 //! passes of the share of `Pipeline::run` wall time that no layer span
 //! covers. The run fails when it exceeds 5% on any addon, so the layers
-//! keep adding up to the end-to-end time.
+//! keep adding up to the end-to-end time. The same share is measured
+//! over as many more passes with triage on, as every daemon job runs
+//! (`triage_outside_layers_pct`, gated alike): triage does inference
+//! work before phase 2, which must stay inside a layer too.
 //!
 //! The snapshot also measures the cost of the sigtrace hooks: the corpus
 //! vetted with a no-op `Tracer` attached versus the plain pipeline, as
@@ -36,6 +39,7 @@
 //! - `--out PATH`     where to write the JSON (default
 //!   `<repo root>/BENCH_pipeline.json`)
 
+use jsanalysis::AnalysisConfig;
 use minijson::Json;
 use sigtrace::{Layer, LayerTimes};
 use std::time::{Duration, Instant};
@@ -59,9 +63,10 @@ impl AddonPass {
     }
 }
 
-fn analyze_one(addon: &corpus::Addon) -> AddonPass {
+fn analyze_one(addon: &corpus::Addon, config: &AnalysisConfig) -> AddonPass {
+    let pipeline = addon_sig::Pipeline::new().config(config.clone());
     let start = Instant::now();
-    let report = addon_sig::analyze_addon(addon.source).expect("pipeline");
+    let report = pipeline.run(addon.source).expect("pipeline");
     let total = start.elapsed();
     AddonPass {
         timings: report.timings,
@@ -72,17 +77,21 @@ fn analyze_one(addon: &corpus::Addon) -> AddonPass {
 
 /// One full-corpus pass; returns (per-addon results in corpus order,
 /// wall-clock for the whole pass).
-fn corpus_pass(addons: &[corpus::Addon], sequential: bool) -> (Vec<AddonPass>, Duration) {
+fn corpus_pass(
+    addons: &[corpus::Addon],
+    sequential: bool,
+    config: &AnalysisConfig,
+) -> (Vec<AddonPass>, Duration) {
     let start = Instant::now();
     let results: Vec<AddonPass> = if sequential {
-        addons.iter().map(analyze_one).collect()
+        addons.iter().map(|a| analyze_one(a, config)).collect()
     } else {
         // Each addon's pipeline is independent: fan out one scoped worker
         // per addon and join in corpus order.
         std::thread::scope(|scope| {
             let handles: Vec<_> = addons
                 .iter()
-                .map(|a| scope.spawn(move || analyze_one(a)))
+                .map(|a| scope.spawn(move || analyze_one(a, config)))
                 .collect();
             handles.into_iter().map(|h| h.join().expect("worker")).collect()
         })
@@ -92,6 +101,11 @@ fn corpus_pass(addons: &[corpus::Addon], sequential: bool) -> (Vec<AddonPass>, D
 
 fn median(mut xs: Vec<Duration>) -> Duration {
     xs.sort();
+    xs[xs.len() / 2]
+}
+
+fn median_pct(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
     xs[xs.len() / 2]
 }
 
@@ -314,14 +328,25 @@ fn main() {
     let n = addons.len();
 
     // Warm-up pass (discarded) + measured passes.
-    let _ = corpus_pass(&addons, sequential);
+    let config = AnalysisConfig::default();
+    let _ = corpus_pass(&addons, sequential, &config);
     let mut walls: Vec<Duration> = Vec::with_capacity(runs);
     let mut per_addon: Vec<Vec<AddonPass>> = (0..n).map(|_| Vec::with_capacity(runs)).collect();
     for _ in 0..runs {
-        let (results, wall) = corpus_pass(&addons, sequential);
+        let (results, wall) = corpus_pass(&addons, sequential, &config);
         walls.push(wall);
         for (slot, r) in per_addon.iter_mut().zip(results) {
             slot.push(r);
+        }
+    }
+    // The same passes under triage, for the layer-coverage gate only.
+    let triage = config.with_triage(true);
+    let _ = corpus_pass(&addons, sequential, &triage);
+    let mut triage_outside: Vec<Vec<f64>> = vec![Vec::with_capacity(runs); n];
+    for _ in 0..runs {
+        let (results, _) = corpus_pass(&addons, sequential, &triage);
+        for (slot, r) in triage_outside.iter_mut().zip(results) {
+            slot.push(r.outside_layers_pct());
         }
     }
 
@@ -331,8 +356,8 @@ fn main() {
         if sequential { "sequential" } else { "parallel" }
     );
     println!(
-        "{:<22} {:>9} {:>9} {:>9} {:>9} {:>10} {:>8}",
-        "addon", "p1 (s)", "p2 (s)", "p3 (s)", "total (s)", "steps", "out (%)"
+        "{:<22} {:>9} {:>9} {:>9} {:>9} {:>10} {:>8} {:>8}",
+        "addon", "p1 (s)", "p2 (s)", "p3 (s)", "total (s)", "steps", "out (%)", "tri (%)"
     );
 
     let mut doc = Json::obj();
@@ -346,16 +371,17 @@ fn main() {
     let mut addons_json = Json::obj();
     let mut sum_total = Duration::ZERO;
     let mut max_outside = 0.0f64;
+    let mut max_triage_outside = 0.0f64;
     let mut failures: Vec<String> = Vec::new();
-    for (addon, passes) in addons.iter().zip(&per_addon) {
+    for ((addon, passes), triage_outside) in addons.iter().zip(&per_addon).zip(triage_outside) {
         let layers = per_layer(&passes.iter().map(|p| p.timings).collect::<Vec<_>>(), median);
         let [p1, p2, p3] =
             [1, 2, 3].map(|n| median(passes.iter().map(|p| p.timings.phase(n)).collect()));
         let total = median(passes.iter().map(|p| p.total).collect());
-        let mut outside: Vec<f64> = passes.iter().map(AddonPass::outside_layers_pct).collect();
-        outside.sort_by(f64::total_cmp);
-        let outside = outside[outside.len() / 2];
+        let outside = median_pct(passes.iter().map(AddonPass::outside_layers_pct).collect());
         max_outside = max_outside.max(outside);
+        let triage_outside = median_pct(triage_outside);
+        max_triage_outside = max_triage_outside.max(triage_outside);
         let steps = passes[0].steps;
         assert!(
             passes.iter().all(|p| p.steps == steps),
@@ -364,7 +390,7 @@ fn main() {
         );
         sum_total += total;
         println!(
-            "{:<22} {:>9.4} {:>9.4} {:>9.4} {:>9.4} {:>10} {:>8.2}",
+            "{:<22} {:>9.4} {:>9.4} {:>9.4} {:>9.4} {:>10} {:>8.2} {:>8.2}",
             addon.name,
             p1.as_secs_f64(),
             p2.as_secs_f64(),
@@ -372,11 +398,13 @@ fn main() {
             total.as_secs_f64(),
             steps,
             outside,
+            triage_outside,
         );
         let mut row = Json::obj();
         row.set("layers_s", layers_json(&layers));
         row.set("total_s", Json::from(secs(total)));
         row.set("outside_layers_pct", Json::from(pct(outside)));
+        row.set("triage_outside_layers_pct", Json::from(pct(triage_outside)));
         row.set("steps", Json::from(steps as u32));
         addons_json.set(addon.name, row);
         if p2 > p1 {
@@ -387,16 +415,19 @@ fn main() {
                 p1.as_secs_f64()
             ));
         }
-        if outside > MAX_OUTSIDE_LAYERS_PCT {
-            failures.push(format!(
-                "{}: {outside:.2}% of Pipeline::run falls outside every layer \
-                 (gate {MAX_OUTSIDE_LAYERS_PCT}%); work was added between layer spans",
-                addon.name
-            ));
+        for (share, mode) in [(outside, ""), (triage_outside, " under triage")] {
+            if share > MAX_OUTSIDE_LAYERS_PCT {
+                failures.push(format!(
+                    "{}: {share:.2}% of Pipeline::run{mode} falls outside every layer \
+                     (gate {MAX_OUTSIDE_LAYERS_PCT}%); work was added between layer spans",
+                    addon.name
+                ));
+            }
         }
     }
     doc.set("sum_addon_total_s", Json::from(secs(sum_total)));
     doc.set("max_outside_layers_pct", Json::from(pct(max_outside)));
+    doc.set("triage_max_outside_layers_pct", Json::from(pct(max_triage_outside)));
     doc.set("addons", addons_json);
     println!(
         "end-to-end corpus wall (median): {:.4} s   sum of addon totals: {:.4} s",

@@ -687,7 +687,8 @@ impl<'a> Machine<'a> {
         }
         read_slot(st, frame, slots::CHAIN)
             .objs
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|s| self.sites.is_frame_of(*s, v.func))
             .collect()
     }

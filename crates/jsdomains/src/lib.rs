@@ -13,7 +13,10 @@
 //!   the paper's `datastrong` PDG edges). The heap is a dense vector of
 //!   shared objects indexed by allocation site; its join copies an
 //!   object only when [`AObject::join_would_change`] says the join
-//!   changes it.
+//!   changes it;
+//! - [`SortedMap`] and [`SiteSet`], the compact layouts phase 1 copies
+//!   and joins: an object's maps as one sorted vector each, and a
+//!   value's address set inline up to two sites.
 //!
 //! # Examples
 //!
@@ -38,6 +41,8 @@ mod consts;
 mod lattice;
 mod object;
 mod prefix;
+mod sites;
+mod sorted_map;
 mod sym;
 mod value;
 
@@ -45,5 +50,7 @@ pub use consts::{BoolDom, NumDom};
 pub use lattice::{Lattice, MeetLattice};
 pub use object::{cow_clone_count, AObject, FuncIndex, Heap, NativeId, ObjKind};
 pub use prefix::Pre;
+pub use sites::SiteSet;
+pub use sorted_map::SortedMap;
 pub use sym::Sym;
 pub use value::{AValue, AllocSite};

@@ -10,13 +10,17 @@
 //! vector. Joining heaps is the base analysis's hot loop, and at a
 //! fixpoint most object joins change nothing, so [`Heap::join_in_place`]
 //! asks [`AObject::join_would_change`] first and copies a shared object
-//! only for a join that changes it.
+//! only for a join that changes it. An object's two maps are each one
+//! sorted vector ([`SortedMap`]), so that copy is one allocation per map
+//! and both the test and the join are one walk over two vectors.
 
 use crate::lattice::Lattice;
 use crate::prefix::Pre;
+use crate::sorted_map::SortedMap;
 use crate::sym::Sym;
 use crate::value::{AValue, AllocSite};
 use std::fmt;
+use std::rc::Rc;
 
 /// Index of an analyzed (addon) function, assigned by the analysis layer.
 /// This is deliberately opaque to the domains crate.
@@ -28,8 +32,6 @@ impl fmt::Display for FuncIndex {
         write!(f, "fn#{}", self.0)
     }
 }
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Identifies a native (browser-provided) function in the analysis's
 /// native table.
@@ -65,14 +67,14 @@ impl ObjKind {
 pub struct AObject {
     /// What the object is.
     pub kind: ObjKind,
-    /// Properties under exactly-known (interned) names.
-    pub props: BTreeMap<Sym, AValue>,
+    /// Properties under exactly-known (interned) names, in text order.
+    pub props: SortedMap<Sym, AValue>,
     /// Join of all values written under non-exact names; `AValue::bottom()`
     /// if no such write happened.
     pub unknown_props: AValue,
     /// Internal slots used by the analysis (scope chains, XHR URLs, ...).
     /// Names are crate-conventions like `"@scope"`.
-    pub internal: BTreeMap<&'static str, AValue>,
+    pub internal: SortedMap<&'static str, AValue>,
     /// True while the allocation site is known to have produced at most
     /// one concrete object; required for strong property writes.
     pub singleton: bool,
@@ -84,9 +86,9 @@ impl AObject {
     pub fn new(kind: ObjKind) -> AObject {
         AObject {
             kind,
-            props: BTreeMap::new(),
+            props: SortedMap::new(),
             unknown_props: AValue::bottom(),
-            internal: BTreeMap::new(),
+            internal: SortedMap::new(),
             singleton: true,
         }
     }
@@ -112,7 +114,7 @@ impl AObject {
             }
             Pre::Prefix(p) => {
                 let mut v = AValue::undef();
-                for (k, pv) in &self.props {
+                for (k, pv) in self.props.iter() {
                     if k.starts_with(p.as_str()) {
                         v = v.join(pv);
                     }
@@ -132,7 +134,7 @@ impl AObject {
                 if strong && self.singleton {
                     self.props.insert(*k, value.clone());
                 } else {
-                    let slot = self.props.entry(*k).or_insert_with(AValue::undef);
+                    let slot = self.props.get_or_insert_with(*k, AValue::undef);
                     *slot = slot.join(value);
                 }
             }
@@ -170,7 +172,7 @@ impl AObject {
     /// Reads an internal slot.
     pub fn internal_slot(&self, name: &'static str) -> AValue {
         self.internal
-            .get(name)
+            .get(&name)
             .cloned()
             .unwrap_or_else(AValue::bottom)
     }
@@ -180,42 +182,31 @@ impl AObject {
         if self.singleton {
             self.internal.insert(name, value);
         } else {
-            let slot = self.internal.entry(name).or_insert_with(AValue::bottom);
+            let slot = self.internal.get_or_insert_with(name, AValue::bottom);
             *slot = slot.join(&value);
         }
     }
 
     /// Joins another abstract object into this one (same allocation site,
-    /// merging control-flow paths).
+    /// merging control-flow paths), in one walk over each pair of maps.
     pub fn join_in_place(&mut self, other: &AObject) -> bool {
         debug_assert_eq!(self.kind, other.kind, "same alloc site, same kind");
-        let mut changed = false;
-        for (k, v) in &other.props {
-            match self.props.get_mut(k) {
-                Some(slot) => changed |= slot.join_in_place(v),
-                None => {
-                    // Present on one path only: may be absent.
-                    self.props.insert(*k, v.join(&AValue::undef()));
-                    changed = true;
-                }
-            }
-        }
-        // Props present here but not there may be absent there.
-        for (k, v) in self.props.iter_mut() {
-            if !other.props.contains_key(k) {
-                changed |= v.join_in_place(&AValue::undef());
-            }
-        }
+        let undef = AValue::undef();
+        // A prop present on one path only may be absent.
+        let mut changed = self.props.merge(
+            &other.props,
+            AValue::join_in_place,
+            |mine| mine.join_in_place(&undef),
+            |theirs| theirs.join(&undef),
+        );
         changed |= self.unknown_props.join_in_place(&other.unknown_props);
-        for (k, v) in &other.internal {
-            match self.internal.get_mut(k) {
-                Some(slot) => changed |= slot.join_in_place(v),
-                None => {
-                    self.internal.insert(k, v.clone());
-                    changed = true;
-                }
-            }
-        }
+        // Internal slots only here are left alone.
+        changed |= self.internal.merge(
+            &other.internal,
+            AValue::join_in_place,
+            |_| false,
+            AValue::clone,
+        );
         if self.singleton && !other.singleton {
             self.singleton = false;
             changed = true;
@@ -241,9 +232,9 @@ impl AObject {
 /// one walk over both key-ordered maps: a key only in `theirs` is
 /// inserted, a shared key changes unless `theirs`' value is below
 /// `mine`'s, and a key only in `mine` changes when `mine_only` says so.
-fn map_join_would_change<K: Ord>(
-    mine: &BTreeMap<K, AValue>,
-    theirs: &BTreeMap<K, AValue>,
+fn map_join_would_change<K: Ord + Copy>(
+    mine: &SortedMap<K, AValue>,
+    theirs: &SortedMap<K, AValue>,
     mine_only: impl Fn(&AValue) -> bool,
 ) -> bool {
     let (mut mine, mut theirs) = (mine.iter(), theirs.iter());
@@ -299,17 +290,19 @@ impl fmt::Display for AObject {
 ///
 /// A dense vector indexed by the run's [`AllocSite`] numbers (the base
 /// analysis interns sites densely from 0), `None` where a site has no
-/// object in this heap. Objects sit behind [`Arc`]s, so cloning a heap
+/// object in this heap. Objects sit behind [`Rc`]s, so cloning a heap
 /// (which the flow-sensitive analysis does at every program point) is
 /// one vector copy, and joining two heaps is a zip with no per-site
-/// lookups. Mutation goes through [`Arc::make_mut`], copying only the
+/// lookups. A heap never leaves the thread of the run that built it,
+/// so its counts need no atomics. Mutation goes through
+/// [`Rc::make_mut`], copying only the
 /// object it touches (copy-on-write); a join first asks
 /// [`AObject::join_would_change`] and copies nothing when the answer is
 /// no. Iteration is in site order, and equality and `Debug` look only at
 /// allocated sites, so trailing empty slots are invisible.
 #[derive(Clone, Default)]
 pub struct Heap {
-    objects: Vec<Option<Arc<AObject>>>,
+    objects: Vec<Option<Rc<AObject>>>,
 }
 
 thread_local! {
@@ -322,27 +315,27 @@ thread_local! {
 }
 
 /// Monotonic per-thread count of abstract objects copied by
-/// copy-on-write (an `Arc::make_mut` that found its object shared).
+/// copy-on-write (an `Rc::make_mut` that found its object shared).
 /// Callers measure a region by differencing two reads.
 pub fn cow_clone_count() -> u64 {
     COW_CLONES.with(|c| c.get())
 }
 
 /// Bumps the CoW counter if `make_mut` on this object is about to copy.
-fn note_cow(obj: &Arc<AObject>) {
-    if Arc::strong_count(obj) > 1 {
+fn note_cow(obj: &Rc<AObject>) {
+    if Rc::strong_count(obj) > 1 {
         COW_CLONES.with(|c| c.set(c.get() + 1));
     }
 }
 
 /// Joins `other` into the shared object `mine`, copying it only when the
 /// join changes it. Returns true on change.
-fn join_shared(mine: &mut Arc<AObject>, other: &AObject) -> bool {
+fn join_shared(mine: &mut Rc<AObject>, other: &AObject) -> bool {
     if !mine.join_would_change(other) {
         return false;
     }
     note_cow(mine);
-    let changed = Arc::make_mut(mine).join_in_place(other);
+    let changed = Rc::make_mut(mine).join_in_place(other);
     debug_assert!(changed, "join_would_change disagrees with join_in_place");
     changed
 }
@@ -354,7 +347,7 @@ impl Heap {
     }
 
     /// The slot for `site`, growing the vector to hold it.
-    fn slot_mut(&mut self, site: AllocSite) -> &mut Option<Arc<AObject>> {
+    fn slot_mut(&mut self, site: AllocSite) -> &mut Option<Rc<AObject>> {
         let i = site.0 as usize;
         if i >= self.objects.len() {
             self.objects.resize(i + 1, None);
@@ -377,7 +370,7 @@ impl Heap {
                 };
                 join_shared(existing, &fresh);
             }
-            None => *slot = Some(Arc::new(AObject::new(kind))),
+            None => *slot = Some(Rc::new(AObject::new(kind))),
         }
         site
     }
@@ -391,7 +384,7 @@ impl Heap {
     pub fn get_mut(&mut self, site: AllocSite) -> Option<&mut AObject> {
         self.objects.get_mut(site.0 as usize)?.as_mut().map(|obj| {
             note_cow(obj);
-            Arc::make_mut(obj)
+            Rc::make_mut(obj)
         })
     }
 
@@ -423,10 +416,10 @@ impl Heap {
             let Some(theirs) = theirs else { continue };
             match mine {
                 // An identical shared object: a no-op join.
-                Some(mine) if Arc::ptr_eq(mine, theirs) => {}
+                Some(mine) if Rc::ptr_eq(mine, theirs) => {}
                 Some(mine) => changed |= join_shared(mine, theirs),
                 None => {
-                    *mine = Some(Arc::clone(theirs));
+                    *mine = Some(Rc::clone(theirs));
                     changed = true;
                 }
             }
@@ -442,7 +435,7 @@ impl Heap {
         if let Some(mut old) = self.objects.get_mut(from.0 as usize).and_then(Option::take) {
             if old.singleton {
                 note_cow(&old);
-                Arc::make_mut(&mut old).demote_to_summary();
+                Rc::make_mut(&mut old).demote_to_summary();
             }
             match self.slot_mut(to) {
                 Some(summary) => {
@@ -460,7 +453,7 @@ impl Heap {
                 continue;
             }
             note_cow(obj);
-            let obj = Arc::make_mut(obj);
+            let obj = Rc::make_mut(obj);
             for v in obj.props.values_mut() {
                 v.rename_site(from, to);
             }
@@ -645,7 +638,7 @@ mod tests {
     #[test]
     fn equal_heaps_join_without_copying() {
         // Two heaps built the same way hold equal objects in distinct
-        // `Arc`s; `a`'s are also shared with a snapshot, as a fixpoint's
+        // `Rc`s; `a`'s are also shared with a snapshot, as a fixpoint's
         // stored states share theirs, so a copy-first join would clone.
         let build = || {
             let mut h = Heap::new();
@@ -679,12 +672,55 @@ mod tests {
         assert_eq!(b.len(), 2);
     }
 
+    #[test]
+    fn debug_prints_what_the_btree_maps_printed() {
+        // The text a `BTreeMap`/`BTreeSet` layout printed for the same
+        // object: maps in key order, site sets ascending, three sites
+        // (past the inline capacity) included.
+        let mut o = AObject::new(ObjKind::Plain);
+        let sites = [site(7), site(2), site(5)];
+        o.write_prop(&Pre::exact("zeta"), &AValue::objects(sites), true);
+        o.write_prop(&Pre::exact("alpha"), &AValue::num(1.0), true);
+        o.set_internal_slot("@url", AValue::str("http://a.example/"));
+        o.set_internal_slot("@chain", AValue::obj(site(3)));
+        let mut h = Heap::new();
+        h.alloc(site(2), ObjKind::Plain);
+        *h.get_mut(site(2)).unwrap() = o.clone();
+        h.alloc(site(0), ObjKind::Array);
+        h.get_mut(site(0))
+            .unwrap()
+            .write_prop(&Pre::prefix("k"), &AValue::undef(), false);
+        let bot = "undef: false, null: false, bools: Bot";
+        let obj = format!(
+            "AObject {{ kind: Plain, props: {{\
+             \"alpha\": AValue {{ {bot}, nums: Const(1.0), strs: Bot, objs: {{}} }}, \
+             \"zeta\": AValue {{ {bot}, nums: Bot, strs: Bot, \
+             objs: {{AllocSite(2), AllocSite(5), AllocSite(7)}} }}}}, \
+             unknown_props: AValue {{ {bot}, nums: Bot, strs: Bot, objs: {{}} }}, \
+             internal: {{\
+             \"@chain\": AValue {{ {bot}, nums: Bot, strs: Bot, objs: {{AllocSite(3)}} }}, \
+             \"@url\": AValue {{ {bot}, nums: Bot, strs: Exact(\"http://a.example/\"), \
+             objs: {{}} }}}}, singleton: true }}"
+        );
+        assert_eq!(format!("{o:?}"), obj);
+        let array = "AObject { kind: Array, props: {}, unknown_props: AValue { \
+                     undef: true, null: false, bools: Bot, nums: Bot, strs: Bot, objs: {} }, \
+                     internal: {}, singleton: true }";
+        assert_eq!(
+            format!("{h:?}"),
+            format!("{{AllocSite(0): {array}, AllocSite(2): {obj}}}")
+        );
+    }
+
     mod oracle {
         //! `join_would_change` and the dense `Heap::join_in_place`
         //! against the copy-then-join definitions they replace.
         use super::*;
         use crate::consts::{BoolDom, NumDom};
         use minicheck::Gen;
+
+        /// More cases under `--features fuzz`.
+        const CASES: u64 = if cfg!(feature = "fuzz") { 8192 } else { 512 };
 
         fn arb_value(g: &mut Gen) -> AValue {
             // Small alphabets, so that generated values are often
@@ -701,7 +737,9 @@ mod tests {
                 bools: *g.pick(&[BoolDom::Bot, BoolDom::True, BoolDom::Top]),
                 nums: *g.pick(&[NumDom::Bot, NumDom::Const(1.0), NumDom::Top]),
                 strs,
-                objs: (0..g.below(3)).map(|_| site(g.below(3) as u32)).collect(),
+                // Up to five draws of four sites: past the inline capacity
+                // often enough that joins meet spilled sets.
+                objs: (0..g.below(6)).map(|_| site(g.below(4) as u32)).collect(),
             }
         }
 
@@ -738,7 +776,9 @@ mod tests {
                 2 => a.clone(),
                 _ => {
                     let mut b = a.clone();
-                    b.props.retain(|_, _| g.bool());
+                    for k in a.props.keys().filter(|_| g.bool()) {
+                        b.props.remove(k);
+                    }
                     b
                 }
             };
@@ -754,12 +794,12 @@ mod tests {
         }
 
         /// A heap over sites `0..5` and one related to it: sharing some of
-        /// its `Arc`s, holding absorbed or unrelated objects elsewhere.
+        /// its `Rc`s, holding absorbed or unrelated objects elsewhere.
         fn arb_heaps(g: &mut Gen) -> (Heap, Heap) {
             let mut a = Heap::new();
             for i in 0..g.below(6) {
                 if g.below(4) > 0 {
-                    *a.slot_mut(site(i as u32)) = Some(Arc::new(arb_object(g, kind_of(i))));
+                    *a.slot_mut(site(i as u32)) = Some(Rc::new(arb_object(g, kind_of(i))));
                 }
             }
             let mut b = a.clone();
@@ -768,13 +808,13 @@ mod tests {
                 match g.below(4) {
                     0 => {} // keep the shared object (or hole)
                     1 => *b.slot_mut(s) = None,
-                    2 => *b.slot_mut(s) = Some(Arc::new(arb_object(g, kind_of(i)))),
+                    2 => *b.slot_mut(s) = Some(Rc::new(arb_object(g, kind_of(i)))),
                     _ => {
                         // `a` has already absorbed `b`'s object here.
                         let absorbed = arb_object(g, kind_of(i));
                         if let Some(obj) = a.get_mut(s) {
                             obj.join_in_place(&absorbed);
-                            *b.slot_mut(s) = Some(Arc::new(absorbed));
+                            *b.slot_mut(s) = Some(Rc::new(absorbed));
                         }
                     }
                 }
@@ -802,14 +842,14 @@ mod tests {
                     }
                     (None, None) => continue,
                 };
-                *out.slot_mut(s) = Some(Arc::new(joined));
+                *out.slot_mut(s) = Some(Rc::new(joined));
             }
             (out, changed)
         }
 
         #[test]
         fn join_would_change_matches_join_in_place() {
-            minicheck::check("object_join_would_change", 512, |g| {
+            minicheck::check("object_join_would_change", CASES, |g| {
                 let (a, b) = arb_pair(g);
                 let mut joined = a.clone();
                 let changed = joined.join_in_place(&b);
@@ -819,7 +859,7 @@ mod tests {
 
         #[test]
         fn heap_join_matches_the_object_by_object_reference() {
-            minicheck::check("heap_join_reference", 512, |g| {
+            minicheck::check("heap_join_reference", CASES, |g| {
                 let (a, b) = arb_heaps(g);
                 let (expected, expected_changed) = reference_join(&a, &b);
                 let mut joined = a.clone();

@@ -8,7 +8,7 @@
 use crate::consts::{BoolDom, NumDom};
 use crate::lattice::Lattice;
 use crate::prefix::Pre;
-use std::collections::BTreeSet;
+use crate::sites::SiteSet;
 use std::fmt;
 
 /// An abstract heap address: the allocation site that created the object,
@@ -36,7 +36,7 @@ pub struct AValue {
     /// Possible string values (prefix domain).
     pub strs: Pre,
     /// Possible object addresses.
-    pub objs: BTreeSet<AllocSite>,
+    pub objs: SiteSet,
 }
 
 impl AValue {
@@ -106,7 +106,7 @@ impl AValue {
 
     /// A single object address.
     pub fn obj(site: AllocSite) -> AValue {
-        let mut objs = BTreeSet::new();
+        let mut objs = SiteSet::new();
         objs.insert(site);
         AValue {
             objs,
@@ -130,7 +130,7 @@ impl AValue {
             bools: BoolDom::Top,
             nums: NumDom::Top,
             strs: Pre::any(),
-            objs: BTreeSet::new(),
+            objs: SiteSet::new(),
         }
     }
 
@@ -251,7 +251,7 @@ impl AValue {
     /// Removes object addresses, keeping only primitive parts.
     pub fn without_objects(&self) -> AValue {
         AValue {
-            objs: BTreeSet::new(),
+            objs: SiteSet::new(),
             ..self.clone()
         }
     }
@@ -265,7 +265,7 @@ impl Lattice for AValue {
             bools: BoolDom::Bot,
             nums: NumDom::Bot,
             strs: Pre::Bot,
-            objs: BTreeSet::new(),
+            objs: SiteSet::new(),
         }
     }
 
@@ -276,7 +276,7 @@ impl Lattice for AValue {
             bools: self.bools.join(&other.bools),
             nums: self.nums.join(&other.nums),
             strs: self.strs.join(&other.strs),
-            objs: self.objs.union(&other.objs).copied().collect(),
+            objs: self.objs.union(&other.objs),
         }
     }
 
@@ -429,7 +429,8 @@ mod proptests {
             1 => Pre::exact(g.string_of(&['a', 'b'], 2)),
             _ => Pre::prefix(g.string_of(&['a', 'b'], 2)),
         };
-        let objs: BTreeSet<AllocSite> = (0..g.below(3))
+        // Up to five draws of four sites, past `SiteSet`'s inline capacity.
+        let objs: SiteSet = (0..g.below(6))
             .map(|_| AllocSite(g.below(4) as u32))
             .collect();
         AValue {

