@@ -10,10 +10,12 @@
 //! - [`AValue`], the reduced-product abstract value;
 //! - [`AObject`] / [`Heap`], allocation-site-summarized abstract objects
 //!   with singleton tracking (the enabler of strong updates and thus of
-//!   the paper's `datastrong` PDG edges). The heap is a dense vector of
-//!   shared objects indexed by allocation site; its join copies an
-//!   object only when [`AObject::join_would_change`] says the join
-//!   changes it;
+//!   the paper's `datastrong` PDG edges). The heap is a vector of
+//!   shared chunks of 16 allocation sites' shared objects. Its join
+//!   keeps a site's object when that already is the join, takes the
+//!   incoming object's `Rc` when that is the join (both decided by
+//!   [`AObject::join_would_change`]), and copies and merges an object
+//!   only otherwise;
 //! - [`SortedMap`] and [`SiteSet`], the compact layouts phase 1 copies
 //!   and joins: an object's maps as one sorted vector each, and a
 //!   value's address set inline up to two sites.

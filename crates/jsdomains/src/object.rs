@@ -6,13 +6,16 @@
 //! sets when the property-name string is exact and the site is a
 //! singleton -- the precondition for the paper's `datastrong` edges.
 //!
-//! The heap holds one shared object per site in a dense site-indexed
-//! vector. Joining heaps is the base analysis's hot loop, and at a
-//! fixpoint most object joins change nothing, so [`Heap::join_in_place`]
-//! asks [`AObject::join_would_change`] first and copies a shared object
-//! only for a join that changes it. An object's two maps are each one
-//! sorted vector ([`SortedMap`]), so that copy is one allocation per map
-//! and both the test and the join are one walk over two vectors.
+//! The heap holds one shared object per site, in shared chunks of 16
+//! sites indexed by site number. Joining heaps is the base analysis's
+//! hot loop. At a fixpoint most object joins change nothing, and most
+//! that do change the stored object end at the incoming one, so
+//! [`Heap::join_in_place`] asks [`AObject::join_would_change`] both ways
+//! first: it keeps the stored object, takes the incoming object's `Rc`,
+//! or copies a shared object only for a join whose result is neither.
+//! An object's two maps are each one sorted vector ([`SortedMap`]), so
+//! that copy is one allocation per map and both the test and the join
+//! are one walk over two vectors.
 
 use crate::lattice::Lattice;
 use crate::prefix::Pre;
@@ -288,21 +291,41 @@ impl fmt::Display for AObject {
 
 /// The abstract heap: one [`AObject`] per allocation site.
 ///
-/// A dense vector indexed by the run's [`AllocSite`] numbers (the base
-/// analysis interns sites densely from 0), `None` where a site has no
-/// object in this heap. Objects sit behind [`Rc`]s, so cloning a heap
-/// (which the flow-sensitive analysis does at every program point) is
-/// one vector copy, and joining two heaps is a zip with no per-site
-/// lookups. A heap never leaves the thread of the run that built it,
-/// so its counts need no atomics. Mutation goes through
-/// [`Rc::make_mut`], copying only the
-/// object it touches (copy-on-write); a join first asks
-/// [`AObject::join_would_change`] and copies nothing when the answer is
-/// no. Iteration is in site order, and equality and `Debug` look only at
+/// Sites are the run's dense [`AllocSite`] numbers (the base analysis
+/// interns them from 0). The heap is a vector of shared chunks of 16
+/// consecutive sites, each site's slot a shared object or `None` where
+/// the site has no object in this heap. The flow-sensitive analysis
+/// clones a heap at every program point, and a clone copies one
+/// pointer per chunk. Mutation is copy-on-write at both levels:
+/// [`Heap::get_mut`] un-shares the one chunk, then the one object, it
+/// touches. A heap never leaves the thread of the run that built it,
+/// so its counts need no atomics.
+///
+/// [`Heap::join_in_place`] skips chunks that are pointer-equal, and
+/// decides each site's join before it copies anything, by two
+/// allocation-free [`AObject::join_would_change`] tests: a site keeps
+/// its object when the incoming one is below it, takes the incoming
+/// object's `Rc` when its own is below that (the join *is* the
+/// incoming object), and is copied and merged only otherwise. A chunk
+/// is copied only when a site in it changes, and becomes the incoming
+/// chunk when every site ends up holding the incoming object.
+/// Iteration is in site order, and equality and `Debug` look only at
 /// allocated sites, so trailing empty slots are invisible.
 #[derive(Clone, Default)]
 pub struct Heap {
-    objects: Vec<Option<Rc<AObject>>>,
+    chunks: Vec<Rc<Chunk>>,
+}
+
+/// Sites per chunk of a [`Heap`].
+const CHUNK: usize = 16;
+
+/// The objects of `CHUNK` consecutive sites.
+type Chunk = [Option<Rc<AObject>>; CHUNK];
+
+/// The chunk holding `site`, and its slot in that chunk.
+fn locate(site: AllocSite) -> (usize, usize) {
+    let i = site.0 as usize;
+    (i / CHUNK, i % CHUNK)
 }
 
 thread_local! {
@@ -315,8 +338,9 @@ thread_local! {
 }
 
 /// Monotonic per-thread count of abstract objects copied by
-/// copy-on-write (an `Rc::make_mut` that found its object shared).
-/// Callers measure a region by differencing two reads.
+/// copy-on-write (an `Rc::make_mut` that found its object shared); the
+/// copies of a heap's chunks of pointers are not counted. Callers
+/// measure a region by differencing two reads.
 pub fn cow_clone_count() -> u64 {
     COW_CLONES.with(|c| c.get())
 }
@@ -328,16 +352,81 @@ fn note_cow(obj: &Rc<AObject>) {
     }
 }
 
-/// Joins `other` into the shared object `mine`, copying it only when the
-/// join changes it. Returns true on change.
-fn join_shared(mine: &mut Rc<AObject>, other: &AObject) -> bool {
-    if !mine.join_would_change(other) {
+/// How one site's join goes, decided before either object is touched.
+#[derive(Clone, Copy)]
+enum Join {
+    /// Both slots hold the same `Rc`, or neither holds an object.
+    Same,
+    /// The stored object already is the join (`theirs ≤ mine`).
+    Keep,
+    /// The incoming object is the join (`mine ≤ theirs`, or no stored
+    /// object): the slot takes its `Rc`.
+    Adopt,
+    /// Neither is the join: the stored object is copied if shared, then
+    /// merged.
+    Merge,
+}
+
+impl Join {
+    /// Decides the join of `theirs` into `mine` by two allocation-free
+    /// tests, so only a join whose result is neither object copies one.
+    fn decide(mine: &Option<Rc<AObject>>, theirs: &Option<Rc<AObject>>) -> Join {
+        match (mine, theirs) {
+            (None, None) => Join::Same,
+            (Some(_), None) => Join::Keep,
+            (None, Some(_)) => Join::Adopt,
+            (Some(m), Some(t)) if Rc::ptr_eq(m, t) => Join::Same,
+            (Some(m), Some(t)) if !m.join_would_change(t) => Join::Keep,
+            (Some(m), Some(t)) if !t.join_would_change(m) => Join::Adopt,
+            (Some(_), Some(_)) => Join::Merge,
+        }
+    }
+
+    /// Carries the decision out on `mine`. Returns true on change.
+    fn apply(self, mine: &mut Option<Rc<AObject>>, theirs: &Option<Rc<AObject>>) -> bool {
+        match self {
+            Join::Same | Join::Keep => false,
+            Join::Adopt => {
+                mine.clone_from(theirs);
+                true
+            }
+            Join::Merge => {
+                let (Some(mine), Some(theirs)) = (mine, theirs) else {
+                    unreachable!("a merge joins two objects")
+                };
+                note_cow(mine);
+                let changed = Rc::make_mut(mine).join_in_place(theirs);
+                debug_assert!(changed, "join_would_change disagrees with join_in_place");
+                changed
+            }
+        }
+    }
+}
+
+/// Joins the object `theirs` into the slot `mine`: the heap's one object
+/// join. Returns true on change.
+fn join_slot(mine: &mut Option<Rc<AObject>>, theirs: &Option<Rc<AObject>>) -> bool {
+    Join::decide(mine, theirs).apply(mine, theirs)
+}
+
+/// Joins the chunk `theirs` into `mine`, deciding every site's join
+/// before it copies anything: a chunk whose join changes nothing stays
+/// shared, and one whose every site ends up holding `theirs`' object
+/// becomes `theirs`' chunk. Returns true on change.
+fn join_chunk(mine: &mut Rc<Chunk>, theirs: &Rc<Chunk>) -> bool {
+    let joins: [Join; CHUNK] = std::array::from_fn(|i| Join::decide(&mine[i], &theirs[i]));
+    if joins.iter().all(|j| matches!(j, Join::Same | Join::Keep)) {
         return false;
     }
-    note_cow(mine);
-    let changed = Rc::make_mut(mine).join_in_place(other);
-    debug_assert!(changed, "join_would_change disagrees with join_in_place");
-    changed
+    if joins.iter().all(|j| matches!(j, Join::Same | Join::Adopt)) {
+        *mine = Rc::clone(theirs);
+        return true;
+    }
+    let slots = Rc::make_mut(mine).iter_mut().zip(theirs.iter());
+    for ((slot, theirs), join) in slots.zip(joins) {
+        join.apply(slot, theirs);
+    }
+    true
 }
 
 impl Heap {
@@ -346,84 +435,86 @@ impl Heap {
         Heap::default()
     }
 
-    /// The slot for `site`, growing the vector to hold it.
+    /// The slot for `site`, growing the heap to hold it and un-sharing
+    /// its chunk.
     fn slot_mut(&mut self, site: AllocSite) -> &mut Option<Rc<AObject>> {
-        let i = site.0 as usize;
-        if i >= self.objects.len() {
-            self.objects.resize(i + 1, None);
+        let (c, i) = locate(site);
+        if c >= self.chunks.len() {
+            self.chunks.resize_with(c + 1, Default::default);
         }
-        &mut self.objects[i]
+        &mut Rc::make_mut(&mut self.chunks[c])[i]
     }
 
     /// Allocates or re-visits an allocation site. On re-visit the existing
     /// object is demoted to a summary and joined with a fresh object.
     pub fn alloc(&mut self, site: AllocSite, kind: ObjKind) -> AllocSite {
         let slot = self.slot_mut(site);
-        match slot {
-            Some(existing) => {
-                // Fresh instance has no props: all existing props may be
-                // absent in the new instance. Joining a non-singleton
-                // also demotes the existing object to a summary.
-                let fresh = AObject {
-                    singleton: false,
-                    ..AObject::new(existing.kind.clone())
-                };
-                join_shared(existing, &fresh);
-            }
-            None => *slot = Some(Rc::new(AObject::new(kind))),
-        }
+        let fresh = match slot {
+            // Fresh instance has no props: all existing props may be
+            // absent in the new instance. Joining a non-singleton also
+            // demotes the existing object to a summary.
+            Some(existing) => AObject {
+                singleton: false,
+                ..AObject::new(existing.kind.clone())
+            },
+            None => AObject::new(kind),
+        };
+        join_slot(slot, &Some(Rc::new(fresh)));
         site
     }
 
     /// Looks up an object.
     pub fn get(&self, site: AllocSite) -> Option<&AObject> {
-        self.objects.get(site.0 as usize)?.as_deref()
+        let (c, i) = locate(site);
+        self.chunks.get(c)?[i].as_deref()
     }
 
-    /// Looks up an object mutably (copy-on-write).
+    /// Looks up an object mutably (copy-on-write: un-shares its chunk,
+    /// then the object).
     pub fn get_mut(&mut self, site: AllocSite) -> Option<&mut AObject> {
-        self.objects.get_mut(site.0 as usize)?.as_mut().map(|obj| {
-            note_cow(obj);
-            Rc::make_mut(obj)
-        })
+        let (c, i) = locate(site);
+        let chunk = self.chunks.get_mut(c)?;
+        // A hole has nothing to write: leave its chunk shared.
+        chunk[i].as_ref()?;
+        let obj = Rc::make_mut(chunk)[i].as_mut()?;
+        note_cow(obj);
+        Some(Rc::make_mut(obj))
     }
 
     /// Iterates over all objects in site order.
     pub fn iter(&self) -> impl Iterator<Item = (AllocSite, &AObject)> {
-        self.objects
+        self.chunks
             .iter()
+            .flat_map(|chunk| chunk.iter())
             .enumerate()
             .filter_map(|(i, obj)| Some((AllocSite(i as u32), &**obj.as_ref()?)))
     }
 
     /// Number of live abstract objects.
     pub fn len(&self) -> usize {
-        self.objects.iter().flatten().count()
+        self.iter().count()
     }
 
     /// True if no object has been allocated.
     pub fn is_empty(&self) -> bool {
-        self.objects.iter().all(Option::is_none)
+        self.iter().next().is_none()
     }
 
     /// Joins another heap into this one. Returns true if anything changed.
     pub fn join_in_place(&mut self, other: &Heap) -> bool {
-        if self.objects.len() < other.objects.len() {
-            self.objects.resize(other.objects.len(), None);
-        }
         let mut changed = false;
-        for (mine, theirs) in self.objects.iter_mut().zip(&other.objects) {
-            let Some(theirs) = theirs else { continue };
-            match mine {
-                // An identical shared object: a no-op join.
-                Some(mine) if Rc::ptr_eq(mine, theirs) => {}
-                Some(mine) => changed |= join_shared(mine, theirs),
-                None => {
-                    *mine = Some(Rc::clone(theirs));
-                    changed = true;
-                }
+        for (mine, theirs) in self.chunks.iter_mut().zip(&other.chunks) {
+            if !Rc::ptr_eq(mine, theirs) {
+                changed |= join_chunk(mine, theirs);
             }
         }
+        // This heap holds no objects past its end: it takes `other`'s
+        // chunks there.
+        let past_end = other.chunks.get(self.chunks.len()..).unwrap_or_default();
+        changed |= past_end
+            .iter()
+            .any(|chunk| chunk.iter().any(Option::is_some));
+        self.chunks.extend_from_slice(past_end);
         changed
     }
 
@@ -432,34 +523,42 @@ impl Heap {
     /// reference to `from` anywhere in the heap into `to`. Afterwards
     /// `from` is unallocated and may be re-bound to a fresh instance.
     pub fn rename_site(&mut self, from: AllocSite, to: AllocSite) {
-        if let Some(mut old) = self.objects.get_mut(from.0 as usize).and_then(Option::take) {
+        let (c, i) = locate(from);
+        let old = match self.chunks.get_mut(c) {
+            Some(chunk) if chunk[i].is_some() => Rc::make_mut(chunk)[i].take(),
+            _ => None,
+        };
+        if let Some(mut old) = old {
             if old.singleton {
                 note_cow(&old);
                 Rc::make_mut(&mut old).demote_to_summary();
             }
-            match self.slot_mut(to) {
-                Some(summary) => {
-                    join_shared(summary, &old);
-                }
-                slot @ None => *slot = Some(old),
-            }
+            join_slot(self.slot_mut(to), &Some(old));
         }
-        for obj in self.objects.iter_mut().flatten() {
-            // Only copy objects that actually hold a reference to `from`.
-            let holds = obj.props.values().any(|v| v.objs.contains(&from))
+        // Only copy chunks and objects that actually hold a reference to
+        // `from`.
+        let holds = |obj: &AObject| {
+            obj.props.values().any(|v| v.objs.contains(&from))
                 || obj.unknown_props.objs.contains(&from)
-                || obj.internal.values().any(|v| v.objs.contains(&from));
-            if !holds {
+                || obj.internal.values().any(|v| v.objs.contains(&from))
+        };
+        for chunk in &mut self.chunks {
+            if !chunk.iter().flatten().any(|obj| holds(obj)) {
                 continue;
             }
-            note_cow(obj);
-            let obj = Rc::make_mut(obj);
-            for v in obj.props.values_mut() {
-                v.rename_site(from, to);
-            }
-            obj.unknown_props.rename_site(from, to);
-            for v in obj.internal.values_mut() {
-                v.rename_site(from, to);
+            for obj in Rc::make_mut(chunk).iter_mut().flatten() {
+                if !holds(obj) {
+                    continue;
+                }
+                note_cow(obj);
+                let obj = Rc::make_mut(obj);
+                for v in obj.props.values_mut() {
+                    v.rename_site(from, to);
+                }
+                obj.unknown_props.rename_site(from, to);
+                for v in obj.internal.values_mut() {
+                    v.rename_site(from, to);
+                }
             }
         }
     }
@@ -658,6 +757,35 @@ mod tests {
     }
 
     #[test]
+    fn aging_into_a_smaller_summary_adopts_the_aged_object() {
+        use crate::consts::NumDom;
+        // The summary at site 1 is below the object aged out of site 0,
+        // so their join is the aged object itself, which the summary's
+        // site takes without a copy. The heap shares its objects with a
+        // snapshot, as a fixpoint's stored states do, so a copy would
+        // count.
+        let mut h = Heap::new();
+        h.alloc(site(1), ObjKind::Plain);
+        let summary = h.get_mut(site(1)).unwrap();
+        summary.write_prop(&Pre::exact("p"), &AValue::num(1.0), true);
+        summary.demote_to_summary();
+        h.alloc(site(0), ObjKind::Plain);
+        let fresh = h.get_mut(site(0)).unwrap();
+        fresh.write_prop(&Pre::exact("p"), &AValue::num(1.0), true);
+        fresh.write_prop(&Pre::exact("p"), &AValue::num(2.0), false);
+        let snapshot = h.clone();
+        let before = cow_clone_count();
+        h.rename_site(site(0), site(1));
+        assert_eq!(cow_clone_count() - before, 1, "only the demotion copies");
+        assert!(h.get(site(0)).is_none());
+        let aged = h.get(site(1)).unwrap();
+        assert!(!aged.singleton);
+        assert_eq!(aged.read_prop(&Pre::exact("p")).nums, NumDom::Top);
+        let kept = snapshot.get(site(1)).unwrap();
+        assert_eq!(kept.read_prop(&Pre::exact("p")).nums, NumDom::Const(1.0));
+    }
+
+    #[test]
     fn trailing_empty_slots_are_invisible() {
         let mut a = Heap::new();
         a.alloc(site(0), ObjKind::Plain);
@@ -761,12 +889,12 @@ mod tests {
         }
 
         /// A second object for the same site: unrelated, already
-        /// absorbed into `a` (so the join is a no-op), `a` itself, or
-        /// `a` missing some props (a change only where `a`'s value
-        /// excludes `undefined`).
+        /// absorbed into `a` (so the join is a no-op), `a` itself, `a`
+        /// missing some props (a change only where `a`'s value excludes
+        /// `undefined`), or `a` grown by a join (so the join is `b`).
         fn arb_pair(g: &mut Gen) -> (AObject, AObject) {
             let mut a = arb_object(g, ObjKind::Plain);
-            let b = match g.below(4) {
+            let b = match g.below(5) {
                 0 => arb_object(g, ObjKind::Plain),
                 1 => {
                     let b = arb_object(g, ObjKind::Plain);
@@ -774,15 +902,23 @@ mod tests {
                     b
                 }
                 2 => a.clone(),
-                _ => {
+                3 => {
                     let mut b = a.clone();
                     for k in a.props.keys().filter(|_| g.bool()) {
                         b.props.remove(k);
                     }
                     b
                 }
+                _ => grown(g, &a),
             };
             (a, b)
+        }
+
+        /// `a` joined with an arbitrary object: above `a`, often equal.
+        fn grown(g: &mut Gen, a: &AObject) -> AObject {
+            let mut b = a.clone();
+            b.join_in_place(&arb_object(g, a.kind.clone()));
+            b
         }
 
         fn kind_of(i: usize) -> ObjKind {
@@ -793,33 +929,57 @@ mod tests {
             }
         }
 
-        /// A heap over sites `0..5` and one related to it: sharing some of
-        /// its `Rc`s, holding absorbed or unrelated objects elsewhere.
+        /// The `Rc` a heap holds at `site`.
+        fn rc(h: &Heap, site: AllocSite) -> Option<&Rc<AObject>> {
+            let (c, i) = locate(site);
+            h.chunks.get(c)?[i].as_ref()
+        }
+
+        /// A heap over up to three chunks of sites and one related to it.
+        /// Each chunk of the second is the first's very chunk, a per-site
+        /// mix (the shared object or hole, a hole, an unrelated object, an
+        /// object the first has already absorbed, an equal copy, a grown
+        /// object), or grown at every site, so that the whole chunk is
+        /// the join. One in four pairs comes swapped.
         fn arb_heaps(g: &mut Gen) -> (Heap, Heap) {
             let mut a = Heap::new();
-            for i in 0..g.below(6) {
+            for i in 0..g.below(3 * CHUNK + 1) {
                 if g.below(4) > 0 {
                     *a.slot_mut(site(i as u32)) = Some(Rc::new(arb_object(g, kind_of(i))));
                 }
             }
             let mut b = a.clone();
-            for i in 0..g.below(6) {
-                let s = site(i as u32);
-                match g.below(4) {
-                    0 => {} // keep the shared object (or hole)
-                    1 => *b.slot_mut(s) = None,
-                    2 => *b.slot_mut(s) = Some(Rc::new(arb_object(g, kind_of(i)))),
-                    _ => {
-                        // `a` has already absorbed `b`'s object here.
-                        let absorbed = arb_object(g, kind_of(i));
-                        if let Some(obj) = a.get_mut(s) {
-                            obj.join_in_place(&absorbed);
+            for c in 0..3 {
+                let mode = g.below(3);
+                for i in c * CHUNK..(c + 1) * CHUNK {
+                    let s = site(i as u32);
+                    let op = match mode {
+                        0 => break,
+                        1 => g.below(6),
+                        _ => 5,
+                    };
+                    let kind = kind_of(i);
+                    match (op, a.get(s).cloned()) {
+                        (0, _) => {}
+                        (1, _) => *b.slot_mut(s) = None,
+                        (2, _) | (_, None) => {
+                            *b.slot_mut(s) = Some(Rc::new(arb_object(g, kind)));
+                        }
+                        (3, Some(_)) => {
+                            let absorbed = arb_object(g, kind);
+                            a.get_mut(s).expect("allocated").join_in_place(&absorbed);
                             *b.slot_mut(s) = Some(Rc::new(absorbed));
                         }
+                        (4, Some(obj)) => *b.slot_mut(s) = Some(Rc::new(obj)),
+                        (_, Some(obj)) => *b.slot_mut(s) = Some(Rc::new(grown(g, &obj))),
                     }
                 }
             }
-            (a, b)
+            if g.below(4) == 0 {
+                (b, a)
+            } else {
+                (a, b)
+            }
         }
 
         /// The heap join as defined before check-before-copy: every
@@ -827,7 +987,7 @@ mod tests {
         fn reference_join(mine: &Heap, theirs: &Heap) -> (Heap, bool) {
             let mut out = Heap::new();
             let mut changed = false;
-            let sites = mine.objects.len().max(theirs.objects.len()) as u32;
+            let sites = (mine.chunks.len().max(theirs.chunks.len()) * CHUNK) as u32;
             for s in (0..sites).map(site) {
                 let joined = match (mine.get(s), theirs.get(s)) {
                     (Some(m), Some(t)) => {
@@ -854,6 +1014,11 @@ mod tests {
                 let mut joined = a.clone();
                 let changed = joined.join_in_place(&b);
                 assert_eq!(a.join_would_change(&b), changed, "{a:?} <- {b:?}");
+                assert_eq!(
+                    !b.join_would_change(&a),
+                    joined == b,
+                    "the join is `b` exactly when `a` is below it: {a:?} <- {b:?}"
+                );
             });
         }
 
@@ -862,11 +1027,44 @@ mod tests {
             minicheck::check("heap_join_reference", CASES, |g| {
                 let (a, b) = arb_heaps(g);
                 let (expected, expected_changed) = reference_join(&a, &b);
+                let (a_text, b_text) = (format!("{a:?}"), format!("{b:?}"));
                 let mut joined = a.clone();
+                let before = cow_clone_count();
                 let changed = joined.join_in_place(&b);
+                let copies = cow_clone_count() - before;
                 assert_eq!(changed, expected_changed);
                 assert_eq!(joined, expected);
                 assert_eq!(b.leq(&a), !changed, "leq agrees with the join");
+
+                // A site keeps `a`'s object when that is the join, else
+                // takes `b`'s very `Rc` when that is the join, else merges.
+                // Only a merge copies: `joined` shares every object with `a`.
+                let mut merges = 0;
+                for (s, result) in expected.iter() {
+                    let held = rc(&joined, s).expect("the join holds every site");
+                    match (rc(&a, s), rc(&b, s)) {
+                        (Some(mine), _) if **mine == *result => {
+                            assert!(Rc::ptr_eq(held, mine), "{s:?} keeps a's object");
+                        }
+                        (_, Some(theirs)) if **theirs == *result => {
+                            assert!(Rc::ptr_eq(held, theirs), "{s:?} adopts b's object");
+                        }
+                        _ => merges += 1,
+                    }
+                }
+                assert_eq!(copies, merges, "adopting and keeping copy nothing");
+
+                // Writing through a clone changes neither the join nor
+                // the heaps it shares chunks and objects with.
+                let mut copy = joined.clone();
+                for (s, _) in expected.iter() {
+                    let obj = copy.get_mut(s).expect("allocated");
+                    obj.write_prop(&Pre::exact("written"), &AValue::num(1.0), true);
+                    obj.demote_to_summary();
+                }
+                assert_eq!(joined, expected);
+                assert_eq!(format!("{a:?}"), a_text);
+                assert_eq!(format!("{b:?}"), b_text);
             });
         }
     }

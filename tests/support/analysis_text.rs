@@ -93,11 +93,14 @@ pub fn scalars(r: &AnalysisResult) -> Vec<(&'static str, Json)> {
     ]
 }
 
-/// The whole result as one text: the scalars, then each field under a
-/// header line.
-pub fn render(r: &AnalysisResult) -> String {
+/// The whole result as one text, less the scalars named in `skip`: the
+/// scalars, then each field under a header line.
+pub fn render(r: &AnalysisResult, skip: &[&str]) -> String {
     let mut out = String::new();
     for (name, value) in scalars(r) {
+        if skip.contains(&name) {
+            continue;
+        }
         writeln!(out, "{name} {}", value.to_string_compact()).expect("write to String");
     }
     for (name, entries) in fields(r) {
