@@ -47,7 +47,9 @@ fn main() {
         "  extend(type3, nonlocexp^amp) = {}",
         l.extend(FlowType(2), nle_amp)
     );
-    let set = [FlowType(3), FlowType(4), FlowType(5)].into_iter().collect();
+    let set = [FlowType(3), FlowType(4), FlowType(5)]
+        .into_iter()
+        .collect();
     let m: Vec<String> = l.max(&set).iter().map(|t| t.to_string()).collect();
     println!("  max({{type4, type5, type6}}) = {{{}}}", m.join(", "));
 }

@@ -93,7 +93,10 @@ fn corpus_pass(
                 .iter()
                 .map(|a| scope.spawn(move || analyze_one(a, config)))
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("worker")).collect()
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker"))
+                .collect()
         })
     };
     (results, start.elapsed())
@@ -197,7 +200,10 @@ fn scaling_row(n: usize) -> (usize, LayerTimes) {
             report.timings
         })
         .collect();
-    (reachable, per_layer(&runs, |ts| ts.into_iter().min().unwrap_or_default()))
+    (
+        reachable,
+        per_layer(&runs, |ts| ts.into_iter().min().unwrap_or_default()),
+    )
 }
 
 /// Each layer's `pick` (a median, a minimum) over the runs it ran in.
@@ -239,7 +245,10 @@ fn ddg_scaling(failures: &mut Vec<String>) -> Json {
         if let Some(p) = &prev {
             let mut ratios = Json::obj();
             for (l, now) in t.iter() {
-                ratios.set(l.name(), Json::from(ratio(now, p.get(l).unwrap_or_default())));
+                ratios.set(
+                    l.name(),
+                    Json::from(ratio(now, p.get(l).unwrap_or_default())),
+                );
             }
             row.set("ratios", ratios);
             let before = p.get(Layer::Ddg).unwrap_or_default();
@@ -320,9 +329,8 @@ fn main() {
         }
         i += 1;
     }
-    let out = out.unwrap_or_else(|| {
-        format!("{}/../../BENCH_pipeline.json", env!("CARGO_MANIFEST_DIR"))
-    });
+    let out =
+        out.unwrap_or_else(|| format!("{}/../../BENCH_pipeline.json", env!("CARGO_MANIFEST_DIR")));
 
     let addons = corpus::addons();
     let n = addons.len();
@@ -374,7 +382,10 @@ fn main() {
     let mut max_triage_outside = 0.0f64;
     let mut failures: Vec<String> = Vec::new();
     for ((addon, passes), triage_outside) in addons.iter().zip(&per_addon).zip(triage_outside) {
-        let layers = per_layer(&passes.iter().map(|p| p.timings).collect::<Vec<_>>(), median);
+        let layers = per_layer(
+            &passes.iter().map(|p| p.timings).collect::<Vec<_>>(),
+            median,
+        );
         let [p1, p2, p3] =
             [1, 2, 3].map(|n| median(passes.iter().map(|p| p.timings.phase(n)).collect()));
         let total = median(passes.iter().map(|p| p.total).collect());
@@ -427,7 +438,10 @@ fn main() {
     }
     doc.set("sum_addon_total_s", Json::from(secs(sum_total)));
     doc.set("max_outside_layers_pct", Json::from(pct(max_outside)));
-    doc.set("triage_max_outside_layers_pct", Json::from(pct(max_triage_outside)));
+    doc.set(
+        "triage_max_outside_layers_pct",
+        Json::from(pct(max_triage_outside)),
+    );
     doc.set("addons", addons_json);
     println!(
         "end-to-end corpus wall (median): {:.4} s   sum of addon totals: {:.4} s",

@@ -52,7 +52,10 @@ fn main() {
     );
     for n in [1usize, 2, 4, 8, 16] {
         let report = addon_sig::analyze_addon(&synthetic_addon(n)).expect("synthetic vets");
-        assert!(!report.signature.flows.is_empty(), "synthetic addon must produce flows");
+        assert!(
+            !report.signature.flows.is_empty(),
+            "synthetic addon must produce flows"
+        );
         let [p1, p2, p3] = [1, 2, 3].map(|phase| report.timings.phase(phase));
 
         println!(

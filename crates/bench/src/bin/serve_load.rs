@@ -107,7 +107,10 @@ fn main() {
     if args.first().map(String::as_str) == Some("--hold") {
         let addr = args.get(1).expect("--hold ADDR N CHURN_MS");
         let n: usize = args.get(2).and_then(|s| s.parse().ok()).expect("--hold N");
-        let churn_ms: u64 = args.get(3).and_then(|s| s.parse().ok()).expect("--hold CHURN_MS");
+        let churn_ms: u64 = args
+            .get(3)
+            .and_then(|s| s.parse().ok())
+            .expect("--hold CHURN_MS");
         run_hold(addr, n, churn_ms);
         return;
     }
@@ -159,9 +162,8 @@ fn main() {
         i += 1;
     }
     if let Some(nodes) = fleet {
-        let out = out.unwrap_or_else(|| {
-            format!("{}/../../BENCH_fleet.json", env!("CARGO_MANIFEST_DIR"))
-        });
+        let out =
+            out.unwrap_or_else(|| format!("{}/../../BENCH_fleet.json", env!("CARGO_MANIFEST_DIR")));
         run_fleet(nodes.max(1), &out, metrics_dir);
         return;
     }
@@ -258,8 +260,7 @@ fn main() {
                         order.rotate_left((c + r) % addons.len());
                         for a in order {
                             let t0 = Instant::now();
-                            let resp =
-                                client.vet_source(Some(a.name), a.source).expect("vet");
+                            let resp = client.vet_source(Some(a.name), a.source).expect("vet");
                             micros.push(t0.elapsed().as_micros());
                             assert_eq!(resp["verdict"], "ok");
                         }
@@ -332,9 +333,7 @@ fn main() {
             }
             round += 1;
         }
-        println!(
-            "burst: {shed_total} shed, {accepted_burst} accepted over {round} round(s)"
-        );
+        println!("burst: {shed_total} shed, {accepted_burst} accepted over {round} round(s)");
         assert!(
             shed_total as u64 > SAMPLE_THRESHOLD,
             "burst must shed past the sampling threshold (shed {shed_total})"
@@ -395,7 +394,9 @@ fn main() {
         // the threshold head plus one-in-N of the overflow.
         let shed = shed_total as u64;
         let expected_kept = shed.min(SAMPLE_THRESHOLD)
-            + shed.saturating_sub(SAMPLE_THRESHOLD).div_ceil(SAMPLE_KEEP_ONE_IN);
+            + shed
+                .saturating_sub(SAMPLE_THRESHOLD)
+                .div_ceil(SAMPLE_KEEP_ONE_IN);
         assert_eq!(
             kept_rejected as u64, expected_kept,
             "kept job_rejected records must follow the sampling schedule"
@@ -425,7 +426,10 @@ fn main() {
     doc.set("corpus_addons", Json::from(addons.len() as f64));
     doc.set("cold", stats_json(&cold));
     doc.set("cached", stats_json(&cached));
-    doc.set("speedup_cold_over_cached_p50", Json::from((speedup * 10.0).round() / 10.0));
+    doc.set(
+        "speedup_cold_over_cached_p50",
+        Json::from((speedup * 10.0).round() / 10.0),
+    );
     let mut load_json = Json::obj();
     load_json.set("requests", Json::from(load_requests as f64));
     load_json.set(
@@ -579,12 +583,16 @@ fn run_connections(total: usize, workers: usize, out: &str, metrics_dir: Option<
     // then pure cache-hit round trips — the latency an addon market's
     // live submitter sees while thousands of idle consoles stay parked.
     const ACTIVE_SOURCE: &str = "var active = content.location.href;";
-    let warm = probe.vet_source(Some("active"), ACTIVE_SOURCE).expect("warm vet");
+    let warm = probe
+        .vet_source(Some("active"), ACTIVE_SOURCE)
+        .expect("warm vet");
     assert_eq!(warm["verdict"], "ok");
     let micros: Vec<u128> = (0..ACTIVE_REQUESTS)
         .map(|_| {
             let t0 = Instant::now();
-            let resp = probe.vet_source(Some("active"), ACTIVE_SOURCE).expect("active vet");
+            let resp = probe
+                .vet_source(Some("active"), ACTIVE_SOURCE)
+                .expect("active vet");
             let micros = t0.elapsed().as_micros();
             assert_eq!(resp["verdict"], "ok");
             micros
@@ -635,7 +643,10 @@ fn run_connections(total: usize, workers: usize, out: &str, metrics_dir: Option<
     conns.set("open_with_load", Json::from(open_with_load));
     conns.set("accepted", Json::from(conn_stat("accepted")));
     conns.set("closed", Json::from(conn_stat("closed")));
-    conns.set("backpressure_sheds", Json::from(conn_stat("backpressure_sheds")));
+    conns.set(
+        "backpressure_sheds",
+        Json::from(conn_stat("backpressure_sheds")),
+    );
     conns.set("deadline_misses", Json::from(conn_stat("deadline_misses")));
     doc.set("conns", conns);
     std::fs::write(out, doc.to_string_pretty() + "\n").expect("write conn snapshot");
@@ -686,9 +697,8 @@ fn run_fleet(nodes: usize, out: &str, metrics_dir: Option<String>) {
             .expect("bind coordinator")
     };
     let addons = corpus::addons();
-    let coord_log = Arc::new(
-        sigobs::EventLog::in_memory(sigobs::Level::Info).with_tail_cap(16_384),
-    );
+    let coord_log =
+        Arc::new(sigobs::EventLog::in_memory(sigobs::Level::Info).with_tail_cap(16_384));
     // Heartbeat/reap tuned down so the kill test runs in bench time.
     let cfg = ServeConfig {
         heartbeat: Duration::from_millis(100),
@@ -715,7 +725,8 @@ fn run_fleet(nodes: usize, out: &str, metrics_dir: Option<String>) {
     let victim_addr = addr.clone();
     let victim = std::thread::spawn(move || {
         let mut c = Client::connect(victim_addr.as_str()).expect("connect victim");
-        c.vet_source(Some("victim.js"), VICTIM_SOURCE).expect("vet victim")
+        c.vet_source(Some("victim.js"), VICTIM_SOURCE)
+            .expect("vet victim")
     });
     let deadline = Instant::now() + Duration::from_secs(10);
     while stat("queue", "depth") < 1.0 {
@@ -759,12 +770,16 @@ fn run_fleet(nodes: usize, out: &str, metrics_dir: Option<String>) {
             std::thread::spawn(move || {
                 let mut c = Client::connect(addr.as_str()).expect("connect dedup");
                 barrier.wait();
-                c.vet_source(Some("dedup.js"), DEDUP_SOURCE).expect("vet dedup")
+                c.vet_source(Some("dedup.js"), DEDUP_SOURCE)
+                    .expect("vet dedup")
             })
         })
         .collect();
     while stat("jobs", "coalesced") < (DEDUP_CLIENTS - 1) as f64 {
-        assert!(Instant::now() < deadline, "dedup submissions never coalesced");
+        assert!(
+            Instant::now() < deadline,
+            "dedup submissions never coalesced"
+        );
         std::thread::sleep(Duration::from_millis(5));
     }
 
@@ -773,9 +788,8 @@ fn run_fleet(nodes: usize, out: &str, metrics_dir: Option<String>) {
     let mut worker_logs = Vec::new();
     let workers: Vec<Worker> = (0..nodes)
         .map(|i| {
-            let log = Arc::new(
-                sigobs::EventLog::in_memory(sigobs::Level::Info).with_tail_cap(16_384),
-            );
+            let log =
+                Arc::new(sigobs::EventLog::in_memory(sigobs::Level::Info).with_tail_cap(16_384));
             worker_logs.push(log.clone());
             let mut wc = WorkerConfig::new(addr.clone());
             wc.node = format!("bench-{i}");
@@ -790,7 +804,9 @@ fn run_fleet(nodes: usize, out: &str, metrics_dir: Option<String>) {
     let victim_cold = addon_sig::analyze_addon(VICTIM_SOURCE).expect("cold victim");
     assert_eq!(
         victim_resp["signature"].to_string(),
-        Json::parse(&victim_cold.signature.to_json()).unwrap().to_string(),
+        Json::parse(&victim_cold.signature.to_json())
+            .unwrap()
+            .to_string(),
         "rescued job must produce the exact cold signature"
     );
     let dedup_resps: Vec<Json> = dedup_clients
@@ -816,7 +832,9 @@ fn run_fleet(nodes: usize, out: &str, metrics_dir: Option<String>) {
     // shared-store hits.
     let mut client = Client::connect(addr.as_str()).expect("connect corpus");
     for a in &addons {
-        let resp = client.vet_source(Some(a.name), a.source).expect("vet corpus");
+        let resp = client
+            .vet_source(Some(a.name), a.source)
+            .expect("vet corpus");
         assert_eq!(resp["verdict"], "ok", "{} must vet cleanly", a.name);
         let cold = addon_sig::analyze_addon(a.source).expect("cold corpus");
         assert_eq!(
@@ -827,10 +845,20 @@ fn run_fleet(nodes: usize, out: &str, metrics_dir: Option<String>) {
         );
     }
     for a in &addons {
-        let resp = client.vet_source(Some(a.name), a.source).expect("re-vet corpus");
-        assert_eq!(resp["cached"], Json::Bool(true), "{}: second pass must hit", a.name);
+        let resp = client
+            .vet_source(Some(a.name), a.source)
+            .expect("re-vet corpus");
+        assert_eq!(
+            resp["cached"],
+            Json::Bool(true),
+            "{}: second pass must hit",
+            a.name
+        );
     }
-    println!("corpus: {} addons byte-identical, second pass all store hits", addons.len());
+    println!(
+        "corpus: {} addons byte-identical, second pass all store hits",
+        addons.len()
+    );
 
     // Phase 5: scaling sweep on fixed-service-time stubs, one fresh
     // coordinator per fleet size so no shared store warms the next run.
@@ -876,7 +904,10 @@ fn run_fleet(nodes: usize, out: &str, metrics_dir: Option<String>) {
         );
         let mut o = Json::obj();
         o.set("nodes", Json::from(size as f64));
-        o.set("wall_s", Json::from((wall.as_secs_f64() * 1e6).round() / 1e6));
+        o.set(
+            "wall_s",
+            Json::from((wall.as_secs_f64() * 1e6).round() / 1e6),
+        );
         o.set("throughput_rps", Json::from((tput * 10.0).round() / 10.0));
         sizes_json.push(o);
         throughputs.push(tput);
@@ -932,7 +963,11 @@ fn run_fleet(nodes: usize, out: &str, metrics_dir: Option<String>) {
         addons.len() + 2,
         "each corpus addon, the victim, and the dedup job computed exactly once"
     );
-    assert_eq!(coalesced, DEDUP_CLIENTS - 1, "the other dedup submissions coalesced");
+    assert_eq!(
+        coalesced,
+        DEDUP_CLIENTS - 1,
+        "the other dedup submissions coalesced"
+    );
     assert!(
         store_hits >= addons.len(),
         "second corpus pass must replay as store hits (got {store_hits})"

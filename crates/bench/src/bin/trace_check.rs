@@ -11,8 +11,7 @@
 use minijson::Json;
 
 fn check(path: &str) -> Result<(), String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
     let events = doc["traceEvents"]
         .as_array()

@@ -417,7 +417,12 @@ mod tests {
     fn all_sources_parse() {
         for addon in addons() {
             let parsed = jsparser::parse(addon.source);
-            assert!(parsed.is_ok(), "{} fails to parse: {:?}", addon.name, parsed.err());
+            assert!(
+                parsed.is_ok(),
+                "{} fails to parse: {:?}",
+                addon.name,
+                parsed.err()
+            );
         }
     }
 

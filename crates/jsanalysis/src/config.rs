@@ -379,16 +379,16 @@ mod tests {
         assert_eq!(c.step_budget, Some(5));
         assert_eq!(c.deadline, Some(std::time::Duration::from_secs(1)));
         assert_eq!(c.worklist, WorklistOrder::Fifo);
-        assert_eq!(c.security.sources, std::iter::once(SourceKind::Key).collect());
+        assert_eq!(
+            c.security.sources,
+            std::iter::once(SourceKind::Key).collect()
+        );
     }
 
     #[test]
     fn display_names() {
         assert_eq!(SourceKind::Url.to_string(), "url");
         assert_eq!(SinkKind::Send.to_string(), "send");
-        assert_eq!(
-            SourceKind::Custom("battery".into()).to_string(),
-            "battery"
-        );
+        assert_eq!(SourceKind::Custom("battery".into()).to_string(), "battery");
     }
 }

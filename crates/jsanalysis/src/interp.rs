@@ -26,12 +26,10 @@ use crate::natives::{self, Environment, NativeBehavior, StrOp};
 use crate::rwsets::{Loc, RwSets, Strength};
 use crate::store::{read_slot, slots, write_slot, SiteKey, SiteTable};
 use jsdomains::{
-    AObject, AValue, AllocSite, BoolDom, FuncIndex, Heap, Lattice, NativeId, NumDom, ObjKind,
-    Pre, Sym,
+    AObject, AValue, AllocSite, BoolDom, FuncIndex, Heap, Lattice, NativeId, NumDom, ObjKind, Pre,
+    Sym,
 };
-use jsir::{
-    EdgeKind, IrFuncId, IrStmtKind, Lowered, Operand, Place, StmtId, VarId,
-};
+use jsir::{EdgeKind, IrFuncId, IrStmtKind, Lowered, Operand, Place, StmtId, VarId};
 use jsparser::ast::{BinaryOp, UnaryOp};
 use sigtrace::{Counter, Counters, Trace, CTX_CLASSES};
 use std::cmp::Reverse;
@@ -464,9 +462,7 @@ impl<'a> Machine<'a> {
     fn seed(&mut self) {
         let top = self.lowered.program.top_level();
         let mut st = self.env.initial_state.clone();
-        let frame = self
-            .sites
-            .intern(SiteKey::Frame(top.id, CtxId::ROOT));
+        let frame = self.sites.intern(SiteKey::Frame(top.id, CtxId::ROOT));
         st.alloc(frame, ObjKind::Host("frame"));
         write_slot(&mut st, frame, slots::THIS, AValue::obj(self.env.global));
         write_slot(&mut st, frame, slots::RET, AValue::undef());
@@ -514,7 +510,10 @@ impl<'a> Machine<'a> {
                 let t0 = std::time::Instant::now();
                 self.step(stmt, ctx);
                 let ns = t0.elapsed().as_nanos() as u64;
-                self.attr.as_mut().expect("checked above").add(func, class, ns);
+                self.attr
+                    .as_mut()
+                    .expect("checked above")
+                    .add(func, class, ns);
             } else {
                 self.step(stmt, ctx);
             }
@@ -754,13 +753,7 @@ impl<'a> Machine<'a> {
     /// `keep`. Takes the state by value: it is cloned for all successors
     /// but the last, which receives it by move (the common single-successor
     /// case costs zero clones).
-    fn flow(
-        &mut self,
-        stmt: StmtId,
-        ctx: CtxId,
-        state: Heap,
-        keep: impl Fn(EdgeKind) -> bool,
-    ) {
+    fn flow(&mut self, stmt: StmtId, ctx: CtxId, state: Heap, keep: impl Fn(EdgeKind) -> bool) {
         let lowered = self.lowered;
         let mut iter = lowered
             .cfg
@@ -842,8 +835,7 @@ impl<'a> Machine<'a> {
                 self.flow(stmt_id, ctx, st, |k| k != EdgeKind::Uncaught);
             }
             IrStmtKind::NewRegex { dst, .. } => {
-                let site =
-                    self.alloc_fresh(&mut st, SiteKey::Stmt(stmt_id, ctx), ObjKind::Regex);
+                let site = self.alloc_fresh(&mut st, SiteKey::Stmt(stmt_id, ctx), ObjKind::Regex);
                 let obj = AValue::obj(site);
                 self.write_place(stmt_id, func, frame, &mut st, dst, &obj, BY_RULE);
                 self.flow(stmt_id, ctx, st, |k| k != EdgeKind::Uncaught);
@@ -1129,15 +1121,7 @@ impl<'a> Machine<'a> {
             if self.config.security.interesting_apis.contains(name) {
                 self.api_uses.insert((stmt_id, name.to_owned()));
             }
-            let r = self.apply_native(
-                id,
-                stmt_id,
-                ctx,
-                st,
-                this_v,
-                arg_vs,
-                &mut pending_callbacks,
-            );
+            let r = self.apply_native(id, stmt_id, ctx, st, this_v, arg_vs, &mut pending_callbacks);
             immediate = Some(match immediate {
                 Some(v) => v.join(&r),
                 None => r,
@@ -1163,12 +1147,18 @@ impl<'a> Machine<'a> {
 
         // Addon calls.
         for (fid, closure) in addon {
-            self.call_targets
-                .entry(stmt_id)
-                .or_default()
-                .insert(fid);
+            self.call_targets.entry(stmt_id).or_default().insert(fid);
             self.do_addon_call(
-                stmt_id, ctx, func, st, fid, closure, this_v, arg_vs, dst.clone(), is_new,
+                stmt_id,
+                ctx,
+                func,
+                st,
+                fid,
+                closure,
+                this_v,
+                arg_vs,
+                dst.clone(),
+                is_new,
             );
         }
 
@@ -1308,9 +1298,10 @@ impl<'a> Machine<'a> {
                 retv = retv.join(&AValue::undef());
             }
             if let Some(ns) = link.new_site {
-                retv = retv.without_objects().join(&AValue::obj(ns)).join(&AValue::objects(
-                    retv.objs.iter().copied(),
-                ));
+                retv = retv
+                    .without_objects()
+                    .join(&AValue::obj(ns))
+                    .join(&AValue::objects(retv.objs.iter().copied()));
             }
             if let Some(d) = &link.dst {
                 let caller_frame = self.frame_site(link.caller_func, link.caller_ctx);
@@ -1326,9 +1317,7 @@ impl<'a> Machine<'a> {
                 let caller = link.caller_func;
                 self.write_place(attr, caller, caller_frame, &mut out, d, &retv, at_most);
             }
-            self.flow(link.call, link.caller_ctx, out, |k| {
-                k != EdgeKind::Uncaught
-            });
+            self.flow(link.call, link.caller_ctx, out, |k| k != EdgeKind::Uncaught);
         }
     }
 
@@ -1356,9 +1345,7 @@ impl<'a> Machine<'a> {
             NativeBehavior::ReturnAnyString => AValue::any_str(),
             NativeBehavior::ReturnAnyNum => AValue::any_num(),
             NativeBehavior::ReturnAnyBool => AValue::any_bool(),
-            NativeBehavior::CoerceString => {
-                AValue::str(self.degrade(arg(0).to_abstract_string()))
-            }
+            NativeBehavior::CoerceString => AValue::str(self.degrade(arg(0).to_abstract_string())),
             NativeBehavior::XhrConstructor => {
                 let site = self.alloc_xhr(stmt, ctx, st);
                 AValue::obj(site)
@@ -1409,15 +1396,21 @@ impl<'a> Machine<'a> {
                 let h = arg(handler_idx);
                 if behavior == NativeBehavior::SetTimeout && h.may_be_string() {
                     // setTimeout with a code string = dynamic code.
-                    self.api_uses
-                        .insert((stmt, "setTimeout$string".to_owned()));
+                    self.api_uses.insert((stmt, "setTimeout$string".to_owned()));
                     self.record_sink(stmt, SinkKind::Eval, Pre::Bot);
                 }
                 // Weak: a registration adds to the handlers, never
                 // replaces them.
                 let registry = [self.env.event_registry];
                 let field = Field::Slot(slots::HANDLERS);
-                self.write(stmt, st, registry, field, Strength::Weak, &h.without_primitives());
+                self.write(
+                    stmt,
+                    st,
+                    registry,
+                    field,
+                    Strength::Weak,
+                    &h.without_primitives(),
+                );
                 AValue::any_num()
             }
             NativeBehavior::RemoveEventListener => AValue::undef(),
@@ -1523,11 +1516,8 @@ impl<'a> Machine<'a> {
             StrOp::CharAt => AValue::any_str(),
             StrOp::Replace | StrOp::Match => AValue::str(recv.unknown_derived()),
             StrOp::Split => {
-                let site = self.alloc_fresh(
-                    st,
-                    SiteKey::NativeAlloc(stmt, ctx, "split"),
-                    ObjKind::Array,
-                );
+                let site =
+                    self.alloc_fresh(st, SiteKey::NativeAlloc(stmt, ctx, "split"), ObjKind::Array);
                 if let Some(o) = st.get_mut(site) {
                     o.write_prop(&Pre::any(), &AValue::any_str(), false);
                     o.write_prop(&Pre::exact("length"), &AValue::any_num(), false);
@@ -1588,10 +1578,7 @@ impl<'a> Machine<'a> {
     }
 
     fn record_sink(&mut self, stmt: StmtId, kind: SinkKind, domain: Pre) {
-        let slot = self
-            .sink_domains
-            .entry((stmt, kind))
-            .or_insert(Pre::Bot);
+        let slot = self.sink_domains.entry((stmt, kind)).or_insert(Pre::Bot);
         *slot = slot.join(&domain);
     }
 }
@@ -1706,8 +1693,7 @@ fn abstract_unop(op: UnaryOp, v: &AValue) -> AValue {
 /// Coerces to the numeric component (conservative).
 fn to_num(v: &AValue) -> NumDom {
     let mut n = v.nums;
-    if v.undef || v.null || v.bools != BoolDom::Bot || !v.strs.is_bottom() || !v.objs.is_empty()
-    {
+    if v.undef || v.null || v.bools != BoolDom::Bot || !v.strs.is_bottom() || !v.objs.is_empty() {
         // Coercions of non-number parts produce some number (or NaN).
         n = n.join(&NumDom::Top);
     }
@@ -1769,9 +1755,14 @@ fn abstract_binop(op: BinaryOp, l: &AValue, r: &AValue) -> AValue {
             if (l_numy || l.nums != NumDom::Bot) && (r_numy || r.nums != NumDom::Bot) {
                 out.nums = match (l.nums, r.nums) {
                     (NumDom::Const(a), NumDom::Const(b))
-                        if !l_stringy && !r_stringy && l.bools == BoolDom::Bot
+                        if !l_stringy
+                            && !r_stringy
+                            && l.bools == BoolDom::Bot
                             && r.bools == BoolDom::Bot
-                            && !l.undef && !r.undef && !l.null && !r.null =>
+                            && !l.undef
+                            && !r.undef
+                            && !l.null
+                            && !r.null =>
                     {
                         NumDom::Const(a + b)
                     }
@@ -1808,16 +1799,29 @@ fn abstract_binop(op: BinaryOp, l: &AValue, r: &AValue) -> AValue {
             let negate = matches!(op, NotEq | StrictNotEq);
             let decided: Option<bool> = if !l.strs.is_bottom()
                 && !r.strs.is_bottom()
-                && !l.undef && !l.null && l.bools == BoolDom::Bot && l.nums == NumDom::Bot
+                && !l.undef
+                && !l.null
+                && l.bools == BoolDom::Bot
+                && l.nums == NumDom::Bot
                 && l.objs.is_empty()
-                && !r.undef && !r.null && r.bools == BoolDom::Bot && r.nums == NumDom::Bot
+                && !r.undef
+                && !r.null
+                && r.bools == BoolDom::Bot
+                && r.nums == NumDom::Bot
                 && r.objs.is_empty()
             {
                 l.strs.compare_eq(&r.strs)
             } else if let (Some(a), Some(b)) = (l.nums.as_const(), r.nums.as_const()) {
-                if l.may_be_string() || r.may_be_string() || !l.objs.is_empty()
-                    || !r.objs.is_empty() || l.undef || r.undef || l.null || r.null
-                    || l.bools != BoolDom::Bot || r.bools != BoolDom::Bot
+                if l.may_be_string()
+                    || r.may_be_string()
+                    || !l.objs.is_empty()
+                    || !r.objs.is_empty()
+                    || l.undef
+                    || r.undef
+                    || l.null
+                    || r.null
+                    || l.bools != BoolDom::Bot
+                    || r.bools != BoolDom::Bot
                 {
                     None
                 } else {

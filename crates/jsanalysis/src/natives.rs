@@ -177,8 +177,7 @@ impl EnvBuilder<'_> {
 
     fn source(&mut self, obj: AllocSite, prop: &str, kind: SourceKind, value: AValue) {
         self.set_prop(obj, prop, value);
-        self.source_locs
-            .insert((obj, Sym::intern(prop)), kind);
+        self.source_locs.insert((obj, Sym::intern(prop)), kind);
     }
 }
 
@@ -205,7 +204,12 @@ pub fn setup(sites: &mut SiteTable) -> Environment {
     b.set_prop(event, "target", AValue::obj(event_target));
     b.set_prop(event_target, "id", AValue::any_str());
     b.set_prop(event_target, "value", AValue::any_str());
-    b.source(event_target, "textContent", SourceKind::Selection, AValue::any_str());
+    b.source(
+        event_target,
+        "textContent",
+        SourceKind::Selection,
+        AValue::any_str(),
+    );
     let prevent = b.native("event.preventDefault", NativeBehavior::ReturnUndefined);
     b.set_prop(event, "preventDefault", AValue::obj(prevent));
     b.set_prop(event, "altKey", AValue::any_bool());
@@ -231,19 +235,24 @@ pub fn setup(sites: &mut SiteTable) -> Environment {
     b.source(document, "cookie", SourceKind::Cookie, AValue::any_str());
     b.source(document, "title", SourceKind::Url, AValue::any_str());
     b.set_prop(document, "addEventListener", AValue::obj(add_listener));
-    b.set_prop(document, "removeEventListener", AValue::obj(remove_listener));
+    b.set_prop(
+        document,
+        "removeEventListener",
+        AValue::obj(remove_listener),
+    );
     let dom_node = b.host("dom-node", ObjKind::Host("dom-node"));
-    let get_by_id = b.native("document.getElementById", NativeBehavior::ReturnHost("dom-node"));
-    let create_elem = b.native("document.createElement", NativeBehavior::ReturnHost("dom-node"));
+    let get_by_id = b.native(
+        "document.getElementById",
+        NativeBehavior::ReturnHost("dom-node"),
+    );
+    let create_elem = b.native(
+        "document.createElement",
+        NativeBehavior::ReturnHost("dom-node"),
+    );
     b.set_prop(document, "getElementById", AValue::obj(get_by_id));
     b.set_prop(document, "createElement", AValue::obj(create_elem));
     b.set_prop(dom_node, "addEventListener", AValue::obj(add_listener));
-    b.source(
-        dom_node,
-        "value",
-        SourceKind::Selection,
-        AValue::any_str(),
-    );
+    b.source(dom_node, "value", SourceKind::Selection, AValue::any_str());
 
     let content = b.host("content", ObjKind::Host("content"));
     b.set_prop(content, "location", AValue::obj(location));
@@ -256,7 +265,10 @@ pub fn setup(sites: &mut SiteTable) -> Environment {
         SourceKind::Selection,
         AValue::any_str(),
     );
-    let get_selection = b.native("window.getSelection", NativeBehavior::ReturnHost("selection"));
+    let get_selection = b.native(
+        "window.getSelection",
+        NativeBehavior::ReturnHost("selection"),
+    );
 
     // --- gBrowser (Firefox chrome) -----------------------------------------
     let current_uri = b.host("currentURI", ObjKind::Host("currentURI"));
@@ -318,7 +330,12 @@ pub fn setup(sites: &mut SiteTable) -> Environment {
 
     let history_entry = b.host("history-entry", ObjKind::Host("history-entry"));
     b.source(history_entry, "uri", SourceKind::History, AValue::any_str());
-    b.source(history_entry, "title", SourceKind::History, AValue::any_str());
+    b.source(
+        history_entry,
+        "title",
+        SourceKind::History,
+        AValue::any_str(),
+    );
     let history_service = b.host("historyService", ObjKind::Host("historyService"));
     let query_history = b.native(
         "historyService.executeQuery",
@@ -335,7 +352,11 @@ pub fn setup(sites: &mut SiteTable) -> Environment {
         NativeBehavior::ScriptLoader,
     );
     let script_loader = b.host("scriptloader", ObjKind::Host("scriptloader"));
-    b.set_prop(script_loader, "loadSubScript", AValue::obj(script_loader_fn));
+    b.set_prop(
+        script_loader,
+        "loadSubScript",
+        AValue::obj(script_loader_fn),
+    );
     let pref_get = b.native("Services.prefs.getCharPref", NativeBehavior::PrefRead);
     let pref_set = b.native("Services.prefs.setCharPref", NativeBehavior::PrefWrite);
     let prefs = b.host("prefs", ObjKind::Host("prefs"));
@@ -568,10 +589,7 @@ mod tests {
     fn global_bindings_present() {
         let mut sites = SiteTable::new();
         let env = setup(&mut sites);
-        let g = env
-            .initial_state
-            .get(env.global)
-            .expect("global allocated");
+        let g = env.initial_state.get(env.global).expect("global allocated");
         for name in ["content", "XMLHttpRequest", "Services", "eval", "undefined"] {
             let v = g.read_prop(&Pre::exact(name));
             assert!(

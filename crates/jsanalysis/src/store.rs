@@ -163,7 +163,10 @@ mod tests {
         heap.alloc(s, ObjKind::Host("frame"));
         write_slot(&mut heap, s, slots::RET, AValue::num(1.0));
         assert_eq!(read_slot(&heap, s, slots::RET), AValue::num(1.0));
-        assert_eq!(read_slot(&heap, s, slots::EXC), jsdomains::Lattice::bottom());
+        assert_eq!(
+            read_slot(&heap, s, slots::EXC),
+            jsdomains::Lattice::bottom()
+        );
     }
 
     #[test]

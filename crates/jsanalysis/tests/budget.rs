@@ -31,7 +31,10 @@ fn generous_budget_changes_nothing() {
         },
     );
     assert!(budgeted.budget_exhausted.is_none());
-    assert_eq!(plain.steps, budgeted.steps, "budget checks must not reschedule work");
+    assert_eq!(
+        plain.steps, budgeted.steps,
+        "budget checks must not reschedule work"
+    );
     assert_eq!(plain.rw, budgeted.rw);
     assert_eq!(plain.may_throw, budgeted.may_throw);
     assert_eq!(plain.call_targets, budgeted.call_targets);
@@ -50,7 +53,10 @@ fn tiny_step_budget_trips_deterministically() {
     };
     let first = analyze(&lowered, &config);
     let exhausted = first.budget_exhausted.expect("budget of 1 must trip");
-    assert!(!first.hit_step_limit, "budget aborts are not the max_steps valve");
+    assert!(
+        !first.hit_step_limit,
+        "budget aborts are not the max_steps valve"
+    );
     // The abort happens the moment the counter passes the budget, so the
     // recorded step count is pinned, not merely bounded.
     assert_eq!(exhausted.steps, 2);

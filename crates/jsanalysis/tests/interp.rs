@@ -87,7 +87,10 @@ fn url_source_read_detected() {
     let sources = r.source_stmts();
     // Some statement reads the Url source.
     let kinds: Vec<_> = sources.values().flatten().collect();
-    assert!(kinds.contains(&&SourceKind::Url), "no url source read found");
+    assert!(
+        kinds.contains(&&SourceKind::Url),
+        "no url source read found"
+    );
     // And it's the LoadProp of href.
     let href_load = lowered
         .program
@@ -206,10 +209,7 @@ alias();
         .iter()
         .find(|f| f.name == "target")
         .unwrap();
-    let hit = r
-        .call_targets
-        .values()
-        .any(|t| t.contains(&target.id));
+    let hit = r.call_targets.values().any(|t| t.contains(&target.id));
     assert!(hit, "aliased call not resolved");
 }
 

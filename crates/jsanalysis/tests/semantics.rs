@@ -25,9 +25,7 @@ fn domain(src: &str) -> String {
 
 /// Builds a program that sends to a URL computed by `expr`.
 fn send_of(expr: &str) -> String {
-    format!(
-        "var req = new XMLHttpRequest();\nreq.open(\"GET\", {expr});\nreq.send(null);"
-    )
+    format!("var req = new XMLHttpRequest();\nreq.open(\"GET\", {expr});\nreq.send(null);")
 }
 
 #[test]
@@ -95,15 +93,13 @@ fn ternary_joins_branches() {
 #[test]
 fn logical_or_default_pattern() {
     // `pref || fallback`: an unknown-or-string joined with an exact string.
-    let r = run(
-        r#"
+    let r = run(r#"
 var pref = Services.prefs.getCharPref("x");
 var base = pref || "http://fallback.example/";
 var req = new XMLHttpRequest();
 req.open("GET", base);
 req.send(null);
-"#,
-    );
+"#);
     let sink = r.sinks.iter().find(|s| s.kind == SinkKind::Send).unwrap();
     // The pref is an arbitrary string, so the join is unknown -- but it
     // must still BE a string-ish domain, not bottom.
@@ -115,7 +111,9 @@ fn typeof_results_are_exact_strings() {
     // typeof of a definite number is the exact string "number": using it
     // as a property key keeps strong precision. Observed via a dispatch
     // table whose "number" entry holds the service URL.
-    let d = domain(&send_of("({ number: \"http://typed.example/\" })[typeof 42]"));
+    let d = domain(&send_of(
+        "({ number: \"http://typed.example/\" })[typeof 42]",
+    ));
     assert_eq!(d, "http://typed.example/");
 }
 
@@ -123,8 +121,7 @@ fn typeof_results_are_exact_strings() {
 fn string_equality_decides_branches() {
     // "a" == "b" is statically false: the true branch never runs, so the
     // false branch's domain is exact.
-    let r = run(
-        r#"
+    let r = run(r#"
 var url;
 if ("a" == "b") {
   url = "http://never.example/";
@@ -134,16 +131,14 @@ if ("a" == "b") {
 var req = new XMLHttpRequest();
 req.open("GET", url);
 req.send(null);
-"#,
-    );
+"#);
     let sink = r.sinks.iter().find(|s| s.kind == SinkKind::Send).unwrap();
     assert_eq!(sink.domain.as_exact(), Some("http://always.example/"));
 }
 
 #[test]
 fn numeric_comparison_decides_branches() {
-    let r = run(
-        r#"
+    let r = run(r#"
 var url = "http://default.example/";
 if (1 < 2) {
   url = "http://taken.example/";
@@ -151,8 +146,7 @@ if (1 < 2) {
 var req = new XMLHttpRequest();
 req.open("GET", url);
 req.send(null);
-"#,
-    );
+"#);
     let sink = r.sinks.iter().find(|s| s.kind == SinkKind::Send).unwrap();
     assert_eq!(sink.domain.as_exact(), Some("http://taken.example/"));
 }
@@ -169,7 +163,9 @@ fn to_lowercase_preserves_exactness() {
 fn substring_with_constant_bounds() {
     // substring(0, 18) of an exact string is exact.
     assert_eq!(
-        domain(&send_of("\"http://cut.example/long/tail\".substring(0, 19)")),
+        domain(&send_of(
+            "\"http://cut.example/long/tail\".substring(0, 19)"
+        )),
         "http://cut.example/"
     );
 }
@@ -199,24 +195,21 @@ fn array_join_is_unknown_but_stringy() {
 
 #[test]
 fn compound_assignment_concat() {
-    let r = run(
-        r#"
+    let r = run(r#"
 var base = "http://grow.example/?";
 base += "a=1";
 base += "&b=2";
 var req = new XMLHttpRequest();
 req.open("GET", base);
 req.send(null);
-"#,
-    );
+"#);
     let sink = r.sinks.iter().find(|s| s.kind == SinkKind::Send).unwrap();
     assert_eq!(sink.domain.as_exact(), Some("http://grow.example/?a=1&b=2"));
 }
 
 #[test]
 fn property_dispatch_table_with_exact_key() {
-    let r = run(
-        r#"
+    let r = run(r#"
 var services = {
   rank: "http://rank.example/api",
   spell: "http://spell.example/api"
@@ -225,16 +218,14 @@ var mode = "rank";
 var req = new XMLHttpRequest();
 req.open("GET", services[mode]);
 req.send(null);
-"#,
-    );
+"#);
     let sink = r.sinks.iter().find(|s| s.kind == SinkKind::Send).unwrap();
     assert_eq!(sink.domain.as_exact(), Some("http://rank.example/api"));
 }
 
 #[test]
 fn property_dispatch_with_unknown_key_joins() {
-    let r = run(
-        r#"
+    let r = run(r#"
 var services = {
   rank: "http://svc.example/rank",
   spell: "http://svc.example/spell"
@@ -243,8 +234,7 @@ var mode = Math.random() < 0.5 ? "rank" : "spell";
 var req = new XMLHttpRequest();
 req.open("GET", services[mode]);
 req.send(null);
-"#,
-    );
+"#);
     let sink = r.sinks.iter().find(|s| s.kind == SinkKind::Send).unwrap();
     // Join of the two entries (plus possible undefined for the unknown
     // key) -- at least the shared prefix must survive when the key joins

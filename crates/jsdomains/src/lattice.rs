@@ -60,11 +60,7 @@ pub(crate) mod laws {
     pub fn check_join_laws<L: Lattice + std::fmt::Debug>(a: &L, b: &L, c: &L) {
         assert_eq!(a.join(b), b.join(a), "join commutes");
         assert_eq!(a.join(a), a.clone(), "join idempotent");
-        assert_eq!(
-            a.join(b).join(c),
-            a.join(&b.join(c)),
-            "join associative"
-        );
+        assert_eq!(a.join(b).join(c), a.join(&b.join(c)), "join associative");
         assert!(L::bottom().leq(a), "bottom is least");
         assert!(a.leq(&a.join(b)), "join is an upper bound (left)");
         assert!(b.leq(&a.join(b)), "join is an upper bound (right)");

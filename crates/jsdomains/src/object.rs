@@ -103,11 +103,7 @@ impl AObject {
         match name {
             Pre::Bot => AValue::bottom(),
             Pre::Exact(k) => {
-                let mut v = self
-                    .props
-                    .get(k)
-                    .cloned()
-                    .unwrap_or_else(AValue::undef);
+                let mut v = self.props.get(k).cloned().unwrap_or_else(AValue::undef);
                 if self.props.contains_key(k) && !self.singleton {
                     // A non-singleton site may also hold values from other
                     // instances; reads stay may-reads.
@@ -637,7 +633,11 @@ mod tests {
         o.demote_to_summary();
         o.write_prop(&Pre::exact("p"), &AValue::num(2.0), true);
         let v = o.read_prop(&Pre::exact("p"));
-        assert_eq!(v.nums, crate::consts::NumDom::Top, "no strong update on summaries");
+        assert_eq!(
+            v.nums,
+            crate::consts::NumDom::Top,
+            "no strong update on summaries"
+        );
     }
 
     #[test]

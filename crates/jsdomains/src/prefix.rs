@@ -153,19 +153,11 @@ impl Pre {
         match self {
             Pre::Bot => Pre::Bot,
             Pre::Exact(s) => {
-                let end = s
-                    .char_indices()
-                    .nth(n)
-                    .map(|(i, _)| i)
-                    .unwrap_or(s.len());
+                let end = s.char_indices().nth(n).map(|(i, _)| i).unwrap_or(s.len());
                 Pre::exact(&s[..end])
             }
             Pre::Prefix(p) => {
-                let end = p
-                    .char_indices()
-                    .nth(n)
-                    .map(|(i, _)| i)
-                    .unwrap_or(p.len());
+                let end = p.char_indices().nth(n).map(|(i, _)| i).unwrap_or(p.len());
                 if end < p.len() {
                     // The slice is fully inside the known prefix: exact.
                     Pre::exact(&p[..end])
@@ -348,7 +340,10 @@ mod tests {
         let short = Pre::exact("sym-churn-reuse://x/a");
         let long = Pre::exact("sym-churn-reuse://x/ab");
         let before = Sym::interner_len();
-        assert_eq!(short.join(&long), Pre::Prefix(Sym::intern("sym-churn-reuse://x/a")));
+        assert_eq!(
+            short.join(&long),
+            Pre::Prefix(Sym::intern("sym-churn-reuse://x/a"))
+        );
         // `Sym::intern` in the assertion finds the existing symbol; the
         // join itself added nothing beyond what `exact()` created.
         assert!(Sym::interner_len() <= before + 32);
@@ -395,14 +390,8 @@ mod tests {
 
     #[test]
     fn compare_eq_decides_when_possible() {
-        assert_eq!(
-            Pre::exact("a").compare_eq(&Pre::exact("a")),
-            Some(true)
-        );
-        assert_eq!(
-            Pre::exact("a").compare_eq(&Pre::exact("b")),
-            Some(false)
-        );
+        assert_eq!(Pre::exact("a").compare_eq(&Pre::exact("a")), Some(true));
+        assert_eq!(Pre::exact("a").compare_eq(&Pre::exact("b")), Some(false));
         assert_eq!(Pre::exact("abc").compare_eq(&Pre::prefix("ab")), None);
         assert_eq!(
             Pre::exact("xyz").compare_eq(&Pre::prefix("ab")),
@@ -436,10 +425,7 @@ mod tests {
     fn leading_slice_behaviour() {
         assert_eq!(Pre::exact("abcdef").leading_slice(3), Pre::exact("abc"));
         assert_eq!(Pre::exact("ab").leading_slice(5), Pre::exact("ab"));
-        assert_eq!(
-            Pre::prefix("abcdef").leading_slice(3),
-            Pre::exact("abc")
-        );
+        assert_eq!(Pre::prefix("abcdef").leading_slice(3), Pre::exact("abc"));
         assert_eq!(Pre::prefix("ab").leading_slice(5), Pre::prefix("ab"));
     }
 

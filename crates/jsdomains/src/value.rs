@@ -373,25 +373,21 @@ mod tests {
 
     #[test]
     fn to_string_coercion() {
-        assert_eq!(
-            AValue::num(42.0).to_abstract_string(),
-            Pre::exact("42")
-        );
+        assert_eq!(AValue::num(42.0).to_abstract_string(), Pre::exact("42"));
         assert_eq!(
             AValue::undef().to_abstract_string(),
             Pre::exact("undefined")
         );
-        assert_eq!(
-            AValue::str("k").to_abstract_string(),
-            Pre::exact("k")
-        );
-        assert_eq!(
-            AValue::obj(AllocSite(0)).to_abstract_string(),
-            Pre::any()
-        );
+        assert_eq!(AValue::str("k").to_abstract_string(), Pre::exact("k"));
+        assert_eq!(AValue::obj(AllocSite(0)).to_abstract_string(), Pre::any());
         // Join of two different constants becomes a common prefix.
         let v = AValue::bool(true).join(&AValue::bool(false));
-        assert_eq!(v.to_abstract_string(), Pre::Bot.join(&Pre::exact("true")).join(&Pre::exact("false")));
+        assert_eq!(
+            v.to_abstract_string(),
+            Pre::Bot
+                .join(&Pre::exact("true"))
+                .join(&Pre::exact("false"))
+        );
     }
 
     #[test]

@@ -114,11 +114,7 @@ mod tests {
     #[test]
     fn continue_jumps_to_header() {
         let l = lowered("while (c) { if (d) continue; work(); }");
-        let jumps: Vec<_> = l
-            .cfg
-            .edges()
-            .filter(|e| e.kind == EdgeKind::Jump)
-            .collect();
+        let jumps: Vec<_> = l.cfg.edges().filter(|e| e.kind == EdgeKind::Jump).collect();
         assert_eq!(jumps.len(), 1);
         // Target must be the while-header nop.
         let target = l.program.stmt(jumps[0].to);
@@ -127,9 +123,7 @@ mod tests {
 
     #[test]
     fn labeled_break_escapes_outer_loop() {
-        let l = lowered(
-            "outer: while (a) { while (b) { break outer; } } after();",
-        );
+        let l = lowered("outer: while (a) { while (b) { break outer; } } after();");
         let top = l.program.top_level();
         let reach = l.cfg.reachable_from(top.entry);
         assert!(reach.contains(&top.exit));
@@ -160,11 +154,7 @@ mod tests {
         assert!(l.cfg.edges().any(|e| e.kind == EdgeKind::Return));
         // The return edge targets f's exit.
         let f = l.program.funcs.iter().find(|f| f.name == "f").unwrap();
-        let ret_edge = l
-            .cfg
-            .edges()
-            .find(|e| e.kind == EdgeKind::Return)
-            .unwrap();
+        let ret_edge = l.cfg.edges().find(|e| e.kind == EdgeKind::Return).unwrap();
         assert_eq!(ret_edge.to, f.exit);
     }
 
@@ -191,12 +181,14 @@ mod tests {
     fn try_statements_record_handler() {
         let l = lowered("try { f(); } catch (e) { g(); } h();");
         let prog = &l.program;
-        let with = prog.stmts.iter().filter(|s| {
-            matches!(s.kind, IrStmtKind::Call { .. }) && s.handler.is_some()
-        });
-        let without = prog.stmts.iter().filter(|s| {
-            matches!(s.kind, IrStmtKind::Call { .. }) && s.handler.is_none()
-        });
+        let with = prog
+            .stmts
+            .iter()
+            .filter(|s| matches!(s.kind, IrStmtKind::Call { .. }) && s.handler.is_some());
+        let without = prog
+            .stmts
+            .iter()
+            .filter(|s| matches!(s.kind, IrStmtKind::Call { .. }) && s.handler.is_none());
         assert!(with.count() >= 1);
         assert!(without.count() >= 2, "g() in catch and h() have no handler");
     }
@@ -221,9 +213,7 @@ mod tests {
 
     #[test]
     fn switch_with_fallthrough_and_default() {
-        let l = lowered(
-            "switch (x) { case 1: a(); case 2: b(); break; default: c(); } after();",
-        );
+        let l = lowered("switch (x) { case 1: a(); case 2: b(); break; default: c(); } after();");
         let top = l.program.top_level();
         let reach = l.cfg.reachable_from(top.entry);
         assert!(reach.contains(&top.exit));
@@ -251,7 +241,9 @@ mod tests {
             .find(|s| matches!(s.kind, IrStmtKind::Return { .. }))
             .unwrap();
         match &ret.kind {
-            IrStmtKind::Return { value: Operand::Place(Place::Var(v)) } => {
+            IrStmtKind::Return {
+                value: Operand::Place(Place::Var(v)),
+            } => {
                 assert_eq!(v.func, outer.id, "x resolves to outer's frame");
             }
             other => panic!("{other:?}"),
@@ -269,12 +261,8 @@ mod tests {
             .unwrap();
         match &call.kind {
             IrStmtKind::Call { callee, args, .. } => {
-                assert!(
-                    matches!(callee, Operand::Place(Place::Global(g)) if g == "send")
-                );
-                assert!(
-                    matches!(&args[0], Operand::Place(Place::Global(g)) if g == "payload")
-                );
+                assert!(matches!(callee, Operand::Place(Place::Global(g)) if g == "send"));
+                assert!(matches!(&args[0], Operand::Place(Place::Global(g)) if g == "payload"));
             }
             other => panic!("{other:?}"),
         }
@@ -292,7 +280,9 @@ mod tests {
             .find(|s| matches!(s.kind, IrStmtKind::Copy { .. }))
             .unwrap();
         match &copy.kind {
-            IrStmtKind::Copy { dst: Place::Var(v), .. } => assert_eq!(v.func, f.id),
+            IrStmtKind::Copy {
+                dst: Place::Var(v), ..
+            } => assert_eq!(v.func, f.id),
             other => panic!("{other:?}"),
         }
     }
@@ -302,11 +292,7 @@ mod tests {
         let l = lowered("g(); function g() {}");
         let top = l.program.top_level();
         // Lambda must come before the call in statement order.
-        let order: Vec<_> = top
-            .stmts
-            .iter()
-            .map(|s| &l.program.stmt(*s).kind)
-            .collect();
+        let order: Vec<_> = top.stmts.iter().map(|s| &l.program.stmt(*s).kind).collect();
         let lambda_pos = order
             .iter()
             .position(|k| matches!(k, IrStmtKind::Lambda { .. }))
@@ -447,7 +433,10 @@ mod tests {
             .find(|s| matches!(s.kind, IrStmtKind::Call { .. }))
             .unwrap();
         match &call.kind {
-            IrStmtKind::Call { callee: Operand::Place(Place::Var(v)), .. } => {
+            IrStmtKind::Call {
+                callee: Operand::Place(Place::Var(v)),
+                ..
+            } => {
                 assert_eq!(v.func, rec.id);
             }
             other => panic!("{other:?}"),

@@ -277,10 +277,7 @@ fn hoisted_names(body: &[ast::Stmt]) -> (Vec<String>, Vec<&ast::Function>) {
                     go(std::slice::from_ref(body), names, decls);
                 }
                 ForIn {
-                    decl,
-                    target,
-                    body,
-                    ..
+                    decl, target, body, ..
                 } => {
                     if *decl {
                         if let ast::ExprKind::Ident(n) = &target.kind {
@@ -505,11 +502,7 @@ impl<'a> Lowerer<'a> {
             let ir = self.ir_id_for(f.id, func);
             let name = f.name.as_ref().expect("fun decls are named");
             let dst = self.resolve(func, &name.name);
-            self.emit(
-                &mut cx,
-                IrStmtKind::Lambda { dst, func: ir },
-                f.span,
-            );
+            self.emit(&mut cx, IrStmtKind::Lambda { dst, func: ir }, f.span);
         }
         for s in body {
             self.lower_stmt(&mut cx, s);
@@ -747,7 +740,14 @@ impl<'a> Lowerer<'a> {
                     _ => {
                         // Parser guarantees assign targets only.
                         let dst = self.temp(cx.func);
-                        self.emit(cx, IrStmtKind::ForInNext { dst, obj: o.clone() }, span);
+                        self.emit(
+                            cx,
+                            IrStmtKind::ForInNext {
+                                dst,
+                                obj: o.clone(),
+                            },
+                            span,
+                        );
                     }
                 }
                 cx.loops.push(LoopCtx {
@@ -797,7 +797,11 @@ impl<'a> Lowerer<'a> {
                     Some(l) => cx.loops.iter_mut().rev().find(|ctx| {
                         ctx.continues.is_some() && ctx.labels.iter().any(|x| x == &l.name)
                     }),
-                    None => cx.loops.iter_mut().rev().find(|ctx| ctx.continues.is_some()),
+                    None => cx
+                        .loops
+                        .iter_mut()
+                        .rev()
+                        .find(|ctx| ctx.continues.is_some()),
                 };
                 if let Some(ctx) = target {
                     match ctx.continues.as_mut().expect("filtered above") {
@@ -1151,7 +1155,11 @@ impl<'a> Lowerer<'a> {
                 );
                 Operand::Place(dst)
             }
-            Logical { is_and, left, right } => {
+            Logical {
+                is_and,
+                left,
+                right,
+            } => {
                 // r = left; branch r { taken: r = right }
                 let l = self.lower_expr(cx, left);
                 let r = self.temp(cx.func);
@@ -1323,8 +1331,7 @@ impl<'a> Lowerer<'a> {
                     }
                     _ => (self.lower_expr(cx, callee), None),
                 };
-                let args: Vec<Operand> =
-                    args.iter().map(|a| self.lower_expr(cx, a)).collect();
+                let args: Vec<Operand> = args.iter().map(|a| self.lower_expr(cx, a)).collect();
                 let dst = self.temp(cx.func);
                 self.emit(
                     cx,
@@ -1342,8 +1349,7 @@ impl<'a> Lowerer<'a> {
             }
             New { callee, args } => {
                 let f = self.lower_expr(cx, callee);
-                let args: Vec<Operand> =
-                    args.iter().map(|a| self.lower_expr(cx, a)).collect();
+                let args: Vec<Operand> = args.iter().map(|a| self.lower_expr(cx, a)).collect();
                 let dst = self.temp(cx.func);
                 self.emit(
                     cx,

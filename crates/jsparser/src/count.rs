@@ -57,9 +57,9 @@ fn count_stmt(stmt: &Stmt) -> usize {
             finally,
         } => {
             block.iter().map(count_stmt).sum::<usize>()
-                + catch.as_ref().map_or(0, |(_, b)| {
-                    2 + b.iter().map(count_stmt).sum::<usize>()
-                })
+                + catch
+                    .as_ref()
+                    .map_or(0, |(_, b)| 2 + b.iter().map(count_stmt).sum::<usize>())
                 + finally
                     .as_ref()
                     .map_or(0, |b| 1 + b.iter().map(count_stmt).sum::<usize>())
@@ -95,10 +95,7 @@ fn count_expr(expr: &Expr) -> usize {
         | ExprKind::Null
         | ExprKind::This
         | ExprKind::Regex(_) => 0,
-        ExprKind::Array(elems) => elems
-            .iter()
-            .map(|e| e.as_ref().map_or(1, count_expr))
-            .sum(),
+        ExprKind::Array(elems) => elems.iter().map(|e| e.as_ref().map_or(1, count_expr)).sum(),
         ExprKind::Object(props) => props.iter().map(|(_, v)| 1 + count_expr(v)).sum(),
         ExprKind::Function(f) => count_fun(f),
         ExprKind::Unary { arg, .. } => count_expr(arg),
@@ -107,9 +104,7 @@ fn count_expr(expr: &Expr) -> usize {
         }
         ExprKind::Assign { target, value, .. } => count_expr(target) + count_expr(value),
         ExprKind::Update { arg, .. } => count_expr(arg),
-        ExprKind::Cond { test, cons, alt } => {
-            count_expr(test) + count_expr(cons) + count_expr(alt)
-        }
+        ExprKind::Cond { test, cons, alt } => count_expr(test) + count_expr(cons) + count_expr(alt),
         ExprKind::Call { callee, args } | ExprKind::New { callee, args } => {
             count_expr(callee) + args.iter().map(count_expr).sum::<usize>()
         }

@@ -173,15 +173,10 @@ impl<'s> Lexer<'s> {
 
     fn number(&mut self) -> Result<TokenKind, ParseError> {
         let start = self.pos;
-        if self.bytes[self.pos] == b'0'
-            && matches!(self.peek_at(1), Some(b'x') | Some(b'X'))
-        {
+        if self.bytes[self.pos] == b'0' && matches!(self.peek_at(1), Some(b'x') | Some(b'X')) {
             self.pos += 2;
             let digits = self.pos;
-            while self
-                .peek_at(0)
-                .is_some_and(|c| c.is_ascii_hexdigit())
-            {
+            while self.peek_at(0).is_some_and(|c| c.is_ascii_hexdigit()) {
                 self.pos += 1;
             }
             if self.pos == digits {

@@ -155,10 +155,7 @@ impl Parser {
         if self.eat_punct(Punct::Semi) {
             return Ok(());
         }
-        if self.peek().kind.is_punct(Punct::RBrace)
-            || self.at_eof()
-            || self.peek().newline_before
-        {
+        if self.peek().kind.is_punct(Punct::RBrace) || self.at_eof() || self.peek().newline_before {
             return Ok(());
         }
         Err(self.err_expected(";"))
@@ -402,9 +399,7 @@ impl Parser {
                 self.bump();
                 if decls.len() != 1 || decls[0].init.is_some() {
                     return Err(ParseError {
-                        kind: ParseErrorKind::InvalidStatement(
-                            "invalid for-in declaration".into(),
-                        ),
+                        kind: ParseErrorKind::InvalidStatement("invalid for-in declaration".into()),
                         span: start,
                     });
                 }
@@ -547,9 +542,7 @@ impl Parser {
             } else if self.eat_keyword(Keyword::Default) {
                 if seen_default {
                     return Err(ParseError {
-                        kind: ParseErrorKind::InvalidStatement(
-                            "multiple `default` clauses".into(),
-                        ),
+                        kind: ParseErrorKind::InvalidStatement("multiple `default` clauses".into()),
                         span: self.peek().span,
                     });
                 }
@@ -1178,7 +1171,11 @@ mod tests {
     fn logical_and_binds_tighter_than_or() {
         let e = first_expr("a || b && c;");
         match e.kind {
-            ExprKind::Logical { is_and: false, right, .. } => {
+            ExprKind::Logical {
+                is_and: false,
+                right,
+                ..
+            } => {
                 assert!(matches!(right.kind, ExprKind::Logical { is_and: true, .. }));
             }
             other => panic!("{other:?}"),

@@ -330,10 +330,7 @@ mod tests {
     #[test]
     fn display_forms() {
         assert_eq!(TokenKind::Punct(Punct::EqEqEq).to_string(), "`===`");
-        assert_eq!(
-            TokenKind::Ident("x".into()).to_string(),
-            "identifier `x`"
-        );
+        assert_eq!(TokenKind::Ident("x".into()).to_string(), "identifier `x`");
         assert_eq!(TokenKind::Eof.to_string(), "end of input");
     }
 }

@@ -136,8 +136,7 @@ mod tests {
 
     fn run(src: &str) -> (Lowered, BTreeSet<CtrlDep>) {
         let ast = jsparser::parse(src).unwrap();
-        let lowered =
-            jsir::lower_with_options(&ast, &jsir::LowerOptions { event_loop: false });
+        let lowered = jsir::lower_with_options(&ast, &jsir::LowerOptions { event_loop: false });
         let analysis = analyze(&lowered, &AnalysisConfig::default());
         let sg = SuperGraph::build(&lowered, &analysis);
         let cdg = build_cdg(&lowered, &analysis, &sg);
@@ -158,9 +157,10 @@ mod tests {
     fn if_branch_local_dependence() {
         let (lowered, cdg) = run("if (Math.random() < 0.5) { mark_global = 1; }");
         let branch = stmts(&lowered, |k| matches!(k, IrStmtKind::Branch { .. }))[0];
-        let store = stmts(&lowered, |k| {
-            matches!(k, IrStmtKind::Copy { dst: jsir::Place::Global(g), .. } if g == "mark_global")
-        })[0];
+        let store = stmts(
+            &lowered,
+            |k| matches!(k, IrStmtKind::Copy { dst: jsir::Place::Global(g), .. } if g == "mark_global"),
+        )[0];
         let e = cdg
             .iter()
             .find(|e| e.from == branch && e.to == store)
@@ -171,12 +171,11 @@ mod tests {
 
     #[test]
     fn loop_body_amplified() {
-        let (lowered, cdg) = run(
-            "while (Math.random() < 0.9) { tick_global = 1; }",
-        );
-        let store = stmts(&lowered, |k| {
-            matches!(k, IrStmtKind::Copy { dst: jsir::Place::Global(g), .. } if g == "tick_global")
-        })[0];
+        let (lowered, cdg) = run("while (Math.random() < 0.9) { tick_global = 1; }");
+        let store = stmts(
+            &lowered,
+            |k| matches!(k, IrStmtKind::Copy { dst: jsir::Place::Global(g), .. } if g == "tick_global"),
+        )[0];
         let e = cdg
             .iter()
             .find(|e| e.to == store && e.kind == CtrlKind::Local)
@@ -188,15 +187,13 @@ mod tests {
     fn throw_gives_nonlocexp() {
         // Paper Figure 1 lines 13-17: line 16 is control dependent on line
         // 14 through the explicit throw.
-        let (lowered, cdg) = run(
-            r#"
+        let (lowered, cdg) = run(r#"
 try {
   if (doc_global != "hush-hush.com")
     throw "irrelevant";
   send_global(null);
 } catch (x) {}
-"#,
-        );
+"#);
         let branch = stmts(&lowered, |k| matches!(k, IrStmtKind::Branch { .. }))[0];
         let send_call = *stmts(&lowered, |k| {
             matches!(k, IrStmtKind::Call { callee: Operand::Place(jsir::Place::Global(g)), .. } if g == "send_global")
@@ -215,8 +212,7 @@ try {
         // Paper Figure 1 lines 18-23: obj may be null/undefined, so the
         // store may implicitly throw, making the following send control
         // dependent on the branch with a nonlocimp edge.
-        let (lowered, cdg) = run(
-            r#"
+        let (lowered, cdg) = run(r#"
 var obj;
 if (Math.random() < 0.5) { obj = {}; }
 try {
@@ -224,11 +220,11 @@ try {
     obj.prop = 1;
   send_global(null);
 } catch (x) {}
-"#,
+"#);
+        let sends = stmts(
+            &lowered,
+            |k| matches!(k, IrStmtKind::Call { callee: Operand::Place(jsir::Place::Global(g)), .. } if g == "send_global"),
         );
-        let sends = stmts(&lowered, |k| {
-            matches!(k, IrStmtKind::Call { callee: Operand::Place(jsir::Place::Global(g)), .. } if g == "send_global")
-        });
         let send_call = sends[0];
         let has_imp = cdg
             .iter()
@@ -243,7 +239,12 @@ try {
     #[test]
     fn call_dependence_is_local() {
         let (lowered, cdg) = run("function f() { inner_global = 1; } f();");
-        let f = lowered.program.funcs.iter().find(|f| f.name == "f").unwrap();
+        let f = lowered
+            .program
+            .funcs
+            .iter()
+            .find(|f| f.name == "f")
+            .unwrap();
         let call = stmts(&lowered, |k| matches!(k, IrStmtKind::Call { .. }))[0];
         let e = cdg
             .iter()

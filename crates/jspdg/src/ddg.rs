@@ -325,7 +325,11 @@ pub fn build_ddg(sg: &SuperGraph, analysis: &AnalysisResult) -> BTreeSet<DataDep
         for d in own.clone() {
             let def = idx.defs[d as usize];
             if def.strong {
-                k.extend(idx.at[def.loc as usize].iter().filter(|e| !own.contains(*e)));
+                k.extend(
+                    idx.at[def.loc as usize]
+                        .iter()
+                        .filter(|e| !own.contains(*e)),
+                );
             }
         }
         k.sort_unstable();
@@ -399,8 +403,7 @@ mod tests {
 
     fn run(src: &str) -> (Lowered, BTreeSet<DataDep>) {
         let ast = jsparser::parse(src).unwrap();
-        let lowered =
-            jsir::lower_with_options(&ast, &jsir::LowerOptions { event_loop: false });
+        let lowered = jsir::lower_with_options(&ast, &jsir::LowerOptions { event_loop: false });
         let analysis = analyze(&lowered, &AnalysisConfig::default());
         let sg = SuperGraph::build(&lowered, &analysis);
         let ddg = build_ddg(&sg, &analysis);
@@ -408,10 +411,7 @@ mod tests {
     }
 
     /// Find the statement assigning to (or storing) something recognizable.
-    fn stmt_where(
-        lowered: &Lowered,
-        pred: impl Fn(&IrStmtKind) -> bool,
-    ) -> Vec<StmtId> {
+    fn stmt_where(lowered: &Lowered, pred: impl Fn(&IrStmtKind) -> bool) -> Vec<StmtId> {
         lowered
             .program
             .stmts
@@ -452,9 +452,8 @@ mod tests {
     #[test]
     fn branch_writes_are_weak_at_merge() {
         // Both branch writes reach the read; neither is the definite one.
-        let (lowered, ddg) = run(
-            "var a = 0; if (Math.random() < 0.5) { a = 1; } else { a = 2; } use_global = a;",
-        );
+        let (lowered, ddg) =
+            run("var a = 0; if (Math.random() < 0.5) { a = 1; } else { a = 2; } use_global = a;");
         let copies = stmt_where(&lowered, |k| matches!(k, IrStmtKind::Copy { .. }));
         // copies: a=0, a=1, a=2, use_global=a.
         let last = *copies.last().unwrap();
@@ -471,9 +470,10 @@ mod tests {
         // Figure 1 lines 1-2: object literal property read back exactly.
         let (lowered, ddg) = run("var data = { url: input_global }; send_global(data.url);");
         let store = stmt_where(&lowered, |k| matches!(k, IrStmtKind::StoreProp { .. }))[0];
-        let load = stmt_where(&lowered, |k| {
-            matches!(k, IrStmtKind::LoadProp { prop: jsir::Operand::Str(p), .. } if p == "url")
-        })[0];
+        let load = stmt_where(
+            &lowered,
+            |k| matches!(k, IrStmtKind::LoadProp { prop: jsir::Operand::Str(p), .. } if p == "url"),
+        )[0];
         let edge = ddg
             .iter()
             .find(|e| e.from == store && e.to == load)
@@ -484,9 +484,8 @@ mod tests {
     #[test]
     fn unknown_property_read_is_weak() {
         // Figure 1 line 3: data[getString()] with unknown string.
-        let (lowered, ddg) = run(
-            "var data = { url: input_global }; var x = data[getString_global()];",
-        );
+        let (lowered, ddg) =
+            run("var data = { url: input_global }; var x = data[getString_global()];");
         let store = stmt_where(&lowered, |k| matches!(k, IrStmtKind::StoreProp { .. }))[0];
         let loads = stmt_where(&lowered, |k| matches!(k, IrStmtKind::LoadProp { .. }));
         let computed_load = *loads.last().unwrap();
@@ -501,16 +500,17 @@ mod tests {
     fn weak_overwrite_taints_strength() {
         // A possible (conditional) overwrite of o.p downgrades the original
         // def to weak at the final read.
-        let (lowered, ddg) = run(
-            "var o = {}; o.p = 1; if (Math.random() < 0.5) { o.p = 2; } var r = o.p;",
+        let (lowered, ddg) =
+            run("var o = {}; o.p = 1; if (Math.random() < 0.5) { o.p = 2; } var r = o.p;");
+        let stores = stmt_where(
+            &lowered,
+            |k| matches!(k, IrStmtKind::StoreProp { prop: jsir::Operand::Str(p), .. } if p == "p"),
         );
-        let stores = stmt_where(&lowered, |k| {
-            matches!(k, IrStmtKind::StoreProp { prop: jsir::Operand::Str(p), .. } if p == "p")
-        });
         assert_eq!(stores.len(), 2);
-        let load = *stmt_where(&lowered, |k| {
-            matches!(k, IrStmtKind::LoadProp { prop: jsir::Operand::Str(p), .. } if p == "p")
-        })
+        let load = *stmt_where(
+            &lowered,
+            |k| matches!(k, IrStmtKind::LoadProp { prop: jsir::Operand::Str(p), .. } if p == "p"),
+        )
         .last()
         .unwrap();
         let first = ddg
@@ -561,9 +561,8 @@ mod tests {
 
     #[test]
     fn loop_carried_dependence() {
-        let (lowered, ddg) = run(
-            "var count = 0; while (Math.random() < 0.9) { count = count + 1; } var r = count;",
-        );
+        let (lowered, ddg) =
+            run("var count = 0; while (Math.random() < 0.9) { count = count + 1; } var r = count;");
         // count's increment BinOp depends on its own previous Copy (loop
         // carried) and the final read sees both defs weakly.
         let copies = stmt_where(&lowered, |k| matches!(k, IrStmtKind::Copy { .. }));

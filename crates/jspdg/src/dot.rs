@@ -80,8 +80,7 @@ mod tests {
 
     fn build(src: &str) -> (jsir::Lowered, Pdg) {
         let ast = jsparser::parse(src).unwrap();
-        let lowered =
-            jsir::lower_with_options(&ast, &jsir::LowerOptions { event_loop: false });
+        let lowered = jsir::lower_with_options(&ast, &jsir::LowerOptions { event_loop: false });
         let analysis = jsanalysis::analyze(&lowered, &jsanalysis::AnalysisConfig::default());
         let pdg = Pdg::build(&lowered, &analysis);
         (lowered, pdg)

@@ -79,13 +79,18 @@ impl Pdg {
             let c = match e.ann {
                 Annotation::DataStrong => Counter::PdgDataStrongEdges,
                 Annotation::DataWeak => Counter::PdgDataWeakEdges,
-                Annotation::Ctrl { kind: CtrlKind::Local, .. } => Counter::PdgCtrlLocalEdges,
-                Annotation::Ctrl { kind: CtrlKind::NonLocExp, .. } => {
-                    Counter::PdgCtrlNonLocExpEdges
-                }
-                Annotation::Ctrl { kind: CtrlKind::NonLocImp, .. } => {
-                    Counter::PdgCtrlNonLocImpEdges
-                }
+                Annotation::Ctrl {
+                    kind: CtrlKind::Local,
+                    ..
+                } => Counter::PdgCtrlLocalEdges,
+                Annotation::Ctrl {
+                    kind: CtrlKind::NonLocExp,
+                    ..
+                } => Counter::PdgCtrlNonLocExpEdges,
+                Annotation::Ctrl {
+                    kind: CtrlKind::NonLocImp,
+                    ..
+                } => Counter::PdgCtrlNonLocImpEdges,
             };
             counters.add(c, 1);
             if matches!(e.ann, Annotation::Ctrl { amp: true, .. }) {
@@ -136,8 +141,7 @@ mod tests {
 
     fn build(src: &str) -> (Lowered, Pdg) {
         let ast = jsparser::parse(src).unwrap();
-        let lowered =
-            jsir::lower_with_options(&ast, &jsir::LowerOptions { event_loop: false });
+        let lowered = jsir::lower_with_options(&ast, &jsir::LowerOptions { event_loop: false });
         let analysis = analyze(&lowered, &AnalysisConfig::default());
         let pdg = Pdg::build(&lowered, &analysis);
         (lowered, pdg)
@@ -145,9 +149,7 @@ mod tests {
 
     #[test]
     fn union_of_ddg_and_cdg() {
-        let (_, pdg) = build(
-            "var a = input_global; if (Math.random() < 0.5) { out_global = a; }",
-        );
+        let (_, pdg) = build("var a = input_global; if (Math.random() < 0.5) { out_global = a; }");
         assert!(pdg.edges().any(|e| e.ann.is_data()));
         assert!(pdg.edges().any(|e| !e.ann.is_data()));
         assert!(pdg.edge_count() > 2);
@@ -175,7 +177,15 @@ if (secret == "x") { leak_global = 1; }
             .program
             .stmts
             .iter()
-            .find(|s| matches!(&s.kind, jsir::IrStmtKind::Copy { dst: jsir::Place::Var(_), .. }))
+            .find(|s| {
+                matches!(
+                    &s.kind,
+                    jsir::IrStmtKind::Copy {
+                        dst: jsir::Place::Var(_),
+                        ..
+                    }
+                )
+            })
             .unwrap()
             .id;
         let leak = lowered
@@ -192,8 +202,12 @@ if (secret == "x") { leak_global = 1; }
             "implicit flow must be a PDG path"
         );
         // And at least one control edge participates.
-        assert!(pdg
-            .edges()
-            .any(|e| matches!(e.ann, Annotation::Ctrl { kind: CtrlKind::Local, .. })));
+        assert!(pdg.edges().any(|e| matches!(
+            e.ann,
+            Annotation::Ctrl {
+                kind: CtrlKind::Local,
+                ..
+            }
+        )));
     }
 }

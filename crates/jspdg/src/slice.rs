@@ -77,12 +77,7 @@ pub fn forward_slice(pdg: &Pdg, criterion: StmtId, filter: SliceFilter) -> BTree
 /// (the intersection of `source`'s forward slice and `sink`'s backward
 /// slice). This is what a vetter inspects to understand one signature
 /// entry.
-pub fn chop(
-    pdg: &Pdg,
-    source: StmtId,
-    sink: StmtId,
-    filter: SliceFilter,
-) -> BTreeSet<StmtId> {
+pub fn chop(pdg: &Pdg, source: StmtId, sink: StmtId, filter: SliceFilter) -> BTreeSet<StmtId> {
     let fwd = forward_slice(pdg, source, filter);
     let bwd = backward_slice(pdg, sink, filter);
     fwd.intersection(&bwd).copied().collect()
@@ -243,9 +238,7 @@ use_global(harmless);
             .program
             .stmts
             .iter()
-            .rfind(|st| {
-                matches!(&st.kind, jsir::IrStmtKind::Call { .. }) && st.span.line == 6
-            })
+            .rfind(|st| matches!(&st.kind, jsir::IrStmtKind::Call { .. }) && st.span.line == 6)
             .expect("send call");
         let slice = backward_slice(&pdg, send.id, SliceFilter::DataOnly);
         let lines: BTreeSet<u32> = slice

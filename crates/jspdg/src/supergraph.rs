@@ -121,7 +121,12 @@ mod tests {
     #[test]
     fn call_edges_connect_functions() {
         let (lowered, analysis, sg) = build("function f() { return 1; } f();");
-        let f = lowered.program.funcs.iter().find(|f| f.name == "f").unwrap();
+        let f = lowered
+            .program
+            .funcs
+            .iter()
+            .find(|f| f.name == "f")
+            .unwrap();
         assert!(analysis
             .call_targets
             .keys()

@@ -109,9 +109,7 @@ pub struct Comparison {
 /// True if the inferred prefix-domain element pins down the expected
 /// domain: its known text must mention the expected host.
 fn domain_precise(inferred: &Pre, expected: &str) -> bool {
-    inferred
-        .known_text()
-        .is_some_and(|t| t.contains(expected))
+    inferred.known_text().is_some_and(|t| t.contains(expected))
 }
 
 /// True if the inferred domain is at least *compatible* with the expected
@@ -206,10 +204,10 @@ pub fn compare(
         }
     }
 
-    let any_real_extra = extra.iter().any(|(_, real)| *real)
-        || extra_sinks.iter().any(|(_, real)| *real);
-    let any_false_extra = extra.iter().any(|(_, real)| !*real)
-        || extra_sinks.iter().any(|(_, real)| !*real);
+    let any_real_extra =
+        extra.iter().any(|(_, real)| *real) || extra_sinks.iter().any(|(_, real)| *real);
+    let any_false_extra =
+        extra.iter().any(|(_, real)| !*real) || extra_sinks.iter().any(|(_, real)| !*real);
     let any_imprecise = matched
         .iter()
         .any(|(_, _, q)| *q == MatchQuality::ImpreciseDomain);
@@ -365,8 +363,13 @@ pub fn classify_flow_drift(old: &[DriftFlow], new: &[DriftFlow]) -> FlowDrift {
     added.sort();
     removed.sort();
     retyped.sort_by(|a, b| {
-        (&a.source, &a.sink_kind, &a.domain, &a.old_flow, &a.new_flow)
-            .cmp(&(&b.source, &b.sink_kind, &b.domain, &b.old_flow, &b.new_flow))
+        (&a.source, &a.sink_kind, &a.domain, &a.old_flow, &a.new_flow).cmp(&(
+            &b.source,
+            &b.sink_kind,
+            &b.domain,
+            &b.old_flow,
+            &b.new_flow,
+        ))
     });
     FlowDrift {
         added,
@@ -414,7 +417,12 @@ mod tests {
             inferred_entry(Pre::exact("http://rank.google.com/q"), t(1)),
             None,
         );
-        let c = compare(&sig, &manual_url_send("rank.google.com", t(1)), |_| false, |_| false);
+        let c = compare(
+            &sig,
+            &manual_url_send("rank.google.com", t(1)),
+            |_| false,
+            |_| false,
+        );
         assert_eq!(c.verdict, Verdict::Pass);
         assert_eq!(c.matched.len(), 1);
         assert!(c.extra.is_empty() && c.missing.is_empty());
@@ -425,7 +433,12 @@ mod tests {
         // The LessSpamPlease / VKVideoDownloader outcome.
         let mut sig = Signature::new();
         sig.add_flow(inferred_entry(Pre::any(), t(1)), None);
-        let c = compare(&sig, &manual_url_send("lesspam.example", t(1)), |_| false, |_| false);
+        let c = compare(
+            &sig,
+            &manual_url_send("lesspam.example", t(1)),
+            |_| false,
+            |_| false,
+        );
         assert_eq!(c.verdict, Verdict::Fail);
         assert_eq!(c.matched[0].2, MatchQuality::ImpreciseDomain);
     }
@@ -448,10 +461,7 @@ mod tests {
     #[test]
     fn spurious_extra_flow_fails() {
         let mut sig = Signature::new();
-        sig.add_flow(
-            inferred_entry(Pre::exact("http://a.example/x"), t(8)),
-            None,
-        );
+        sig.add_flow(inferred_entry(Pre::exact("http://a.example/x"), t(8)), None);
         let c = compare(&sig, &ManualSignature::empty(), |_| false, |_| false);
         assert_eq!(c.verdict, Verdict::Fail);
     }
@@ -460,7 +470,10 @@ mod tests {
     fn leak_outranks_fail() {
         let mut sig = Signature::new();
         sig.add_flow(inferred_entry(Pre::exact("http://real.leak/x"), t(1)), None);
-        sig.add_flow(inferred_entry(Pre::exact("http://noise.example/y"), t(8)), None);
+        sig.add_flow(
+            inferred_entry(Pre::exact("http://noise.example/y"), t(8)),
+            None,
+        );
         let c = compare(
             &sig,
             &ManualSignature::empty(),
@@ -473,7 +486,12 @@ mod tests {
     #[test]
     fn missing_entry_reported() {
         let sig = Signature::new();
-        let c = compare(&sig, &manual_url_send("x.example", t(1)), |_| false, |_| false);
+        let c = compare(
+            &sig,
+            &manual_url_send("x.example", t(1)),
+            |_| false,
+            |_| false,
+        );
         assert_eq!(c.missing.len(), 1);
         assert_eq!(c.verdict, Verdict::Fail);
     }
@@ -485,7 +503,12 @@ mod tests {
             inferred_entry(Pre::exact("http://host.example/q"), t(4)),
             None,
         );
-        let c = compare(&sig, &manual_url_send("host.example", t(1)), |_| false, |_| false);
+        let c = compare(
+            &sig,
+            &manual_url_send("host.example", t(1)),
+            |_| false,
+            |_| false,
+        );
         assert_eq!(c.verdict, Verdict::Fail);
         assert_eq!(c.extra.len(), 1);
         assert_eq!(c.missing.len(), 1);
@@ -537,8 +560,14 @@ mod tests {
         assert!(drift.added.is_empty() && drift.removed.is_empty());
         assert_eq!(drift.retyped.len(), 1);
         let r = &drift.retyped[0];
-        assert_eq!((r.old_flow.as_str(), r.new_flow.as_str()), ("type1", "type3"));
-        assert_eq!(r.to_string(), "url --type1=>type3--> send(http://a.example/)");
+        assert_eq!(
+            (r.old_flow.as_str(), r.new_flow.as_str()),
+            ("type1", "type3")
+        );
+        assert_eq!(
+            r.to_string(),
+            "url --type1=>type3--> send(http://a.example/)"
+        );
     }
 
     #[test]
@@ -552,8 +581,14 @@ mod tests {
             df("cookie", "type2", "send", Some("http://new.example/")),
         ];
         let drift = classify_flow_drift(&old, &new);
-        assert_eq!(drift.removed, [df("url", "type1", "send", Some("http://gone.example/"))]);
-        assert_eq!(drift.added, [df("cookie", "type2", "send", Some("http://new.example/"))]);
+        assert_eq!(
+            drift.removed,
+            [df("url", "type1", "send", Some("http://gone.example/"))]
+        );
+        assert_eq!(
+            drift.added,
+            [df("cookie", "type2", "send", Some("http://new.example/"))]
+        );
         assert!(drift.retyped.is_empty());
     }
 
@@ -595,7 +630,10 @@ mod tests {
         assert!(drift.added.is_empty() && drift.removed.is_empty());
         assert_eq!(drift.retyped.len(), 1);
         assert_eq!(
-            (drift.retyped[0].old_flow.as_str(), drift.retyped[0].new_flow.as_str()),
+            (
+                drift.retyped[0].old_flow.as_str(),
+                drift.retyped[0].new_flow.as_str()
+            ),
             ("type1", "type5")
         );
     }

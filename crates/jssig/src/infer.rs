@@ -291,7 +291,10 @@ req.send(null);
             .cloned()
             .expect("url --type1--> send inferred");
         let path = sig.provenance.get(&entry).expect("flow has provenance");
-        assert!(path.len() >= 2, "a flow path spans at least source and sink");
+        assert!(
+            path.len() >= 2,
+            "a flow path spans at least source and sink"
+        );
         let first = path.first().unwrap();
         let last = path.last().unwrap();
         assert_eq!(first.line, 2, "path starts at the source read");

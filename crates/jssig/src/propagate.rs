@@ -14,8 +14,8 @@
 //! the type set is finite.
 
 use crate::flowtype::{FlowLattice, FlowType};
-use jspdg::{Annotation, Pdg, PdgEdge};
 use jsir::StmtId;
+use jspdg::{Annotation, Pdg, PdgEdge};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// One step of a provenance path: a statement, and the annotation of the
@@ -86,8 +86,7 @@ impl FlowTypes {
 /// Runs the propagation from `sources` over the PDG.
 pub fn propagate(lattice: &FlowLattice, pdg: &Pdg, sources: &BTreeSet<StmtId>) -> FlowTypes {
     let mut achievable: BTreeMap<StmtId, BTreeSet<FlowType>> = BTreeMap::new();
-    let mut parents: BTreeMap<(StmtId, FlowType), (StmtId, FlowType, Annotation)> =
-        BTreeMap::new();
+    let mut parents: BTreeMap<(StmtId, FlowType), (StmtId, FlowType, Annotation)> = BTreeMap::new();
     let mut queue: VecDeque<StmtId> = VecDeque::new();
     let strongest = lattice.strongest();
     let mut raises: u64 = 0;
@@ -237,7 +236,9 @@ mod tests {
         let l = FlowLattice::paper();
         let ft = propagate(&l, &pdg, &[s(0)].into_iter().collect());
         let sink_type = *ft.at(&l, s(2)).iter().next().unwrap();
-        let path = ft.provenance(s(2), sink_type).expect("achieved fact has a path");
+        let path = ft
+            .provenance(s(2), sink_type)
+            .expect("achieved fact has a path");
         assert_eq!(
             path,
             vec![

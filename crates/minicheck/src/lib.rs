@@ -98,11 +98,9 @@ fn splitmix(mut x: u64) -> u64 {
 pub fn check(name: &str, cases: u64, property: impl Fn(&mut Gen) + std::panic::RefUnwindSafe) {
     // Derive the base seed from the property name so distinct properties
     // explore distinct streams even at equal case indices.
-    let base = name
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-        });
+    let base = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    });
     for case in 0..cases {
         let seed = splitmix(base ^ case);
         let result = std::panic::catch_unwind(|| {

@@ -281,7 +281,11 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "JSON parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -401,7 +405,10 @@ impl<'a> Parser<'a> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
             self.pos += 1;
         }
         std::str::from_utf8(&self.bytes[start..self.pos])
@@ -508,12 +515,14 @@ mod tests {
 
     #[test]
     fn compact_is_single_line_and_roundtrips() {
-        let v = Json::parse(
-            "{\"name\": \"two\\nlines\", \"items\": [1, {\"k\": null}], \"ok\": true}",
-        )
-        .unwrap();
+        let v =
+            Json::parse("{\"name\": \"two\\nlines\", \"items\": [1, {\"k\": null}], \"ok\": true}")
+                .unwrap();
         let line = v.to_string_compact();
-        assert!(!line.contains('\n'), "compact output must be one line: {line}");
+        assert!(
+            !line.contains('\n'),
+            "compact output must be one line: {line}"
+        );
         assert_eq!(
             line,
             r#"{"name":"two\nlines","items":[1,{"k":null}],"ok":true}"#
@@ -528,7 +537,10 @@ mod tests {
         // exact bytes the CLI printed (key order preserved, integer
         // formatting stable).
         let mut doc = Json::obj();
-        doc.set("flows", Json::Arr(vec![Json::from("url"), Json::from(12u32)]));
+        doc.set(
+            "flows",
+            Json::Arr(vec![Json::from("url"), Json::from(12u32)]),
+        );
         doc.set("apis", Json::Arr(vec![]));
         doc.set("nested", {
             let mut o = Json::obj();

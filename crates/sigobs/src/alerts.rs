@@ -520,7 +520,10 @@ mod tests {
             rec(2, 100_000, &[("c", 600)], &[]),
         ];
         let report = evaluate(&rules, &records);
-        assert_eq!(report.snapshots, 2, "the 100s-old record is outside the window");
+        assert_eq!(
+            report.snapshots, 2,
+            "the 100s-old record is outside the window"
+        );
         assert_eq!(report.outcomes[0].value, Some(20.0), "100 over 5s");
     }
 
@@ -550,8 +553,7 @@ mod tests {
         assert!(parse_rules(no_bounds).unwrap_err().contains("min"));
         let bad_kind = r#"{"rules":[{"name":"x","kind":"quantile","metric":"m","max":1}]}"#;
         assert!(parse_rules(bad_kind).unwrap_err().contains("unknown kind"));
-        let bad_q =
-            r#"{"rules":[{"name":"x","kind":"histogram_percentile","metric":"m","q":1.5,"max":1}]}"#;
+        let bad_q = r#"{"rules":[{"name":"x","kind":"histogram_percentile","metric":"m","q":1.5,"max":1}]}"#;
         assert!(parse_rules(bad_q).unwrap_err().contains('q'));
         let no_name = r#"{"rules":[{"kind":"gauge","metric":"m","max":1}]}"#;
         assert!(parse_rules(no_name).unwrap_err().contains("name"));

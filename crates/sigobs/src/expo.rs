@@ -30,10 +30,7 @@ use std::fmt::Write as _;
 fn sanitize(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     for (i, c) in name.chars().enumerate() {
-        let ok = c.is_ascii_alphabetic()
-            || c == '_'
-            || c == ':'
-            || (i > 0 && c.is_ascii_digit());
+        let ok = c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit());
         out.push(if ok { c } else { '_' });
     }
     if out.is_empty() {
@@ -179,11 +176,26 @@ mod tests {
         assert!(text.contains("# TYPE pipeline_p1_us histogram"));
         // 0 → le="0" (1), two 5s → le="7" (3 cumulative), 200 → le="255"
         // (4), 1e6 → le="1048575" (5).
-        assert!(text.contains("pipeline_p1_us_bucket{le=\"0\"} 1\n"), "{text}");
-        assert!(text.contains("pipeline_p1_us_bucket{le=\"7\"} 3\n"), "{text}");
-        assert!(text.contains("pipeline_p1_us_bucket{le=\"255\"} 4\n"), "{text}");
-        assert!(text.contains("pipeline_p1_us_bucket{le=\"1048575\"} 5\n"), "{text}");
-        assert!(text.contains("pipeline_p1_us_bucket{le=\"+Inf\"} 5\n"), "{text}");
+        assert!(
+            text.contains("pipeline_p1_us_bucket{le=\"0\"} 1\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("pipeline_p1_us_bucket{le=\"7\"} 3\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("pipeline_p1_us_bucket{le=\"255\"} 4\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("pipeline_p1_us_bucket{le=\"1048575\"} 5\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("pipeline_p1_us_bucket{le=\"+Inf\"} 5\n"),
+            "{text}"
+        );
         assert!(text.contains("pipeline_p1_us_sum 1000210\n"), "{text}");
         assert!(text.contains("pipeline_p1_us_count 5\n"), "{text}");
     }

@@ -83,10 +83,7 @@ fn snapshot_to_json(seq: u64, unix_ms: u64, snap: &MetricsSnapshot) -> Json {
         let mut buckets = Vec::new();
         for (i, &c) in h.buckets.iter().enumerate() {
             if c != 0 {
-                buckets.push(Json::Arr(vec![
-                    Json::from(i as f64),
-                    Json::from(c as f64),
-                ]));
+                buckets.push(Json::Arr(vec![Json::from(i as f64), Json::from(c as f64)]));
             }
         }
         let mut entry = Json::obj();
@@ -139,7 +136,10 @@ fn json_to_record(v: &Json) -> Option<HistoryRecord> {
     Some(HistoryRecord {
         seq,
         unix_ms,
-        snapshot: MetricsSnapshot { counters, histograms },
+        snapshot: MetricsSnapshot {
+            counters,
+            histograms,
+        },
     })
 }
 
@@ -170,10 +170,7 @@ impl MetricsHistory {
     pub fn open(dir: impl Into<PathBuf>, capacity: u64) -> io::Result<MetricsHistory> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let next_seq = read_ring(&dir)?
-            .last()
-            .map(|r| r.seq + 1)
-            .unwrap_or(0);
+        let next_seq = read_ring(&dir)?.last().map(|r| r.seq + 1).unwrap_or(0);
         Ok(MetricsHistory {
             dir,
             capacity: capacity.max(1),
@@ -222,7 +219,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!(
             "sigobs-history-{tag}-{}-{}",
             std::process::id(),
-            SystemTime::now().duration_since(UNIX_EPOCH).unwrap().as_nanos()
+            SystemTime::now()
+                .duration_since(UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
         ));
         fs::create_dir_all(&dir).unwrap();
         dir
@@ -245,7 +245,10 @@ mod tests {
         let loaded = MetricsHistory::load(&dir).unwrap();
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded[0].seq, 0);
-        assert_eq!(loaded[0].snapshot, original, "buckets, count, sum all survive");
+        assert_eq!(
+            loaded[0].snapshot, original,
+            "buckets, count, sum all survive"
+        );
         assert_eq!(loaded[0].snapshot.histograms[0].percentile(0.5), Some(7));
         fs::remove_dir_all(&dir).ok();
     }

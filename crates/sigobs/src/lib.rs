@@ -53,7 +53,7 @@ pub mod replay;
 pub mod timeline;
 
 pub use expo::{prometheus_text, validate_prometheus_text};
-pub use merge::merge_fleet_logs;
-pub use timeline::{chrome_trace, job_chrome_trace};
 pub use history::{HistoryRecord, MetricsHistory, HISTORY_SCHEMA};
 pub use log::{EventLog, Level, LogTracer, SamplePolicy};
+pub use merge::merge_fleet_logs;
+pub use timeline::{chrome_trace, job_chrome_trace};

@@ -219,8 +219,10 @@ impl EventLog {
     #[must_use]
     pub fn with_sampling(mut self, mut policy: SamplePolicy) -> EventLog {
         policy.keep_one_in = policy.keep_one_in.max(1);
-        self.inner.get_mut().unwrap_or_else(|e| e.into_inner()).samplers =
-            vec![SamplerState::default(); policy.events.len()];
+        self.inner
+            .get_mut()
+            .unwrap_or_else(|e| e.into_inner())
+            .samplers = vec![SamplerState::default(); policy.events.len()];
         self.sample = Some(policy);
         self
     }
@@ -510,7 +512,10 @@ mod tests {
     #[test]
     fn records_carry_header_and_fields_in_order() {
         let log = EventLog::in_memory(Level::Info);
-        log.info("job_enqueued", &[("job", Json::from("j-1")), ("depth", Json::from(2.0))]);
+        log.info(
+            "job_enqueued",
+            &[("job", Json::from("j-1")), ("depth", Json::from(2.0))],
+        );
         let tail = log.tail();
         assert_eq!(tail.len(), 1);
         let r = &tail[0];
@@ -602,12 +607,7 @@ mod tests {
     fn events_of(log: &EventLog) -> Vec<(String, Option<f64>)> {
         log.tail()
             .iter()
-            .map(|r| {
-                (
-                    r["event"].as_str().unwrap().to_owned(),
-                    r["count"].as_f64(),
-                )
-            })
+            .map(|r| (r["event"].as_str().unwrap().to_owned(), r["count"].as_f64()))
             .collect()
     }
 

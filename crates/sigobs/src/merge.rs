@@ -200,12 +200,22 @@ mod tests {
         // merge must not.
         let coord = [
             line(0, 5_000, "job_enqueued", &[j("j-0")]),
-            line(1, 9_000, "job_done", &[j("j-0"), ("micros", Json::from(70.0))]),
+            line(
+                1,
+                9_000,
+                "job_done",
+                &[j("j-0"), ("micros", Json::from(70.0))],
+            ),
         ]
         .join("\n");
         let worker = [
             line(0, 100, "job_dequeued", &[j("j-0")]),
-            line(1, 200, "job_computed", &[j("j-0"), ("verdict", Json::from("pass"))]),
+            line(
+                1,
+                200,
+                "job_computed",
+                &[j("j-0"), ("verdict", Json::from("pass"))],
+            ),
         ]
         .join("\n");
         let merged = merge_fleet_logs(&[("coord", &coord), ("w0", &worker)]).expect("merge");
@@ -227,21 +237,35 @@ mod tests {
         // validator keeps the last dequeue, which precedes compute).
         let coord = [
             line(0, 1_000, "job_enqueued", &[j("j-0")]),
-            line(1, 1_500, "job_claimed", &[j("j-0"), ("worker", Json::from("w-0"))]),
+            line(
+                1,
+                1_500,
+                "job_claimed",
+                &[j("j-0"), ("worker", Json::from("w-0"))],
+            ),
             line(2, 2_000, "worker_reaped", &[("worker", Json::from("w-0"))]),
-            line(3, 2_001, "job_requeued", &[j("j-0"), ("worker", Json::from("w-0"))]),
+            line(
+                3,
+                2_001,
+                "job_requeued",
+                &[j("j-0"), ("worker", Json::from("w-0"))],
+            ),
             line(4, 3_000, "job_done", &[j("j-0")]),
         ]
         .join("\n");
         let dead = line(0, 1_600, "job_dequeued", &[j("j-0")]);
         let rescue = [
             line(0, 2_100, "job_dequeued", &[j("j-0")]),
-            line(1, 2_500, "job_computed", &[j("j-0"), ("verdict", Json::from("pass"))]),
+            line(
+                1,
+                2_500,
+                "job_computed",
+                &[j("j-0"), ("verdict", Json::from("pass"))],
+            ),
         ]
         .join("\n");
-        let merged =
-            merge_fleet_logs(&[("coord", &coord), ("dead", &dead), ("rescue", &rescue)])
-                .expect("merge");
+        let merged = merge_fleet_logs(&[("coord", &coord), ("dead", &dead), ("rescue", &rescue)])
+            .expect("merge");
         let replay = replay_log(&merged).expect("merged log replays");
         assert_eq!(replay.timelines["j-0"].outcome, Some(Outcome::Computed));
         assert_eq!(replay.presumed_rejected, 0);
@@ -262,12 +286,22 @@ mod tests {
         .join("\n");
         let killed_plus_computed = [
             killed.clone(),
-            line(2, 1_300, "job_computed", &[j("j-0"), ("verdict", Json::from("pass"))]),
+            line(
+                2,
+                1_300,
+                "job_computed",
+                &[j("j-0"), ("verdict", Json::from("pass"))],
+            ),
         ]
         .join("\n");
         // Truncated *final* line: tolerated (the computed record came
         // from a rescue node here).
-        let rescue = line(0, 1_400, "job_computed", &[j("j-0"), ("verdict", Json::from("pass"))]);
+        let rescue = line(
+            0,
+            1_400,
+            "job_computed",
+            &[j("j-0"), ("verdict", Json::from("pass"))],
+        );
         let merged = merge_fleet_logs(&[("coord", &coord), ("w0", &killed), ("w1", &rescue)])
             .expect("truncated final line tolerated");
         assert!(replay_log(&merged).is_ok());
@@ -281,8 +315,18 @@ mod tests {
     fn a_worker_event_keeps_the_workers_node_under_its_own_key() {
         let node = ("node", Json::from("rack-1"));
         let coord = [
-            line(0, 1_000, "worker_joined", &[("worker", Json::from("w-0")), node.clone()]),
-            line(1, 2_000, "worker_reaped", &[("worker", Json::from("w-0")), node]),
+            line(
+                0,
+                1_000,
+                "worker_joined",
+                &[("worker", Json::from("w-0")), node.clone()],
+            ),
+            line(
+                1,
+                2_000,
+                "worker_reaped",
+                &[("worker", Json::from("w-0")), node],
+            ),
         ]
         .join("\n");
         let merged = merge_fleet_logs(&[("coord", &coord)]).expect("merge");
@@ -331,7 +375,12 @@ mod tests {
         let a = [
             line(0, 1_000, "serve_started", &[]),
             line(1, 1_000, "job_enqueued", &[j("j-0")]),
-            line(2, 1_000, "job_rejected", &[j("j-9"), ("reason", Json::from("overloaded"))]),
+            line(
+                2,
+                1_000,
+                "job_rejected",
+                &[j("j-9"), ("reason", Json::from("overloaded"))],
+            ),
         ]
         .join("\n");
         let b = line(0, 1_000, "worker_started", &[]);

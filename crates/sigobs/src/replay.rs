@@ -535,11 +535,31 @@ mod tests {
     fn reconstructs_a_computed_lifecycle() {
         let log = [
             line(0, "serve_started", &[("workers", Json::from(2.0))]),
-            line(1, "job_enqueued", &[("job", Json::from("j-0")), ("name", Json::from("a.js"))]),
+            line(
+                1,
+                "job_enqueued",
+                &[("job", Json::from("j-0")), ("name", Json::from("a.js"))],
+            ),
             line(2, "job_dequeued", &[("job", Json::from("j-0"))]),
-            line(3, "span", &[("job", Json::from("j-0")), ("span", Json::from("phase1")), ("dur_us", Json::from(12.0))]),
-            line(4, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("pass"))]),
-            line(5, "job_done", &[("job", Json::from("j-0")), ("micros", Json::from(99.0))]),
+            line(
+                3,
+                "span",
+                &[
+                    ("job", Json::from("j-0")),
+                    ("span", Json::from("phase1")),
+                    ("dur_us", Json::from(12.0)),
+                ],
+            ),
+            line(
+                4,
+                "job_computed",
+                &[("job", Json::from("j-0")), ("verdict", Json::from("pass"))],
+            ),
+            line(
+                5,
+                "job_done",
+                &[("job", Json::from("j-0")), ("micros", Json::from(99.0))],
+            ),
         ]
         .join("\n");
         let timelines = replay_log(&log).expect("valid log").timelines;
@@ -554,8 +574,16 @@ mod tests {
     #[test]
     fn cache_hit_requires_producer_provenance() {
         let with_producer = [
-            line(0, "cache_hit", &[("job", Json::from("j-1")), ("producer", Json::from("j-0"))]),
-            line(1, "job_done", &[("job", Json::from("j-1")), ("micros", Json::from(3.0))]),
+            line(
+                0,
+                "cache_hit",
+                &[("job", Json::from("j-1")), ("producer", Json::from("j-0"))],
+            ),
+            line(
+                1,
+                "job_done",
+                &[("job", Json::from("j-1")), ("micros", Json::from(3.0))],
+            ),
         ]
         .join("\n");
         let timelines = replay_log(&with_producer).unwrap().timelines;
@@ -578,7 +606,11 @@ mod tests {
 
         let skipped_dequeue = [
             line(0, "job_enqueued", &[("job", Json::from("j-2"))]),
-            line(1, "job_computed", &[("job", Json::from("j-2")), ("verdict", Json::from("pass"))]),
+            line(
+                1,
+                "job_computed",
+                &[("job", Json::from("j-2")), ("verdict", Json::from("pass"))],
+            ),
             line(2, "job_done", &[("job", Json::from("j-2"))]),
         ]
         .join("\n");
@@ -588,8 +620,18 @@ mod tests {
 
     #[test]
     fn rejected_jobs_are_terminal() {
-        let ok = line(0, "job_rejected", &[("job", Json::from("j-3")), ("reason", Json::from("overloaded"))]);
-        assert_eq!(replay_log(&ok).unwrap().timelines["j-3"].outcome, Some(Outcome::Rejected));
+        let ok = line(
+            0,
+            "job_rejected",
+            &[
+                ("job", Json::from("j-3")),
+                ("reason", Json::from("overloaded")),
+            ],
+        );
+        assert_eq!(
+            replay_log(&ok).unwrap().timelines["j-3"].outcome,
+            Some(Outcome::Rejected)
+        );
 
         let bad = [
             line(0, "job_rejected", &[("job", Json::from("j-3"))]),
@@ -618,11 +660,30 @@ mod tests {
         let log = [
             line(0, "job_enqueued", &[("job", Json::from("j-2"))]),
             line(1, "job_dequeued", &[("job", Json::from("j-2"))]),
-            line(2, "job_computed", &[("job", Json::from("j-2")), ("verdict", Json::from("pass"))]),
+            line(
+                2,
+                "job_computed",
+                &[("job", Json::from("j-2")), ("verdict", Json::from("pass"))],
+            ),
             line(3, "job_done", &[("job", Json::from("j-2"))]),
-            line(4, "job_rejected", &[("job", Json::from("j-0")), ("reason", Json::from("overloaded"))]),
+            line(
+                4,
+                "job_rejected",
+                &[
+                    ("job", Json::from("j-0")),
+                    ("reason", Json::from("overloaded")),
+                ],
+            ),
             line(5, "job_enqueued", &[("job", Json::from("j-1"))]),
-            line(6, "suppressed", &[("suppressed_event", Json::from("job_rejected")), ("count", Json::from(2.0)), ("sample_every", Json::from(4.0))]),
+            line(
+                6,
+                "suppressed",
+                &[
+                    ("suppressed_event", Json::from("job_rejected")),
+                    ("count", Json::from(2.0)),
+                    ("sample_every", Json::from(4.0)),
+                ],
+            ),
         ]
         .join("\n");
         let replay = replay_log(&log).expect("sampled log reconciles");
@@ -644,7 +705,15 @@ mod tests {
         let log = [
             line(0, "job_enqueued", &[("job", Json::from("j-0"))]),
             line(1, "job_enqueued", &[("job", Json::from("j-1"))]),
-            line(2, "suppressed", &[("suppressed_event", Json::from("job_rejected")), ("count", Json::from(1.0)), ("sample_every", Json::from(4.0))]),
+            line(
+                2,
+                "suppressed",
+                &[
+                    ("suppressed_event", Json::from("job_rejected")),
+                    ("count", Json::from(1.0)),
+                    ("sample_every", Json::from(4.0)),
+                ],
+            ),
         ]
         .join("\n");
         let err = replay_log(&log).unwrap_err();
@@ -659,10 +728,21 @@ mod tests {
     fn suppression_of_other_events_grants_no_rejection_budget() {
         let log = [
             line(0, "job_enqueued", &[("job", Json::from("j-0"))]),
-            line(1, "suppressed", &[("suppressed_event", Json::from("span")), ("count", Json::from(50.0)), ("sample_every", Json::from(8.0))]),
+            line(
+                1,
+                "suppressed",
+                &[
+                    ("suppressed_event", Json::from("span")),
+                    ("count", Json::from(50.0)),
+                    ("sample_every", Json::from(8.0)),
+                ],
+            ),
         ]
         .join("\n");
-        assert!(replay_log(&log).is_err(), "span budget must not excuse a lost rejection");
+        assert!(
+            replay_log(&log).is_err(),
+            "span budget must not excuse a lost rejection"
+        );
     }
 
     #[test]
@@ -674,13 +754,31 @@ mod tests {
             line(0, "job_enqueued", &[("job", Json::from("j-0"))]),
             line(1, "alert_cleared", &[("rule", Json::from("vet-p99"))]),
             line(2, "job_dequeued", &[("job", Json::from("j-0"))]),
-            line(3, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("pass"))]),
-            line(4, "alert_fired", &[("rule", Json::from("cache-hit-ratio")), ("value", Json::from(0.1)), ("bound", Json::from(0.5))]),
+            line(
+                3,
+                "job_computed",
+                &[("job", Json::from("j-0")), ("verdict", Json::from("pass"))],
+            ),
+            line(
+                4,
+                "alert_fired",
+                &[
+                    ("rule", Json::from("cache-hit-ratio")),
+                    ("value", Json::from(0.1)),
+                    ("bound", Json::from(0.5)),
+                ],
+            ),
             line(5, "job_done", &[("job", Json::from("j-0"))]),
-            line(6, "alert_cleared", &[("rule", Json::from("cache-hit-ratio"))]),
+            line(
+                6,
+                "alert_cleared",
+                &[("rule", Json::from("cache-hit-ratio"))],
+            ),
         ]
-        .join("
-");
+        .join(
+            "
+",
+        );
         let replay = replay_log(&log).expect("narration events are accepted");
         assert_eq!(replay.timelines.len(), 1);
         assert_eq!(replay.timelines["j-0"].outcome, Some(Outcome::Computed));
@@ -689,12 +787,38 @@ mod tests {
     #[test]
     fn per_event_suppression_budgets_are_tracked_independently() {
         let log = [
-            line(0, "suppressed", &[("suppressed_event", Json::from("span")), ("count", Json::from(8.0)), ("sample_every", Json::from(4.0))]),
-            line(1, "suppressed", &[("suppressed_event", Json::from("job_rejected")), ("count", Json::from(2.0)), ("sample_every", Json::from(100.0))]),
-            line(2, "suppressed", &[("suppressed_event", Json::from("span")), ("count", Json::from(8.0)), ("sample_every", Json::from(4.0))]),
+            line(
+                0,
+                "suppressed",
+                &[
+                    ("suppressed_event", Json::from("span")),
+                    ("count", Json::from(8.0)),
+                    ("sample_every", Json::from(4.0)),
+                ],
+            ),
+            line(
+                1,
+                "suppressed",
+                &[
+                    ("suppressed_event", Json::from("job_rejected")),
+                    ("count", Json::from(2.0)),
+                    ("sample_every", Json::from(100.0)),
+                ],
+            ),
+            line(
+                2,
+                "suppressed",
+                &[
+                    ("suppressed_event", Json::from("span")),
+                    ("count", Json::from(8.0)),
+                    ("sample_every", Json::from(4.0)),
+                ],
+            ),
         ]
-        .join("
-");
+        .join(
+            "
+",
+        );
         let replay = replay_log(&log).expect("declared-only log is valid");
         assert_eq!(replay.budget("span"), 16);
         assert_eq!(replay.budget("job_rejected"), 2);
@@ -710,13 +834,43 @@ mod tests {
         // a deadline-fired job still validates because the worker's late
         // completion posts the terminal job_done.
         let log = [
-            line(0, "conn_accepted", &[("conn", Json::from("c-0")), ("peer", Json::from("127.0.0.1:9"))]),
+            line(
+                0,
+                "conn_accepted",
+                &[
+                    ("conn", Json::from("c-0")),
+                    ("peer", Json::from("127.0.0.1:9")),
+                ],
+            ),
             line(1, "job_enqueued", &[("job", Json::from("j-0"))]),
             line(2, "job_dequeued", &[("job", Json::from("j-0"))]),
-            line(3, "write_backpressure", &[("conn", Json::from("c-0")), ("queued_bytes", Json::from(70000.0)), ("capacity_bytes", Json::from(65536.0))]),
-            line(4, "job_deadline", &[("job", Json::from("j-0")), ("deadline_ms", Json::from(50.0))]),
-            line(5, "conn_closed", &[("conn", Json::from("c-0")), ("reason", Json::from("eof"))]),
-            line(6, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("pass"))]),
+            line(
+                3,
+                "write_backpressure",
+                &[
+                    ("conn", Json::from("c-0")),
+                    ("queued_bytes", Json::from(70000.0)),
+                    ("capacity_bytes", Json::from(65536.0)),
+                ],
+            ),
+            line(
+                4,
+                "job_deadline",
+                &[
+                    ("job", Json::from("j-0")),
+                    ("deadline_ms", Json::from(50.0)),
+                ],
+            ),
+            line(
+                5,
+                "conn_closed",
+                &[("conn", Json::from("c-0")), ("reason", Json::from("eof"))],
+            ),
+            line(
+                6,
+                "job_computed",
+                &[("job", Json::from("j-0")), ("verdict", Json::from("pass"))],
+            ),
             line(7, "job_done", &[("job", Json::from("j-0"))]),
         ]
         .join("\n");
@@ -735,7 +889,12 @@ mod tests {
         h
     }
 
-    fn profile_fields(job: &str, verdict: &str, total: f64, hotspots: Vec<Json>) -> Vec<(&'static str, Json)> {
+    fn profile_fields(
+        job: &str,
+        verdict: &str,
+        total: f64,
+        hotspots: Vec<Json>,
+    ) -> Vec<(&'static str, Json)> {
         vec![
             ("job", Json::from(job)),
             ("verdict", Json::from(verdict)),
@@ -746,11 +905,23 @@ mod tests {
 
     #[test]
     fn timeout_with_postmortem_validates_and_exposes_hotspots() {
-        let pf = profile_fields("j-0", "timeout", 100.0, vec![hotspot("hot", 60.0), hotspot("warm", 30.0)]);
+        let pf = profile_fields(
+            "j-0",
+            "timeout",
+            100.0,
+            vec![hotspot("hot", 60.0), hotspot("warm", 30.0)],
+        );
         let log = [
             line(0, "job_enqueued", &[("job", Json::from("j-0"))]),
             line(1, "job_dequeued", &[("job", Json::from("j-0"))]),
-            line(2, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("timeout"))]),
+            line(
+                2,
+                "job_computed",
+                &[
+                    ("job", Json::from("j-0")),
+                    ("verdict", Json::from("timeout")),
+                ],
+            ),
             line(3, "job_profile", &pf),
             line(4, "job_done", &[("job", Json::from("j-0"))]),
         ]
@@ -759,7 +930,10 @@ mod tests {
         let t = &replay.timelines["j-0"];
         assert_eq!(t.outcome, Some(Outcome::Computed));
         assert_eq!(t.profile_steps, Some(100));
-        assert_eq!(t.hotspots, [("hot".to_owned(), 60), ("warm".to_owned(), 30)]);
+        assert_eq!(
+            t.hotspots,
+            [("hot".to_owned(), 60), ("warm".to_owned(), 30)]
+        );
         assert_eq!(replay.presumed_profile_sampled, 0);
     }
 
@@ -768,7 +942,14 @@ mod tests {
         let bare = [
             line(0, "job_enqueued", &[("job", Json::from("j-0"))]),
             line(1, "job_dequeued", &[("job", Json::from("j-0"))]),
-            line(2, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("timeout"))]),
+            line(
+                2,
+                "job_computed",
+                &[
+                    ("job", Json::from("j-0")),
+                    ("verdict", Json::from("timeout")),
+                ],
+            ),
             line(3, "job_done", &[("job", Json::from("j-0"))]),
         ]
         .join("\n");
@@ -777,7 +958,15 @@ mod tests {
 
         let declared = [
             bare.clone(),
-            line(4, "suppressed", &[("suppressed_event", Json::from("job_profile")), ("count", Json::from(1.0)), ("sample_every", Json::from(4.0))]),
+            line(
+                4,
+                "suppressed",
+                &[
+                    ("suppressed_event", Json::from("job_profile")),
+                    ("count", Json::from(1.0)),
+                    ("sample_every", Json::from(4.0)),
+                ],
+            ),
         ]
         .join("\n");
         let replay = replay_log(&declared).expect("declared drop reconciles");
@@ -787,7 +976,11 @@ mod tests {
         let ok_verdict = [
             line(0, "job_enqueued", &[("job", Json::from("j-1"))]),
             line(1, "job_dequeued", &[("job", Json::from("j-1"))]),
-            line(2, "job_computed", &[("job", Json::from("j-1")), ("verdict", Json::from("pass"))]),
+            line(
+                2,
+                "job_computed",
+                &[("job", Json::from("j-1")), ("verdict", Json::from("pass"))],
+            ),
             line(3, "job_done", &[("job", Json::from("j-1"))]),
         ]
         .join("\n");
@@ -801,40 +994,78 @@ mod tests {
         let log = [
             line(0, "job_enqueued", &[("job", Json::from("j-0"))]),
             line(1, "job_dequeued", &[("job", Json::from("j-0"))]),
-            line(2, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("timeout"))]),
+            line(
+                2,
+                "job_computed",
+                &[
+                    ("job", Json::from("j-0")),
+                    ("verdict", Json::from("timeout")),
+                ],
+            ),
             line(3, "job_profile", &over),
             line(4, "job_done", &[("job", Json::from("j-0"))]),
         ]
         .join("\n");
-        assert!(replay_log(&log).unwrap_err().contains("exceed"), "steps cap");
+        assert!(
+            replay_log(&log).unwrap_err().contains("exceed"),
+            "steps cap"
+        );
 
         // A hotspot entry missing its fields.
-        let lame = vec![("job", Json::from("j-0")), ("verdict", Json::from("timeout")), ("total_steps", Json::from(10.0)), ("hotspots", Json::Arr(vec![Json::obj()]))];
+        let lame = vec![
+            ("job", Json::from("j-0")),
+            ("verdict", Json::from("timeout")),
+            ("total_steps", Json::from(10.0)),
+            ("hotspots", Json::Arr(vec![Json::obj()])),
+        ];
         let log = [
             line(0, "job_enqueued", &[("job", Json::from("j-0"))]),
             line(1, "job_dequeued", &[("job", Json::from("j-0"))]),
-            line(2, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("timeout"))]),
+            line(
+                2,
+                "job_computed",
+                &[
+                    ("job", Json::from("j-0")),
+                    ("verdict", Json::from("timeout")),
+                ],
+            ),
             line(3, "job_profile", &lame),
             line(4, "job_done", &[("job", Json::from("j-0"))]),
         ]
         .join("\n");
-        assert!(replay_log(&log).unwrap_err().contains("hotspot"), "well-formedness");
+        assert!(
+            replay_log(&log).unwrap_err().contains("hotspot"),
+            "well-formedness"
+        );
 
         // Postmortem on a job that never computed.
         let floating = [
-            line(0, "cache_hit", &[("job", Json::from("j-2")), ("producer", Json::from("j-0"))]),
+            line(
+                0,
+                "cache_hit",
+                &[("job", Json::from("j-2")), ("producer", Json::from("j-0"))],
+            ),
             line(1, "job_profile", &profile_fields("j-2", "ok", 5.0, vec![])),
             line(2, "job_done", &[("job", Json::from("j-2"))]),
         ]
         .join("\n");
-        assert!(replay_log(&floating).unwrap_err().contains("never computed"));
+        assert!(replay_log(&floating)
+            .unwrap_err()
+            .contains("never computed"));
 
         // Verdict disagreement: profile says ok, compute said timeout.
         let liar = profile_fields("j-3", "ok", 10.0, vec![]);
         let log = [
             line(0, "job_enqueued", &[("job", Json::from("j-3"))]),
             line(1, "job_dequeued", &[("job", Json::from("j-3"))]),
-            line(2, "job_computed", &[("job", Json::from("j-3")), ("verdict", Json::from("timeout"))]),
+            line(
+                2,
+                "job_computed",
+                &[
+                    ("job", Json::from("j-3")),
+                    ("verdict", Json::from("timeout")),
+                ],
+            ),
             line(3, "job_profile", &liar),
             line(4, "job_done", &[("job", Json::from("j-3"))]),
         ]
@@ -850,15 +1081,29 @@ mod tests {
         let twice = [
             line(0, "job_enqueued", &[("job", Json::from("j-0"))]),
             line(1, "job_dequeued", &[("job", Json::from("j-0"))]),
-            line(2, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("ok"))]),
-            line(3, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("timeout"))]),
+            line(
+                2,
+                "job_computed",
+                &[("job", Json::from("j-0")), ("verdict", Json::from("ok"))],
+            ),
+            line(
+                3,
+                "job_computed",
+                &[
+                    ("job", Json::from("j-0")),
+                    ("verdict", Json::from("timeout")),
+                ],
+            ),
             line(4, "job_done", &[("job", Json::from("j-0"))]),
         ]
         .join("\n");
         let err = replay_log(&twice).unwrap_err();
         assert!(err.contains("second job_computed at seq 3"), "{err}");
         let t = &job_timelines(&parse_log(&twice).unwrap())["j-0"];
-        assert_eq!((t.computed.as_ref().map(|c| c.seq), t.recomputed), (Some(2), Some(3)));
+        assert_eq!(
+            (t.computed.as_ref().map(|c| c.seq), t.recomputed),
+            (Some(2), Some(3))
+        );
         assert_eq!(t.verdict.as_deref(), Some("ok"), "the first record is kept");
     }
 
@@ -874,9 +1119,17 @@ mod tests {
     fn coalesced_jobs_share_a_producer() {
         let log = [
             line(0, "job_enqueued", &[("job", Json::from("j-0"))]),
-            line(1, "job_coalesced", &[("job", Json::from("j-1")), ("producer", Json::from("j-0"))]),
+            line(
+                1,
+                "job_coalesced",
+                &[("job", Json::from("j-1")), ("producer", Json::from("j-0"))],
+            ),
             line(2, "job_dequeued", &[("job", Json::from("j-0"))]),
-            line(3, "job_computed", &[("job", Json::from("j-0")), ("verdict", Json::from("pass"))]),
+            line(
+                3,
+                "job_computed",
+                &[("job", Json::from("j-0")), ("verdict", Json::from("pass"))],
+            ),
             line(4, "job_done", &[("job", Json::from("j-0"))]),
             line(5, "job_done", &[("job", Json::from("j-1"))]),
         ]

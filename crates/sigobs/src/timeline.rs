@@ -173,14 +173,42 @@ mod tests {
     fn fleet_job_reconstructs_across_nodes() {
         let coord = [
             line(0, 1_000, "job_enqueued", &[j("j-0")]),
-            line(1, 9_000, "job_done", &[j("j-0"), ("micros", Json::from(8000.0))]),
+            line(
+                1,
+                9_000,
+                "job_done",
+                &[j("j-0"), ("micros", Json::from(8000.0))],
+            ),
         ]
         .join("\n");
         let worker = [
             line(0, 3_000, "job_dequeued", &[j("j-0")]),
-            line(1, 6_800, "span", &[j("j-0"), ("span", Json::from("phase1")), ("dur_us", Json::from(3000.0))]),
-            line(2, 6_900, "span", &[j("j-0"), ("span", Json::from("phase2")), ("dur_us", Json::from(700.0))]),
-            line(3, 7_000, "job_computed", &[j("j-0"), ("verdict", Json::from("pass"))]),
+            line(
+                1,
+                6_800,
+                "span",
+                &[
+                    j("j-0"),
+                    ("span", Json::from("phase1")),
+                    ("dur_us", Json::from(3000.0)),
+                ],
+            ),
+            line(
+                2,
+                6_900,
+                "span",
+                &[
+                    j("j-0"),
+                    ("span", Json::from("phase2")),
+                    ("dur_us", Json::from(700.0)),
+                ],
+            ),
+            line(
+                3,
+                7_000,
+                "job_computed",
+                &[j("j-0"), ("verdict", Json::from("pass"))],
+            ),
         ]
         .join("\n");
         let merged = merge_fleet_logs(&[("coord", &coord), ("w0", &worker)]).unwrap();
@@ -302,7 +330,12 @@ mod tests {
         .join("\n");
         let worker = [
             line(0, 100, "job_dequeued", &[j("j-0")]),
-            line(1, 200, "job_computed", &[j("j-0"), ("verdict", Json::from("pass"))]),
+            line(
+                1,
+                200,
+                "job_computed",
+                &[j("j-0"), ("verdict", Json::from("pass"))],
+            ),
         ]
         .join("\n");
         let merged = merge_fleet_logs(&[("coord", &coord), ("w0", &worker)]).unwrap();
@@ -328,8 +361,23 @@ mod tests {
         let log = [
             line(0, 1_000, "job_enqueued", &[j("j-0")]),
             line(1, 2_000, "job_dequeued", &[j("j-0")]),
-            line(2, 5_000, "job_computed", &[j("j-0"), ("verdict", Json::from("timeout"))]),
-            line(3, 5_010, "job_profile", &[j("j-0"), ("verdict", Json::from("timeout")), ("total_steps", Json::from(100.0)), ("hotspots", Json::Arr(vec![hot]))]),
+            line(
+                2,
+                5_000,
+                "job_computed",
+                &[j("j-0"), ("verdict", Json::from("timeout"))],
+            ),
+            line(
+                3,
+                5_010,
+                "job_profile",
+                &[
+                    j("j-0"),
+                    ("verdict", Json::from("timeout")),
+                    ("total_steps", Json::from(100.0)),
+                    ("hotspots", Json::Arr(vec![hot])),
+                ],
+            ),
             line(4, 6_000, "job_done", &[j("j-0")]),
         ]
         .join("\n");
@@ -347,7 +395,10 @@ mod tests {
             analyze["args"]["hotspots"][0]["func"].as_str(),
             Some("loop")
         );
-        let m = events.iter().find(|e| e["ph"].as_str() == Some("M")).unwrap();
+        let m = events
+            .iter()
+            .find(|e| e["ph"].as_str() == Some("M"))
+            .unwrap();
         assert_eq!(m["args"]["name"].as_str(), Some("local"));
     }
 
@@ -358,12 +409,24 @@ mod tests {
         let log = [
             line(0, 1_000, "job_enqueued", &[j("j-0")]),
             line(1, 2_000, "job_dequeued", &[j("j-0")]),
-            line(2, 3_000, "job_computed", &[j("j-0"), ("verdict", Json::from("ok"))]),
-            line(3, 4_000, "job_computed", &[j("j-0"), ("verdict", Json::from("timeout"))]),
+            line(
+                2,
+                3_000,
+                "job_computed",
+                &[j("j-0"), ("verdict", Json::from("ok"))],
+            ),
+            line(
+                3,
+                4_000,
+                "job_computed",
+                &[j("j-0"), ("verdict", Json::from("timeout"))],
+            ),
             line(4, 5_000, "job_done", &[j("j-0")]),
         ]
         .join("\n");
-        assert!(replay_log(&log).unwrap_err().contains("second job_computed at seq 3"));
+        assert!(replay_log(&log)
+            .unwrap_err()
+            .contains("second job_computed at seq 3"));
         let trace = chrome_trace(&timeline(&log, "j-0"));
         let Json::Arr(events) = &trace["traceEvents"] else {
             panic!()
@@ -388,8 +451,18 @@ mod tests {
         let log = [
             line(0, 1_000, "job_enqueued", &[j("j-0")]),
             line(1, 1_100, "job_dequeued", &[j("j-0")]),
-            line(2, 1_150, "job_coalesced", &[j("j-1"), ("producer", Json::from("j-0"))]),
-            line(3, 1_200, "job_rejected", &[j("j-2"), ("reason", Json::from("overloaded"))]),
+            line(
+                2,
+                1_150,
+                "job_coalesced",
+                &[j("j-1"), ("producer", Json::from("j-0"))],
+            ),
+            line(
+                3,
+                1_200,
+                "job_rejected",
+                &[j("j-2"), ("reason", Json::from("overloaded"))],
+            ),
             line(
                 4,
                 1_800,
@@ -401,10 +474,20 @@ mod tests {
                     ("dur_us", Json::from(600.0)),
                 ],
             ),
-            line(5, 2_000, "job_computed", &[j("j-0"), ("verdict", Json::from("ok"))]),
+            line(
+                5,
+                2_000,
+                "job_computed",
+                &[j("j-0"), ("verdict", Json::from("ok"))],
+            ),
             line(6, 2_100, "job_done", &[j("j-0")]),
             line(7, 2_110, "job_done", &[j("j-1")]),
-            line(8, 2_200, "cache_hit", &[j("j-3"), ("producer", Json::from("j-0"))]),
+            line(
+                8,
+                2_200,
+                "cache_hit",
+                &[j("j-3"), ("producer", Json::from("j-0"))],
+            ),
             line(9, 2_210, "job_done", &[j("j-3")]),
         ]
         .join("\n");
@@ -434,7 +517,10 @@ mod tests {
             for (i, &(s1, e1)) in slices.iter().enumerate() {
                 for &(s2, e2) in &slices[i + 1..] {
                     let nested = (s1 <= s2 && e2 <= e1) || (s2 <= s1 && e1 <= e2);
-                    assert!(nested || e1 <= s2 || e2 <= s1, "{job}: slices partially overlap");
+                    assert!(
+                        nested || e1 <= s2 || e2 <= s1,
+                        "{job}: slices partially overlap"
+                    );
                 }
             }
         }
@@ -444,7 +530,10 @@ mod tests {
         };
         let coalesced = only("j-1");
         assert_eq!(coalesced["name"].as_str(), Some("coalesced"));
-        assert_eq!((coalesced["ts"].as_f64(), coalesced["dur"].as_f64()), (Some(1_150.0), Some(960.0)));
+        assert_eq!(
+            (coalesced["ts"].as_f64(), coalesced["dur"].as_f64()),
+            (Some(1_150.0), Some(960.0))
+        );
         assert_eq!(coalesced["args"]["producer"].as_str(), Some("j-0"));
         let rejected = only("j-2");
         assert_eq!(rejected["name"].as_str(), Some("rejected"));

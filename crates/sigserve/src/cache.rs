@@ -100,8 +100,11 @@ impl SigCache {
         }
         let evicted = self.map.len() >= self.cap;
         if evicted {
-            let (&oldest_stamp, &oldest_key) =
-                self.order.iter().next().expect("full cache has an LRU entry");
+            let (&oldest_stamp, &oldest_key) = self
+                .order
+                .iter()
+                .next()
+                .expect("full cache has an LRU entry");
             self.order.remove(&oldest_stamp);
             self.map.remove(&oldest_key);
         }

@@ -232,7 +232,10 @@ mod tests {
         sink.calls_until_block = usize::MAX;
         wb.write_to(&mut sink).expect("drain");
         assert!(wb.is_empty());
-        assert_eq!(sink.took, b"{\"kind\":\"vet_result\"}\n{\"kind\":\"stats\"}\n");
+        assert_eq!(
+            sink.took,
+            b"{\"kind\":\"vet_result\"}\n{\"kind\":\"stats\"}\n"
+        );
         assert_eq!(
             wb.written(),
             total as u64,

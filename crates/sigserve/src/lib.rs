@@ -84,8 +84,6 @@ pub use jobs::PIPELINE_STACK_BYTES;
 pub use poller::Backend;
 pub use protocol::{parse_request, Request, Source, VetItem};
 pub use server::{ServeConfig, Server, ServerBuilder};
-pub use stats::metrics_json;
-pub use worker::{Worker, WorkerConfig};
 /// Re-exported from `sigobs`: the structured event log `ServeConfig`
 /// can attach so every job lifecycle lands in a JSONL stream, plus the
 /// overload sampling policy it can run under.
@@ -94,6 +92,8 @@ pub use sigobs::{EventLog, Level, SamplePolicy};
 /// the per-layer timings `VetOutcome::Report` carries, and the per-job
 /// cost profile outcomes can attach.
 pub use sigtrace::{JobProfile, LayerTimes, MetricsRegistry, MetricsSnapshot};
+pub use stats::metrics_json;
+pub use worker::{Worker, WorkerConfig};
 
 use minijson::Json;
 use std::time::Duration;
@@ -220,7 +220,9 @@ impl VetOutcome {
             VetOutcome::Report { timings, .. } => {
                 let phases = [("p1_us", 1), ("p2_us", 2), ("p3_us", 3)]
                     .map(|(key, p)| (key, Json::from(timings.phase(p).as_micros() as f64)));
-                std::iter::once(("verdict", Json::from("ok"))).chain(phases).collect()
+                std::iter::once(("verdict", Json::from("ok")))
+                    .chain(phases)
+                    .collect()
             }
             VetOutcome::Timeout { steps, elapsed, .. } => vec![
                 ("verdict", Json::from("timeout")),
@@ -309,7 +311,11 @@ pub(crate) fn log_job_profile(log: &sigobs::EventLog, job: &str, outcome: &VetOu
     let mut fields = vec![("job", Json::from(job)), ("verdict", Json::from(verdict))];
     let doc = profile_json(profile, POSTMORTEM_TOP_K);
     if let Json::Obj(pairs) = &doc {
-        fields.extend(pairs.iter().map(|(key, value)| (key.as_str(), value.clone())));
+        fields.extend(
+            pairs
+                .iter()
+                .map(|(key, value)| (key.as_str(), value.clone())),
+        );
     }
     log.log(level, "job_profile", &fields);
 }
@@ -336,6 +342,11 @@ pub(crate) fn log_job_computed(log: &sigobs::EventLog, job: &str, outcome: &VetO
 /// forward untouched at zero cost.
 ///
 /// [`Trace::Off`]: sigtrace::Trace::Off
-pub type AnalyzeJobFn = dyn for<'a> Fn(&str, &jsanalysis::AnalysisConfig, &MetricsRegistry, sigtrace::Trace<'a>) -> VetOutcome
+pub type AnalyzeJobFn = dyn for<'a> Fn(
+        &str,
+        &jsanalysis::AnalysisConfig,
+        &MetricsRegistry,
+        sigtrace::Trace<'a>,
+    ) -> VetOutcome
     + Send
     + Sync;

@@ -97,8 +97,9 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
     match timeout {
         None => -1,
         // Round up so a 100µs deadline doesn't busy-spin as 0ms.
-        Some(d) => i32::try_from(d.as_millis().max(if d.is_zero() { 0 } else { 1 }))
-            .unwrap_or(i32::MAX),
+        Some(d) => {
+            i32::try_from(d.as_millis().max(if d.is_zero() { 0 } else { 1 })).unwrap_or(i32::MAX)
+        }
     }
 }
 
@@ -249,18 +250,16 @@ impl Poller {
                 }
                 Ok(())
             }
-            Imp::Poll { fds } => {
-                match fds.iter_mut().find(|(f, _, _)| *f == fd) {
-                    Some(slot) => {
-                        *slot = (fd, token, interest);
-                        Ok(())
-                    }
-                    None => Err(io::Error::new(
-                        io::ErrorKind::NotFound,
-                        "reregister of unregistered fd",
-                    )),
+            Imp::Poll { fds } => match fds.iter_mut().find(|(f, _, _)| *f == fd) {
+                Some(slot) => {
+                    *slot = (fd, token, interest);
+                    Ok(())
                 }
-            }
+                None => Err(io::Error::new(
+                    io::ErrorKind::NotFound,
+                    "reregister of unregistered fd",
+                )),
+            },
         }
     }
 
@@ -292,9 +291,8 @@ impl Poller {
             Imp::Epoll { epfd } => {
                 const MAX: usize = 1024;
                 let mut buf = [EpollEvent { events: 0, data: 0 }; MAX];
-                let n = unsafe {
-                    epoll_wait(*epfd, buf.as_mut_ptr(), MAX as i32, timeout_ms(timeout))
-                };
+                let n =
+                    unsafe { epoll_wait(*epfd, buf.as_mut_ptr(), MAX as i32, timeout_ms(timeout)) };
                 if n < 0 {
                     let e = last_err();
                     if e.kind() == io::ErrorKind::Interrupted {
@@ -507,7 +505,9 @@ mod tests {
         for backend in backends() {
             let mut poller = Poller::with_backend(backend).expect("poller");
             let (waker, rx) = wake_pair().expect("wake pair");
-            poller.register(rx.fd(), 7, Interest::READ).expect("register");
+            poller
+                .register(rx.fd(), 7, Interest::READ)
+                .expect("register");
             let hand = std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(30));
                 waker.wake();
@@ -516,7 +516,9 @@ mod tests {
             });
             let mut events = Vec::new();
             let t0 = Instant::now();
-            poller.wait(&mut events, Some(Duration::from_secs(5))).expect("wait");
+            poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .expect("wait");
             assert!(
                 t0.elapsed() < Duration::from_secs(4),
                 "{backend:?}: waker must interrupt the wait"
@@ -531,7 +533,9 @@ mod tests {
             rx.drain();
             // Drained: the next wait times out instead of spinning on a
             // still-readable pipe (level-triggered semantics).
-            poller.wait(&mut events, Some(Duration::from_millis(20))).expect("wait 2");
+            poller
+                .wait(&mut events, Some(Duration::from_millis(20)))
+                .expect("wait 2");
             assert!(events.is_empty(), "{backend:?}: drained pipe is quiet");
         }
     }
@@ -547,7 +551,9 @@ mod tests {
                 .expect("register listener");
             let client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
             let mut events = Vec::new();
-            poller.wait(&mut events, Some(Duration::from_secs(5))).expect("wait");
+            poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .expect("wait");
             assert!(
                 events.iter().any(|e| e.token == 1 && e.readable),
                 "{backend:?}: pending accept reports readable"
@@ -557,7 +563,9 @@ mod tests {
             poller
                 .register(accepted.as_raw_fd(), 2, Interest::READ_WRITE)
                 .expect("register conn");
-            poller.wait(&mut events, Some(Duration::from_secs(5))).expect("wait");
+            poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .expect("wait");
             assert!(
                 events.iter().any(|e| e.token == 2 && e.writable),
                 "{backend:?}: fresh socket is writable"
@@ -567,7 +575,9 @@ mod tests {
             poller
                 .reregister(accepted.as_raw_fd(), 2, Interest::READ)
                 .expect("reregister");
-            poller.wait(&mut events, Some(Duration::from_secs(5))).expect("wait");
+            poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .expect("wait");
             let ev = events.iter().find(|e| e.token == 2).expect("hangup event");
             assert!(
                 ev.closed || ev.readable,
@@ -582,7 +592,9 @@ mod tests {
         for backend in backends() {
             let mut poller = Poller::with_backend(backend).expect("poller");
             let (_waker, rx) = wake_pair().expect("wake pair");
-            poller.register(rx.fd(), 1, Interest::READ).expect("register");
+            poller
+                .register(rx.fd(), 1, Interest::READ)
+                .expect("register");
             let mut events = Vec::new();
             let t0 = Instant::now();
             poller

@@ -249,7 +249,11 @@ pub fn overloaded_response(name: Option<&str>, queued: usize, capacity: usize) -
 /// new vet work on this connection is shed instead of queued. Distinct
 /// from [`overloaded_response`] (a daemon-wide full job queue) via the
 /// `reason` field and byte-denominated bounds.
-pub fn backpressure_response(name: Option<&str>, queued_bytes: usize, capacity_bytes: usize) -> Json {
+pub fn backpressure_response(
+    name: Option<&str>,
+    queued_bytes: usize,
+    capacity_bytes: usize,
+) -> Json {
     let mut o = Json::obj();
     o.set("kind", Json::from("overloaded"));
     o.set("reason", Json::from("write_backpressure"));
@@ -431,7 +435,10 @@ mod tests {
             Request::VetBatch(items) => assert_eq!(items.len(), 2),
             other => panic!("expected batch, got {other:?}"),
         }
-        assert_eq!(parse_request(r#"{"kind":"stats"}"#).unwrap(), Request::Stats);
+        assert_eq!(
+            parse_request(r#"{"kind":"stats"}"#).unwrap(),
+            Request::Stats
+        );
         assert_eq!(
             parse_request(r#"{"kind":"metrics"}"#).unwrap(),
             Request::Metrics

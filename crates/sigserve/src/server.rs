@@ -510,8 +510,7 @@ impl EventLoop {
                         drop(stream);
                         continue;
                     }
-                    if stream.set_nodelay(true).is_err() || stream.set_nonblocking(true).is_err()
-                    {
+                    if stream.set_nodelay(true).is_err() || stream.set_nonblocking(true).is_err() {
                         continue;
                     }
                     self.add_conn(Box::new(stream), &peer.to_string(), false);
@@ -1416,7 +1415,10 @@ mod tests {
         // daemon's own counters plus whatever the engine recorded.
         let metrics = &stats["metrics"];
         assert_eq!(metrics["counters"]["serve_cache_hits"].as_f64(), Some(1.0));
-        assert_eq!(metrics["counters"]["serve_cache_misses"].as_f64(), Some(1.0));
+        assert_eq!(
+            metrics["counters"]["serve_cache_misses"].as_f64(),
+            Some(1.0)
+        );
         assert_eq!(metrics["counters"]["stub_calls"].as_f64(), Some(1.0));
         assert_eq!(
             metrics["histograms"]["serve_vet_us"]["count"].as_f64(),
@@ -1464,7 +1466,11 @@ mod tests {
             let mut line = String::new();
             reader.read_line(&mut line).unwrap();
             let resp = Json::parse(line.trim()).unwrap();
-            assert_eq!(resp["name"].as_str(), Some(format!("q{i}").as_str()), "{resp}");
+            assert_eq!(
+                resp["name"].as_str(),
+                Some(format!("q{i}").as_str()),
+                "{resp}"
+            );
             assert_eq!(resp["verdict"], "ok");
         }
         drop(reader);

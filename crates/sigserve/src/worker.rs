@@ -168,10 +168,18 @@ impl Worker {
         match ack.get("kind").and_then(Json::as_str) {
             Some("join_ack") => {}
             Some("error") => {
-                let msg = ack.get("message").and_then(Json::as_str).unwrap_or("join refused");
+                let msg = ack
+                    .get("message")
+                    .and_then(Json::as_str)
+                    .unwrap_or("join refused");
                 return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
             }
-            _ => return Err(bad(&format!("unexpected response {}", ack.to_string_compact()))),
+            _ => {
+                return Err(bad(&format!(
+                    "unexpected response {}",
+                    ack.to_string_compact()
+                )))
+            }
         }
         let id = ack
             .get("worker")

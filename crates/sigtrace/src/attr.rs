@@ -143,7 +143,12 @@ impl JobProfile {
             out.push_str("no attribution buckets recorded\n");
             return out;
         }
-        let width = shown.iter().map(|c| c.steps.to_string().len()).max().unwrap_or(1).max(5);
+        let width = shown
+            .iter()
+            .map(|c| c.steps.to_string().len())
+            .max()
+            .unwrap_or(1)
+            .max(5);
         let _ = writeln!(out, "rank  {:>width$}  share   ctx  function", "steps");
         for (i, c) in shown.iter().enumerate() {
             let share = if self.total_steps == 0 {
@@ -209,10 +214,16 @@ mod tests {
         assert!(table.contains("total worklist steps: 401"));
         assert!(table.contains("hot"));
         assert!(table.contains("2+"), "deep contexts render as 2+");
-        assert!(table.contains("74.8%"), "shares render to one decimal: {table}");
+        assert!(
+            table.contains("74.8%"),
+            "shares render to one decimal: {table}"
+        );
         assert!(!table.contains("cold"), "beyond top_n");
         assert!(table.contains("(top 2 of 3 buckets)"));
-        assert!(!table.contains("123"), "wall-clock numbers never render: {table}");
+        assert!(
+            !table.contains("123"),
+            "wall-clock numbers never render: {table}"
+        );
     }
 
     #[test]

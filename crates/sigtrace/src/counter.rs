@@ -189,7 +189,11 @@ mod tests {
             Counter::PdgCtrlAmplifiedEdges,
             Counter::SignatureFlows,
         ] {
-            assert!(c.order_independent(), "{} should be order independent", c.name());
+            assert!(
+                c.order_independent(),
+                "{} should be order independent",
+                c.name()
+            );
         }
     }
 }

@@ -63,6 +63,6 @@ mod span;
 pub use attr::{ctx_class_name, AttributionSink, FuncCost, JobProfile, CTX_CLASSES};
 pub use counter::{Counter, Counters};
 pub use layer::{Layer, LayerTimes};
-pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot, HISTOGRAM_BUCKETS};
 pub use metrics::Histogram;
+pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot, HISTOGRAM_BUCKETS};
 pub use span::{NoopTracer, SpanCollector, SpanRecord, Trace, Tracer};

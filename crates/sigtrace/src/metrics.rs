@@ -245,7 +245,10 @@ impl MetricsRegistry {
     pub fn record_layers(&self, times: &LayerTimes) {
         for (layer, elapsed) in times.iter() {
             let name = format!("pipeline_{}_us", layer.name().replace('.', "_"));
-            self.record(&name, u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
+            self.record(
+                &name,
+                u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
+            );
         }
     }
 
@@ -261,7 +264,10 @@ impl MetricsRegistry {
             let map = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
             map.iter().map(|(name, h)| h.snapshot(name)).collect()
         };
-        MetricsSnapshot { counters, histograms }
+        MetricsSnapshot {
+            counters,
+            histograms,
+        }
     }
 }
 
@@ -312,7 +318,13 @@ mod tests {
         for i in 1..HISTOGRAM_BUCKETS - 1 {
             let lo = 1u64 << (i - 1);
             assert_eq!(bucket_index(lo), i, "2^{} must open bucket {i}", i - 1);
-            assert_eq!(bucket_index(lo - 1), i - 1, "2^{}-1 must close bucket {}", i - 1, i - 1);
+            assert_eq!(
+                bucket_index(lo - 1),
+                i - 1,
+                "2^{}-1 must close bucket {}",
+                i - 1,
+                i - 1
+            );
         }
         // The overflow bucket starts exactly at 2^(HISTOGRAM_BUCKETS-2).
         let overflow_lo = 1u64 << (HISTOGRAM_BUCKETS - 2);

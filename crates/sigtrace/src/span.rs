@@ -175,7 +175,10 @@ impl SpanCollector {
     /// when no such span is open.
     pub fn close(&mut self, layer: Layer) -> Option<&SpanRecord> {
         let end_us = micros(self.epoch.elapsed());
-        let pos = self.open.iter().rposition(|&i| self.spans[i].layer == layer)?;
+        let pos = self
+            .open
+            .iter()
+            .rposition(|&i| self.spans[i].layer == layer)?;
         let idx = self.open.remove(pos);
         debug_assert_eq!(pos, self.open.len(), "spans must close innermost-first");
         let span = &mut self.spans[idx];

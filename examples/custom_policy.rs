@@ -48,6 +48,9 @@ fn main() -> Result<(), addon_sig::Error> {
         },
     ]);
     let report = Pipeline::new().config(config).lattice(triage).run(ADDON)?;
-    println!("triage lattice (type1=explicit, type2=covert):\n{}", report.signature);
+    println!(
+        "triage lattice (type1=explicit, type2=covert):\n{}",
+        report.signature
+    );
     Ok(())
 }

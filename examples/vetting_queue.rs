@@ -23,7 +23,10 @@ fn main() {
                 continue;
             }
         };
-        println!("  inferred signature:\n{}", indent(&report.signature.to_string()));
+        println!(
+            "  inferred signature:\n{}",
+            indent(&report.signature.to_string())
+        );
 
         let cmp = compare(
             &report.signature,
@@ -78,7 +81,9 @@ fn main() {
         let report = analyze_addon(attack.source).expect("attacks analyze");
         let exposed = !report.signature.flows.is_empty()
             || report.signature.apis.iter().any(|a| {
-                a == "eval" || a == "Function" || a == "setTimeout$string"
+                a == "eval"
+                    || a == "Function"
+                    || a == "setTimeout$string"
                     || a == "Services.scriptloader.loadSubScript"
             });
         println!(

@@ -225,7 +225,10 @@ enum Mode {
         config: AnalysisConfig,
     },
     /// `vet corpus-diff OLD NEW`: classify drift between snapshots.
-    CorpusDiff { old: String, new: String },
+    CorpusDiff {
+        old: String,
+        new: String,
+    },
 }
 
 fn parse_usize(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<usize, String> {
@@ -286,8 +289,10 @@ fn parse_serve_args(
                 config.analysis.step_budget = Some(parse_usize(&mut args, "--step-budget")?)
             }
             "--deadline-ms" => {
-                config.analysis.deadline =
-                    Some(Duration::from_millis(parse_usize(&mut args, "--deadline-ms")? as u64))
+                config.analysis.deadline = Some(Duration::from_millis(parse_usize(
+                    &mut args,
+                    "--deadline-ms",
+                )? as u64))
             }
             "--idle-timeout-ms" => {
                 config.idle_timeout = Some(parse_millis(&mut args, "--idle-timeout-ms")?)
@@ -313,8 +318,7 @@ fn parse_serve_args(
                     Some(parse_usize(&mut args, "--log-sample-threshold")? as u64)
             }
             "--metrics-dir" => {
-                config.metrics_dir =
-                    Some(args.next().ok_or("--metrics-dir needs a DIR")?.into())
+                config.metrics_dir = Some(args.next().ok_or("--metrics-dir needs a DIR")?.into())
             }
             "--metrics-interval-ms" => {
                 config.metrics_interval = parse_millis(&mut args, "--metrics-interval-ms")?
@@ -391,9 +395,7 @@ fn parse_corpus_snapshot_args(mut args: impl Iterator<Item = String>) -> Result<
             "--out" => out = Some(args.next().ok_or("--out needs a FILE")?),
             "--k" => config.context_depth = parse_usize(&mut args, "--k")?,
             "--constant-strings" => config.string_domain = StringDomain::ConstantOnly,
-            "--step-budget" => {
-                config.step_budget = Some(parse_usize(&mut args, "--step-budget")?)
-            }
+            "--step-budget" => config.step_budget = Some(parse_usize(&mut args, "--step-budget")?),
             "--help" | "-h" => return Ok(Mode::Help),
             other => return Err(format!("unknown corpus-snapshot flag: {other}")),
         }
@@ -413,9 +415,7 @@ fn parse_profile_args(mut args: impl Iterator<Item = String>) -> Result<Mode, St
             "--json" => json = true,
             "--k" => config.context_depth = parse_usize(&mut args, "--k")?,
             "--constant-strings" => config.string_domain = StringDomain::ConstantOnly,
-            "--step-budget" => {
-                config.step_budget = Some(parse_usize(&mut args, "--step-budget")?)
-            }
+            "--step-budget" => config.step_budget = Some(parse_usize(&mut args, "--step-budget")?),
             "--help" | "-h" => return Ok(Mode::Help),
             other if !other.starts_with('-') && file.is_none() => file = Some(other.to_owned()),
             other => return Err(format!("unknown profile flag: {other}")),
@@ -469,9 +469,7 @@ fn parse_client_args(mut args: impl Iterator<Item = String>) -> Result<Mode, Str
         Some(a) if files.is_empty() => a,
         Some(_) => return Err("--stats/--metrics/--shutdown take no files".to_owned()),
         None if files.is_empty() => {
-            return Err(
-                "--client needs files to vet, --stats, --metrics, or --shutdown".to_owned()
-            )
+            return Err("--client needs files to vet, --stats, --metrics, or --shutdown".to_owned())
         }
         None => ClientAction::Vet(files),
     };
@@ -594,7 +592,12 @@ fn vet_source(name: &str, source: &str, opts: &Options) -> Result<VetOutcome, St
     if opts.json {
         writeln!(out, "{}", report.signature.to_json()).unwrap();
     } else if opts.dot {
-        writeln!(out, "{}", jspdg::pdg_to_dot(&report.lowered.program, &report.pdg)).unwrap();
+        writeln!(
+            out,
+            "{}",
+            jspdg::pdg_to_dot(&report.lowered.program, &report.pdg)
+        )
+        .unwrap();
     } else {
         writeln!(out, "=== {name} ===").unwrap();
         if report.signature.is_empty() {
@@ -641,9 +644,7 @@ fn explain_flows(report: &addon_sig::Report, out: &mut String) {
         for step in path {
             let text = jsir::pretty::stmt_to_string(&report.lowered.program, step.stmt);
             match step.edge {
-                Some(a) => {
-                    writeln!(out, "    L{:<4} {text}  --[{a}]-->", step.line).unwrap()
-                }
+                Some(a) => writeln!(out, "    L{:<4} {text}  --[{a}]-->", step.line).unwrap(),
                 None => writeln!(out, "    L{:<4} {text}", step.line).unwrap(),
             }
         }
@@ -781,8 +782,7 @@ fn run_client(opts: ClientOptions) -> Result<bool, String> {
     match opts.action {
         ClientAction::Vet(files) => {
             for path in files {
-                let source =
-                    std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
+                let source = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
                 let resp = client
                     .vet_source(Some(&path), &source)
                     .map_err(|e| format!("{path}: {e}"))?;
@@ -800,7 +800,12 @@ fn run_client(opts: ClientOptions) -> Result<bool, String> {
             let resp = client.metrics().map_err(|e| e.to_string())?;
             match resp["prometheus"].as_str() {
                 Some(text) => print!("{text}"),
-                None => return Err(format!("bad metrics response: {}", resp.to_string_compact())),
+                None => {
+                    return Err(format!(
+                        "bad metrics response: {}",
+                        resp.to_string_compact()
+                    ))
+                }
             }
         }
         ClientAction::Shutdown => {
@@ -892,7 +897,10 @@ fn run_metrics_report(dir: &str, gate: Option<&str>) -> Result<bool, String> {
         let start = first_counters.get(name.as_str()).copied().unwrap_or(0);
         let delta = end.saturating_sub(start);
         if span_s > 0.0 {
-            println!("  {name:<32} {end:>10}  (+{delta}, {:.2}/s)", delta as f64 / span_s);
+            println!(
+                "  {name:<32} {end:>10}  (+{delta}, {:.2}/s)",
+                delta as f64 / span_s
+            );
         } else {
             println!("  {name:<32} {end:>10}  (+{delta})");
         }
@@ -964,10 +972,8 @@ fn run_metrics_report(dir: &str, gate: Option<&str>) -> Result<bool, String> {
     let Some(rules_path) = gate else {
         return Ok(true);
     };
-    let text =
-        std::fs::read_to_string(rules_path).map_err(|e| format!("{rules_path}: {e}"))?;
-    let rules =
-        sigobs::alerts::parse_rules(&text).map_err(|e| format!("{rules_path}: {e}"))?;
+    let text = std::fs::read_to_string(rules_path).map_err(|e| format!("{rules_path}: {e}"))?;
+    let rules = sigobs::alerts::parse_rules(&text).map_err(|e| format!("{rules_path}: {e}"))?;
     let report = sigobs::alerts::evaluate(&rules, &records);
     println!();
     print!("{report}");
@@ -1091,12 +1097,12 @@ mod tests {
     fn serve_join_parses_worker_mode() {
         let mode = parse_serve_args(
             argv(&[
-            "--join",
-            "127.0.0.1:7171",
-            "--node",
-            "rack-3",
-            "--workers",
-            "4",
+                "--join",
+                "127.0.0.1:7171",
+                "--node",
+                "rack-3",
+                "--workers",
+                "4",
             ]),
             false,
         )
@@ -1118,7 +1124,7 @@ mod tests {
             &["--join", "a:1", "--metrics-dir", "/tmp/x"],
             &["--join", "a:1", "--cache-cap", "64"], // a worker has no cache
             &["--join", "a:1", "--reap-ms", "9000"], // the daemon governs timings
-            &["--node", "n"], // --node without --join
+            &["--node", "n"],                        // --node without --join
         ] {
             assert!(
                 parse_serve_args(argv(args), false).is_err(),
@@ -1206,8 +1212,15 @@ mod tests {
             top,
             json,
             config,
-        } = parse_profile_args(argv(&["a.js", "--top", "3", "--json", "--step-budget", "500"]))
-            .expect("profile parses")
+        } = parse_profile_args(argv(&[
+            "a.js",
+            "--top",
+            "3",
+            "--json",
+            "--step-budget",
+            "500",
+        ]))
+        .expect("profile parses")
         else {
             panic!("expected profile mode")
         };
@@ -1222,10 +1235,15 @@ mod tests {
     #[test]
     fn trace_job_args_parse() {
         let Mode::TraceJob { job, logs, out } = parse_trace_job_args(argv(&[
-            "j-42", "--log", "coord.jsonl", "--log", "w0.jsonl", "--out", "t.json",
+            "j-42",
+            "--log",
+            "coord.jsonl",
+            "--log",
+            "w0.jsonl",
+            "--out",
+            "t.json",
         ]))
-        .expect("trace-job parses")
-        else {
+        .expect("trace-job parses") else {
             panic!("expected trace-job mode")
         };
         assert_eq!(job, "j-42");
@@ -1235,7 +1253,10 @@ mod tests {
             parse_trace_job_args(argv(&["j-1"])).is_err(),
             "at least one --log required"
         );
-        assert!(parse_trace_job_args(argv(&["--log", "x"])).is_err(), "job id required");
+        assert!(
+            parse_trace_job_args(argv(&["--log", "x"])).is_err(),
+            "job id required"
+        );
     }
 
     #[test]

@@ -57,10 +57,7 @@ fn snapshot_one(source: &str, config: &AnalysisConfig) -> Json {
         Ok(report) => {
             entry.set("verdict", Json::from("ok"));
             let sig = report.signature.to_json();
-            entry.set(
-                "signature",
-                Json::parse(&sig).unwrap_or(Json::Str(sig)),
-            );
+            entry.set("signature", Json::parse(&sig).unwrap_or(Json::Str(sig)));
             let mut counters = Json::obj();
             for (c, v) in report.counters.order_independent() {
                 counters.set(c.name(), Json::from(v as f64));
@@ -264,8 +261,7 @@ pub fn diff_snapshots(old: &Json, new: &Json) -> Result<DriftReport, String> {
         };
         let old_verdict = old_entry["verdict"].as_str().unwrap_or("missing");
         let new_verdict = new_entry["verdict"].as_str().unwrap_or("missing");
-        let flows =
-            jssig::classify_flow_drift(&drift_flows(old_entry), &drift_flows(new_entry));
+        let flows = jssig::classify_flow_drift(&drift_flows(old_entry), &drift_flows(new_entry));
         let old_counters = counter_map(old_entry);
         let new_counters = counter_map(new_entry);
         let mut counter_deltas = Vec::new();

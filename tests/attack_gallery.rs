@@ -11,8 +11,8 @@ use jssig::{FlowLattice, FlowType};
 fn every_attack_is_exposed_by_its_signature() {
     let lattice = FlowLattice::paper();
     for attack in attacks() {
-        let report = analyze_addon(attack.source)
-            .unwrap_or_else(|e| panic!("{}: {e}", attack.name));
+        let report =
+            analyze_addon(attack.source).unwrap_or_else(|e| panic!("{}: {e}", attack.name));
         let sig = &report.signature;
         for ev in &attack.evidence {
             match ev {
@@ -51,9 +51,7 @@ fn every_attack_is_exposed_by_its_signature() {
                 Evidence::Sink { kind, domain } => {
                     assert!(
                         sig.sinks.iter().any(|s| s.kind == *kind
-                            && s.domain
-                                .known_text()
-                                .is_some_and(|d| d.contains(domain))),
+                            && s.domain.known_text().is_some_and(|d| d.contains(domain))),
                         "{}: missing {kind} sink to {domain} in:\n{sig}",
                         attack.name
                     );
@@ -80,11 +78,7 @@ fn covert_beacon_has_no_explicit_flow() {
     // It IS classified as an amplified implicit flow (type3): one beacon
     // per page load.
     assert!(
-        report
-            .signature
-            .flows
-            .iter()
-            .any(|e| e.flow == FlowType(2)),
+        report.signature.flows.iter().any(|e| e.flow == FlowType(2)),
         "expected type3 amplified implicit flow:\n{}",
         report.signature
     );
@@ -95,7 +89,10 @@ fn keylogger_flow_is_amplified_data() {
     // The keylogger accumulates key codes in a buffer across events and
     // ships them as data: the strongest achievable type is a data flow
     // (the buffer concatenation makes it weak, not strong).
-    let attack = attacks().into_iter().find(|a| a.name == "keylogger").unwrap();
+    let attack = attacks()
+        .into_iter()
+        .find(|a| a.name == "keylogger")
+        .unwrap();
     let report = analyze_addon(attack.source).unwrap();
     let key_flows: Vec<_> = report
         .signature

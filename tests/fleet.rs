@@ -187,7 +187,10 @@ fn worker_kill_loses_no_jobs_and_merged_log_replays() {
         .lines()
         .filter(|l| l.contains("\"job_dequeued\""))
         .count();
-    assert_eq!(dequeues, 2, "both claimants' dequeues are in the merged log");
+    assert_eq!(
+        dequeues, 2,
+        "both claimants' dequeues are in the merged log"
+    );
 }
 
 /// Multi-node fleet responses carry byte-identical signatures to a
@@ -208,7 +211,9 @@ fn fleet_signatures_match_cold_analysis() {
         .collect();
     let mut client = Client::connect(addr.as_str()).expect("connect");
     for addon in corpus::addons().iter().take(3) {
-        let resp = client.vet_source(Some(addon.name), addon.source).expect("vet");
+        let resp = client
+            .vet_source(Some(addon.name), addon.source)
+            .expect("vet");
         assert_eq!(resp["verdict"], "ok", "{}", addon.name);
         let cold = addon_sig::analyze_addon(addon.source).expect("cold");
         assert_eq!(
@@ -248,8 +253,14 @@ fn worker_with_a_different_config_is_refused_at_join() {
         Ok(w) => panic!("worker {} joined with a different config", w.id()),
         Err(e) => e.to_string(),
     };
-    assert!(err.contains(&deep_canon), "names the worker's config: {err}");
-    assert!(err.contains(&daemon_config()), "names the daemon's config: {err}");
+    assert!(
+        err.contains(&deep_canon),
+        "names the worker's config: {err}"
+    );
+    assert!(
+        err.contains(&daemon_config()),
+        "names the daemon's config: {err}"
+    );
     assert_eq!(fleet_stat(&coord, "workers_alive"), 0.0);
 
     let mut same = WorkerConfig::new(addr.clone());
@@ -260,7 +271,11 @@ fn worker_with_a_different_config_is_refused_at_join() {
     let mut client = Client::connect(addr.as_str()).expect("connect");
     let resp = client.vet_source(Some("x.js"), "var x = 1;").expect("vet");
     assert_eq!(resp["verdict"], "ok");
-    assert_eq!(REFUSED_CALLS.load(Ordering::SeqCst), 0, "refused worker computed");
+    assert_eq!(
+        REFUSED_CALLS.load(Ordering::SeqCst),
+        0,
+        "refused worker computed"
+    );
 
     client.shutdown().expect("shutdown");
     coord.join();

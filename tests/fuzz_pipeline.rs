@@ -180,7 +180,10 @@ fn analysis_of_generated_programs_matches_the_committed_golden() {
     }
     let mut seen = Json::obj();
     seen.set("programs", Json::from(GOLDEN_PROGRAMS as f64));
-    seen.set("decisions_fnv1a", Json::from(analysis_text::digest(&decisions)));
+    seen.set(
+        "decisions_fnv1a",
+        Json::from(analysis_text::digest(&decisions)),
+    );
     seen.set(
         "heap_cow_clones_fnv1a",
         Json::from(analysis_text::digest(&cow_clones)),
@@ -201,8 +204,7 @@ fn analysis_of_generated_programs_matches_the_committed_golden() {
         .collect();
     let mut doc = Json::obj();
     doc.set("fuzz", seen);
-    let out =
-        std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("analysis.fuzz.seen.json");
+    let out = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("analysis.fuzz.seen.json");
     std::fs::write(&out, doc.to_string_pretty() + "\n")
         .unwrap_or_else(|e| panic!("{}: {e}", out.display()));
     panic!(

@@ -197,14 +197,18 @@ fn mid_request_disconnect_leaves_a_replayable_log() {
             ghost.write_all(req.as_bytes()).expect("ghost request");
         } else {
             // A partial line: the daemon must just discard the fragment.
-            ghost.write_all(b"{\"kind\":\"vet\",\"na").expect("ghost fragment");
+            ghost
+                .write_all(b"{\"kind\":\"vet\",\"na")
+                .expect("ghost fragment");
         }
         drop(ghost); // disconnect with the job (or fragment) in flight
     }
 
     // The daemon survives and still serves; its accounting caught up.
     let mut healthy = Client::connect(addr).expect("healthy connect");
-    let resp = healthy.vet_source(Some("after"), "var a = 1;").expect("vet");
+    let resp = healthy
+        .vet_source(Some("after"), "var a = 1;")
+        .expect("vet");
     assert_eq!(resp["verdict"], "ok");
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {

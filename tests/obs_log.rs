@@ -44,7 +44,9 @@ fn full_lifecycle_replays_from_the_log_file_alone() {
     assert_eq!(first["verdict"], "ok");
     let second = client.vet_source(Some("again.js"), good).expect("vet");
     assert_eq!(second["cached"], Json::Bool(true));
-    let broken = client.vet_source(Some("broken.js"), "var = ;").expect("vet");
+    let broken = client
+        .vet_source(Some("broken.js"), "var = ;")
+        .expect("vet");
     assert_eq!(broken["verdict"], "error");
     client.shutdown().expect("shutdown");
     server.join();
@@ -153,7 +155,9 @@ fn concurrent_batch_jobs_carry_distinct_stable_ids() {
         .expect("log must replay")
         .timelines;
     for id in &ids {
-        let t = timelines.get(id).unwrap_or_else(|| panic!("{id} not in log"));
+        let t = timelines
+            .get(id)
+            .unwrap_or_else(|| panic!("{id} not in log"));
         assert!(t.outcome.is_some(), "{id}: well-formed lifecycle");
     }
 }
@@ -245,7 +249,9 @@ fn overloaded_daemon_keeps_a_sampled_but_exact_log() {
         "kept + suppressed must equal the daemon's shed count exactly"
     );
     let expected_kept = (shed as u64).min(THRESHOLD)
-        + (shed as u64).saturating_sub(THRESHOLD).div_ceil(KEEP_ONE_IN);
+        + (shed as u64)
+            .saturating_sub(THRESHOLD)
+            .div_ceil(KEEP_ONE_IN);
     assert_eq!(kept_rejected, expected_kept, "sampling schedule violated");
     assert_eq!(
         log.suppressed_total("job_rejected"),
@@ -278,7 +284,9 @@ fn submit_time_and_worker_side_hits_both_record_provenance() {
     // Several resubmissions: all hits, all crediting the same producer.
     let mut hit_ids = Vec::new();
     for i in 0..3 {
-        let resp = client.vet_source(Some(&format!("h{i}")), source).expect("vet");
+        let resp = client
+            .vet_source(Some(&format!("h{i}")), source)
+            .expect("vet");
         assert_eq!(resp["cached"], Json::Bool(true));
         hit_ids.push(resp["job"].as_str().expect("job id").to_owned());
     }

@@ -181,11 +181,11 @@ fn scriptloader_is_both_api_and_sink() {
         .signature
         .apis
         .contains("Services.scriptloader.loadSubScript"));
-    assert!(report
-        .signature
-        .sinks
-        .iter()
-        .any(|s| s.domain.known_text().unwrap_or("").contains("cdn.example.com")));
+    assert!(report.signature.sinks.iter().any(|s| s
+        .domain
+        .known_text()
+        .unwrap_or("")
+        .contains("cdn.example.com")));
 }
 
 #[test]
@@ -277,15 +277,18 @@ a.send(null);
         .collect();
     assert_eq!(sends.len(), 1, "one send: {sends:?}");
     for url in ["http://a.example.com/", "http://evil.example.com/"] {
-        assert!(sends[0].may_be(url), "send domain {} misses {url}", sends[0]);
+        assert!(
+            sends[0].may_be(url),
+            "send domain {} misses {url}",
+            sends[0]
+        );
     }
 }
 
 #[test]
 fn whole_corpus_analyzes_within_budget() {
     for addon in corpus::addons() {
-        let report = analyze_addon(addon.source)
-            .unwrap_or_else(|e| panic!("{}: {e}", addon.name));
+        let report = analyze_addon(addon.source).unwrap_or_else(|e| panic!("{}: {e}", addon.name));
         assert!(
             report.analysis.steps < 500_000,
             "{} took {} steps",

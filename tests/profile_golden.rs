@@ -55,12 +55,14 @@ fn profile_table_is_bit_identical_across_orders_and_threads() {
     let parallel: Vec<String> = std::thread::scope(|s| {
         let handles: Vec<_> = addons
             .iter()
-            .map(|a| s.spawn(move || {
-                table(
-                    a.source,
-                    &AnalysisConfig::default().with_worklist(WorklistOrder::Fifo),
-                )
-            }))
+            .map(|a| {
+                s.spawn(move || {
+                    table(
+                        a.source,
+                        &AnalysisConfig::default().with_worklist(WorklistOrder::Fifo),
+                    )
+                })
+            })
             .collect();
         handles
             .into_iter()
@@ -92,10 +94,7 @@ fn profile_accounts_for_every_worklist_step() {
     );
     assert!(profile.layers.iter().count() > 0, "layer timings attach");
     let rendered = profile.render_table(3);
-    assert!(rendered.starts_with(&format!(
-        "total worklist steps: {}",
-        profile.total_steps
-    )));
+    assert!(rendered.starts_with(&format!("total worklist steps: {}", profile.total_steps)));
 }
 
 /// Budget exhaustion is the postmortem case, not a failure: the engine
@@ -155,12 +154,16 @@ fn daemon_timeout_postmortem_replays_from_the_log_alone() {
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
     let addon = corpus::addon_by_name("LivePagerank").expect("corpus addon");
-    let resp = client.vet_source(Some("slow.js"), addon.source).expect("vet");
+    let resp = client
+        .vet_source(Some("slow.js"), addon.source)
+        .expect("vet");
     assert_eq!(resp["verdict"], "timeout");
     let job = resp["job"].as_str().expect("job id").to_owned();
     // A quick job rides along: ok verdicts need no postmortem at info
     // level (the daemon logs theirs at debug).
-    let quick = client.vet_source(Some("quick.js"), "var x = 1;").expect("vet");
+    let quick = client
+        .vet_source(Some("quick.js"), "var x = 1;")
+        .expect("vet");
     assert_eq!(quick["verdict"], "ok");
     client.shutdown().expect("shutdown");
     server.join();
@@ -230,11 +233,9 @@ fn merged_fleet_log_reconciles_sampled_postmortems_exactly() {
 
     let coord_text = coord.tail_lines().join("\n");
     let worker_text = worker.tail_lines().join("\n");
-    let merged = addon_sig::sigobs::merge_fleet_logs(&[
-        ("coord", &coord_text),
-        ("w0", &worker_text),
-    ])
-    .expect("fleet logs merge");
+    let merged =
+        addon_sig::sigobs::merge_fleet_logs(&[("coord", &coord_text), ("w0", &worker_text)])
+            .expect("fleet logs merge");
     let replay = replay_log(&merged).expect("sampled fleet log must replay");
 
     // Exact reconciliation: every one of the JOBS postmortems is either
@@ -246,9 +247,12 @@ fn merged_fleet_log_reconciles_sampled_postmortems_exactly() {
         .filter(|t| t.profile.is_some())
         .count() as u64;
     let suppressed = replay.budget("job_profile");
-    assert_eq!(kept + suppressed, JOBS, "kept + suppressed must cover every job");
-    let expected_kept =
-        JOBS.min(THRESHOLD) + JOBS.saturating_sub(THRESHOLD).div_ceil(KEEP_ONE_IN);
+    assert_eq!(
+        kept + suppressed,
+        JOBS,
+        "kept + suppressed must cover every job"
+    );
+    let expected_kept = JOBS.min(THRESHOLD) + JOBS.saturating_sub(THRESHOLD).div_ceil(KEEP_ONE_IN);
     assert_eq!(kept, expected_kept, "sampling schedule violated");
     assert_eq!(
         worker.suppressed_total("job_profile"),

@@ -169,7 +169,10 @@ fn step_budget_yields_timeout_verdict_and_daemon_survives() {
     // The worker survived the abort: the same daemon still vets small
     // inputs and reports the abort in its counters.
     let ok = client.vet_source(Some("tiny"), "var x = 1;").expect("vet");
-    assert_eq!(ok["verdict"], "ok", "daemon must keep serving after a timeout");
+    assert_eq!(
+        ok["verdict"], "ok",
+        "daemon must keep serving after a timeout"
+    );
     let stats = client.stats().expect("stats");
     assert_eq!(stats["jobs"]["budget_aborts"].as_f64(), Some(1.0));
 

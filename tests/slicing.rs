@@ -71,7 +71,10 @@ fn youtubedownloader_video_id_witness_is_explicit() {
         .expect("video info sink");
     // A data-only witness must exist: the flow is explicit.
     let path = witness_path(&report.pdg, source, sink.stmt, SliceFilter::DataOnly);
-    assert!(path.is_some(), "explicit video-id flow has a pure data path");
+    assert!(
+        path.is_some(),
+        "explicit video-id flow has a pure data path"
+    );
     // And it passes through the extractor function.
     let p = path.unwrap();
     let ls: BTreeSet<u32> = p

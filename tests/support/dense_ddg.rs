@@ -84,19 +84,11 @@ pub fn build_ddg(sg: &SuperGraph, analysis: &AnalysisResult) -> BTreeSet<DataDep
     let mut writes: BTreeMap<StmtId, Vec<(u32, Strength)>> = BTreeMap::new();
     let mut reads: BTreeMap<StmtId, Vec<(u32, Strength)>> = BTreeMap::new();
     for (&stmt, rw) in &analysis.rw {
-        let w: Vec<(u32, Strength)> = rw
-            .writes
-            .iter()
-            .map(|(l, s)| (locs.intern(l), s))
-            .collect();
+        let w: Vec<(u32, Strength)> = rw.writes.iter().map(|(l, s)| (locs.intern(l), s)).collect();
         if !w.is_empty() {
             writes.insert(stmt, w);
         }
-        let r: Vec<(u32, Strength)> = rw
-            .reads
-            .iter()
-            .map(|(l, s)| (locs.intern(l), s))
-            .collect();
+        let r: Vec<(u32, Strength)> = rw.reads.iter().map(|(l, s)| (locs.intern(l), s)).collect();
         if !r.is_empty() {
             reads.insert(stmt, r);
         }

@@ -13,8 +13,8 @@ fn t(n: u8) -> FlowType {
 
 fn run(name: &str) -> (corpus::Addon, addon_sig::Report, jssig::Comparison) {
     let addon = corpus::addon_by_name(name).expect("benchmark exists");
-    let report = analyze_addon(addon.source)
-        .unwrap_or_else(|e| panic!("{name}: pipeline failed: {e}"));
+    let report =
+        analyze_addon(addon.source).unwrap_or_else(|e| panic!("{name}: pipeline failed: {e}"));
     let cmp = compare(
         &report.signature,
         &addon.manual,
@@ -54,7 +54,12 @@ fn livepagerank_passes_with_type1_url_flow() {
 #[test]
 fn lessspamplease_fails_on_domain_imprecision_only() {
     let (_, report, cmp) = run("LessSpamPlease");
-    assert_eq!(cmp.verdict, Verdict::Fail, "signature:\n{}", report.signature);
+    assert_eq!(
+        cmp.verdict,
+        Verdict::Fail,
+        "signature:\n{}",
+        report.signature
+    );
     // Per the paper: source, sink and flow type are right; only the
     // domain is imprecise.
     assert!(cmp
@@ -68,7 +73,12 @@ fn lessspamplease_fails_on_domain_imprecision_only() {
 #[test]
 fn youtubedownloader_leaks_explicit_video_id_flow() {
     let (_, report, cmp) = run("YoutubeDownloader");
-    assert_eq!(cmp.verdict, Verdict::Leak, "signature:\n{}", report.signature);
+    assert_eq!(
+        cmp.verdict,
+        Verdict::Leak,
+        "signature:\n{}",
+        report.signature
+    );
     // The real extra flow is an explicit (data) flow to youtube.com.
     let real_extras: Vec<_> = cmp.extra.iter().filter(|(_, real)| *real).collect();
     assert!(!real_extras.is_empty());
@@ -89,12 +99,14 @@ fn youtubedownloader_leaks_explicit_video_id_flow() {
 #[test]
 fn vkvideodownloader_fails_with_unknown_domain() {
     let (_, report, cmp) = run("VKVideoDownloader");
-    assert_eq!(cmp.verdict, Verdict::Fail, "signature:\n{}", report.signature);
+    assert_eq!(
+        cmp.verdict,
+        Verdict::Fail,
+        "signature:\n{}",
+        report.signature
+    );
     // Flow types correct (implicit, amplified), only the domain unknown.
-    assert!(cmp
-        .matched
-        .iter()
-        .all(|(_, e, _)| e.flow == t(3)));
+    assert!(cmp.matched.iter().all(|(_, e, _)| e.flow == t(3)));
     assert!(cmp
         .matched
         .iter()
@@ -172,28 +184,40 @@ fn odeskjobwatcher_passes() {
 #[test]
 fn pinpoints_leaks_undocumented_maps_traffic() {
     let (_, report, cmp) = run("PinPoints");
-    assert_eq!(cmp.verdict, Verdict::Leak, "signature:\n{}", report.signature);
+    assert_eq!(
+        cmp.verdict,
+        Verdict::Leak,
+        "signature:\n{}",
+        report.signature
+    );
     // The leak is a sink-only entry: maps.google.com.
     let real_sinks: Vec<_> = cmp.extra_sinks.iter().filter(|(_, r)| *r).collect();
     assert!(
-        real_sinks
-            .iter()
-            .any(|(s, _)| s.domain.known_text().unwrap_or("").contains("maps.google.com")),
+        real_sinks.iter().any(|(s, _)| s
+            .domain
+            .known_text()
+            .unwrap_or("")
+            .contains("maps.google.com")),
         "maps.google.com sink missing: {:?}",
         cmp.extra_sinks
     );
     // The documented save endpoint is matched, not extra.
-    assert!(report
-        .signature
-        .sinks
-        .iter()
-        .any(|s| s.domain.known_text().unwrap_or("").contains("yourpinpoints.com")));
+    assert!(report.signature.sinks.iter().any(|s| s
+        .domain
+        .known_text()
+        .unwrap_or("")
+        .contains("yourpinpoints.com")));
 }
 
 #[test]
 fn googletransliterate_leaks_implicit_url_check() {
     let (_, report, cmp) = run("GoogleTransliterate");
-    assert_eq!(cmp.verdict, Verdict::Leak, "signature:\n{}", report.signature);
+    assert_eq!(
+        cmp.verdict,
+        Verdict::Leak,
+        "signature:\n{}",
+        report.signature
+    );
     let real_extras: Vec<_> = cmp.extra.iter().filter(|(_, r)| *r).collect();
     assert!(
         real_extras
@@ -210,8 +234,7 @@ fn table2_verdict_totals() {
     let mut fail = 0;
     let mut leak = 0;
     for addon in corpus::addons() {
-        let report = analyze_addon(addon.source)
-            .unwrap_or_else(|e| panic!("{}: {e}", addon.name));
+        let report = analyze_addon(addon.source).unwrap_or_else(|e| panic!("{}: {e}", addon.name));
         let cmp = compare(
             &report.signature,
             &addon.manual,

@@ -110,7 +110,10 @@ fn counters_agree_with_phase_results() {
         counters.get(Counter::WorklistSteps),
         report.analysis.steps as u64
     );
-    assert_eq!(counters.get(Counter::StateJoins), report.analysis.joins as u64);
+    assert_eq!(
+        counters.get(Counter::StateJoins),
+        report.analysis.joins as u64
+    );
     assert_eq!(
         counters.get(Counter::HeapCowClones),
         report.analysis.heap_cow_clones

@@ -28,7 +28,11 @@ fn outcome(addon: &corpus::Addon, order: WorklistOrder) -> (String, Verdict, usi
         addon.real_extra_flow,
         addon.real_extra_sink,
     );
-    (report.signature.to_string(), cmp.verdict, report.analysis.steps)
+    (
+        report.signature.to_string(),
+        cmp.verdict,
+        report.analysis.steps,
+    )
 }
 
 /// The RPO worklist (the default) must produce exactly the signatures and
@@ -79,7 +83,11 @@ fn parallel_vetting_matches_sequential() {
             .collect()
     });
     for ((addon, seq), par) in addons.iter().zip(&sequential).zip(&parallel) {
-        assert_eq!(seq, par, "{}: parallel run diverged from sequential", addon.name);
+        assert_eq!(
+            seq, par,
+            "{}: parallel run diverged from sequential",
+            addon.name
+        );
     }
 }
 
@@ -147,7 +155,11 @@ fn generous_budget_is_bit_identical() {
             addon.name
         );
         assert_eq!(cmp.verdict, verdict, "{}: verdict changed", addon.name);
-        assert_eq!(report.analysis.steps, steps, "{}: step count changed", addon.name);
+        assert_eq!(
+            report.analysis.steps, steps,
+            "{}: step count changed",
+            addon.name
+        );
     }
 }
 
