@@ -14,8 +14,11 @@
 #      (postdominators against brute force, control dependence against
 #      its textbook definition on random graphs), plus the rustdoc gate:
 #      the workspace must document with warnings denied (a broken or
-#      private intra-doc link fails it), and the clippy gate: every
+#      private intra-doc link fails it), the clippy gate: every
 #      target of the workspace must pass clippy with warnings denied,
+#      and the rustfmt gate: `cargo fmt --all -- --check` must report
+#      no diff (the benchmark package is its own workspace and is not
+#      checked),
 #   3. a perf snapshot over the corpus, so the committed
 #      BENCH_pipeline.json can be refreshed from the CI artifact — the
 #      snapshot itself enforces the <5% no-op tracer and <5%
@@ -103,6 +106,9 @@ RUSTDOCFLAGS='-D warnings' cargo doc --offline --workspace --no-deps -q
 
 echo "==> clippy gate (every workspace target passes clippy with warnings denied)"
 cargo clippy --offline --workspace --all-targets -q -- -D warnings
+
+echo "==> rustfmt gate (the workspace is rustfmt-clean)"
+cargo fmt --all -- --check
 
 echo "==> perf snapshot (sequential, 3 runs; incl. tracer + attribution overhead, layer coverage and DDG/CDG/assembly scaling gates)"
 cargo build --release --offline --workspace

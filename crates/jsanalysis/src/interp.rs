@@ -34,6 +34,7 @@ use jsparser::ast::{BinaryOp, UnaryOp};
 use sigtrace::{Counter, Counters, Trace, CTX_CLASSES};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::rc::Rc;
 
 /// A context-qualified program point in the transition graph. Both halves
 /// are dense interned ids, so nodes are `Copy` and hash in O(1).
@@ -147,8 +148,7 @@ pub fn analyze_traced(
     trace: &mut Trace<'_>,
 ) -> AnalysisResult {
     let cow_before = jsdomains::cow_clone_count();
-    let mut sites = SiteTable::new();
-    let env = natives::setup(&mut sites);
+    let (sites, env) = natives::setup();
     let worklist = match config.worklist {
         WorklistOrder::Rpo => Worklist::Rpo(BinaryHeap::new()),
         WorklistOrder::Fifo => Worklist::Fifo(VecDeque::new()),
@@ -421,7 +421,7 @@ fn access_strength(st: &Heap, first: AllocSite, sites: usize, name: &Pre) -> Str
 struct Machine<'a> {
     lowered: &'a Lowered,
     config: &'a AnalysisConfig,
-    env: Environment,
+    env: Rc<Environment>,
     sites: SiteTable,
     /// Context interner: every context-qualified key below holds a
     /// [`CtxId`] instead of a call-string vector.

@@ -12,6 +12,7 @@ use crate::config::SourceKind;
 use crate::store::{SiteKey, SiteTable};
 use jsdomains::{AValue, AllocSite, Heap, NativeId, ObjKind, Pre, Sym};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Declarative abstract semantics of a native function.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,7 +148,7 @@ impl Environment {
     }
 }
 
-/// Builder used by [`setup`].
+/// Builder used by [`build`].
 struct EnvBuilder<'t> {
     sites: &'t mut SiteTable,
     state: Heap,
@@ -181,9 +182,27 @@ impl EnvBuilder<'_> {
     }
 }
 
+/// The browser environment and the site table that holds its sites, as
+/// a run starts from them. Building them is deterministic and reads no
+/// configuration, so each thread builds them once, as a template, and
+/// every run on the thread starts from a copy: its own clone of the
+/// table, which it goes on interning into, and a shared environment
+/// that nothing mutates (the run's states copy the initial heap on
+/// write). Every run thus sees the same sites under the same numbers.
+pub fn setup() -> (SiteTable, Rc<Environment>) {
+    thread_local! {
+        static TEMPLATE: (SiteTable, Rc<Environment>) = {
+            let mut sites = SiteTable::new();
+            let env = build(&mut sites);
+            (sites, Rc::new(env))
+        };
+    }
+    TEMPLATE.with(|(sites, env)| (sites.clone(), Rc::clone(env)))
+}
+
 /// Builds the browser environment: global object, host objects, natives,
 /// and the interesting-source table.
-pub fn setup(sites: &mut SiteTable) -> Environment {
+fn build(sites: &mut SiteTable) -> Environment {
     let global = sites.intern(SiteKey::Global);
     let mut b = EnvBuilder {
         sites,
@@ -566,8 +585,7 @@ mod tests {
 
     #[test]
     fn environment_builds() {
-        let mut sites = SiteTable::new();
-        let env = setup(&mut sites);
+        let (_, env) = setup();
         assert!(env.natives.len() > 20);
         assert!(env.native_by_name("XMLHttpRequest").is_some());
         assert!(env.native_by_name("no-such-native").is_none());
@@ -576,8 +594,7 @@ mod tests {
 
     #[test]
     fn url_source_registered_on_location() {
-        let mut sites = SiteTable::new();
-        let env = setup(&mut sites);
+        let (sites, env) = setup();
         let loc = sites.get(&SiteKey::Host("location")).unwrap();
         assert_eq!(
             env.source_locs.get(&(loc, Sym::intern("href"))),
@@ -587,8 +604,7 @@ mod tests {
 
     #[test]
     fn global_bindings_present() {
-        let mut sites = SiteTable::new();
-        let env = setup(&mut sites);
+        let (_, env) = setup();
         let g = env.initial_state.get(env.global).expect("global allocated");
         for name in ["content", "XMLHttpRequest", "Services", "eval", "undefined"] {
             let v = g.read_prop(&Pre::exact(name));

@@ -33,7 +33,7 @@ pub enum SiteKey {
 }
 
 /// Interner mapping [`SiteKey`]s to dense [`AllocSite`]s.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct SiteTable {
     map: HashMap<SiteKey, AllocSite>,
     origins: Vec<SiteKey>,

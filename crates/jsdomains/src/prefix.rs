@@ -112,22 +112,11 @@ impl Pre {
         match (self, other) {
             (Pre::Bot, _) | (_, Pre::Bot) => None,
             (Pre::Exact(a), Pre::Exact(b)) => Some(a == b),
-            (Pre::Exact(e), Pre::Prefix(p)) | (Pre::Prefix(p), Pre::Exact(e)) => {
-                if e.starts_with(p.as_str()) {
-                    None // the unknown string could be exactly `e` or not
-                } else {
-                    Some(false)
-                }
-            }
-            (Pre::Prefix(a), Pre::Prefix(b)) => {
-                // Two unknown strings can only be definitely unequal if the
-                // prefixes are incompatible.
-                if a.starts_with(b.as_str()) || b.starts_with(a.as_str()) {
-                    None
-                } else {
-                    Some(false)
-                }
-            }
+            // An exact string the prefix admits could be the unknown
+            // string or not, and so could two unknown strings whose
+            // prefixes are compatible; only incompatible ones differ.
+            _ if self.leq(other) || other.leq(self) => None,
+            _ => Some(false),
         }
     }
 
@@ -219,15 +208,20 @@ impl Lattice for Pre {
     }
 
     /// Order per Section 5: `(s1,b1) <= (s2,b2)` iff either `b2 = false`
-    /// and `s2` is a prefix of `s1`, or both exact and equal.
+    /// and `s2` is a prefix of `s1`, or both exact and equal. A symbol is
+    /// a prefix of itself and the empty symbol of everything, which are
+    /// the common cases in a heap join; both are answered from the
+    /// symbols themselves (id and length), and only the rest read the
+    /// text.
     fn leq(&self, other: &Self) -> bool {
         match (self, other) {
             (Pre::Bot, _) => true,
             (_, Pre::Bot) => false,
             (Pre::Exact(a), Pre::Exact(b)) => a == b,
-            (Pre::Exact(a), Pre::Prefix(b)) => a.starts_with(b.as_str()),
             (Pre::Prefix(_), Pre::Exact(_)) => false,
-            (Pre::Prefix(a), Pre::Prefix(b)) => a.starts_with(b.as_str()),
+            (Pre::Exact(a) | Pre::Prefix(a), Pre::Prefix(b)) => {
+                a == b || b.is_empty() || a.starts_with(b.as_str())
+            }
         }
     }
 }
@@ -282,6 +276,98 @@ impl From<Sym> for Pre {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sym::tests::{pool, CASES};
+    use minicheck::Gen;
+
+    /// An element as Section 5 writes it: `None` for bottom, else the
+    /// string and whether it is exact. The functions below define the
+    /// domain's operations on these from the text alone, as the
+    /// reference for `Pre`'s shortcuts on symbol ids.
+    type Paper = Option<(String, bool)>;
+
+    fn paper(p: &Pre) -> Paper {
+        match p {
+            Pre::Bot => None,
+            Pre::Exact(s) => Some((s.to_string(), true)),
+            Pre::Prefix(s) => Some((s.to_string(), false)),
+        }
+    }
+
+    /// `(s1,b1) <= (s2,b2)` iff `b2 = false` and `s2` is a prefix of
+    /// `s1`, or both are exact and equal; bottom is below everything.
+    fn paper_leq(a: &Paper, b: &Paper) -> bool {
+        match (a, b) {
+            (None, _) => true,
+            (_, None) => false,
+            (Some((s1, _)), Some((s2, false))) => s1.starts_with(s2.as_str()),
+            (Some((s1, b1)), Some((s2, true))) => *b1 && s1 == s2,
+        }
+    }
+
+    /// Equal strings join to the string, exact only if both are; other
+    /// strings to their greatest common prefix, as a prefix.
+    fn paper_join(a: &Paper, b: &Paper) -> Paper {
+        match (a, b) {
+            (None, x) | (x, None) => x.clone(),
+            (Some((s1, b1)), Some((s2, b2))) if s1 == s2 => Some((s1.clone(), *b1 && *b2)),
+            (Some((s1, _)), Some((s2, _))) => {
+                let common = s1.chars().zip(s2.chars()).take_while(|(x, y)| x == y);
+                Some((common.map(|(c, _)| c).collect(), false))
+            }
+        }
+    }
+
+    /// The greatest lower bound: the lower of two comparable elements,
+    /// bottom for incomparable ones (no string is in both).
+    fn paper_meet(a: &Paper, b: &Paper) -> Paper {
+        if paper_leq(a, b) {
+            a.clone()
+        } else if paper_leq(b, a) {
+            b.clone()
+        } else {
+            None
+        }
+    }
+
+    /// Decided when both are exact, or when no string is in both
+    /// concretizations; undecided with bottom.
+    fn paper_compare_eq(a: &Paper, b: &Paper) -> Option<bool> {
+        let ((s1, b1), (s2, b2)) = (a.as_ref()?, b.as_ref()?);
+        let disjoint = match (b1, b2) {
+            (true, true) => return Some(s1 == s2),
+            (true, false) => !s1.starts_with(s2.as_str()),
+            (false, true) => !s2.starts_with(s1.as_str()),
+            (false, false) => !s1.starts_with(s2.as_str()) && !s2.starts_with(s1.as_str()),
+        };
+        disjoint.then_some(false)
+    }
+
+    fn arb_pre(g: &mut Gen, pool: &[Sym]) -> Pre {
+        match g.below(5) {
+            0 => Pre::Bot,
+            1 | 2 => Pre::Exact(*g.pick(pool)),
+            _ => Pre::Prefix(*g.pick(pool)),
+        }
+    }
+
+    /// `leq`, `join`, `meet` and `compare_eq` against the text-only
+    /// definitions, on elements drawn from a shared symbol pool.
+    #[test]
+    fn operations_match_the_text_definitions() {
+        minicheck::check("pre_matches_text_definitions", CASES, |g| {
+            let pool = pool(g);
+            let (a, b) = (arb_pre(g, &pool), arb_pre(g, &pool));
+            let (pa, pb) = (paper(&a), paper(&b));
+            assert_eq!(a.leq(&b), paper_leq(&pa, &pb), "{a:?} <= {b:?}");
+            assert_eq!(paper(&a.join(&b)), paper_join(&pa, &pb), "{a:?} join {b:?}");
+            assert_eq!(paper(&a.meet(&b)), paper_meet(&pa, &pb), "{a:?} meet {b:?}");
+            assert_eq!(
+                a.compare_eq(&b),
+                paper_compare_eq(&pa, &pb),
+                "{a:?} == {b:?}"
+            );
+        });
+    }
 
     #[test]
     fn join_equal_exacts_stays_exact() {

@@ -14,9 +14,26 @@ use std::fmt;
 /// A map kept as one vector sorted by key, with the `BTreeMap` surface
 /// the domains use. Iteration is in key order (for [`Sym`](crate::Sym)
 /// keys: by text), and it prints like a `BTreeMap`.
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 pub struct SortedMap<K, V> {
     entries: Vec<(K, V)>,
+}
+
+impl<K: Clone, V: Clone> Clone for SortedMap<K, V> {
+    /// A copy with room for one more entry. Copies are made on write,
+    /// and the write after an activation frame's copy often adds a
+    /// variable; the spare slot keeps that insert from reallocating
+    /// (and doubling) the vector. An empty map stays unallocated.
+    fn clone(&self) -> SortedMap<K, V> {
+        if self.entries.is_empty() {
+            return SortedMap {
+                entries: Vec::new(),
+            };
+        }
+        let mut entries = Vec::with_capacity(self.entries.len() + 1);
+        entries.extend_from_slice(&self.entries);
+        SortedMap { entries }
+    }
 }
 
 impl<K: Ord + Copy, V> SortedMap<K, V> {

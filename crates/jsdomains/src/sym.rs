@@ -11,7 +11,10 @@
 //! corpus runs and the sequential golden run agree on every symbol.
 //! Because worker threads may intern in nondeterministic order, `Ord`
 //! compares the *text*, not the id, so ordered containers iterate
-//! identically no matter which thread interned first.
+//! identically no matter which thread interned first. Equal ids are
+//! equal texts, so `Ord` answers `Equal` for them without reading the
+//! text, and so does the prefix domain's order for a symbol against
+//! itself.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -115,7 +118,12 @@ impl PartialOrd for Sym {
 impl Ord for Sym {
     fn cmp(&self, other: &Sym) -> std::cmp::Ordering {
         // By text, NOT by id: interning order depends on thread timing,
-        // text order does not.
+        // text order does not. Ids are canonical per text, so equal ids
+        // are equal texts and skip the byte walk: a heap join compares
+        // mostly keys that are the same symbol.
+        if self.id == other.id {
+            return std::cmp::Ordering::Equal;
+        }
         self.text.cmp(other.text)
     }
 }
@@ -151,8 +159,49 @@ impl From<&str> for Sym {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use minicheck::Gen;
+
+    /// More cases under `--features fuzz`.
+    pub(crate) const CASES: u64 = if cfg!(feature = "fuzz") { 4096 } else { 256 };
+
+    /// A pool of symbols for checking the id shortcuts against the text:
+    /// a random text, the empty symbol, a prefix of the text, an
+    /// extension of it and an unrelated text (which may by chance be
+    /// related). Two draws from a pool are the same symbol a fifth of
+    /// the time. `é` and `è` share their first byte, so a matching byte
+    /// is not always a matching character.
+    pub(crate) fn pool(g: &mut Gen) -> [Sym; 5] {
+        const ALPHABET: &[char] = &['a', 'b', 'é', 'è'];
+        let base = g.string_of(ALPHABET, 3);
+        let cut = base
+            .char_indices()
+            .map(|(i, _)| i)
+            .nth(g.below(base.chars().count() + 1))
+            .unwrap_or(base.len());
+        let extension = format!("{base}{}", g.string_of(ALPHABET, 2));
+        [
+            Sym::intern(&base),
+            Sym::empty(),
+            Sym::intern(&base[..cut]),
+            Sym::intern(&extension),
+            Sym::intern(&g.string_of(ALPHABET, 3)),
+        ]
+    }
+
+    /// `Ord` answers equal ids without the text; it must still be the
+    /// text's order, and equality the text's equality.
+    #[test]
+    fn order_and_equality_are_the_texts() {
+        minicheck::check("sym_order_is_text_order", CASES, |g| {
+            let pool = pool(g);
+            let (a, b) = (*g.pick(&pool), *g.pick(&pool));
+            assert_eq!(a.cmp(&b), a.as_str().cmp(b.as_str()), "{a:?} vs {b:?}");
+            assert_eq!(a.partial_cmp(&b), Some(a.as_str().cmp(b.as_str())));
+            assert_eq!(a == b, a.as_str() == b.as_str(), "{a:?} vs {b:?}");
+        });
+    }
 
     #[test]
     fn interning_is_canonical() {

@@ -113,13 +113,23 @@ impl Engine {
         }
     }
 
-    /// Runs one job's analysis and returns its core result plus whether
-    /// the core may be cached. A panicking analysis costs exactly one
-    /// job, never the worker: it is contained, counted in
-    /// `serve_worker_panics` and answered as an uncached error verdict.
-    /// Deadline-based timeouts are not cacheable either (they depend on
-    /// machine load); step-budget timeouts are deterministic and cache.
+    /// Runs one job's analysis, logs it as computed, and returns its
+    /// core result plus whether the core may be cached.
     pub(crate) fn compute(&self, job: &str, source: &str) -> (Json, bool) {
+        let (outcome, cacheable) = self.run(job, source);
+        self.log_computed(job, &outcome);
+        (outcome.core_json(), cacheable)
+    }
+
+    /// Runs one job's analysis and returns its outcome plus whether its
+    /// core may be cached, logging nothing of the compute: a remote
+    /// worker logs it only once the daemon credits the result. A
+    /// panicking analysis costs exactly one job, never the worker: it
+    /// is contained, counted in `serve_worker_panics` and answered as
+    /// an uncached error verdict. Deadline-based timeouts are not
+    /// cacheable either (they depend on machine load); step-budget
+    /// timeouts are deterministic and cache.
+    pub(crate) fn run(&self, job: &str, source: &str) -> (VetOutcome, bool) {
         let t0 = Instant::now();
         let run = catch_unwind(AssertUnwindSafe(|| {
             // At debug level a LogTracer turns phase spans into `span`
@@ -150,24 +160,25 @@ impl Engine {
                         ("message", Json::from(msg.as_str())),
                     ],
                 );
-                let outcome = VetOutcome::error(format!("worker panicked: {msg}"));
-                if let Some(log) = &self.log {
-                    crate::log_job_computed(log, job, &outcome);
-                }
-                return (outcome.core_json(), false);
+                return (VetOutcome::error(format!("worker panicked: {msg}")), false);
             }
         };
-        // The cost postmortem rides the log right after `job_computed`.
-        if let Some(log) = &self.log {
-            crate::log_job_computed(log, job, &outcome);
-            crate::log_job_profile(log, job, &outcome);
-        }
         match &outcome {
             VetOutcome::Timeout { .. } => self.metrics.add("serve_budget_aborts", 1),
             VetOutcome::Error { .. } => self.metrics.add("serve_analysis_errors", 1),
             VetOutcome::Report { .. } => {}
         }
-        (outcome.core_json(), outcome.cacheable(&self.analysis))
+        let cacheable = outcome.cacheable(&self.analysis);
+        (outcome, cacheable)
+    }
+
+    /// Logs a job's `job_computed` record, and right after it the cost
+    /// postmortem (`job_profile`) when the outcome carries one.
+    pub(crate) fn log_computed(&self, job: &str, outcome: &VetOutcome) {
+        if let Some(log) = &self.log {
+            crate::log_job_computed(log, job, outcome);
+            crate::log_job_profile(log, job, outcome);
+        }
     }
 }
 

@@ -13,7 +13,7 @@ use sigobs::{EventLog, Level};
 use sigtrace::{MetricsRegistry, Trace};
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -57,10 +57,25 @@ struct WorkerShared {
     claim_wait_ms: u64,
     engine: Engine,
     stop: AtomicBool,
+    /// Held by a claim loop while it logs `job_dequeued`, and from
+    /// sending a `complete` until it has logged the answer. A merged
+    /// fleet log puts this worker's `job_computed` before the daemon's
+    /// `job_done`, which the daemon logs before it answers; the lock
+    /// keeps any lifecycle record of another claim loop out of that
+    /// window, so the worker's log order stays one the merge can keep.
+    log_order: Mutex<()>,
 }
 
-/// Runs one claimed job and returns the `complete` to send back.
-fn run_job(shared: &WorkerShared, msg: &Json) -> Result<Json, String> {
+/// A claimed job, run: its ID and outcome, and the `complete` to send.
+struct Ran {
+    job: String,
+    outcome: VetOutcome,
+    complete: Json,
+}
+
+/// Runs one claimed job. Its compute is not logged yet: the daemon may
+/// have reaped this worker and handed the job to another meanwhile.
+fn run_job(shared: &WorkerShared, msg: &Json) -> Result<Ran, String> {
     let job = msg
         .get("job")
         .and_then(Json::as_str)
@@ -69,11 +84,39 @@ fn run_job(shared: &WorkerShared, msg: &Json) -> Result<Json, String> {
         .get("source")
         .and_then(Json::as_str)
         .ok_or("job message without source")?;
-    shared
-        .engine
-        .log_event(Level::Info, "job_dequeued", &[("job", Json::from(job))]);
-    let (core, cacheable) = shared.engine.compute(job, source);
-    Ok(complete_request(&shared.id, job, cacheable, &core))
+    {
+        let _order = shared
+            .log_order
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        shared
+            .engine
+            .log_event(Level::Info, "job_dequeued", &[("job", Json::from(job))]);
+    }
+    let (outcome, cacheable) = shared.engine.run(job, source);
+    let complete = complete_request(&shared.id, job, cacheable, &outcome.core_json());
+    Ok(Ran {
+        job: job.to_owned(),
+        outcome,
+        complete,
+    })
+}
+
+/// Logs a job once the daemon has answered its `complete`: as computed
+/// (`job_computed` and its profile) when the daemon credited it, and as
+/// a `stale_result`, which no lifecycle counts, when the daemon dropped
+/// it because the job was reaped from this worker and handed on.
+fn log_answered(shared: &WorkerShared, ran: &Ran, ack: &Json) {
+    if ack.get("stale") == Some(&Json::Bool(false)) {
+        shared.engine.log_computed(&ran.job, &ran.outcome);
+        return;
+    }
+    shared.engine.metrics.add("serve_stale_completes", 1);
+    shared.engine.log_event(
+        Level::Warn,
+        "stale_result",
+        &[("job", Json::from(ran.job.as_str()))],
+    );
 }
 
 fn claim_loop(shared: &WorkerShared) {
@@ -91,8 +134,8 @@ fn claim_loop(shared: &WorkerShared) {
         match resp.get("kind").and_then(Json::as_str) {
             Some("no_job") => continue,
             Some("job") => {
-                let complete = match run_job(shared, &resp) {
-                    Ok(c) => c,
+                let ran = match run_job(shared, &resp) {
+                    Ok(ran) => ran,
                     Err(e) => {
                         shared.engine.log_event(
                             Level::Warn,
@@ -102,12 +145,12 @@ fn claim_loop(shared: &WorkerShared) {
                         continue;
                     }
                 };
-                match client.request(&complete) {
-                    Ok(ack) => {
-                        if matches!(ack.get("stale"), Some(Json::Bool(true))) {
-                            shared.engine.metrics.add("serve_stale_completes", 1);
-                        }
-                    }
+                let _order = shared
+                    .log_order
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                match client.request(&ran.complete) {
+                    Ok(ack) => log_answered(shared, &ran, &ack),
                     Err(_) => break,
                 }
             }
@@ -196,6 +239,7 @@ impl Worker {
             claim_wait_ms: cfg.claim_wait_ms,
             engine: Engine::new(Box::new(engine), cfg.analysis, cfg.log),
             stop: AtomicBool::new(false),
+            log_order: Mutex::new(()),
         });
         let threads = cfg.threads.max(1);
         shared.engine.log_event(

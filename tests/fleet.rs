@@ -193,6 +193,93 @@ fn worker_kill_loses_no_jobs_and_merged_log_replays() {
     );
 }
 
+/// A worker reaped while still alive finishes its job late, after a
+/// rescuer has computed it. The daemon drops the late result as stale,
+/// and the late worker's log must not record it as a compute: the
+/// merged log of all three nodes replays with one compute per job.
+#[test]
+fn late_result_of_a_reaped_live_worker_is_not_a_second_compute() {
+    const SOURCE: &str = "var late = 'result';";
+    let coord_log = mem_log();
+    // Heartbeats far apart beside a short reap window: a worker busy on
+    // one job is reaped while it computes.
+    let coord = bind(ServeConfig {
+        heartbeat: Duration::from_secs(30),
+        reap_after: Duration::from_millis(300),
+        log: Some(coord_log.clone()),
+        ..coordinator()
+    });
+    let addr = coord.local_addr().to_string();
+    let worker = |node: &str, log: &Arc<sigobs::EventLog>| {
+        let mut wc = WorkerConfig::new(addr.clone());
+        wc.node = node.to_owned();
+        wc.threads = 1;
+        wc.claim_wait_ms = 50;
+        wc.log = Some(log.clone());
+        wc
+    };
+
+    let submit_addr = addr.clone();
+    let submitter = thread::spawn(move || {
+        let mut c = Client::connect(submit_addr.as_str()).expect("connect");
+        c.vet_source(Some("late.js"), SOURCE).expect("vet")
+    });
+    // The late worker's first job outlasts the reap window.
+    let late_log = mem_log();
+    let calls = Arc::new(AtomicUsize::new(0));
+    let late = Worker::join_fleet(worker("late", &late_log), move |s, c, m, t| {
+        if calls.fetch_add(1, Ordering::SeqCst) == 0 {
+            thread::sleep(Duration::from_millis(1_000));
+        }
+        stub(s, c, m, t)
+    })
+    .expect("join late worker");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while fleet_stat(&coord, "jobs_requeued") < 1.0 {
+        assert!(Instant::now() < deadline, "reaper never requeued");
+        thread::sleep(Duration::from_millis(10));
+    }
+
+    let rescue_log = mem_log();
+    let rescuer = Worker::join_fleet(worker("rescue", &rescue_log), stub).expect("join rescuer");
+    let resp = submitter.join().expect("submitter");
+    assert_eq!(resp["verdict"], "ok", "requeued job must still vet");
+    // The late worker completes (stale), then its next claim is refused
+    // and it stops.
+    late.join();
+    assert_eq!(fleet_stat(&coord, "workers_reaped"), 1.0);
+
+    let mut shut = Client::connect(addr.as_str()).expect("connect");
+    assert_eq!(shut.shutdown().expect("shutdown")["kind"], "shutdown_ack");
+    coord.join();
+    rescuer.join();
+
+    let text = |log: &Arc<sigobs::EventLog>| {
+        log.flush();
+        log.tail_lines().join("\n")
+    };
+    let (coord_text, late_text, rescue_text) =
+        (text(&coord_log), text(&late_log), text(&rescue_log));
+    let merged = sigobs::merge_fleet_logs(&[
+        ("coord", coord_text.as_str()),
+        ("late", late_text.as_str()),
+        ("rescue", rescue_text.as_str()),
+    ])
+    .expect("merge");
+    let replay = sigobs::replay::replay_log(&merged).expect("merged log replays");
+    let computed = replay
+        .timelines
+        .values()
+        .filter(|t| t.outcome == Some(Outcome::Computed))
+        .count();
+    assert_eq!(computed, 1, "exactly one computed lifecycle");
+    assert_eq!(replay.presumed_rejected, 0, "no orphaned enqueues");
+    assert!(
+        late_text.contains("\"stale_result\""),
+        "the late worker logs its dropped result: {late_text}"
+    );
+}
+
 /// Multi-node fleet responses carry byte-identical signatures to a
 /// cold local analysis — remote workers and the shared cache never
 /// change the bytes a client sees.
