@@ -28,7 +28,11 @@
 #      ddg_scaling section that the DDG and the CDG each stay at or
 #      below the fixpoint on the many-function family, the PDG's
 #      assembly at or below the CDG there, and phase 2 at or below
-#      phase 1 on every corpus addon — plus the repo benchmark's
+#      phase 1 on every corpus addon, and its allocation counts (every
+#      corpus addon row and ddg_scaling row carries `allocs`, the
+#      allocator requests per layer per vetting, counted twice on one
+#      thread; a count that differs between the two fails it) — plus
+#      the repo benchmark's
 #      own unit tests, so a change that breaks a public layer function
 #      the benchmark calls fails here,
 #   4. a `vet --trace` smoke test: the emitted chrome://tracing JSON
@@ -110,13 +114,14 @@ cargo clippy --offline --workspace --all-targets -q -- -D warnings
 echo "==> rustfmt gate (the workspace is rustfmt-clean)"
 cargo fmt --all -- --check
 
-echo "==> perf snapshot (sequential, 3 runs; incl. tracer + attribution overhead, layer coverage and DDG/CDG/assembly scaling gates)"
+echo "==> perf snapshot (sequential, 3 runs; incl. tracer + attribution overhead, layer coverage, DDG/CDG/assembly scaling and repeatable allocation-count gates)"
 cargo build --release --offline --workspace
 ./target/release/perf_snapshot --runs 3 --sequential --out target/BENCH_pipeline.ci.json
 grep -q '"trace_overhead_pct"' target/BENCH_pipeline.ci.json
 grep -q '"max_outside_layers_pct"' target/BENCH_pipeline.ci.json
 grep -q '"attr_overhead_pct"' target/BENCH_pipeline.ci.json
 grep -q '"ddg_scaling"' target/BENCH_pipeline.ci.json
+grep -q '"allocs"' target/BENCH_pipeline.ci.json
 
 echo "==> repo benchmark unit tests (the layer functions it calls still build)"
 CARGO_TARGET_DIR=.bench_build cargo test --offline -q --manifest-path benchmark/Cargo.toml

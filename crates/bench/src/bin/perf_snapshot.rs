@@ -32,6 +32,14 @@
 //! PDG's assembly takes longer than the CDG at some n: copying an edge
 //! into the PDG must not cost more than finding it.
 //!
+//! A counting pass records the allocator requests (`alloc`,
+//! `alloc_zeroed` and `realloc` calls) each layer makes per vetting, as
+//! `allocs` keyed by `Layer::name()`, on every corpus addon row and
+//! every `ddg_scaling` row. Unlike wall times, these counts compare
+//! across hosts and runs. The pass runs twice after a warm-up
+//! vetting, on one thread, and the run fails when any count differs
+//! between the two.
+//!
 //! Flags:
 //! - `--runs N`       measured passes after warm-up (default 10)
 //! - `--sequential`   analyze addons one at a time instead of on
@@ -41,8 +49,127 @@
 
 use jsanalysis::AnalysisConfig;
 use minijson::Json;
-use sigtrace::{Layer, LayerTimes};
+use sigtrace::{Layer, LayerTimes, Tracer};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::time::{Duration, Instant};
+
+thread_local! {
+    /// This thread's allocator requests so far.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting each thread's requests in [`ALLOCS`].
+struct CountingAlloc;
+
+impl CountingAlloc {
+    fn bump() {
+        // During thread teardown the slot may be gone; that request goes
+        // uncounted rather than aborting.
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s guarantees are the ones the caller gets. The count lives in
+// a thread-local `Cell` with a `const` initializer, which needs no
+// allocation, so counting never re-enters the allocator.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::bump();
+        // SAFETY: the caller meets `GlobalAlloc::alloc`'s contract for
+        // `layout`, which is `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::bump();
+        // SAFETY: as for `alloc`: the caller's `layout` meets the contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::bump();
+        // SAFETY: `ptr` came from this allocator, which is `System`, with
+        // `layout`, and the caller meets the contract for `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, which is `System`, with
+        // `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// A [`Tracer`] that reads this thread's allocation count at each span's
+/// start and end, summing the difference per layer. It allocates
+/// nothing itself, so it counts only the pipeline's requests.
+#[derive(Default)]
+struct AllocTracer {
+    open: u64,
+    per_layer: [u64; Layer::ALL.len()],
+}
+
+impl Tracer for AllocTracer {
+    fn span_start(&mut self, _layer: Layer) {
+        self.open = ALLOCS.with(Cell::get);
+    }
+
+    fn span_end(&mut self, layer: Layer) {
+        self.per_layer[layer as usize] += ALLOCS.with(Cell::get) - self.open;
+    }
+}
+
+/// One vetting's allocator requests per layer that ran, on this thread.
+fn layer_allocs(source: &str) -> [u64; Layer::ALL.len()] {
+    let mut tracer = AllocTracer::default();
+    let report = addon_sig::Pipeline::new()
+        .tracer(&mut tracer)
+        .run(source)
+        .expect("pipeline");
+    drop(report);
+    tracer.per_layer
+}
+
+/// The counting pass: each source's per-layer allocations, counted
+/// twice after a warm-up vetting (which builds this thread's browser
+/// environment and interns the source's names). A layer whose two
+/// counts differ adds a failure naming the source and the layer.
+fn count_allocs(sources: &[(String, String)], failures: &mut Vec<String>) -> Vec<Json> {
+    for (_, source) in sources {
+        layer_allocs(source);
+    }
+    let [first, second] = [0, 1].map(|_| {
+        sources
+            .iter()
+            .map(|(_, source)| layer_allocs(source))
+            .collect::<Vec<_>>()
+    });
+    sources
+        .iter()
+        .zip(first.iter().zip(&second))
+        .map(|((name, _), (a, b))| {
+            let mut row = Json::obj();
+            for layer in Layer::ALL {
+                let (x, y) = (a[layer as usize], b[layer as usize]);
+                if x != y {
+                    failures.push(format!(
+                        "{name}: {} made {x} then {y} allocations in two identical vettings",
+                        layer.name()
+                    ));
+                }
+                if x > 0 {
+                    row.set(layer.name(), Json::from(x as f64));
+                }
+            }
+            row
+        })
+        .collect()
+}
 
 /// The gate on `outside_layers_pct`: the layers must cover all but
 /// this share of `Pipeline::run`.
@@ -232,15 +359,21 @@ fn ddg_scaling(failures: &mut Vec<String>) -> Json {
     let ratio = |now: Duration, before: Duration| {
         (now.as_secs_f64() / before.as_secs_f64() * 100.0).round() / 100.0
     };
+    let sources: Vec<(String, String)> = SCALING_NS
+        .iter()
+        .map(|n| (format!("many_fn_addon({n})"), corpus::many_fn_addon(*n)))
+        .collect();
+    let allocs = count_allocs(&sources, failures);
     let mut rows = Vec::new();
     let mut prev: Option<LayerTimes> = None;
-    for n in SCALING_NS {
+    for (n, allocs) in SCALING_NS.into_iter().zip(allocs) {
         let (reachable, t) = scaling_row(n);
         let layer = |l: Layer| t.get(l).unwrap_or_default();
         let mut row = Json::obj();
         row.set("n", Json::from(n as u32));
         row.set("reachable", Json::from(reachable as u32));
         row.set("layers_s", layers_json(&t));
+        row.set("allocs", allocs);
         let mut ddg_doubling = "-".to_owned();
         if let Some(p) = &prev {
             let mut ratios = Json::obj();
@@ -381,7 +514,17 @@ fn main() {
     let mut max_outside = 0.0f64;
     let mut max_triage_outside = 0.0f64;
     let mut failures: Vec<String> = Vec::new();
-    for ((addon, passes), triage_outside) in addons.iter().zip(&per_addon).zip(triage_outside) {
+    let sources: Vec<(String, String)> = addons
+        .iter()
+        .map(|a| (a.name.to_owned(), a.source.to_owned()))
+        .collect();
+    let allocs = count_allocs(&sources, &mut failures);
+    for (((addon, passes), triage_outside), allocs) in addons
+        .iter()
+        .zip(&per_addon)
+        .zip(triage_outside)
+        .zip(allocs)
+    {
         let layers = per_layer(
             &passes.iter().map(|p| p.timings).collect::<Vec<_>>(),
             median,
@@ -417,6 +560,7 @@ fn main() {
         row.set("outside_layers_pct", Json::from(pct(outside)));
         row.set("triage_outside_layers_pct", Json::from(pct(triage_outside)));
         row.set("steps", Json::from(steps as u32));
+        row.set("allocs", allocs);
         addons_json.set(addon.name, row);
         if p2 > p1 {
             failures.push(format!(

@@ -23,7 +23,7 @@ use crate::config::{
 };
 use crate::context::{CtxId, CtxTable};
 use crate::natives::{self, Environment, NativeBehavior, StrOp};
-use crate::rwsets::{Loc, RwSets, Strength};
+use crate::rwsets::{LocTable, RwSets, StmtMap, StmtSet, Strength};
 use crate::store::{read_slot, slots, write_slot, SiteKey, SiteTable};
 use jsdomains::{
     AObject, AValue, AllocSite, BoolDom, FuncIndex, Heap, Lattice, NativeId, NumDom, ObjKind, Pre,
@@ -33,12 +33,8 @@ use jsir::{EdgeKind, IrFuncId, IrStmtKind, Lowered, Operand, Place, StmtId, VarI
 use jsparser::ast::{BinaryOp, UnaryOp};
 use sigtrace::{Counter, Counters, Trace, CTX_CLASSES};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::rc::Rc;
-
-/// A context-qualified program point in the transition graph. Both halves
-/// are dense interned ids, so nodes are `Copy` and hash in O(1).
-type CtxNode = (StmtId, CtxId);
 
 /// A recorded reach of an interesting sink.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,12 +52,14 @@ pub struct SinkRecord {
 /// inference.
 #[derive(Debug)]
 pub struct AnalysisResult {
+    /// The locations the run recorded; `rw` names them by id.
+    pub locs: LocTable,
     /// Read/write sets per statement (merged over contexts).
-    pub rw: BTreeMap<StmtId, RwSets>,
+    pub rw: StmtMap<RwSets>,
     /// Statements that may throw an implicit exception.
-    pub may_throw: BTreeSet<StmtId>,
-    /// Addon functions each call statement may invoke.
-    pub call_targets: BTreeMap<StmtId, BTreeSet<IrFuncId>>,
+    pub may_throw: StmtSet,
+    /// Addon functions each call statement may invoke, sorted.
+    pub call_targets: StmtMap<Vec<IrFuncId>>,
     /// Interesting sinks reached, with inferred network domains.
     pub sinks: Vec<SinkRecord>,
     /// Uses of interesting APIs: (statement, API name).
@@ -79,9 +77,9 @@ pub struct AnalysisResult {
     /// so that a function merely called from two sites is not spuriously
     /// cyclic. These are the amplified control-edge sources (Section 3.3
     /// stage 4).
-    pub cyclic_stmts: BTreeSet<StmtId>,
+    pub cyclic_stmts: StmtSet,
     /// Statements reached by the analysis.
-    pub reachable: BTreeSet<StmtId>,
+    pub reachable: StmtSet,
     /// Worklist steps executed (perf metric). Deterministic for a fixed
     /// config, but depends on the worklist order (RPO exists to shrink it).
     pub steps: usize,
@@ -101,24 +99,23 @@ pub struct AnalysisResult {
 
 impl AnalysisResult {
     /// Statements that read an interesting source location, with the
-    /// source kinds they read. Pre-indexes `source_locs` by site so each
-    /// read only probes the handful of interesting properties on its own
-    /// site instead of scanning the whole table.
+    /// source kinds they read. Each recorded location's source kinds are
+    /// found once, among the locations of an interesting property's own
+    /// site, so a read is one lookup by location id.
     pub fn source_stmts(&self) -> BTreeMap<StmtId, BTreeSet<SourceKind>> {
-        let mut by_site: HashMap<AllocSite, Vec<(Sym, &SourceKind)>> = HashMap::new();
+        let mut kinds: Vec<Vec<&SourceKind>> = vec![Vec::new(); self.locs.len()];
         for ((site, prop), kind) in &self.source_locs {
-            by_site.entry(*site).or_default().push((*prop, kind));
+            for (name, id) in self.locs.at_site(*site) {
+                if name.may_be(prop) {
+                    kinds[id.0 as usize].push(kind);
+                }
+            }
         }
         let mut out: BTreeMap<StmtId, BTreeSet<SourceKind>> = BTreeMap::new();
-        for (stmt, rw) in &self.rw {
+        for (stmt, rw) in self.rw.iter() {
             for (loc, _) in rw.reads.iter() {
-                let Some(props) = by_site.get(&loc.site) else {
-                    continue;
-                };
-                for (prop, kind) in props {
-                    if loc.prop.may_be(prop) {
-                        out.entry(*stmt).or_default().insert((*kind).clone());
-                    }
+                for kind in &kinds[loc.0 as usize] {
+                    out.entry(stmt).or_default().insert((*kind).clone());
                 }
             }
         }
@@ -161,29 +158,28 @@ pub fn analyze_traced(
         ctxs: CtxTable::new(),
         prio: rpo_priorities(lowered),
         var_keys: Vec::new(),
-        states: HashMap::new(),
+        nodes: Vec::new(),
+        slots: vec![Slots::default(); lowered.program.stmt_count()],
         worklist,
-        queued: HashSet::new(),
-        rw: BTreeMap::new(),
-        may_throw: BTreeSet::new(),
-        call_targets: BTreeMap::new(),
-        native_calls: HashSet::new(),
+        locs: LocTable::default(),
+        rw: StmtMap::default(),
+        may_throw: StmtSet::new(),
+        call_targets: StmtMap::default(),
+        native_calls: StmtSet::new(),
         sink_domains: BTreeMap::new(),
         api_uses: BTreeSet::new(),
-        ret_links: HashMap::new(),
-        reachable: BTreeSet::new(),
+        reachable: StmtSet::new(),
         steps: 0,
         joins: 0,
         site_aliases: BTreeMap::new(),
         current: None,
-        transitions: BTreeSet::new(),
         attr: trace
             .attributes_cost()
             .then(|| AttrTally::new(lowered.program.funcs.len())),
     };
     m.seed();
     let status = m.run();
-    let cyclic_stmts = cyclic_statements(&m.transitions);
+    let cyclic_stmts = cyclic_statements(&m.nodes);
     let heap_cow_clones = jsdomains::cow_clone_count() - cow_before;
     if trace.is_enabled() {
         let mut counters = Counters::new();
@@ -203,6 +199,7 @@ pub fn analyze_traced(
         }
     }
     AnalysisResult {
+        locs: m.locs,
         rw: m.rw,
         may_throw: m.may_throw,
         call_targets: m.call_targets,
@@ -261,43 +258,87 @@ enum RunStatus {
     Budget(BudgetExhausted),
 }
 
-/// Where a finished callee returns to.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-struct RetLink {
+/// Where a finished callee returns to. The caller's frame follows from
+/// `call` and `caller_ctx`, so it never decides the order.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct RetLink<'a> {
     call: StmtId,
     caller_ctx: CtxId,
     caller_func: IrFuncId,
+    caller_frame: AllocSite,
     callee_frame: AllocSite,
-    dst: Option<Place>,
+    dst: Option<&'a Place>,
     new_site: Option<AllocSite>,
     /// The `CallResult` node the return-value transfer is attributed to.
     result_node: Option<StmtId>,
 }
 
+/// Marks the empty inline slot of [`Slots`].
+const NO_NODE: u32 = u32::MAX;
+
+/// A statement's nodes as `(context, node)` pairs: the first inline
+/// (most statements are reached under one context), the rest sorted by
+/// context, so a lookup is one compare or a binary search.
+#[derive(Clone)]
+struct Slots {
+    first: (CtxId, u32),
+    rest: Vec<(CtxId, u32)>,
+}
+
+impl Default for Slots {
+    fn default() -> Slots {
+        Slots {
+            first: (CtxId::ROOT, NO_NODE),
+            rest: Vec::new(),
+        }
+    }
+}
+
+/// One context-qualified program point `(stmt, ctx)` of the transition
+/// graph, in the machine's node store.
+struct Node<'a> {
+    stmt: StmtId,
+    ctx: CtxId,
+    /// The stored state: `None` only for a callee's exit node that has
+    /// return links but no state yet.
+    state: Option<Heap>,
+    queued: bool,
+    /// The frame site of the node's function under its context, interned
+    /// at the node's first step.
+    frame: Option<AllocSite>,
+    /// The nodes this node pushed state to, sorted, each once: the
+    /// explored transitions, for cycle (amplification) detection without
+    /// the spurious cycles a context-insensitive supergraph has.
+    succs: Vec<u32>,
+    /// For a callee's exit node: where the callee returns to, sorted.
+    ret_links: Vec<RetLink<'a>>,
+}
+
 /// The pending-node queue. FIFO is the naive baseline; RPO pops the
 /// pending node with the smallest reverse-postorder number, so loop
 /// bodies stabilize before their exits are visited and far fewer
-/// re-propagations are needed to reach the fixpoint.
+/// re-propagations are needed to reach the fixpoint. Entries are node
+/// ids; RPO orders them by `(priority, stmt, ctx)`.
 enum Worklist {
-    Fifo(VecDeque<CtxNode>),
-    Rpo(BinaryHeap<Reverse<(u32, StmtId, CtxId)>>),
+    Fifo(VecDeque<u32>),
+    Rpo(BinaryHeap<Reverse<(u32, StmtId, CtxId, u32)>>),
 }
 
 impl Worklist {
-    fn push(&mut self, key: CtxNode, prio: &[u32]) {
+    fn push(&mut self, n: u32, node: &Node, prio: &[u32]) {
         match self {
-            Worklist::Fifo(q) => q.push_back(key),
+            Worklist::Fifo(q) => q.push_back(n),
             Worklist::Rpo(h) => {
-                let p = prio.get(key.0 .0 as usize).copied().unwrap_or(u32::MAX);
-                h.push(Reverse((p, key.0, key.1)));
+                let p = prio.get(node.stmt.0 as usize).copied().unwrap_or(u32::MAX);
+                h.push(Reverse((p, node.stmt, node.ctx, n)));
             }
         }
     }
 
-    fn pop(&mut self) -> Option<CtxNode> {
+    fn pop(&mut self) -> Option<u32> {
         match self {
             Worklist::Fifo(q) => q.pop_front(),
-            Worklist::Rpo(h) => h.pop().map(|Reverse((_, s, c))| (s, c)),
+            Worklist::Rpo(h) => h.pop().map(|Reverse((.., n))| n),
         }
     }
 }
@@ -430,29 +471,27 @@ struct Machine<'a> {
     prio: Vec<u32>,
     /// Cache of `v{i}` frame-variable keys, indexed by slot number.
     var_keys: Vec<Pre>,
-    states: HashMap<CtxNode, Heap>,
+    /// The node store: every `(stmt, ctx)` reached, by node id.
+    nodes: Vec<Node<'a>>,
+    /// Each statement's nodes, indexed by `StmtId`.
+    slots: Vec<Slots>,
     worklist: Worklist,
-    queued: HashSet<CtxNode>,
-    rw: BTreeMap<StmtId, RwSets>,
-    may_throw: BTreeSet<StmtId>,
-    call_targets: BTreeMap<StmtId, BTreeSet<IrFuncId>>,
+    locs: LocTable,
+    rw: StmtMap<RwSets>,
+    may_throw: StmtSet,
+    call_targets: StmtMap<Vec<IrFuncId>>,
     /// Call statements that may invoke a native (the mixed-callee rule in
     /// [`Machine::handle_exit`] reads it).
-    native_calls: HashSet<StmtId>,
+    native_calls: StmtSet,
     sink_domains: BTreeMap<(StmtId, SinkKind), Pre>,
     api_uses: BTreeSet<(StmtId, String)>,
-    ret_links: HashMap<(IrFuncId, CtxId), BTreeSet<RetLink>>,
-    reachable: BTreeSet<StmtId>,
+    reachable: StmtSet,
     steps: usize,
     /// Joins into an existing abstract state (see `push_state`).
     joins: usize,
     site_aliases: BTreeMap<AllocSite, AllocSite>,
     /// The node currently being transferred (source of push_state edges).
-    current: Option<CtxNode>,
-    /// Context-qualified transition edges actually explored; used for
-    /// cycle (amplification) detection without the spurious cycles a
-    /// context-insensitive supergraph has.
-    transitions: BTreeSet<(CtxNode, CtxNode)>,
+    current: Option<u32>,
     /// Cost-attribution tally (`None` unless the caller enabled
     /// attribution; the fixpoint loop then skips the clock reads).
     attr: Option<AttrTally>,
@@ -474,8 +513,10 @@ impl<'a> Machine<'a> {
         // unbudgeted hot path free of timing syscalls.
         let needs_clock = self.config.deadline.is_some() || self.config.step_budget.is_some();
         let start = needs_clock.then(std::time::Instant::now);
-        while let Some((stmt, ctx)) = self.worklist.pop() {
-            self.queued.remove(&(stmt, ctx));
+        while let Some(n) = self.worklist.pop() {
+            let node = &mut self.nodes[n as usize];
+            node.queued = false;
+            let (stmt, ctx) = (node.stmt, node.ctx);
             self.steps += 1;
             if self.steps > self.config.max_steps {
                 return RunStatus::StepLimit;
@@ -501,56 +542,86 @@ impl<'a> Machine<'a> {
                     }
                 }
             }
-            self.current = Some((stmt, ctx));
+            self.current = Some(n);
             if self.attr.is_some() {
                 // Attribution enabled: two clock reads bracket the
                 // transfer; the tally is indexed arithmetic, no hashing.
                 let func = self.lowered.program.stmt(stmt).func;
                 let class = self.ctxs.get(ctx).depth().min(CTX_CLASSES - 1);
                 let t0 = std::time::Instant::now();
-                self.step(stmt, ctx);
+                self.step(n);
                 let ns = t0.elapsed().as_nanos() as u64;
                 self.attr
                     .as_mut()
                     .expect("checked above")
                     .add(func, class, ns);
             } else {
-                self.step(stmt, ctx);
+                self.step(n);
             }
             self.current = None;
         }
         RunStatus::Completed
     }
 
-    fn push_state(&mut self, stmt: StmtId, ctx: CtxId, state: Heap) {
-        let key = (stmt, ctx);
-        if let Some(cur) = self.current {
-            self.transitions.insert((cur, key));
+    /// The node of `(stmt, ctx)`, added to the store (without a state)
+    /// on first sight.
+    fn node(&mut self, stmt: StmtId, ctx: CtxId) -> u32 {
+        let slots = &mut self.slots[stmt.0 as usize];
+        if slots.first.0 == ctx && slots.first.1 != NO_NODE {
+            return slots.first.1;
         }
-        let changed = match self.states.get_mut(&key) {
+        let at = slots.rest.binary_search_by_key(&ctx, |&(c, _)| c);
+        if let Ok(i) = at {
+            return slots.rest[i].1;
+        }
+        let n = self.nodes.len() as u32;
+        self.nodes.push(Node {
+            stmt,
+            ctx,
+            state: None,
+            queued: false,
+            frame: None,
+            succs: Vec::new(),
+            ret_links: Vec::new(),
+        });
+        match at {
+            Err(i) if slots.first.1 != NO_NODE => slots.rest.insert(i, (ctx, n)),
+            _ => slots.first = (ctx, n),
+        }
+        n
+    }
+
+    fn push_state(&mut self, stmt: StmtId, ctx: CtxId, state: Heap) {
+        let n = self.node(stmt, ctx);
+        if let Some(cur) = self.current {
+            let succs = &mut self.nodes[cur as usize].succs;
+            if let Err(i) = succs.binary_search(&n) {
+                succs.insert(i, n);
+            }
+        }
+        let node = &mut self.nodes[n as usize];
+        let changed = match &mut node.state {
             Some(existing) => {
                 self.joins += 1;
                 existing.join_in_place(&state)
             }
             None => {
-                self.states.insert(key, state);
+                node.state = Some(state);
                 true
             }
         };
-        if changed && self.queued.insert(key) {
-            self.worklist.push(key, &self.prio);
+        if changed {
+            self.enqueue(n);
         }
     }
 
-    fn enqueue(&mut self, stmt: StmtId, ctx: CtxId) {
-        let key = (stmt, ctx);
-        if self.states.contains_key(&key) && self.queued.insert(key) {
-            self.worklist.push(key, &self.prio);
+    /// Queues node `n` unless it is queued already or has no state.
+    fn enqueue(&mut self, n: u32) {
+        let node = &mut self.nodes[n as usize];
+        if node.state.is_some() && !node.queued {
+            node.queued = true;
+            self.worklist.push(n, node, &self.prio);
         }
-    }
-
-    fn frame_site(&mut self, func: IrFuncId, ctx: CtxId) -> AllocSite {
-        self.sites.intern(SiteKey::Frame(func, ctx))
     }
 
     /// Key under which variable slot `i` is stored in its frame object.
@@ -610,9 +681,9 @@ impl<'a> Machine<'a> {
         let Some(&first) = sites.peek() else { return };
         let prop = field.name();
         let strength = access_strength(st, first, sites.len(), &prop).min(at_most);
-        let reads = &mut self.rw.entry(stmt).or_default().reads;
+        let reads = &mut self.rw.entry(stmt).reads;
         for site in sites {
-            reads.add(Loc { site, prop }, strength);
+            reads.add(self.locs.intern(site, prop), strength);
             if let Some(o) = st.get(site) {
                 visit(o);
             }
@@ -635,9 +706,9 @@ impl<'a> Machine<'a> {
         let Some(&first) = sites.peek() else { return };
         let prop = field.name();
         let strength = access_strength(st, first, sites.len(), &prop).min(at_most);
-        let writes = &mut self.rw.entry(stmt).or_default().writes;
+        let writes = &mut self.rw.entry(stmt).writes;
         for site in sites {
-            writes.add(Loc { site, prop }, strength);
+            writes.add(self.locs.intern(site, prop), strength);
             if let Some(o) = st.get_mut(site) {
                 visit(o, strength == Strength::Strong);
             }
@@ -773,16 +844,24 @@ impl<'a> Machine<'a> {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn step(&mut self, stmt_id: StmtId, ctx: CtxId) {
+    fn step(&mut self, n: u32) {
+        let node = &self.nodes[n as usize];
+        let (stmt_id, ctx) = (node.stmt, node.ctx);
         self.reachable.insert(stmt_id);
-        let st_in = self.states[&(stmt_id, ctx)].clone();
+        let mut st = node.state.clone().expect("a queued node has a state");
         // Copy out the `&'a Lowered` so borrowing the statement does not
         // freeze `self` (the old code cloned the whole statement instead).
         let lowered = self.lowered;
         let stmt = lowered.program.stmt(stmt_id);
         let func = stmt.func;
-        let frame = self.frame_site(func, ctx);
-        let mut st = st_in;
+        let frame = match node.frame {
+            Some(frame) => frame,
+            None => {
+                let frame = self.sites.intern(SiteKey::Frame(func, ctx));
+                self.nodes[n as usize].frame = Some(frame);
+                frame
+            }
+        };
 
         match &stmt.kind {
             IrStmtKind::Enter | IrStmtKind::Nop(_) | IrStmtKind::CallResult { .. } => {
@@ -791,7 +870,7 @@ impl<'a> Machine<'a> {
                 self.flow(stmt_id, ctx, st, |k| k != EdgeKind::Uncaught);
             }
             IrStmtKind::Exit => {
-                self.handle_exit(stmt_id, ctx, &st, func);
+                self.handle_exit(n, &st);
             }
             IrStmtKind::Copy { dst, src } => {
                 let v = self.eval(stmt_id, func, frame, &st, src);
@@ -1048,7 +1127,7 @@ impl<'a> Machine<'a> {
         func: IrFuncId,
         frame: AllocSite,
         st: &mut Heap,
-        dst: &Place,
+        dst: &'a Place,
         callee: &Operand,
         this: &Option<Operand>,
         args: &[Operand],
@@ -1071,7 +1150,7 @@ impl<'a> Machine<'a> {
             func,
             frame,
             st,
-            Some(dst.clone()),
+            Some(dst),
             &cv,
             &this_v,
             &arg_vs,
@@ -1090,7 +1169,7 @@ impl<'a> Machine<'a> {
         func: IrFuncId,
         frame: AllocSite,
         st: &mut Heap,
-        dst: Option<Place>,
+        dst: Option<&'a Place>,
         cv: &AValue,
         this_v: &Option<AValue>,
         arg_vs: &[AValue],
@@ -1140,25 +1219,20 @@ impl<'a> Machine<'a> {
         // state flowing back through handle_exit -- already contain it and
         // the later weak join does not seed a spurious `undefined`.
         if let Some(ret) = &immediate {
-            if let Some(d) = &dst {
+            if let Some(d) = dst {
                 self.write_place(stmt_id, func, frame, st, d, ret, BY_RULE);
             }
         }
 
         // Addon calls.
         for (fid, closure) in addon {
-            self.call_targets.entry(stmt_id).or_default().insert(fid);
+            let targets = self.call_targets.entry(stmt_id);
+            if let Err(i) = targets.binary_search(&fid) {
+                targets.insert(i, fid);
+            }
+            let caller = (func, frame);
             self.do_addon_call(
-                stmt_id,
-                ctx,
-                func,
-                st,
-                fid,
-                closure,
-                this_v,
-                arg_vs,
-                dst.clone(),
-                is_new,
+                stmt_id, ctx, caller, st, fid, closure, this_v, arg_vs, dst, is_new,
             );
         }
 
@@ -1175,18 +1249,20 @@ impl<'a> Machine<'a> {
         // Addon-only calls: successors receive state when the callee exits.
     }
 
+    /// Calls addon function `fid` from `call_stmt`, made by the
+    /// activation `caller` (its function and frame) under `ctx`.
     #[allow(clippy::too_many_arguments)]
     fn do_addon_call(
         &mut self,
         call_stmt: StmtId,
         ctx: CtxId,
-        caller_func: IrFuncId,
+        caller: (IrFuncId, AllocSite),
         st: &Heap,
         fid: IrFuncId,
         closure: AllocSite,
         this_v: &Option<AValue>,
         arg_vs: &[AValue],
-        dst: Option<Place>,
+        dst: Option<&'a Place>,
         is_new: bool,
     ) {
         let callee = self.lowered.program.func(fid);
@@ -1259,33 +1335,37 @@ impl<'a> Machine<'a> {
         let link = RetLink {
             call: call_stmt,
             caller_ctx: ctx,
-            caller_func,
+            caller_func: caller.0,
+            caller_frame: caller.1,
             callee_frame: fsite,
             dst,
             new_site,
             result_node,
         };
-        let links = self.ret_links.entry((fid, new_ctx)).or_default();
-        if links.insert(link) {
+        let exit = self.node(callee.exit, new_ctx);
+        let links = &mut self.nodes[exit as usize].ret_links;
+        if let Err(i) = links.binary_search(&link) {
+            links.insert(i, link);
             // A new caller: if the callee exit already has state, replay it.
-            self.enqueue(callee.exit, new_ctx);
+            self.enqueue(exit);
         }
     }
 
-    fn handle_exit(&mut self, stmt_id: StmtId, ctx: CtxId, st: &Heap, func: IrFuncId) {
-        let links = match self.ret_links.get(&(func, ctx)) {
-            Some(l) => l.clone(),
-            None => return, // top level: analysis ends here
-        };
+    /// The callee's exit node `n` returns `st` along each of its return
+    /// links, in their order.
+    fn handle_exit(&mut self, n: u32, st: &Heap) {
+        // Nothing adds a link while the exit transfers, so the links are
+        // walked in place, lent out of the node for the loop.
+        let links = std::mem::take(&mut self.nodes[n as usize].ret_links);
         // If the exit is reachable by falling off the end (any non-Return,
         // non-Uncaught incoming edge), the function may return `undefined`.
         let may_fall_off = self
             .lowered
             .cfg
-            .preds(stmt_id)
+            .preds(self.nodes[n as usize].stmt)
             .iter()
             .any(|(_, k)| !matches!(k, EdgeKind::Return | EdgeKind::Uncaught));
-        for link in links {
+        for link in &links {
             let mut out = st.clone();
             // The return-value transfer belongs to the CallResult node so
             // that argument flows (into the call) and result flows (out of
@@ -1303,8 +1383,7 @@ impl<'a> Machine<'a> {
                     .join(&AValue::obj(ns))
                     .join(&AValue::objects(retv.objs.iter().copied()));
             }
-            if let Some(d) = &link.dst {
-                let caller_frame = self.frame_site(link.caller_func, link.caller_ctx);
+            if let Some(d) = link.dst {
                 // Mixed native+addon callee sets: the native result was
                 // already written at the Call node; the CallResult write
                 // must be weak (a join) so the Call's definition stays
@@ -1314,11 +1393,12 @@ impl<'a> Machine<'a> {
                 } else {
                     BY_RULE
                 };
-                let caller = link.caller_func;
-                self.write_place(attr, caller, caller_frame, &mut out, d, &retv, at_most);
+                let (caller, frame) = (link.caller_func, link.caller_frame);
+                self.write_place(attr, caller, frame, &mut out, d, &retv, at_most);
             }
             self.flow(link.call, link.caller_ctx, out, |k| k != EdgeKind::Uncaught);
         }
+        self.nodes[n as usize].ret_links = links;
     }
 
     /// Applies a native's declarative semantics.
@@ -1584,76 +1664,57 @@ impl<'a> Machine<'a> {
 }
 
 /// Projects the context-qualified transition graph's cycles down to
-/// statements: a statement is cyclic if any of its context-qualified
-/// nodes lies in a non-trivial SCC (or has a self loop).
-fn cyclic_statements(transitions: &BTreeSet<(CtxNode, CtxNode)>) -> BTreeSet<StmtId> {
-    // Dense node numbering (nodes are Copy ids, so keys are by value).
-    let mut index_of: HashMap<CtxNode, usize> = HashMap::new();
-    let mut nodes: Vec<CtxNode> = Vec::new();
-    for &(a, b) in transitions {
-        for n in [a, b] {
-            index_of.entry(n).or_insert_with(|| {
-                nodes.push(n);
-                nodes.len() - 1
-            });
-        }
-    }
+/// statements: a statement is cyclic if any of its nodes lies in a
+/// non-trivial SCC (or has a self loop). Tarjan's algorithm, iterative,
+/// over the node store's successor lists.
+fn cyclic_statements(nodes: &[Node]) -> StmtSet {
     let n = nodes.len();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (a, b) in transitions {
-        adj[index_of[a]].push(index_of[b]);
-    }
-    // Iterative Tarjan SCC.
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
+    let mut index = vec![u32::MAX; n];
+    let mut low = vec![0u32; n];
     let mut on_stack = vec![false; n];
     let mut stack = Vec::new();
-    let mut next = 0usize;
-    let mut out = BTreeSet::new();
-    #[derive(Clone, Copy)]
-    struct Frame {
-        v: usize,
-        pos: usize,
-    }
+    let mut next = 0u32;
+    let mut out = StmtSet::new();
+    // (node, position in its successor list)
+    let mut call: Vec<(usize, usize)> = Vec::new();
     for root in 0..n {
-        if index[root] != usize::MAX {
+        if index[root] != u32::MAX {
             continue;
         }
-        let mut call = vec![Frame { v: root, pos: 0 }];
-        while let Some(fr) = call.last_mut() {
-            let v = fr.v;
-            if fr.pos == 0 {
+        call.push((root, 0));
+        while let Some(&mut (v, ref mut pos)) = call.last_mut() {
+            if *pos == 0 {
                 index[v] = next;
                 low[v] = next;
                 next += 1;
                 stack.push(v);
                 on_stack[v] = true;
             }
-            if fr.pos < adj[v].len() {
-                let w = adj[v][fr.pos];
-                fr.pos += 1;
-                if index[w] == usize::MAX {
-                    call.push(Frame { v: w, pos: 0 });
+            if let Some(&w) = nodes[v].succs.get(*pos) {
+                *pos += 1;
+                let w = w as usize;
+                if index[w] == u32::MAX {
+                    call.push((w, 0));
                 } else if on_stack[w] {
                     low[v] = low[v].min(index[w]);
                 }
-            } else {
-                call.pop();
-                if let Some(p) = call.last() {
-                    low[p.v] = low[p.v].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("scc stack");
-                        on_stack[w] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    if comp.len() > 1 || adj[v].contains(&v) {
-                        out.extend(comp.into_iter().map(|i| nodes[i].0));
+                continue;
+            }
+            call.pop();
+            if let Some(&(p, _)) = call.last() {
+                low[p] = low[p].min(low[v]);
+            }
+            if low[v] == index[v] {
+                let top = stack
+                    .iter()
+                    .rposition(|&w| w == v)
+                    .expect("v is on the stack");
+                let cyclic =
+                    stack.len() - top > 1 || nodes[v].succs.binary_search(&(v as u32)).is_ok();
+                for w in stack.drain(top..) {
+                    on_stack[w] = false;
+                    if cyclic {
+                        out.insert(nodes[w].stmt);
                     }
                 }
             }

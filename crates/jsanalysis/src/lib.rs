@@ -5,7 +5,8 @@
 //! analysis (Section 5) and control-flow analysis, and produces the
 //! inputs PDG construction needs (Section 3):
 //!
-//! - per-statement read/write sets with strong/weak qualification,
+//! - per-statement read/write sets with strong/weak qualification, over
+//!   a table of the locations the run recorded,
 //! - the set of statements that may throw implicit exceptions,
 //! - the call graph,
 //! - sink records with inferred network domains, and interesting-API uses.
@@ -45,5 +46,5 @@ pub use config::{
 pub use context::{Context, CtxId, CtxTable};
 pub use interp::{analyze, analyze_traced, AnalysisResult, SinkRecord};
 pub use natives::{Environment, NativeBehavior, NativeSpec};
-pub use rwsets::{AccessSet, Loc, RwSets, Strength};
+pub use rwsets::{AccessSet, Loc, LocId, LocTable, RwSets, StmtMap, StmtSet, Strength};
 pub use store::{SiteKey, SiteTable};

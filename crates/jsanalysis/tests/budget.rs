@@ -35,6 +35,7 @@ fn generous_budget_changes_nothing() {
         plain.steps, budgeted.steps,
         "budget checks must not reschedule work"
     );
+    assert_eq!(plain.locs, budgeted.locs);
     assert_eq!(plain.rw, budgeted.rw);
     assert_eq!(plain.may_throw, budgeted.may_throw);
     assert_eq!(plain.call_targets, budgeted.call_targets);

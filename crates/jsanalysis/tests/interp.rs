@@ -319,7 +319,7 @@ fn strong_writes_on_singleton_objects() {
     let strong = rw
         .writes
         .iter()
-        .any(|(l, s)| s == Strength::Strong && l.prop.as_exact() == Some("url"));
+        .any(|(l, s)| s == Strength::Strong && r.locs[l].prop.as_exact() == Some("url"));
     assert!(strong, "object literal store should be a strong write");
 }
 
@@ -367,7 +367,7 @@ fn computed_property_reads_are_weak_with_unknown_names() {
     assert!(rw
         .reads
         .iter()
-        .any(|(l, s)| s == Strength::Weak && !l.prop.is_exact()));
+        .any(|(l, s)| s == Strength::Weak && !r.locs[l].prop.is_exact()));
 }
 
 #[test]
@@ -488,7 +488,7 @@ for (var k in o) {
         .unwrap();
     // Enumeration records a (weak, unknown-name) read of the object.
     let rw = &r.rw[&next.id];
-    assert!(rw.reads.iter().any(|(l, _)| !l.prop.is_exact()));
+    assert!(rw.reads.iter().any(|(l, _)| !r.locs[l].prop.is_exact()));
 }
 
 #[test]

@@ -21,7 +21,6 @@ use crate::postdom::{postdominators, FuncGraph};
 use crate::supergraph::SuperGraph;
 use jsanalysis::AnalysisResult;
 use jsir::{EdgeKind, Lowered, StmtId};
-use std::collections::BTreeSet;
 
 /// A control-dependence edge with its annotation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -49,12 +48,9 @@ impl CtrlDep {
 /// Builds the annotated CDG: per function, one [`FuncGraph`] filtered
 /// once per stage; each `(u, w)` takes the kind of the first stage that
 /// makes `w` control dependent on `u`, and is amplified when `u` is one
-/// of the analysis's `cyclic_stmts`.
-pub fn build_cdg(
-    lowered: &Lowered,
-    analysis: &AnalysisResult,
-    sg: &SuperGraph,
-) -> BTreeSet<CtrlDep> {
+/// of the analysis's `cyclic_stmts`. The edges come sorted, without
+/// duplicates.
+pub fn build_cdg(lowered: &Lowered, analysis: &AnalysisResult, sg: &SuperGraph) -> Vec<CtrlDep> {
     let funcs = &lowered.program.funcs;
     // Each statement's position in its own function: the node numbering
     // of every `FuncGraph`.
@@ -113,7 +109,7 @@ pub fn build_cdg(
     }
 
     // SDG-style call dependence: callee entry depends on the call site.
-    for (&call, targets) in &analysis.call_targets {
+    for (call, targets) in analysis.call_targets.iter() {
         let amp = analysis.cyclic_stmts.contains(&call);
         for &f in targets {
             let to = lowered.program.func(f).entry;
@@ -125,7 +121,9 @@ pub fn build_cdg(
             });
         }
     }
-    out.into_iter().collect()
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 #[cfg(test)]
@@ -134,7 +132,7 @@ mod tests {
     use jsanalysis::{analyze, AnalysisConfig};
     use jsir::{IrStmtKind, Lowered, Operand};
 
-    fn run(src: &str) -> (Lowered, BTreeSet<CtrlDep>) {
+    fn run(src: &str) -> (Lowered, Vec<CtrlDep>) {
         let ast = jsparser::parse(src).unwrap();
         let lowered = jsir::lower_with_options(&ast, &jsir::LowerOptions { event_loop: false });
         let analysis = analyze(&lowered, &AnalysisConfig::default());

@@ -29,14 +29,15 @@
 //!
 //! - **Def ids.** Every (statement, written location) pair is one
 //!   definition, numbered densely in statement order, so a statement's
-//!   own definitions form one contiguous id range.
-//! - **Location index.** Locations are interned and grouped by canonical
-//!   allocation site (recency aliasing maps a most-recent site to its
+//!   own definitions form one contiguous id range. Locations are the
+//!   analysis's own ids ([`jsanalysis::LocTable`]), read as recorded.
+//! - **Location index.** A location's group is its allocation site and
+//!   that site's recency twin (aliasing maps a most-recent site to its
 //!   aged twin). Two locations overlap when they are the same location,
 //!   or share a group and the meet of their property names is not
-//!   bottom. Each location lists the definitions at overlapping
-//!   locations, found by scanning only its own group, so kills and read
-//!   matches touch only those definitions.
+//!   bottom. Each read location, and only a read one, is met with every
+//!   name of its group and lists the definitions at the overlapping
+//!   locations, so kills and read matches touch only those definitions.
 //! - **One bitset per node** over def ids, the *reaching* definitions,
 //!   joined by OR. A statement's transfer is two precomputed word-mask
 //!   lists: kill (other statements' definitions at exactly the location
@@ -49,13 +50,14 @@
 //!
 //! The transfer is monotone, so the fixpoint does not depend on the
 //! visit order. Only the reachable statements start dirty: any other
-//! node is visited once a definition reaches it.
+//! node is visited once a definition reaches it. The edges are sorted
+//! and merged per statement pair at the end.
 
 use crate::supergraph::SuperGraph;
-use jsanalysis::{AnalysisResult, Loc, Strength};
-use jsdomains::{AllocSite, MeetLattice, Pre};
+use jsanalysis::{AnalysisResult, StmtSet, Strength};
+use jsdomains::{MeetLattice, Pre};
 use jsir::{EdgeKind, StmtId};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// A data-dependence edge.
@@ -77,52 +79,58 @@ struct Def {
     strong: bool,
 }
 
-/// The program's definitions and reads over interned locations.
+/// One list per index, stored back to back: list `i` is
+/// `items[start[i]..start[i + 1]]`.
+struct Lists<T> {
+    start: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T> Lists<T> {
+    fn new() -> Lists<T> {
+        Lists {
+            start: vec![0],
+            items: Vec::new(),
+        }
+    }
+
+    /// Ends the next list: the items pushed since the last `close`.
+    fn close(&mut self) {
+        self.start.push(self.items.len() as u32);
+    }
+
+    fn of(&self, i: usize) -> &[T] {
+        &self.items[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+}
+
+/// The program's definitions over the analysis's location ids.
 struct DefIndex {
     defs: Vec<Def>,
-    /// Each writing statement's def-id range.
-    own: HashMap<StmtId, Range<u32>>,
-    /// Each reading statement's reads, as (location, strong).
-    reads: Vec<(StmtId, Vec<(u32, bool)>)>,
+    /// `first[s]` is statement `s`'s first def id; its definitions run
+    /// to the next statement's first, or to the end.
+    first: Vec<u32>,
     /// Per location: the definitions at exactly that location.
     at: Vec<Vec<u32>>,
-    /// Per location: the definitions at every overlapping location.
-    overlapping: Vec<Vec<u32>>,
+    /// Per read location: the definitions at every overlapping location.
+    overlapping: Lists<u32>,
 }
 
 impl DefIndex {
     fn build(analysis: &AnalysisResult) -> DefIndex {
-        let mut locs: Vec<&Loc> = Vec::new();
-        let mut ids: HashMap<&Loc, u32> = HashMap::new();
-        let mut intern = |loc| {
-            *ids.entry(loc).or_insert_with(|| {
-                locs.push(loc);
-                (locs.len() - 1) as u32
-            })
-        };
+        let locs = &analysis.locs;
         let mut defs = Vec::new();
-        let mut own = HashMap::new();
-        let mut reads = Vec::new();
-        for (&stmt, rw) in &analysis.rw {
-            let first = defs.len() as u32;
-            for (loc, s) in rw.writes.iter() {
-                let loc = intern(loc);
-                defs.push(Def {
-                    stmt,
-                    loc,
-                    strong: s == Strength::Strong,
-                });
-            }
-            if defs.len() as u32 > first {
-                own.insert(stmt, first..defs.len() as u32);
-            }
-            let r: Vec<(u32, bool)> = rw
-                .reads
-                .iter()
-                .map(|(loc, s)| (intern(loc), s == Strength::Strong))
-                .collect();
-            if !r.is_empty() {
-                reads.push((stmt, r));
+        let mut first = Vec::new();
+        let mut read = vec![false; locs.len()];
+        for (stmt, rw) in analysis.rw.iter() {
+            first.resize(stmt.0 as usize + 1, defs.len() as u32);
+            defs.extend(rw.writes.iter().map(|(loc, s)| Def {
+                stmt,
+                loc: loc.0,
+                strong: s == Strength::Strong,
+            }));
+            for (loc, _) in rw.reads.iter() {
+                read[loc.0 as usize] = true;
             }
         }
 
@@ -130,36 +138,44 @@ impl DefIndex {
         for (d, def) in defs.iter().enumerate() {
             at[def.loc as usize].push(d as u32);
         }
-        let canonical = |site: AllocSite| analysis.site_aliases.get(&site).copied().unwrap_or(site);
-        let mut written: HashMap<AllocSite, Vec<usize>> = HashMap::new();
-        for (l, loc) in locs.iter().enumerate() {
-            if !at[l].is_empty() {
-                written.entry(canonical(loc.site)).or_default().push(l);
-            }
+
+        // Each site's group: the site and its recency twin.
+        let mut twin = BTreeMap::new();
+        for (&mru, &aged) in &analysis.site_aliases {
+            twin.insert(mru, aged);
+            twin.insert(aged, mru);
         }
-        let overlapping = locs
-            .iter()
-            .enumerate()
-            .map(|(l, loc)| {
-                let group = written
-                    .get(&canonical(loc.site))
-                    .map_or(&[][..], Vec::as_slice);
-                let mut hits = Vec::new();
-                for &w in group {
-                    if w == l || !matches!(loc.prop.meet(&locs[w].prop), Pre::Bot) {
-                        hits.extend_from_slice(&at[w]);
+        let mut overlapping = Lists::new();
+        for (l, loc) in locs.iter() {
+            if !read[l.0 as usize] {
+                overlapping.close();
+                continue;
+            }
+            let mut add = |w: jsanalysis::LocId| {
+                overlapping.items.extend_from_slice(&at[w.0 as usize]);
+            };
+            for site in std::iter::once(loc.site).chain(twin.get(&loc.site).copied()) {
+                for &(p, w) in locs.at_site(site) {
+                    if w == l || !matches!(loc.prop.meet(&p), Pre::Bot) {
+                        add(w);
                     }
                 }
-                hits
-            })
-            .collect();
+            }
+            overlapping.close();
+        }
         DefIndex {
             defs,
-            own,
-            reads,
+            first,
             at,
             overlapping,
         }
+    }
+
+    /// The def ids of statement `s`'s own definitions.
+    fn own(&self, s: StmtId) -> Range<u32> {
+        let end = self.defs.len() as u32;
+        let at = |i: usize| self.first.get(i).copied().unwrap_or(end);
+        at(s.0 as usize)..at(s.0 as usize + 1)
     }
 }
 
@@ -180,7 +196,7 @@ struct Rpo {
 }
 
 impl Rpo {
-    fn build(sg: &SuperGraph, roots: &BTreeSet<StmtId>) -> Rpo {
+    fn build(sg: &SuperGraph, roots: &StmtSet) -> Rpo {
         // Marks `s` seen, returning whether it was new.
         fn mark(node: &mut Vec<u32>, s: StmtId) -> bool {
             let i = s.0 as usize;
@@ -194,7 +210,7 @@ impl Rpo {
         let mut node = Vec::new();
         let mut post = Vec::new();
         let mut stack: Vec<(StmtId, usize)> = Vec::new();
-        for &root in roots {
+        for root in roots.iter() {
             if !mark(&mut node, root) {
                 continue;
             }
@@ -249,34 +265,20 @@ impl Rpo {
 }
 
 /// One list of (word, mask) pairs over def ids per node.
-struct Masks {
-    start: Vec<u32>,
-    words: Vec<(u32, u64)>,
-}
+type Masks = Lists<(u32, u64)>;
 
 impl Masks {
-    fn new() -> Masks {
-        Masks {
-            start: vec![0],
-            words: Vec::new(),
-        }
-    }
-
     /// Appends the next node's list; `ids` must be ascending.
     fn push(&mut self, ids: impl IntoIterator<Item = u32>) {
-        let first = self.words.len();
+        let first = self.items.len();
         for d in ids {
             let (w, bit) = (d / 64, 1u64 << (d % 64));
-            match self.words[first..].last_mut() {
+            match self.items[first..].last_mut() {
                 Some((last, mask)) if *last == w => *mask |= bit,
-                _ => self.words.push((w, bit)),
+                _ => self.items.push((w, bit)),
             }
         }
-        self.start.push(self.words.len() as u32);
-    }
-
-    fn of(&self, i: usize) -> &[(u32, u64)] {
-        &self.words[self.start[i] as usize..self.start[i + 1] as usize]
+        self.close();
     }
 }
 
@@ -307,11 +309,12 @@ fn or_into(dst: &mut [u64], src: &[u64]) -> bool {
     grew != 0
 }
 
-/// Builds the data-dependence edges of the PDG.
-pub fn build_ddg(sg: &SuperGraph, analysis: &AnalysisResult) -> BTreeSet<DataDep> {
+/// Builds the data-dependence edges of the PDG, sorted, one per
+/// statement pair.
+pub fn build_ddg(sg: &SuperGraph, analysis: &AnalysisResult) -> Vec<DataDep> {
     let idx = DefIndex::build(analysis);
-    if idx.defs.is_empty() || idx.reads.is_empty() {
-        return BTreeSet::new();
+    if idx.defs.is_empty() || idx.overlapping.items.is_empty() {
+        return Vec::new();
     }
     let rpo = Rpo::build(sg, &analysis.reachable);
     let n = rpo.stmts.len();
@@ -319,8 +322,8 @@ pub fn build_ddg(sg: &SuperGraph, analysis: &AnalysisResult) -> BTreeSet<DataDep
     // Each node's transfer as word masks.
     let (mut kill, mut gen) = (Masks::new(), Masks::new());
     let mut k = Vec::new();
-    for s in &rpo.stmts {
-        let own = idx.own.get(s).cloned().unwrap_or(0..0);
+    for &s in &rpo.stmts {
+        let own = idx.own(s);
         k.clear();
         for d in own.clone() {
             let def = idx.defs[d as usize];
@@ -342,7 +345,7 @@ pub fn build_ddg(sg: &SuperGraph, analysis: &AnalysisResult) -> BTreeSet<DataDep
     let w = idx.defs.len().div_ceil(64);
     let mut reach = vec![0u64; n * w];
     let mut dirty = vec![0u64; n.div_ceil(64)];
-    for &s in &analysis.reachable {
+    for s in analysis.reachable.iter() {
         if let Some(i) = rpo.of(s) {
             dirty[i / 64] |= 1 << (i % 64);
         }
@@ -368,15 +371,20 @@ pub fn build_ddg(sg: &SuperGraph, analysis: &AnalysisResult) -> BTreeSet<DataDep
     }
 
     // Emit edges.
-    let mut best: BTreeMap<(StmtId, StmtId), bool> = BTreeMap::new();
+    let mut edges = Vec::new();
     let mut hits: Vec<u32> = Vec::new();
-    for (v2, rs) in &idx.reads {
-        let Some(i) = rpo.of(*v2) else { continue };
+    for (v2, rw) in analysis.rw.iter() {
+        let Some(i) = rpo.of(v2) else { continue };
         let r = &reach[i * w..(i + 1) * w];
-        for &(l2, s2) in rs {
+        for (l2, s2) in rw.reads.iter() {
             // Every reaching definition whose location overlaps this read.
             hits.clear();
-            hits.extend(idx.overlapping[l2 as usize].iter().filter(|&&d| has(r, d)));
+            hits.extend(
+                idx.overlapping
+                    .of(l2.0 as usize)
+                    .iter()
+                    .filter(|&&d| has(r, d)),
+            );
             // "The value read is definitely the value written by v1"
             // additionally requires v1's def to be the unique reaching
             // definition of the location, which also rules out a
@@ -384,15 +392,24 @@ pub fn build_ddg(sg: &SuperGraph, analysis: &AnalysisResult) -> BTreeSet<DataDep
             let unique = hits.len() == 1;
             for &d in &hits {
                 let def = idx.defs[d as usize];
-                let strong = unique && def.loc == l2 && def.strong && s2;
-                let e = best.entry((def.stmt, *v2)).or_insert(false);
-                *e = *e || strong;
+                let strong = unique && def.loc == l2.0 && def.strong && s2 == Strength::Strong;
+                edges.push(DataDep {
+                    from: def.stmt,
+                    to: v2,
+                    strong,
+                });
             }
         }
     }
-    best.into_iter()
-        .map(|((from, to), strong)| DataDep { from, to, strong })
-        .collect()
+    // One edge per pair, strong when any read made it so: after the sort
+    // a pair's weak copies come first, and the kept one takes the rest.
+    edges.sort_unstable();
+    edges.dedup_by(|next, kept| {
+        let same = (next.from, next.to) == (kept.from, kept.to);
+        kept.strong |= same && next.strong;
+        same
+    });
+    edges
 }
 
 #[cfg(test)]
@@ -401,7 +418,7 @@ mod tests {
     use jsanalysis::{analyze, AnalysisConfig};
     use jsir::{IrStmtKind, Lowered};
 
-    fn run(src: &str) -> (Lowered, BTreeSet<DataDep>) {
+    fn run(src: &str) -> (Lowered, Vec<DataDep>) {
         let ast = jsparser::parse(src).unwrap();
         let lowered = jsir::lower_with_options(&ast, &jsir::LowerOptions { event_loop: false });
         let analysis = analyze(&lowered, &AnalysisConfig::default());

@@ -9,7 +9,6 @@
 
 use jsanalysis::AnalysisResult;
 use jsir::{EdgeKind, IrProgram, Lowered, StmtId};
-use std::collections::BTreeSet;
 
 /// The interprocedural supergraph.
 #[derive(Debug)]
@@ -28,12 +27,12 @@ impl SuperGraph {
             .iter()
             .map(|s| lowered.cfg.succs(s.id).to_vec())
             .collect();
-        add_implicit_throw_edges(program, &mut succs, &analysis.may_throw);
+        add_implicit_throw_edges(program, &mut succs, analysis.may_throw.iter());
         // Call and return edges: call site to callee entry, and callee
         // exit back to the call's continuations and to the call statement
         // itself, because the call is where the return-value read is
         // recorded.
-        for (&call, targets) in &analysis.call_targets {
+        for (call, targets) in analysis.call_targets.iter() {
             let continuations: Vec<StmtId> = succs[call.0 as usize]
                 .iter()
                 .filter(|(_, k)| *k != EdgeKind::Uncaught)
@@ -69,9 +68,9 @@ impl SuperGraph {
 fn add_implicit_throw_edges(
     program: &IrProgram,
     succs: &mut [Vec<(StmtId, EdgeKind)>],
-    may_throw: &BTreeSet<StmtId>,
+    may_throw: impl IntoIterator<Item = StmtId>,
 ) {
-    for &sid in may_throw {
+    for sid in may_throw {
         let stmt = program.stmt(sid);
         succs[sid.0 as usize].push(match stmt.handler {
             Some(h) => (h, EdgeKind::ThrowImplicit),
@@ -130,7 +129,7 @@ mod tests {
         assert!(analysis
             .call_targets
             .keys()
-            .any(|&call| sg.succs(call).contains(&(f.entry, EdgeKind::Call))));
+            .any(|call| sg.succs(call).contains(&(f.entry, EdgeKind::Call))));
         // And the exit flows back to the caller's continuation.
         assert!(sg
             .succs(f.exit)
@@ -154,10 +153,8 @@ mod tests {
             .iter()
             .find(|s| matches!(s.kind, IrStmtKind::StoreProp { .. }))
             .unwrap();
-        let mut may_throw = BTreeSet::new();
-        may_throw.insert(store.id);
         let before = edge_count(&cfg);
-        add_implicit_throw_edges(&l.program, &mut cfg, &may_throw);
+        add_implicit_throw_edges(&l.program, &mut cfg, [store.id]);
         assert_eq!(edge_count(&cfg), before + 1);
         assert!(has_kind(&cfg, EdgeKind::ThrowImplicit));
     }
@@ -172,9 +169,7 @@ mod tests {
             .iter()
             .find(|s| matches!(s.kind, IrStmtKind::StoreProp { .. }))
             .unwrap();
-        let mut may_throw = BTreeSet::new();
-        may_throw.insert(store.id);
-        add_implicit_throw_edges(&l.program, &mut cfg, &may_throw);
+        add_implicit_throw_edges(&l.program, &mut cfg, [store.id]);
         assert!(has_kind(&cfg, EdgeKind::Uncaught));
         assert!(!has_kind(&cfg, EdgeKind::ThrowImplicit));
     }

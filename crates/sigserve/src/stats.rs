@@ -1,6 +1,6 @@
 //! The `stats` response and the metrics encodings, rendered from the
 //! daemon's metrics registry — the one place its counters live — plus
-//! the job core's gauges.
+//! the job core's gauges and the process's memory gauges.
 
 use crate::jobs::CoreView;
 use minijson::Json;
@@ -46,19 +46,37 @@ fn histogram_json(h: &HistogramSnapshot) -> Json {
     o
 }
 
-/// Adds the job core's gauges to a registry snapshot, under the same
-/// `serve_` prefix, so the exposition and the on-disk history cover the
-/// whole daemon.
+/// Adds the job core's gauges and the process's memory gauges to a
+/// registry snapshot, under the same `serve_` prefix, so the exposition
+/// and the on-disk history cover the whole daemon: its resident set
+/// (`serve_process_rss_bytes`) and the process-wide symbol table's size
+/// (`serve_interned_symbols`), which only grows.
 pub(crate) fn with_gauges(mut snap: MetricsSnapshot, view: &CoreView) -> MetricsSnapshot {
     for (name, v) in [
-        ("serve_cache_entries", view.cache_entries),
-        ("serve_jobs_pending", view.pending),
-        ("serve_jobs_running", view.running),
+        ("serve_cache_entries", view.cache_entries as u64),
+        ("serve_jobs_pending", view.pending as u64),
+        ("serve_jobs_running", view.running as u64),
+        ("serve_process_rss_bytes", process_rss_bytes()),
+        (
+            "serve_interned_symbols",
+            jsdomains::Sym::interner_len() as u64,
+        ),
     ] {
-        snap.counters.push((name.to_owned(), v as u64));
+        snap.counters.push((name.to_owned(), v));
     }
     snap.counters.sort();
     snap
+}
+
+/// This process's resident set (`VmRSS` in `/proc/self/status`), in
+/// bytes; 0 where that file cannot be read.
+fn process_rss_bytes() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .and_then(|v| v.trim().strip_suffix("kB")?.trim().parse::<u64>().ok())
+        .map_or(0, |kb| kb * 1024)
 }
 
 /// The `stats` response: the registry's counters grouped by subsystem,

@@ -1,9 +1,10 @@
 //! The per-function CDG against its oracle: `jspdg::build_cdg` must
 //! produce exactly the `BTreeSet<CtrlDep>` of the ordered-map pass it
-//! replaced (kept in `tests/support/full_cdg.rs`), over the corpus, the
-//! attack gallery, the benign queue shape, the Figure 1 program and the
-//! many-function scaling family. `tests/fuzz_pipeline.rs` checks the same
-//! property on generated programs.
+//! replaced (kept in `tests/support/full_cdg.rs`), in that set's order
+//! (strictly sorted), over the corpus, the attack gallery, the benign
+//! queue shape, the Figure 1 program and the many-function scaling
+//! family. `tests/fuzz_pipeline.rs` checks the same property on
+//! generated programs.
 
 #[path = "support/full_cdg.rs"]
 mod full_cdg;
@@ -15,7 +16,7 @@ use std::collections::BTreeSet;
 /// Analyzes `source` and builds its supergraph as the pipeline does,
 /// asserts the library and oracle CDGs are identical, and returns the
 /// edges.
-fn same_cdg(name: &str, source: &str) -> BTreeSet<CtrlDep> {
+fn same_cdg(name: &str, source: &str) -> Vec<CtrlDep> {
     let ast = jsparser::parse(source).unwrap_or_else(|e| panic!("{name}: {e}"));
     let lowered = jsir::lower(&ast);
     let analysis = jsanalysis::analyze(&lowered, &AnalysisConfig::default());
@@ -24,7 +25,12 @@ fn same_cdg(name: &str, source: &str) -> BTreeSet<CtrlDep> {
         "{name}: phase 1 did not finish"
     );
     let sg = SuperGraph::build(&lowered, &analysis);
-    let ours = jspdg::build_cdg(&lowered, &analysis, &sg);
+    let edges = jspdg::build_cdg(&lowered, &analysis, &sg);
+    assert!(
+        edges.is_sorted_by(|a, b| a < b),
+        "{name}: build_cdg's edges are not strictly sorted"
+    );
+    let ours = BTreeSet::from_iter(edges.iter().copied());
     let oracle = full_cdg::build_cdg(&lowered, &analysis, &sg);
     let extra: Vec<_> = ours.difference(&oracle).take(5).collect();
     let missing: Vec<_> = oracle.difference(&ours).take(5).collect();
@@ -35,7 +41,7 @@ fn same_cdg(name: &str, source: &str) -> BTreeSet<CtrlDep> {
         ours.len(),
         oracle.len()
     );
-    ours
+    edges
 }
 
 #[test]

@@ -225,9 +225,14 @@ fn sparse_ddg_matches_the_dense_oracle_on_generated_programs() {
         let report = addon_sig::analyze_addon(&src)
             .unwrap_or_else(|e| panic!("pipeline failed: {e}\nprogram:\n{src}"));
         let sg = jspdg::SuperGraph::build(&report.lowered, &report.analysis);
+        let sparse = jspdg::build_ddg(&sg, &report.analysis);
+        assert!(
+            sparse.is_sorted_by(|a, b| a < b),
+            "build_ddg's edges are not strictly sorted on:\n{src}"
+        );
         assert_eq!(
-            jspdg::build_ddg(&sg, &report.analysis),
-            dense_ddg::build_ddg(&sg, &report.analysis),
+            sparse,
+            Vec::from_iter(dense_ddg::build_ddg(&sg, &report.analysis)),
             "sparse and dense DDGs differ on:\n{src}"
         );
     });
@@ -243,9 +248,14 @@ fn cdg_matches_the_full_oracle_on_generated_programs() {
         let report = addon_sig::analyze_addon(&src)
             .unwrap_or_else(|e| panic!("pipeline failed: {e}\nprogram:\n{src}"));
         let sg = jspdg::SuperGraph::build(&report.lowered, &report.analysis);
+        let ours = jspdg::build_cdg(&report.lowered, &report.analysis, &sg);
+        assert!(
+            ours.is_sorted_by(|a, b| a < b),
+            "build_cdg's edges are not strictly sorted on:\n{src}"
+        );
         assert_eq!(
-            jspdg::build_cdg(&report.lowered, &report.analysis, &sg),
-            full_cdg::build_cdg(&report.lowered, &report.analysis, &sg),
+            ours,
+            Vec::from_iter(full_cdg::build_cdg(&report.lowered, &report.analysis, &sg)),
             "build_cdg and the full oracle differ on:\n{src}"
         );
     });

@@ -229,6 +229,25 @@ fn overload_response_when_queue_is_saturated() {
     server.join();
 }
 
+#[test]
+fn stats_carry_the_process_memory_gauges() {
+    let server = bind(ServeConfig::default());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    for i in 0..3 {
+        let resp = client
+            .vet_source(Some("benign"), &corpus::benign_addon(i))
+            .expect("vet");
+        assert_eq!(resp["verdict"], "ok");
+    }
+    let stats = client.stats().expect("stats");
+    for gauge in ["serve_process_rss_bytes", "serve_interned_symbols"] {
+        let v = stats["metrics"]["counters"][gauge].as_f64();
+        assert!(v.is_some_and(|v| v > 0.0), "{gauge} = {v:?}");
+    }
+    client.shutdown().expect("shutdown");
+    server.join();
+}
+
 /// Runs `vet serve --stdio --workers 2` over `requests`, fed through a
 /// pipe or, with `from_file`, from a regular file (which epoll cannot
 /// watch, so the daemon must read it with blocking reads). Returns the

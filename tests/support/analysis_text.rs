@@ -4,7 +4,10 @@
 //! Abstract strings and symbols render by their text, never by their
 //! interned ids: ids depend on the order in which test threads intern
 //! names. Allocation sites, statements and functions render as numbers,
-//! which one run assigns deterministically.
+//! which one run assigns deterministically. A location renders as its
+//! `(site, name)` from the run's location table, never as its id, and a
+//! statement's accesses render sorted by location, as ordered maps of
+//! locations iterated them.
 
 use jsanalysis::AnalysisResult;
 use minijson::Json;
@@ -18,7 +21,9 @@ pub fn fields(r: &AnalysisResult) -> Vec<(&'static str, Vec<String>)> {
             .map(|(stmt, sets)| {
                 let mut line = format!("{stmt}:");
                 for (tag, set) in [("r", &sets.reads), ("w", &sets.writes)] {
-                    for (loc, strength) in set.iter() {
+                    let mut set: Vec<_> = set.iter().map(|(id, s)| (&r.locs[id], s)).collect();
+                    set.sort();
+                    for (loc, strength) in set {
                         write!(line, " {tag}{loc}={strength:?}").expect("write to String");
                     }
                 }
@@ -27,7 +32,7 @@ pub fn fields(r: &AnalysisResult) -> Vec<(&'static str, Vec<String>)> {
             .collect();
     vec![
         ("rw", rw),
-        ("may_throw", lines(&r.may_throw)),
+        ("may_throw", lines(r.may_throw.iter())),
         (
             "call_targets",
             r.call_targets
@@ -59,8 +64,8 @@ pub fn fields(r: &AnalysisResult) -> Vec<(&'static str, Vec<String>)> {
                 .map(|((site, prop), kind)| format!("({site}, {prop}) {kind}"))
                 .collect(),
         ),
-        ("cyclic_stmts", lines(&r.cyclic_stmts)),
-        ("reachable", lines(&r.reachable)),
+        ("cyclic_stmts", lines(r.cyclic_stmts.iter())),
+        ("reachable", lines(r.reachable.iter())),
         (
             "site_aliases",
             r.site_aliases
@@ -71,8 +76,8 @@ pub fn fields(r: &AnalysisResult) -> Vec<(&'static str, Vec<String>)> {
     ]
 }
 
-fn lines<T: std::fmt::Display>(set: &std::collections::BTreeSet<T>) -> Vec<String> {
-    set.iter().map(ToString::to_string).collect()
+fn lines<T: std::fmt::Display>(set: impl Iterator<Item = T>) -> Vec<String> {
+    set.map(|x| x.to_string()).collect()
 }
 
 /// The run's counters and flags, in a fixed order. A tripped budget

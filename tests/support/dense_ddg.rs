@@ -83,12 +83,13 @@ pub fn build_ddg(sg: &SuperGraph, analysis: &AnalysisResult) -> BTreeSet<DataDep
     // Pre-index each statement's writes and reads with interned locations.
     let mut writes: BTreeMap<StmtId, Vec<(u32, Strength)>> = BTreeMap::new();
     let mut reads: BTreeMap<StmtId, Vec<(u32, Strength)>> = BTreeMap::new();
-    for (&stmt, rw) in &analysis.rw {
-        let w: Vec<(u32, Strength)> = rw.writes.iter().map(|(l, s)| (locs.intern(l), s)).collect();
+    for (stmt, rw) in analysis.rw.iter() {
+        let mut intern = |(l, s)| (locs.intern(&analysis.locs[l]), s);
+        let w: Vec<(u32, Strength)> = rw.writes.iter().map(&mut intern).collect();
         if !w.is_empty() {
             writes.insert(stmt, w);
         }
-        let r: Vec<(u32, Strength)> = rw.reads.iter().map(|(l, s)| (locs.intern(l), s)).collect();
+        let r: Vec<(u32, Strength)> = rw.reads.iter().map(&mut intern).collect();
         if !r.is_empty() {
             reads.insert(stmt, r);
         }
@@ -99,7 +100,7 @@ pub fn build_ddg(sg: &SuperGraph, analysis: &AnalysisResult) -> BTreeSet<DataDep
     let mut queue: VecDeque<StmtId> = VecDeque::new();
     let mut queued: BTreeSet<StmtId> = BTreeSet::new();
     // Seed every statement that has writes (defs originate there).
-    for &s in analysis.reachable.iter() {
+    for s in analysis.reachable.iter() {
         queue.push_back(s);
         queued.insert(s);
     }

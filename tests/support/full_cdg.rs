@@ -286,7 +286,7 @@ pub fn build_cdg(
     let call_edges: BTreeSet<(StmtId, StmtId)> = analysis
         .call_targets
         .iter()
-        .flat_map(|(&call, targets)| {
+        .flat_map(|(call, targets)| {
             targets
                 .iter()
                 .map(move |f| (call, lowered.program.func(*f).entry))
