@@ -18,7 +18,8 @@
 #      target of the workspace must pass clippy with warnings denied,
 #      and the rustfmt gate: `cargo fmt --all -- --check` must report
 #      no diff (the benchmark package is its own workspace and is not
-#      checked),
+#      checked); then ci/loc.sh prints each crate's formatted non-test
+#      line count, for the record (it never fails the run),
 #   3. a perf snapshot over the corpus, so the committed
 #      BENCH_pipeline.json can be refreshed from the CI artifact — the
 #      snapshot itself enforces the <5% no-op tracer and <5%
@@ -113,6 +114,9 @@ cargo clippy --offline --workspace --all-targets -q -- -D warnings
 
 echo "==> rustfmt gate (the workspace is rustfmt-clean)"
 cargo fmt --all -- --check
+
+echo "==> lines of code (formatted non-test lines per crate; informational)"
+./ci/loc.sh crates/*/src src || true
 
 echo "==> perf snapshot (sequential, 3 runs; incl. tracer + attribution overhead, layer coverage, DDG/CDG/assembly scaling and repeatable allocation-count gates)"
 cargo build --release --offline --workspace

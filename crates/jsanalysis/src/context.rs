@@ -112,17 +112,6 @@ impl CtxTable {
     pub fn get(&self, id: CtxId) -> &Context {
         &self.ctxs[id.0 as usize]
     }
-
-    /// Number of distinct contexts seen.
-    pub fn len(&self) -> usize {
-        self.ctxs.len()
-    }
-
-    /// True if only the root context exists... which never happens after
-    /// `new`, so this is mostly for API symmetry.
-    pub fn is_empty(&self) -> bool {
-        self.ctxs.is_empty()
-    }
 }
 
 impl Default for CtxTable {
@@ -169,7 +158,7 @@ mod tests {
         let mut t = CtxTable::new();
         assert_eq!(t.intern(Context::root()), CtxId::ROOT);
         assert_eq!(t.get(CtxId::ROOT), &Context::root());
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.ctxs.len(), 1);
     }
 
     #[test]

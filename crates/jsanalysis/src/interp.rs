@@ -23,7 +23,7 @@ use crate::config::{
 };
 use crate::context::{CtxId, CtxTable};
 use crate::natives::{self, Environment, NativeBehavior, StrOp};
-use crate::rwsets::{LocTable, RwSets, StmtMap, StmtSet, Strength};
+use crate::rwsets::{LocTable, RwSets, StmtMap, Strength};
 use crate::store::{read_slot, slots, write_slot, SiteKey, SiteTable};
 use jsdomains::{
     AObject, AValue, AllocSite, BoolDom, FuncIndex, Heap, Lattice, NativeId, NumDom, ObjKind, Pre,
@@ -57,7 +57,7 @@ pub struct AnalysisResult {
     /// Read/write sets per statement (merged over contexts).
     pub rw: StmtMap<RwSets>,
     /// Statements that may throw an implicit exception.
-    pub may_throw: StmtSet,
+    pub may_throw: StmtMap<()>,
     /// Addon functions each call statement may invoke, sorted.
     pub call_targets: StmtMap<Vec<IrFuncId>>,
     /// Interesting sinks reached, with inferred network domains.
@@ -77,9 +77,9 @@ pub struct AnalysisResult {
     /// so that a function merely called from two sites is not spuriously
     /// cyclic. These are the amplified control-edge sources (Section 3.3
     /// stage 4).
-    pub cyclic_stmts: StmtSet,
+    pub cyclic_stmts: StmtMap<()>,
     /// Statements reached by the analysis.
-    pub reachable: StmtSet,
+    pub reachable: StmtMap<()>,
     /// Worklist steps executed (perf metric). Deterministic for a fixed
     /// config, but depends on the worklist order (RPO exists to shrink it).
     pub steps: usize,
@@ -150,6 +150,8 @@ pub fn analyze_traced(
         WorklistOrder::Rpo => Worklist::Rpo(BinaryHeap::new()),
         WorklistOrder::Fifo => Worklist::Fifo(VecDeque::new()),
     };
+    // Every statement-indexed table is sized once, for the whole program.
+    let n = lowered.program.stmt_count();
     let mut m = Machine {
         lowered,
         config,
@@ -159,16 +161,16 @@ pub fn analyze_traced(
         prio: rpo_priorities(lowered),
         var_keys: Vec::new(),
         nodes: Vec::new(),
-        slots: vec![Slots::default(); lowered.program.stmt_count()],
+        slots: vec![Slots::default(); n],
         worklist,
         locs: LocTable::default(),
-        rw: StmtMap::default(),
-        may_throw: StmtSet::new(),
-        call_targets: StmtMap::default(),
-        native_calls: StmtSet::new(),
+        rw: StmtMap::new(n),
+        may_throw: StmtMap::new(n),
+        call_targets: StmtMap::new(n),
+        native_calls: StmtMap::new(n),
         sink_domains: BTreeMap::new(),
         api_uses: BTreeSet::new(),
-        reachable: StmtSet::new(),
+        reachable: StmtMap::new(n),
         steps: 0,
         joins: 0,
         site_aliases: BTreeMap::new(),
@@ -179,7 +181,7 @@ pub fn analyze_traced(
     };
     m.seed();
     let status = m.run();
-    let cyclic_stmts = cyclic_statements(&m.nodes);
+    let cyclic_stmts = cyclic_statements(&m.nodes, n);
     let heap_cow_clones = jsdomains::cow_clone_count() - cow_before;
     if trace.is_enabled() {
         let mut counters = Counters::new();
@@ -478,14 +480,14 @@ struct Machine<'a> {
     worklist: Worklist,
     locs: LocTable,
     rw: StmtMap<RwSets>,
-    may_throw: StmtSet,
+    may_throw: StmtMap<()>,
     call_targets: StmtMap<Vec<IrFuncId>>,
     /// Call statements that may invoke a native (the mixed-callee rule in
     /// [`Machine::handle_exit`] reads it).
-    native_calls: StmtSet,
+    native_calls: StmtMap<()>,
     sink_domains: BTreeMap<(StmtId, SinkKind), Pre>,
     api_uses: BTreeSet<(StmtId, String)>,
-    reachable: StmtSet,
+    reachable: StmtMap<()>,
     steps: usize,
     /// Joins into an existing abstract state (see `push_state`).
     joins: usize,
@@ -658,7 +660,7 @@ impl<'a> Machine<'a> {
     /// the catch landing pad so code reachable only through implicit
     /// exceptions is still analyzed.
     fn implicit_throw(&mut self, stmt_id: StmtId, ctx: CtxId, st: &Heap) {
-        self.may_throw.insert(stmt_id);
+        self.may_throw.insert(stmt_id, ());
         if let Some(handler) = self.lowered.program.stmt(stmt_id).handler {
             self.push_state(handler, ctx, st.clone());
         }
@@ -847,7 +849,7 @@ impl<'a> Machine<'a> {
     fn step(&mut self, n: u32) {
         let node = &self.nodes[n as usize];
         let (stmt_id, ctx) = (node.stmt, node.ctx);
-        self.reachable.insert(stmt_id);
+        self.reachable.insert(stmt_id, ());
         let mut st = node.state.clone().expect("a queued node has a state");
         // Copy out the `&'a Lowered` so borrowing the statement does not
         // freeze `self` (the old code cloned the whole statement instead).
@@ -863,31 +865,22 @@ impl<'a> Machine<'a> {
             }
         };
 
-        match &stmt.kind {
-            IrStmtKind::Enter | IrStmtKind::Nop(_) | IrStmtKind::CallResult { .. } => {
-                // CallResult's reads/writes are recorded by handle_exit on
-                // the caller's behalf; here it just passes state through.
-                self.flow(stmt_id, ctx, st, |k| k != EdgeKind::Uncaught);
-            }
-            IrStmtKind::Exit => {
-                self.handle_exit(n, &st);
-            }
-            IrStmtKind::Copy { dst, src } => {
-                let v = self.eval(stmt_id, func, frame, &st, src);
-                self.write_place(stmt_id, func, frame, &mut st, dst, &v, BY_RULE);
-                self.flow(stmt_id, ctx, st, |k| k != EdgeKind::Uncaught);
-            }
+        // Most statements end alike: they write a value to their
+        // destination, if any, and flow along every edge but `Uncaught`.
+        // The arms that end otherwise return.
+        let out: Option<(&Place, AValue)> = match &stmt.kind {
+            // CallResult's reads/writes are recorded by handle_exit on the
+            // caller's behalf; here it just passes state through.
+            IrStmtKind::Enter | IrStmtKind::Nop(_) | IrStmtKind::CallResult { .. } => None,
+            IrStmtKind::Exit => return self.handle_exit(n, &st),
+            IrStmtKind::Copy { dst, src } => Some((dst, self.eval(stmt_id, func, frame, &st, src))),
             IrStmtKind::UnOp { dst, op, src } => {
                 let v = self.eval(stmt_id, func, frame, &st, src);
-                let out = abstract_unop(*op, &v);
-                self.write_place(stmt_id, func, frame, &mut st, dst, &out, BY_RULE);
-                self.flow(stmt_id, ctx, st, |k| k != EdgeKind::Uncaught);
+                Some((dst, abstract_unop(*op, &v)))
             }
             IrStmtKind::Typeof { dst, src } => {
                 let v = self.eval(stmt_id, func, frame, &st, src);
-                let out = abstract_typeof(&v, &st);
-                self.write_place(stmt_id, func, frame, &mut st, dst, &out, BY_RULE);
-                self.flow(stmt_id, ctx, st, |k| k != EdgeKind::Uncaught);
+                Some((dst, abstract_typeof(&v, &st)))
             }
             IrStmtKind::BinOp {
                 dst,
@@ -899,37 +892,25 @@ impl<'a> Machine<'a> {
                 let r = self.eval(stmt_id, func, frame, &st, right);
                 let mut out = abstract_binop(*op, &l, &r);
                 out.strs = self.degrade(out.strs);
-                self.write_place(stmt_id, func, frame, &mut st, dst, &out, BY_RULE);
-                self.flow(stmt_id, ctx, st, |k| k != EdgeKind::Uncaught);
+                Some((dst, out))
             }
-            IrStmtKind::NewObject { dst } | IrStmtKind::NewArray { dst } => {
-                let kind = if matches!(stmt.kind, IrStmtKind::NewArray { .. }) {
-                    ObjKind::Array
-                } else {
-                    ObjKind::Plain
+            IrStmtKind::NewObject { dst }
+            | IrStmtKind::NewArray { dst }
+            | IrStmtKind::NewRegex { dst, .. } => {
+                let kind = match stmt.kind {
+                    IrStmtKind::NewArray { .. } => ObjKind::Array,
+                    IrStmtKind::NewRegex { .. } => ObjKind::Regex,
+                    _ => ObjKind::Plain,
                 };
                 let site = self.alloc_fresh(&mut st, SiteKey::Stmt(stmt_id, ctx), kind);
-                let obj = AValue::obj(site);
-                self.write_place(stmt_id, func, frame, &mut st, dst, &obj, BY_RULE);
-                self.flow(stmt_id, ctx, st, |k| k != EdgeKind::Uncaught);
-            }
-            IrStmtKind::NewRegex { dst, .. } => {
-                let site = self.alloc_fresh(&mut st, SiteKey::Stmt(stmt_id, ctx), ObjKind::Regex);
-                let obj = AValue::obj(site);
-                self.write_place(stmt_id, func, frame, &mut st, dst, &obj, BY_RULE);
-                self.flow(stmt_id, ctx, st, |k| k != EdgeKind::Uncaught);
+                Some((dst, AValue::obj(site)))
             }
             IrStmtKind::Lambda { dst, func: lam } => {
-                let site = self.alloc_fresh(
-                    &mut st,
-                    SiteKey::Stmt(stmt_id, ctx),
-                    ObjKind::Function(FuncIndex(lam.0)),
-                );
+                let kind = ObjKind::Function(FuncIndex(lam.0));
+                let site = self.alloc_fresh(&mut st, SiteKey::Stmt(stmt_id, ctx), kind);
                 let chain = read_slot(&st, frame, slots::CHAIN).join(&AValue::obj(frame));
                 write_slot(&mut st, site, slots::SCOPE, chain);
-                let obj = AValue::obj(site);
-                self.write_place(stmt_id, func, frame, &mut st, dst, &obj, BY_RULE);
-                self.flow(stmt_id, ctx, st, |k| k != EdgeKind::Uncaught);
+                Some((dst, AValue::obj(site)))
             }
             IrStmtKind::LoadProp { dst, obj, prop } => {
                 let ov = self.eval(stmt_id, func, frame, &st, obj);
@@ -939,9 +920,7 @@ impl<'a> Machine<'a> {
                 if ov.may_throw_on_access() {
                     self.implicit_throw(stmt_id, ctx, &st);
                 }
-                let out = self.load_prop(stmt_id, &st, &ov, &pv);
-                self.write_place(stmt_id, func, frame, &mut st, dst, &out, BY_RULE);
-                self.flow(stmt_id, ctx, st, |k| k != EdgeKind::Uncaught);
+                Some((dst, self.load_prop(stmt_id, &st, &ov, &pv)))
             }
             IrStmtKind::StoreProp { obj, prop, value } => {
                 let ov = self.eval(stmt_id, func, frame, &st, obj);
@@ -954,7 +933,7 @@ impl<'a> Machine<'a> {
                 }
                 let sites = ov.objs.iter().copied();
                 self.write(stmt_id, &mut st, sites, Field::Prop(pv), BY_RULE, &vv);
-                self.flow(stmt_id, ctx, st, |k| k != EdgeKind::Uncaught);
+                None
             }
             IrStmtKind::DeleteProp { obj, prop } => {
                 let ov = self.eval(stmt_id, func, frame, &st, obj);
@@ -968,48 +947,40 @@ impl<'a> Machine<'a> {
                 self.write_each(stmt_id, &mut st, sites, Field::Prop(pv), BY_RULE, |o, _| {
                     o.delete_prop(&pv);
                 });
-                self.flow(stmt_id, ctx, st, |k| k != EdgeKind::Uncaught);
+                None
             }
             IrStmtKind::Branch { cond } => {
                 let v = self.eval(stmt_id, func, frame, &st, cond);
                 let t = v.truthiness();
                 let may_true = t.may_be_true() || t == BoolDom::Bot;
                 let may_false = t.may_be_false() || t == BoolDom::Bot;
-                self.flow(stmt_id, ctx, st, |k| match k {
+                return self.flow(stmt_id, ctx, st, |k| match k {
                     EdgeKind::BranchTrue => may_true,
                     EdgeKind::BranchFalse => may_false,
                     EdgeKind::Uncaught => false,
                     _ => true,
                 });
             }
-            IrStmtKind::Havoc { dst } => {
-                let any = AValue::any_bool();
-                self.write_place(stmt_id, func, frame, &mut st, dst, &any, BY_RULE);
-                self.flow(stmt_id, ctx, st, |k| k != EdgeKind::Uncaught);
-            }
+            IrStmtKind::Havoc { dst } => Some((dst, AValue::any_bool())),
             IrStmtKind::Return { value } => {
                 let v = self.eval(stmt_id, func, frame, &st, value);
                 // Flow-sensitive strong update: states from different
                 // return statements are joined at the function exit anyway.
                 let field = Field::Slot(slots::RET);
                 self.write(stmt_id, &mut st, [frame], field, BY_RULE, &v);
-                self.flow(stmt_id, ctx, st, |k| k == EdgeKind::Return);
+                return self.flow(stmt_id, ctx, st, |k| k == EdgeKind::Return);
             }
             IrStmtKind::Throw { value } => {
                 let v = self.eval(stmt_id, func, frame, &st, value);
                 let field = Field::Slot(slots::EXC);
                 self.write(stmt_id, &mut st, [frame], field, BY_RULE, &v);
-                self.flow(stmt_id, ctx, st, |k| k == EdgeKind::ThrowExplicit);
+                return self.flow(stmt_id, ctx, st, |k| k == EdgeKind::ThrowExplicit);
             }
             IrStmtKind::CatchBind { dst } => {
                 let field = Field::Slot(slots::EXC);
-                let mut v = self.read(stmt_id, &st, [frame], field, BY_RULE);
-                if v.is_bottom() {
-                    // Implicit exceptions carry no modeled value.
-                    v = AValue::any();
-                }
-                self.write_place(stmt_id, func, frame, &mut st, dst, &v, BY_RULE);
-                self.flow(stmt_id, ctx, st, |k| k != EdgeKind::Uncaught);
+                let v = self.read(stmt_id, &st, [frame], field, BY_RULE);
+                // Implicit exceptions carry no modeled value.
+                Some((dst, if v.is_bottom() { AValue::any() } else { v }))
             }
             IrStmtKind::ForInNext { dst, obj } => {
                 let ov = self.eval(stmt_id, func, frame, &st, obj);
@@ -1031,8 +1002,7 @@ impl<'a> Machine<'a> {
                 } else {
                     AValue::str(keys)
                 };
-                self.write_place(stmt_id, func, frame, &mut st, dst, &v, BY_RULE);
-                self.flow(stmt_id, ctx, st, |k| k != EdgeKind::Uncaught);
+                Some((dst, v))
             }
             IrStmtKind::Call {
                 dst,
@@ -1041,7 +1011,7 @@ impl<'a> Machine<'a> {
                 args,
                 is_new,
             } => {
-                self.handle_call(
+                return self.handle_call(
                     stmt_id, ctx, func, frame, &mut st, dst, callee, this, args, *is_new,
                 );
             }
@@ -1063,9 +1033,13 @@ impl<'a> Machine<'a> {
                     &[ev],
                     false,
                 );
-                self.flow(stmt_id, ctx, st, |k| k != EdgeKind::Uncaught);
+                None
             }
+        };
+        if let Some((dst, v)) = out {
+            self.write_place(stmt_id, func, frame, &mut st, dst, &v, BY_RULE);
         }
+        self.flow(stmt_id, ctx, st, |k| k != EdgeKind::Uncaught);
     }
 
     /// Property load on an abstract value, including string methods and
@@ -1195,7 +1169,7 @@ impl<'a> Machine<'a> {
         let mut pending_callbacks: Vec<(AValue, Option<AValue>, Vec<AValue>)> = Vec::new();
 
         for id in native_ids {
-            self.native_calls.insert(stmt_id);
+            self.native_calls.insert(stmt_id, ());
             let name = self.env.spec(id).name;
             if self.config.security.interesting_apis.contains(name) {
                 self.api_uses.insert((stmt_id, name.to_owned()));
@@ -1454,8 +1428,8 @@ impl<'a> Machine<'a> {
                         domain = domain.join(&o.internal_slot(slots::URL).strs);
                         // Response callbacks become event-loop handlers.
                         for cb in ["onreadystatechange", "onload", "onerror"] {
-                            handlers =
-                                handlers.join(&o.read_prop(&Pre::exact(cb)).without_primitives());
+                            let v = o.read_prop(&Pre::exact(cb));
+                            handlers = handlers.join(&AValue::objects(v.objs.iter().copied()));
                         }
                     });
                 }
@@ -1483,14 +1457,8 @@ impl<'a> Machine<'a> {
                 // replaces them.
                 let registry = [self.env.event_registry];
                 let field = Field::Slot(slots::HANDLERS);
-                self.write(
-                    stmt,
-                    st,
-                    registry,
-                    field,
-                    Strength::Weak,
-                    &h.without_primitives(),
-                );
+                let h = AValue::objects(h.objs.iter().copied());
+                self.write(stmt, st, registry, field, Strength::Weak, &h);
                 AValue::any_num()
             }
             NativeBehavior::RemoveEventListener => AValue::undef(),
@@ -1540,7 +1508,7 @@ impl<'a> Machine<'a> {
                         None => AValue::any(),
                     })
                     .collect();
-                callbacks.push((cb.without_primitives(), None, cb_args));
+                callbacks.push((AValue::objects(cb.objs.iter().copied()), None, cb_args));
                 AValue::undef()
             }
             // Weak: the browser may change a source between reads.
@@ -1666,15 +1634,16 @@ impl<'a> Machine<'a> {
 /// Projects the context-qualified transition graph's cycles down to
 /// statements: a statement is cyclic if any of its nodes lies in a
 /// non-trivial SCC (or has a self loop). Tarjan's algorithm, iterative,
-/// over the node store's successor lists.
-fn cyclic_statements(nodes: &[Node]) -> StmtSet {
+/// over the node store's successor lists, into a set sized for the
+/// program's `stmts` statements.
+fn cyclic_statements(nodes: &[Node], stmts: usize) -> StmtMap<()> {
     let n = nodes.len();
     let mut index = vec![u32::MAX; n];
     let mut low = vec![0u32; n];
     let mut on_stack = vec![false; n];
     let mut stack = Vec::new();
     let mut next = 0u32;
-    let mut out = StmtSet::new();
+    let mut out = StmtMap::new(stmts);
     // (node, position in its successor list)
     let mut call: Vec<(usize, usize)> = Vec::new();
     for root in 0..n {
@@ -1714,7 +1683,7 @@ fn cyclic_statements(nodes: &[Node]) -> StmtSet {
                 for w in stack.drain(top..) {
                     on_stack[w] = false;
                     if cyclic {
-                        out.insert(nodes[w].stmt);
+                        out.insert(nodes[w].stmt, ());
                     }
                 }
             }
@@ -1920,16 +1889,5 @@ fn abstract_binop(op: BinaryOp, l: &AValue, r: &AValue) -> AValue {
             }
         }
         In | Instanceof => AValue::any_bool(),
-    }
-}
-
-// A small extension used by the machine.
-trait ValueExt {
-    fn without_primitives(&self) -> AValue;
-}
-
-impl ValueExt for AValue {
-    fn without_primitives(&self) -> AValue {
-        AValue::objects(self.objs.iter().copied())
     }
 }

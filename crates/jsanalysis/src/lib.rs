@@ -46,5 +46,5 @@ pub use config::{
 pub use context::{Context, CtxId, CtxTable};
 pub use interp::{analyze, analyze_traced, AnalysisResult, SinkRecord};
 pub use natives::{Environment, NativeBehavior, NativeSpec};
-pub use rwsets::{AccessSet, Loc, LocId, LocTable, RwSets, StmtMap, StmtSet, Strength};
+pub use rwsets::{AccessSet, Loc, LocId, LocTable, RwSets, StmtMap, Strength};
 pub use store::{SiteKey, SiteTable};

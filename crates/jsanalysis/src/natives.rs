@@ -134,14 +134,6 @@ pub struct Environment {
 }
 
 impl Environment {
-    /// Looks up a native id by name.
-    pub fn native_by_name(&self, name: &str) -> Option<NativeId> {
-        self.natives
-            .iter()
-            .position(|n| n.name == name)
-            .map(|i| NativeId(i as u32))
-    }
-
     /// The spec for a native id.
     pub fn spec(&self, id: NativeId) -> &NativeSpec {
         &self.natives[id.0 as usize]
@@ -438,24 +430,7 @@ fn build(sites: &mut SiteTable) -> Environment {
     let array_ctor = b.native("Array", NativeBehavior::ReturnAny);
     let regexp_ctor = b.native("RegExp", NativeBehavior::ReturnAny);
 
-    // String methods (resolved by name on string-typed receivers too).
-    for (name, op) in [
-        ("String.prototype.toLowerCase", StrOp::ToLowerCase),
-        ("String.prototype.toUpperCase", StrOp::ToUpperCase),
-        ("String.prototype.indexOf", StrOp::IndexOf),
-        ("String.prototype.lastIndexOf", StrOp::IndexOf),
-        ("String.prototype.substring", StrOp::Substring),
-        ("String.prototype.substr", StrOp::Substring),
-        ("String.prototype.slice", StrOp::Substring),
-        ("String.prototype.charAt", StrOp::CharAt),
-        ("String.prototype.charCodeAt", StrOp::IndexOf),
-        ("String.prototype.replace", StrOp::Replace),
-        ("String.prototype.split", StrOp::Split),
-        ("String.prototype.concat", StrOp::Concat),
-        ("String.prototype.trim", StrOp::Trim),
-        ("String.prototype.match", StrOp::Match),
-        ("String.prototype.toString", StrOp::ToString),
-    ] {
+    for (name, op) in STRING_METHODS {
         b.native(name, NativeBehavior::Str(op));
     }
     let array_push = b.native("Array.prototype.push", NativeBehavior::ArrayPush);
@@ -544,27 +519,32 @@ fn build(sites: &mut SiteTable) -> Environment {
     }
 }
 
-/// The string-method names resolvable on string-typed receivers, mapped to
-/// their native table names.
+/// The string methods, as natives of these names: [`build`] installs
+/// them, and [`string_method`] resolves them on string-typed receivers.
+const STRING_METHODS: [(&str, StrOp); 15] = [
+    ("String.prototype.toLowerCase", StrOp::ToLowerCase),
+    ("String.prototype.toUpperCase", StrOp::ToUpperCase),
+    ("String.prototype.indexOf", StrOp::IndexOf),
+    ("String.prototype.lastIndexOf", StrOp::IndexOf),
+    ("String.prototype.substring", StrOp::Substring),
+    ("String.prototype.substr", StrOp::Substring),
+    ("String.prototype.slice", StrOp::Substring),
+    ("String.prototype.charAt", StrOp::CharAt),
+    ("String.prototype.charCodeAt", StrOp::IndexOf),
+    ("String.prototype.replace", StrOp::Replace),
+    ("String.prototype.split", StrOp::Split),
+    ("String.prototype.concat", StrOp::Concat),
+    ("String.prototype.trim", StrOp::Trim),
+    ("String.prototype.match", StrOp::Match),
+    ("String.prototype.toString", StrOp::ToString),
+];
+
+/// The native table name of the string method `name` (e.g. `"trim"`).
 pub fn string_method(name: &str) -> Option<&'static str> {
-    Some(match name {
-        "toLowerCase" => "String.prototype.toLowerCase",
-        "toUpperCase" => "String.prototype.toUpperCase",
-        "indexOf" => "String.prototype.indexOf",
-        "lastIndexOf" => "String.prototype.lastIndexOf",
-        "substring" => "String.prototype.substring",
-        "substr" => "String.prototype.substr",
-        "slice" => "String.prototype.slice",
-        "charAt" => "String.prototype.charAt",
-        "charCodeAt" => "String.prototype.charCodeAt",
-        "replace" => "String.prototype.replace",
-        "split" => "String.prototype.split",
-        "concat" => "String.prototype.concat",
-        "trim" => "String.prototype.trim",
-        "match" => "String.prototype.match",
-        "toString" => "String.prototype.toString",
-        _ => return None,
-    })
+    STRING_METHODS
+        .iter()
+        .map(|&(native, _)| native)
+        .find(|native| native.strip_prefix("String.prototype.") == Some(name))
 }
 
 /// Array/object method names resolvable on any object receiver when the
@@ -587,8 +567,7 @@ mod tests {
     fn environment_builds() {
         let (_, env) = setup();
         assert!(env.natives.len() > 20);
-        assert!(env.native_by_name("XMLHttpRequest").is_some());
-        assert!(env.native_by_name("no-such-native").is_none());
+        assert!(env.natives.iter().any(|n| n.name == "XMLHttpRequest"));
         assert!(!env.source_locs.is_empty());
     }
 

@@ -15,9 +15,10 @@
 //!
 //! A run records each location once, into its [`LocTable`], and the sets
 //! name locations by [`LocId`]. Per-statement records are indexed by
-//! `StmtId` ([`StmtMap`], [`StmtSet`]) and iterate in `StmtId` order.
+//! `StmtId` ([`StmtMap`]; a `StmtMap<()>` is a set of statements) and
+//! iterate in `StmtId` order.
 
-use jsdomains::{AllocSite, MeetLattice, Pre};
+use jsdomains::{AllocSite, MeetLattice, Pre, SortedMap};
 use jsir::StmtId;
 use std::fmt;
 use std::ops::Index;
@@ -60,13 +61,12 @@ impl fmt::Display for Loc {
 pub struct LocId(pub u32);
 
 /// The locations one run recorded, each once. Interning goes through a
-/// per-site list of names kept sorted, so it needs no hashing.
+/// per-site map of names, so it needs no hashing.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LocTable {
     locs: Vec<Loc>,
-    /// Each site's recorded names with their ids, sorted by name and
-    /// indexed by site number.
-    by_site: Vec<Vec<(Pre, LocId)>>,
+    /// Each site's recorded names with their ids, indexed by site number.
+    by_site: Vec<SortedMap<Pre, LocId>>,
 }
 
 impl LocTable {
@@ -74,23 +74,21 @@ impl LocTable {
     pub(crate) fn intern(&mut self, site: AllocSite, prop: Pre) -> LocId {
         let i = site.0 as usize;
         if i >= self.by_site.len() {
-            self.by_site.resize_with(i + 1, Vec::new);
+            self.by_site.resize_with(i + 1, SortedMap::new);
         }
-        let names = &mut self.by_site[i];
-        match names.binary_search_by(|(p, _)| p.cmp(&prop)) {
-            Ok(j) => names[j].1,
-            Err(j) => {
-                let id = LocId(self.locs.len() as u32);
-                self.locs.push(Loc { site, prop });
-                names.insert(j, (prop, id));
-                id
-            }
-        }
+        let locs = &mut self.locs;
+        *self.by_site[i].get_or_insert_with(prop, || {
+            locs.push(Loc { site, prop });
+            LocId(locs.len() as u32 - 1)
+        })
     }
 
-    /// The recorded locations on `site`, sorted by name.
-    pub fn at_site(&self, site: AllocSite) -> &[(Pre, LocId)] {
-        self.by_site.get(site.0 as usize).map_or(&[], Vec::as_slice)
+    /// The recorded locations on `site` with their ids, sorted by name.
+    pub fn at_site(&self, site: AllocSite) -> impl Iterator<Item = (&Pre, &LocId)> {
+        self.by_site
+            .get(site.0 as usize)
+            .into_iter()
+            .flat_map(SortedMap::iter)
     }
 
     /// Number of locations.
@@ -117,7 +115,8 @@ impl Index<LocId> for LocTable {
     }
 }
 
-/// Strength qualifier for a read/write-set element.
+/// Strength qualifier for a read/write-set element. `Weak` orders first,
+/// so the weaker of two strengths is their `min`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Strength {
     /// Possible read/write of the location.
@@ -126,47 +125,29 @@ pub enum Strength {
     Strong,
 }
 
-impl Strength {
-    /// Weakest of two strengths.
-    pub fn min(self, other: Strength) -> Strength {
-        if self == Strength::Strong && other == Strength::Strong {
-            Strength::Strong
-        } else {
-            Strength::Weak
-        }
-    }
-}
-
 /// A qualified set of locations: the ReadVar/ReadProp/WriteVar/WriteProp
 /// sets of the paper, merged into one uniform representation. Entries
 /// are sorted by [`LocId`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct AccessSet {
-    entries: Vec<(LocId, Strength)>,
+    entries: SortedMap<LocId, Strength>,
 }
 
 impl AccessSet {
     /// Adds an access, keeping the weaker qualifier on duplicates.
     pub fn add(&mut self, loc: LocId, strength: Strength) {
-        match self.entries.binary_search_by_key(&loc, |e| e.0) {
-            Ok(i) => self.entries[i].1 = self.entries[i].1.min(strength),
-            Err(i) => self.entries.insert(i, (loc, strength)),
-        }
+        let kept = self.entries.get_or_insert_with(loc, || strength);
+        *kept = (*kept).min(strength);
     }
 
     /// Iterates entries, by location id.
     pub fn iter(&self) -> impl Iterator<Item = (LocId, Strength)> + '_ {
-        self.entries.iter().copied()
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.iter().map(|(&loc, &strength)| (loc, strength))
     }
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.keys().next().is_none()
     }
 }
 
@@ -179,113 +160,54 @@ pub struct RwSets {
     pub writes: AccessSet,
 }
 
-/// A set of statements: one bit per `StmtId`, iterated in `StmtId`
-/// order.
-#[derive(Clone, Default)]
-pub struct StmtSet {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl StmtSet {
-    /// The empty set.
-    pub fn new() -> StmtSet {
-        StmtSet::default()
-    }
-
-    /// Adds `s`, returning whether it was new.
-    pub(crate) fn insert(&mut self, s: StmtId) -> bool {
-        let (w, bit) = (s.0 as usize / 64, 1u64 << (s.0 % 64));
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        let new = self.words[w] & bit == 0;
-        self.words[w] |= bit;
-        self.len += usize::from(new);
-        new
-    }
-
-    /// Whether `s` is in the set.
-    pub fn contains(&self, s: &StmtId) -> bool {
-        self.words
-            .get(s.0 as usize / 64)
-            .is_some_and(|w| w >> (s.0 % 64) & 1 == 1)
-    }
-
-    /// Number of statements in the set.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The statements, in `StmtId` order.
-    pub fn iter(&self) -> impl Iterator<Item = StmtId> + '_ {
-        self.words.iter().enumerate().flat_map(|(i, &word)| {
-            let mut rest = word;
-            std::iter::from_fn(move || {
-                (rest != 0).then(|| {
-                    let bit = rest.trailing_zeros();
-                    rest &= rest - 1;
-                    StmtId(i as u32 * 64 + bit)
-                })
-            })
-        })
-    }
-}
-
-impl PartialEq for StmtSet {
-    fn eq(&self, other: &StmtSet) -> bool {
-        self.len == other.len && self.iter().eq(other.iter())
-    }
-}
-
-impl fmt::Debug for StmtSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(self.iter()).finish()
-    }
-}
-
 /// A map from statements to `T`, indexed by `StmtId` and iterated in
-/// `StmtId` order.
+/// `StmtId` order. A `StmtMap<()>` is a set of statements.
 #[derive(Clone)]
 pub struct StmtMap<T> {
     slots: Vec<Option<T>>,
     len: usize,
 }
 
-impl<T> Default for StmtMap<T> {
-    fn default() -> StmtMap<T> {
+impl<T> StmtMap<T> {
+    /// An empty map with a slot for each statement below `n`: inserting
+    /// any of them never reallocates.
+    pub(crate) fn new(n: usize) -> StmtMap<T> {
         StmtMap {
-            slots: Vec::new(),
+            slots: (0..n).map(|_| None).collect(),
             len: 0,
         }
     }
-}
 
-impl<T> StmtMap<T> {
+    /// Sets the value of `s`, returning the value it replaced.
+    pub(crate) fn insert(&mut self, s: StmtId, value: T) -> Option<T> {
+        let i = s.0 as usize;
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        let old = self.slots[i].replace(value);
+        self.len += usize::from(old.is_none());
+        old
+    }
+
     /// The value of `s`, inserting `T::default()` first if absent.
     pub(crate) fn entry(&mut self, s: StmtId) -> &mut T
     where
         T: Default,
     {
-        let i = s.0 as usize;
-        if i >= self.slots.len() {
-            self.slots.resize_with(i + 1, || None);
+        if !self.contains(&s) {
+            self.insert(s, T::default());
         }
-        let slot = &mut self.slots[i];
-        if slot.is_none() {
-            self.len += 1;
-        }
-        slot.get_or_insert_with(T::default)
+        self.slots[s.0 as usize].as_mut().expect("inserted above")
     }
 
     /// The value of `s`, if any.
     pub fn get(&self, s: &StmtId) -> Option<&T> {
         self.slots.get(s.0 as usize)?.as_ref()
+    }
+
+    /// Whether `s` has a value (for a set: is in it).
+    pub fn contains(&self, s: &StmtId) -> bool {
+        self.get(s).is_some()
     }
 
     /// Number of statements with a value.
@@ -309,11 +231,6 @@ impl<T> StmtMap<T> {
     /// The statements with a value, in `StmtId` order.
     pub fn keys(&self) -> impl Iterator<Item = StmtId> + '_ {
         self.iter().map(|(s, _)| s)
-    }
-
-    /// The values, in `StmtId` order.
-    pub fn values(&self) -> impl Iterator<Item = &T> {
-        self.slots.iter().flatten()
     }
 }
 
@@ -340,6 +257,7 @@ impl<T: fmt::Debug> fmt::Debug for StmtMap<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn site(n: u32) -> AllocSite {
         AllocSite(n)
@@ -392,41 +310,51 @@ mod tests {
         assert_eq!(t.intern(site(0), Pre::exact("url")), LocId(4));
         assert_eq!(t.len(), 5);
         assert_eq!(t[LocId(1)], Loc::exact(site(2), "url"));
-        let order: Vec<LocId> = t.at_site(site(2)).iter().map(|(_, id)| *id).collect();
+        let order: Vec<LocId> = t.at_site(site(2)).map(|(_, id)| *id).collect();
         assert_eq!(order, [LocId(1), LocId(2), LocId(0), any]);
-        assert!(t.at_site(site(1)).is_empty() && t.at_site(site(9)).is_empty());
+        assert!(t.at_site(site(1)).next().is_none() && t.at_site(site(9)).next().is_none());
     }
 
+    /// Random `entry`, `insert` and lookup sequences against `BTreeMap`,
+    /// and the set form against `BTreeSet`, over ids that run past the
+    /// slots the table was made with.
     #[test]
-    fn stmt_set_counts_and_iterates_in_order() {
-        let mut set = StmtSet::new();
-        let new: Vec<bool> = [130, 3, 64, 3, 0]
-            .into_iter()
-            .map(|s| set.insert(StmtId(s)))
-            .collect();
-        assert_eq!(new, [true, true, true, false, true]);
-        assert_eq!(set.len(), 4);
-        assert!(set.contains(&StmtId(64)) && !set.contains(&StmtId(65)));
-        assert!(!set.contains(&StmtId(1_000)));
-        let order: Vec<u32> = set.iter().map(|s| s.0).collect();
-        assert_eq!(order, [0, 3, 64, 130]);
-        let mut grown = StmtSet::new();
-        for s in [0, 3, 64, 130] {
-            grown.insert(StmtId(s));
-        }
-        grown.insert(StmtId(500));
-        assert_ne!(set, grown);
-    }
-
-    #[test]
-    fn stmt_map_keeps_present_entries_in_order() {
-        let mut m: StmtMap<Vec<u32>> = StmtMap::default();
-        m.entry(StmtId(9)).push(1);
-        m.entry(StmtId(2)).push(2);
-        m.entry(StmtId(9)).push(3);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m[&StmtId(9)], [1, 3]);
-        assert!(m.get(&StmtId(3)).is_none() && m.get(&StmtId(90)).is_none());
-        assert_eq!(m.keys().collect::<Vec<_>>(), [StmtId(2), StmtId(9)]);
+    fn stmt_map_matches_btreemap() {
+        minicheck::check("stmt_map_matches_btreemap", 256, |g| {
+            let n = g.below(8);
+            let id = |g: &mut minicheck::Gen| StmtId(g.below(2 * n + 8) as u32);
+            let (mut map, mut model) = (StmtMap::new(n), BTreeMap::new());
+            let (mut set, mut set_model) = (StmtMap::new(n), BTreeSet::new());
+            for _ in 0..g.below(32) {
+                let (s, v) = (id(g), g.below(8) as u32);
+                match g.below(3) {
+                    0 => assert_eq!(map.insert(s, v), model.insert(s, v)),
+                    1 => {
+                        *map.entry(s) += v;
+                        *model.entry(s).or_default() += v;
+                    }
+                    _ => assert_eq!(set.insert(s, ()).is_none(), set_model.insert(s)),
+                }
+                let probe = id(g);
+                assert_eq!(map.get(&probe), model.get(&probe));
+                if let Some(v) = model.get(&probe) {
+                    assert_eq!(&map[&probe], v);
+                }
+                assert_eq!(map.contains(&probe), model.contains_key(&probe));
+                assert_eq!(set.contains(&probe), set_model.contains(&probe));
+                assert_eq!((map.len(), map.is_empty()), (model.len(), model.is_empty()));
+                assert_eq!(set.len(), set_model.len());
+                assert!(map.iter().eq(model.iter().map(|(s, v)| (*s, v))));
+                assert!(map.keys().eq(model.keys().copied()));
+                assert!(set.keys().eq(set_model.iter().copied()));
+                assert_eq!(format!("{map:?}"), format!("{model:?}"));
+            }
+            // Equal contents compare equal, whatever their slot counts.
+            let mut copy = StmtMap::new(0);
+            for (s, v) in &model {
+                copy.insert(*s, *v);
+            }
+            assert_eq!(map, copy);
+        });
     }
 }

@@ -78,16 +78,6 @@ impl SiteTable {
             }
         }
     }
-
-    /// Number of interned sites.
-    pub fn len(&self) -> usize {
-        self.origins.len()
-    }
-
-    /// True if nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.origins.is_empty()
-    }
 }
 
 /// Internal slot names used by the analysis.
@@ -137,7 +127,7 @@ mod tests {
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(t.origin(b), &SiteKey::Host("xhr"));
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.origins.len(), 2);
     }
 
     #[test]

@@ -209,7 +209,7 @@ alias();
         .iter()
         .find(|f| f.name == "target")
         .unwrap();
-    let hit = r.call_targets.values().any(|t| t.contains(&target.id));
+    let hit = r.call_targets.iter().any(|(_, t)| t.contains(&target.id));
     assert!(hit, "aliased call not resolved");
 }
 

@@ -54,7 +54,7 @@
 //! and merged per statement pair at the end.
 
 use crate::supergraph::SuperGraph;
-use jsanalysis::{AnalysisResult, StmtSet, Strength};
+use jsanalysis::{AnalysisResult, StmtMap, Strength};
 use jsdomains::{MeetLattice, Pre};
 use jsir::{EdgeKind, StmtId};
 use std::collections::BTreeMap;
@@ -79,9 +79,10 @@ struct Def {
     strong: bool,
 }
 
-/// One list per index, stored back to back: list `i` is
-/// `items[start[i]..start[i + 1]]`.
-struct Lists<T> {
+/// One list per index, stored back to back in two vectors (compressed
+/// rows): list `i` is `items[start[i]..start[i + 1]]`.
+#[derive(Debug, Clone)]
+pub(crate) struct Lists<T> {
     start: Vec<u32>,
     items: Vec<T>,
 }
@@ -99,8 +100,37 @@ impl<T> Lists<T> {
         self.start.push(self.items.len() as u32);
     }
 
-    fn of(&self, i: usize) -> &[T] {
+    pub(crate) fn of(&self, i: usize) -> &[T] {
         &self.items[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+}
+
+impl<T: Copy + Default> Lists<T> {
+    /// `n` lists of the `pairs`' items grouped by index: list `i` holds
+    /// the items paired with `i`, in the order the pairs come.
+    pub(crate) fn group<P>(n: usize, pairs: P) -> Lists<T>
+    where
+        P: IntoIterator<Item = (usize, T)>,
+        P::IntoIter: Clone,
+    {
+        let pairs = pairs.into_iter();
+        // Count list `i` at `start[i + 2]`: after the running sums,
+        // `start[i + 1]` is where list `i` begins, and placing its items
+        // moves it to where the list ends, which is where `i + 1` begins.
+        let mut start = vec![0u32; n + 2];
+        for (i, _) in pairs.clone() {
+            start[i + 2] += 1;
+        }
+        for i in 2..start.len() {
+            start[i] += start[i - 1];
+        }
+        let mut items = vec![T::default(); start[n + 1] as usize];
+        for (i, item) in pairs {
+            items[start[i + 1] as usize] = item;
+            start[i + 1] += 1;
+        }
+        start.pop();
+        Lists { start, items }
     }
 }
 
@@ -111,7 +141,7 @@ struct DefIndex {
     /// to the next statement's first, or to the end.
     first: Vec<u32>,
     /// Per location: the definitions at exactly that location.
-    at: Vec<Vec<u32>>,
+    at: Lists<u32>,
     /// Per read location: the definitions at every overlapping location.
     overlapping: Lists<u32>,
 }
@@ -134,10 +164,10 @@ impl DefIndex {
             }
         }
 
-        let mut at = vec![Vec::new(); locs.len()];
-        for (d, def) in defs.iter().enumerate() {
-            at[def.loc as usize].push(d as u32);
-        }
+        let at = Lists::group(
+            locs.len(),
+            (0..).zip(&defs).map(|(d, def)| (def.loc as usize, d)),
+        );
 
         // Each site's group: the site and its recency twin.
         let mut twin = BTreeMap::new();
@@ -151,13 +181,10 @@ impl DefIndex {
                 overlapping.close();
                 continue;
             }
-            let mut add = |w: jsanalysis::LocId| {
-                overlapping.items.extend_from_slice(&at[w.0 as usize]);
-            };
             for site in std::iter::once(loc.site).chain(twin.get(&loc.site).copied()) {
-                for &(p, w) in locs.at_site(site) {
-                    if w == l || !matches!(loc.prop.meet(&p), Pre::Bot) {
-                        add(w);
+                for (p, &w) in locs.at_site(site) {
+                    if w == l || !matches!(loc.prop.meet(p), Pre::Bot) {
+                        overlapping.items.extend_from_slice(at.of(w.0 as usize));
                     }
                 }
             }
@@ -190,13 +217,12 @@ struct Rpo {
     stmts: Vec<StmtId>,
     /// The node number of each statement, indexed by `StmtId`.
     node: Vec<u32>,
-    /// Successor node numbers, `succs[succ_start[i]..succ_start[i + 1]]`.
-    succ_start: Vec<u32>,
-    succs: Vec<u32>,
+    /// Each node's successor node numbers.
+    succs: Lists<u32>,
 }
 
 impl Rpo {
-    fn build(sg: &SuperGraph, roots: &StmtSet) -> Rpo {
+    fn build(sg: &SuperGraph, roots: &StmtMap<()>) -> Rpo {
         // Marks `s` seen, returning whether it was new.
         fn mark(node: &mut Vec<u32>, s: StmtId) -> bool {
             let i = s.0 as usize;
@@ -210,7 +236,7 @@ impl Rpo {
         let mut node = Vec::new();
         let mut post = Vec::new();
         let mut stack: Vec<(StmtId, usize)> = Vec::new();
-        for root in roots.iter() {
+        for root in roots.keys() {
             if !mark(&mut node, root) {
                 continue;
             }
@@ -232,22 +258,19 @@ impl Rpo {
         for (i, s) in post.iter().enumerate() {
             node[s.0 as usize] = i as u32;
         }
-        let mut succ_start = Vec::with_capacity(post.len() + 1);
-        let mut succs = Vec::new();
-        for &s in &post {
-            succ_start.push(succs.len() as u32);
-            succs.extend(
+        let numbered = &node;
+        let succs = Lists::group(
+            post.len(),
+            post.iter().enumerate().flat_map(|(i, &s)| {
                 sg.succs(s)
                     .iter()
                     .filter(|(_, k)| *k != EdgeKind::Uncaught)
-                    .map(|(t, _)| node[t.0 as usize]),
-            );
-        }
-        succ_start.push(succs.len() as u32);
+                    .map(move |(t, _)| (i, numbered[t.0 as usize]))
+            }),
+        );
         Rpo {
             stmts: post,
             node,
-            succ_start,
             succs,
         }
     }
@@ -257,10 +280,6 @@ impl Rpo {
             Some(&i) if i != ABSENT => Some(i as usize),
             _ => None,
         }
-    }
-
-    fn succs_of(&self, i: usize) -> &[u32] {
-        &self.succs[self.succ_start[i] as usize..self.succ_start[i + 1] as usize]
     }
 }
 
@@ -328,11 +347,8 @@ pub fn build_ddg(sg: &SuperGraph, analysis: &AnalysisResult) -> Vec<DataDep> {
         for d in own.clone() {
             let def = idx.defs[d as usize];
             if def.strong {
-                k.extend(
-                    idx.at[def.loc as usize]
-                        .iter()
-                        .filter(|e| !own.contains(*e)),
-                );
+                let at = idx.at.of(def.loc as usize);
+                k.extend(at.iter().filter(|e| !own.contains(*e)));
             }
         }
         k.sort_unstable();
@@ -345,7 +361,7 @@ pub fn build_ddg(sg: &SuperGraph, analysis: &AnalysisResult) -> Vec<DataDep> {
     let w = idx.defs.len().div_ceil(64);
     let mut reach = vec![0u64; n * w];
     let mut dirty = vec![0u64; n.div_ceil(64)];
-    for s in analysis.reachable.iter() {
+    for s in analysis.reachable.keys() {
         if let Some(i) = rpo.of(s) {
             dirty[i / 64] |= 1 << (i % 64);
         }
@@ -361,7 +377,7 @@ pub fn build_ddg(sg: &SuperGraph, analysis: &AnalysisResult) -> Vec<DataDep> {
         for &(x, m) in gen.of(i) {
             r[x as usize] |= m;
         }
-        for &j in rpo.succs_of(i) {
+        for &j in rpo.succs.of(i) {
             let j = j as usize;
             if or_into(&mut reach[j * w..(j + 1) * w], &r) {
                 dirty[j / 64] |= 1 << (j % 64);

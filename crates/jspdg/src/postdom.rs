@@ -6,6 +6,7 @@
 //! [`PostDominators`], whose successor lists and postdominator tree answer
 //! both postdominance queries and the FOW walk.
 
+use crate::ddg::Lists;
 use crate::supergraph::SuperGraph;
 use jsir::{EdgeKind, IrFunc, StmtId};
 
@@ -57,7 +58,7 @@ impl FuncGraph {
 /// immediate-postdominator tree of the nodes that can reach the exit.
 #[derive(Debug, Clone)]
 pub struct PostDominators {
-    succs: Vec<Vec<usize>>,
+    succs: Lists<usize>,
     /// `NONE` for the exit and for the nodes that cannot reach it.
     ipdom: Vec<usize>,
     exit: usize,
@@ -76,14 +77,9 @@ pub struct PostDominators {
 /// `try` are *not* control dependent on a guard whose only escaping path
 /// is the throw.
 pub fn postdominators(g: &FuncGraph, keep: impl Fn(EdgeKind) -> bool) -> PostDominators {
-    let mut succs = vec![Vec::new(); g.len];
-    let mut preds = vec![Vec::new(); g.len];
-    for &(u, v, kind) in &g.edges {
-        if keep(kind) {
-            succs[u].push(v);
-            preds[v].push(u);
-        }
-    }
+    let kept = g.edges.iter().filter(|e| keep(e.2));
+    let succs = Lists::group(g.len, kept.clone().map(|&(u, v, _)| (u, v)));
+    let preds = Lists::group(g.len, kept.map(|&(u, v, _)| (v, u)));
 
     // One DFS from the exit over reverse edges: it reaches exactly the
     // nodes that can reach the exit, and numbers them in postorder.
@@ -93,7 +89,7 @@ pub fn postdominators(g: &FuncGraph, keep: impl Fn(EdgeKind) -> bool) -> PostDom
     seen[g.exit] = true;
     let mut stack = vec![(g.exit, 0)];
     while let Some((n, i)) = stack.last_mut() {
-        if let Some(&p) = preds[*n].get(*i) {
+        if let Some(&p) = preds.of(*n).get(*i) {
             *i += 1;
             if !seen[p] {
                 seen[p] = true;
@@ -115,7 +111,7 @@ pub fn postdominators(g: &FuncGraph, keep: impl Fn(EdgeKind) -> bool) -> PostDom
         changed = false;
         for &n in postorder.iter().rev().skip(1) {
             let mut new = NONE;
-            for &s in &succs[n] {
+            for &s in succs.of(n) {
                 if ipdom[s] != NONE {
                     new = if new == NONE {
                         s
@@ -183,7 +179,7 @@ impl PostDominators {
     pub fn dependents(&self, u: usize, mut emit: impl FnMut(usize)) {
         let stop = self.ipdom[u];
         let mut trapped = Vec::new();
-        for &v in &self.succs[u] {
+        for &v in self.succs.of(u) {
             if !self.reaches_exit(v) {
                 trapped.push(v);
                 continue;
@@ -207,7 +203,7 @@ impl PostDominators {
                 if n != u {
                     emit(n);
                 }
-                trapped.extend_from_slice(&self.succs[n]);
+                trapped.extend_from_slice(self.succs.of(n));
             }
         }
     }

@@ -27,7 +27,7 @@ impl SuperGraph {
             .iter()
             .map(|s| lowered.cfg.succs(s.id).to_vec())
             .collect();
-        add_implicit_throw_edges(program, &mut succs, analysis.may_throw.iter());
+        add_implicit_throw_edges(program, &mut succs, analysis.may_throw.keys());
         // Call and return edges: call site to callee entry, and callee
         // exit back to the call's continuations and to the call statement
         // itself, because the call is where the return-value read is

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! vet <addon.js> [--json] [--dot] [--explain] [--trace FILE]
-//!     [--k <depth>] [--constant-strings]
+//!     [--k <depth>] [--constant-strings] [--step-budget N]
 //! vet --corpus [--json] [--sequential]
 //! vet serve [--addr HOST:PORT | --stdio] [--workers N] [--cache-cap N]
 //!           [--queue-cap N] [--step-budget N] [--deadline-ms N]
@@ -38,6 +38,12 @@
 //! sequential run. `--sequential` disables the thread pool. Exits
 //! nonzero when the addon fails to parse or uses restricted
 //! dynamic-code APIs.
+//!
+//! Every mode that analyzes (plain `vet`, `serve`, `coordinate`,
+//! `profile` and `corpus-snapshot`) reads the analysis flags alike:
+//! `--k` sets the call-string depth, `--constant-strings` swaps the
+//! prefix string domain for constants only, and `--step-budget N` stops
+//! the fixpoint after N worklist steps with a budget error.
 //!
 //! `serve` runs the long-lived vetting daemon (`sigserve`): a job queue
 //! with backpressure, a content-addressed signature cache, in-flight
@@ -117,7 +123,7 @@ use std::time::Duration;
 const USAGE: &str = "\
 usage:
   vet <addon.js> [--json] [--dot] [--explain] [--trace FILE] [--k <depth>]
-      [--constant-strings]
+      [--constant-strings] [--step-budget N]
   vet --corpus [--json] [--sequential]
   vet serve [--addr HOST:PORT | --stdio] [--workers N] [--cache-cap N]
             [--queue-cap N] [--step-budget N] [--deadline-ms N]
@@ -147,8 +153,8 @@ struct Options {
     explain: bool,
     corpus: bool,
     sequential: bool,
-    context_depth: usize,
-    string_domain: StringDomain,
+    /// The analysis flags (see [`analysis_flag`]).
+    config: AnalysisConfig,
     /// `--trace FILE`: write a Chrome `trace_event` profile of the run.
     trace: Option<String>,
     file: Option<String>,
@@ -236,6 +242,23 @@ fn parse_usize(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<us
     v.parse().map_err(|_| format!("bad {flag} value: {v}"))
 }
 
+/// Applies `flag` to `config` if it is one of the analysis flags every
+/// analyzing mode takes (`--k`, `--constant-strings`, `--step-budget`),
+/// reading its value from `args`. Returns whether it was one.
+fn analysis_flag(
+    flag: &str,
+    args: &mut impl Iterator<Item = String>,
+    config: &mut AnalysisConfig,
+) -> Result<bool, String> {
+    match flag {
+        "--k" => config.context_depth = parse_usize(args, flag)?,
+        "--constant-strings" => config.string_domain = StringDomain::ConstantOnly,
+        "--step-budget" => config.step_budget = Some(parse_usize(args, flag)?),
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
 /// The flags a `--join` worker takes: the engine and its log. The
 /// daemon it joins owns the socket, queue, cache, metrics and timings.
 const WORKER_FLAGS: [&str; 9] = [
@@ -285,9 +308,6 @@ fn parse_serve_args(
             "--workers" => config.workers = parse_usize(&mut args, "--workers")?,
             "--cache-cap" => config.cache_cap = parse_usize(&mut args, "--cache-cap")?,
             "--queue-cap" => queue_cap = Some(parse_usize(&mut args, "--queue-cap")?.max(1)),
-            "--step-budget" => {
-                config.analysis.step_budget = Some(parse_usize(&mut args, "--step-budget")?)
-            }
             "--deadline-ms" => {
                 config.analysis.deadline = Some(Duration::from_millis(parse_usize(
                     &mut args,
@@ -302,8 +322,6 @@ fn parse_serve_args(
             }
             "--heartbeat-ms" => config.heartbeat = parse_millis(&mut args, "--heartbeat-ms")?,
             "--reap-ms" => config.reap_after = parse_millis(&mut args, "--reap-ms")?,
-            "--k" => config.analysis.context_depth = parse_usize(&mut args, "--k")?,
-            "--constant-strings" => config.analysis.string_domain = StringDomain::ConstantOnly,
             "--log" => log_file = Some(args.next().ok_or("--log needs a FILE")?),
             "--log-level" => {
                 let v = args.next().ok_or("--log-level needs a level")?;
@@ -324,6 +342,7 @@ fn parse_serve_args(
                 config.metrics_interval = parse_millis(&mut args, "--metrics-interval-ms")?
             }
             "--help" | "-h" => return Ok(Mode::Help),
+            other if analysis_flag(other, &mut args, &mut config.analysis)? => {}
             other if coordinate => return Err(format!("unknown coordinate flag: {other}")),
             other => return Err(format!("unknown serve flag: {other}")),
         }
@@ -393,10 +412,8 @@ fn parse_corpus_snapshot_args(mut args: impl Iterator<Item = String>) -> Result<
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--out" => out = Some(args.next().ok_or("--out needs a FILE")?),
-            "--k" => config.context_depth = parse_usize(&mut args, "--k")?,
-            "--constant-strings" => config.string_domain = StringDomain::ConstantOnly,
-            "--step-budget" => config.step_budget = Some(parse_usize(&mut args, "--step-budget")?),
             "--help" | "-h" => return Ok(Mode::Help),
+            other if analysis_flag(other, &mut args, &mut config)? => {}
             other => return Err(format!("unknown corpus-snapshot flag: {other}")),
         }
     }
@@ -413,10 +430,8 @@ fn parse_profile_args(mut args: impl Iterator<Item = String>) -> Result<Mode, St
         match arg.as_str() {
             "--top" => top = parse_usize(&mut args, "--top")?.max(1),
             "--json" => json = true,
-            "--k" => config.context_depth = parse_usize(&mut args, "--k")?,
-            "--constant-strings" => config.string_domain = StringDomain::ConstantOnly,
-            "--step-budget" => config.step_budget = Some(parse_usize(&mut args, "--step-budget")?),
             "--help" | "-h" => return Ok(Mode::Help),
+            other if analysis_flag(other, &mut args, &mut config)? => {}
             other if !other.starts_with('-') && file.is_none() => file = Some(other.to_owned()),
             other => return Err(format!("unknown profile flag: {other}")),
         }
@@ -476,19 +491,19 @@ fn parse_client_args(mut args: impl Iterator<Item = String>) -> Result<Mode, Str
     Ok(Mode::Client(ClientOptions { addr, action }))
 }
 
-fn parse_args() -> Result<Mode, String> {
+/// The command line after the program name.
+fn parse_args(args: impl Iterator<Item = String>) -> Result<Mode, String> {
     let mut opts = Options {
         json: false,
         dot: false,
         explain: false,
         corpus: false,
         sequential: false,
-        context_depth: 1,
-        string_domain: StringDomain::Prefix,
+        config: AnalysisConfig::default(),
         trace: None,
         file: None,
     };
-    let mut args = std::env::args().skip(1).peekable();
+    let mut args = args.peekable();
     // Subcommand-style modes are decided by the first argument.
     match args.peek().map(String::as_str) {
         Some("serve") => {
@@ -543,13 +558,9 @@ fn parse_args() -> Result<Mode, String> {
             "--explain" => opts.explain = true,
             "--corpus" => opts.corpus = true,
             "--sequential" => opts.sequential = true,
-            "--constant-strings" => opts.string_domain = StringDomain::ConstantOnly,
-            "--k" => {
-                let v = args.next().ok_or("--k needs a value")?;
-                opts.context_depth = v.parse().map_err(|_| format!("bad depth: {v}"))?;
-            }
             "--trace" => opts.trace = Some(args.next().ok_or("--trace needs a FILE")?),
             "--help" | "-h" => return Ok(Mode::Help),
+            other if analysis_flag(other, &mut args, &mut opts.config)? => {}
             other if !other.starts_with('-') => opts.file = Some(other.to_owned()),
             other => return Err(format!("unknown flag: {other}")),
         }
@@ -572,10 +583,7 @@ struct VetOutcome {
 }
 
 fn vet_source(name: &str, source: &str, opts: &Options) -> Result<VetOutcome, String> {
-    let config = AnalysisConfig::default()
-        .with_context_depth(opts.context_depth)
-        .with_string_domain(opts.string_domain);
-    let pipeline = addon_sig::Pipeline::new().config(config);
+    let pipeline = addon_sig::Pipeline::new().config(opts.config.clone());
     // `--trace` collects the run's spans and writes them as Chrome
     // trace_event JSON (single-file mode only, enforced at argument
     // parsing).
@@ -1021,7 +1029,7 @@ fn exit_code(result: Result<bool, String>) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let mode = match parse_args() {
+    let mode = match parse_args(std::env::args().skip(1)) {
         Ok(m) => m,
         Err(msg) => {
             eprintln!("{msg}");
@@ -1230,6 +1238,39 @@ mod tests {
         assert_eq!(config.step_budget, Some(500));
         assert!(parse_profile_args(argv(&[])).is_err(), "file is required");
         assert!(parse_profile_args(argv(&["a.js", "--bogus"])).is_err());
+    }
+
+    #[test]
+    fn every_analyzing_mode_parses_the_analysis_flags_alike() {
+        let flags = ["--k", "2", "--constant-strings", "--step-budget", "500"];
+        let with = |lead: &[&str]| argv(&[lead, &flags].concat());
+        let Ok(Mode::Run(run)) = parse_args(with(&["a.js"])) else {
+            panic!("expected run mode")
+        };
+        let Ok(Mode::Serve(serve)) = parse_serve_args(with(&[]), false) else {
+            panic!("expected serve mode")
+        };
+        let Ok(Mode::Profile { config, .. }) = parse_profile_args(with(&["a.js"])) else {
+            panic!("expected profile mode")
+        };
+        let Ok(Mode::CorpusSnapshot { config: snap, .. }) = parse_corpus_snapshot_args(with(&[]))
+        else {
+            panic!("expected corpus-snapshot mode")
+        };
+        for c in [run.config, serve.config.analysis, config, snap] {
+            assert_eq!(c.context_depth, 2);
+            assert_eq!(c.string_domain, StringDomain::ConstantOnly);
+            assert_eq!(c.step_budget, Some(500));
+        }
+        let errors = [
+            parse_args(argv(&["a.js", "--k", "deep"])).err(),
+            parse_serve_args(argv(&["--k", "deep"]), false).err(),
+            parse_profile_args(argv(&["a.js", "--k", "deep"])).err(),
+            parse_corpus_snapshot_args(argv(&["--k", "deep"])).err(),
+        ];
+        for e in errors {
+            assert_eq!(e.as_deref(), Some("bad --k value: deep"));
+        }
     }
 
     #[test]

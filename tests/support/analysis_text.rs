@@ -32,7 +32,7 @@ pub fn fields(r: &AnalysisResult) -> Vec<(&'static str, Vec<String>)> {
             .collect();
     vec![
         ("rw", rw),
-        ("may_throw", lines(r.may_throw.iter())),
+        ("may_throw", lines(r.may_throw.keys())),
         (
             "call_targets",
             r.call_targets
@@ -64,8 +64,8 @@ pub fn fields(r: &AnalysisResult) -> Vec<(&'static str, Vec<String>)> {
                 .map(|((site, prop), kind)| format!("({site}, {prop}) {kind}"))
                 .collect(),
         ),
-        ("cyclic_stmts", lines(r.cyclic_stmts.iter())),
-        ("reachable", lines(r.reachable.iter())),
+        ("cyclic_stmts", lines(r.cyclic_stmts.keys())),
+        ("reachable", lines(r.reachable.keys())),
         (
             "site_aliases",
             r.site_aliases

@@ -100,7 +100,7 @@ pub fn build_ddg(sg: &SuperGraph, analysis: &AnalysisResult) -> BTreeSet<DataDep
     let mut queue: VecDeque<StmtId> = VecDeque::new();
     let mut queued: BTreeSet<StmtId> = BTreeSet::new();
     // Seed every statement that has writes (defs originate there).
-    for s in analysis.reachable.iter() {
+    for s in analysis.reachable.keys() {
         queue.push_back(s);
         queued.insert(s);
     }
