@@ -13,10 +13,13 @@
 mod analysis_text;
 #[path = "support/dense_ddg.rs"]
 mod dense_ddg;
+#[path = "support/frontend_text.rs"]
+mod frontend_text;
 #[path = "support/full_cdg.rs"]
 mod full_cdg;
 
 use minicheck::Gen;
+use minijson::Json;
 
 /// A tiny generator of valid JavaScript programs in the analyzed subset.
 /// Grows statements from templates over a fixed identifier pool so that
@@ -165,7 +168,6 @@ const COW_CLONES: &str = "heap_cow_clones";
 #[test]
 fn analysis_of_generated_programs_matches_the_committed_golden() {
     use jsanalysis::{AnalysisConfig, WorklistOrder};
-    use minijson::Json;
     let (mut decisions, mut cow_clones) = (Vec::new(), Vec::new());
     for case in 0..GOLDEN_PROGRAMS {
         let src = arb_program(&mut Gen::new(case));
@@ -188,27 +190,66 @@ fn analysis_of_generated_programs_matches_the_committed_golden() {
         "heap_cow_clones_fnv1a",
         Json::from(analysis_text::digest(&cow_clones)),
     );
+    check_fuzz_section("analysis", "generated programs' analysis", seen);
+}
 
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/analysis.json");
-    let golden = std::fs::read_to_string(&path)
+/// Token soups whose front-end rendering the committed golden pins.
+const GOLDEN_SOUPS: u64 = 256;
+
+/// The front end's golden entries (`tests/support/frontend_text.rs`) for
+/// the generated programs above and for token soup fold to the digest
+/// committed in `tests/golden/frontend.json` (whose other inputs
+/// `tests/frontend_golden.rs` checks).
+#[test]
+fn front_end_of_generated_programs_matches_the_committed_golden() {
+    let programs = (0..GOLDEN_PROGRAMS).map(|case| arb_program(&mut Gen::new(case)));
+    let soups = (0..GOLDEN_SOUPS).map(|case| arb_token_soup(&mut Gen::new(case)));
+    let lines: Vec<String> = programs
+        .chain(soups)
+        .map(|src| frontend_text::entry(&src).to_string_compact())
+        .collect();
+    let mut seen = Json::obj();
+    seen.set("programs", Json::from(GOLDEN_PROGRAMS as f64));
+    seen.set("token_soups", Json::from(GOLDEN_SOUPS as f64));
+    seen.set("fnv1a", Json::from(analysis_text::digest(&lines)));
+    check_fuzz_section(
+        "frontend",
+        "the front end's output on generated inputs",
+        seen,
+    );
+}
+
+/// Compares `seen` with the `fuzz` section of `tests/golden/{golden}.json`.
+/// On a mismatch it writes the `fuzz` section this build would commit
+/// next to the test binary's temporary files, as `{golden}.fuzz.seen.json`,
+/// and panics naming the differing keys.
+fn check_fuzz_section(golden: &str, what: &str, seen: Json) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join(format!("tests/golden/{golden}.json"));
+    let committed = std::fs::read_to_string(&path)
         .ok()
         .and_then(|t| Json::parse(&t).ok())
         .unwrap_or_else(Json::obj);
-    let pinned = &golden["fuzz"];
+    let pinned = &committed["fuzz"];
     if pinned == &seen {
         return;
     }
-    let differing: Vec<&str> = ["programs", "decisions_fnv1a", "heap_cow_clones_fnv1a"]
-        .into_iter()
-        .filter(|k| pinned[*k] != seen[*k])
+    let Json::Obj(keys) = &seen else {
+        unreachable!("a section is an object")
+    };
+    let differing: Vec<&str> = keys
+        .iter()
+        .filter(|(k, v)| &pinned[k.as_str()] != v)
+        .map(|(k, _)| k.as_str())
         .collect();
     let mut doc = Json::obj();
-    doc.set("fuzz", seen);
-    let out = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("analysis.fuzz.seen.json");
+    doc.set("fuzz", seen.clone());
+    let out = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("{golden}.fuzz.seen.json"));
     std::fs::write(&out, doc.to_string_pretty() + "\n")
         .unwrap_or_else(|e| panic!("{}: {e}", out.display()));
     panic!(
-        "generated programs' analysis differs from {} in {}; the `fuzz` section this build would commit is in {}; it replaces that section alone",
+        "{what} differs from {} in {}; the `fuzz` section this build would commit is in {}; it replaces that section alone",
         path.display(),
         differing.join(", "),
         out.display()
@@ -292,19 +333,23 @@ fn parser_never_panics() {
     });
 }
 
-#[test]
-fn parser_total_on_token_soup() {
+/// Up to 39 tokens of the analyzed subset, in any order.
+fn arb_token_soup(g: &mut Gen) -> String {
     const TOKENS: &[&str] = &[
         "var", "x", "=", "1", ";", "{", "}", "(", ")", "if", "else", "function", "+", "return",
         "while", "for", "try", "catch", "\"s\"", ",", ".", "o", "[", "]", "throw", "new", "!",
         "==",
     ];
+    let n = g.below(40);
+    (0..n)
+        .map(|_| *g.pick(TOKENS))
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+#[test]
+fn parser_total_on_token_soup() {
     minicheck::check("parser_total_on_token_soup", 256, |g| {
-        let n = g.below(40);
-        let src = (0..n)
-            .map(|_| *g.pick(TOKENS))
-            .collect::<Vec<_>>()
-            .join(" ");
-        let _ = jsparser::parse(&src);
+        let _ = jsparser::parse(&arb_token_soup(g));
     });
 }
