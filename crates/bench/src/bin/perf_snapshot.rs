@@ -210,22 +210,7 @@ fn corpus_pass(
     config: &AnalysisConfig,
 ) -> (Vec<AddonPass>, Duration) {
     let start = Instant::now();
-    let results: Vec<AddonPass> = if sequential {
-        addons.iter().map(|a| analyze_one(a, config)).collect()
-    } else {
-        // Each addon's pipeline is independent: fan out one scoped worker
-        // per addon and join in corpus order.
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = addons
-                .iter()
-                .map(|a| scope.spawn(move || analyze_one(a, config)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker"))
-                .collect()
-        })
-    };
+    let results = bench::per_addon(addons, sequential, |a| analyze_one(a, config));
     (results, start.elapsed())
 }
 
@@ -281,8 +266,9 @@ fn vet(addon: &corpus::Addon, arm: Arm) -> Duration {
 /// median, reading as 5–12% phantom overhead. A pair's ratio cancels the
 /// host's slow spells, and the median drops the pairs a burst split. A
 /// negative estimate is pure scheduling noise, and the result is
-/// clamped at zero rather than reporting a negative overhead.
-fn overhead_pct(addons: &[corpus::Addon], runs: usize, arm: Arm) -> f64 {
+/// clamped at zero rather than reporting a negative overhead. Each
+/// addon's median ratio is listed with it.
+fn overhead_pct(addons: &[corpus::Addon], runs: usize, arm: Arm) -> (f64, String) {
     let mut plain_min = vec![Duration::MAX; addons.len()];
     let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); addons.len()];
     // The first round is a warm-up, discarded.
@@ -302,12 +288,26 @@ fn overhead_pct(addons: &[corpus::Addon], runs: usize, arm: Arm) -> f64 {
         }
     }
     let (mut plain_sum, mut hooked_sum) = (0.0, 0.0);
-    for (min, mut rs) in plain_min.into_iter().zip(ratios) {
-        rs.sort_by(f64::total_cmp);
+    let mut each = Vec::with_capacity(addons.len());
+    for ((min, rs), addon) in plain_min.into_iter().zip(ratios).zip(addons) {
+        let ratio = median_pct(rs);
         plain_sum += min.as_secs_f64();
-        hooked_sum += min.as_secs_f64() * rs[rs.len() / 2];
+        hooked_sum += min.as_secs_f64() * ratio;
+        each.push(format!("{} {ratio:.3}", addon.name));
     }
-    ((hooked_sum - plain_sum) / plain_sum * 100.0).max(0.0)
+    let pct = ((hooked_sum - plain_sum) / plain_sum * 100.0).max(0.0);
+    (pct, each.join(", "))
+}
+
+/// The two `times` a failing gate compares, in every pass, as `a/b`
+/// seconds: one slow pass reads apart from a regression.
+fn per_pass<T>(passes: &[T], times: impl Fn(&T) -> (Duration, Duration)) -> String {
+    let each: Vec<String> = passes
+        .iter()
+        .map(times)
+        .map(|(a, b)| format!("{:.4}/{:.4}", a.as_secs_f64(), b.as_secs_f64()))
+        .collect();
+    each.join(", ")
 }
 
 /// The many-function sizes `ddg_scaling` times, each double the last.
@@ -315,9 +315,9 @@ const SCALING_NS: [usize; 4] = [12, 24, 48, 96];
 /// Vettings per `ddg_scaling` size; each layer reports its minimum.
 const SCALING_RUNS: usize = 5;
 
-/// One `ddg_scaling` row: the reachable statements and each layer's
-/// minimum over the vettings of `corpus::many_fn_addon(n)`.
-fn scaling_row(n: usize) -> (usize, LayerTimes) {
+/// One `ddg_scaling` row: the reachable statements and the layer times
+/// of each vetting of `corpus::many_fn_addon(n)`.
+fn scaling_row(n: usize) -> (usize, Vec<LayerTimes>) {
     let source = corpus::many_fn_addon(n);
     let mut reachable = 0;
     let runs: Vec<LayerTimes> = (0..SCALING_RUNS)
@@ -327,10 +327,7 @@ fn scaling_row(n: usize) -> (usize, LayerTimes) {
             report.timings
         })
         .collect();
-    (
-        reachable,
-        per_layer(&runs, |ts| ts.into_iter().min().unwrap_or_default()),
-    )
+    (reachable, runs)
 }
 
 /// Each layer's `pick` (a median, a minimum) over the runs it ran in.
@@ -367,7 +364,8 @@ fn ddg_scaling(failures: &mut Vec<String>) -> Json {
     let mut rows = Vec::new();
     let mut prev: Option<LayerTimes> = None;
     for (n, allocs) in SCALING_NS.into_iter().zip(allocs) {
-        let (reachable, t) = scaling_row(n);
+        let (reachable, runs) = scaling_row(n);
+        let t = per_layer(&runs, |ts| ts.into_iter().min().unwrap_or_default());
         let layer = |l: Layer| t.get(l).unwrap_or_default();
         let mut row = Json::obj();
         row.set("n", Json::from(n as u32));
@@ -401,12 +399,15 @@ fn ddg_scaling(failures: &mut Vec<String>) -> Json {
             (Layer::Assemble, Layer::Cdg),
         ] {
             if layer(slow) > layer(bound) {
+                let at = |r: &LayerTimes, l| r.get(l).unwrap_or_default();
                 failures.push(format!(
-                    "many_fn_addon({n}): {} ({:.4} s) is slower than {} ({:.4} s)",
+                    "many_fn_addon({n}): {} ({:.4} s) is slower than {} ({:.4} s); \
+                     {0}/{2} per run: {}",
                     slow.name(),
                     layer(slow).as_secs_f64(),
                     bound.name(),
-                    layer(bound).as_secs_f64()
+                    layer(bound).as_secs_f64(),
+                    per_pass(&runs, |r| (at(r, slow), at(r, bound)))
                 ));
             }
         }
@@ -439,28 +440,20 @@ fn pct(p: f64) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1);
     let mut runs = 10usize;
     let mut sequential = false;
     let mut out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--runs" => {
-                i += 1;
-                runs = args[i].parse().expect("--runs N");
-            }
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--runs" => runs = bench::flag_value(&mut args, "--runs N"),
             "--sequential" => sequential = true,
-            "--out" => {
-                i += 1;
-                out = Some(args[i].clone());
-            }
+            "--out" => out = Some(bench::flag_value(&mut args, "--out PATH")),
             other => {
                 eprintln!("unknown flag {other}");
                 std::process::exit(2);
             }
         }
-        i += 1;
     }
     let out =
         out.unwrap_or_else(|| format!("{}/../../BENCH_pipeline.json", env!("CARGO_MANIFEST_DIR")));
@@ -564,10 +557,12 @@ fn main() {
         addons_json.set(addon.name, row);
         if p2 > p1 {
             failures.push(format!(
-                "{}: phase 2 ({:.4} s) is slower than phase 1 ({:.4} s)",
+                "{}: phase 2 ({:.4} s) is slower than phase 1 ({:.4} s); \
+                 phase 2/phase 1 per pass: {}",
                 addon.name,
                 p2.as_secs_f64(),
-                p1.as_secs_f64()
+                p1.as_secs_f64(),
+                per_pass(passes, |p| (p.timings.phase(2), p.timings.phase(1)))
             ));
         }
         for (share, mode) in [(outside, ""), (triage_outside, " under triage")] {
@@ -602,10 +597,10 @@ fn main() {
     // Observability overhead gates: a no-op tracer attached to the
     // pipeline must cost < 5% on a corpus sweep, and so must full cost
     // attribution (the worklist's dense per-bucket tally).
-    let overhead = overhead_pct(&addons, runs.max(5), Arm::Traced);
+    let (overhead, trace_ratios) = overhead_pct(&addons, runs.max(5), Arm::Traced);
     doc.set("trace_overhead_pct", Json::from(pct(overhead)));
     println!("no-op tracer overhead: {overhead:+.2}%");
-    let attr_overhead = overhead_pct(&addons, runs.max(5), Arm::Attributed);
+    let (attr_overhead, attr_ratios) = overhead_pct(&addons, runs.max(5), Arm::Attributed);
     doc.set("attr_overhead_pct", Json::from(pct(attr_overhead)));
     println!("cost-attribution overhead: {attr_overhead:+.2}%");
 
@@ -616,14 +611,15 @@ fn main() {
         failures.push(format!(
             "no-op tracer overhead {overhead:.2}% breaches the 5% gate; \
              a hot loop is calling the tracer per step instead of \
-             accumulating and flushing per phase"
+             accumulating and flushing per phase; median ratio per addon: {trace_ratios}"
         ));
     }
     if attr_overhead >= 5.0 {
         failures.push(format!(
             "cost-attribution overhead {attr_overhead:.2}% breaches the \
              5% gate; the worklist must tally into dense per-function \
-             buckets and flush once at finish, not call the sink per step"
+             buckets and flush once at finish, not call the sink per step; \
+             median ratio per addon: {attr_ratios}"
         ));
     }
     for f in &failures {

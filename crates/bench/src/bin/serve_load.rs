@@ -47,6 +47,7 @@
 //! - `--metrics-dir DIR`  (fleet + connections modes) metrics-history
 //!   ring, for `vet metrics-report --gate`
 
+use bench::flag_value;
 use minijson::Json;
 use sigserve::{Client, ServeConfig, Server};
 use std::sync::Arc;
@@ -122,44 +123,22 @@ fn main() {
     let mut fleet: Option<usize> = None;
     let mut connections: Option<usize> = None;
     let mut metrics_dir: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--clients" => {
-                i += 1;
-                clients = args[i].parse().expect("--clients N");
-            }
-            "--rounds" => {
-                i += 1;
-                rounds = args[i].parse().expect("--rounds N");
-            }
-            "--workers" => {
-                i += 1;
-                workers = args[i].parse().expect("--workers N");
-            }
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--clients" => clients = flag_value(&mut args, "--clients N"),
+            "--rounds" => rounds = flag_value(&mut args, "--rounds N"),
+            "--workers" => workers = flag_value(&mut args, "--workers N"),
             "--check" => check = true,
-            "--out" => {
-                i += 1;
-                out = Some(args[i].clone());
-            }
-            "--fleet" => {
-                i += 1;
-                fleet = Some(args[i].parse().expect("--fleet N"));
-            }
-            "--connections" => {
-                i += 1;
-                connections = Some(args[i].parse().expect("--connections N"));
-            }
-            "--metrics-dir" => {
-                i += 1;
-                metrics_dir = Some(args[i].clone());
-            }
+            "--out" => out = Some(flag_value(&mut args, "--out PATH")),
+            "--fleet" => fleet = Some(flag_value(&mut args, "--fleet N")),
+            "--connections" => connections = Some(flag_value(&mut args, "--connections N")),
+            "--metrics-dir" => metrics_dir = Some(flag_value(&mut args, "--metrics-dir DIR")),
             other => {
                 eprintln!("unknown flag {other}");
                 std::process::exit(2);
             }
         }
-        i += 1;
     }
     if let Some(nodes) = fleet {
         let out =

@@ -9,7 +9,7 @@
 //! than addons the timeslicing inflates per-phase wall times; pass
 //! `--sequential` when the timings themselves are the point.
 
-use bench::{measure_addon, secs, Table2Row};
+use bench::{measure_addon, per_addon, secs, Table2Row};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -17,20 +17,7 @@ fn main() {
     let sequential = args.iter().any(|a| a == "--sequential");
     let runs = if quick { 3 } else { 10 };
     let addons = corpus::addons();
-    let rows: Vec<Table2Row> = if sequential {
-        addons.iter().map(|a| measure_addon(a, runs)).collect()
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = addons
-                .iter()
-                .map(|a| s.spawn(move || measure_addon(a, runs)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("measurement thread panicked"))
-                .collect()
-        })
-    };
+    let rows: Vec<Table2Row> = per_addon(&addons, sequential, |a| measure_addon(a, runs));
     println!(
         "{:<20} {:^8} {:^8} | {:>8} {:>8} {:>8}",
         "Addon Name", "Paper", "Ours", "P1(s)", "P2(s)", "P3(s)"

@@ -22,6 +22,32 @@ pub fn secs(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64())
 }
 
+/// The value after a command-line flag, parsed; panics with `usage`
+/// when it is missing or does not parse.
+pub fn flag_value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, usage: &str) -> T {
+    args.next().and_then(|v| v.parse().ok()).expect(usage)
+}
+
+/// Runs `f` on every addon and returns the results in corpus order:
+/// one addon at a time with `sequential`, else on one scoped thread per
+/// addon (each addon's pipeline is independent).
+pub fn per_addon<T: Send>(
+    addons: &[corpus::Addon],
+    sequential: bool,
+    f: impl Fn(&corpus::Addon) -> T + Sync,
+) -> Vec<T> {
+    if sequential {
+        return addons.iter().map(f).collect();
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = addons.iter().map(|a| scope.spawn(|| f(a))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("addon thread"))
+            .collect()
+    })
+}
+
 /// Per-addon measurement row for Table 2.
 pub struct Table2Row {
     /// Addon name.

@@ -195,11 +195,10 @@ mod tests {
 
     #[test]
     fn finally_without_catch_duplicates_block() {
-        let l = lowered("try { f(); } finally { fin(); } after();");
+        let l = lowered("try { f(); } finally { fin(function g() {}); } after();");
+        let stmts = &l.program.stmts;
         // fin() is called twice (normal + exceptional path).
-        let fin_calls = l
-            .program
-            .stmts
+        let fin_calls = stmts
             .iter()
             .filter(|s| match &s.kind {
                 IrStmtKind::Call { callee, .. } => {
@@ -209,6 +208,14 @@ mod tests {
             })
             .count();
         assert_eq!(fin_calls, 2);
+        // Both copies name the one function the literal lowers to.
+        let g: Vec<_> = l.program.funcs.iter().filter(|f| f.name == "g").collect();
+        assert_eq!(g.len(), 1);
+        let lambdas = stmts
+            .iter()
+            .filter(|s| matches!(s.kind, IrStmtKind::Lambda { func, .. } if func == g[0].id))
+            .count();
+        assert_eq!(lambdas, 2);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::cfg::{Cfg, EdgeKind};
 use crate::ir::*;
-use jsparser::ast::{self, FunId};
+use jsparser::ast;
 use jsparser::span::Span;
 use std::collections::HashMap;
 
@@ -57,30 +57,21 @@ pub fn lower_with_options(ast: &ast::Program, opts: &LowerOptions) -> Lowered {
         stmts: Vec::new(),
         cfg: Cfg::default(),
         symtabs: Vec::new(),
-        fun_map: HashMap::new(),
-        ast_funs: HashMap::new(),
+        fun_map: vec![None; ast.fun_count as usize],
         queue: Vec::new(),
-        deferred_returns: Vec::new(),
-        deferred_uncaught: Vec::new(),
+        event_dispatch: None,
     };
-    collect_ast_funs(&ast.body, &mut lw.ast_funs);
 
     // Top-level pseudo-function.
-    let top = lw.new_func(None, "<top-level>", &[], None);
+    let top = lw.new_func("<top-level>", &[], None);
     debug_assert_eq!(top, IrFuncId::TOP_LEVEL);
     lw.lower_function_body(top, &ast.body, opts.event_loop);
 
     // Lower queued (nested) functions until done.
-    while let Some((ir_id, fun_id)) = lw.queue.pop() {
-        let fun = lw.ast_funs[&fun_id];
+    while let Some((ir_id, fun)) = lw.queue.pop() {
         lw.lower_function_body(ir_id, &fun.body, false);
     }
 
-    let event_dispatch = lw
-        .stmts
-        .iter()
-        .find(|s| matches!(s.kind, IrStmtKind::EventDispatch))
-        .map(|s| s.id);
     lw.cfg.ensure_nodes(lw.stmts.len());
     Lowered {
         program: IrProgram {
@@ -88,159 +79,8 @@ pub fn lower_with_options(ast: &ast::Program, opts: &LowerOptions) -> Lowered {
             stmts: lw.stmts,
         },
         cfg: lw.cfg,
-        event_dispatch,
+        event_dispatch: lw.event_dispatch,
     }
-}
-
-/// Collects every function literal in the AST, keyed by [`FunId`].
-fn collect_ast_funs<'a>(body: &'a [ast::Stmt], out: &mut HashMap<FunId, &'a ast::Function>) {
-    struct V<'a, 'b> {
-        out: &'b mut HashMap<FunId, &'a ast::Function>,
-    }
-    impl<'a> V<'a, '_> {
-        fn fun(&mut self, f: &'a ast::Function) {
-            self.out.insert(f.id, f);
-            self.stmts(&f.body);
-        }
-        fn stmts(&mut self, body: &'a [ast::Stmt]) {
-            for s in body {
-                self.stmt(s);
-            }
-        }
-        fn stmt(&mut self, s: &'a ast::Stmt) {
-            use ast::StmtKind::*;
-            match &s.kind {
-                Expr(e) => self.expr(e),
-                VarDecl(ds) => {
-                    for d in ds {
-                        if let Some(e) = &d.init {
-                            self.expr(e);
-                        }
-                    }
-                }
-                FunDecl(f) => self.fun(f),
-                If { cond, cons, alt } => {
-                    self.expr(cond);
-                    self.stmt(cons);
-                    if let Some(a) = alt {
-                        self.stmt(a);
-                    }
-                }
-                While { cond, body } => {
-                    self.expr(cond);
-                    self.stmt(body);
-                }
-                DoWhile { body, cond } => {
-                    self.stmt(body);
-                    self.expr(cond);
-                }
-                For {
-                    init,
-                    test,
-                    update,
-                    body,
-                } => {
-                    if let Some(i) = init {
-                        self.stmt(i);
-                    }
-                    if let Some(t) = test {
-                        self.expr(t);
-                    }
-                    if let Some(u) = update {
-                        self.expr(u);
-                    }
-                    self.stmt(body);
-                }
-                ForIn {
-                    target, obj, body, ..
-                } => {
-                    self.expr(target);
-                    self.expr(obj);
-                    self.stmt(body);
-                }
-                Return(e) => {
-                    if let Some(e) = e {
-                        self.expr(e);
-                    }
-                }
-                Throw(e) => self.expr(e),
-                Try {
-                    block,
-                    catch,
-                    finally,
-                } => {
-                    self.stmts(block);
-                    if let Some((_, b)) = catch {
-                        self.stmts(b);
-                    }
-                    if let Some(b) = finally {
-                        self.stmts(b);
-                    }
-                }
-                Switch { disc, cases } => {
-                    self.expr(disc);
-                    for c in cases {
-                        if let Some(t) = &c.test {
-                            self.expr(t);
-                        }
-                        self.stmts(&c.body);
-                    }
-                }
-                Block(b) => self.stmts(b),
-                Labeled(_, s) => self.stmt(s),
-                Break(_) | Continue(_) | Empty => {}
-            }
-        }
-        fn expr(&mut self, e: &'a ast::Expr) {
-            use ast::ExprKind::*;
-            match &e.kind {
-                Function(f) => self.fun(f),
-                Array(es) => {
-                    for e in es.iter().flatten() {
-                        self.expr(e);
-                    }
-                }
-                Object(ps) => {
-                    for (_, v) in ps {
-                        self.expr(v);
-                    }
-                }
-                Unary { arg, .. } | Update { arg, .. } => self.expr(arg),
-                Binary { left, right, .. } | Logical { left, right, .. } => {
-                    self.expr(left);
-                    self.expr(right);
-                }
-                Assign { target, value, .. } => {
-                    self.expr(target);
-                    self.expr(value);
-                }
-                Cond { test, cons, alt } => {
-                    self.expr(test);
-                    self.expr(cons);
-                    self.expr(alt);
-                }
-                Call { callee, args } | New { callee, args } => {
-                    self.expr(callee);
-                    for a in args {
-                        self.expr(a);
-                    }
-                }
-                Member { obj, prop } => {
-                    self.expr(obj);
-                    if let ast::MemberProp::Computed(p) = prop {
-                        self.expr(p);
-                    }
-                }
-                Seq(es) => {
-                    for e in es {
-                        self.expr(e);
-                    }
-                }
-                Ident(_) | Num(_) | Str(_) | Bool(_) | Null | This | Regex(_) => {}
-            }
-        }
-    }
-    V { out }.stmts(body);
 }
 
 /// Collects the names hoisted to function scope: `var` names, function
@@ -339,25 +179,29 @@ struct LoopCtx {
     is_breakable: bool,
 }
 
+/// What an assignment or an update writes: a variable, or the property
+/// `prop` of the object `obj`.
+enum Target {
+    Var(Place),
+    Prop { obj: Operand, prop: Operand },
+}
+
 struct Lowerer<'a> {
     funcs: Vec<IrFunc>,
     stmts: Vec<IrStmt>,
     cfg: Cfg,
     /// Symbol table per function: name -> slot.
     symtabs: Vec<HashMap<String, u32>>,
-    /// AST FunId -> IR function id.
-    fun_map: HashMap<FunId, IrFuncId>,
-    /// AST FunId -> AST node.
-    ast_funs: HashMap<FunId, &'a ast::Function>,
+    /// IR function of each AST function met so far, indexed by `FunId`.
+    fun_map: Vec<Option<IrFuncId>>,
     /// Functions whose bodies still need lowering.
-    queue: Vec<(IrFuncId, FunId)>,
-    /// `return` statements awaiting an edge to their function's exit.
-    deferred_returns: Vec<(IrFuncId, StmtId)>,
-    /// Uncaught `throw` statements awaiting an Uncaught edge to the exit.
-    deferred_uncaught: Vec<(IrFuncId, StmtId)>,
+    queue: Vec<(IrFuncId, &'a ast::Function)>,
+    /// The statement that dispatches event handlers, once emitted.
+    event_dispatch: Option<StmtId>,
 }
 
-/// Per-function lowering state.
+/// Per-function lowering state. A body is lowered whole before the next
+/// one starts, so the edges to its exit wait here.
 struct FnCtx {
     func: IrFuncId,
     pending: Pending,
@@ -365,12 +209,15 @@ struct FnCtx {
     handlers: Vec<StmtId>,
     /// Labels seen on the way down to the next loop/switch statement.
     pending_labels: Vec<String>,
+    /// `return` statements awaiting an edge to the exit.
+    returns: Vec<StmtId>,
+    /// Uncaught `throw` statements awaiting an Uncaught edge to the exit.
+    uncaught: Vec<StmtId>,
 }
 
 impl<'a> Lowerer<'a> {
     fn new_func(
         &mut self,
-        ast_id: Option<FunId>,
         name: &str,
         params: &[ast::Ident],
         parent: Option<IrFuncId>,
@@ -388,7 +235,7 @@ impl<'a> Lowerer<'a> {
             symtab.insert(p.name.clone(), i as u32);
         }
         // Self-binding for named function expressions / recursion.
-        if ast_id.is_some() && !name.is_empty() && !symtab.contains_key(name) {
+        if parent.is_some() && !name.is_empty() && !symtab.contains_key(name) {
             symtab.insert(name.to_owned(), vars.len() as u32);
             vars.push(VarInfo {
                 name: Some(name.to_owned()),
@@ -409,16 +256,15 @@ impl<'a> Lowerer<'a> {
         id
     }
 
-    /// Gets or creates the IR id for an AST function, enqueueing its body.
-    fn ir_id_for(&mut self, fun_id: FunId, parent: IrFuncId) -> IrFuncId {
-        if let Some(id) = self.fun_map.get(&fun_id) {
-            return *id;
+    /// Gets or creates the IR id for an AST function, queueing its body.
+    fn ir_id_for(&mut self, fun: &'a ast::Function, parent: IrFuncId) -> IrFuncId {
+        if let Some(id) = self.fun_map[fun.id.0 as usize] {
+            return id;
         }
-        let fun = self.ast_funs[&fun_id];
         let name = fun.name.as_ref().map(|n| n.name.as_str()).unwrap_or("");
-        let id = self.new_func(Some(fun_id), name, &fun.params, Some(parent));
-        self.fun_map.insert(fun_id, id);
-        self.queue.push((id, fun_id));
+        let id = self.new_func(name, &fun.params, Some(parent));
+        self.fun_map[fun.id.0 as usize] = Some(id);
+        self.queue.push((id, fun));
         id
     }
 
@@ -482,6 +328,99 @@ impl<'a> Lowerer<'a> {
         id
     }
 
+    /// Emits a statement that no pending edge reaches and that leaves
+    /// none, such as a handler's landing pad.
+    fn emit_detached(&mut self, cx: &mut FnCtx, kind: IrStmtKind, span: Span) -> StmtId {
+        let pending = std::mem::take(&mut cx.pending);
+        let id = self.emit(cx, kind, span);
+        cx.pending = pending;
+        id
+    }
+
+    /// Emits `kind(t)`, the statement defining a fresh temporary `t`, and
+    /// returns `t`.
+    fn define(
+        &mut self,
+        cx: &mut FnCtx,
+        span: Span,
+        kind: impl FnOnce(Place) -> IrStmtKind,
+    ) -> Place {
+        let dst = self.temp(cx.func);
+        self.emit(cx, kind(dst.clone()), span);
+        dst
+    }
+
+    /// Emits a branch on `cond`, leaving only its `first` edge pending.
+    fn branch(&mut self, cx: &mut FnCtx, cond: Operand, span: Span, first: EdgeKind) -> StmtId {
+        let br = self.emit(cx, IrStmtKind::Branch { cond }, span);
+        cx.pending.clear();
+        cx.pending.push((br, first));
+        br
+    }
+
+    /// Emits a loop header that goes either way, `h = havoc; branch h`,
+    /// leaving the true edge pending. Returns the header and the branch.
+    fn havoc_branch(&mut self, cx: &mut FnCtx, span: Span) -> (StmtId, StmtId) {
+        let hv = self.temp(cx.func);
+        let header = self.emit(cx, IrStmtKind::Havoc { dst: hv.clone() }, span);
+        let br = self.branch(cx, Operand::Place(hv), span, EdgeKind::BranchTrue);
+        (header, br)
+    }
+
+    /// Wires every pending edge to `to`, a statement emitted earlier.
+    fn jump_pending(&mut self, cx: &mut FnCtx, to: StmtId) {
+        for (from, kind) in cx.pending.drain(..) {
+            self.cfg.add_edge(from, to, kind);
+        }
+    }
+
+    /// Emits `throw value`, with an edge to the innermost handler, or an
+    /// Uncaught edge to the function's exit once that exists.
+    fn throw(&mut self, cx: &mut FnCtx, value: Operand, span: Span) {
+        let t = self.emit(cx, IrStmtKind::Throw { value }, span);
+        cx.pending.clear();
+        match cx.handlers.last() {
+            Some(&h) => self.cfg.add_edge(t, h, EdgeKind::ThrowExplicit),
+            None => cx.uncaught.push(t),
+        }
+    }
+
+    /// Lowers `body` in the context of a loop, `switch` or labeled
+    /// statement named by the pending labels, and returns that context
+    /// with the `break` and `continue` edges it collected.
+    fn breakable(
+        &mut self,
+        cx: &mut FnCtx,
+        continues: Option<ContinueSink>,
+        is_breakable: bool,
+        body: impl FnOnce(&mut Self, &mut FnCtx),
+    ) -> LoopCtx {
+        cx.loops.push(LoopCtx {
+            labels: std::mem::take(&mut cx.pending_labels),
+            breaks: Vec::new(),
+            continues,
+            is_breakable,
+        });
+        body(self, cx);
+        cx.loops.pop().expect("pushed above")
+    }
+
+    /// Lowers a loop body whose `continue` edges are collected, leaves
+    /// them pending together with the body's fallthrough, and returns the
+    /// body's `break` edges.
+    fn collecting_body(&mut self, cx: &mut FnCtx, body: &'a ast::Stmt) -> Pending {
+        let ctx = self.breakable(
+            cx,
+            Some(ContinueSink::Collect(Vec::new())),
+            true,
+            |lw, cx| lw.lower_stmt(cx, body),
+        );
+        if let Some(ContinueSink::Collect(edges)) = ctx.continues {
+            cx.pending.extend(edges);
+        }
+        ctx.breaks
+    }
+
     /// Lowers a function body into IR statements.
     fn lower_function_body(&mut self, func: IrFuncId, body: &'a [ast::Stmt], event_loop: bool) {
         // Hoist declarations.
@@ -495,67 +434,38 @@ impl<'a> Lowerer<'a> {
             loops: Vec::new(),
             handlers: Vec::new(),
             pending_labels: Vec::new(),
+            returns: Vec::new(),
+            uncaught: Vec::new(),
         };
         let entry = self.emit(&mut cx, IrStmtKind::Enter, Span::default());
         // Hoisted function declarations initialize their names at entry.
         for f in fun_decls {
-            let ir = self.ir_id_for(f.id, func);
+            let ir = self.ir_id_for(f, func);
             let name = f.name.as_ref().expect("fun decls are named");
             let dst = self.resolve(func, &name.name);
             self.emit(&mut cx, IrStmtKind::Lambda { dst, func: ir }, f.span);
         }
-        for s in body {
-            self.lower_stmt(&mut cx, s);
-        }
+        self.lower_stmts(&mut cx, body);
 
-        let mut dispatch = None;
         if event_loop {
             // header: h = havoc; branch h { true -> dispatch -> header }
-            let hv = self.temp(func);
-            let header = self.emit(
-                &mut cx,
-                IrStmtKind::Havoc { dst: hv.clone() },
-                Span::default(),
-            );
-            let br = self.emit(
-                &mut cx,
-                IrStmtKind::Branch {
-                    cond: Operand::Place(hv),
-                },
-                Span::default(),
-            );
-            cx.pending.clear();
-            cx.pending.push((br, EdgeKind::BranchTrue));
+            let (header, br) = self.havoc_branch(&mut cx, Span::default());
             let d = self.emit(&mut cx, IrStmtKind::EventDispatch, Span::default());
-            dispatch = Some(d);
-            // Loop back.
-            for (from, kind) in cx.pending.drain(..) {
-                self.cfg.add_edge(from, header, kind);
-            }
+            self.event_dispatch = Some(d);
+            self.jump_pending(&mut cx, header);
             cx.pending.push((br, EdgeKind::BranchFalse));
         }
 
         let exit = self.emit(&mut cx, IrStmtKind::Exit, Span::default());
-        cx.pending.clear();
-        // Resolve deferred return / uncaught-throw edges for this function.
-        for (f, s) in std::mem::take(&mut self.deferred_returns) {
-            if f == func {
-                self.cfg.add_edge(s, exit, EdgeKind::Return);
-            } else {
-                self.deferred_returns.push((f, s));
-            }
+        for r in cx.returns {
+            self.cfg.add_edge(r, exit, EdgeKind::Return);
         }
-        for (f, s) in std::mem::take(&mut self.deferred_uncaught) {
-            if f == func {
-                self.cfg.add_edge(s, exit, EdgeKind::Uncaught);
-            } else {
-                self.deferred_uncaught.push((f, s));
-            }
+        for t in cx.uncaught {
+            self.cfg.add_edge(t, exit, EdgeKind::Uncaught);
         }
         let f = &mut self.funcs[func.0 as usize];
         f.entry = entry;
         f.exit = exit;
-        let _ = dispatch;
     }
 
     fn lower_stmts(&mut self, cx: &mut FnCtx, body: &'a [ast::Stmt]) {
@@ -585,9 +495,7 @@ impl<'a> Lowerer<'a> {
             }
             If { cond, cons, alt } => {
                 let c = self.lower_expr(cx, cond);
-                let br = self.emit(cx, IrStmtKind::Branch { cond: c }, span);
-                cx.pending.clear();
-                cx.pending.push((br, EdgeKind::BranchTrue));
+                let br = self.branch(cx, c, span, EdgeKind::BranchTrue);
                 self.lower_stmt(cx, cons);
                 let after_cons = std::mem::take(&mut cx.pending);
                 cx.pending.push((br, EdgeKind::BranchFalse));
@@ -597,49 +505,24 @@ impl<'a> Lowerer<'a> {
                 cx.pending.extend(after_cons);
             }
             While { cond, body } => {
-                let labels = std::mem::take(&mut cx.pending_labels);
                 let header = self.emit(cx, IrStmtKind::Nop("while-header"), span);
                 let c = self.lower_expr(cx, cond);
-                let br = self.emit(cx, IrStmtKind::Branch { cond: c }, span);
-                cx.pending.clear();
-                cx.pending.push((br, EdgeKind::BranchTrue));
-                cx.loops.push(LoopCtx {
-                    labels,
-                    breaks: Vec::new(),
-                    continues: Some(ContinueSink::Target(header)),
-                    is_breakable: true,
+                let br = self.branch(cx, c, span, EdgeKind::BranchTrue);
+                let ctx = self.breakable(cx, Some(ContinueSink::Target(header)), true, |lw, cx| {
+                    lw.lower_stmt(cx, body)
                 });
-                self.lower_stmt(cx, body);
-                // Back edge.
-                for (from, kind) in cx.pending.drain(..) {
-                    self.cfg.add_edge(from, header, kind);
-                }
-                let ctx = cx.loops.pop().expect("loop ctx");
+                self.jump_pending(cx, header);
                 cx.pending.push((br, EdgeKind::BranchFalse));
                 cx.pending.extend(ctx.breaks);
             }
             DoWhile { body, cond } => {
-                let labels = std::mem::take(&mut cx.pending_labels);
                 let header = self.emit(cx, IrStmtKind::Nop("do-header"), span);
-                cx.loops.push(LoopCtx {
-                    labels,
-                    breaks: Vec::new(),
-                    continues: Some(ContinueSink::Collect(Vec::new())),
-                    is_breakable: true,
-                });
-                self.lower_stmt(cx, body);
                 // `continue` lands at the condition evaluation.
-                let idx = cx.loops.len() - 1;
-                if let Some(ContinueSink::Collect(edges)) = cx.loops[idx].continues.take() {
-                    cx.pending.extend(edges);
-                }
+                let breaks = self.collecting_body(cx, body);
                 let c = self.lower_expr(cx, cond);
-                let br = self.emit(cx, IrStmtKind::Branch { cond: c }, span);
-                cx.pending.clear();
+                let br = self.branch(cx, c, span, EdgeKind::BranchFalse);
                 self.cfg.add_edge(br, header, EdgeKind::BranchTrue);
-                let ctx = cx.loops.pop().expect("loop ctx");
-                cx.pending.push((br, EdgeKind::BranchFalse));
-                cx.pending.extend(ctx.breaks);
+                cx.pending.extend(breaks);
             }
             For {
                 init,
@@ -647,120 +530,45 @@ impl<'a> Lowerer<'a> {
                 update,
                 body,
             } => {
-                let labels = std::mem::take(&mut cx.pending_labels);
                 if let Some(init) = init {
                     self.lower_stmt(cx, init);
                 }
                 let header = self.emit(cx, IrStmtKind::Nop("for-header"), span);
                 let br = test.as_ref().map(|t| {
                     let c = self.lower_expr(cx, t);
-                    let br = self.emit(cx, IrStmtKind::Branch { cond: c }, span);
-                    cx.pending.clear();
-                    cx.pending.push((br, EdgeKind::BranchTrue));
-                    br
+                    self.branch(cx, c, span, EdgeKind::BranchTrue)
                 });
-                cx.loops.push(LoopCtx {
-                    labels,
-                    breaks: Vec::new(),
-                    continues: Some(ContinueSink::Collect(Vec::new())),
-                    is_breakable: true,
-                });
-                self.lower_stmt(cx, body);
                 // `continue` lands at the update expression.
-                let idx = cx.loops.len() - 1;
-                if let Some(ContinueSink::Collect(edges)) = cx.loops[idx].continues.take() {
-                    cx.pending.extend(edges);
-                }
+                let breaks = self.collecting_body(cx, body);
                 if let Some(update) = update {
                     self.lower_expr(cx, update);
                 }
-                for (from, kind) in cx.pending.drain(..) {
-                    self.cfg.add_edge(from, header, kind);
-                }
-                let ctx = cx.loops.pop().expect("loop ctx");
+                self.jump_pending(cx, header);
                 if let Some(br) = br {
                     cx.pending.push((br, EdgeKind::BranchFalse));
                 }
-                cx.pending.extend(ctx.breaks);
+                cx.pending.extend(breaks);
             }
             ForIn {
                 target, obj, body, ..
             } => {
-                let labels = std::mem::take(&mut cx.pending_labels);
                 let o = self.lower_expr(cx, obj);
-                let hv = self.temp(cx.func);
-                let header = self.emit(cx, IrStmtKind::Havoc { dst: hv.clone() }, span);
-                let br = self.emit(
-                    cx,
-                    IrStmtKind::Branch {
-                        cond: Operand::Place(hv),
-                    },
-                    span,
-                );
-                cx.pending.clear();
-                cx.pending.push((br, EdgeKind::BranchTrue));
+                let (header, br) = self.havoc_branch(cx, span);
                 // Bind the key.
-                match &target.kind {
-                    ast::ExprKind::Ident(name) => {
-                        let dst = self.resolve(cx.func, name);
-                        self.emit(
-                            cx,
-                            IrStmtKind::ForInNext {
-                                dst,
-                                obj: o.clone(),
-                            },
-                            span,
-                        );
-                    }
-                    ast::ExprKind::Member { obj: mo, prop } => {
-                        let key = self.temp(cx.func);
-                        self.emit(
-                            cx,
-                            IrStmtKind::ForInNext {
-                                dst: key.clone(),
-                                obj: o.clone(),
-                            },
-                            span,
-                        );
-                        let mo = self.lower_expr(cx, mo);
-                        let p = self.lower_member_prop(cx, prop);
-                        self.emit(
-                            cx,
-                            IrStmtKind::StoreProp {
-                                obj: mo,
-                                prop: p,
-                                value: Operand::Place(match &key {
-                                    Place::Var(v) => Place::Var(*v),
-                                    Place::Global(g) => Place::Global(g.clone()),
-                                }),
-                            },
-                            span,
-                        );
-                    }
-                    _ => {
-                        // Parser guarantees assign targets only.
-                        let dst = self.temp(cx.func);
-                        self.emit(
-                            cx,
-                            IrStmtKind::ForInNext {
-                                dst,
-                                obj: o.clone(),
-                            },
-                            span,
-                        );
+                if let ast::ExprKind::Ident(name) = &target.kind {
+                    let dst = self.resolve(cx.func, name);
+                    self.emit(cx, IrStmtKind::ForInNext { dst, obj: o }, span);
+                } else {
+                    let key = self.define(cx, span, |dst| IrStmtKind::ForInNext { dst, obj: o });
+                    // Parser guarantees assign targets only.
+                    if let Some(t) = self.target(cx, target) {
+                        self.write(cx, t, Operand::Place(key), span);
                     }
                 }
-                cx.loops.push(LoopCtx {
-                    labels,
-                    breaks: Vec::new(),
-                    continues: Some(ContinueSink::Target(header)),
-                    is_breakable: true,
+                let ctx = self.breakable(cx, Some(ContinueSink::Target(header)), true, |lw, cx| {
+                    lw.lower_stmt(cx, body)
                 });
-                self.lower_stmt(cx, body);
-                for (from, kind) in cx.pending.drain(..) {
-                    self.cfg.add_edge(from, header, kind);
-                }
-                let ctx = cx.loops.pop().expect("loop ctx");
+                self.jump_pending(cx, header);
                 cx.pending.push((br, EdgeKind::BranchFalse));
                 cx.pending.extend(ctx.breaks);
             }
@@ -772,7 +580,7 @@ impl<'a> Lowerer<'a> {
                 let r = self.emit(cx, IrStmtKind::Return { value: v }, span);
                 cx.pending.clear();
                 // The function exit node doesn't exist yet; defer the edge.
-                self.deferred_returns.push((cx.func, r));
+                cx.returns.push(r);
             }
             Break(label) => {
                 let b = self.emit(cx, IrStmtKind::Nop("break"), span);
@@ -815,12 +623,7 @@ impl<'a> Lowerer<'a> {
             }
             Throw(e) => {
                 let v = self.lower_expr(cx, e);
-                let t = self.emit(cx, IrStmtKind::Throw { value: v }, span);
-                cx.pending.clear();
-                match cx.handlers.last() {
-                    Some(h) => self.cfg.add_edge(t, *h, EdgeKind::ThrowExplicit),
-                    None => self.deferred_uncaught.push((cx.func, t)),
-                }
+                self.throw(cx, v, span);
             }
             Try {
                 block,
@@ -831,7 +634,11 @@ impl<'a> Lowerer<'a> {
             Block(body) => self.lower_stmts(cx, body),
             Empty => {}
             Labeled(label, body) => {
-                let is_loop_or_switch = matches!(
+                // A loop or switch takes the labels naming it into its own
+                // context, so `continue label` works; any other statement
+                // gets a context that only a labeled `break` targets.
+                cx.pending_labels.push(label.name.clone());
+                if matches!(
                     body.kind,
                     While { .. }
                         | DoWhile { .. }
@@ -839,24 +646,10 @@ impl<'a> Lowerer<'a> {
                         | ForIn { .. }
                         | Switch { .. }
                         | Labeled(..)
-                );
-                if is_loop_or_switch {
-                    // The loop/switch consumes the accumulated labels into
-                    // its own context, so `continue label` works.
-                    cx.pending_labels.push(label.name.clone());
+                ) {
                     self.lower_stmt(cx, body);
-                    cx.pending_labels.clear();
                 } else {
-                    let mut labels = std::mem::take(&mut cx.pending_labels);
-                    labels.push(label.name.clone());
-                    cx.loops.push(LoopCtx {
-                        labels,
-                        breaks: Vec::new(),
-                        continues: None,
-                        is_breakable: false,
-                    });
-                    self.lower_stmt(cx, body);
-                    let ctx = cx.loops.pop().expect("label ctx");
+                    let ctx = self.breakable(cx, None, false, |lw, cx| lw.lower_stmt(cx, body));
                     cx.pending.extend(ctx.breaks);
                 }
             }
@@ -871,64 +664,36 @@ impl<'a> Lowerer<'a> {
         finally: &'a Option<Vec<ast::Stmt>>,
         span: Span,
     ) {
-        match catch {
-            Some((param, catch_body)) => {
-                // Emit the catch landing pad first (disconnected) so the
-                // try-block statements can reference it as their handler.
-                let saved_pending = std::mem::take(&mut cx.pending);
+        // The landing pad comes first, so that the try-block statements
+        // can name it as their handler.
+        let pad = match catch {
+            Some((param, _)) => {
                 let dst = self.resolve(cx.func, &param.name);
-                let pad = self.emit(cx, IrStmtKind::CatchBind { dst }, param.span);
-                // The pad emission left a pending edge; stash it.
-                cx.pending.clear();
-                cx.pending = saved_pending;
-
-                cx.handlers.push(pad);
-                self.lower_stmts(cx, block);
-                cx.handlers.pop();
-                let normal_exit = std::mem::take(&mut cx.pending);
-
-                // Lower the catch body starting from the pad.
-                cx.pending.push((pad, EdgeKind::Seq));
+                self.emit_detached(cx, IrStmtKind::CatchBind { dst }, param.span)
+            }
+            None => self.emit_detached(cx, IrStmtKind::Nop("finally-pad"), span),
+        };
+        cx.handlers.push(pad);
+        self.lower_stmts(cx, block);
+        cx.handlers.pop();
+        let normal_exit = std::mem::take(&mut cx.pending);
+        cx.pending.push((pad, EdgeKind::Seq));
+        match catch {
+            Some((_, catch_body)) => {
                 self.lower_stmts(cx, catch_body);
                 cx.pending.extend(normal_exit);
-
                 if let Some(fin) = finally {
                     self.lower_stmts(cx, fin);
                 }
-                let _ = span;
             }
             None => {
                 // try/finally without catch: exceptions run the finally
                 // then propagate. We lower the finally twice: once on the
-                // normal path, once on the exceptional path.
+                // exceptional path, then rethrow, and once on the normal
+                // path.
                 let fin = finally.as_ref().expect("parser enforces catch|finally");
-                let saved_pending = std::mem::take(&mut cx.pending);
-                let pad = self.emit(cx, IrStmtKind::Nop("finally-pad"), span);
-                cx.pending.clear();
-                cx.pending = saved_pending;
-
-                cx.handlers.push(pad);
-                self.lower_stmts(cx, block);
-                cx.handlers.pop();
-                let normal_exit = std::mem::take(&mut cx.pending);
-
-                // Exceptional copy of the finally, then rethrow.
-                cx.pending.push((pad, EdgeKind::Seq));
                 self.lower_stmts(cx, fin);
-                let rethrow = self.emit(
-                    cx,
-                    IrStmtKind::Throw {
-                        value: Operand::Undefined,
-                    },
-                    span,
-                );
-                cx.pending.clear();
-                match cx.handlers.last() {
-                    Some(h) => self.cfg.add_edge(rethrow, *h, EdgeKind::ThrowExplicit),
-                    None => self.deferred_uncaught.push((cx.func, rethrow)),
-                }
-
-                // Normal copy.
+                self.throw(cx, Operand::Undefined, span);
                 cx.pending = normal_exit;
                 self.lower_stmts(cx, fin);
             }
@@ -942,77 +707,125 @@ impl<'a> Lowerer<'a> {
         cases: &'a [ast::SwitchCase],
         span: Span,
     ) {
-        let labels = std::mem::take(&mut cx.pending_labels);
         let d = self.lower_expr(cx, disc);
         // Chain of tests; collect the branch-true edge per case.
         let mut case_entries: Vec<(usize, Pending)> = Vec::new();
         for (i, case) in cases.iter().enumerate() {
             if let Some(test) = &case.test {
                 let t = self.lower_expr(cx, test);
-                let cmp = self.temp(cx.func);
-                self.emit(
-                    cx,
-                    IrStmtKind::BinOp {
-                        dst: cmp.clone(),
-                        op: BinaryOp::StrictEq,
-                        left: d.clone(),
-                        right: t,
-                    },
-                    span,
-                );
-                let br = self.emit(
-                    cx,
-                    IrStmtKind::Branch {
-                        cond: Operand::Place(cmp),
-                    },
-                    span,
-                );
-                cx.pending.clear();
+                let cmp = self.define(cx, span, |dst| IrStmtKind::BinOp {
+                    dst,
+                    op: BinaryOp::StrictEq,
+                    left: d.clone(),
+                    right: t,
+                });
+                let br = self.branch(cx, Operand::Place(cmp), span, EdgeKind::BranchFalse);
                 case_entries.push((i, vec![(br, EdgeKind::BranchTrue)]));
-                cx.pending.push((br, EdgeKind::BranchFalse));
             }
         }
         // All tests failed: go to default if present, else past the switch.
-        let default_idx = cases.iter().position(|c| c.test.is_none());
-        let no_match_pending = std::mem::take(&mut cx.pending);
-        if let Some(di) = default_idx {
-            case_entries.push((di, no_match_pending));
-        } else {
-            cx.pending = no_match_pending; // falls past the switch
-        }
-        let fallthrough_tail = std::mem::take(&mut cx.pending);
+        let no_match = std::mem::take(&mut cx.pending);
+        let fallthrough_tail = match cases.iter().position(|c| c.test.is_none()) {
+            Some(default) => {
+                case_entries.push((default, no_match));
+                Vec::new()
+            }
+            None => no_match,
+        };
 
-        cx.loops.push(LoopCtx {
-            labels,
-            breaks: Vec::new(),
-            continues: None,
-            is_breakable: true,
-        });
-        // Bodies in source order; fallthrough connects them.
-        for (i, case) in cases.iter().enumerate() {
-            // Incoming: previous body fallthrough (already in pending) plus
-            // any matching test edges.
-            for (ci, edges) in &case_entries {
-                if *ci == i {
-                    cx.pending.extend(edges.iter().copied());
+        let ctx = self.breakable(cx, None, true, |lw, cx| {
+            // Bodies in source order; fallthrough connects them.
+            for (i, case) in cases.iter().enumerate() {
+                // Incoming: previous body fallthrough (already in pending)
+                // plus any matching test edges.
+                for (ci, edges) in &case_entries {
+                    if *ci == i {
+                        cx.pending.extend(edges.iter().copied());
+                    }
                 }
+                if cx.pending.is_empty() && case.body.is_empty() {
+                    continue;
+                }
+                lw.emit(cx, IrStmtKind::Nop("case"), span);
+                lw.lower_stmts(cx, &case.body);
             }
-            if cx.pending.is_empty() && case.body.is_empty() {
-                continue;
-            }
-            self.emit(cx, IrStmtKind::Nop("case"), span);
-            self.lower_stmts(cx, &case.body);
-        }
-        let ctx = cx.loops.pop().expect("switch ctx");
+        });
         cx.pending.extend(ctx.breaks);
         cx.pending.extend(fallthrough_tail);
     }
 
-    fn lower_member_prop(&mut self, cx: &mut FnCtx, prop: &'a ast::MemberProp) -> Operand {
-        match prop {
+    /// Lowers a member access's object, then its property.
+    fn member(
+        &mut self,
+        cx: &mut FnCtx,
+        obj: &'a ast::Expr,
+        prop: &'a ast::MemberProp,
+    ) -> (Operand, Operand) {
+        let obj = self.lower_expr(cx, obj);
+        let prop = match prop {
             ast::MemberProp::Static(name) => Operand::Str(name.clone()),
             ast::MemberProp::Computed(e) => self.lower_expr(cx, e),
+        };
+        (obj, prop)
+    }
+
+    /// Lowers what an assignment target names, the object and then the
+    /// property of a member target; `None` for any other expression.
+    fn target(&mut self, cx: &mut FnCtx, e: &'a ast::Expr) -> Option<Target> {
+        match &e.kind {
+            ast::ExprKind::Ident(name) => Some(Target::Var(self.resolve(cx.func, name))),
+            ast::ExprKind::Member { obj, prop } => {
+                let (obj, prop) = self.member(cx, obj, prop);
+                Some(Target::Prop { obj, prop })
+            }
+            _ => None,
         }
+    }
+
+    /// The current value of a target; a property is loaded first.
+    fn read(&mut self, cx: &mut FnCtx, t: &Target, span: Span) -> Operand {
+        match t {
+            Target::Var(place) => Operand::Place(place.clone()),
+            Target::Prop { obj, prop } => {
+                Operand::Place(self.define(cx, span, |dst| IrStmtKind::LoadProp {
+                    dst,
+                    obj: obj.clone(),
+                    prop: prop.clone(),
+                }))
+            }
+        }
+    }
+
+    /// Emits the write of `value` to a target.
+    fn write(&mut self, cx: &mut FnCtx, t: Target, value: Operand, span: Span) {
+        let kind = match t {
+            Target::Var(dst) => IrStmtKind::Copy { dst, src: value },
+            Target::Prop { obj, prop } => IrStmtKind::StoreProp { obj, prop, value },
+        };
+        self.emit(cx, kind, span);
+    }
+
+    /// Lowers the arguments, then emits the call (a construction, with
+    /// `is_new`) and its `CallResult`, and returns the result.
+    fn call(
+        &mut self,
+        cx: &mut FnCtx,
+        callee: Operand,
+        this: Option<Operand>,
+        args: &'a [ast::Expr],
+        is_new: bool,
+        span: Span,
+    ) -> Operand {
+        let args: Vec<Operand> = args.iter().map(|a| self.lower_expr(cx, a)).collect();
+        let dst = self.define(cx, span, |dst| IrStmtKind::Call {
+            dst,
+            callee,
+            this,
+            args,
+            is_new,
+        });
+        self.emit(cx, IrStmtKind::CallResult { dst: dst.clone() }, span);
+        Operand::Place(dst)
     }
 
     /// Lowers an expression, returning the operand holding its value.
@@ -1031,21 +844,12 @@ impl<'a> Lowerer<'a> {
                 }
                 Operand::Place(self.resolve(cx.func, name))
             }
-            Regex(pat) => {
-                let dst = self.temp(cx.func);
-                self.emit(
-                    cx,
-                    IrStmtKind::NewRegex {
-                        dst: dst.clone(),
-                        pattern: pat.clone(),
-                    },
-                    span,
-                );
-                Operand::Place(dst)
-            }
+            Regex(pat) => Operand::Place(self.define(cx, span, |dst| IrStmtKind::NewRegex {
+                dst,
+                pattern: pat.clone(),
+            })),
             Array(elems) => {
-                let dst = self.temp(cx.func);
-                self.emit(cx, IrStmtKind::NewArray { dst: dst.clone() }, span);
+                let dst = self.define(cx, span, |dst| IrStmtKind::NewArray { dst });
                 for (i, e) in elems.iter().enumerate() {
                     if let Some(e) = e {
                         let v = self.lower_expr(cx, e);
@@ -1073,8 +877,7 @@ impl<'a> Lowerer<'a> {
                 Operand::Place(dst)
             }
             Object(props) => {
-                let dst = self.temp(cx.func);
-                self.emit(cx, IrStmtKind::NewObject { dst: dst.clone() }, span);
+                let dst = self.define(cx, span, |dst| IrStmtKind::NewObject { dst });
                 for (key, value) in props {
                     let v = self.lower_expr(cx, value);
                     self.emit(
@@ -1090,70 +893,35 @@ impl<'a> Lowerer<'a> {
                 Operand::Place(dst)
             }
             Function(f) => {
-                let ir = self.ir_id_for(f.id, cx.func);
-                let dst = self.temp(cx.func);
-                self.emit(
-                    cx,
-                    IrStmtKind::Lambda {
-                        dst: dst.clone(),
-                        func: ir,
-                    },
-                    span,
-                );
-                Operand::Place(dst)
+                let ir = self.ir_id_for(f, cx.func);
+                Operand::Place(self.define(cx, span, |dst| IrStmtKind::Lambda { dst, func: ir }))
             }
-            Unary { op, arg } => match op {
-                ast::UnaryOp::Delete => {
-                    if let Member { obj, prop } = &arg.kind {
-                        let o = self.lower_expr(cx, obj);
-                        let p = self.lower_member_prop(cx, prop);
-                        self.emit(cx, IrStmtKind::DeleteProp { obj: o, prop: p }, span);
-                    }
-                    Operand::Bool(true)
+            Unary {
+                op: ast::UnaryOp::Delete,
+                arg,
+            } => {
+                if let Member { obj, prop } = &arg.kind {
+                    let (obj, prop) = self.member(cx, obj, prop);
+                    self.emit(cx, IrStmtKind::DeleteProp { obj, prop }, span);
                 }
-                ast::UnaryOp::Typeof => {
-                    let v = self.lower_expr(cx, arg);
-                    let dst = self.temp(cx.func);
-                    self.emit(
-                        cx,
-                        IrStmtKind::Typeof {
-                            dst: dst.clone(),
-                            src: v,
-                        },
-                        span,
-                    );
-                    Operand::Place(dst)
-                }
-                _ => {
-                    let v = self.lower_expr(cx, arg);
-                    let dst = self.temp(cx.func);
-                    self.emit(
-                        cx,
-                        IrStmtKind::UnOp {
-                            dst: dst.clone(),
-                            op: *op,
-                            src: v,
-                        },
-                        span,
-                    );
-                    Operand::Place(dst)
-                }
-            },
+                Operand::Bool(true)
+            }
+            Unary { op, arg } => {
+                let src = self.lower_expr(cx, arg);
+                Operand::Place(self.define(cx, span, |dst| match op {
+                    ast::UnaryOp::Typeof => IrStmtKind::Typeof { dst, src },
+                    _ => IrStmtKind::UnOp { dst, op: *op, src },
+                }))
+            }
             Binary { op, left, right } => {
                 let l = self.lower_expr(cx, left);
                 let r = self.lower_expr(cx, right);
-                let dst = self.temp(cx.func);
-                self.emit(
-                    cx,
-                    IrStmtKind::BinOp {
-                        dst: dst.clone(),
-                        op: *op,
-                        left: l,
-                        right: r,
-                    },
-                    span,
-                );
-                Operand::Place(dst)
+                Operand::Place(self.define(cx, span, |dst| IrStmtKind::BinOp {
+                    dst,
+                    op: *op,
+                    left: l,
+                    right: r,
+                }))
             }
             Logical {
                 is_and,
@@ -1162,29 +930,13 @@ impl<'a> Lowerer<'a> {
             } => {
                 // r = left; branch r { taken: r = right }
                 let l = self.lower_expr(cx, left);
-                let r = self.temp(cx.func);
-                self.emit(
-                    cx,
-                    IrStmtKind::Copy {
-                        dst: r.clone(),
-                        src: l,
-                    },
-                    span,
-                );
-                let br = self.emit(
-                    cx,
-                    IrStmtKind::Branch {
-                        cond: Operand::Place(r.clone()),
-                    },
-                    span,
-                );
-                cx.pending.clear();
+                let r = self.define(cx, span, |dst| IrStmtKind::Copy { dst, src: l });
                 let (eval_edge, skip_edge) = if *is_and {
                     (EdgeKind::BranchTrue, EdgeKind::BranchFalse)
                 } else {
                     (EdgeKind::BranchFalse, EdgeKind::BranchTrue)
                 };
-                cx.pending.push((br, eval_edge));
+                let br = self.branch(cx, Operand::Place(r.clone()), span, eval_edge);
                 let rv = self.lower_expr(cx, right);
                 self.emit(
                     cx,
@@ -1197,98 +949,57 @@ impl<'a> Lowerer<'a> {
                 cx.pending.push((br, skip_edge));
                 Operand::Place(r)
             }
-            Assign { op, target, value } => self.lower_assign(cx, op, target, value, span),
+            Assign { op, target, value } => {
+                let Some(t) = self.target(cx, target) else {
+                    return Operand::Undefined;
+                };
+                let rhs = match op {
+                    None => self.lower_expr(cx, value),
+                    Some(op) => {
+                        let cur = self.read(cx, &t, span);
+                        let v = self.lower_expr(cx, value);
+                        Operand::Place(self.define(cx, span, |dst| IrStmtKind::BinOp {
+                            dst,
+                            op: *op,
+                            left: cur,
+                            right: v,
+                        }))
+                    }
+                };
+                // A variable assignment's value is the variable; a
+                // property assignment's is the assigned value.
+                let result = match &t {
+                    Target::Var(place) => Operand::Place(place.clone()),
+                    Target::Prop { .. } => rhs.clone(),
+                };
+                self.write(cx, t, rhs, span);
+                result
+            }
             Update { inc, prefix, arg } => {
+                let Some(t) = self.target(cx, arg) else {
+                    return Operand::Undefined;
+                };
+                // old = +x (numeric coercion); new = old ± 1; x = new
+                let cur = self.read(cx, &t, span);
+                let old = self.define(cx, span, |dst| IrStmtKind::UnOp {
+                    dst,
+                    op: ast::UnaryOp::Pos,
+                    src: cur,
+                });
                 let op = if *inc { BinaryOp::Add } else { BinaryOp::Sub };
-                match &arg.kind {
-                    Ident(name) => {
-                        let place = self.resolve(cx.func, name);
-                        let old = self.temp(cx.func);
-                        // old = +x (numeric coercion)
-                        self.emit(
-                            cx,
-                            IrStmtKind::UnOp {
-                                dst: old.clone(),
-                                op: ast::UnaryOp::Pos,
-                                src: Operand::Place(place.clone()),
-                            },
-                            span,
-                        );
-                        let new = self.temp(cx.func);
-                        self.emit(
-                            cx,
-                            IrStmtKind::BinOp {
-                                dst: new.clone(),
-                                op,
-                                left: Operand::Place(old.clone()),
-                                right: Operand::Num(1.0),
-                            },
-                            span,
-                        );
-                        self.emit(
-                            cx,
-                            IrStmtKind::Copy {
-                                dst: place,
-                                src: Operand::Place(new.clone()),
-                            },
-                            span,
-                        );
-                        Operand::Place(if *prefix { new } else { old })
-                    }
-                    Member { obj, prop } => {
-                        let o = self.lower_expr(cx, obj);
-                        let p = self.lower_member_prop(cx, prop);
-                        let loaded = self.temp(cx.func);
-                        self.emit(
-                            cx,
-                            IrStmtKind::LoadProp {
-                                dst: loaded.clone(),
-                                obj: o.clone(),
-                                prop: p.clone(),
-                            },
-                            span,
-                        );
-                        let old = self.temp(cx.func);
-                        self.emit(
-                            cx,
-                            IrStmtKind::UnOp {
-                                dst: old.clone(),
-                                op: ast::UnaryOp::Pos,
-                                src: Operand::Place(loaded),
-                            },
-                            span,
-                        );
-                        let new = self.temp(cx.func);
-                        self.emit(
-                            cx,
-                            IrStmtKind::BinOp {
-                                dst: new.clone(),
-                                op,
-                                left: Operand::Place(old.clone()),
-                                right: Operand::Num(1.0),
-                            },
-                            span,
-                        );
-                        self.emit(
-                            cx,
-                            IrStmtKind::StoreProp {
-                                obj: o,
-                                prop: p,
-                                value: Operand::Place(new.clone()),
-                            },
-                            span,
-                        );
-                        Operand::Place(if *prefix { new } else { old })
-                    }
-                    _ => Operand::Undefined,
-                }
+                let new = self.define(cx, span, |dst| IrStmtKind::BinOp {
+                    dst,
+                    op,
+                    left: Operand::Place(old.clone()),
+                    right: Operand::Num(1.0),
+                });
+                self.write(cx, t, Operand::Place(new.clone()), span);
+                Operand::Place(if *prefix { new } else { old })
             }
             Cond { test, cons, alt } => {
                 let c = self.lower_expr(cx, test);
-                let br = self.emit(cx, IrStmtKind::Branch { cond: c }, span);
-                cx.pending.clear();
+                let br = self.branch(cx, c, span, EdgeKind::BranchTrue);
                 let r = self.temp(cx.func);
-                cx.pending.push((br, EdgeKind::BranchTrue));
                 let cv = self.lower_expr(cx, cons);
                 self.emit(
                     cx,
@@ -1312,73 +1023,28 @@ impl<'a> Lowerer<'a> {
                 cx.pending.extend(after_cons);
                 Operand::Place(r)
             }
-            Call { callee, args } => {
-                let (f, this) = match &callee.kind {
-                    Member { obj, prop } => {
-                        let o = self.lower_expr(cx, obj);
-                        let p = self.lower_member_prop(cx, prop);
-                        let f = self.temp(cx.func);
-                        self.emit(
-                            cx,
-                            IrStmtKind::LoadProp {
-                                dst: f.clone(),
-                                obj: o.clone(),
-                                prop: p,
-                            },
-                            span,
-                        );
-                        (Operand::Place(f), Some(o))
-                    }
-                    _ => (self.lower_expr(cx, callee), None),
-                };
-                let args: Vec<Operand> = args.iter().map(|a| self.lower_expr(cx, a)).collect();
-                let dst = self.temp(cx.func);
-                self.emit(
-                    cx,
-                    IrStmtKind::Call {
-                        dst: dst.clone(),
-                        callee: f,
-                        this,
-                        args,
-                        is_new: false,
-                    },
-                    span,
-                );
-                self.emit(cx, IrStmtKind::CallResult { dst: dst.clone() }, span);
-                Operand::Place(dst)
-            }
+            Call { callee, args } => match &callee.kind {
+                Member { obj, prop } => {
+                    let (obj, prop) = self.member(cx, obj, prop);
+                    let f = self.define(cx, span, |dst| IrStmtKind::LoadProp {
+                        dst,
+                        obj: obj.clone(),
+                        prop,
+                    });
+                    self.call(cx, Operand::Place(f), Some(obj), args, false, span)
+                }
+                _ => {
+                    let f = self.lower_expr(cx, callee);
+                    self.call(cx, f, None, args, false, span)
+                }
+            },
             New { callee, args } => {
                 let f = self.lower_expr(cx, callee);
-                let args: Vec<Operand> = args.iter().map(|a| self.lower_expr(cx, a)).collect();
-                let dst = self.temp(cx.func);
-                self.emit(
-                    cx,
-                    IrStmtKind::Call {
-                        dst: dst.clone(),
-                        callee: f,
-                        this: None,
-                        args,
-                        is_new: true,
-                    },
-                    span,
-                );
-                self.emit(cx, IrStmtKind::CallResult { dst: dst.clone() }, span);
-                Operand::Place(dst)
+                self.call(cx, f, None, args, true, span)
             }
             Member { obj, prop } => {
-                let o = self.lower_expr(cx, obj);
-                let p = self.lower_member_prop(cx, prop);
-                let dst = self.temp(cx.func);
-                self.emit(
-                    cx,
-                    IrStmtKind::LoadProp {
-                        dst: dst.clone(),
-                        obj: o,
-                        prop: p,
-                    },
-                    span,
-                );
-                Operand::Place(dst)
+                let (obj, prop) = self.member(cx, obj, prop);
+                Operand::Place(self.define(cx, span, |dst| IrStmtKind::LoadProp { dst, obj, prop }))
             }
             Seq(es) => {
                 let mut last = Operand::Undefined;
@@ -1387,93 +1053,6 @@ impl<'a> Lowerer<'a> {
                 }
                 last
             }
-        }
-    }
-
-    fn lower_assign(
-        &mut self,
-        cx: &mut FnCtx,
-        op: &Option<BinaryOp>,
-        target: &'a ast::Expr,
-        value: &'a ast::Expr,
-        span: Span,
-    ) -> Operand {
-        use ast::ExprKind::*;
-        match &target.kind {
-            Ident(name) => {
-                let place = self.resolve(cx.func, name);
-                let rhs = match op {
-                    None => self.lower_expr(cx, value),
-                    Some(op) => {
-                        let cur = Operand::Place(place.clone());
-                        let v = self.lower_expr(cx, value);
-                        let t = self.temp(cx.func);
-                        self.emit(
-                            cx,
-                            IrStmtKind::BinOp {
-                                dst: t.clone(),
-                                op: *op,
-                                left: cur,
-                                right: v,
-                            },
-                            span,
-                        );
-                        Operand::Place(t)
-                    }
-                };
-                self.emit(
-                    cx,
-                    IrStmtKind::Copy {
-                        dst: place.clone(),
-                        src: rhs,
-                    },
-                    span,
-                );
-                Operand::Place(place)
-            }
-            Member { obj, prop } => {
-                let o = self.lower_expr(cx, obj);
-                let p = self.lower_member_prop(cx, prop);
-                let rhs = match op {
-                    None => self.lower_expr(cx, value),
-                    Some(op) => {
-                        let cur = self.temp(cx.func);
-                        self.emit(
-                            cx,
-                            IrStmtKind::LoadProp {
-                                dst: cur.clone(),
-                                obj: o.clone(),
-                                prop: p.clone(),
-                            },
-                            span,
-                        );
-                        let v = self.lower_expr(cx, value);
-                        let t = self.temp(cx.func);
-                        self.emit(
-                            cx,
-                            IrStmtKind::BinOp {
-                                dst: t.clone(),
-                                op: *op,
-                                left: Operand::Place(cur),
-                                right: v,
-                            },
-                            span,
-                        );
-                        Operand::Place(t)
-                    }
-                };
-                self.emit(
-                    cx,
-                    IrStmtKind::StoreProp {
-                        obj: o,
-                        prop: p,
-                        value: rhs.clone(),
-                    },
-                    span,
-                );
-                rhs
-            }
-            _ => Operand::Undefined,
         }
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::error::{ParseError, ParseErrorKind};
 use crate::span::Span;
-use crate::token::{Keyword, Punct, Token, TokenKind};
+use crate::token::{Keyword, Punct, Token, TokenKind, PUNCTS};
 
 /// Lexes `src` into a vector of tokens terminated by [`TokenKind::Eof`].
 ///
@@ -318,61 +318,11 @@ impl<'s> Lexer<'s> {
     }
 
     fn punct(&mut self) -> Result<TokenKind, ParseError> {
-        use Punct::*;
         let rest = &self.bytes[self.pos..];
-        let table: &[(&[u8], Punct)] = &[
-            (b">>>=", UShrEq),
-            (b"===", EqEqEq),
-            (b"!==", NotEqEq),
-            (b">>>", UShr),
-            (b"<<=", ShlEq),
-            (b">>=", ShrEq),
-            (b"==", EqEq),
-            (b"!=", NotEq),
-            (b"<=", Le),
-            (b">=", Ge),
-            (b"&&", AmpAmp),
-            (b"||", PipePipe),
-            (b"++", PlusPlus),
-            (b"--", MinusMinus),
-            (b"+=", PlusEq),
-            (b"-=", MinusEq),
-            (b"*=", StarEq),
-            (b"/=", SlashEq),
-            (b"%=", PercentEq),
-            (b"&=", AmpEq),
-            (b"|=", PipeEq),
-            (b"^=", CaretEq),
-            (b"<<", Shl),
-            (b">>", Shr),
-            (b"{", LBrace),
-            (b"}", RBrace),
-            (b"(", LParen),
-            (b")", RParen),
-            (b"[", LBracket),
-            (b"]", RBracket),
-            (b";", Semi),
-            (b",", Comma),
-            (b"?", Question),
-            (b":", Colon),
-            (b"<", Lt),
-            (b">", Gt),
-            (b"+", Plus),
-            (b"-", Minus),
-            (b"*", Star),
-            (b"/", Slash),
-            (b"%", Percent),
-            (b"&", Amp),
-            (b"|", Pipe),
-            (b"^", Caret),
-            (b"~", Tilde),
-            (b"!", Bang),
-            (b"=", Eq),
-        ];
-        for (text, punct) in table {
-            if rest.starts_with(text) {
+        for &(text, punct) in &PUNCTS {
+            if rest.starts_with(text.as_bytes()) {
                 self.pos += text.len();
-                return Ok(TokenKind::Punct(*punct));
+                return Ok(TokenKind::Punct(punct));
             }
         }
         Err(self.error(ParseErrorKind::UnexpectedChar(
@@ -508,6 +458,23 @@ mod tests {
                 TokenKind::Ident("e".into()),
             ]
         );
+    }
+
+    #[test]
+    fn every_punctuator_lexes_back_to_itself() {
+        // Maximal munch reads the table in order, so a spelling listed
+        // after one of its own prefixes would lex as that prefix. After
+        // an identifier, `/` and `/=` are division, not a regex. Each
+        // entry spelling its own punctuator makes the 48 entries the 48
+        // distinct punctuators.
+        for &(text, punct) in &PUNCTS {
+            assert_eq!(punct.as_str(), text);
+            assert_eq!(
+                kinds(&format!("x{text}")),
+                vec![TokenKind::Ident("x".into()), TokenKind::Punct(punct)],
+                "{text}"
+            );
+        }
     }
 
     #[test]

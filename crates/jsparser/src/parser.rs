@@ -821,54 +821,24 @@ impl Parser {
             self.primary()?
         };
         let depth = self.depth;
-        loop {
+        while self.chain_link_here(true) {
             // Each link nests the chain so far one level deeper.
-            if self.chain_link_here(true) {
-                self.deeper()?;
-            }
-            e = match &self.peek().kind {
-                TokenKind::Punct(Punct::Dot) => {
-                    self.bump();
-                    let name = self.member_name()?;
-                    let span = e.span.to(name.1);
-                    Expr {
-                        kind: ExprKind::Member {
-                            obj: Box::new(e),
-                            prop: MemberProp::Static(name.0),
-                        },
-                        span,
-                    }
+            self.deeper()?;
+            e = if self.peek().kind.is_punct(Punct::LParen) {
+                let args = self.arguments()?;
+                Expr {
+                    span: e.span,
+                    kind: ExprKind::Call {
+                        callee: Box::new(e),
+                        args,
+                    },
                 }
-                TokenKind::Punct(Punct::LBracket) => {
-                    self.bump();
-                    let idx = self.expression(true)?;
-                    let end = self.expect_punct(Punct::RBracket)?;
-                    let span = e.span.to(end);
-                    Expr {
-                        kind: ExprKind::Member {
-                            obj: Box::new(e),
-                            prop: MemberProp::Computed(Box::new(idx)),
-                        },
-                        span,
-                    }
-                }
-                TokenKind::Punct(Punct::LParen) => {
-                    let args = self.arguments()?;
-                    let span = e.span;
-                    Expr {
-                        kind: ExprKind::Call {
-                            callee: Box::new(e),
-                            args,
-                        },
-                        span,
-                    }
-                }
-                _ => {
-                    self.depth = depth;
-                    return Ok(e);
-                }
+            } else {
+                self.member(e)?
             };
         }
+        self.depth = depth;
+        Ok(e)
     }
 
     /// Whether a member access (or, with `calls`, a call) continues the
@@ -881,21 +851,28 @@ impl Parser {
         }
     }
 
-    /// Member names after `.` may be keywords (`obj.delete` etc.).
-    fn member_name(&mut self) -> Result<(String, Span), ParseError> {
-        match &self.peek().kind {
-            TokenKind::Ident(name) => {
-                let name = name.clone();
-                let span = self.bump().span;
-                Ok((name, span))
-            }
-            TokenKind::Keyword(kw) => {
-                let name = kw.as_str().to_owned();
-                let span = self.bump().span;
-                Ok((name, span))
-            }
-            _ => Err(self.err_expected("property name")),
-        }
+    /// Parses the member access of `obj` that starts at the current `.`
+    /// or `[`. Member names after `.` may be keywords (`obj.delete`).
+    fn member(&mut self, obj: Expr) -> Result<Expr, ParseError> {
+        let (prop, end) = if self.bump().kind.is_punct(Punct::Dot) {
+            let name = match &self.peek().kind {
+                TokenKind::Ident(name) => name.clone(),
+                TokenKind::Keyword(kw) => kw.as_str().to_owned(),
+                _ => return Err(self.err_expected("property name")),
+            };
+            (MemberProp::Static(name), self.bump().span)
+        } else {
+            let idx = self.expression(true)?;
+            let end = self.expect_punct(Punct::RBracket)?;
+            (MemberProp::Computed(Box::new(idx)), end)
+        };
+        Ok(Expr {
+            span: obj.span.to(end),
+            kind: ExprKind::Member {
+                obj: Box::new(obj),
+                prop,
+            },
+        })
     }
 
     fn new_expr(&mut self) -> Result<Expr, ParseError> {
@@ -907,38 +884,9 @@ impl Parser {
         };
         // Member accesses bind tighter than the `new` arguments.
         let depth = self.depth;
-        loop {
-            if self.chain_link_here(false) {
-                self.deeper()?;
-            }
-            callee = match &self.peek().kind {
-                TokenKind::Punct(Punct::Dot) => {
-                    self.bump();
-                    let name = self.member_name()?;
-                    let span = callee.span.to(name.1);
-                    Expr {
-                        kind: ExprKind::Member {
-                            obj: Box::new(callee),
-                            prop: MemberProp::Static(name.0),
-                        },
-                        span,
-                    }
-                }
-                TokenKind::Punct(Punct::LBracket) => {
-                    self.bump();
-                    let idx = self.expression(true)?;
-                    let end = self.expect_punct(Punct::RBracket)?;
-                    let span = callee.span.to(end);
-                    Expr {
-                        kind: ExprKind::Member {
-                            obj: Box::new(callee),
-                            prop: MemberProp::Computed(Box::new(idx)),
-                        },
-                        span,
-                    }
-                }
-                _ => break,
-            };
+        while self.chain_link_here(false) {
+            self.deeper()?;
+            callee = self.member(callee)?;
         }
         self.depth = depth;
         let args = if self.peek().kind.is_punct(Punct::LParen) {

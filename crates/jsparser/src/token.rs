@@ -83,76 +83,63 @@ pub enum Keyword {
     With,
 }
 
-impl Keyword {
-    /// Looks up a keyword from its source spelling.
-    pub fn lookup(s: &str) -> Option<Keyword> {
-        use Keyword::*;
-        Some(match s {
-            "var" => Var,
-            "function" => Function,
-            "return" => Return,
-            "if" => If,
-            "else" => Else,
-            "while" => While,
-            "do" => Do,
-            "for" => For,
-            "in" => In,
-            "break" => Break,
-            "continue" => Continue,
-            "new" => New,
-            "delete" => Delete,
-            "typeof" => Typeof,
-            "instanceof" => Instanceof,
-            "this" => This,
-            "null" => Null,
-            "true" => True,
-            "false" => False,
-            "throw" => Throw,
-            "try" => Try,
-            "catch" => Catch,
-            "finally" => Finally,
-            "switch" => Switch,
-            "case" => Case,
-            "default" => Default,
-            "void" => Void,
-            "with" => With,
-            _ => return None,
-        })
-    }
+/// Declares [`KEYWORDS`] and [`Keyword::lookup`] from one list of
+/// spellings. `lookup` matches on the spellings themselves, which
+/// compiles to a switch on the length and inline compares; scanning the
+/// table instead took about five times as long per identifier.
+macro_rules! keyword_table {
+    ($(($text:literal, $kw:ident),)*) => {
+        /// Every keyword with its source spelling, in declaration order,
+        /// so that a keyword's discriminant indexes its own entry.
+        pub static KEYWORDS: [(&str, Keyword); 28] = [$(($text, Keyword::$kw)),*];
 
+        impl Keyword {
+            /// Looks up a keyword from its source spelling.
+            pub fn lookup(s: &str) -> Option<Keyword> {
+                match s {
+                    $($text => Some(Keyword::$kw),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+keyword_table! {
+    ("var", Var),
+    ("function", Function),
+    ("return", Return),
+    ("if", If),
+    ("else", Else),
+    ("while", While),
+    ("do", Do),
+    ("for", For),
+    ("in", In),
+    ("break", Break),
+    ("continue", Continue),
+    ("new", New),
+    ("delete", Delete),
+    ("typeof", Typeof),
+    ("instanceof", Instanceof),
+    ("this", This),
+    ("null", Null),
+    ("true", True),
+    ("false", False),
+    ("throw", Throw),
+    ("try", Try),
+    ("catch", Catch),
+    ("finally", Finally),
+    ("switch", Switch),
+    ("case", Case),
+    ("default", Default),
+    ("void", Void),
+    ("with", With),
+}
+
+impl Keyword {
     /// The source spelling of the keyword.
     pub fn as_str(self) -> &'static str {
-        use Keyword::*;
-        match self {
-            Var => "var",
-            Function => "function",
-            Return => "return",
-            If => "if",
-            Else => "else",
-            While => "while",
-            Do => "do",
-            For => "for",
-            In => "in",
-            Break => "break",
-            Continue => "continue",
-            New => "new",
-            Delete => "delete",
-            Typeof => "typeof",
-            Instanceof => "instanceof",
-            This => "this",
-            Null => "null",
-            True => "true",
-            False => "false",
-            Throw => "throw",
-            Try => "try",
-            Catch => "catch",
-            Finally => "finally",
-            Switch => "switch",
-            Case => "case",
-            Default => "default",
-            Void => "void",
-            With => "with",
-        }
+        KEYWORDS[self as usize].0
     }
 }
 
@@ -222,60 +209,70 @@ pub enum Punct {
     CaretEq,
 }
 
+/// Every punctuator with its source spelling, longest first, so that
+/// the first entry prefixing the input is its maximal munch.
+pub static PUNCTS: [(&str, Punct); 48] = {
+    use Punct::*;
+    [
+        (">>>=", UShrEq),
+        ("===", EqEqEq),
+        ("!==", NotEqEq),
+        (">>>", UShr),
+        ("<<=", ShlEq),
+        (">>=", ShrEq),
+        ("==", EqEq),
+        ("!=", NotEq),
+        ("<=", Le),
+        (">=", Ge),
+        ("&&", AmpAmp),
+        ("||", PipePipe),
+        ("++", PlusPlus),
+        ("--", MinusMinus),
+        ("+=", PlusEq),
+        ("-=", MinusEq),
+        ("*=", StarEq),
+        ("/=", SlashEq),
+        ("%=", PercentEq),
+        ("&=", AmpEq),
+        ("|=", PipeEq),
+        ("^=", CaretEq),
+        ("<<", Shl),
+        (">>", Shr),
+        ("{", LBrace),
+        ("}", RBrace),
+        ("(", LParen),
+        (")", RParen),
+        ("[", LBracket),
+        ("]", RBracket),
+        (";", Semi),
+        (",", Comma),
+        (".", Dot),
+        ("?", Question),
+        (":", Colon),
+        ("<", Lt),
+        (">", Gt),
+        ("+", Plus),
+        ("-", Minus),
+        ("*", Star),
+        ("/", Slash),
+        ("%", Percent),
+        ("&", Amp),
+        ("|", Pipe),
+        ("^", Caret),
+        ("~", Tilde),
+        ("!", Bang),
+        ("=", Eq),
+    ]
+};
+
 impl Punct {
     /// The source spelling of the punctuator.
     pub fn as_str(self) -> &'static str {
-        use Punct::*;
-        match self {
-            LBrace => "{",
-            RBrace => "}",
-            LParen => "(",
-            RParen => ")",
-            LBracket => "[",
-            RBracket => "]",
-            Semi => ";",
-            Comma => ",",
-            Dot => ".",
-            Question => "?",
-            Colon => ":",
-            Lt => "<",
-            Gt => ">",
-            Le => "<=",
-            Ge => ">=",
-            EqEq => "==",
-            NotEq => "!=",
-            EqEqEq => "===",
-            NotEqEq => "!==",
-            Plus => "+",
-            Minus => "-",
-            Star => "*",
-            Slash => "/",
-            Percent => "%",
-            PlusPlus => "++",
-            MinusMinus => "--",
-            Amp => "&",
-            Pipe => "|",
-            Caret => "^",
-            Tilde => "~",
-            Shl => "<<",
-            Shr => ">>",
-            UShr => ">>>",
-            AmpAmp => "&&",
-            PipePipe => "||",
-            Bang => "!",
-            Eq => "=",
-            PlusEq => "+=",
-            MinusEq => "-=",
-            StarEq => "*=",
-            SlashEq => "/=",
-            PercentEq => "%=",
-            ShlEq => "<<=",
-            ShrEq => ">>=",
-            UShrEq => ">>>=",
-            AmpEq => "&=",
-            PipeEq => "|=",
-            CaretEq => "^=",
-        }
+        let (text, _) = PUNCTS
+            .iter()
+            .find(|&&(_, p)| p == self)
+            .expect("every punctuator is listed");
+        text
     }
 }
 
@@ -305,13 +302,9 @@ mod tests {
 
     #[test]
     fn keyword_round_trip() {
-        for kw in [
-            Keyword::Var,
-            Keyword::Function,
-            Keyword::Instanceof,
-            Keyword::With,
-        ] {
-            assert_eq!(Keyword::lookup(kw.as_str()), Some(kw));
+        for &(text, kw) in &KEYWORDS {
+            assert_eq!(Keyword::lookup(text), Some(kw));
+            assert_eq!(kw.as_str(), text);
         }
         assert_eq!(Keyword::lookup("let"), None);
     }

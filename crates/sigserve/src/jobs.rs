@@ -901,7 +901,7 @@ mod tests {
     }
 
     fn core_with(workers: usize, queue_cap: usize, analysis: AnalysisConfig) -> JobCore {
-        let (waker, _rx) = wake_pair().expect("wake pipe");
+        let (waker, _rx) = wake_pair().expect("wake pair");
         let cfg = ServeConfig {
             workers,
             queue_cap,

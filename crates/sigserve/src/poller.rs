@@ -10,15 +10,16 @@
 //! The surface is deliberately tiny — register/reregister/deregister a
 //! raw fd under a caller-chosen token, then [`Poller::wait`] for
 //! readiness [`Event`]s — plus a [`Waker`]/[`WakeRx`] pair over a
-//! nonblocking pipe so worker threads can interrupt a parked `wait`
-//! (the daemon's workers post job completions through it).
+//! nonblocking socket pair so worker threads can interrupt a parked
+//! `wait` (the daemon's workers post job completions through it).
 //!
 //! Level-triggered everywhere: an fd that still has buffered input (or
 //! writable space) reports again on the next `wait`, so the loop never
 //! needs to drain a socket to exhaustion inside one callback.
 
 use std::io::{self, Read, Write};
-use std::os::fd::RawFd;
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
 // ---------------------------------------------------------------------
@@ -49,12 +50,11 @@ extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
-    fn pipe2(fds: *mut i32, flags: i32) -> i32;
+    fn close(fd: i32) -> i32;
 }
 
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: std::os::raw::c_ulong, timeout_ms: i32) -> i32;
-    fn close(fd: i32) -> i32;
 }
 
 #[cfg(target_os = "linux")]
@@ -75,11 +75,6 @@ const EPOLLERR: u32 = 0x008;
 const EPOLLHUP: u32 = 0x010;
 #[cfg(target_os = "linux")]
 const EPOLLRDHUP: u32 = 0x2000;
-
-#[cfg(target_os = "linux")]
-const O_NONBLOCK: i32 = 0o4000;
-#[cfg(target_os = "linux")]
-const O_CLOEXEC: i32 = 0o2000000;
 
 // poll(2) event bits (identical values across the Unixes we build on).
 const POLLIN: i16 = 0x001;
@@ -363,130 +358,55 @@ impl Drop for Poller {
 }
 
 // ---------------------------------------------------------------------
-// Waker: a nonblocking pipe the event loop parks on.
+// Waker: a nonblocking socket pair the event loop parks on.
 // ---------------------------------------------------------------------
 
-/// An owned raw fd that closes on drop (`File::from_raw_fd` would work
-/// too, but an explicit type keeps the pipe ends honest about not being
-/// files).
-struct OwnedFd(RawFd);
-
-impl Drop for OwnedFd {
-    fn drop(&mut self) {
-        unsafe { close(self.0) };
-    }
-}
-
-/// The write end of the wakeup pipe. Any thread can [`Waker::wake`] to
-/// interrupt the event loop's [`Poller::wait`]; a full pipe means a
+/// The write end of the wakeup pair. Any thread can [`Waker::wake`] to
+/// interrupt the event loop's [`Poller::wait`]; a full buffer means a
 /// wakeup is already pending, so `EAGAIN` is success.
 pub struct Waker {
-    fd: OwnedFd,
+    tx: UnixStream,
 }
 
 impl Waker {
     /// Interrupts the paired [`WakeRx`]'s poller. Never blocks.
     pub fn wake(&self) {
-        let mut one = WakeFdIo(self.fd.0);
-        let _ = one.write(&[1u8]);
+        let _ = (&self.tx).write(&[1u8]);
     }
 }
 
-/// The read end of the wakeup pipe: register its [`WakeRx::fd`] with the
+/// The read end of the wakeup pair: register its [`WakeRx::fd`] with the
 /// poller, and [`WakeRx::drain`] it on every wakeup event.
 pub struct WakeRx {
-    fd: OwnedFd,
+    rx: UnixStream,
 }
 
 impl WakeRx {
     /// The raw fd to register (read interest).
     pub fn fd(&self) -> RawFd {
-        self.fd.0
+        self.rx.as_raw_fd()
     }
 
     /// Consumes every pending wakeup byte (nonblocking).
     pub fn drain(&self) {
-        let mut io = WakeFdIo(self.fd.0);
         let mut buf = [0u8; 256];
-        while matches!(io.read(&mut buf), Ok(n) if n > 0) {}
+        while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
     }
 }
 
-/// Read/Write over a borrowed raw fd via the raw syscalls std exposes
-/// through `File` would take ownership; keep it explicit instead.
-struct WakeFdIo(RawFd);
-
-extern "C" {
-    fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-}
-
-impl Read for WakeFdIo {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = unsafe { read(self.0, buf.as_mut_ptr(), buf.len()) };
-        if n < 0 {
-            Err(last_err())
-        } else {
-            Ok(n as usize)
-        }
-    }
-}
-
-impl Write for WakeFdIo {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = unsafe { write(self.0, buf.as_ptr(), buf.len()) };
-        if n < 0 {
-            Err(last_err())
-        } else {
-            Ok(n as usize)
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Creates the wakeup pipe: both ends nonblocking and close-on-exec.
+/// Creates the wakeup pair: both ends nonblocking (and, as std opens
+/// every socket, close-on-exec).
 pub fn wake_pair() -> io::Result<(Waker, WakeRx)> {
-    #[cfg(target_os = "linux")]
-    {
-        let mut fds = [0i32; 2];
-        if unsafe { pipe2(fds.as_mut_ptr(), O_NONBLOCK | O_CLOEXEC) } < 0 {
-            return Err(last_err());
-        }
-        Ok((
-            Waker {
-                fd: OwnedFd(fds[1]),
-            },
-            WakeRx {
-                fd: OwnedFd(fds[0]),
-            },
-        ))
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        // Portable fallback: a Unix socketpair behaves like a pipe here.
-        use std::os::fd::IntoRawFd;
-        let (a, b) = std::os::unix::net::UnixStream::pair()?;
-        a.set_nonblocking(true)?;
-        b.set_nonblocking(true)?;
-        Ok((
-            Waker {
-                fd: OwnedFd(a.into_raw_fd()),
-            },
-            WakeRx {
-                fd: OwnedFd(b.into_raw_fd()),
-            },
-        ))
-    }
+    let (tx, rx) = UnixStream::pair()?;
+    tx.set_nonblocking(true)?;
+    rx.set_nonblocking(true)?;
+    Ok((Waker { tx }, WakeRx { rx }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::net::{TcpListener, TcpStream};
-    use std::os::fd::AsRawFd;
     use std::time::Instant;
 
     fn backends() -> Vec<Backend> {

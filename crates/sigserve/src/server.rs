@@ -24,7 +24,7 @@
 //! remote workers claim them with the `claim` verb, which parks on its
 //! connection while nothing is pending. Workers never touch sockets —
 //! finished cores reach the loop through a completion queue and a
-//! waker pipe, which also decouples request *deadlines* (answered
+//! waker socket, which also decouples request *deadlines* (answered
 //! `timeout` by the loop) from worker scheduling.
 //!
 //! Data flow for one `vet` request:
@@ -36,7 +36,7 @@
 //!      │                    └─ pending ──> local worker | remote claim
 //!      │                                        │ compute under budget
 //!      │                                        │ finish: cache insert
-//!      completion queue + waker pipe <──post────┘ (owner + duplicates)
+//!      completion queue + waker <──post─────────┘ (owner + duplicates)
 //! ```
 //!
 //! A runaway analysis is cut off by the step budget / deadline inside
@@ -210,7 +210,7 @@ fn spawn_history(core: &Arc<JobCore>) -> Option<JoinHandle<()>> {
 
 /// Poller token for the TCP listener.
 const LISTENER_TOKEN: u64 = 0;
-/// Poller token for the completion-queue waker pipe.
+/// Poller token for the completion-queue waker.
 const WAKER_TOKEN: u64 = 1;
 /// First token handed to a connection.
 const FIRST_CONN_TOKEN: u64 = 2;
