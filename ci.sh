@@ -46,8 +46,11 @@
 #      plus the serve_load --check invariants (cache actually hits,
 #      cached vets are >=10x faster than cold, the structured event log
 #      — running under overload sampling — replays into consistent
-#      per-job lifecycles, and kept + suppressed job_rejected records
-#      reconcile exactly with the daemon's shed count); the stats
+#      per-job lifecycles, kept + suppressed job_rejected records
+#      reconcile exactly with the daemon's shed count, and a daemon fed
+#      5,000 never-seen benign addons keeps serve_interned_symbols
+#      unchanged after the first 1,000 and ends within 10% of the RSS it
+#      had at 1,000: bounded daemon memory); the stats
 #      response must carry the metrics registry; plus a `vet trace-job`
 #      smoke: a debug-level --stdio session vets PinPoints twice, and
 #      its log must rebuild job j-0 (computed) into a Chrome trace whose
@@ -165,7 +168,7 @@ printf '%s\n' \
 grep -q '"name":"cache hit"' target/ci_trace_hit.json
 ./target/release/trace_check target/ci_trace_job.json target/ci_trace_hit.json
 
-echo "==> sigserve load sanity (serve_load --check, incl. log replay)"
+echo "==> sigserve load sanity (serve_load --check, incl. log replay and the bounded-memory gate)"
 ./target/release/serve_load --check
 
 echo "==> metrics exposition smoke test (prom_check)"

@@ -26,7 +26,10 @@
 //!   runs an extra overload burst so shedding + sampled `job_rejected`
 //!   logging are exercised: the sampled log must still replay, and kept
 //!   records plus declared `suppressed` counts must reconcile exactly
-//!   with the daemon's shed count.
+//!   with the daemon's shed count. Last, a second daemon vets 5,000
+//!   never-seen benign addons: after the first 1,000 its
+//!   `serve_interned_symbols` gauge must not move, and process RSS must
+//!   end within 10% of its value at 1,000 jobs.
 //! - `--out PATH`    where to write the JSON (default
 //!   `<repo root>/BENCH_serve.json`)
 //! - `--fleet N`     benchmark a daemon with no local workers (the `vet
@@ -394,6 +397,7 @@ fn main() {
              {kept_rejected} rejected kept + {suppressed} suppressed = {shed_total} shed)",
             replay.timelines.len()
         );
+        bounded_memory_check(workers, clients);
         return;
     }
 
@@ -431,6 +435,77 @@ fn main() {
 
     std::fs::write(&out, doc.to_string_pretty() + "\n").expect("write snapshot");
     println!("wrote {out}");
+}
+
+/// `--check`'s bounded-memory gate. A daemon with a small cache vets
+/// 5,000 never-seen benign addons over `clients` connections, each
+/// source generated as it is sent, so the client holds none of them.
+/// Each job interns into a symbol table of its own, freed when the job
+/// ends, so once the first 1,000 jobs have warmed every worker the
+/// daemon's process-wide symbol table must not grow, and process RSS
+/// (daemon and client: they share this process) must end within 10% of
+/// its value at 1,000 jobs.
+fn bounded_memory_check(workers: usize, clients: usize) {
+    const WARM: usize = 1_000;
+    const JOBS: usize = 5_000;
+    let server = Server::builder()
+        .config(ServeConfig {
+            workers,
+            cache_cap: 128,
+            ..ServeConfig::default()
+        })
+        .addr("127.0.0.1:0")
+        .analyze(addon_sig::service_engine)
+        .start()
+        .expect("bind daemon");
+    let addr = server.local_addr();
+    // Vets addons `jobs`, split over `clients` concurrent connections.
+    let vet = |jobs: std::ops::Range<usize>| {
+        std::thread::scope(|scope| {
+            for c in 0..clients {
+                let jobs = jobs.clone();
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    for i in jobs.skip(c).step_by(clients) {
+                        let source = corpus::benign_addon(i);
+                        let resp = client.vet_source(Some("benign.js"), &source).expect("vet");
+                        assert_eq!(resp["verdict"], "ok", "benign addon {i}");
+                        assert_eq!(resp["cached"], Json::Bool(false), "benign addon {i}");
+                    }
+                });
+            }
+        });
+    };
+    let gauges = || {
+        let stats = server.stats();
+        let gauge = |name: &str| {
+            stats["metrics"]["counters"][name]
+                .as_f64()
+                .unwrap_or_else(|| panic!("stats carry {name}"))
+        };
+        (
+            gauge("serve_interned_symbols"),
+            gauge("serve_process_rss_bytes") / (1024.0 * 1024.0),
+        )
+    };
+    vet(0..WARM);
+    let (symbols_warm, rss_warm) = gauges();
+    vet(WARM..JOBS);
+    let (symbols, rss) = gauges();
+    server.stop();
+    server.join();
+    println!(
+        "bounded memory: {JOBS} never-seen jobs; interned symbols {symbols_warm} at {WARM} \
+         jobs, {symbols} at {JOBS}; process RSS {rss_warm:.2} MiB, then {rss:.2} MiB"
+    );
+    assert_eq!(
+        symbols, symbols_warm,
+        "never-seen jobs grew the daemon's symbol table"
+    );
+    assert!(
+        rss <= rss_warm * 1.10,
+        "process RSS grew {rss_warm:.2} -> {rss:.2} MiB from job {WARM} to job {JOBS}"
+    );
 }
 
 /// Holder subprocess for `--connections`: opens `n` connections to the

@@ -161,16 +161,20 @@ impl EnvBuilder<'_> {
         self.host(name, ObjKind::Native(id))
     }
 
+    /// Binds a property of a host object. The environment outlives every
+    /// job scope, so its names, here and in [`EnvBuilder::source`], go
+    /// into the process table.
     fn set_prop(&mut self, obj: AllocSite, name: &str, value: AValue) {
         self.state
             .get_mut(obj)
             .expect("host object allocated")
-            .write_prop(&Pre::exact(name), &value, true);
+            .write_prop(&Pre::Exact(Sym::intern_process(name)), &value, true);
     }
 
     fn source(&mut self, obj: AllocSite, prop: &str, kind: SourceKind, value: AValue) {
         self.set_prop(obj, prop, value);
-        self.source_locs.insert((obj, Sym::intern(prop)), kind);
+        self.source_locs
+            .insert((obj, Sym::intern_process(prop)), kind);
     }
 }
 
@@ -181,6 +185,10 @@ impl EnvBuilder<'_> {
 /// table, which it goes on interning into, and a shared environment
 /// that nothing mutates (the run's states copy the initial heap on
 /// write). Every run thus sees the same sites under the same numbers.
+/// The template outlives every job scope
+/// ([`jsdomains::job_scope`]), so it interns its names in the process
+/// table, also when a thread first builds it inside a job. Nothing
+/// interns before it in a run, so its names are no job's symbols yet.
 pub fn setup() -> (SiteTable, Rc<Environment>) {
     thread_local! {
         static TEMPLATE: (SiteTable, Rc<Environment>) = {

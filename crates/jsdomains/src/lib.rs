@@ -54,5 +54,5 @@ pub use object::{cow_clone_count, AObject, FuncIndex, Heap, NativeId, ObjKind};
 pub use prefix::Pre;
 pub use sites::SiteSet;
 pub use sorted_map::SortedMap;
-pub use sym::Sym;
+pub use sym::{job_scope, Sym};
 pub use value::{AValue, AllocSite};

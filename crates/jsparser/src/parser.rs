@@ -90,12 +90,26 @@ impl Parser {
         &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)]
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
+    /// Consumes the current token and returns its span.
+    fn bump(&mut self) -> Span {
+        let span = self.peek().span;
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
-        t
+        span
+    }
+
+    /// Consumes the current token, an identifier, string or regex, and
+    /// moves its text out: the parser never reads a consumed token again.
+    fn bump_text(&mut self) -> String {
+        let i = self.pos;
+        self.bump();
+        match &mut self.tokens[i].kind {
+            TokenKind::Ident(text) | TokenKind::Str(text) | TokenKind::Regex(text) => {
+                std::mem::take(text)
+            }
+            other => unreachable!("{other:?} carries no text"),
+        }
     }
 
     fn at_eof(&self) -> bool {
@@ -123,7 +137,7 @@ impl Parser {
 
     fn expect_punct(&mut self, p: Punct) -> Result<Span, ParseError> {
         if self.peek().kind.is_punct(p) {
-            Ok(self.bump().span)
+            Ok(self.bump())
         } else {
             Err(self.err_expected(p.as_str()))
         }
@@ -139,14 +153,12 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<Ident, ParseError> {
-        match &self.peek().kind {
-            TokenKind::Ident(name) => {
-                let name = name.clone();
-                let span = self.bump().span;
-                Ok(Ident { name, span })
-            }
-            _ => Err(self.err_expected("identifier")),
+        if !matches!(self.peek().kind, TokenKind::Ident(_)) {
+            return Err(self.err_expected("identifier"));
         }
+        let span = self.peek().span;
+        let name = self.bump_text();
+        Ok(Ident { name, span })
     }
 
     /// Automatic semicolon insertion: consume `;`, or accept a newline
@@ -313,7 +325,7 @@ impl Parser {
     }
 
     fn var_statement(&mut self) -> Result<Stmt, ParseError> {
-        let start = self.bump().span; // `var`
+        let start = self.bump(); // `var`
         let decls = self.var_declarators(true)?;
         self.semicolon()?;
         Ok(Stmt {
@@ -347,7 +359,7 @@ impl Parser {
     }
 
     fn if_statement(&mut self) -> Result<Stmt, ParseError> {
-        let start = self.bump().span; // `if`
+        let start = self.bump(); // `if`
         let cond = self.paren_expr()?;
         let cons = Box::new(self.statement()?);
         let alt = if self.eat_keyword(Keyword::Else) {
@@ -362,7 +374,7 @@ impl Parser {
     }
 
     fn while_statement(&mut self) -> Result<Stmt, ParseError> {
-        let start = self.bump().span;
+        let start = self.bump();
         let cond = self.paren_expr()?;
         let body = Box::new(self.statement()?);
         Ok(Stmt {
@@ -372,7 +384,7 @@ impl Parser {
     }
 
     fn do_while_statement(&mut self) -> Result<Stmt, ParseError> {
-        let start = self.bump().span;
+        let start = self.bump();
         let body = Box::new(self.statement()?);
         if !self.eat_keyword(Keyword::While) {
             return Err(self.err_expected("while"));
@@ -387,7 +399,7 @@ impl Parser {
     }
 
     fn for_statement(&mut self) -> Result<Stmt, ParseError> {
-        let start = self.bump().span;
+        let start = self.bump();
         self.expect_punct(Punct::LParen)?;
 
         // for (;;), for (init; test; update), for (x in obj),
@@ -500,7 +512,7 @@ impl Parser {
     }
 
     fn try_statement(&mut self) -> Result<Stmt, ParseError> {
-        let start = self.bump().span;
+        let start = self.bump();
         let block = self.block()?;
         let catch = if self.eat_keyword(Keyword::Catch) {
             self.expect_punct(Punct::LParen)?;
@@ -530,7 +542,7 @@ impl Parser {
     }
 
     fn switch_statement(&mut self) -> Result<Stmt, ParseError> {
-        let start = self.bump().span;
+        let start = self.bump();
         let disc = self.paren_expr()?;
         self.expect_punct(Punct::LBrace)?;
         let mut cases = Vec::new();
@@ -799,7 +811,7 @@ impl Parser {
                     span: e.span,
                 });
             }
-            let end = self.bump().span;
+            let end = self.bump();
             let span = e.span.to(end);
             return Ok(Expr {
                 kind: ExprKind::Update {
@@ -854,13 +866,20 @@ impl Parser {
     /// Parses the member access of `obj` that starts at the current `.`
     /// or `[`. Member names after `.` may be keywords (`obj.delete`).
     fn member(&mut self, obj: Expr) -> Result<Expr, ParseError> {
-        let (prop, end) = if self.bump().kind.is_punct(Punct::Dot) {
+        let dot = self.peek().kind.is_punct(Punct::Dot);
+        self.bump();
+        let (prop, end) = if dot {
+            let end = self.peek().span;
             let name = match &self.peek().kind {
-                TokenKind::Ident(name) => name.clone(),
-                TokenKind::Keyword(kw) => kw.as_str().to_owned(),
+                TokenKind::Ident(_) => self.bump_text(),
+                TokenKind::Keyword(kw) => {
+                    let name = kw.as_str().to_owned();
+                    self.bump();
+                    name
+                }
                 _ => return Err(self.err_expected("property name")),
             };
-            (MemberProp::Static(name), self.bump().span)
+            (MemberProp::Static(name), end)
         } else {
             let idx = self.expression(true)?;
             let end = self.expect_punct(Punct::RBracket)?;
@@ -876,7 +895,7 @@ impl Parser {
     }
 
     fn new_expr(&mut self) -> Result<Expr, ParseError> {
-        let start = self.bump().span; // `new`
+        let start = self.bump(); // `new`
         let mut callee = if self.peek().kind.is_keyword(Keyword::New) {
             self.nested(Parser::new_expr)?
         } else {
@@ -926,21 +945,9 @@ impl Parser {
                 self.bump();
                 ExprKind::Num(n)
             }
-            TokenKind::Str(s) => {
-                let s = s.clone();
-                self.bump();
-                ExprKind::Str(s)
-            }
-            TokenKind::Regex(r) => {
-                let r = r.clone();
-                self.bump();
-                ExprKind::Regex(r)
-            }
-            TokenKind::Ident(name) => {
-                let name = name.clone();
-                self.bump();
-                ExprKind::Ident(name)
-            }
+            TokenKind::Str(_) => ExprKind::Str(self.bump_text()),
+            TokenKind::Regex(_) => ExprKind::Regex(self.bump_text()),
+            TokenKind::Ident(_) => ExprKind::Ident(self.bump_text()),
             TokenKind::Keyword(Keyword::True) => {
                 self.bump();
                 ExprKind::Bool(true)
@@ -976,7 +983,7 @@ impl Parser {
     }
 
     fn array_literal(&mut self) -> Result<Expr, ParseError> {
-        let start = self.bump().span; // `[`
+        let start = self.bump(); // `[`
         let mut elems = Vec::new();
         loop {
             if self.peek().kind.is_punct(Punct::RBracket) {
@@ -999,23 +1006,14 @@ impl Parser {
     }
 
     fn object_literal(&mut self) -> Result<Expr, ParseError> {
-        let start = self.bump().span; // `{`
+        let start = self.bump(); // `{`
         let mut props = Vec::new();
         loop {
             if self.peek().kind.is_punct(Punct::RBrace) {
                 break;
             }
             let key = match &self.peek().kind {
-                TokenKind::Ident(name) => {
-                    let k = PropKey::Ident(name.clone());
-                    self.bump();
-                    k
-                }
-                TokenKind::Str(s) => {
-                    let k = PropKey::Ident(s.clone());
-                    self.bump();
-                    k
-                }
+                TokenKind::Ident(_) | TokenKind::Str(_) => PropKey::Ident(self.bump_text()),
                 TokenKind::Num(n) => {
                     let k = PropKey::Num(*n);
                     self.bump();

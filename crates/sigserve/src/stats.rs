@@ -49,8 +49,11 @@ fn histogram_json(h: &HistogramSnapshot) -> Json {
 /// Adds the job core's gauges and the process's memory gauges to a
 /// registry snapshot, under the same `serve_` prefix, so the exposition
 /// and the on-disk history cover the whole daemon: its resident set
-/// (`serve_process_rss_bytes`) and the process-wide symbol table's size
-/// (`serve_interned_symbols`), which only grows.
+/// (`serve_process_rss_bytes`) and the size of the process's symbol
+/// table (`serve_interned_symbols`). Each job interns into a table of
+/// its own, freed when it ends, so once every worker has built its
+/// environment the second gauge holds still however many addons the
+/// daemon vets.
 pub(crate) fn with_gauges(mut snap: MetricsSnapshot, view: &CoreView) -> MetricsSnapshot {
     for (name, v) in [
         ("serve_cache_entries", view.cache_entries as u64),

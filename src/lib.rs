@@ -459,7 +459,25 @@ pub fn profile_addon(source: &str, config: &AnalysisConfig) -> Result<JobProfile
 /// runs at debug level it passes a tracer here, and every layer span
 /// lands in the log tagged with the owning job's request ID. This is
 /// the engine `vet serve` installs via [`sigserve::ServerBuilder::analyze`].
+///
+/// Each job interns into a symbol table of its own
+/// ([`jsdomains::job_scope`]), freed when the job ends, so a daemon's
+/// memory does not grow with the number of addons it vets.
 pub fn service_engine(
+    source: &str,
+    config: &AnalysisConfig,
+    metrics: &MetricsRegistry,
+    trace: Trace<'_>,
+) -> sigserve::VetOutcome {
+    // SAFETY: no symbol leaves the job. The outcome holds owned data
+    // only: the signature's JSON text, the layer timings, and a
+    // `JobProfile` of `String`s (`sigtrace` has no `Sym`). The metrics
+    // registry and the tracer take counters, times and function names.
+    unsafe { jsdomains::job_scope(|| vet_job(source, config, metrics, trace)) }
+}
+
+/// [`service_engine`]'s job, inside its symbol scope.
+fn vet_job(
     source: &str,
     config: &AnalysisConfig,
     metrics: &MetricsRegistry,

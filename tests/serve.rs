@@ -2,7 +2,7 @@
 //! the real pipeline, CLI/service response equivalence, cache behavior
 //! across resubmission rounds, and budget-degraded verdicts.
 
-use addon_sig::sigserve::{Client, ServeConfig, Server};
+use addon_sig::sigserve::{protocol, Client, ServeConfig, Server};
 use addon_sig::{service_engine, Pipeline};
 use minijson::Json;
 
@@ -329,4 +329,42 @@ fn stdio_reads_requests_from_a_regular_file() {
     assert_eq!(lines[0]["verdict"], "ok");
     assert_eq!(lines[1]["cached"], Json::Bool(true));
     assert_eq!(lines[2]["cache"]["hits"].as_f64(), Some(1.0));
+}
+
+#[test]
+fn never_seen_jobs_leave_the_interned_symbols_gauge_unchanged() {
+    // Each job interns into a table of its own, freed when it ends: once
+    // a first job has built the environment, a batch of never-seen
+    // addons adds nothing to the process's symbol table. The daemon is
+    // a process of its own, so no other test interns into its table.
+    let vet = |i: usize| {
+        let name = format!("benign{i}.js");
+        protocol::vet_request(Some(&name), &corpus::benign_addon(i)).to_string_compact()
+    };
+    let stats = r#"{"kind":"stats"}"#.to_owned();
+    let mut requests = vec![vet(0), stats.clone()];
+    requests.extend((1..40).map(vet));
+    requests.extend([stats, r#"{"kind":"shutdown"}"#.to_owned()]);
+    let requests: Vec<&str> = requests.iter().map(String::as_str).collect();
+    let lines = stdio_session(&requests, false);
+    let ok = lines
+        .iter()
+        .filter(|l| l["kind"] == "vet_result" && l["verdict"] == "ok")
+        .count();
+    assert_eq!(ok, 40);
+    let gauges: Vec<f64> = lines
+        .iter()
+        .filter(|l| l["kind"] == "stats")
+        .map(|l| {
+            l["metrics"]["counters"]["serve_interned_symbols"]
+                .as_f64()
+                .expect("gauge")
+        })
+        .collect();
+    assert_eq!(gauges.len(), 2);
+    assert!(gauges[0] > 0.0);
+    assert_eq!(
+        gauges[1], gauges[0],
+        "39 never-seen jobs grew the symbol table"
+    );
 }
